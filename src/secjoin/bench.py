@@ -97,9 +97,8 @@ def measure_view_gen(level: int, n: int) -> BenchCell:
     sess = _seeded(level)
     vw.GENERATORS[level](sess, r0, r1)
     t = sess.transcript
-    return BenchCell(f"viewgen-l{level}", n, None, None, None,
-                     t.wire_bits + t.hybrid_bits, t.wire_rounds,
-                     t.hybrid_bits, t.phase_shapes())
+    return BenchCell(f"viewgen-l{level}", n, None, None, None, t.wire_bits,
+                     t.wire_rounds, t.hybrid_bits, t.phase_shapes())
 
 
 def bsorting_bitmap_phase_bits(n: int, d0: int) -> int:

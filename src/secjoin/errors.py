@@ -55,3 +55,11 @@ class ViewStale(SecJoinError):
 
 class ParseError(SecJoinError):
     """Malformed CSV or query-spec input."""
+
+
+class MissingColumn(SecJoinError):
+    """A query names a column that the view does not carry."""
+
+
+class KeyOutOfRange(SecJoinError):
+    """A join key or an FK fan-out exceeds the limits of view generation."""

@@ -5,6 +5,21 @@ bitmap-assisted sort, the mixed protocol and the pure-bitmap protocol) plus
 the one-side shortcut. All reveal the canonicalized result table to party 1
 and must agree exactly with the plaintext reference evaluation.
 
+Each protocol composes shared stages. `_Table` reads the view, with P0's
+columns shared in a PK-FK view and plain otherwise, and `_move` permutes
+either kind. All but bitmap start from `_Table.local_order`, then:
+
+  sorting   _own_values, _sort, perm_shared, _grouped_tail
+  osorting  _sort, _carry by perm_plain, _grouped_tail
+  bsorting  _p0_bitmap_bits, bit_sort, _carry by invp_plain, _grouped_tail
+  mix       _run_flags, _own_values, _p0_bitmap_bits, _osn, _segmented, _rows
+  oneside   _run_flags, _own_values, _osn, _segmented, _reveal, _rows
+  bitmap    _Table.bitmap products per bucket pair, _tree_reduce, _rows
+
+`_sort` is the osn, convert and sort phases; `_grouped_tail` is boundary
+flags, suffix sums or `trav_flags`, then `_reveal` (mask, shuffle, open)
+and `_rows` (the canonical table).
+
 Null handling: masked rows carry a validity bit; 0 stands in for the dropped
 value and canonicalization removes invalid rows. Inside running aggregates
 the null replacement is the aggregate's identity (0 for sum/count/xor/max,
@@ -12,13 +27,14 @@ the null replacement is the aggregate's identity (0 for sum/count/xor/max,
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oblivious as ob
 from . import sharing as sh
-from .errors import DomainTooLarge, SizeMismatch
+from .errors import DomainTooLarge, MissingColumn, SizeMismatch
 from .oblivious import AGG_IDENTITY, PlainColumn
 from .ring import ARITH, BINARY
 from .session import Session
@@ -26,7 +42,6 @@ from .sharing import SharedVector
 from .views import shared_e
 
 _U64 = np.uint64
-_MOD = 1 << 64
 
 BITMAP_SORT_CAP = 1 << 12
 BITMAP_PAIR_CAP = 1 << 10
@@ -57,7 +72,6 @@ class JgaQuery:
 @dataclass
 class GroupResult:
     rows: list[tuple]
-    canonical: bool = True
 
     def to_csv(self, agg_labels: list[str]) -> str:
         header = ["g0", "g1"] + agg_labels
@@ -67,11 +81,15 @@ class GroupResult:
         return "\n".join(lines) + "\n"
 
 
+def _sum_like(aggs) -> bool:
+    return all(fn in ("sum", "count") for _, _, fn in aggs)
+
+
 def select_protocol(n: int, d0: int, d1: int, aggs, one_side: bool = False) -> str:
     """The four-rule decision list from the evaluation guidelines."""
     if one_side:
         return "oneside"
-    sum_like = all(fn in ("sum", "count") for _, _, fn in aggs)
+    sum_like = _sum_like(aggs)
     if d0 < 2 ** 3 and d1 < 2 ** 3 and sum_like:
         return "bitmap"
     if min(d0, d1) < 2 ** 7 and sum_like:
@@ -86,40 +104,101 @@ def _value_flavor(fn: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# view access shim (PK-PK: P0 columns plaintext; PK-FK: P0 columns shared)
+# view access: the one place that knows which columns are plain or shared
 # ---------------------------------------------------------------------------
 
 class _Table:
     def __init__(self, view0, view1):
         self.pkfk = view0.kind == "pkfk"
         self.v0, self.v1 = view0, view1
-        if self.pkfk:
-            self.n = view0.n
-            self.j1 = view1.j1
-        else:
-            self.n = view0.n_e
-            self.j1 = view1.j
+        self.n = view0.n if self.pkfk else view0.n_e
+        self.j1 = view1.j1 if self.pkfk else view1.j
         self.e = shared_e(view0, view1)
 
-    def p1_col(self, col: str) -> np.ndarray:
-        return self.j1[col]
+    def col(self, side: int, name: str, flavor: str = BINARY,
+            order: np.ndarray | None = None) -> PlainColumn | SharedVector:
+        """One view column, gathered by the 1-based `order` when given:
+        secret-shared for P0 in a PK-FK view, sender-held plain otherwise."""
+        shared = side == 0 and self.pkfk
+        cols = self.j1 if side == 1 else self.v0.j0_half if shared else self.v0.j
+        if name not in cols:
+            hint = " (add it with views.append_bitmap_columns before view " \
+                "generation)" if name.startswith("__bm:") else ""
+            raise MissingColumn(f"the view has no column {name!r}{hint}")
+        idx = slice(None) if order is None else order - 1
+        if shared:
+            return SharedVector(ARITH, 64, self.v0.j0_half[name][idx].copy(),
+                                self.v1.j0_half[name][idx].copy())
+        return PlainColumn(cols[name][idx], flavor)
 
-    def p0_plain(self, col: str) -> np.ndarray:
-        assert not self.pkfk
-        return self.v0.j[col]
+    def bitmap(self, side: int, name: str | None, dom: list):
+        """One-hot bits of a group column (all ones without one), by value."""
+        if name is None:
+            return PlainColumn(np.ones(self.n, dtype=np.uint64), BINARY, 1)
+        if side == 0 and self.pkfk:
+            return _concat([self.col(0, f"__bm:{name}:{j}")
+                            for j in range(len(dom))])
+        hits = self.col(side, name).values == np.array(dom, np.uint64)[:, None]
+        return PlainColumn(hits.astype(np.uint64).ravel(), BINARY, 1)
 
-    def p0_shared(self, col: str) -> SharedVector:
-        assert self.pkfk
-        return SharedVector(ARITH, 64, self.v0.j0_half[col].copy(),
-                            self.v1.j0_half[col].copy())
+    def local_order(self, side: int, name: str | None):
+        """(1-based local stable sort order, sorted column) of a plain column."""
+        col = self.col(side, name) if name else \
+            PlainColumn(np.zeros(self.n, np.uint64))
+        if not isinstance(col, PlainColumn):
+            raise SizeMismatch(f"group column {name!r} is secret-shared in a "
+                               "PK-FK view, so no party can sort by it locally")
+        order = np.argsort(col.values, kind="stable").astype(np.int64) + 1
+        return order, col.values[order - 1]
+
+    def domain(self, q: JgaQuery, side: int, cap: int | None = None) -> list:
+        """The sorted public domain of a group column ([None] without one)."""
+        name, dom = (q.group0, q.dom0) if side == 0 else (q.group1, q.dom1)
+        if name is None:
+            return [None]
+        if dom is None:
+            col = self.col(side, name)
+            if not isinstance(col, PlainColumn):
+                raise DomainTooLarge("a public domain is required for this "
+                                     "protocol")
+            dom = col.values
+        dom = sorted({int(v) for v in dom})
+        if cap is not None and len(dom) > cap:
+            raise DomainTooLarge(f"d{side} = {len(dom)} exceeds {cap}")
+        return dom
 
 
-def _sorted_domain(dom, plain_col=None) -> list[int]:
-    if dom is not None:
-        return sorted(int(v) for v in set(dom))
-    if plain_col is None:
-        raise DomainTooLarge("a public domain is required for this protocol")
-    return sorted(int(v) for v in np.unique(plain_col))
+def _protocol(body):
+    """A GA protocol over (view0, view1) from its body over a `_Table`."""
+    @functools.wraps(body)
+    def protocol(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
+        t = _Table(view0, view1)
+        return GroupResult([]) if t.n == 0 else body(sess, t, q)
+    return protocol
+
+
+def _move(sess: Session, rho: SharedVector, cols: list) -> list[SharedVector]:
+    """A shared permutation on P0's columns, plain or shared alike."""
+    if not cols:
+        return []
+    if isinstance(cols[0], PlainColumn):
+        return ob.perm_plain(sess, rho, 0, cols)
+    return ob.perm_shared(sess, rho, cols)
+
+
+def _map(sv: SharedVector, fn) -> SharedVector:
+    """The same local rearrangement applied to both halves."""
+    return SharedVector(sv.flavor, sv.width, fn(sv.shares[0]), fn(sv.shares[1]))
+
+
+def _tile(sv: SharedVector, reps: int) -> SharedVector:
+    return _map(sv, lambda a: np.tile(a, reps))
+
+
+def _concat(svs: list[SharedVector]) -> SharedVector:
+    return SharedVector(svs[0].flavor, svs[0].width,
+                        np.concatenate([s.shares[0] for s in svs]),
+                        np.concatenate([s.shares[1] for s in svs]))
 
 
 def _arith_to_bit(sess: Session, sv: SharedVector) -> SharedVector:
@@ -129,588 +208,360 @@ def _arith_to_bit(sess: Session, sv: SharedVector) -> SharedVector:
                         wide.shares[1] & _U64(1))
 
 
-def _tile(sv: SharedVector, reps: int) -> SharedVector:
-    return SharedVector(sv.flavor, sv.width, np.tile(sv.shares[0], reps),
-                        np.tile(sv.shares[1], reps))
+def _mask(sess, f, fa, cols):
+    """Zero the columns where the 1-bit flag f (fa: f as arithmetic) is off."""
+    return [sh.mul(sess, fa, c) if c.flavor == ARITH
+            else sh.and_bits(sess, sh.replicate_bit(f, c.width), c)
+            for c in cols]
 
 
-def _concat(svs: list[SharedVector]) -> SharedVector:
-    out = svs[0]
-    for s in svs[1:]:
-        out = out.append(s)
-    return out
+def _null_fill(sess, valid, v, fn):
+    """v where valid, the aggregate's identity elsewhere."""
+    ident = SharedVector.public(
+        np.full(len(v), AGG_IDENTITY[fn], dtype=np.uint64), v.flavor)
+    return sh.mux(sess, valid, v, ident)
 
 
-def _local_sort_perm(col: np.ndarray) -> np.ndarray:
-    """Stable ascending argsort as a 1-based gather permutation."""
-    return np.argsort(col, kind="stable").astype(np.int64) + 1
+def _convert_values(sess, q, values: dict, n: int) -> list[SharedVector]:
+    """Value slots in query order and flavor; count aggregates public ones."""
+    return [SharedVector.public(np.ones(n, dtype=np.uint64)) if fn == "count"
+            else sh.convert(sess, values[i], _value_flavor(fn))
+            for i, (_side, _col, fn) in enumerate(q.aggs)]
 
 
-def _empty_result() -> GroupResult:
-    return GroupResult([])
+def _run_flags(sess, owner: int, col: np.ndarray):
+    """Shared flags of a sorted column: (same as previous row, last of run)."""
+    same = np.zeros(len(col), dtype=np.uint64)
+    same[1:] = col[1:] == col[:-1]
+    return (sh.share_vec(sess, owner, same, BINARY, 1),
+            sh.share_vec(sess, owner, _U64(1) - np.roll(same, -1), BINARY, 1))
 
 
-def _convert_values(sess, q, values):
-    for i, (_side, _col, fn) in enumerate(q.aggs):
-        want = _value_flavor(fn)
-        if values[i].flavor != want:
-            values[i] = sh.b2a_wide(sess, values[i]) if want == ARITH \
-                else sh.a2b(sess, values[i])
-    return values
+def _take(t: _Table, q: JgaQuery, values: dict, side=None, order=None):
+    """Open value slots (of one side, when given) and their view columns."""
+    slots = [i for i, (s, _col, fn) in enumerate(q.aggs)
+             if i not in values and fn != "count" and side in (None, s)]
+    return slots, [t.col(q.aggs[i][0], q.aggs[i][1], _value_flavor(q.aggs[i][2]),
+                         order) for i in slots]
 
 
-def _canon(rows: list[tuple]) -> list[tuple]:
-    rows.sort(key=lambda r: tuple(v for v in r[:2] if v is not None))
-    return rows
+def _own_values(sess, t, q, owner, order) -> dict:
+    """Value slots with the owner's columns shared in its local order."""
+    slots, cols = _take(t, q, {}, owner, order)
+    return {i: sh.share_vec(sess, owner, c.values, c.flavor)
+            for i, c in zip(slots, cols)}
 
 
-# ---------------------------------------------------------------------------
-# shared tail: valid flag, aggregate, mask, shuffle, reveal, canonicalize
-# ---------------------------------------------------------------------------
+def _osn(sess, t, q, values, receiver, order, head) -> list[SharedVector]:
+    """OSN of the head columns and the open value slots; returns the head."""
+    slots, cols = _take(t, q, values)
+    moved = ob.osn_shared(sess, receiver, order, head + cols)
+    values.update(zip(slots, moved[len(head):]))
+    return moved[:len(head)]
 
-def _mask_bits(sess, f, col):
-    return sh.and_bits(sess, sh.replicate_bit(f, col.width), col)
+
+def _sort(sess, t, q, order, values=None):
+    """osn, convert, sort: P1's order moves e, g0 and any value slots, then
+    (e, g0) is sorted. Returns (gather permutation, e, g0, values)."""
+    head = [t.e] + ([t.col(0, q.group0)] if q.group0 else [])
+    with sess.phase("osn"):
+        e, *g0 = ob.osn_shared(sess, 1, order, head) if values is None \
+            else _osn(sess, t, q, values, 1, order, head)
+    with sess.phase("convert"):
+        g0 = [sh.convert(sess, g, BINARY) for g in g0]
+        if values is not None:
+            values = _convert_values(sess, q, values, t.n)
+    with sess.phase("sort"):
+        pi, (e, *g0), _ = ob.stable_sort(sess, [e] + g0)
+    return pi, e, (g0 or [None])[0], values
 
 
-def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector,
-                  g0_s: SharedVector | None, g1_s: SharedVector | None,
-                  values: list[SharedVector]) -> GroupResult:
-    """Common tail once rows sit in (e, g0, g1) lexicographic order.
+def _carry(sess, t, q, apply, pi, order, g1, p0_head):
+    """carry-p1, carry-p0: P1's columns move by `apply` under pi with P1's
+    order riding along as rho, which moves P0's; (g1, head, values, rho)."""
+    with sess.phase("carry-p1"):
+        slots, cols = _take(t, q, {}, 1, order)
+        head = [PlainColumn(g1, BINARY)] if q.group1 else []
+        *out, rho = apply(sess, pi, 1, head + cols + [PlainColumn(order, ARITH)])
+        values = dict(zip(slots, out[len(head):]))
+    with sess.phase("carry-p0"):
+        slots, cols = _take(t, q, values)
+        moved = _move(sess, rho, p0_head + cols)
+        values.update(zip(slots, moved[len(p0_head):]))
+    return (out[0] if head else None), moved[:len(p0_head)], values, rho
 
-    For all-sum/count queries the running aggregate is replaced by local
-    suffix sums on the first-of-group rows; party 1 finishes by subtracting
-    adjacent revealed rows.
-    """
-    n = len(e_s)
-    suffix = all(fn in ("sum", "count") for _, _, fn in q.aggs)
-    limbs = [e_s] + [g for g in (g0_s, g1_s) if g is not None]
-    with sess.phase("flag"):
-        c = ob.adjacent_same_flags(sess, limbs)
-        if suffix:
-            f = sh.and_bits(sess, e_s, sh.not_bits(c))  # first of its group
-        else:
-            nxt = np.minimum(np.arange(1, n + 1), n - 1)
-            c_next = c.gather(nxt)
-            tail_fix = np.zeros(n, dtype=np.uint64)
-            tail_fix[n - 1] = 1  # last row always ends its group
-            c_next = SharedVector(BINARY, 1, c_next.shares[0] & ~tail_fix,
-                                  c_next.shares[1] & ~tail_fix)
-            f = sh.and_bits(sess, e_s, sh.not_bits(c_next))
-    with sess.phase("aggregate"):
-        results = []
-        for (_side, _col, fn), v in zip(q.aggs, values):
-            if suffix:
-                r0 = np.cumsum(v.shares[0][::-1])[::-1].copy()
-                r1 = np.cumsum(v.shares[1][::-1])[::-1].copy()
-                results.append(SharedVector(ARITH, 64, r0, r1))
-            else:
-                out, _ = ob.trav_flags(sess, c, v, fn)
-                results.append(out)
+
+def _segmented(sess, run, q, values, valid):
+    """Running aggregates along runs, the first also ORing `valid` along."""
+    outs, run_valid = [], None
+    for (_side, _col, fn), v in zip(q.aggs, values):
+        r, tv = ob.trav_flags(sess, run, v, fn, validity=None if outs else valid)
+        run_valid = run_valid if outs else tv
+        outs.append(r)
+    return outs, run_valid
+
+
+def _reveal(sess, f, groups, results):
+    """mask, shuffle, reveal: rows whose flag f is off are zeroed, all are
+    shuffled by P0 and opened to P1 as (flags, [g0, g1], results)."""
     with sess.phase("mask"):
         fa = sh.b2a(sess, f)
-        g0m = _mask_bits(sess, f, g0_s) if g0_s is not None else None
-        g1m = _mask_bits(sess, f, g1_s) if g1_s is not None else None
-        masked = [sh.mul(sess, fa, r) if r.flavor == ARITH
-                  else _mask_bits(sess, f, r) for r in results]
+        masked = _mask(sess, f, fa, [g for g in groups if g is not None] + results)
     with sess.phase("shuffle"):
-        alpha = sess.parties[0].draw_perm(n)
-        cols = [f] + [g for g in (g0m, g1m) if g is not None] + masked
-        cols = ob.osn_shared(sess, 0, alpha, cols)
+        alpha = sess.parties[0].draw_perm(len(f))
+        cols = ob.osn_shared(sess, 0, alpha, [f] + masked)
     with sess.phase("reveal"):
-        opened = [sh.open_vec(sess, cvec, to=1) for cvec in cols]
-    fv = opened[0]
-    pos = 1
-    g0v = g1v = None
-    if g0m is not None:
-        g0v, pos = opened[pos], pos + 1
-    if g1m is not None:
-        g1v, pos = opened[pos], pos + 1
-    aggv = opened[pos:]
-    rows = [(int(g0v[i]) if g0v is not None else None,
-             int(g1v[i]) if g1v is not None else None,
-             *[int(a[i]) for a in aggv])
-            for i in range(n) if fv[i]]
-    rows = _canon(rows)
+        keep, *opened = [sh.open_vec(sess, c, to=1) for c in cols]
+    it = iter(opened)
+    return keep, [None if g is None else next(it) for g in groups], list(it)
+
+
+def _rows(keep, groups, aggs, suffix: bool = False) -> GroupResult:
+    """The canonical result table from the revealed rows marked by `keep`;
+    with `suffix`, adjacent kept rows difference suffix sums into sums."""
+    idx = np.flatnonzero(keep)
+    keys = [g[idx] for g in groups if g is not None]
+    if keys:
+        idx = idx[np.lexsort(keys[::-1])]
+    aggs = [a[idx] for a in aggs]
     if suffix:
-        fixed = []
-        for idx, row in enumerate(rows):
-            vals = []
-            for a in range(len(q.aggs)):
-                cur = row[2 + a]
-                nxt_v = rows[idx + 1][2 + a] if idx + 1 < len(rows) else 0
-                vals.append((cur - nxt_v) % _MOD)
-            fixed.append((row[0], row[1], *vals))
-        rows = fixed
-    return GroupResult(rows)
+        for a in aggs:
+            a[:-1] -= a[1:]
+    cols = [[None] * len(idx) if g is None else g[idx].tolist() for g in groups]
+    return GroupResult(list(zip(*cols, *(a.tolist() for a in aggs))))
+
+
+def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
+                  values: list[SharedVector]) -> GroupResult:
+    """Common tail once rows sit in (e, g0, g1) order; all-sum/count queries
+    take local suffix sums, which party 1 differences after the reveal."""
+    n = len(e_s)
+    suffix = _sum_like(q.aggs)
+    with sess.phase("flag"):
+        c = ob.adjacent_same_flags(
+            sess, [e_s] + [g for g in groups if g is not None])
+        cont = c  # suffix sums keep each group's first row
+        if not suffix:  # the others keep its last: the next row starts anew
+            cont = c.gather(np.minimum(np.arange(1, n + 1), n - 1))
+            for half in cont.shares:
+                half[n - 1] &= ~_U64(1)
+        f = sh.and_bits(sess, e_s, sh.not_bits(cont))
+    with sess.phase("aggregate"):
+        if suffix:
+            results = [_map(v, lambda a: np.cumsum(a[::-1])[::-1].copy())
+                       for v in values]
+        else:
+            results = [ob.trav_flags(sess, c, v, fn)[0]
+                       for (_side, _col, fn), v in zip(q.aggs, values)]
+    keep, groups, aggs = _reveal(sess, f, groups, results)
+    return _rows(keep, groups, aggs, suffix)
 
 
 # ---------------------------------------------------------------------------
 # sorting-based protocols
 # ---------------------------------------------------------------------------
 
-def ga_sorting(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
+@_protocol
+def ga_sorting(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """First-attempt baseline: full shared permutation after the stable sort."""
-    t = _Table(view0, view1)
-    n = t.n
-    if n == 0:
-        return _empty_result()
-    g1_plain = t.p1_col(q.group1) if q.group1 else np.zeros(n, dtype=np.uint64)
-    sigma_b = _local_sort_perm(g1_plain)
-
-    values: list[SharedVector | None] = [None] * len(q.aggs)
+    order, g1 = t.local_order(1, q.group1)
     with sess.phase("share"):
-        g1_s = sh.share_vec(sess, 1, g1_plain[sigma_b - 1], BINARY) \
-            if q.group1 else None
-        for i, (side, col, fn) in enumerate(q.aggs):
-            if fn == "count":
-                values[i] = SharedVector.public(np.ones(n, dtype=np.uint64))
-            elif side == 1:
-                values[i] = sh.share_vec(sess, 1, t.p1_col(col)[sigma_b - 1],
-                                         _value_flavor(fn))
-    with sess.phase("osn"):
-        move: list = [t.e]
-        if q.group0:
-            move.append(t.p0_shared(q.group0) if t.pkfk
-                        else PlainColumn(t.p0_plain(q.group0), BINARY))
-        v0_slots = [i for i in range(len(q.aggs)) if values[i] is None]
-        for i in v0_slots:
-            col, fn = q.aggs[i][1], q.aggs[i][2]
-            move.append(t.p0_shared(col) if t.pkfk
-                        else PlainColumn(t.p0_plain(col), _value_flavor(fn)))
-        moved = ob.osn_shared(sess, 1, sigma_b, move)
-        e_m = moved[0]
-        g0_m = moved[1] if q.group0 else None
-        for i, mv in zip(v0_slots, moved[(2 if q.group0 else 1):]):
-            values[i] = mv
-    with sess.phase("convert"):
-        if g0_m is not None and g0_m.flavor != BINARY:
-            g0_m = sh.a2b(sess, g0_m)
-        values = _convert_values(sess, q, values)
-
-    with sess.phase("sort"):
-        pi, sorted_keys, _ = ob.stable_sort(
-            sess, [e_m] + ([g0_m] if g0_m is not None else []))
-        e_s = sorted_keys[0]
-        g0_s = sorted_keys[1] if g0_m is not None else None
+        g1_s = [sh.share_vec(sess, 1, g1, BINARY)] if q.group1 else []
+        values = _own_values(sess, t, q, 1, order)
+    pi, e_s, g0_s, values = _sort(sess, t, q, order, values)
     with sess.phase("perm"):
-        rest = ([g1_s] if g1_s is not None else []) + values
-        rest = ob.perm_shared(sess, pi, rest)
-        if g1_s is not None:
-            g1_s, values = rest[0], rest[1:]
-        else:
-            values = rest
-    return _grouped_tail(sess, q, e_s, g0_s, g1_s, values)
+        moved = ob.perm_shared(sess, pi, g1_s + values)
+    return _grouped_tail(sess, q, e_s, [g0_s, moved[0] if g1_s else None],
+                         moved[len(g1_s):])
 
 
-def ga_osorting(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
+@_protocol
+def ga_osorting(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """Optimized sorting: plain-vector permutation application where possible."""
-    t = _Table(view0, view1)
-    n = t.n
-    if n == 0:
-        return _empty_result()
-    g1_plain = t.p1_col(q.group1) if q.group1 else np.zeros(n, dtype=np.uint64)
-    sigma_b = _local_sort_perm(g1_plain)
-
-    with sess.phase("osn"):
-        move: list = [t.e]
-        if q.group0:
-            move.append(t.p0_shared(q.group0) if t.pkfk
-                        else PlainColumn(t.p0_plain(q.group0), BINARY))
-        moved = ob.osn_shared(sess, 1, sigma_b, move)
-        e_m = moved[0]
-        g0_m = moved[1] if q.group0 else None
+    order, g1 = t.local_order(1, q.group1)
+    pi, e_s, g0_s, _ = _sort(sess, t, q, order)
+    g1_s, _, values, _ = _carry(sess, t, q, ob.perm_plain, pi, order, g1, [])
     with sess.phase("convert"):
-        if g0_m is not None and g0_m.flavor != BINARY:
-            g0_m = sh.a2b(sess, g0_m)
-    with sess.phase("sort"):
-        pi, sorted_keys, _ = ob.stable_sort(
-            sess, [e_m] + ([g0_m] if g0_m is not None else []))
-        e_s = sorted_keys[0]
-        g0_s = sorted_keys[1] if g0_m is not None else None
-
-    values: list[SharedVector | None] = [None] * len(q.aggs)
-    with sess.phase("carry-p1"):
-        carry: list[PlainColumn] = []
-        slots = []
-        if q.group1:
-            carry.append(PlainColumn(g1_plain[sigma_b - 1], BINARY))
-        for i, (side, col, fn) in enumerate(q.aggs):
-            if fn == "count":
-                values[i] = SharedVector.public(np.ones(n, dtype=np.uint64))
-            elif side == 1:
-                carry.append(PlainColumn(t.p1_col(col)[sigma_b - 1],
-                                         _value_flavor(fn)))
-                slots.append(i)
-        carry.append(PlainColumn(sigma_b, ARITH))
-        out = ob.perm_plain(sess, pi, 1, carry)
-        pos = 0
-        g1_s = None
-        if q.group1:
-            g1_s, pos = out[0], 1
-        for i in slots:
-            values[i] = out[pos]
-            pos += 1
-        rho = out[pos]
-    with sess.phase("carry-p0"):
-        p0_slots = [i for i in range(len(q.aggs)) if values[i] is None]
-        if p0_slots:
-            if t.pkfk:
-                out = ob.perm_shared(sess, rho,
-                                     [t.p0_shared(q.aggs[i][1]) for i in p0_slots])
-            else:
-                out = ob.perm_plain(sess, rho, 0,
-                                    [PlainColumn(t.p0_plain(q.aggs[i][1]),
-                                                 _value_flavor(q.aggs[i][2]))
-                                     for i in p0_slots])
-            for i, mv in zip(p0_slots, out):
-                values[i] = mv
-    with sess.phase("convert"):
-        values = _convert_values(sess, q, values)
-    return _grouped_tail(sess, q, e_s, g0_s, g1_s, values)
+        values = _convert_values(sess, q, values, t.n)
+    return _grouped_tail(sess, q, e_s, [g0_s, g1_s], values)
 
 
 # ---------------------------------------------------------------------------
-# bitmap-assisted protocols
+# bitmap-based protocols
 # ---------------------------------------------------------------------------
 
 def _p0_bitmap_bits(sess, t: _Table, q: JgaQuery, dom0: list,
                     mask_with_e: bool) -> list[SharedVector]:
     """Per-domain-value 1-bit membership vectors of g0, optionally e-masked."""
     n, d0 = t.n, len(dom0)
-    if q.group0 is None:
-        ones = np.ones(n, dtype=np.uint64)
-        cat = SharedVector(BINARY, 1, ones, np.zeros(n, dtype=np.uint64))
-        if mask_with_e:
-            cat = sh.and_bits(sess, t.e, cat)
-        return [cat]
-    if t.pkfk:
-        cols = _concat([t.p0_shared(f"__bm:{q.group0}:{j}") for j in range(d0)])
-        cat = _arith_to_bit(sess, cols)
-        if mask_with_e:
-            cat = sh.and_bits(sess, _tile(t.e, d0), cat)
-    else:
-        g0 = t.p0_plain(q.group0)
-        bits = np.concatenate([(g0 == _U64(v)).astype(np.uint64) for v in dom0])
-        if mask_with_e:
-            # e is shared, the bitmap is P0's plaintext:
-            # e AND b = (e0 AND b, locally at P0) xor (e1 AND b, one transfer)
-            e0 = np.tile(t.e.shares[0], d0)
-            e1 = np.tile(t.e.shares[1], d0)
-            term = sh.asym_mul(sess, 1, e1, bits, BINARY, 1)
-            cat = SharedVector(BINARY, 1, (e0 & bits) ^ term.shares[0],
-                               term.shares[1])
-        else:
-            cat = SharedVector(BINARY, 1, bits,
-                               np.zeros(n * d0, dtype=np.uint64))
+    bits = t.bitmap(0, q.group0, dom0)
+    plain = isinstance(bits, PlainColumn)
+    cat = SharedVector.public(bits.values, BINARY, 1) if plain \
+        else _arith_to_bit(sess, bits)
+    e = _tile(t.e, d0)
+    if mask_with_e and plain and q.group0 is not None:
+        # e AND b = (e0 AND b, locally at P0) xor (e1 AND b, one transfer)
+        term = sh.asym_mul(sess, 1, e.shares[1], bits.values, BINARY, 1)
+        cat = SharedVector(BINARY, 1, (e.shares[0] & bits.values)
+                           ^ term.shares[0], term.shares[1])
+    elif mask_with_e:  # a shared bitmap, or all ones without g0
+        cat = sh.and_bits(sess, e, cat)
     return [cat.slice(j * n, (j + 1) * n) for j in range(d0)]
 
 
-def ga_bsorting(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
+@_protocol
+def ga_bsorting(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """Bitmap-assisted sorting: bitSort replaces the comparison-based sort."""
-    t = _Table(view0, view1)
-    n = t.n
-    if n == 0:
-        return _empty_result()
-    dom0 = _sorted_domain(q.dom0, t.p0_plain(q.group0) if not t.pkfk else None) \
-        if q.group0 else [None]
-    if len(dom0) > BITMAP_SORT_CAP:
-        raise DomainTooLarge(f"d0 = {len(dom0)} exceeds {BITMAP_SORT_CAP}")
-    g1_plain = t.p1_col(q.group1) if q.group1 else np.zeros(n, dtype=np.uint64)
-    sigma_b = _local_sort_perm(g1_plain)
-
+    dom0 = t.domain(q, 0, BITMAP_SORT_CAP)
+    order, g1 = t.local_order(1, q.group1)
     with sess.phase("bitmap-mask"):
         bits = _p0_bitmap_bits(sess, t, q, dom0, mask_with_e=True)
     with sess.phase("osn-bitmap"):
-        bits = ob.osn_shared(sess, 1, sigma_b, bits)
+        bits = ob.osn_shared(sess, 1, order, bits)
     with sess.phase("bitsort"):
         pi = ob.bit_sort(sess, bits)
-
-    values: list[SharedVector | None] = [None] * len(q.aggs)
-    with sess.phase("carry-p1"):
-        carry: list[PlainColumn] = []
-        slots = []
-        if q.group1:
-            carry.append(PlainColumn(g1_plain[sigma_b - 1], BINARY))
-        for i, (side, col, fn) in enumerate(q.aggs):
-            if fn == "count":
-                values[i] = SharedVector.public(np.ones(n, dtype=np.uint64))
-            elif side == 1:
-                carry.append(PlainColumn(t.p1_col(col)[sigma_b - 1],
-                                         _value_flavor(fn)))
-                slots.append(i)
-        carry.append(PlainColumn(sigma_b, ARITH))
-        out = ob.invp_plain(sess, pi, 1, carry)
-        pos = 0
-        g1_s = None
-        if q.group1:
-            g1_s, pos = out[0], 1
-        for i in slots:
-            values[i] = out[pos]
-            pos += 1
-        rho = out[pos]
-    with sess.phase("carry-p0"):
-        p0_slots = [i for i in range(len(q.aggs)) if values[i] is None]
-        g0_s = None
-        if t.pkfk:
-            cols = ([t.p0_shared(q.group0)] if q.group0 else []) + \
-                [t.p0_shared(q.aggs[i][1]) for i in p0_slots]
-            out = ob.perm_shared(sess, rho, cols) if cols else []
-        else:
-            cols = ([PlainColumn(t.p0_plain(q.group0), BINARY)]
-                    if q.group0 else []) + \
-                [PlainColumn(t.p0_plain(q.aggs[i][1]),
-                             _value_flavor(q.aggs[i][2])) for i in p0_slots]
-            out = ob.perm_plain(sess, rho, 0, cols) if cols else []
-        if q.group0:
-            g0_s, out = out[0], out[1:]
-        for i, mv in zip(p0_slots, out):
-            values[i] = mv
+    g0 = [t.col(0, q.group0)] if q.group0 else []
+    g1_s, g0_s, values, rho = _carry(sess, t, q, ob.invp_plain, pi, order, g1, g0)
     with sess.phase("perm-e"):
         e_s = ob.perm_shared(sess, rho, [t.e])[0]
     with sess.phase("convert"):
-        if g0_s is not None and g0_s.flavor != BINARY:
-            g0_s = sh.a2b(sess, g0_s)
-        values = _convert_values(sess, q, values)
-    return _grouped_tail(sess, q, e_s, g0_s, g1_s, values)
+        g0_s = sh.convert(sess, g0_s[0], BINARY) if g0_s else None
+        values = _convert_values(sess, q, values, t.n)
+    return _grouped_tail(sess, q, e_s, [g0_s, g1_s], values)
 
 
-def ga_mix(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
+@_protocol
+def ga_mix(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """Bitmap on g0 plus local sorting on g1; no oblivious sort at all."""
-    t = _Table(view0, view1)
-    n = t.n
-    if n == 0:
-        return _empty_result()
-    dom0 = _sorted_domain(q.dom0, t.p0_plain(q.group0) if not t.pkfk else None) \
-        if q.group0 else [None]
-    d0 = len(dom0)
-    if d0 > BITMAP_SORT_CAP:
-        raise DomainTooLarge(f"d0 = {d0} exceeds {BITMAP_SORT_CAP}")
-    g1_plain = t.p1_col(q.group1) if q.group1 else np.zeros(n, dtype=np.uint64)
-    sigma_b = _local_sort_perm(g1_plain)
-    g1_sorted = g1_plain[sigma_b - 1]
-
-    same = np.zeros(n, dtype=np.uint64)
-    bound = np.zeros(n, dtype=np.uint64)
-    if n > 1:
-        same[1:] = (g1_sorted[1:] == g1_sorted[:-1]).astype(np.uint64)
-        bound[:-1] = (g1_sorted[:-1] != g1_sorted[1:]).astype(np.uint64)
-    bound[n - 1] = 1  # the final row always ends its group
-
-    values: list[SharedVector | None] = [None] * len(q.aggs)
+    dom0 = t.domain(q, 0, BITMAP_SORT_CAP)
+    n, d0 = t.n, len(dom0)
+    order, g1 = t.local_order(1, q.group1)
     with sess.phase("flag"):
-        run = sh.share_vec(sess, 1, same, BINARY, 1)
-        c_bound = sh.share_vec(sess, 1, bound, BINARY, 1)
+        run, ends = _run_flags(sess, 1, g1)
     with sess.phase("share"):
-        for i, (side, col, fn) in enumerate(q.aggs):
-            if fn == "count":
-                values[i] = SharedVector.public(np.ones(n, dtype=np.uint64))
-            elif side == 1:
-                values[i] = sh.share_vec(sess, 1, t.p1_col(col)[sigma_b - 1],
-                                         _value_flavor(fn))
+        values = _own_values(sess, t, q, 1, order)
     with sess.phase("osn"):
         bits = _p0_bitmap_bits(sess, t, q, dom0, mask_with_e=False)
-        v0_slots = [i for i in range(len(q.aggs)) if values[i] is None]
-        move: list = [t.e] + bits
-        for i in v0_slots:
-            col, fn = q.aggs[i][1], q.aggs[i][2]
-            move.append(t.p0_shared(col) if t.pkfk
-                        else PlainColumn(t.p0_plain(col), _value_flavor(fn)))
-        moved = ob.osn_shared(sess, 1, sigma_b, move)
-        e_m = moved[0]
-        bits = moved[1:1 + d0]
-        for i, mv in zip(v0_slots, moved[1 + d0:]):
-            values[i] = mv
+        e_m, *bits = _osn(sess, t, q, values, 1, order, [t.e] + bits)
     with sess.phase("convert"):
-        values = _convert_values(sess, q, values)
+        values = _convert_values(sess, q, values, t.n)
     with sess.phase("mask"):
         valid = sh.and_bits(sess, _tile(e_m, d0), _concat(bits))
-        masked_per_agg = []
-        for (side, col, fn), v in zip(q.aggs, values):
-            ident = SharedVector.public(
-                np.full(n * d0, AGG_IDENTITY[fn], dtype=np.uint64), v.flavor)
-            masked_per_agg.append(sh.mux(sess, valid, _tile(v, d0), ident))
+        values = [_null_fill(sess, valid, _tile(v, d0), fn)
+                  for (_side, _col, fn), v in zip(q.aggs, values)]
     with sess.phase("aggregate"):
-        run_t = _tile(run, d0)
-        outs, t_out = [], None
-        for (side, col, fn), a in zip(q.aggs, masked_per_agg):
-            r, tv = ob.trav_flags(sess, run_t, a, fn,
-                                  validity=valid if t_out is None else None)
-            if tv is not None:
-                t_out = tv
-            outs.append(r)
+        outs, valid = _segmented(sess, _tile(run, d0), q, values, valid)
     with sess.phase("mask-bound"):
-        t_fin = sh.and_bits(sess, _tile(c_bound, d0), t_out)
-        fa = sh.b2a(sess, t_fin)
-        masked_out = [sh.mul(sess, fa, r) if r.flavor == ARITH
-                      else _mask_bits(sess, t_fin, r) for r in outs]
+        f = sh.and_bits(sess, _tile(ends, d0), valid)
+        outs = _mask(sess, f, sh.b2a(sess, f), outs)
     with sess.phase("reveal"):
-        t_open = sh.open_vec(sess, t_fin, to=1)
-        r_open = [sh.open_vec(sess, r, to=1) for r in masked_out]
-    rows = []
-    for j in range(d0):
-        for i in range(n):
-            if t_open[j * n + i]:
-                rows.append((dom0[j] if q.group0 else None,
-                             int(g1_sorted[i]) if q.group1 else None,
-                             *[int(r[j * n + i]) for r in r_open]))
-    return GroupResult(_canon(rows))
+        keep, *aggs = [sh.open_vec(sess, c, to=1) for c in [f] + outs]
+    groups = [np.repeat(np.array(dom0, dtype=np.uint64), n) if q.group0 else None,
+              np.tile(g1, d0) if q.group1 else None]
+    return _rows(keep, groups, aggs)
 
 
-# ---------------------------------------------------------------------------
-# bitmap protocol
-# ---------------------------------------------------------------------------
-
-def ga_bitmap(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
+@_protocol
+def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """Both group columns as bitmaps: one aggregation per domain-value pair."""
-    t = _Table(view0, view1)
-    n = t.n
-    if n == 0:
-        return _empty_result()
-    dom0 = (_sorted_domain(q.dom0, t.p0_plain(q.group0) if not t.pkfk else None)
-            if q.group0 else [None])
-    dom1 = _sorted_domain(q.dom1, t.p1_col(q.group1)) if q.group1 else [None]
+    n, dom0, dom1 = t.n, t.domain(q, 0), t.domain(q, 1)
     d0, d1 = len(dom0), len(dom1)
-    if d0 * d1 > BITMAP_PAIR_CAP:
-        raise DomainTooLarge(f"d0*d1 = {d0 * d1} exceeds {BITMAP_PAIR_CAP}")
+    pairs = d0 * d1
+    if pairs > BITMAP_PAIR_CAP:
+        raise DomainTooLarge(f"d0*d1 = {pairs} exceeds {BITMAP_PAIR_CAP}")
 
-    b0_plain = b0_arith = None
-    if q.group0 is None:
-        b0_plain = [np.ones(n, dtype=np.uint64)]
-    elif t.pkfk:
-        b0_arith = [t.p0_shared(f"__bm:{q.group0}:{j}") for j in range(d0)]
-    else:
-        g0 = t.p0_plain(q.group0)
-        b0_plain = [(g0 == _U64(v)).astype(np.uint64) for v in dom0]
-    g1 = t.p1_col(q.group1) if q.group1 else None
-    b1_plain = [(g1 == _U64(v)).astype(np.uint64) for v in dom1] \
-        if q.group1 else [np.ones(n, dtype=np.uint64)]
+    # One batched gate call per product family: the rows of bucket pair
+    # (j, p) form block j * d1 + p, so all pairs share their rounds.
+    def cat0(a):  # d0 blocks, each repeated for every g1 value
+        return np.repeat(a.reshape(d0, n), d1, axis=0).ravel()
 
-    pairs = [(j, p) for j in range(d0) for p in range(d1)]
-    need_tree = any(fn in ("max", "min") for _, _, fn in q.aggs)
+    def cat1(a):  # d1 blocks, all of them repeated for every g0 value
+        return np.tile(a, d0)
 
-    # One batched gate call per product family: every bucket pair's rows are
-    # concatenated so their messages share rounds.
-    def cat0(arrs):  # P0-held plain bits per pair
-        return np.concatenate([arrs[j] for j, _ in pairs])
-
-    def cat1(arrs):
-        return np.concatenate([arrs[p] for _, p in pairs])
-
+    b0, b1 = t.bitmap(0, q.group0, dom0), t.bitmap(1, q.group1, dom1).values
+    plain = isinstance(b0, PlainColumn)  # else P0's bitmap is shared
+    b0_cat = cat0(b0.values) if plain else _map(b0, cat0)
+    b1_cat = cat1(b1)
     with sess.phase("products"):
-        if b0_plain is not None:
-            witness = sh.asym_mul(sess, 0, cat0(b0_plain), cat1(b1_plain),
-                                  ARITH, 64)
+        if plain:
+            witness = sh.asym_mul(sess, 0, b0_cat, b1_cat, ARITH, 64)
         else:
-            b0_cat = _concat([b0_arith[j] for j, _ in pairs])
-            witness = sh.mul(sess, b0_cat,
-                             SharedVector.public(cat1(b1_plain)))
+            witness = sh.mul(sess, b0_cat, SharedVector.public(b1_cat))
         qvecs = []
         for side, col, fn in q.aggs:
             flavor = _value_flavor(fn)
             if fn == "count":
                 qvecs.append(witness)
             elif side == 1:
-                x = cat1([b1_plain[p] * t.p1_col(col) for p in range(d1)])
-                if b0_plain is not None:
-                    qvecs.append(sh.asym_mul(sess, 0, cat0(b0_plain), x,
-                                             flavor, 64))
+                x = cat1(b1 * np.tile(t.col(1, col).values, d1))
+                if plain:
+                    qvecs.append(sh.asym_mul(sess, 0, b0_cat, x, flavor, 64))
                 else:
                     prod = sh.mul(sess, b0_cat, sh.share_vec(sess, 1, x, ARITH))
-                    qvecs.append(prod if flavor == ARITH
-                                 else sh.a2b(sess, prod))
+                    qvecs.append(sh.convert(sess, prod, flavor))
+            elif plain:
+                v0 = t.col(0, col)
+                # a PK-FK view without g0 lands here too: not supported yet
+                assert isinstance(v0, PlainColumn), "P0's values are shared"
+                x = cat0(b0.values * np.tile(v0.values, d0))
+                qvecs.append(sh.asym_mul(sess, 1, b1_cat, x, flavor, 64))
             else:
-                if b0_plain is not None:
-                    x = cat0([b0_plain[j] * t.p0_plain(col) for j in range(d0)])
-                    qvecs.append(sh.asym_mul(sess, 1, cat1(b1_plain), x,
-                                             flavor, 64))
-                else:
-                    v0 = sh.mul(sess, b0_cat,
-                                _concat([t.p0_shared(col)] * len(pairs)))
-                    gate = sh.b2a(sess, sh.share_vec(
-                        sess, 1, cat1(b1_plain), BINARY, 1))
-                    gated = sh.mul(sess, gate, v0)
-                    qvecs.append(gated if flavor == ARITH
-                                 else sh.a2b(sess, gated))
-        if need_tree:
-            if b0_plain is not None:
-                bb = sh.asym_mul(sess, 0, cat0(b0_plain), cat1(b1_plain),
-                                 BINARY, 1)
+                v0 = sh.mul(sess, b0_cat, _tile(t.col(0, col), pairs))
+                gate = sh.b2a(sess, sh.share_vec(sess, 1, b1_cat, BINARY, 1))
+                qvecs.append(sh.convert(sess, sh.mul(sess, gate, v0), flavor))
+        if any(fn in ("max", "min") for _, _, fn in q.aggs):
+            if plain:
+                bb = sh.asym_mul(sess, 0, b0_cat, b1_cat, BINARY, 1)
             else:
                 bb = _arith_to_bit(sess, witness)
 
-    e_t = _tile(t.e, len(pairs))
+    e_t = _tile(t.e, pairs)
     with sess.phase("aggregate"):
         ea = sh.b2a(sess, e_t)
 
         def bucket_sums(vec: SharedVector) -> SharedVector:
-            g = sh.mul(sess, ea, vec)
-            return SharedVector(
-                ARITH, 64,
-                g.shares[0].reshape(len(pairs), n).sum(axis=1, dtype=np.uint64),
-                g.shares[1].reshape(len(pairs), n).sum(axis=1, dtype=np.uint64))
+            return _map(sh.mul(sess, ea, vec), lambda a: a.reshape(
+                pairs, n).sum(axis=1, dtype=np.uint64))
 
-        cnt = bucket_sums(witness)
-        agg_out = []
-        tbits = None
-        for (side, col, fn), qv in zip(q.aggs, qvecs):
+        agg_out, tbits = [bucket_sums(witness)], None
+        for (_side, _col, fn), qv in zip(q.aggs, qvecs):
             if fn in ("sum", "count"):
                 agg_out.append(bucket_sums(qv))
             else:
                 if tbits is None:
                     tbits = sh.and_bits(sess, e_t, bb)
-                agg_out.append(_tree_reduce(sess, tbits, qv, len(pairs), fn))
+                agg_out.append(_tree_reduce(sess, tbits, qv, pairs, fn))
     with sess.phase("reveal"):
-        cnt_open = sh.open_vec(sess, cnt, to=1)
-        opened = [sh.open_vec(sess, a, to=1) for a in agg_out]
-    rows = []
-    for idx, (j, p) in enumerate(pairs):
-        if int(cnt_open[idx]) == 0:
-            continue
-        rows.append((dom0[j] if q.group0 else None,
-                     dom1[p] if q.group1 else None,
-                     *[int(a[idx]) for a in opened]))
-    return GroupResult(_canon(rows))
+        cnt_open, *opened = [sh.open_vec(sess, a, to=1) for a in agg_out]
+    groups = [np.repeat(np.array(dom0, dtype=np.uint64), d1) if q.group0 else None,
+              np.tile(np.array(dom1, dtype=np.uint64), d0) if q.group1 else None]
+    return _rows(cnt_open, groups, opened)
 
 
 def _tree_reduce(sess: Session, validity: SharedVector, values: SharedVector,
                  buckets: int, fn: str) -> SharedVector:
-    """Per-bucket max/min over (validity, value) rows, log-depth.
+    """Per-bucket max/min over (validity, value) rows, log-depth: buckets
+    are contiguous segments, padded to even length with invalid rows."""
+    def pad(x):  # one more row per bucket
+        return _map(x, lambda a: np.pad(a.reshape(buckets, -1),
+                                        ((0, 0), (0, 1))).ravel())
 
-    Buckets are contiguous equal-length segments; each level pads to even
-    length with invalid sentinels and halves.
-    """
+    def halves(x):  # every bucket's first and second half of rows
+        return [_map(x, lambda a: a.reshape(buckets, 2, -1)[:, k].ravel())
+                for k in (0, 1)]
+
     length = len(values) // buckets
     t, v = validity, values
     while length > 1:
         if length % 2 == 1:
-            # append one invalid row per bucket
-            idx = []
-            for b in range(buckets):
-                idx.extend(range(b * length, (b + 1) * length))
-                idx.append(-1)
-            pad_t = SharedVector(BINARY, 1, np.zeros(1, np.uint64),
-                                 np.zeros(1, np.uint64))
-            pad_v = SharedVector(v.flavor, v.width, np.zeros(1, np.uint64),
-                                 np.zeros(1, np.uint64))
-            t = _concat([t, pad_t]).gather(np.array(idx))
-            v = _concat([v, pad_v]).gather(np.array(idx))
-            length += 1
-        half = length // 2
-        sel_a, sel_b = [], []
-        for b in range(buckets):
-            base = b * length
-            sel_a.extend(range(base, base + half))
-            sel_b.extend(range(base + half, base + length))
-        sel_a = np.array(sel_a, dtype=np.int64)
-        sel_b = np.array(sel_b, dtype=np.int64)
-        ta, tb = t.gather(sel_a), t.gather(sel_b)
-        va, vb = v.gather(sel_a), v.gather(sel_b)
+            t, v, length = pad(t), pad(v), length + 1
+        (ta, tb), (va, vb) = halves(t), halves(v)
         g = sh.gt(sess, vb, va) if fn == "max" else sh.gt(sess, va, vb)
         blocked = sh.and_bits(sess, ta, sh.not_bits(g))
         pick_b = sh.and_bits(sess, tb, sh.not_bits(blocked))
         v = sh.mux(sess, pick_b, vb, va)
         t = sh.or_bits(sess, ta, tb)
-        length = half
+        length //= 2
     return v
 
 
@@ -718,88 +569,30 @@ def _tree_reduce(sess: Session, validity: SharedVector, values: SharedVector,
 # one-side case
 # ---------------------------------------------------------------------------
 
-def ga_oneside(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
+@_protocol
+def ga_oneside(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """Grouping entirely on one party: local sort plus one switching pass."""
-    t = _Table(view0, view1)
-    n = t.n
-    if n == 0:
-        return _empty_result()
     if not q.one_side():
         raise SizeMismatch("ga_oneside needs grouping columns on one side only")
     sorter = 1 if q.group1 else 0
-    if sorter == 0 and t.pkfk:
-        raise SizeMismatch("one-side grouping on the PK side of a PK-FK view "
-                           "is not supported (its transcript is secret-shared)")
-    gcol = t.p1_col(q.group1) if sorter == 1 else t.p0_plain(q.group0)
-    sigma = _local_sort_perm(gcol)
-    g_sorted = gcol[sigma - 1]
-    same = np.zeros(n, dtype=np.uint64)
-    bound = np.zeros(n, dtype=np.uint64)
-    if n > 1:
-        same[1:] = (g_sorted[1:] == g_sorted[:-1]).astype(np.uint64)
-        bound[:-1] = (g_sorted[:-1] != g_sorted[1:]).astype(np.uint64)
-    bound[n - 1] = 1
-
-    values: list[SharedVector | None] = [None] * len(q.aggs)
+    order, g = t.local_order(sorter, q.group1 if sorter else q.group0)
     with sess.phase("share"):
-        run = sh.share_vec(sess, sorter, same, BINARY, 1)
-        last = sh.share_vec(sess, sorter, bound, BINARY, 1)
-        g_s = sh.share_vec(sess, sorter, g_sorted, BINARY)
-        for i, (side, col, fn) in enumerate(q.aggs):
-            if fn == "count":
-                values[i] = SharedVector.public(np.ones(n, dtype=np.uint64))
-            elif side == sorter and not (side == 0 and t.pkfk):
-                vals = (t.p1_col(col) if side == 1 else t.p0_plain(col))[sigma - 1]
-                values[i] = sh.share_vec(sess, side, vals, _value_flavor(fn))
+        run, ends = _run_flags(sess, sorter, g)
+        g_s = sh.share_vec(sess, sorter, g, BINARY)
+        values = _own_values(sess, t, q, sorter, order)
     with sess.phase("osn"):
-        move, slots = [t.e], []
-        for i, (side, col, fn) in enumerate(q.aggs):
-            if values[i] is None:
-                if side == 1:
-                    move.append(PlainColumn(t.p1_col(col), _value_flavor(fn)))
-                elif t.pkfk:
-                    move.append(t.p0_shared(col))
-                else:
-                    move.append(PlainColumn(t.p0_plain(col), _value_flavor(fn)))
-                slots.append(i)
-        moved = ob.osn_shared(sess, sorter, sigma, move)
-        e_m = moved[0]
-        for i, mv in zip(slots, moved[1:]):
-            values[i] = mv
+        (e_m,) = _osn(sess, t, q, values, sorter, order, [t.e])
     with sess.phase("convert"):
-        values = _convert_values(sess, q, values)
+        values = _convert_values(sess, q, values, t.n)
     with sess.phase("aggregate"):
-        outs, t_out = [], None
-        for (side, col, fn), v in zip(q.aggs, values):
-            ident = SharedVector.public(
-                np.full(n, AGG_IDENTITY[fn], dtype=np.uint64), v.flavor)
-            a = sh.mux(sess, e_m, v, ident)
-            r, tv = ob.trav_flags(sess, run, a, fn,
-                                  validity=e_m if t_out is None else None)
-            if tv is not None:
-                t_out = tv
-            outs.append(r)
+        # a generator, so that each null fill runs just before its aggregate
+        filled = (_null_fill(sess, e_m, v, fn)
+                  for (_side, _col, fn), v in zip(q.aggs, values))
+        outs, valid = _segmented(sess, run, q, filled, e_m)
     with sess.phase("flag"):
-        f = sh.and_bits(sess, last, t_out)
-    with sess.phase("mask"):
-        fa = sh.b2a(sess, f)
-        gm = _mask_bits(sess, f, g_s)
-        masked = [sh.mul(sess, fa, r) if r.flavor == ARITH
-                  else _mask_bits(sess, f, r) for r in outs]
-    with sess.phase("shuffle"):
-        alpha = sess.parties[0].draw_perm(n)
-        cols = ob.osn_shared(sess, 0, alpha, [f, gm] + masked)
-    with sess.phase("reveal"):
-        opened = [sh.open_vec(sess, cvec, to=1) for cvec in cols]
-    fv, gv, aggv = opened[0], opened[1], opened[2:]
-    rows = []
-    for i in range(n):
-        if fv[i]:
-            g_val = int(gv[i])
-            rows.append((g_val if sorter == 0 else None,
-                         g_val if sorter == 1 else None,
-                         *[int(a[i]) for a in aggv]))
-    return GroupResult(_canon(rows))
+        f = sh.and_bits(sess, ends, valid)
+    groups = [None, g_s] if sorter else [g_s, None]
+    return _rows(*_reveal(sess, f, groups, outs))
 
 
 PROTOCOLS = {
@@ -816,14 +609,10 @@ def run_query(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
     name = q.protocol
     if name == "auto":
         t = _Table(view0, view1)
-        if q.group0:
-            try:
-                d0 = len(_sorted_domain(
-                    q.dom0, t.p0_plain(q.group0) if not t.pkfk else None))
-            except DomainTooLarge:
-                d0 = 1 << 32
-        else:
-            d0 = 1
-        d1 = len(_sorted_domain(q.dom1, t.p1_col(q.group1))) if q.group1 else 1
-        name = select_protocol(t.n, d0, d1, q.aggs, one_side=q.one_side())
+        try:
+            d0 = len(t.domain(q, 0))
+        except DomainTooLarge:
+            d0 = 1 << 32
+        name = select_protocol(t.n, d0, len(t.domain(q, 1)), q.aggs,
+                               one_side=q.one_side())
     return PROTOCOLS[name](sess, view0, view1, q)

@@ -38,23 +38,3 @@ def width_mask(width: int) -> np.uint64:
         return MASK
     return np.uint64((1 << width) - 1)
 
-
-def radd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a + b
-
-
-def rsub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a - b
-
-
-def rmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a * b
-
-
-def rneg(a: np.ndarray) -> np.ndarray:
-    return np.uint64(0) - a
-
-
-def bit_length_of(n: int) -> int:
-    """Bits needed to write n itself (at least 1)."""
-    return max(1, int(n).bit_length())

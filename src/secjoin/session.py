@@ -42,7 +42,6 @@ class Transcript:
         self.wire_bits_sent = [0, 0]
         self.wire_rounds = 0
         self.hybrid_bits = 0
-        self.messages = 0
         self.phases: list[PhaseRecord] = []
         self._digest = hashlib.sha256()
         self._last_flow = None
@@ -55,7 +54,6 @@ class Transcript:
             self.wire_rounds += 1
             self._last_flow = src
         self.wire_bits_sent[src] += bits
-        self.messages += 1
         self._digest.update(b"s%d:%d:" % (src, bits))
         self._digest.update(payload)
 
@@ -64,7 +62,6 @@ class Transcript:
         self._last_flow = _EXCHANGE
         self.wire_bits_sent[0] += bits0
         self.wire_bits_sent[1] += bits1
-        self.messages += 2
         self._digest.update(b"x:%d:%d:" % (bits0, bits1))
         self._digest.update(pay0)
         self._digest.update(pay1)

@@ -12,8 +12,6 @@ daBits/edaBits; eq/gt are log-width AND trees.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import FlavorMismatch, SizeMismatch, WidthMismatch
@@ -21,38 +19,6 @@ from .ring import ARITH, BINARY, MASK, as_ring, width_mask
 from .session import Session
 
 _U64 = np.uint64
-
-
-# ---------------------------------------------------------------------------
-# scalar shares (single elements; vectors below do the real work)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Share:
-    """One party's half of a shared ring element."""
-
-    flavor: str
-    width: int
-    value: int
-    owner: int
-
-
-def share(sess: Session, x: int, flavor: str = ARITH, width: int = 64,
-          owner: int = 0) -> tuple[Share, Share]:
-    """Split a secret value; the party-0 half comes from the dealer's RNG."""
-    vec = share_vec(sess, owner, [x], flavor, width)
-    return (Share(flavor, width, int(vec.shares[0][0]), 0),
-            Share(flavor, width, int(vec.shares[1][0]), 1))
-
-
-def reconstruct(s0: Share, s1: Share) -> int:
-    if s0.flavor != s1.flavor:
-        raise FlavorMismatch(f"{s0.flavor} vs {s1.flavor}")
-    if s0.width != s1.width:
-        raise WidthMismatch(f"{s0.width} vs {s1.width}")
-    if s0.flavor == ARITH:
-        return (s0.value + s1.value) % (1 << 64)
-    return (s0.value ^ s1.value) & int(width_mask(s0.width))
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +171,6 @@ def not_bits(x: SharedVector) -> SharedVector:
 def xor_public(x: SharedVector, pub) -> SharedVector:
     pub = as_ring(pub) & width_mask(x.width)
     return SharedVector(BINARY, x.width, x.shares[0] ^ pub, x.shares[1].copy())
-
-
-def add_public(x: SharedVector, pub) -> SharedVector:
-    pub = as_ring(pub)
-    return SharedVector(ARITH, x.width, x.shares[0] + pub, x.shares[1].copy())
-
-
-def scale_public(x: SharedVector, pub) -> SharedVector:
-    pub = as_ring(pub)
-    return SharedVector(ARITH, x.width, x.shares[0] * pub, x.shares[1] * pub)
 
 
 def replicate_bit(f: SharedVector, width: int) -> SharedVector:

@@ -55,18 +55,36 @@ def view_to_bytes(view) -> bytes:
 
 
 def view_from_bytes(data: bytes):
+    """Parse a view container; any malformed or cut file raises ParseError."""
     if not data.startswith(MAGIC):
         raise ParseError("not a view container")
-    off = len(MAGIC)
-    (hlen,) = struct.unpack_from("<I", data, off)
-    off += 4
-    header = json.loads(data[off:off + hlen].decode())
+    off = len(MAGIC) + 4
+    try:
+        (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
+        header = json.loads(data[off:off + hlen].decode())
+        index = [(str(name), int(ln)) for name, ln in header["arrays"]]
+        size = header["n_e" if header["kind"] == "pkpk" else "n"]
+    except (struct.error, UnicodeDecodeError, ValueError, KeyError,
+            TypeError) as exc:
+        raise ParseError(f"view container header is malformed: {exc!r}") from None
     off += hlen
     arrays = {}
-    for name, ln in header["arrays"]:
-        end = off + 8 * ln
-        arrays[name] = np.frombuffer(data[off:end], dtype=np.uint64).copy()
-        off = end
+    for name, ln in index:
+        if ln != size or ln < 0:
+            raise ParseError(f"view array {name!r} has {ln} rows, not {size}")
+        if off + 8 * ln > len(data):
+            raise ParseError(f"view array {name!r} runs past the end of the file")
+        arrays[name] = np.frombuffer(data[off:off + 8 * ln], dtype=np.uint64).copy()
+        off += 8 * ln
+    if off != len(data):
+        raise ParseError(f"view container has {len(data) - off} trailing bytes")
+    try:
+        return _view(header, arrays)
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"view container lacks {exc}") from None
+
+
+def _view(header: dict, arrays: dict):
     if header["kind"] == "pkpk":
         return PkPkView(
             party=header["party"], level=header["level"],

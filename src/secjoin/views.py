@@ -17,8 +17,8 @@ import numpy as np
 from . import oblivious as ob
 from . import setops
 from . import sharing as sh
-from .errors import (DuplicatePrimaryKey, KeyModified, NotAPermutation,
-                     SizeMismatch)
+from .errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
+                     NotAPermutation, SizeMismatch)
 from .ring import ARITH, BINARY, as_ring
 from .session import Session
 from .sharing import SharedVector
@@ -30,10 +30,14 @@ LEVEL_PID = 1
 LEVEL_SEC = 2
 
 # Dummy rows carry per-party sentinel keys from disjoint high ranges so they
-# can never collide with each other; real keys are expected below 2^61.
+# can never collide with each other or with real keys, which view generation
+# keeps below SENTINEL[0] = 2^62.
 SENTINEL = (1 << 62, (1 << 62) + (1 << 61))
 
+# PK-FK composite keys are (key << 16) | occurrence counter, so keys stay
+# below 2^46 and counters below 2^16 to keep composites below SENTINEL[0].
 FK_COUNTER_BITS = 16
+PKFK_KEY_LIMIT = SENTINEL[0] >> FK_COUNTER_BITS
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +66,6 @@ class Relation:
     @property
     def keys(self) -> np.ndarray:
         return self.columns[self.key]
-
-    def payload_names(self) -> list[str]:
-        return [c for c in self.columns if c != self.key]
 
     def key_hash(self) -> str:
         return hashlib.sha256(self.keys.tobytes()).hexdigest()
@@ -167,8 +168,17 @@ def _views_from(sess, r0, r1, level, pis, e_sv, n_e, codomains):
     return views[0], views[1]
 
 
+def _check_keys(limit: int, *rels: Relation):
+    for rel in rels:
+        if rel.n and int(rel.keys.max()) >= limit:
+            raise KeyOutOfRange(
+                f"relation {rel.name} has join key {int(rel.keys.max())}; "
+                f"keys must stay below 2^{limit.bit_length() - 1}")
+
+
 def gen_psiv(sess: Session, r0: Relation, r1: Relation):
     """Level-0 view: PSI reveals the intersection, E is public all-ones."""
+    _check_keys(SENTINEL[0], r0, r1)
     with sess.phase("psi"):
         inter = setops.f_psi(sess, r0.keys, r1.keys)
     n_e = len(inter)
@@ -194,6 +204,7 @@ def _pid_pi(out: setops.PidOutput, keys: np.ndarray, n_e: int) -> np.ndarray:
 
 def gen_pidv(sess: Session, r0: Relation, r1: Relation):
     """Level-1 view: union-sized, E secret-shared via batched equality."""
+    _check_keys(SENTINEL[0], r0, r1)
     with sess.phase("pid"):
         out0, out1 = setops.f_pid(sess, r0.keys, r1.keys)
     n_e = len(out0.ri_star)
@@ -218,6 +229,7 @@ def gen_secv(sess: Session, r0: Relation, r1: Relation,
     When the right side is larger the party roles are reversed internally and
     the returned views are relabeled.
     """
+    _check_keys(SENTINEL[0], r0, r1)
     swap = r1.n > r0.n
     ra, rb = (r1, r0) if swap else (r0, r1)
     pa, pb = (1, 0) if swap else (0, 1)
@@ -341,10 +353,15 @@ def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC,
     """PK-FK view: composite-key mapping, sort-and-switch, oblivious duplication."""
     if r1.key_kind != "fk":
         raise SizeMismatch("gen_pkfk expects the right relation to be the FK side")
+    _check_keys(PKFK_KEY_LIMIT, r0, r1)
+    counters = _fk_counters(r1.keys)
+    if r1.n and int(counters.max()) >= 1 << FK_COUNTER_BITS:
+        raise KeyOutOfRange(f"an FK key of relation {r1.name} repeats "
+                            f"{int(counters.max())} times; the fan-out must "
+                            f"stay below 2^{FK_COUNTER_BITS}")
     m = r1.n
     with sess.phase("mapping"):
         comp0 = _composite(r0.keys, np.ones(r0.n, dtype=np.uint64))
-        counters = _fk_counters(r1.keys)
         comp1 = _composite(r1.keys, counters)
         rel0c = Relation(r0.name + "+ck", {"__ck": comp0}, "__ck", "pk")
         rel1c = Relation(r1.name + "+ck", {"__ck": comp1}, "__ck", "pk")

@@ -197,3 +197,41 @@ def test_bench_custom_grid_reports_bad_cells_not_fatal(tmp_path, capsys):
     assert "| osn | 64 |" in printed            # good cell still reported
     header = (tmp_path / "b.csv").read_text().splitlines()[0]
     assert header.endswith("phase_bits_rounds")
+
+
+def test_query_on_cut_view_file_exits_2(workspace, capsys):
+    tmp, spec_path, _ = workspace
+    out = tmp / "views"
+    assert cli.main(["genview", str(spec_path), "--out", str(out)]) == 0
+    view = out / "view_p0.bin"
+    view.write_bytes(view.read_bytes()[:-8])
+    rc = cli.main(["query", str(spec_path), "--views", str(out)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bitmap_on_pkfk_without_bitmap_columns_exits_2(tmp_path, capsys):
+    (tmp_path / "p.csv").write_text("k,g0,v0\n1,0,10\n2,1,20\n")
+    (tmp_path / "f.csv").write_text("k,g1,v1\n2,3,1\n1,3,2\n2,4,3\n")
+    spec = {"table0": str(tmp_path / "p.csv"), "table1": str(tmp_path / "f.csv"),
+            "key0": "k", "key1": "k", "join": "pkfk", "group0": "g0",
+            "group1": "g1", "dom0": [0, 1], "level": 0,
+            "aggs": [{"side": 1, "col": "v1", "fn": "sum"}]}
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps(spec))
+    views = tmp_path / "v"
+    assert cli.main(["genview", str(sp), "--out", str(views)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["query", str(sp), "--views", str(views),
+                   "--protocol", "bitmap"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "__bm:g0:0" in err and "views.append_bitmap_columns" in err
+
+
+def test_join_key_out_of_range_exits_2(workspace, capsys):
+    tmp, spec_path, _ = workspace
+    (tmp / "t1.csv").write_text(T1.replace("60,5,9", f"{1 << 62},5,9"))
+    rc = cli.main(["genview", str(spec_path), "--out", str(tmp / "views")])
+    assert rc == 2
+    assert "2^62" in capsys.readouterr().err

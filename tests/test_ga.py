@@ -343,3 +343,10 @@ def test_run_query_auto_routes():
     s2 = Session(4, 5, 6)
     rows = ga.run_query(s2, v0, v1, q).rows
     assert rows == oracle.eval_jga(r0, r1, q)
+
+
+def test_view_gen_bench_reports_wire_and_dealer_bits_apart():
+    # level-0 generation is a dealer-emulated PSI: no wire traffic at all
+    cell = bench.measure_view_gen(0, 64)
+    assert cell.wire_bits == 0 and cell.hybrid_bits > 0
+    assert bench.measure_view_gen(2, 64).wire_bits > 0

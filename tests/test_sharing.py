@@ -15,15 +15,14 @@ def fresh(seed=7, budget=None):
 
 def test_share_zero_halves_cancel():
     sess = fresh()
-    s0, s1 = sh.share(sess, 0)
-    assert (s0.value + s1.value) % MOD == 0
-    assert s0.value != 0  # dealer mask is the party-0 half
+    s0, s1 = sh.share_vec(sess, 0, [0]).shares
+    assert (int(s0[0]) + int(s1[0])) % MOD == 0
+    assert s0[0] != 0  # dealer mask is the party-0 half
 
 
 def test_share_round_trip():
     sess = fresh()
-    s0, s1 = sh.share(sess, 42)
-    assert sh.reconstruct(s0, s1) == 42
+    assert sh.share_vec(sess, 0, [42]).reconstruct().tolist() == [42]
 
 
 def test_share_random_property_loop():
@@ -36,32 +35,31 @@ def test_share_random_property_loop():
     assert np.array_equal(vec_b.reconstruct(), xs)
 
 
+def _halves(flavor, s0, s1):
+    return sh.SharedVector(flavor, 64, np.array(s0, dtype=np.uint64),
+                           np.array(s1, dtype=np.uint64))
+
+
 def test_reconstruct_small_addition():
-    s0 = sh.Share(sh.ARITH, 64, 5, 0)
-    s1 = sh.Share(sh.ARITH, 64, 7, 1)
-    assert sh.reconstruct(s0, s1) == 12
+    assert _halves(sh.ARITH, [5], [7]).reconstruct().tolist() == [12]
 
 
 def test_reconstruct_binary_self_cancels():
     b = 0xDEAD
-    assert sh.reconstruct(sh.Share(sh.BINARY, 64, b, 0),
-                          sh.Share(sh.BINARY, 64, b, 1)) == 0
+    assert _halves(sh.BINARY, [b], [b]).reconstruct().tolist() == [0]
 
 
 def test_reconstruct_flavor_mismatch():
     with pytest.raises(FlavorMismatch):
-        sh.reconstruct(sh.Share(sh.ARITH, 64, 1, 0),
-                       sh.Share(sh.BINARY, 64, 1, 1))
+        sh.add(_halves(sh.ARITH, [1], [0]), _halves(sh.BINARY, [1], [0]))
 
 
 def test_reconstruct_vs_modular_add_oracle():
     rng = np.random.default_rng(3)
-    for _ in range(50):
-        a = int(rng.integers(0, 1 << 64, dtype=np.uint64))
-        b = int(rng.integers(0, 1 << 64, dtype=np.uint64))
-        got = sh.reconstruct(sh.Share(sh.ARITH, 64, a, 0),
-                             sh.Share(sh.ARITH, 64, b, 1))
-        assert got == (a + b) % MOD
+    a = rng.integers(0, 1 << 64, 50, dtype=np.uint64)
+    b = rng.integers(0, 1 << 64, 50, dtype=np.uint64)
+    got = _halves(sh.ARITH, a, b).reconstruct().tolist()
+    assert got == [(int(x) + int(y)) % MOD for x, y in zip(a, b)]
 
 
 def test_mul_small_and_absorbing():
@@ -236,6 +234,5 @@ def test_share_halves_not_constant():
     seen = set()
     for seed in range(50):
         sess = Session(1, 2, seed)
-        s0, _ = sh.share(sess, 999)
-        seen.add(s0.value)
+        seen.add(int(sh.share_vec(sess, 0, [999]).shares[0][0]))
     assert len(seen) >= 2

@@ -1,11 +1,14 @@
 """View generation, refresh, PK-FK support, serialization."""
+import json
+
 import numpy as np
 import pytest
 
 from secjoin import sharing as sh
 from secjoin import store
 from secjoin import views as vw
-from secjoin.errors import KeyModified, DuplicatePrimaryKey
+from secjoin.errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
+                            ParseError)
 from secjoin.session import Session
 from secjoin.sharing import SharedVector
 from secjoin.views import Relation
@@ -265,3 +268,92 @@ def test_view_serialization_round_trip(tmp_path):
         assert np.array_equal(back.j0_half[c], w1.j0_half[c])
     for c in w1.j1:
         assert np.array_equal(back.j1[c], w1.j1[c])
+
+
+def _level2_view_bytes(n=64):
+    rng = np.random.default_rng(5)
+    r0 = Relation("R0", {"k": rng.permutation(np.arange(1, 2 * n + 1))[:n],
+                         "v0": rng.integers(0, 99, n)}, "k")
+    r1 = Relation("R1", {"k": rng.permutation(np.arange(1, 2 * n + 1))[:n],
+                         "v1": rng.integers(0, 99, n)}, "k")
+    v0, _ = vw.gen_secv(Session(1, 2, 3), r0, r1)
+    return store.view_to_bytes(v0)
+
+
+@pytest.mark.parametrize("cut", [1, 8, 9, 100, 1000])
+def test_truncated_view_file_raises_parse_error(cut):
+    data = _level2_view_bytes()
+    for short in (data[:-cut], data[:cut]):
+        with pytest.raises(ParseError):
+            store.view_from_bytes(short)
+
+
+def test_view_file_with_trailing_byte_raises_parse_error():
+    with pytest.raises(ParseError):
+        store.view_from_bytes(_level2_view_bytes() + b"\x00")
+
+
+def test_view_file_with_short_column_raises_parse_error():
+    data = _level2_view_bytes()
+    hlen = int.from_bytes(data[6:10], "little")
+    header = json.loads(data[10:10 + hlen])
+    header["arrays"][-1][1] -= 1  # one row short, and the blob to match
+    head = json.dumps(header, sort_keys=True).encode()
+    cut = data[:6] + len(head).to_bytes(4, "little") + head + data[10 + hlen:-8]
+    with pytest.raises(ParseError):
+        store.view_from_bytes(cut)
+
+
+def test_every_view_kind_and_level_round_trips():
+    r0, r1 = demo_tables()
+    rng = np.random.default_rng(2)
+    f0, f1 = fk_tables(np.array([1, 2, 5]), np.array([2, 2, 3, 5, 5]), rng)
+    for level in (0, 1, 2):
+        views = vw.GENERATORS[level](Session(1, 2, 3), r0, r1) + \
+            vw.gen_pkfk(Session(4, 5, 6), f0, f1, level=level)
+        for v in views:
+            data = store.view_to_bytes(v)
+            assert store.view_to_bytes(store.view_from_bytes(data)) == data
+
+
+def test_sentinel_range_key_rejected_at_every_level():
+    # a P1 key of 2^62 + 3 used to collide with P0's dummy rows at level 1
+    r0 = Relation("A", {"k": [1, 2], "v0": [5, 6]}, "k")
+    r1 = Relation("B", {"k": [(1 << 62) + 3], "v1": [7]}, "k")
+    for level in (0, 1, 2):
+        with pytest.raises(KeyOutOfRange):
+            vw.GENERATORS[level](Session(1, 2, 3), r0, r1)
+
+
+def test_pkfk_key_and_fanout_limits_rejected():
+    # an FK key of 1 + 2^48 used to wrap onto PK key 1 in the composite key
+    r0 = Relation("P", {"k": [1], "v0": [7]}, "k", "pk")
+    r1 = Relation("F", {"k": [1 + (1 << 48)], "v1": [1]}, "k", "fk")
+    with pytest.raises(KeyOutOfRange):
+        vw.gen_pkfk(Session(1, 2, 3), r0, r1)
+    wide = Relation("F", {"k": np.ones(1 << 16, dtype=np.uint64)}, "k", "fk")
+    with pytest.raises(KeyOutOfRange):
+        vw.gen_pkfk(Session(1, 2, 3), r0, wide)
+    # the largest key and counter still fit below the sentinel range
+    top = vw._composite(np.array([vw.PKFK_KEY_LIMIT - 1]), [(1 << 16) - 1])
+    assert int(top[0]) == vw.SENTINEL[0] - 1
+
+
+def test_keys_just_below_the_limits_match_the_oracle():
+    from secjoin import ga, oracle
+    from secjoin.ga import JgaQuery
+    q = JgaQuery("g0", "g1", [(0, "v0", "sum"), (1, "v1", "max")])
+    top = (1 << 62) - 1
+    r0 = Relation("A", {"k": [top, 5, 6], "g0": [0, 1, 1], "v0": [3, 4, 5]}, "k")
+    r1 = Relation("B", {"k": [6, top], "g1": [2, 2], "v1": [8, 9]}, "k")
+    top = vw.PKFK_KEY_LIMIT - 1
+    p0 = Relation("P", {"k": [top, 5], "g0": [0, 1], "v0": [3, 4]}, "k", "pk")
+    p1 = Relation("F", {"k": [top, 5, top], "g1": [2, 2, 1],
+                        "v1": [8, 9, 1]}, "k", "fk")
+    for level in (0, 1, 2):
+        v0, v1 = vw.GENERATORS[level](Session(1, 2, 3), r0, r1)
+        got = ga.ga_osorting(Session(4, 5, 6), v0, v1, q).rows
+        assert got == oracle.eval_jga(r0, r1, q), level
+        v0, v1 = vw.gen_pkfk(Session(1, 2, 3), p0, p1, level=level)
+        got = ga.ga_osorting(Session(4, 5, 6), v0, v1, q).rows
+        assert got == oracle.eval_jga(p0, p1, q), level
