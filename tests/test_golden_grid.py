@@ -6,18 +6,25 @@ the error the cell raises. The grid spans every `ga.PROTOCOLS` entry, PK-PK
 and PK-FK views (the PK-FK one with `views.append_bitmap_columns` on g0),
 levels 0-2, the group sets (g0, g1), (g0, -) and (-, g1), and two aggregate
 lists: all sum/count (the suffix-sum path) and max/min/count (`trav_flags`).
-Each view generation has its own cell too. A change that keeps behaviour
-keeps every hash; `PYTHONPATH=src python tests/test_golden_grid.py` prints
-the table afresh for a deliberate change.
+Each view generation has its own cell too. A second table pins the
+oblivious primitives and gates one by one, at n = 13 (not a power of two),
+by (outputs with both share halves, digest, phase shapes). A change that
+keeps behaviour keeps every hash; `PYTHONPATH=src python
+tests/test_golden_grid.py` prints both tables afresh for a deliberate change.
 """
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
 from secjoin import ga
+from secjoin import oblivious as ob
+from secjoin import sharing as sh
 from secjoin import views as vw
 from secjoin.ga import JgaQuery
+from secjoin.oblivious import PlainColumn
+from secjoin.ring import ARITH, BINARY
 from secjoin.session import Session
 from secjoin.views import Relation
 
@@ -304,6 +311,157 @@ GOLDEN = {
 }
 
 
+PRIM_N = 13
+
+
+def _plain(x):
+    """Outputs as plain Python values: shared vectors keep both halves."""
+    if isinstance(x, sh.SharedVector):
+        return ("sv", x.flavor, x.width, _plain(x.shares))
+    if isinstance(x, np.ndarray):
+        return x.tolist()
+    if isinstance(x, dict):
+        return tuple((k, _plain(v)) for k, v in sorted(x.items()))
+    if isinstance(x, (list, tuple)):
+        return tuple(_plain(v) for v in x)
+    if dataclasses.is_dataclass(x):
+        return _plain(vars(x))
+    return x
+
+
+def _inputs():
+    """Fixed plaintext inputs: a permutation, 64-bit values, bits, nibbles."""
+    rng = np.random.default_rng(13)
+    return (rng.permutation(PRIM_N).astype(np.int64) + 1,
+            rng.integers(0, 1 << 64, PRIM_N, dtype=np.uint64),
+            rng.integers(0, 2, PRIM_N).astype(np.uint64),
+            rng.integers(0, 16, PRIM_N).astype(np.uint64))
+
+
+def _plain_cols():
+    _pi, x, bits, _nib = _inputs()
+    return [PlainColumn(x, ARITH), PlainColumn(bits, BINARY, 1),
+            PlainColumn(x[::-1].copy(), BINARY, 64)]
+
+
+def _shared_cols(sess):
+    """An arithmetic, a 1-bit binary and a 64-bit binary shared column."""
+    return [sh.share_vec(sess, u, c.values, c.flavor, c.width)
+            for u, c in zip((0, 1, 0), _plain_cols())]
+
+
+def _shared_perm(sess):
+    return sh.share_vec(sess, 0, _inputs()[0])
+
+
+def _osn_shared(sess):
+    pi = _inputs()[0]
+    return ob.osn_shared(sess, 0, pi, _shared_cols(sess) + _plain_cols()[:1])
+
+
+def _stable_sort(sess):
+    _pi, x, bits, nib = _inputs()
+    keys = [sh.share_vec(sess, 0, bits, BINARY, 1),
+            sh.share_vec(sess, 1, nib, BINARY, 4)]
+    return ob.stable_sort(sess, keys, [sh.share_vec(sess, 1, x)])
+
+
+def _trav_flags(fn):
+    def run(sess):
+        _pi, x, bits, nib = _inputs()
+        flavor = ARITH if fn in ("sum", "count") else BINARY
+        flags = sh.share_vec(sess, 1, nib & np.uint64(1), BINARY, 1)
+        values = sh.share_vec(sess, 0, x, flavor)
+        valid = sh.share_vec(sess, 0, bits, BINARY, 1)
+        return ob.trav_flags(sess, flags, values, fn, validity=valid)
+    return run
+
+
+def _asym_mul(flavor, width, holder):
+    def run(sess):
+        _pi, x, bits, _nib = _inputs()
+        return sh.asym_mul(sess, holder, bits, x, flavor, width)
+    return run
+
+
+def _share_open(sess):
+    _pi, x, bits, _nib = _inputs()
+    svs = [sh.share_vec(sess, 0, x), sh.share_vec(sess, 1, x, BINARY, 64),
+           sh.share_vec(sess, 1, bits, BINARY, 1)]
+    return svs, [sh.open_vec(sess, sv, to) for sv, to in zip(svs, ("both", 0, 1))]
+
+
+def _gates(sess):
+    _pi, x, bits, nib = _inputs()
+    a, b = sh.share_vec(sess, 0, x), sh.share_vec(sess, 1, x[::-1].copy())
+    w = sh.share_vec(sess, 1, nib, BINARY, 4)
+    return (sh.a2b(sess, a), sh.b2a_wide(sess, w), sh.eq(sess, a, b),
+            sh.eq(sess, a, a), sh.gt(sess, a, b),
+            sh.gt(sess, w, sh.share_vec(sess, 0, nib[::-1].copy(), BINARY, 4)))
+
+
+def _refresh_pkfk(sess):
+    r0, r1 = _tables("pkfk")
+    v0, v1 = vw.gen_pkfk(Session(1, 2, 3), r0, r1, level=2)
+    return vw.refresh_pkfk(sess, v0, v1, r0, r1, updates0=[(2, {"v0": 77})],
+                           updates1=[(3, {"v1": 5})])
+
+
+PRIMITIVES = {
+    "osn_plain": lambda s: ob.osn_plain(s, 1, _inputs()[0], _plain_cols()),
+    "osn_shared": _osn_shared,
+    "shuffle": lambda s: ob.shuffle(s, _shared_cols(s)),
+    "perm_shared": lambda s: ob.perm_shared(s, _shared_perm(s), _shared_cols(s)),
+    "invp_shared": lambda s: ob.invp_shared(s, _shared_perm(s), _shared_cols(s)),
+    "perm_plain": lambda s: ob.perm_plain(s, _shared_perm(s), 0, _plain_cols()),
+    "invp_plain": lambda s: ob.invp_plain(s, _shared_perm(s), 1, _plain_cols()),
+    "stable_sort": _stable_sort,
+    **{f"trav_flags-{fn}": _trav_flags(fn)
+       for fn in ("sum", "count", "max", "min", "xor")},
+    "asym_mul-arith": _asym_mul(ARITH, 64, 0),
+    "asym_mul-bin64": _asym_mul(BINARY, 64, 1),
+    "asym_mul-bin1": _asym_mul(BINARY, 1, 0),
+    "share_open": _share_open,
+    "gates": _gates,
+    "refresh_pkfk": _refresh_pkfk,
+}
+
+
+def primitive_cell(name) -> str:
+    sess = Session(7, 8, 9)
+    out = PRIMITIVES[name](sess)
+    t = sess.transcript
+    return _hash(_plain(out), t.digest(), t.phase_shapes())
+
+
+GOLDEN_PRIMITIVES = {
+    "osn_plain": "81fbea3a0c7f0204",
+    "osn_shared": "0deb35cf6cfb8825",
+    "shuffle": "0854e4f8cbfd87e2",
+    "perm_shared": "c31df0c4581e5cae",
+    "invp_shared": "721cff53c7f4bb46",
+    "perm_plain": "809a5c309381f129",
+    "invp_plain": "0c7567b869dd79ae",
+    "stable_sort": "a2de823c9d02b237",
+    "trav_flags-sum": "b6052fb894f775a6",
+    "trav_flags-count": "b6052fb894f775a6",
+    "trav_flags-max": "65f4082cc815b089",
+    "trav_flags-min": "31c2515ee0f8c9d1",
+    "trav_flags-xor": "393e3ec8f1e77a44",
+    "asym_mul-arith": "8dce452513397df5",
+    "asym_mul-bin64": "fe232085952c8e4f",
+    "asym_mul-bin1": "8539ba3c0a073a79",
+    "share_open": "1958faf848c0ed3d",
+    "gates": "26a93d302aab3b99",
+    "refresh_pkfk": "1f83dd1705f95743",
+}
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+def test_golden_primitive(name):
+    assert primitive_cell(name) == GOLDEN_PRIMITIVES.get(name)
+
+
 @pytest.mark.parametrize("join,level", VIEWS)
 def test_golden_grid(join, level):
     got = grid_cells(join, level)
@@ -319,4 +477,8 @@ if __name__ == "__main__":
     for join, level in VIEWS:
         for key, value in grid_cells(join, level).items():
             print(f'    "{key}": "{value}",')
+    print("}")
+    print("GOLDEN_PRIMITIVES = {")
+    for name in PRIMITIVES:
+        print(f'    "{name}": "{primitive_cell(name)}",')
     print("}")
