@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DealerExhausted
-from .ring import MASK
+from .ring import ARITH, BINARY, uncombine, width_mask
 
 _U64 = np.uint64
 
@@ -42,13 +42,13 @@ class Dealer:
         """Ledger `bits` of dealer-to-party traffic."""
         self.transcript.note_hybrid(bits)
 
-    def _split(self, values: np.ndarray, binary: bool, width: int = 64):
+    def split(self, values: np.ndarray, flavor: str, width: int = 64):
+        """Share `values` (already within `width` bits): a random half and
+        the half that joins with it to give `values`."""
         r = self._rand(len(values))
-        if binary:
-            if width < 64:
-                r &= _U64((1 << width) - 1)
-            return r, values ^ r
-        return r, values - r
+        if width < 64:
+            r &= _U64((1 << width) - 1)
+        return r, uncombine(flavor, values, r)
 
     # -- correlations ---------------------------------------------------------
 
@@ -57,30 +57,30 @@ class Dealer:
         self._spend(n)
         a, b = self._rand(n), self._rand(n)
         c = a * b
-        a0, a1 = self._split(a, False)
-        b0, b1 = self._split(b, False)
-        c0, c1 = self._split(c, False)
+        a0, a1 = self.split(a, ARITH)
+        b0, b1 = self.split(b, ARITH)
+        c0, c1 = self.split(c, ARITH)
         self.deliver(2 * 3 * 64 * n)
         return (a0, a1), (b0, b1), (c0, c1)
 
     def triples_bin(self, n: int, width: int):
         """n packed AND triples, `width` independent bit-triples per element."""
         self._spend(n * width)
-        wmask = _U64((1 << width) - 1) if width < 64 else MASK
+        wmask = width_mask(width)
         a = self._rand(n) & wmask
         b = self._rand(n) & wmask
         c = a & b
-        a0, a1 = self._split(a, True, width)
-        b0, b1 = self._split(b, True, width)
-        c0, c1 = self._split(c, True, width)
+        a0, a1 = self.split(a, BINARY, width)
+        b0, b1 = self.split(b, BINARY, width)
+        c0, c1 = self.split(c, BINARY, width)
         self.deliver(2 * 3 * width * n)
         return (a0, a1), (b0, b1), (c0, c1)
 
     def dabits(self, n: int):
         """Random bits shared both binary (1-bit) and arithmetically."""
         r = self.pool.bits(n)
-        rb0, rb1 = self._split(r, True, 1)
-        ra0, ra1 = self._split(r, False)
+        rb0, rb1 = self.split(r, BINARY, 1)
+        ra0, ra1 = self.split(r, ARITH)
         self.deliver(2 * (1 + 64) * n)
         return (rb0, rb1), (ra0, ra1)
 
@@ -89,21 +89,19 @@ class Dealer:
 
         Arithmetic halves come back as (width, n) arrays, bit j in row j.
         """
-        r = self._rand(n) & (_U64((1 << width) - 1) if width < 64 else MASK)
-        rb0, rb1 = self._split(r, True, width)
-        bits = np.empty((width, n), dtype=np.uint64)
-        for j in range(width):
-            bits[j] = (r >> _U64(j)) & _U64(1)
-        ra0 = self.pool.u64(width * n).reshape(width, n)
-        ra1 = bits - ra0
+        r = self._rand(n) & width_mask(width)
+        rb0, rb1 = self.split(r, BINARY, width)
+        bits = (r >> np.arange(width, dtype=np.uint64)[:, None]) & _U64(1)
+        ra0, ra1 = (h.reshape(width, n)
+                    for h in self.split(bits.ravel(), ARITH))
         self.deliver(2 * (width + 64 * width) * n)
         return (rb0, rb1), (ra0, ra1)
 
     def edabits(self, n: int, width: int = 64):
         """Random ring values shared both arithmetically and binary (packed)."""
         r = self._rand(n)
-        ra0, ra1 = self._split(r, False)
-        rb0, rb1 = self._split(r, True)
+        ra0, ra1 = self.split(r, ARITH)
+        rb0, rb1 = self.split(r, BINARY)
         self.deliver(2 * 2 * width * n)
         return (ra0, ra1), (rb0, rb1)
 
@@ -118,7 +116,3 @@ class Dealer:
         qc = np.where((c == 1)[:, None], q1, q0)
         self.deliver((1 + 64 * words) * n + 2 * 64 * words * n)
         return (c, qc), (q0, q1)
-
-    def mask(self, n: int) -> np.ndarray:
-        """Uniform mask vector used as the party-0 half when sharing inputs."""
-        return self._rand(n)

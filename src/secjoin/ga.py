@@ -136,8 +136,8 @@ class _Table:
         if name is None:
             return PlainColumn(np.ones(self.n, dtype=np.uint64), BINARY, 1)
         if side == 0 and self.pkfk:
-            return _concat([self.col(0, f"__bm:{name}:{j}")
-                            for j in range(len(dom))])
+            return SharedVector.concat([self.col(0, f"__bm:{name}:{j}")
+                                        for j in range(len(dom))])
         hits = self.col(side, name).values == np.array(dom, np.uint64)[:, None]
         return PlainColumn(hits.astype(np.uint64).ravel(), BINARY, 1)
 
@@ -186,26 +186,13 @@ def _move(sess: Session, rho: SharedVector, cols: list) -> list[SharedVector]:
     return ob.perm_shared(sess, rho, cols)
 
 
-def _map(sv: SharedVector, fn) -> SharedVector:
-    """The same local rearrangement applied to both halves."""
-    return SharedVector(sv.flavor, sv.width, fn(sv.shares[0]), fn(sv.shares[1]))
-
-
 def _tile(sv: SharedVector, reps: int) -> SharedVector:
-    return _map(sv, lambda a: np.tile(a, reps))
-
-
-def _concat(svs: list[SharedVector]) -> SharedVector:
-    return SharedVector(svs[0].flavor, svs[0].width,
-                        np.concatenate([s.shares[0] for s in svs]),
-                        np.concatenate([s.shares[1] for s in svs]))
+    return sv.map(lambda a: np.tile(a, reps))
 
 
 def _arith_to_bit(sess: Session, sv: SharedVector) -> SharedVector:
     """0/1 arithmetic share -> 1-bit binary share."""
-    wide = sh.a2b(sess, sv)
-    return SharedVector(BINARY, 1, wide.shares[0] & _U64(1),
-                        wide.shares[1] & _U64(1))
+    return sh.a2b(sess, sv).map(lambda a: a & _U64(1), 1)
 
 
 def _mask(sess, f, fa, cols):
@@ -348,7 +335,7 @@ def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
         f = sh.and_bits(sess, e_s, sh.not_bits(cont))
     with sess.phase("aggregate"):
         if suffix:
-            results = [_map(v, lambda a: np.cumsum(a[::-1])[::-1].copy())
+            results = [v.map(lambda a: np.cumsum(a[::-1])[::-1].copy())
                        for v in values]
         else:
             results = [ob.trav_flags(sess, c, v, fn)[0]
@@ -446,7 +433,7 @@ def ga_mix(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     with sess.phase("convert"):
         values = _convert_values(sess, q, values, t.n)
     with sess.phase("mask"):
-        valid = sh.and_bits(sess, _tile(e_m, d0), _concat(bits))
+        valid = sh.and_bits(sess, _tile(e_m, d0), SharedVector.concat(bits))
         values = [_null_fill(sess, valid, _tile(v, d0), fn)
                   for (_side, _col, fn), v in zip(q.aggs, values)]
     with sess.phase("aggregate"):
@@ -480,7 +467,7 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
 
     b0, b1 = t.bitmap(0, q.group0, dom0), t.bitmap(1, q.group1, dom1).values
     plain = isinstance(b0, PlainColumn)  # else P0's bitmap is shared
-    b0_cat = cat0(b0.values) if plain else _map(b0, cat0)
+    b0_cat = cat0(b0.values) if plain else b0.map(cat0)
     b1_cat = cat1(b1)
     with sess.phase("products"):
         if plain:
@@ -520,8 +507,8 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
         ea = sh.b2a(sess, e_t)
 
         def bucket_sums(vec: SharedVector) -> SharedVector:
-            return _map(sh.mul(sess, ea, vec), lambda a: a.reshape(
-                pairs, n).sum(axis=1, dtype=np.uint64))
+            return sh.mul(sess, ea, vec).map(
+                lambda a: a.reshape(pairs, n).sum(axis=1, dtype=np.uint64))
 
         agg_out, tbits = [bucket_sums(witness)], None
         for (_side, _col, fn), qv in zip(q.aggs, qvecs):
@@ -543,11 +530,11 @@ def _tree_reduce(sess: Session, validity: SharedVector, values: SharedVector,
     """Per-bucket max/min over (validity, value) rows, log-depth: buckets
     are contiguous segments, padded to even length with invalid rows."""
     def pad(x):  # one more row per bucket
-        return _map(x, lambda a: np.pad(a.reshape(buckets, -1),
-                                        ((0, 0), (0, 1))).ravel())
+        return x.map(lambda a: np.pad(a.reshape(buckets, -1),
+                                      ((0, 0), (0, 1))).ravel())
 
     def halves(x):  # every bucket's first and second half of rows
-        return [_map(x, lambda a: a.reshape(buckets, 2, -1)[:, k].ravel())
+        return [x.map(lambda a: a.reshape(buckets, 2, -1)[:, k].ravel())
                 for k in (0, 1)]
 
     length = len(values) // buckets

@@ -17,7 +17,7 @@ import numpy as np
 from . import sharing as sh
 from .benes import build_program
 from .errors import NotAPermutation, PreconditionViolated, SizeMismatch
-from .ring import ARITH, BINARY, as_ring, width_mask
+from .ring import ARITH, BINARY, as_ring, combine, uncombine, width_mask
 from .session import Session
 from .sharing import SharedVector
 
@@ -87,8 +87,7 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
         if len(col) != n:
             raise SizeMismatch(f"column length {len(col)} != |pi| = {n}")
     if n == 0:
-        z = np.zeros(0, np.uint64)
-        return [SharedVector(c.flavor, c.width, z, z.copy()) for c in cols]
+        return [SharedVector.zeros(0, c.flavor, c.width) for c in cols]
 
     m = _pad_pow2(n)
     prog = build_program(_extend_perm(np.asarray(pi, dtype=np.int64), m) - 1)
@@ -117,16 +116,11 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
             fresh_a = spool.u64(k)
             fresh_b = spool.u64(k)
             ma, mb = cur[ci][a_idx], cur[ci][b_idx]
-            if col.flavor == BINARY:
-                t_straight[pos:pos + k, 2 * ci] = fresh_a ^ ma
-                t_straight[pos:pos + k, 2 * ci + 1] = fresh_b ^ mb
-                t_cross[pos:pos + k, 2 * ci] = fresh_a ^ mb
-                t_cross[pos:pos + k, 2 * ci + 1] = fresh_b ^ ma
-            else:
-                t_straight[pos:pos + k, 2 * ci] = fresh_a - ma
-                t_straight[pos:pos + k, 2 * ci + 1] = fresh_b - mb
-                t_cross[pos:pos + k, 2 * ci] = fresh_a - mb
-                t_cross[pos:pos + k, 2 * ci + 1] = fresh_b - ma
+            f = col.flavor
+            t_straight[pos:pos + k, 2 * ci] = uncombine(f, fresh_a, ma)
+            t_straight[pos:pos + k, 2 * ci + 1] = uncombine(f, fresh_b, mb)
+            t_cross[pos:pos + k, 2 * ci] = uncombine(f, fresh_a, mb)
+            t_cross[pos:pos + k, 2 * ci + 1] = uncombine(f, fresh_b, ma)
             cur[ci][a_idx] = fresh_a
             cur[ci][b_idx] = fresh_b
         pos += k
@@ -140,10 +134,8 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
         y0 = sess.send(sender, y0, 2 * width_sum * s_count)
         y1 = sess.send(sender, y1, 2 * width_sum * s_count)
         t_sel = (np.where((ctrl == 1)[:, None], y1, y0) ^ qc)
-    masked = []
-    for col, dcol, mk in zip(cols, data, init):
-        v = (dcol ^ mk) if col.flavor == BINARY else (dcol + mk)
-        masked.append(sess.send(sender, v, col.width * m))
+    masked = [sess.send(sender, combine(col.flavor, dcol, mk), col.width * m)
+              for col, dcol, mk in zip(cols, data, init)]
 
     # Receiver-side evaluation, layer by layer.
     pos = 0
@@ -155,29 +147,20 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
         for ci, col in enumerate(cols):
             v = masked[ci]
             va, vb = v[a_idx], v[b_idx]
-            src_a = np.where(lc, vb, va)
-            src_b = np.where(lc, va, vb)
-            ta = t_sel[pos:pos + k, 2 * ci]
-            tb = t_sel[pos:pos + k, 2 * ci + 1]
-            if col.flavor == BINARY:
-                v[a_idx] = src_a ^ ta
-                v[b_idx] = src_b ^ tb
-            else:
-                v[a_idx] = src_a + ta
-                v[b_idx] = src_b + tb
+            v[a_idx] = combine(col.flavor, np.where(lc, vb, va),
+                               t_sel[pos:pos + k, 2 * ci])
+            v[b_idx] = combine(col.flavor, np.where(lc, va, vb),
+                               t_sel[pos:pos + k, 2 * ci + 1])
         pos += k
 
+    # the receiver holds y + mask, the sender the half that joins it to y
     out = []
     for col, v, mk in zip(cols, masked, cur):
         halves = [None, None]
-        if col.flavor == BINARY:
-            wm = width_mask(col.width)
-            halves[receiver] = v[:n] & wm
-            halves[sender] = mk[:n] & wm
-        else:
-            halves[receiver] = v[:n]
-            halves[sender] = np.uint64(0) - mk[:n]
-        out.append(SharedVector(col.flavor, col.width, halves[0], halves[1]))
+        halves[receiver] = v[:n]
+        halves[sender] = uncombine(col.flavor, _U64(0), mk[:n])
+        wm = width_mask(col.width)
+        out.append(SharedVector(col.flavor, col.width, *(h & wm for h in halves)))
     return out
 
 
@@ -205,14 +188,9 @@ def osn_shared(sess: Session, receiver: int, pi: np.ndarray,
     outs = _osn_network(sess, receiver, pi, plain_cols)
     gather = np.asarray(pi, dtype=np.int64) - 1
     for col, out in zip(cols, outs):
-        if isinstance(col, PlainColumn):
-            continue
-        own = col.shares[receiver][gather]
-        rsh = out.shares[receiver]
-        if col.flavor == BINARY:
-            out.shares[receiver][:] = rsh ^ own
-        else:
-            out.shares[receiver][:] = rsh + own
+        if not isinstance(col, PlainColumn):
+            rsh = out.shares[receiver]
+            rsh[:] = combine(col.flavor, rsh, col.shares[receiver][gather])
     return outs
 
 
@@ -325,18 +303,9 @@ def bit_sort(sess: Session, bvecs: list[SharedVector],
     for b in bvecs[1:]:
         comp = sh.xor(comp, b)
     comp = sh.not_bits(comp)
-    ordered = [comp] + list(bvecs)
-    flat = ordered[0]
-    for b in ordered[1:]:
-        flat = flat.append(b)
-    flat_a = sh.b2a(sess, flat)
-    counts0 = np.cumsum(flat_a.shares[0])
-    counts1 = np.cumsum(flat_a.shares[1])
-    ranks = SharedVector(ARITH, 64, counts0, counts1)
-    prod = sh.mul(sess, flat_a, ranks)
-    v0 = prod.shares[0].reshape(len(ordered), n).sum(axis=0, dtype=np.uint64)
-    v1 = prod.shares[1].reshape(len(ordered), n).sum(axis=0, dtype=np.uint64)
-    return SharedVector(ARITH, 64, v0, v1)
+    flat_a = sh.b2a(sess, SharedVector.concat([comp] + list(bvecs)))
+    prod = sh.mul(sess, flat_a, flat_a.map(np.cumsum))
+    return prod.map(lambda a: a.reshape(-1, n).sum(axis=0, dtype=np.uint64))
 
 
 def per_gen(sess: Session, v: SharedVector) -> SharedVector:
@@ -347,10 +316,6 @@ def per_gen(sess: Session, v: SharedVector) -> SharedVector:
 # ---------------------------------------------------------------------------
 # stable sort (bitonic network)
 # ---------------------------------------------------------------------------
-
-def _shift_rows(sv: SharedVector, idx: np.ndarray) -> SharedVector:
-    return sv.gather(idx)
-
 
 def _multi_limb_gt(sess: Session, a_limbs, b_limbs) -> SharedVector:
     """Strict greater-than over most-significant-first limb lists."""
@@ -382,61 +347,39 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
     carry_cols = carry_cols or []
     n = len(key_cols[0])
     if n == 0:
-        empty = SharedVector(BINARY, 64, np.zeros(0, np.uint64), np.zeros(0, np.uint64))
-        return empty, [k.copy() for k in key_cols], [c.copy() for c in carry_cols]
+        return (SharedVector.zeros(0, BINARY), [k.copy() for k in key_cols],
+                [c.copy() for c in carry_cols])
     m = _pad_pow2(n)
 
     def pad(sv: SharedVector, fill: int) -> SharedVector:
-        if m == n:
-            return sv.copy()
-        extra = np.full(m - n, fill, dtype=np.uint64) & width_mask(sv.width)
-        z = np.zeros(m - n, dtype=np.uint64)
-        return SharedVector(sv.flavor, sv.width,
-                            np.concatenate([sv.shares[0], extra]),
-                            np.concatenate([sv.shares[1], z]))
+        extra = np.full(m - n, fill, dtype=np.uint64)
+        return SharedVector.concat(
+            [sv, SharedVector.public(extra, sv.flavor, sv.width)])
 
-    keys = [pad(k, (1 << k.width) - 1 if k.width < 64 else (1 << 64) - 1)
-            for k in key_cols]
-    idx = SharedVector(BINARY, 64,
-                       np.arange(1, m + 1, dtype=np.uint64),
-                       np.zeros(m, dtype=np.uint64))
+    # keys pad with all ones (masked to each limb's width), so pads sort last
+    keys = [pad(k, (1 << 64) - 1) for k in key_cols]
+    idx = SharedVector.public(np.arange(1, m + 1, dtype=np.uint64), BINARY)
     cols = keys + [idx] + [pad(c, 0) for c in carry_cols]
     nk = len(keys)
 
+    rows = np.arange(m)
     k = 2
     while k <= m:
         j = k // 2
         while j >= 1:
-            left, right, desc = [], [], []
-            for i in range(m):
-                partner = i ^ j
-                if partner > i:
-                    left.append(i)
-                    right.append(partner)
-                    desc.append(1 if (i & k) else 0)
-            left = np.array(left)
-            right = np.array(right)
-            desc = np.array(desc, dtype=np.uint64)
+            left = rows[(rows & j) == 0]  # each comparator's lower row
+            right = left | j
+            desc = ((left & k) != 0).astype(np.uint64)
             a_key = [c.gather(left) for c in cols[:nk + 1]]
             b_key = [c.gather(right) for c in cols[:nk + 1]]
             swap = _multi_limb_gt(sess, a_key, b_key)
             swap = sh.xor_public(swap, desc)
-            for ci, col in enumerate(cols):
+            for col in cols:
                 va, vb = col.gather(left), col.gather(right)
-                if col.flavor == BINARY:
-                    new_a = sh.mux(sess, swap, vb, va)
-                    delta0 = new_a.shares[0] ^ va.shares[0] ^ vb.shares[0]
-                    delta1 = new_a.shares[1] ^ va.shares[1] ^ vb.shares[1]
-                    col.shares[0][left] = new_a.shares[0]
-                    col.shares[1][left] = new_a.shares[1]
-                    col.shares[0][right] = delta0
-                    col.shares[1][right] = delta1
-                else:
-                    new_a = sh.mux(sess, swap, vb, va)
-                    col.shares[0][left] = new_a.shares[0]
-                    col.shares[1][left] = new_a.shares[1]
-                    col.shares[0][right] = (va.shares[0] + vb.shares[0]) - new_a.shares[0]
-                    col.shares[1][right] = (va.shares[1] + vb.shares[1]) - new_a.shares[1]
+                new_a = sh.mux(sess, swap, vb, va)
+                new_b = sh.sub(sh.add(va, vb), new_a)
+                for half, a, b in zip(col.shares, new_a.shares, new_b.shares):
+                    half[left], half[right] = a, b
             j //= 2
         k *= 2
 
@@ -462,7 +405,7 @@ def adjacent_same_flags(sess: Session, limbs: list[SharedVector],
     n = len(limbs[0]) if limbs else len(plain_flags)
     acc = None
     for limb in limbs:
-        prev = _shift_rows(limb, np.maximum(np.arange(n) - 1, 0))
+        prev = limb.gather(np.maximum(np.arange(n) - 1, 0))
         if limb.width == 1:
             same = sh.not_bits(sh.xor(limb, prev))
         else:
@@ -476,8 +419,7 @@ def adjacent_same_flags(sess: Session, limbs: list[SharedVector],
     # first row starts its own group
     first = np.zeros(n, dtype=np.uint64)
     first[0] = 1
-    mask0 = acc.shares[0] & ~first if n else acc.shares[0]
-    return SharedVector(BINARY, 1, mask0, acc.shares[1] & ~first)
+    return acc.map(lambda a: a & ~first)
 
 
 def _agg_combine(sess: Session, agg: str, prev: SharedVector, cur: SharedVector):
@@ -509,7 +451,7 @@ def trav_flags(sess: Session, flags: SharedVector, values: SharedVector,
     s = 1
     while s < n:
         shift_idx = np.maximum(np.arange(n) - s, 0)
-        prev_vals = _shift_rows(vals, shift_idx)
+        prev_vals = vals.gather(shift_idx)
         combined = _agg_combine(sess, agg, prev_vals, vals)
         if vals.flavor == ARITH:
             run_a = sh.b2a(sess, run)
@@ -517,14 +459,12 @@ def trav_flags(sess: Session, flags: SharedVector, values: SharedVector,
         else:
             vals = sh.mux(sess, run, combined, vals)
         if validity is not None:
-            prev_t = _shift_rows(validity, shift_idx)
+            prev_t = validity.gather(shift_idx)
             both = sh.or_bits(sess, validity, prev_t)
             validity = sh.mux(sess, run, both, validity)
-        prev_run = _shift_rows(run, shift_idx)
         zero_head = np.ones(n, dtype=np.uint64)
         zero_head[:s] = 0
-        prev_run = SharedVector(BINARY, 1, prev_run.shares[0] * zero_head,
-                                prev_run.shares[1] * zero_head)
+        prev_run = run.map(lambda a: a[shift_idx] * zero_head)
         run = sh.and_bits(sess, run, prev_run)
         s *= 2
     return vals, validity

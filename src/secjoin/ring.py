@@ -3,6 +3,11 @@
 Every secret, join key and aggregation value lives in Z_{2^64}. Vectors are
 numpy uint64 arrays so that whole-vector gates are single numpy operations;
 overflow wraps exactly as the ring requires.
+
+A shared value has a flavor: arithmetic (halves add up to it) or binary
+(halves XOR to it). `combine` and `uncombine` are the one place that rule is
+written; everything that splits, joins, adds or masks shares goes through
+them.
 """
 from __future__ import annotations
 
@@ -38,3 +43,13 @@ def width_mask(width: int) -> np.uint64:
         return MASK
     return np.uint64((1 << width) - 1)
 
+
+
+def combine(flavor: str, a, b):
+    """Join two share halves: a + b (arithmetic) or a ^ b (binary)."""
+    return a ^ b if flavor == BINARY else a + b
+
+
+def uncombine(flavor: str, a, b):
+    """The half that joins with b to give a: a - b (arithmetic) or a ^ b."""
+    return a ^ b if flavor == BINARY else a - b

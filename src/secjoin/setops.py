@@ -91,11 +91,10 @@ def f_cpsi(sess: Session, receiver: int, recv_keys, send_keys,
             e[i] = 1
             if pay is not None:
                 z[i] = pay[j]
-    e0, e1 = sess.dealer._split(e, True, 1)
-    e_sv = SharedVector(BINARY, 1, e0, e1)
+    e_sv = SharedVector(BINARY, 1, *sess.dealer.split(e, BINARY, 1))
     sess.dealer.deliver(2 * 1 * n)
     if payload is None:
         return e_sv, None
-    z0, z1 = sess.dealer._split(z, False)
+    z_sv = SharedVector(ARITH, 64, *sess.dealer.split(z, ARITH))
     sess.dealer.deliver(2 * 64 * n)
-    return e_sv, SharedVector(ARITH, 64, z0, z1)
+    return e_sv, z_sv

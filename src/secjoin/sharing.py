@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import FlavorMismatch, SizeMismatch, WidthMismatch
-from .ring import ARITH, BINARY, MASK, as_ring, width_mask
+from .ring import ARITH, BINARY, MASK, as_ring, combine, uncombine, width_mask
 from .session import Session
 
 _U64 = np.uint64
@@ -53,38 +53,41 @@ class SharedVector:
         return cls(flavor, width, v, np.zeros(len(v), dtype=np.uint64))
 
     def reconstruct(self) -> np.ndarray:
-        if self.flavor == ARITH:
-            return self.shares[0] + self.shares[1]
-        return (self.shares[0] ^ self.shares[1]) & width_mask(self.width)
+        return combine(self.flavor, *self.shares) & width_mask(self.width)
+
+    def map(self, fn, width: int | None = None) -> "SharedVector":
+        """The same local function on both halves, optionally to a new width."""
+        return SharedVector(self.flavor, self.width if width is None else width,
+                            fn(self.shares[0]), fn(self.shares[1]))
+
+    @staticmethod
+    def concat(parts: list["SharedVector"]) -> "SharedVector":
+        """The parts end to end; all must share flavor and width."""
+        for part in parts[1:]:
+            parts[0]._check_kind(part)
+        return SharedVector(parts[0].flavor, parts[0].width,
+                            *(np.concatenate([p.shares[k] for p in parts])
+                              for k in (0, 1)))
 
     def gather(self, idx) -> "SharedVector":
         """Apply a public index map to both halves (local)."""
         idx = np.asarray(idx)
-        return SharedVector(self.flavor, self.width,
-                            self.shares[0][idx], self.shares[1][idx])
+        return self.map(lambda a: a[idx])
 
     def slice(self, lo, hi) -> "SharedVector":
-        return SharedVector(self.flavor, self.width,
-                            self.shares[0][lo:hi], self.shares[1][lo:hi])
+        return self.map(lambda a: a[lo:hi])
 
     def copy(self) -> "SharedVector":
-        return SharedVector(self.flavor, self.width,
-                            self.shares[0].copy(), self.shares[1].copy())
+        return self.map(np.copy)
 
-    def append(self, other: "SharedVector") -> "SharedVector":
+    def _check_kind(self, other: "SharedVector"):
         if self.flavor != other.flavor:
             raise FlavorMismatch(f"{self.flavor} vs {other.flavor}")
         if self.width != other.width:
             raise WidthMismatch(f"{self.width} vs {other.width}")
-        return SharedVector(self.flavor, self.width,
-                            np.concatenate([self.shares[0], other.shares[0]]),
-                            np.concatenate([self.shares[1], other.shares[1]]))
 
     def _check_like(self, other: "SharedVector"):
-        if self.flavor != other.flavor:
-            raise FlavorMismatch(f"{self.flavor} vs {other.flavor}")
-        if self.width != other.width:
-            raise WidthMismatch(f"{self.width} vs {other.width}")
+        self._check_kind(other)
         if len(self) != len(other):
             raise SizeMismatch(f"{len(self)} vs {len(other)}")
 
@@ -99,12 +102,7 @@ def share_vec(sess: Session, owner: int, values, flavor: str = ARITH,
     """
     v = as_ring(values) & width_mask(width)
     n = len(v)
-    r = sess.dealer.mask(n)
-    if flavor == BINARY:
-        r = r & width_mask(width)
-        other = v ^ r
-    else:
-        other = v - r
+    r, other = sess.dealer.split(v, flavor, width)
     sess.dealer.deliver(width * n)  # mask to party 0
     if owner == 0:
         if n:
@@ -129,9 +127,7 @@ def open_vec(sess: Session, x: SharedVector, to: int | str = "both") -> np.ndarr
         src = 1 - int(to)
         other = sess.send(src, x.shares[src], bits)
         own = x.shares[int(to)]
-    if x.flavor == ARITH:
-        return own + other
-    return (own ^ other) & width_mask(x.width)
+    return combine(x.flavor, own, other) & width_mask(x.width)
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +136,14 @@ def open_vec(sess: Session, x: SharedVector, to: int | str = "both") -> np.ndarr
 
 def add(x: SharedVector, y: SharedVector) -> SharedVector:
     x._check_like(y)
-    if x.flavor == BINARY:
-        return SharedVector(BINARY, x.width, x.shares[0] ^ y.shares[0],
-                            x.shares[1] ^ y.shares[1])
-    return SharedVector(ARITH, x.width, x.shares[0] + y.shares[0],
-                        x.shares[1] + y.shares[1])
+    return SharedVector(x.flavor, x.width,
+                        *(combine(x.flavor, a, b) for a, b in zip(x.shares, y.shares)))
 
 
 def sub(x: SharedVector, y: SharedVector) -> SharedVector:
     x._check_like(y)
-    if x.flavor == BINARY:
-        return add(x, y)
-    return SharedVector(ARITH, x.width, x.shares[0] - y.shares[0],
-                        x.shares[1] - y.shares[1])
+    return SharedVector(x.flavor, x.width,
+                        *(uncombine(x.flavor, a, b) for a, b in zip(x.shares, y.shares)))
 
 
 def xor(x: SharedVector, y: SharedVector) -> SharedVector:
@@ -178,9 +169,11 @@ def replicate_bit(f: SharedVector, width: int) -> SharedVector:
     if f.flavor != BINARY or f.width != 1:
         raise WidthMismatch("replicate_bit needs a 1-bit binary share")
     m = width_mask(width)
-    return SharedVector(BINARY, width,
-                        (np.uint64(0) - (f.shares[0] & _U64(1))) & m,
-                        (np.uint64(0) - (f.shares[1] & _U64(1))) & m)
+    return f.map(lambda a: (_U64(0) - (a & _U64(1))) & m, width)
+
+
+def _shl(x: SharedVector, s: int) -> SharedVector:
+    return x.map(lambda a: a << _U64(s))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +185,7 @@ def mul(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     x._check_like(y)
     n = len(x)
     if n == 0:
-        return SharedVector(x.flavor, x.width, x.shares[0][:0], x.shares[1][:0])
+        return x.slice(0, 0)
     if x.flavor == BINARY:
         return _and_bin(sess, x, y)
     (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_arith(n)
@@ -240,7 +233,7 @@ def b2a(sess: Session, f: SharedVector) -> SharedVector:
         raise WidthMismatch("b2a expects 1-bit binary shares")
     n = len(f)
     if n == 0:
-        return SharedVector(ARITH, 64, f.shares[0][:0], f.shares[1][:0])
+        return SharedVector.zeros(0)
     (rb0, rb1), (ra0, ra1) = sess.dealer.dabits(n)
     m0, m1 = (f.shares[0] ^ rb0) & _U64(1), (f.shares[1] ^ rb1) & _U64(1)
     at0, at1 = sess.exchange(m0, m1, n, n)
@@ -258,7 +251,7 @@ def b2a_wide(sess: Session, x: SharedVector) -> SharedVector:
         raise FlavorMismatch("b2a_wide expects binary shares")
     n, w = len(x), x.width
     if n == 0:
-        return SharedVector(ARITH, 64, x.shares[0][:0], x.shares[1][:0])
+        return SharedVector.zeros(0)
     (rb0, rb1), (ra0, ra1) = sess.dealer.dabits_packed(n, w)
     m0, m1 = x.shares[0] ^ rb0, x.shares[1] ^ rb1
     at0, at1 = sess.exchange(m0, m1, w * n, w * n)
@@ -280,7 +273,7 @@ def a2b(sess: Session, x: SharedVector) -> SharedVector:
         raise FlavorMismatch("a2b expects arithmetic shares")
     n = len(x)
     if n == 0:
-        return SharedVector(BINARY, 64, x.shares[0][:0], x.shares[1][:0])
+        return SharedVector.zeros(0, BINARY)
     (ra0, ra1), (rb0, rb1) = sess.dealer.edabits(n)
     m0, m1 = x.shares[0] - ra0, x.shares[1] - ra1
     at0, at1 = sess.exchange(m0, m1, 64 * n, 64 * n)
@@ -291,13 +284,9 @@ def a2b(sess: Session, x: SharedVector) -> SharedVector:
     p = SharedVector(BINARY, 64, c0 ^ rb0, rb1.copy())
     p_run = p
     for k in range(6):
-        s = _U64(1 << k)
-        g_shift = SharedVector(BINARY, 64, g.shares[0] << s, g.shares[1] << s)
-        p_shift = SharedVector(BINARY, 64, p_run.shares[0] << s, p_run.shares[1] << s)
-        g = xor(g, and_bits(sess, p_run, g_shift))
-        p_run = and_bits(sess, p_run, p_shift)
-    carries = SharedVector(BINARY, 64, g.shares[0] << _U64(1), g.shares[1] << _U64(1))
-    return xor(p, carries)
+        g = xor(g, and_bits(sess, p_run, _shl(g, 1 << k)))
+        p_run = and_bits(sess, p_run, _shl(p_run, 1 << k))
+    return xor(p, _shl(g, 1))
 
 
 def eq(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
@@ -314,15 +303,13 @@ def _is_zero_bits(sess: Session, t: SharedVector) -> SharedVector:
     """AND-reduce NOT(bit) over the width; 1-bit result."""
     w = t.width
     # pad unused high bits of the NOT with ones so they don't break the AND
-    t = SharedVector(BINARY, 64, t.shares[0] ^ MASK, t.shares[1].copy())
+    t = not_bits(SharedVector(BINARY, 64, *t.shares))
     s = 1
     while s < w:
-        sh = _U64(s)
-        t = and_bits(sess, t,
-                     SharedVector(BINARY, 64, (t.shares[0] >> sh) | (MASK << _U64(64 - s)),
-                                  t.shares[1] >> sh))
+        t = and_bits(sess, t, xor_public(t.map(lambda a: a >> _U64(s)),
+                                         MASK << _U64(64 - s)))
         s *= 2
-    return SharedVector(BINARY, 1, t.shares[0] & _U64(1), t.shares[1] & _U64(1))
+    return t.map(lambda a: a & _U64(1), 1)
 
 
 def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
@@ -338,16 +325,11 @@ def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     eq_bits = not_bits(xor(x, y))
     s = 1
     while s < w:
-        sh = _U64(s)
-        gt_lo = SharedVector(BINARY, w, gt_bits.shares[0] << sh, gt_bits.shares[1] << sh)
-        eq_lo = SharedVector(BINARY, w, eq_bits.shares[0] << sh, eq_bits.shares[1] << sh)
-        gt_bits = xor(gt_bits, and_bits(sess, eq_bits, gt_lo))
+        gt_bits = xor(gt_bits, and_bits(sess, eq_bits, _shl(gt_bits, s)))
         if 2 * s < w:
-            eq_bits = and_bits(sess, eq_bits, eq_lo)
+            eq_bits = and_bits(sess, eq_bits, _shl(eq_bits, s))
         s *= 2
-    top = _U64(w - 1)
-    return SharedVector(BINARY, 1, (gt_bits.shares[0] >> top) & _U64(1),
-                        (gt_bits.shares[1] >> top) & _U64(1))
+    return gt_bits.map(lambda a: (a >> _U64(w - 1)) & _U64(1), 1)
 
 
 def mux(sess: Session, f: SharedVector, x: SharedVector, y: SharedVector) -> SharedVector:
@@ -383,8 +365,7 @@ def asym_mul(sess: Session, f_holder: int, f_bits: np.ndarray, x_vals: np.ndarra
     if len(x_vals) != n:
         raise SizeMismatch("bit vector and value vector differ in length")
     if n == 0:
-        e = np.zeros(0, dtype=np.uint64)
-        return SharedVector(flavor, width, e, e.copy())
+        return SharedVector.zeros(0, flavor, width)
     x_holder = 1 - f_holder
     f_bits = as_ring(f_bits) & _U64(1)
     x_vals = as_ring(x_vals) & width_mask(width)
@@ -392,20 +373,15 @@ def asym_mul(sess: Session, f_holder: int, f_bits: np.ndarray, x_vals: np.ndarra
     qc, q0, q1 = qc[:, 0], q0[:, 0], q1[:, 0]
     d = sess.send(f_holder, f_bits ^ c, n)
     r = sess.parties[x_holder].pool.u64(n) & width_mask(width)
-    if flavor == BINARY:
-        m0, m1 = r.copy(), x_vals ^ r
-        x_share = r
-    else:
-        m0, m1 = (np.uint64(0) - r), x_vals - r
-        x_share = r
+    # the bit holder ends with the half that joins r to f ? x : 0
+    m0, m1 = uncombine(flavor, _U64(0), r), uncombine(flavor, x_vals, r)
     y0 = m0 ^ np.where(d == 1, q1, q0)
     y1 = m1 ^ np.where(d == 1, q0, q1)
     y0, y1 = np.split(sess.send(x_holder, np.concatenate([y0, y1]), 2 * 64 * n), 2)
     got = np.where(f_bits == 1, y1, y0) ^ qc
-    halves = [None, None]
-    halves[f_holder] = got & width_mask(width) if flavor == BINARY else got
-    halves[x_holder] = x_share
-    return SharedVector(flavor, width, halves[0], halves[1])
+    halves = [r, r]
+    halves[f_holder] = got & width_mask(width)
+    return SharedVector(flavor, width, *halves)
 
 
 def convert(sess: Session, x: SharedVector, target: str) -> SharedVector:

@@ -249,10 +249,7 @@ def gen_secv(sess: Session, r0: Relation, r1: Relation,
     with sess.phase("cpsi-2"):
         f1, _ = setops.f_cpsi(sess, pb, rb.keys, ra.keys, None)
         if na > nb:  # pad with shared zeros so |F| = n_a
-            pad = np.zeros(na - nb, dtype=np.uint64)
-            f1 = SharedVector(BINARY, 1,
-                              np.concatenate([f1.shares[0], pad]),
-                              np.concatenate([f1.shares[1], pad.copy()]))
+            f1 = SharedVector.concat([f1, SharedVector.zeros(na - nb, BINARY, 1)])
     with sess.phase("shuffle"):
         o_prime = SharedVector.public(np.arange(1, na + 1, dtype=np.uint64))
         f_sv, l_sv = ob.shuffle(sess, [f1, o_prime])
@@ -374,10 +371,8 @@ def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC,
         pi0_m, pi1_m = v0c.pi, v1c.pi
         e_map = shared_e(v0c, v1c)
         if n_e < m:
-            pad = np.zeros(m - n_e, dtype=np.uint64)
-            e_map = SharedVector(BINARY, 1,
-                                 np.concatenate([e_map.shares[0], pad]),
-                                 np.concatenate([e_map.shares[1], pad.copy()]))
+            e_map = SharedVector.concat(
+                [e_map, SharedVector.zeros(m - n_e, BINARY, 1)])
             pi1_m = _extend_injective(pi1_m, m, max(v1c.codomain, m),
                                       sess.parties[1].rng)
             pi0_m = _extend_injective(pi0_m, m, max(v0c.codomain, m),
@@ -409,13 +404,9 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
         j0_shared = dict(zip(r0.columns.keys(), moved[1:]))
     with sess.phase("duplicate"):
         names = list(j0_shared)
-        stacked = j0_shared[names[0]]
-        for c in names[1:]:
-            stacked = stacked.append(j0_shared[c])
         reps = len(names)
-        e_rep = e_sw
-        for _ in range(reps - 1):
-            e_rep = e_rep.append(e_sw)
+        stacked = SharedVector.concat(list(j0_shared.values()))
+        e_rep = SharedVector.concat([e_sw] * reps)
         stacked = sh.mux(sess, e_rep, stacked,
                          SharedVector.zeros(len(stacked), ARITH, 64))
         # FK-group flags from P1's plaintext sorted keys, tiled per column
@@ -429,9 +420,7 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
         e_flags = flags.slice(0, n)
         dup, _ = ob.trav_flags(sess, flags, stacked, ob.AGG_SUM)
         e_fin, _ = ob.trav_flags(sess, e_flags, e_sw, ob.AGG_XOR)
-        j0_fin = {}
-        for i, c in enumerate(names):
-            j0_fin[c] = dup.slice(i * n, (i + 1) * n)
+        j0_fin = {c: dup.slice(i * n, (i + 1) * n) for i, c in enumerate(names)}
 
     base_hash = hashlib.sha256(
         (r0.key_hash() + r1.key_hash()).encode()).hexdigest()
