@@ -279,12 +279,15 @@ def _carry(sess, t, q, apply, pi, order, g1, p0_head):
 
 
 def _segmented(sess, run, q, values, valid):
-    """Running aggregates along runs, the first also ORing `valid` along."""
+    """Running aggregates along runs, the first also ORing `valid` along;
+    without aggregates `valid` gets its own scan (max of bits is their OR)."""
     outs, run_valid = [], None
     for (_side, _col, fn), v in zip(q.aggs, values):
         r, tv = ob.trav_flags(sess, run, v, fn, validity=None if outs else valid)
         run_valid = run_valid if outs else tv
         outs.append(r)
+    if not outs:
+        run_valid, _ = ob.trav_flags(sess, run, valid, ob.AGG_MAX)
     return outs, run_valid
 
 
@@ -514,6 +517,10 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
         for (_side, _col, fn), qv in zip(q.aggs, qvecs):
             if fn in ("sum", "count"):
                 agg_out.append(bucket_sums(qv))
+            elif fn == "xor":  # linear over binary shares: reduce locally
+                x = sh.and_bits(sess, sh.replicate_bit(e_t, qv.width), qv)
+                agg_out.append(x.map(lambda a: np.bitwise_xor.reduce(
+                    a.reshape(pairs, n), axis=1)))
             else:
                 if tbits is None:
                     tbits = sh.and_bits(sess, e_t, bb)

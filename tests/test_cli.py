@@ -235,3 +235,18 @@ def test_join_key_out_of_range_exits_2(workspace, capsys):
     rc = cli.main(["genview", str(spec_path), "--out", str(tmp / "views")])
     assert rc == 2
     assert "2^62" in capsys.readouterr().err
+
+
+def test_bitmap_query_with_xor_aggregates(workspace, capsys):
+    tmp, spec_path, spec = workspace
+    spec.update(group1=None, aggs=[{"side": 0, "col": "v0", "fn": "xor"},
+                                   {"side": 1, "col": "v1", "fn": "xor"}])
+    spec_path.write_text(json.dumps(spec))
+    views = tmp / "views"
+    assert cli.main(["genview", str(spec_path), "--out", str(views)]) == 0
+    res = tmp / "res.csv"
+    assert cli.main(["query", str(spec_path), "--views", str(views),
+                     "--protocol", "bitmap", "--verify", "--out", str(res)]) == 0
+    capsys.readouterr()
+    # keys 10 and 30 join, both in g0 = 0: 1 ^ 3 and 8 ^ 7
+    assert res.read_text() == "g0,g1,xor_v0,xor_v1\n0,,2,15\n"

@@ -350,3 +350,33 @@ def test_view_gen_bench_reports_wire_and_dealer_bits_apart():
     cell = bench.measure_view_gen(0, 64)
     assert cell.wire_bits == 0 and cell.hybrid_bits > 0
     assert bench.measure_view_gen(2, 64).wire_bits > 0
+
+
+def test_bitmap_xor_aggregates_match_oracle():
+    # xor-only queries once raised UnboundLocalError, and xor next to max
+    # went through the max/min tree
+    rng = np.random.default_rng(21)
+    for trial in range(6):
+        r0, r1 = rand_pair(rng, n_max=12, d0=3, d1=3, key_space=16)
+        sess = Session(trial, trial + 1, trial + 2)
+        v0, v1 = vw.GENERATORS[trial % 3](sess, r0, r1)
+        for g0, g1 in (("g0", "g1"), ("g0", None), (None, "g1")):
+            for aggs in ([(1, "v1", "xor"), (0, "v0", "xor")],
+                         [(0, "v0", "xor"), (1, "v1", "max"), (0, None, "count")]):
+                q = JgaQuery(g0, g1, aggs)
+                got = ga.ga_bitmap(Session(4, 5, 6), v0, v1, q).rows
+                assert got == oracle.eval_jga(r0, r1, q), (trial, q)
+
+
+def test_mix_and_oneside_without_aggregates_return_group_rows():
+    rng = np.random.default_rng(22)
+    for level in (0, 1, 2):
+        r0, r1 = rand_pair(rng, n_max=12, d0=3, d1=3, key_space=16)
+        sess = Session(level, level + 1, level + 2)
+        v0, v1 = vw.GENERATORS[level](sess, r0, r1)
+        for proto, g0, g1 in (("mix", "g0", "g1"), ("mix", "g0", None),
+                              ("mix", None, "g1"), ("oneside", "g0", None),
+                              ("oneside", None, "g1")):
+            q = JgaQuery(g0, g1, [])
+            got = ga.PROTOCOLS[proto](Session(4, 5, 6), v0, v1, q).rows
+            assert got == oracle.eval_jga(r0, r1, q), (level, proto, q)
