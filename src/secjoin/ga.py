@@ -489,14 +489,13 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
                 else:
                     prod = sh.mul(sess, b0_cat, sh.share_vec(sess, 1, x, ARITH))
                     qvecs.append(sh.convert(sess, prod, flavor))
-            elif plain:
-                v0 = t.col(0, col)
-                # a PK-FK view without g0 lands here too: not supported yet
-                assert isinstance(v0, PlainColumn), "P0's values are shared"
+            elif isinstance(v0 := t.col(0, col), PlainColumn):
                 x = cat0(b0.values * np.tile(v0.values, d0))
                 qvecs.append(sh.asym_mul(sess, 1, b1_cat, x, flavor, 64))
-            else:
-                v0 = sh.mul(sess, b0_cat, _tile(t.col(0, col), pairs))
+            else:  # PK-FK: shared values, gated by the shared bitmap if any
+                v0 = _tile(v0, pairs)
+                if not plain:
+                    v0 = sh.mul(sess, b0_cat, v0)
                 gate = sh.b2a(sess, sh.share_vec(sess, 1, b1_cat, BINARY, 1))
                 qvecs.append(sh.convert(sess, sh.mul(sess, gate, v0), flavor))
         if any(fn in ("max", "min") for _, _, fn in q.aggs):

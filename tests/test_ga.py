@@ -380,3 +380,18 @@ def test_mix_and_oneside_without_aggregates_return_group_rows():
             q = JgaQuery(g0, g1, [])
             got = ga.PROTOCOLS[proto](Session(4, 5, 6), v0, v1, q).rows
             assert got == oracle.eval_jga(r0, r1, q), (level, proto, q)
+
+
+def test_pkfk_bitmap_without_g0_over_p0_values():
+    # P0's columns are shared in a PK-FK view; without g0 this once hit a
+    # bare AssertionError on P0's plaintext path
+    r0 = Relation("P", {"k": [1, 2, 5, 6], "v0": [10, 20, 50, 60]}, "k", "pk")
+    r1 = Relation("F", {"k": [2, 1, 2, 7, 5, 2], "g1": [3, 3, 4, 4, 3, 3],
+                        "v1": [1, 2, 3, 4, 5, 6]}, "k", "fk")
+    for level in (0, 1, 2):
+        v0, v1 = vw.gen_pkfk(Session(1, 2, 3), r0, r1, level=level)
+        for aggs in ([(0, "v0", "sum")],
+                     [(0, "v0", "max"), (0, "v0", "min"), (0, None, "count")]):
+            q = JgaQuery(None, "g1", aggs, dom1=[3, 4])
+            got = ga.ga_bitmap(Session(4, 5, 6), v0, v1, q).rows
+            assert got == oracle.eval_jga(r0, r1, q), (level, aggs)
