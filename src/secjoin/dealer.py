@@ -27,9 +27,6 @@ class Dealer:
 
     # -- internals ----------------------------------------------------------
 
-    def _rand(self, n: int) -> np.ndarray:
-        return self.pool.u64(n)
-
     def _spend(self, units: int):
         if self.triple_budget is not None:
             if self.triple_budget < units:
@@ -45,7 +42,7 @@ class Dealer:
     def split(self, values: np.ndarray, flavor: str, width: int = 64):
         """Share `values` (already within `width` bits): a random half and
         the half that joins with it to give `values`."""
-        r = self._rand(len(values))
+        r = self.pool.u64(len(values))
         if width < 64:
             r &= _U64((1 << width) - 1)
         return r, uncombine(flavor, values, r)
@@ -55,7 +52,7 @@ class Dealer:
     def triples_arith(self, n: int):
         """n multiplication triples over Z_2^64; both halves of (a, b, c)."""
         self._spend(n)
-        a, b = self._rand(n), self._rand(n)
+        a, b = self.pool.u64(n), self.pool.u64(n)
         c = a * b
         a0, a1 = self.split(a, ARITH)
         b0, b1 = self.split(b, ARITH)
@@ -67,8 +64,8 @@ class Dealer:
         """n packed AND triples, `width` independent bit-triples per element."""
         self._spend(n * width)
         wmask = width_mask(width)
-        a = self._rand(n) & wmask
-        b = self._rand(n) & wmask
+        a = self.pool.u64(n) & wmask
+        b = self.pool.u64(n) & wmask
         c = a & b
         a0, a1 = self.split(a, BINARY, width)
         b0, b1 = self.split(b, BINARY, width)
@@ -89,7 +86,7 @@ class Dealer:
 
         Arithmetic halves come back as (width, n) arrays, bit j in row j.
         """
-        r = self._rand(n) & width_mask(width)
+        r = self.pool.u64(n) & width_mask(width)
         rb0, rb1 = self.split(r, BINARY, width)
         bits = (r >> np.arange(width, dtype=np.uint64)[:, None]) & _U64(1)
         ra0, ra1 = (h.reshape(width, n)
@@ -99,7 +96,7 @@ class Dealer:
 
     def edabits(self, n: int, width: int = 64):
         """Random ring values shared both arithmetically and binary (packed)."""
-        r = self._rand(n)
+        r = self.pool.u64(n)
         ra0, ra1 = self.split(r, ARITH)
         rb0, rb1 = self.split(r, BINARY)
         self.deliver(2 * 2 * width * n)

@@ -136,14 +136,14 @@ def open_vec(sess: Session, x: SharedVector, to: int | str = "both") -> np.ndarr
 
 def add(x: SharedVector, y: SharedVector) -> SharedVector:
     x._check_like(y)
-    return SharedVector(x.flavor, x.width,
-                        *(combine(x.flavor, a, b) for a, b in zip(x.shares, y.shares)))
+    (x0, x1), (y0, y1), f = x.shares, y.shares, x.flavor
+    return SharedVector(f, x.width, combine(f, x0, y0), combine(f, x1, y1))
 
 
 def sub(x: SharedVector, y: SharedVector) -> SharedVector:
     x._check_like(y)
-    return SharedVector(x.flavor, x.width,
-                        *(uncombine(x.flavor, a, b) for a, b in zip(x.shares, y.shares)))
+    (x0, x1), (y0, y1), f = x.shares, y.shares, x.flavor
+    return SharedVector(f, x.width, uncombine(f, x0, y0), uncombine(f, x1, y1))
 
 
 def xor(x: SharedVector, y: SharedVector) -> SharedVector:
@@ -173,7 +173,8 @@ def replicate_bit(f: SharedVector, width: int) -> SharedVector:
 
 
 def _shl(x: SharedVector, s: int) -> SharedVector:
-    return x.map(lambda a: a << _U64(s))
+    s = _U64(s)
+    return x.map(lambda a: a << s)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +205,12 @@ def mul(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
 def _and_bin(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     n, w = len(x), x.width
     (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_bin(n, w)
-    d0, e0 = x.shares[0] ^ a0, y.shares[0] ^ b0
-    d1, e1 = x.shares[1] ^ a1, y.shares[1] ^ b1
+    de0 = np.concatenate([x.shares[0] ^ a0, y.shares[0] ^ b0])  # (d, e) halves
+    de1 = np.concatenate([x.shares[1] ^ a1, y.shares[1] ^ b1])
     bits = 2 * w * n
-    at0, at1 = sess.exchange(np.concatenate([d0, e0]),
-                             np.concatenate([d1, e1]), bits, bits)
-    d_0, e_0 = d0 ^ at0[:n], e0 ^ at0[n:]
-    d_1, e_1 = d1 ^ at1[:n], e1 ^ at1[n:]
+    at0, at1 = sess.exchange(de0, de1, bits, bits)
+    de_0, de_1 = de0 ^ at0, de1 ^ at1  # the opened (d, e) as each party sees it
+    d_0, e_0, d_1, e_1 = de_0[:n], de_0[n:], de_1[:n], de_1[n:]
     wm = width_mask(w)
     z0 = (c0 ^ (d_0 & b0) ^ (e_0 & a0) ^ (d_0 & e_0)) & wm
     z1 = (c1 ^ (d_1 & b1) ^ (e_1 & a1)) & wm
@@ -306,8 +306,10 @@ def _is_zero_bits(sess: Session, t: SharedVector) -> SharedVector:
     t = not_bits(SharedVector(BINARY, 64, *t.shares))
     s = 1
     while s < w:
-        t = and_bits(sess, t, xor_public(t.map(lambda a: a >> _U64(s)),
-                                         MASK << _U64(64 - s)))
+        shifted = t.map(lambda a: a >> _U64(s))
+        head = shifted.shares[0]  # party 0 refills the vacated top bits
+        head |= MASK << _U64(64 - s)
+        t = and_bits(sess, t, shifted)
         s *= 2
     return t.map(lambda a: a & _U64(1), 1)
 
@@ -379,8 +381,10 @@ def asym_mul(sess: Session, f_holder: int, f_bits: np.ndarray, x_vals: np.ndarra
     y1 = m1 ^ np.where(d == 1, q0, q1)
     y0, y1 = np.split(sess.send(x_holder, np.concatenate([y0, y1]), 2 * 64 * n), 2)
     got = np.where(f_bits == 1, y1, y0) ^ qc
+    if width < 64:
+        got &= width_mask(width)
     halves = [r, r]
-    halves[f_holder] = got & width_mask(width)
+    halves[f_holder] = got
     return SharedVector(flavor, width, *halves)
 
 
