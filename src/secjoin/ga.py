@@ -14,7 +14,8 @@ either kind. All but bitmap start from `_Table.local_order`, then:
   bsorting  _p0_bitmap_bits, bit_sort, _carry by invp_plain, _grouped_tail
   mix       _run_flags, _own_values, _p0_bitmap_bits, _osn, _segmented, _rows
   oneside   _run_flags, _own_values, _osn, _segmented, _reveal, _rows
-  bitmap    _Table.bitmap products per bucket pair, _tree_reduce, _rows
+  bitmap    _Table.bitmap products per bucket pair, local sums and XORs or
+            _tree_reduce (max, min), _rows
 
 `_sort` is the osn, convert and sort phases; `_grouped_tail` is boundary
 flags, suffix sums or `trav_flags`, then `_reveal` (mask, shuffle, open)

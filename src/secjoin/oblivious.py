@@ -377,7 +377,7 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             for col in cols:
                 va, vb = col.gather(left), col.gather(right)
                 new_a = sh.mux(sess, swap, vb, va)
-                new_b = sh.sub(sh.add(va, vb), new_a)
+                new_b = sh.sub(sh.add(va, vb), new_a)  # the pair keeps its sum
                 for half, a, b in zip(col.shares, new_a.shares, new_b.shares):
                     half[left], half[right] = a, b
             j //= 2

@@ -44,7 +44,6 @@ def width_mask(width: int) -> np.uint64:
     return np.uint64((1 << width) - 1)
 
 
-
 def combine(flavor: str, a, b):
     """Join two share halves: a + b (arithmetic) or a ^ b (binary)."""
     return a ^ b if flavor == BINARY else a + b
