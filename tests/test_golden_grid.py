@@ -8,9 +8,12 @@ levels 0-2, the group sets (g0, g1), (g0, -) and (-, g1), and two aggregate
 lists: all sum/count (the suffix-sum path) and max/min/count (`trav_flags`).
 Each view generation has its own cell too. A second table pins the
 oblivious primitives and gates one by one, at n = 13 (not a power of two),
-by (outputs with both share halves, digest, phase shapes). A change that
-keeps behaviour keeps every hash; `PYTHONPATH=src python
-tests/test_golden_grid.py` prints both tables afresh for a deliberate change.
+by (outputs with both share halves, digest, phase shapes). A third table
+pins Beneš routing itself: every layer's top positions, bottom positions
+and control bits of `build_program` on seeded random permutations at
+m = 2 .. 2^14, and on the identity and the reversal at m = 2^10. A change
+that keeps behaviour keeps every hash; `PYTHONPATH=src python
+tests/test_golden_grid.py` prints the tables afresh for a deliberate change.
 """
 import dataclasses
 import hashlib
@@ -22,6 +25,7 @@ from secjoin import ga
 from secjoin import oblivious as ob
 from secjoin import sharing as sh
 from secjoin import views as vw
+from secjoin.benes import build_program
 from secjoin.ga import JgaQuery
 from secjoin.oblivious import PlainColumn
 from secjoin.ring import ARITH, BINARY
@@ -457,6 +461,51 @@ GOLDEN_PRIMITIVES = {
 }
 
 
+def _routing_perm(name) -> np.ndarray:
+    kind, m = name.rsplit("-", 1)
+    m = int(m)
+    if kind == "identity":
+        return np.arange(m)
+    if kind == "reversal":
+        return np.arange(m)[::-1].copy()
+    return np.random.default_rng(m).permutation(m)
+
+
+ROUTING = ([f"random-{1 << k}" for k in range(1, 15)]
+           + ["identity-1024", "reversal-1024"])
+
+
+def routing_cell(name) -> str:
+    prog = build_program(_routing_perm(name))
+    return _hash(prog.size, [(a.tolist(), b.tolist(), c.tolist())
+                             for a, b, c in prog.layers])
+
+
+GOLDEN_ROUTING = {
+    "random-2": "057bf939c19e5379",
+    "random-4": "d486090f9659b928",
+    "random-8": "d1a2f1ce95719a3f",
+    "random-16": "e380ce2a4c7336f7",
+    "random-32": "22b9af7c2276fef0",
+    "random-64": "7bab50e207324de4",
+    "random-128": "d1101989fe456872",
+    "random-256": "7806b90b8d28f5ae",
+    "random-512": "74ed5cdf1af632ff",
+    "random-1024": "543f6ba45390fff4",
+    "random-2048": "4ba701211573f78a",
+    "random-4096": "d46bc7a565f71c63",
+    "random-8192": "0488b9947630494c",
+    "random-16384": "b65267f15a12f98c",
+    "identity-1024": "cee85dc1c0007172",
+    "reversal-1024": "9b527ba95b398b1f",
+}
+
+
+@pytest.mark.parametrize("name", ROUTING)
+def test_golden_routing(name):
+    assert routing_cell(name) == GOLDEN_ROUTING.get(name)
+
+
 @pytest.mark.parametrize("name", PRIMITIVES)
 def test_golden_primitive(name):
     assert primitive_cell(name) == GOLDEN_PRIMITIVES.get(name)
@@ -481,4 +530,8 @@ if __name__ == "__main__":
     print("GOLDEN_PRIMITIVES = {")
     for name in PRIMITIVES:
         print(f'    "{name}": "{primitive_cell(name)}",')
+    print("}")
+    print("GOLDEN_ROUTING = {")
+    for name in ROUTING:
+        print(f'    "{name}": "{routing_cell(name)}",')
     print("}")
