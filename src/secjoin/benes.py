@@ -45,69 +45,56 @@ def expected_switches(m: int) -> int:
 
 
 def build_program(perm: np.ndarray) -> SwitchProgram:
-    """Route `perm` (0-based, out[i] = in[perm[i]]) through a Beneš network."""
+    """Route `perm` (0-based, out[i] = in[perm[i]]) through a Beneš network.
+
+    All 2^l sub-networks of level l are routed together on flat arrays (the
+    parallel set-up of Nassimi & Sahni, IEEE ToC 1982). Level l's rows are its
+    sub-permutations in depth-first order (top of row 0, bottom of row 0, top
+    of row 1, ...), so each layer lists its switches in that order.
+    """
     m = len(perm)
     assert m & (m - 1) == 0, "network size must be a power of two"
-    depth = 2 * (m.bit_length() - 1) - 1 if m >= 2 else 0
-    layer_pairs: list[list[tuple[int, int, int]]] = [[] for _ in range(max(depth, 0))]
-    if m >= 2:
-        _route(np.asarray(perm, dtype=np.int64),
-               np.arange(m, dtype=np.int64), layer_pairs, 0, depth)
-    layers = []
-    for pairs in layer_pairs:
-        if pairs:
-            arr = np.array(pairs, dtype=np.int64)
-            layers.append((arr[:, 0], arr[:, 1], arr[:, 2].astype(np.uint64)))
-        else:
-            z = np.zeros(0, dtype=np.int64)
-            layers.append((z, z, np.zeros(0, dtype=np.uint64)))
+    if m < 2:
+        return SwitchProgram(m, [])
+    k = m.bit_length() - 1
+    layers: list = [None] * (2 * k - 1)
+    rows = np.asarray(perm, dtype=np.int64).reshape(1, m)
+    pos = np.arange(m, dtype=np.int64).reshape(1, m)
+    for lvl in range(k - 1):
+        src = (rows + np.arange(0, m, rows.shape[1])[:, None]).ravel()
+        color = _colors(src, rows.shape[1])
+        a, b = pos[:, 0::2], pos[:, 1::2]
+        out_sw = color[src[0::2]]
+        layers[lvl] = (a.ravel(), b.ravel(), color[0::2].astype(np.uint64))
+        layers[-1 - lvl] = (a.ravel(), b.ravel(), out_sw.astype(np.uint64))
+        # output pair t takes its colour-0 source from the top sub-network
+        src_a, src_b = rows[:, 0::2], rows[:, 1::2]
+        cross = out_sw.reshape(src_a.shape)
+        top = np.where(cross, src_b, src_a) // 2
+        bot = np.where(cross, src_a, src_b) // 2
+        rows = np.stack([top, bot], axis=1).reshape(-1, top.shape[1])
+        pos = np.stack([a, b], axis=1).reshape(-1, a.shape[1])
+    layers[k - 1] = (pos[:, 0].copy(), pos[:, 1].copy(),
+                     (rows[:, 0] == 1).astype(np.uint64))
     return SwitchProgram(m, layers)
 
 
-def _route(perm, positions, layer_pairs, depth_lo, depth_hi):
-    m = len(perm)
-    mid = (depth_lo + depth_hi) // 2
-    if m == 2:
-        layer_pairs[mid].append((int(positions[0]), int(positions[1]),
-                                 int(perm[0] == 1)))
-        return
-    half = m // 2
-    opos = np.empty(m, dtype=np.int64)
-    opos[perm] = np.arange(m)
-    # 2-color inputs: siblings (i, i^1) split top/bottom, and so do the two
-    # sources of every output pair.
-    color = np.full(m, -1, dtype=np.int64)
-    for start in range(m):
-        if color[start] != -1:
-            continue
-        i, c = start, 0
-        while True:
-            color[i] = c
-            sib = i ^ 1
-            if color[sib] != -1:
-                break
-            color[sib] = 1 - c
-            j = int(perm[opos[sib] ^ 1])
-            if color[j] != -1:
-                break
-            i, c = j, c
-    in_sw = color[0::2]
-    out_sw = color[perm[0::2]]
-    for s in range(half):
-        layer_pairs[depth_lo].append((int(positions[2 * s]),
-                                      int(positions[2 * s + 1]), int(in_sw[s])))
-    for t in range(half):
-        layer_pairs[depth_hi - 1].append((int(positions[2 * t]),
-                                          int(positions[2 * t + 1]), int(out_sw[t])))
-    # sub-permutations: output pair t needs its top-colored source from the
-    # top subnet's slot src//2, same for bottom.
-    top_perm = np.empty(half, dtype=np.int64)
-    bot_perm = np.empty(half, dtype=np.int64)
-    for t in range(half):
-        src_a, src_b = int(perm[2 * t]), int(perm[2 * t + 1])
-        if color[src_a] == 0:
-            top_perm[t], bot_perm[t] = src_a // 2, src_b // 2
-        else:
-            top_perm[t], bot_perm[t] = src_b // 2, src_a // 2
-    _route(top_perm, positions[0::2], layer_pairs, depth_lo + 1, depth_hi - 1)
-    _route(bot_perm, positions[1::2], layer_pairs, depth_lo + 1, depth_hi - 1)
+def _colors(src: np.ndarray, s: int) -> np.ndarray:
+    """Top/bottom colour of every input of blocks of `s` inputs (global ids).
+
+    Siblings (i, i^1) take opposite colours and so do the two sources of each
+    output pair, so f(i) = src[opos[i^1]^1] keeps i's colour: the inputs of
+    one colour cycle split into an orbit of f and its partner orbit through
+    i^1. The orbit holding the cycle's smallest input gets colour 0. An orbit
+    has at most s/2 inputs, so log2(s) - 1 pointer-jumping steps give every
+    input its orbit's minimum.
+    """
+    idx = np.arange(len(src), dtype=np.int64)
+    opos = np.empty_like(idx)
+    opos[src] = idx
+    f = src[opos[idx ^ 1] ^ 1]
+    mn = idx
+    for _ in range(s.bit_length() - 2):
+        mn = np.minimum(mn, mn[f])
+        f = f[f]
+    return mn > mn[idx ^ 1]

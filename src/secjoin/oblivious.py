@@ -110,8 +110,6 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
     pos = 0
     for a_idx, b_idx, _ in prog.layers:
         k = len(a_idx)
-        if k == 0:
-            continue
         for ci, col in enumerate(cols):
             fresh_a = spool.u64(k)
             fresh_b = spool.u64(k)
@@ -141,8 +139,6 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
     pos = 0
     for a_idx, b_idx, _ in prog.layers:
         k = len(a_idx)
-        if k == 0:
-            continue
         lc = ctrl[pos:pos + k] == 1
         for ci, col in enumerate(cols):
             v = masked[ci]
