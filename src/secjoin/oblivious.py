@@ -81,6 +81,7 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
     receiver evaluates the masked network locally and ends holding y + mask,
     the sender keeps the negated final masks as its share.
     """
+    pi = np.asarray(pi, dtype=np.int64)
     n = len(pi)
     sender = 1 - receiver
     for col in cols:
@@ -88,9 +89,12 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
             raise SizeMismatch(f"column length {len(col)} != |pi| = {n}")
     if n == 0:
         return [SharedVector.zeros(0, c.flavor, c.width) for c in cols]
+    if (pi.min() < 1 or pi.max() > n
+            or np.count_nonzero(np.bincount(pi, minlength=n + 1)) != n):
+        raise NotAPermutation(f"pi is not a permutation of [1..{n}]")
 
     m = _pad_pow2(n)
-    prog = build_program(_extend_perm(np.asarray(pi, dtype=np.int64), m) - 1)
+    prog = build_program(_extend_perm(pi, m) - 1)
     s_count = prog.num_switches
     ctrl = prog.controls()
     spool = sess.parties[sender].pool

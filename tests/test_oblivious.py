@@ -8,7 +8,7 @@ from secjoin import oblivious as ob
 from secjoin import oracle
 from secjoin import sharing as sh
 from secjoin.benes import build_program, expected_switches
-from secjoin.errors import PreconditionViolated, SizeMismatch
+from secjoin.errors import NotAPermutation, PreconditionViolated, SizeMismatch
 from secjoin.session import Session
 
 
@@ -18,11 +18,18 @@ def fresh(seed=3):
 
 def test_switch_program_reproduces_permutation():
     rng = np.random.default_rng(0)
-    for m in (2, 4, 8, 16, 32):
-        perm = rng.permutation(m)
+    perms = [np.array(p) for m in (2, 4, 8)
+             for p in itertools.permutations(range(m))]
+    perms += [rng.permutation(m) for m in (16, 32, 1 << 10, 1 << 16)]
+    for perm in perms:
+        m = len(perm)
         prog = build_program(perm)
+        assert prog.size == m
         assert prog.num_switches == expected_switches(m)
-        assert prog.apply(list(range(m))) == list(perm)
+        assert prog.apply(list(range(m))) == perm.tolist()
+    prog = build_program(np.zeros(1, dtype=np.int64))
+    assert prog.layers == [] and prog.num_switches == 0
+    assert prog.apply([7]) == [7]
 
 
 def test_osn_plain_identity_and_padding():
@@ -30,6 +37,23 @@ def test_osn_plain_identity_and_padding():
     out = ob.osn_plain(sess, 0, np.array([1, 2, 3]),
                        [ob.PlainColumn([1, 2, 3])])[0]
     assert list(out.reconstruct()) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("pi", [[2, 3, 4], [1, 1, 2], [0, 1, 2]])
+def test_osn_rejects_non_permutation_before_any_draw(pi):
+    sess = fresh()
+    col = ob.PlainColumn([10, 11, 12])
+    with pytest.raises(NotAPermutation):
+        ob.osn_plain(sess, 0, np.array(pi), [col])
+    with pytest.raises(NotAPermutation):
+        ob.osn_shared(sess, 1, np.array(pi), [sh.share_vec(fresh(), 0, col.values)])
+    assert sess.transcript.wire_bits_sent == [0, 0]
+    assert sess.transcript.hybrid_bits == 0
+    # a valid run afterwards draws and sends what it would on a fresh session
+    other = fresh()
+    runs = [ob.osn_plain(s, 0, np.array([3, 1, 2]), [col])[0] for s in (sess, other)]
+    assert [h.tolist() for h in runs[0].shares] == [h.tolist() for h in runs[1].shares]
+    assert sess.transcript.digest() == other.transcript.digest()
 
 
 def test_osn_plain_exhaustive_all_perms():
