@@ -48,39 +48,41 @@ def build_program(perm: np.ndarray) -> SwitchProgram:
     """Route `perm` (0-based, out[i] = in[perm[i]]) through a Beneš network.
 
     All 2^l sub-networks of level l are routed together on flat arrays (the
-    parallel set-up of Nassimi & Sahni, IEEE ToC 1982). Level l's rows are its
-    sub-permutations in depth-first order (top of row 0, bottom of row 0, top
-    of row 1, ...), so each layer lists its switches in that order.
+    parallel set-up of Nassimi & Sahni, IEEE ToC 1982). At level l, `src`
+    and `pos` hold the sub-networks one after another, each as a block of
+    s = m / 2^l entries, in depth-first order (top of block 0, bottom of
+    block 0, top of block 1, ...), so each layer lists its switches in that
+    order. `src` holds each block's permutation offset by the block's start.
     """
     m = len(perm)
     assert m & (m - 1) == 0, "network size must be a power of two"
     if m < 2:
         return SwitchProgram(m, [])
     k = m.bit_length() - 1
-    layers: list = [None] * (2 * k - 1)
-    rows = np.asarray(perm, dtype=np.int64).reshape(1, m)
-    pos = np.arange(m, dtype=np.int64).reshape(1, m)
+    layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * (2 * k - 1)
+    idx = np.arange(m, dtype=np.int64)
+    src, pos = np.asarray(perm, dtype=np.int64), idx
     for lvl in range(k - 1):
-        src = (rows + np.arange(0, m, rows.shape[1])[:, None]).ravel()
-        color = _colors(src, rows.shape[1])
-        a, b = pos[:, 0::2], pos[:, 1::2]
-        out_sw = color[src[0::2]]
-        layers[lvl] = (a.ravel(), b.ravel(), color[0::2].astype(np.uint64))
-        layers[-1 - lvl] = (a.ravel(), b.ravel(), out_sw.astype(np.uint64))
-        # output pair t takes its colour-0 source from the top sub-network
-        src_a, src_b = rows[:, 0::2], rows[:, 1::2]
-        cross = out_sw.reshape(src_a.shape)
-        top = np.where(cross, src_b, src_a) // 2
-        bot = np.where(cross, src_a, src_b) // 2
-        rows = np.stack([top, bot], axis=1).reshape(-1, top.shape[1])
-        pos = np.stack([a, b], axis=1).reshape(-1, a.shape[1])
-    layers[k - 1] = (pos[:, 0].copy(), pos[:, 1].copy(),
-                     (rows[:, 0] == 1).astype(np.uint64))
+        s = m >> lvl
+        color = _colors(src, idx, s)
+        a, b = pos[0::2], pos[1::2]
+        cross = color[src[0::2]]
+        layers[lvl] = (a, b, color[0::2].astype(np.uint64))
+        layers[-1 - lvl] = (a, b, cross.astype(np.uint64))
+        # Output pair t takes its colour-0 source from the top sub-network.
+        # Input g of the block starting at b feeds slot (g - b) // 2 of that
+        # block's top and bottom sub-networks, which start at b and b + s/2.
+        half = (src + (src & -s)) >> 1
+        top = np.where(cross, half[1::2], half[0::2]).reshape(-1, s // 2)
+        bot = np.where(cross, half[0::2], half[1::2]).reshape(-1, s // 2)
+        src = np.stack([top, bot + s // 2], axis=1).ravel()
+        pos = np.stack([a.reshape(-1, s // 2), b.reshape(-1, s // 2)], axis=1).ravel()
+    layers[k - 1] = (pos[0::2], pos[1::2], (src[0::2] & 1).astype(np.uint64))
     return SwitchProgram(m, layers)
 
 
-def _colors(src: np.ndarray, s: int) -> np.ndarray:
-    """Top/bottom colour of every input of blocks of `s` inputs (global ids).
+def _colors(src: np.ndarray, idx: np.ndarray, s: int) -> np.ndarray:
+    """Top/bottom colour of every input, for blocks of `s` inputs.
 
     Siblings (i, i^1) take opposite colours and so do the two sources of each
     output pair, so f(i) = src[opos[i^1]^1] keeps i's colour: the inputs of
@@ -89,12 +91,12 @@ def _colors(src: np.ndarray, s: int) -> np.ndarray:
     has at most s/2 inputs, so log2(s) - 1 pointer-jumping steps give every
     input its orbit's minimum.
     """
-    idx = np.arange(len(src), dtype=np.int64)
+    sib = idx ^ 1
     opos = np.empty_like(idx)
     opos[src] = idx
-    f = src[opos[idx ^ 1] ^ 1]
+    f = src[opos[sib] ^ 1]
     mn = idx
     for _ in range(s.bit_length() - 2):
         mn = np.minimum(mn, mn[f])
         f = f[f]
-    return mn > mn[idx ^ 1]
+    return mn > mn[sib]
