@@ -70,8 +70,8 @@ def build_program(perm: np.ndarray) -> SwitchProgram:
         layers[lvl] = (a, b, color[0::2].astype(np.uint64))
         layers[-1 - lvl] = (a, b, cross.astype(np.uint64))
         # Output pair t takes its colour-0 source from the top sub-network.
-        # Input g of the block starting at b feeds slot (g - b) // 2 of that
-        # block's top and bottom sub-networks, which start at b and b + s/2.
+        # Input g of the block that starts at j feeds slot (g - j) // 2 of
+        # that block's top and bottom sub-networks, which start at j, j + s/2.
         half = (src + (src & -s)) >> 1
         top = np.where(cross, half[1::2], half[0::2]).reshape(-1, s // 2)
         bot = np.where(cross, half[0::2], half[1::2]).reshape(-1, s // 2)
