@@ -17,11 +17,8 @@ _U64 = np.uint64
 
 
 class Dealer:
-    def __init__(self, rng: np.random.Generator, transcript, triple_budget=None):
-        from .session import RandPool
-
-        self.rng = rng
-        self.pool = RandPool(rng)
+    def __init__(self, pool, transcript, triple_budget=None):
+        self.pool = pool
         self.transcript = transcript
         self.triple_budget = triple_budget
 

@@ -129,21 +129,31 @@ class Transcript:
 
 
 class RandPool:
-    """Buffered uniform uint64 stream over one PCG64 generator.
+    """One owner's uniform uint64 stream over its own PCG64 generator.
 
-    Batching the draws keeps per-gate randomness cheap; consumption order is
-    deterministic for a fixed seed.
+    Draws are buffered, and the unread tail of the buffer is kept when it is
+    refilled, so each value depends only on how many values the owner drew
+    before it, not on how those draws were grouped into calls.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
+    _BLOCK = 1 << 14
+
+    def __init__(self, seed: int):
+        self._gen = np.random.Generator(np.random.PCG64(seed))
         self._buf = np.empty(0, dtype=np.uint64)
         self._pos = 0
 
     def u64(self, n: int) -> np.ndarray:
-        if self._pos + n > len(self._buf):
-            grow = max(n, 1 << 14)
-            self._buf = self.rng.integers(0, 1 << 64, grow, dtype=np.uint64)
+        tail = len(self._buf) - self._pos
+        if n > tail:
+            fresh = self._gen.integers(0, 1 << 64, max(n - tail, self._BLOCK),
+                                       dtype=np.uint64)
+            if n - tail >= self._BLOCK:  # a large draw is handed out whole
+                out = np.concatenate([self._buf[self._pos:], fresh]) \
+                    if tail else fresh
+                self._buf, self._pos = fresh[:0], 0
+                return out
+            self._buf = np.concatenate([self._buf[self._pos:], fresh])
             self._pos = 0
         out = self._buf[self._pos:self._pos + n].copy()
         self._pos += n
@@ -152,20 +162,22 @@ class RandPool:
     def bits(self, n: int) -> np.ndarray:
         return self.u64(n) & np.uint64(1)
 
+    def perm(self, n: int) -> np.ndarray:
+        """A uniform permutation of [0, n): the stable argsort of n fresh
+        values (two of them tie with probability about n^2 / 2^65)."""
+        return np.argsort(self.u64(n), kind="stable")
+
 
 @dataclass
 class PartyState:
-    """Per-party private state: identity and an independent seeded PRNG."""
+    """Per-party private state: identity and its own random stream."""
 
     id: int
-    rng: np.random.Generator
-
-    def __post_init__(self):
-        self.pool = RandPool(self.rng)
+    pool: RandPool
 
     def draw_perm(self, n: int) -> np.ndarray:
         """Sample a uniform permutation of [n] (1-based targets)."""
-        return self.rng.permutation(n).astype(np.int64) + 1
+        return self.pool.perm(n) + 1
 
 
 def _payload_bytes(data) -> bytes:
@@ -180,7 +192,7 @@ class Session:
     """One two-party protocol execution context.
 
     A fixed seed triple (seed0, seed1, seedD) makes every run bit-reproducible:
-    the parties and the dealer own independent PRNGs and all protocol
+    the parties and the dealer each own one `RandPool`, and all protocol
     randomness is drawn from exactly one of them.
     """
 
@@ -189,13 +201,10 @@ class Session:
         from .dealer import Dealer
 
         self.seeds = (seed0, seed1, seedD)
-        self.parties = (
-            PartyState(0, np.random.Generator(np.random.PCG64(seed0))),
-            PartyState(1, np.random.Generator(np.random.PCG64(seed1))),
-        )
+        self.parties = (PartyState(0, RandPool(seed0)),
+                        PartyState(1, RandPool(seed1)))
         self.transcript = Transcript()
-        self.dealer = Dealer(np.random.Generator(np.random.PCG64(seedD)),
-                             self.transcript, triple_budget)
+        self.dealer = Dealer(RandPool(seedD), self.transcript, triple_budget)
         self._queues = (deque(), deque())  # index = sending party
         self.tamper_phase: str | None = None
         self._tampered = False

@@ -51,17 +51,14 @@ def f_pid(sess: Session, x_keys, y_keys) -> tuple[PidOutput, PidOutput]:
     _check_distinct(y, "P1")
     union = np.union1d(x, y)
     m = len(union)
-    ids = np.array([], dtype=np.uint64)
-    while len(ids) < m:
-        cand = sess.dealer.rng.integers(0, 1 << 64, size=m - len(ids) + 8,
-                                        dtype=np.uint64)
-        ids = np.unique(np.concatenate([ids, cand]))[:m] if len(ids) else \
-            np.unique(cand)[:m]
-    assign = sess.dealer.rng.permutation(m)
-    full_map = {int(k): int(ids[assign[i]]) for i, k in enumerate(union)}
-    ri_star = np.sort(ids)
-    out0 = PidOutput({int(k): full_map[int(k)] for k in x}, ri_star.copy())
-    out1 = PidOutput({int(k): full_map[int(k)] for k in y}, ri_star.copy())
+    pool = sess.dealer.pool
+    ri_star = np.unique(pool.u64(m))
+    while len(ri_star) < m:  # two equal draws: top up the missing ids
+        ri_star = np.unique(np.concatenate([ri_star,
+                                            pool.u64(m - len(ri_star))]))
+    full_map = dict(zip(union.tolist(), ri_star[pool.perm(m)].tolist()))
+    out0 = PidOutput({k: full_map[k] for k in x.tolist()}, ri_star.copy())
+    out1 = PidOutput({k: full_map[k] for k in y.tolist()}, ri_star.copy())
     sess.dealer.deliver(2 * 64 * m + 128 * (len(x) + len(y)))
     return out0, out1
 

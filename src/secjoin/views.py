@@ -333,16 +333,13 @@ def _composite(keys: np.ndarray, counters) -> np.ndarray:
 
 
 def _extend_injective(pi: np.ndarray, size: int, codomain: int,
-                      rng) -> np.ndarray:
+                      pool) -> np.ndarray:
     """Append unused codomain targets until |pi| = size (random order)."""
-    used = set(int(t) for t in pi)
-    free = np.array([t for t in range(1, codomain + 1) if t not in used],
-                    dtype=np.int64)
     need = size - len(pi)
     if need <= 0:
         return pi
-    picks = free[rng.permutation(len(free))[:need]]
-    return np.concatenate([pi, picks])
+    free = np.setdiff1d(np.arange(1, codomain + 1, dtype=np.int64), pi)
+    return np.concatenate([pi, free[pool.perm(len(free))[:need]]])
 
 
 def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC,
@@ -374,9 +371,9 @@ def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC,
             e_map = SharedVector.concat(
                 [e_map, SharedVector.zeros(m - n_e, BINARY, 1)])
             pi1_m = _extend_injective(pi1_m, m, max(v1c.codomain, m),
-                                      sess.parties[1].rng)
+                                      sess.parties[1].pool)
             pi0_m = _extend_injective(pi0_m, m, max(v0c.codomain, m),
-                                      sess.parties[0].rng)
+                                      sess.parties[0].pool)
     n = len(pi1_m)
     view0, view1 = _pkfk_steps23(sess, r0, r1, pi0_m, pi1_m, e_map, n)
     view0.level = view1.level = level
