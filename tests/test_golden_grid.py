@@ -91,28 +91,28 @@ def grid_cells(join, level) -> dict[str, str]:
 
 GOLDEN = {
     "pkpk-l0-view": "6a0997a0cb14d258",
-    "pkpk-l0-sorting-g0g1-sums": "b7ff6f06d45f0024",
-    "pkpk-l0-sorting-g0g1-extremes": "879bfb365c693fb2",
-    "pkpk-l0-sorting-g0-sums": "6bd16b3f503b886d",
-    "pkpk-l0-sorting-g0-extremes": "b410d97930d94e10",
-    "pkpk-l0-sorting-g1-sums": "3741efed9d2c72ca",
-    "pkpk-l0-sorting-g1-extremes": "21d4117c84525e0f",
-    "pkpk-l0-osorting-g0g1-sums": "7ba94689e916bab8",
-    "pkpk-l0-osorting-g0g1-extremes": "93234ca6d1820b8a",
-    "pkpk-l0-osorting-g0-sums": "800c393c7a210f4b",
-    "pkpk-l0-osorting-g0-extremes": "2bb24c2819d27f38",
-    "pkpk-l0-osorting-g1-sums": "8baa79a2ac356702",
-    "pkpk-l0-osorting-g1-extremes": "1aa44411fdbf6652",
-    "pkpk-l0-bsorting-g0g1-sums": "c94350caaecb6366",
-    "pkpk-l0-bsorting-g0g1-extremes": "4eebe8070f6d4299",
-    "pkpk-l0-bsorting-g0-sums": "0d041e4e7a99ab30",
-    "pkpk-l0-bsorting-g0-extremes": "f73430b8ff03d956",
-    "pkpk-l0-bsorting-g1-sums": "1dc3ecf9359cebed",
-    "pkpk-l0-bsorting-g1-extremes": "2c290702613bdc8a",
+    "pkpk-l0-sorting-g0g1-sums": "4276e5d35273c8eb",
+    "pkpk-l0-sorting-g0g1-extremes": "3a05e767c6e7f6b2",
+    "pkpk-l0-sorting-g0-sums": "c119f1d726a05726",
+    "pkpk-l0-sorting-g0-extremes": "da5659c4b76a1935",
+    "pkpk-l0-sorting-g1-sums": "5754515f13f4ff16",
+    "pkpk-l0-sorting-g1-extremes": "f421af3097544f04",
+    "pkpk-l0-osorting-g0g1-sums": "d087ead56fd616a7",
+    "pkpk-l0-osorting-g0g1-extremes": "c7b978d80c2043b3",
+    "pkpk-l0-osorting-g0-sums": "0522a22622ee6181",
+    "pkpk-l0-osorting-g0-extremes": "f2520ad469bd9729",
+    "pkpk-l0-osorting-g1-sums": "42dcb7a292c3a67d",
+    "pkpk-l0-osorting-g1-extremes": "ca72cbda83f57036",
+    "pkpk-l0-bsorting-g0g1-sums": "fa225aedd0ac107b",
+    "pkpk-l0-bsorting-g0g1-extremes": "d34db5b4a26d0e43",
+    "pkpk-l0-bsorting-g0-sums": "a9df23151ed004bc",
+    "pkpk-l0-bsorting-g0-extremes": "3839931fb9f399bf",
+    "pkpk-l0-bsorting-g1-sums": "3559ea01918e8169",
+    "pkpk-l0-bsorting-g1-extremes": "381a9a0ca2bcd2fa",
     "pkpk-l0-mix-g0g1-sums": "27e716ea3a593c1f",
-    "pkpk-l0-mix-g0g1-extremes": "662dc2f85ed9d15e",
+    "pkpk-l0-mix-g0g1-extremes": "f2e7fd30106cae6c",
     "pkpk-l0-mix-g0-sums": "e6e4ff918dd60cbc",
-    "pkpk-l0-mix-g0-extremes": "9b4b9b2ed3dff5d0",
+    "pkpk-l0-mix-g0-extremes": "58edec1abba78210",
     "pkpk-l0-mix-g1-sums": "9f125a56d8fee3f8",
     "pkpk-l0-mix-g1-extremes": "85f14ef0daf93fae",
     "pkpk-l0-bitmap-g0g1-sums": "2c458255175dda0e",
@@ -123,195 +123,195 @@ GOLDEN = {
     "pkpk-l0-bitmap-g1-extremes": "4d2f131c1c5f401e",
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l0-oneside-g0-sums": "8803819b14c20232",
-    "pkpk-l0-oneside-g0-extremes": "41e6fe7d9578fd63",
-    "pkpk-l0-oneside-g1-sums": "197e0e035bb945bb",
-    "pkpk-l0-oneside-g1-extremes": "29d523ebc3406ea5",
-    "pkpk-l1-view": "81d7bd00037e3072",
-    "pkpk-l1-sorting-g0g1-sums": "d6e6a5ee793aa9f5",
-    "pkpk-l1-sorting-g0g1-extremes": "c4b583ffe9034454",
-    "pkpk-l1-sorting-g0-sums": "256bf77ab146db06",
-    "pkpk-l1-sorting-g0-extremes": "d3352902cf1ebbc9",
-    "pkpk-l1-sorting-g1-sums": "cee1507b16bcf8b2",
-    "pkpk-l1-sorting-g1-extremes": "79fa483dfaccac92",
-    "pkpk-l1-osorting-g0g1-sums": "12e2157f68616ee3",
-    "pkpk-l1-osorting-g0g1-extremes": "ca411e4f155f9358",
-    "pkpk-l1-osorting-g0-sums": "14be8992e62f0ea6",
-    "pkpk-l1-osorting-g0-extremes": "99fc3b45f78bd6ba",
-    "pkpk-l1-osorting-g1-sums": "580f5f8922ad2d66",
-    "pkpk-l1-osorting-g1-extremes": "714be595db2c2a11",
-    "pkpk-l1-bsorting-g0g1-sums": "3a721b9faa21c04e",
-    "pkpk-l1-bsorting-g0g1-extremes": "412537f7fd6e0236",
-    "pkpk-l1-bsorting-g0-sums": "108d62444c47641a",
-    "pkpk-l1-bsorting-g0-extremes": "e84ef63215b1e73d",
-    "pkpk-l1-bsorting-g1-sums": "372e94ee3a91f9a9",
-    "pkpk-l1-bsorting-g1-extremes": "d4db6729c18f932a",
-    "pkpk-l1-mix-g0g1-sums": "8c0e188457e83862",
-    "pkpk-l1-mix-g0g1-extremes": "fc1be6a3bff97e8b",
-    "pkpk-l1-mix-g0-sums": "d49a68d64d269d3b",
-    "pkpk-l1-mix-g0-extremes": "fed2bd386761e516",
-    "pkpk-l1-mix-g1-sums": "3cbf011f5b4d50bb",
-    "pkpk-l1-mix-g1-extremes": "dbacd7d2b18df9e0",
-    "pkpk-l1-bitmap-g0g1-sums": "ecc1833f6fc83313",
-    "pkpk-l1-bitmap-g0g1-extremes": "2ae60cdc3c46fe11",
-    "pkpk-l1-bitmap-g0-sums": "339c32d2fa29c2ef",
-    "pkpk-l1-bitmap-g0-extremes": "fec98becd911e31d",
-    "pkpk-l1-bitmap-g1-sums": "a8223bcdffd986cd",
-    "pkpk-l1-bitmap-g1-extremes": "f13d28b635fb066a",
+    "pkpk-l0-oneside-g0-sums": "b10715b850812f12",
+    "pkpk-l0-oneside-g0-extremes": "d1a5f7baf06350d4",
+    "pkpk-l0-oneside-g1-sums": "2c1c8bc5f0da6f12",
+    "pkpk-l0-oneside-g1-extremes": "4f6afb90506a39bf",
+    "pkpk-l1-view": "9db97b1f326b284b",
+    "pkpk-l1-sorting-g0g1-sums": "083ad25e34562d4a",
+    "pkpk-l1-sorting-g0g1-extremes": "15c78eec933bf24f",
+    "pkpk-l1-sorting-g0-sums": "d8f61079f48acc60",
+    "pkpk-l1-sorting-g0-extremes": "08b918a20fbb999b",
+    "pkpk-l1-sorting-g1-sums": "3fef9aa6cd81ebf2",
+    "pkpk-l1-sorting-g1-extremes": "1f4353df82c3fbbd",
+    "pkpk-l1-osorting-g0g1-sums": "d9fa343d77a57952",
+    "pkpk-l1-osorting-g0g1-extremes": "f6f111fa9dc7665b",
+    "pkpk-l1-osorting-g0-sums": "6e8faa62e23cc186",
+    "pkpk-l1-osorting-g0-extremes": "ee916b36a742f437",
+    "pkpk-l1-osorting-g1-sums": "482ef00a85539ffb",
+    "pkpk-l1-osorting-g1-extremes": "a0ef753bc776fb79",
+    "pkpk-l1-bsorting-g0g1-sums": "d520f6db261fc4d8",
+    "pkpk-l1-bsorting-g0g1-extremes": "1709100b650d253e",
+    "pkpk-l1-bsorting-g0-sums": "e4513accbafe4bd8",
+    "pkpk-l1-bsorting-g0-extremes": "3f518acc2c187726",
+    "pkpk-l1-bsorting-g1-sums": "454dfadedd2d29e3",
+    "pkpk-l1-bsorting-g1-extremes": "ea2f32b07c5356be",
+    "pkpk-l1-mix-g0g1-sums": "fe78612fac7f9234",
+    "pkpk-l1-mix-g0g1-extremes": "f04fec7bd2248dc7",
+    "pkpk-l1-mix-g0-sums": "b21b7acbb67def61",
+    "pkpk-l1-mix-g0-extremes": "fbb9a96d854d5718",
+    "pkpk-l1-mix-g1-sums": "2f8c719fe0f6e30a",
+    "pkpk-l1-mix-g1-extremes": "08b317d2edb0e25d",
+    "pkpk-l1-bitmap-g0g1-sums": "c87c3c95045e94b9",
+    "pkpk-l1-bitmap-g0g1-extremes": "78c7ee9bfa7d81a5",
+    "pkpk-l1-bitmap-g0-sums": "2c6ecebd9cf457cc",
+    "pkpk-l1-bitmap-g0-extremes": "b10441d1595524c3",
+    "pkpk-l1-bitmap-g1-sums": "a86c3ddd068cd1ca",
+    "pkpk-l1-bitmap-g1-extremes": "be81d243ce78b99f",
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l1-oneside-g0-sums": "9b140e56096ea831",
-    "pkpk-l1-oneside-g0-extremes": "49208a0f64513807",
-    "pkpk-l1-oneside-g1-sums": "e9e94270b501d971",
-    "pkpk-l1-oneside-g1-extremes": "a734a87beba4a5d0",
-    "pkpk-l2-view": "3b39b06e3ee2bae8",
-    "pkpk-l2-sorting-g0g1-sums": "09d6f062e1cb2386",
-    "pkpk-l2-sorting-g0g1-extremes": "d4d364c4ab91d8e0",
-    "pkpk-l2-sorting-g0-sums": "e518dece21ca7adf",
-    "pkpk-l2-sorting-g0-extremes": "dd552425f5ebdbca",
-    "pkpk-l2-sorting-g1-sums": "33545d8a0687e08a",
-    "pkpk-l2-sorting-g1-extremes": "ef5ab378b9a966b2",
-    "pkpk-l2-osorting-g0g1-sums": "781eb7753e20f043",
-    "pkpk-l2-osorting-g0g1-extremes": "18989293d8039028",
-    "pkpk-l2-osorting-g0-sums": "bd46be9c3ca51e4d",
-    "pkpk-l2-osorting-g0-extremes": "5412a9a1abddb76d",
-    "pkpk-l2-osorting-g1-sums": "178dc50bbe7931aa",
-    "pkpk-l2-osorting-g1-extremes": "6178aad86df23ab3",
-    "pkpk-l2-bsorting-g0g1-sums": "58f74725b12215fb",
-    "pkpk-l2-bsorting-g0g1-extremes": "2ed9dca070cb1d46",
-    "pkpk-l2-bsorting-g0-sums": "391d55f51963011c",
-    "pkpk-l2-bsorting-g0-extremes": "b06d339ff8a9b0c3",
-    "pkpk-l2-bsorting-g1-sums": "33f7fb6ab0a84191",
-    "pkpk-l2-bsorting-g1-extremes": "7f636af4bb3a6c6e",
-    "pkpk-l2-mix-g0g1-sums": "3f267d30948af4ac",
-    "pkpk-l2-mix-g0g1-extremes": "3498673d395a7e25",
-    "pkpk-l2-mix-g0-sums": "ff3ff30b6fb133a5",
-    "pkpk-l2-mix-g0-extremes": "4ca62b1843cfe00f",
-    "pkpk-l2-mix-g1-sums": "c27bcba7aaf914a3",
-    "pkpk-l2-mix-g1-extremes": "b31c00390089ce7a",
-    "pkpk-l2-bitmap-g0g1-sums": "6f625d934ad108fb",
-    "pkpk-l2-bitmap-g0g1-extremes": "25e01219178ebaf2",
-    "pkpk-l2-bitmap-g0-sums": "340abc8f7184c183",
-    "pkpk-l2-bitmap-g0-extremes": "617a5d1f9271f3cf",
-    "pkpk-l2-bitmap-g1-sums": "f1a9fa352b7dcc82",
-    "pkpk-l2-bitmap-g1-extremes": "2ea5752aae610b9b",
+    "pkpk-l1-oneside-g0-sums": "b6cd4143458b0231",
+    "pkpk-l1-oneside-g0-extremes": "147a71fd527fbb51",
+    "pkpk-l1-oneside-g1-sums": "0766b89da3ac36fa",
+    "pkpk-l1-oneside-g1-extremes": "96e3315ff08a3c7f",
+    "pkpk-l2-view": "9af3687269ebea0c",
+    "pkpk-l2-sorting-g0g1-sums": "543fe4409e77a928",
+    "pkpk-l2-sorting-g0g1-extremes": "e5dc9c7b91b0fac1",
+    "pkpk-l2-sorting-g0-sums": "bbda27f40b7ec901",
+    "pkpk-l2-sorting-g0-extremes": "caa023326736ada2",
+    "pkpk-l2-sorting-g1-sums": "bc2d7260fce4cfb3",
+    "pkpk-l2-sorting-g1-extremes": "78bd3a2501e6f145",
+    "pkpk-l2-osorting-g0g1-sums": "4367fad0f8b8de80",
+    "pkpk-l2-osorting-g0g1-extremes": "884e865d413475c0",
+    "pkpk-l2-osorting-g0-sums": "2a4089999406328d",
+    "pkpk-l2-osorting-g0-extremes": "2159dde8be28e311",
+    "pkpk-l2-osorting-g1-sums": "8c18e16ec5c214ed",
+    "pkpk-l2-osorting-g1-extremes": "d359760680c8aae2",
+    "pkpk-l2-bsorting-g0g1-sums": "64958c5372b900b7",
+    "pkpk-l2-bsorting-g0g1-extremes": "8d09afabcf14a0a1",
+    "pkpk-l2-bsorting-g0-sums": "2631a34c7f13a76c",
+    "pkpk-l2-bsorting-g0-extremes": "d65c5484009c71eb",
+    "pkpk-l2-bsorting-g1-sums": "92b585754935e767",
+    "pkpk-l2-bsorting-g1-extremes": "85007f26c14160d4",
+    "pkpk-l2-mix-g0g1-sums": "a5deeb4135c29618",
+    "pkpk-l2-mix-g0g1-extremes": "d01ffa5ece5b2a23",
+    "pkpk-l2-mix-g0-sums": "8e9f0ed819431163",
+    "pkpk-l2-mix-g0-extremes": "a81fddb9e1930ba0",
+    "pkpk-l2-mix-g1-sums": "0cd27a05aea75062",
+    "pkpk-l2-mix-g1-extremes": "73676fe51c45c179",
+    "pkpk-l2-bitmap-g0g1-sums": "4f36bde88daebc6e",
+    "pkpk-l2-bitmap-g0g1-extremes": "206d412b70b38a0b",
+    "pkpk-l2-bitmap-g0-sums": "c42582fccb5cb0d1",
+    "pkpk-l2-bitmap-g0-extremes": "cb3b9602b317d96e",
+    "pkpk-l2-bitmap-g1-sums": "22970b5f3734d0d2",
+    "pkpk-l2-bitmap-g1-extremes": "d688434e9b4e6d99",
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l2-oneside-g0-sums": "0f39ffecab5627eb",
-    "pkpk-l2-oneside-g0-extremes": "12bad4b66899aeb2",
-    "pkpk-l2-oneside-g1-sums": "40eebff7cdd17165",
-    "pkpk-l2-oneside-g1-extremes": "2c24efbc96892f13",
-    "pkfk-l0-view": "3199806edcb1331d",
-    "pkfk-l0-sorting-g0g1-sums": "2574973ed1bc834b",
-    "pkfk-l0-sorting-g0g1-extremes": "0edc2d3b5de9b00e",
-    "pkfk-l0-sorting-g0-sums": "fe95788000052aba",
-    "pkfk-l0-sorting-g0-extremes": "f53bf8a43376366d",
-    "pkfk-l0-sorting-g1-sums": "97c63b4231c9f232",
-    "pkfk-l0-sorting-g1-extremes": "eed07b527723bd1a",
-    "pkfk-l0-osorting-g0g1-sums": "708c0f54caa01a0b",
-    "pkfk-l0-osorting-g0g1-extremes": "c38a8acceeb482be",
-    "pkfk-l0-osorting-g0-sums": "8bc8fe9ffeb25f4e",
-    "pkfk-l0-osorting-g0-extremes": "646b2008a00ff4c7",
-    "pkfk-l0-osorting-g1-sums": "f6bd8e0a1e22c751",
-    "pkfk-l0-osorting-g1-extremes": "c499bb3fbea75672",
-    "pkfk-l0-bsorting-g0g1-sums": "c1d4ad93695cb41b",
-    "pkfk-l0-bsorting-g0g1-extremes": "93498441424b27ba",
-    "pkfk-l0-bsorting-g0-sums": "1778c6cb2a95eb10",
-    "pkfk-l0-bsorting-g0-extremes": "fa5dbf29bf0479b4",
-    "pkfk-l0-bsorting-g1-sums": "de7c984cb600c776",
-    "pkfk-l0-bsorting-g1-extremes": "212d2acaf6b8aef9",
-    "pkfk-l0-mix-g0g1-sums": "c0c745c0ea3c8616",
-    "pkfk-l0-mix-g0g1-extremes": "1bdb448d8caefc64",
-    "pkfk-l0-mix-g0-sums": "8cce2dec69459cee",
-    "pkfk-l0-mix-g0-extremes": "38e066c26761fdba",
-    "pkfk-l0-mix-g1-sums": "fa60da45285fbce6",
-    "pkfk-l0-mix-g1-extremes": "379d9d705a1d4a29",
-    "pkfk-l0-bitmap-g0g1-sums": "6d0b2abd1e065f3e",
-    "pkfk-l0-bitmap-g0g1-extremes": "67698827c8d9c98b",
-    "pkfk-l0-bitmap-g0-sums": "11e5a418f111185d",
-    "pkfk-l0-bitmap-g0-extremes": "e182d225925562ce",
-    "pkfk-l0-bitmap-g1-sums": "f7a5cccb952df1f0",
-    "pkfk-l0-bitmap-g1-extremes": "adedeb852e9e3f43",
+    "pkpk-l2-oneside-g0-sums": "80e5c7d6484a7f23",
+    "pkpk-l2-oneside-g0-extremes": "ef63022d271f9071",
+    "pkpk-l2-oneside-g1-sums": "8168202e678455fb",
+    "pkpk-l2-oneside-g1-extremes": "6092f7035f26e838",
+    "pkfk-l0-view": "162aa1009ae9b3d3",
+    "pkfk-l0-sorting-g0g1-sums": "88326c97f016149e",
+    "pkfk-l0-sorting-g0g1-extremes": "82b4980780a1bd02",
+    "pkfk-l0-sorting-g0-sums": "2189ef4884f6d945",
+    "pkfk-l0-sorting-g0-extremes": "9aa2d3be678fce26",
+    "pkfk-l0-sorting-g1-sums": "da2753a844886acf",
+    "pkfk-l0-sorting-g1-extremes": "628a6c1fc99534c9",
+    "pkfk-l0-osorting-g0g1-sums": "86ca1081984db3d7",
+    "pkfk-l0-osorting-g0g1-extremes": "6cd0a80e78b3f192",
+    "pkfk-l0-osorting-g0-sums": "98453d13e5932435",
+    "pkfk-l0-osorting-g0-extremes": "315308f76ce247dc",
+    "pkfk-l0-osorting-g1-sums": "5b11e0ba287fb351",
+    "pkfk-l0-osorting-g1-extremes": "011335ddd5dedb03",
+    "pkfk-l0-bsorting-g0g1-sums": "cb922ab64c58d52e",
+    "pkfk-l0-bsorting-g0g1-extremes": "5ce1cf625db75e18",
+    "pkfk-l0-bsorting-g0-sums": "eaf040ac7bf6d476",
+    "pkfk-l0-bsorting-g0-extremes": "5aa2003be88011b6",
+    "pkfk-l0-bsorting-g1-sums": "1d41c5a7bf174733",
+    "pkfk-l0-bsorting-g1-extremes": "26f0507f99e81adc",
+    "pkfk-l0-mix-g0g1-sums": "f3b23e0f8688e85d",
+    "pkfk-l0-mix-g0g1-extremes": "d0bdfd422d517c77",
+    "pkfk-l0-mix-g0-sums": "c6cb84f16a1aba94",
+    "pkfk-l0-mix-g0-extremes": "c1e981a0a8572695",
+    "pkfk-l0-mix-g1-sums": "6fd0a837b7bbdaf1",
+    "pkfk-l0-mix-g1-extremes": "3582aedd809d3252",
+    "pkfk-l0-bitmap-g0g1-sums": "7419600e47545855",
+    "pkfk-l0-bitmap-g0g1-extremes": "91db16a5be3a1e78",
+    "pkfk-l0-bitmap-g0-sums": "a31aac9a874c0284",
+    "pkfk-l0-bitmap-g0-extremes": "e09346f17aee3f7d",
+    "pkfk-l0-bitmap-g1-sums": "dea0f74c4c11fe60",
+    "pkfk-l0-bitmap-g1-extremes": "2c61f49063e6bc6c",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l0-oneside-g1-sums": "b0adae4a5c058108",
-    "pkfk-l0-oneside-g1-extremes": "5e98641fde17ad21",
-    "pkfk-l1-view": "840ac673a761f9c8",
-    "pkfk-l1-sorting-g0g1-sums": "aafdbaf12f4228b7",
-    "pkfk-l1-sorting-g0g1-extremes": "95adb6cd06a39392",
-    "pkfk-l1-sorting-g0-sums": "30d106e493c78dc1",
-    "pkfk-l1-sorting-g0-extremes": "70df69f033b389b8",
-    "pkfk-l1-sorting-g1-sums": "02bce1cf267cb22e",
-    "pkfk-l1-sorting-g1-extremes": "dadfd69d7db2bbf1",
-    "pkfk-l1-osorting-g0g1-sums": "2aff0e643d17364d",
-    "pkfk-l1-osorting-g0g1-extremes": "feabcf94d354bbbb",
-    "pkfk-l1-osorting-g0-sums": "12879bcc885adcfb",
-    "pkfk-l1-osorting-g0-extremes": "2c0f407f4c9d4d6e",
-    "pkfk-l1-osorting-g1-sums": "a2dbd5f4abca3c0e",
-    "pkfk-l1-osorting-g1-extremes": "6b19fa146851a4d3",
-    "pkfk-l1-bsorting-g0g1-sums": "10dcd052f3a7adfc",
-    "pkfk-l1-bsorting-g0g1-extremes": "6b935b9721f37839",
-    "pkfk-l1-bsorting-g0-sums": "00ff16ce70413cfa",
-    "pkfk-l1-bsorting-g0-extremes": "2434e705c59fa37b",
-    "pkfk-l1-bsorting-g1-sums": "e6d347228c9946de",
-    "pkfk-l1-bsorting-g1-extremes": "7efedbe4d1d7a553",
-    "pkfk-l1-mix-g0g1-sums": "82dcd84a329f3ea4",
-    "pkfk-l1-mix-g0g1-extremes": "5d84384b883f9dc9",
-    "pkfk-l1-mix-g0-sums": "1e4f07e26ee0c260",
-    "pkfk-l1-mix-g0-extremes": "afa9b18b6ecd4462",
-    "pkfk-l1-mix-g1-sums": "6ba7e636bfcc353e",
-    "pkfk-l1-mix-g1-extremes": "eecf739f4ff80da7",
-    "pkfk-l1-bitmap-g0g1-sums": "658a1009e7ea2443",
-    "pkfk-l1-bitmap-g0g1-extremes": "175783e640478119",
-    "pkfk-l1-bitmap-g0-sums": "dc1936a5341d3ef4",
-    "pkfk-l1-bitmap-g0-extremes": "ad29860cb5021276",
-    "pkfk-l1-bitmap-g1-sums": "87f2ea75ae3d1086",
-    "pkfk-l1-bitmap-g1-extremes": "8b7a13efc9243493",
+    "pkfk-l0-oneside-g1-sums": "fd0738f5e48bb42a",
+    "pkfk-l0-oneside-g1-extremes": "24d039fab6f9d51a",
+    "pkfk-l1-view": "844fe1cf00ea86e8",
+    "pkfk-l1-sorting-g0g1-sums": "73d96d4ec20d984b",
+    "pkfk-l1-sorting-g0g1-extremes": "822c79501ddf1c15",
+    "pkfk-l1-sorting-g0-sums": "feea9ccf57050c72",
+    "pkfk-l1-sorting-g0-extremes": "620dae97f80db2ad",
+    "pkfk-l1-sorting-g1-sums": "0a2c9d33c324f581",
+    "pkfk-l1-sorting-g1-extremes": "b7729c686b6a5891",
+    "pkfk-l1-osorting-g0g1-sums": "cf06afdcbe1fb5ad",
+    "pkfk-l1-osorting-g0g1-extremes": "1c8b21ae95fd62ca",
+    "pkfk-l1-osorting-g0-sums": "da362faad604b9f8",
+    "pkfk-l1-osorting-g0-extremes": "6e99aac49754f322",
+    "pkfk-l1-osorting-g1-sums": "dfb038f639959b7d",
+    "pkfk-l1-osorting-g1-extremes": "ba53e1de462b58a0",
+    "pkfk-l1-bsorting-g0g1-sums": "94a2911427be303d",
+    "pkfk-l1-bsorting-g0g1-extremes": "09b1bedf39d71cdc",
+    "pkfk-l1-bsorting-g0-sums": "5d6016ca15c82bbc",
+    "pkfk-l1-bsorting-g0-extremes": "da764503b9b227ad",
+    "pkfk-l1-bsorting-g1-sums": "066c5b3161bd9420",
+    "pkfk-l1-bsorting-g1-extremes": "c098cbc4e13673c3",
+    "pkfk-l1-mix-g0g1-sums": "4af1d94a9f83ae39",
+    "pkfk-l1-mix-g0g1-extremes": "d20d77a9a836f5dc",
+    "pkfk-l1-mix-g0-sums": "de8ecad75d48f926",
+    "pkfk-l1-mix-g0-extremes": "c8cb1be79d1a3010",
+    "pkfk-l1-mix-g1-sums": "23864aea699190fd",
+    "pkfk-l1-mix-g1-extremes": "b87bbd9fad10beb3",
+    "pkfk-l1-bitmap-g0g1-sums": "0da2a9d312e91be5",
+    "pkfk-l1-bitmap-g0g1-extremes": "4b93cbe9aa765b43",
+    "pkfk-l1-bitmap-g0-sums": "2b52c6e463b26e6f",
+    "pkfk-l1-bitmap-g0-extremes": "3029def369899eea",
+    "pkfk-l1-bitmap-g1-sums": "ff5cd9b7d12629d7",
+    "pkfk-l1-bitmap-g1-extremes": "06843d10239cc16a",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l1-oneside-g1-sums": "375280e5e1ea2153",
-    "pkfk-l1-oneside-g1-extremes": "fbfb95245a6b68f1",
-    "pkfk-l2-view": "7adaa6c940bd8266",
-    "pkfk-l2-sorting-g0g1-sums": "bda2f2e2cc639cfe",
-    "pkfk-l2-sorting-g0g1-extremes": "9e5dacf98f576d44",
-    "pkfk-l2-sorting-g0-sums": "a4d9e1603112df35",
-    "pkfk-l2-sorting-g0-extremes": "856f20fe5b905d5c",
-    "pkfk-l2-sorting-g1-sums": "eaacec932912f1e5",
-    "pkfk-l2-sorting-g1-extremes": "bd67dc554b3aded1",
-    "pkfk-l2-osorting-g0g1-sums": "3e21d249c3528408",
-    "pkfk-l2-osorting-g0g1-extremes": "9a9869accc6727bd",
-    "pkfk-l2-osorting-g0-sums": "8463c4d6cc1699e3",
-    "pkfk-l2-osorting-g0-extremes": "9c05dc399e450888",
-    "pkfk-l2-osorting-g1-sums": "498838bda4f6dd34",
-    "pkfk-l2-osorting-g1-extremes": "c398cfdc0f949be3",
-    "pkfk-l2-bsorting-g0g1-sums": "db833da4bbb6070b",
-    "pkfk-l2-bsorting-g0g1-extremes": "3b1743e7de1f1a5e",
-    "pkfk-l2-bsorting-g0-sums": "921c1941dde74b72",
-    "pkfk-l2-bsorting-g0-extremes": "fe8aa9d5db55fd1f",
-    "pkfk-l2-bsorting-g1-sums": "77a9a8f8b04804a5",
-    "pkfk-l2-bsorting-g1-extremes": "25801e09a319e13e",
-    "pkfk-l2-mix-g0g1-sums": "1b03f542368ea48f",
-    "pkfk-l2-mix-g0g1-extremes": "e1f1017edf9532db",
-    "pkfk-l2-mix-g0-sums": "1a4b05de51de37e5",
-    "pkfk-l2-mix-g0-extremes": "b6fb0a322977def0",
-    "pkfk-l2-mix-g1-sums": "b8247198e4ef7940",
-    "pkfk-l2-mix-g1-extremes": "1f5c531c39153ba6",
-    "pkfk-l2-bitmap-g0g1-sums": "5719f5e81b2cd176",
-    "pkfk-l2-bitmap-g0g1-extremes": "6ad2b66c5271793c",
-    "pkfk-l2-bitmap-g0-sums": "44204b67dd7b7cb9",
-    "pkfk-l2-bitmap-g0-extremes": "e05a18c38fb306f5",
-    "pkfk-l2-bitmap-g1-sums": "c011e7af66dc7e1d",
-    "pkfk-l2-bitmap-g1-extremes": "01d8b32fde6d8095",
+    "pkfk-l1-oneside-g1-sums": "c99e008b32d50b33",
+    "pkfk-l1-oneside-g1-extremes": "3fa413e67081a878",
+    "pkfk-l2-view": "7656852fae86848b",
+    "pkfk-l2-sorting-g0g1-sums": "6a238ff95df3b7d4",
+    "pkfk-l2-sorting-g0g1-extremes": "4eb61de6191cfc8e",
+    "pkfk-l2-sorting-g0-sums": "3df4a434ac864660",
+    "pkfk-l2-sorting-g0-extremes": "d44cc553808ccc8f",
+    "pkfk-l2-sorting-g1-sums": "e47db8e265e21d1d",
+    "pkfk-l2-sorting-g1-extremes": "16c7a5eed5f2a157",
+    "pkfk-l2-osorting-g0g1-sums": "9cb843236761c0ca",
+    "pkfk-l2-osorting-g0g1-extremes": "6aeef3fce19077cd",
+    "pkfk-l2-osorting-g0-sums": "2753763b945cd965",
+    "pkfk-l2-osorting-g0-extremes": "6ece531d409f9ef7",
+    "pkfk-l2-osorting-g1-sums": "0d0301f3e1c7ce92",
+    "pkfk-l2-osorting-g1-extremes": "cff3205471f84711",
+    "pkfk-l2-bsorting-g0g1-sums": "5ad2a1454e440d0a",
+    "pkfk-l2-bsorting-g0g1-extremes": "0d96b4d5e79e89c6",
+    "pkfk-l2-bsorting-g0-sums": "a349d5e64221676c",
+    "pkfk-l2-bsorting-g0-extremes": "8e1ae78be90cd361",
+    "pkfk-l2-bsorting-g1-sums": "96db9319e0352be9",
+    "pkfk-l2-bsorting-g1-extremes": "e4e9f69d5082d9bf",
+    "pkfk-l2-mix-g0g1-sums": "2e2b77f222772a56",
+    "pkfk-l2-mix-g0g1-extremes": "c21ce75d7be8e729",
+    "pkfk-l2-mix-g0-sums": "5806b5b5a0af5f68",
+    "pkfk-l2-mix-g0-extremes": "ec2e15f28712c57a",
+    "pkfk-l2-mix-g1-sums": "8d45fb62f3ee55f7",
+    "pkfk-l2-mix-g1-extremes": "656bf98d9d0626a9",
+    "pkfk-l2-bitmap-g0g1-sums": "7cf5334e900f065f",
+    "pkfk-l2-bitmap-g0g1-extremes": "9b24bf6bcf630722",
+    "pkfk-l2-bitmap-g0-sums": "e0ce287bc509443c",
+    "pkfk-l2-bitmap-g0-extremes": "76c24c6bbab4398e",
+    "pkfk-l2-bitmap-g1-sums": "bcf3c933b16460d3",
+    "pkfk-l2-bitmap-g1-extremes": "5b016bdb9ac9f528",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l2-oneside-g1-sums": "f79760e36fb24978",
-    "pkfk-l2-oneside-g1-extremes": "9eab4639b7c834ce",
+    "pkfk-l2-oneside-g1-sums": "08dd314e40a9f8e0",
+    "pkfk-l2-oneside-g1-extremes": "d3c88d023dcea257",
 }
 
 
@@ -441,11 +441,11 @@ def primitive_cell(name) -> str:
 GOLDEN_PRIMITIVES = {
     "osn_plain": "81fbea3a0c7f0204",
     "osn_shared": "0deb35cf6cfb8825",
-    "shuffle": "0854e4f8cbfd87e2",
-    "perm_shared": "c31df0c4581e5cae",
-    "invp_shared": "721cff53c7f4bb46",
-    "perm_plain": "809a5c309381f129",
-    "invp_plain": "0c7567b869dd79ae",
+    "shuffle": "0ed3c8c81222831a",
+    "perm_shared": "6b87f195a641e8c1",
+    "invp_shared": "786dfb4b7988603b",
+    "perm_plain": "79d22bccc19c2747",
+    "invp_plain": "9c775f8223533b4e",
     "stable_sort": "a2de823c9d02b237",
     "trav_flags-sum": "b6052fb894f775a6",
     "trav_flags-count": "b6052fb894f775a6",
@@ -457,7 +457,7 @@ GOLDEN_PRIMITIVES = {
     "asym_mul-bin1": "8539ba3c0a073a79",
     "share_open": "1958faf848c0ed3d",
     "gates": "26a93d302aab3b99",
-    "refresh_pkfk": "1f83dd1705f95743",
+    "refresh_pkfk": "1439f9a2a778cda2",
 }
 
 
