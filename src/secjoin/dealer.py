@@ -49,7 +49,7 @@ class Dealer:
     def triples_arith(self, n: int):
         """n multiplication triples over Z_2^64; both halves of (a, b, c)."""
         self._spend(n)
-        a, b = self.pool.u64(n), self.pool.u64(n)
+        a, b = self.pool.u64(2 * n).reshape(2, n)
         c = a * b
         a0, a1 = self.split(a, ARITH)
         b0, b1 = self.split(b, ARITH)
@@ -60,9 +60,7 @@ class Dealer:
     def triples_bin(self, n: int, width: int):
         """n packed AND triples, `width` independent bit-triples per element."""
         self._spend(n * width)
-        wmask = width_mask(width)
-        a = self.pool.u64(n) & wmask
-        b = self.pool.u64(n) & wmask
+        a, b = self.pool.u64(2 * n).reshape(2, n) & width_mask(width)
         c = a & b
         a0, a1 = self.split(a, BINARY, width)
         b0, b1 = self.split(b, BINARY, width)
@@ -105,8 +103,7 @@ class Dealer:
         Each of the two transferable messages is `words` uint64s wide.
         """
         c = self.pool.bits(n)
-        q0 = self.pool.u64(n * words).reshape(n, words)
-        q1 = self.pool.u64(n * words).reshape(n, words)
+        q0, q1 = self.pool.u64(2 * n * words).reshape(2, n, words)
         qc = np.where((c == 1)[:, None], q1, q0)
         self.deliver((1 + 64 * words) * n + 2 * 64 * words * n)
         return (c, qc), (q0, q1)

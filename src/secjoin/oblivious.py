@@ -105,8 +105,11 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
         d = np.zeros(m, dtype=np.uint64)
         d[:n] = col.values
         data.append(d)
-    init = [spool.u64(m) for _ in cols]
-    cur = [mk.copy() for mk in init]
+    # Every mask in one draw: each column's input masks, then per layer and
+    # per column the fresh masks of the switches' top and bottom outputs.
+    masks = spool.u64(ncols * (m + 2 * s_count))
+    init = masks[:ncols * m].reshape(ncols, m)
+    cur = init.copy()
 
     # Translations for both switch settings, all layers precomputed.
     t_straight = np.zeros((s_count, 2 * ncols), dtype=np.uint64)
@@ -114,9 +117,10 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
     pos = 0
     for a_idx, b_idx, _ in prog.layers:
         k = len(a_idx)
+        base = ncols * (m + 2 * pos)
+        fresh = masks[base:base + 2 * ncols * k].reshape(ncols, 2, k)
         for ci, col in enumerate(cols):
-            fresh_a = spool.u64(k)
-            fresh_b = spool.u64(k)
+            fresh_a, fresh_b = fresh[ci]
             ma, mb = cur[ci][a_idx], cur[ci][b_idx]
             f = col.flavor
             t_straight[pos:pos + k, 2 * ci] = uncombine(f, fresh_a, ma)
