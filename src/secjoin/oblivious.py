@@ -140,7 +140,9 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
         y0 = sess.send(sender, y0, 2 * width_sum * s_count)
         y1 = sess.send(sender, y1, 2 * width_sum * s_count)
         t_sel = (np.where((ctrl == 1)[:, None], y1, y0) ^ qc)
-    masked = [sess.send(sender, combine(col.flavor, dcol, mk), col.width * m)
+    # the receiver evaluates its own copy: what was sent stays read-only
+    masked = [sess.send(sender, combine(col.flavor, dcol, mk),
+                        col.width * m).copy()
               for col, dcol, mk in zip(cols, data, init)]
 
     # Receiver-side evaluation, layer by layer.

@@ -181,7 +181,10 @@ class PartyState:
 
 
 def _payload_bytes(data) -> bytes:
+    """A frame's bytes; a sent array is frozen, so that a later in-place
+    write by its sender raises instead of changing what was received."""
     if isinstance(data, np.ndarray):
+        data.flags.writeable = False
         return data.tobytes()
     if isinstance(data, bytes):
         return data

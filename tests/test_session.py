@@ -1,11 +1,14 @@
-"""Channel, transcript ledger, determinism and leakage shape."""
+"""Channel, transcript ledger, randomness, determinism and leakage shape."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from secjoin import sharing as sh
 from secjoin import views as vw
 from secjoin.errors import ProtocolDesync
-from secjoin.session import Session
+from secjoin.session import RandPool, Session
 from secjoin.views import Relation
 
 
@@ -136,3 +139,41 @@ def test_leakage_shape_same_sizes_different_contents():
         shapes.append([(p.label, p.wire_bits, p.wire_rounds)
                        for p in sess.transcript.phases])
     assert shapes[0] == shapes[1]
+
+
+def test_sent_array_is_frozen_for_its_sender():
+    sess = Session(1, 2, 3)
+    buf = np.arange(4, dtype=np.uint64)
+    got = sess.send(0, buf, 256)
+    with pytest.raises(ValueError):
+        buf ^= np.uint64(1)
+    assert got.tolist() == [0, 1, 2, 3]
+
+
+def test_exchanged_arrays_are_frozen_for_their_senders():
+    sess = Session(1, 2, 3)
+    m0, m1 = np.zeros(3, dtype=np.uint64), np.ones(3, dtype=np.uint64)
+    at0, at1 = sess.exchange(m0, m1, 192, 192)
+    for sent in (m0, m1):
+        with pytest.raises(ValueError):
+            sent += np.uint64(5)
+    assert at0.tolist() == [1, 1, 1] and at1.tolist() == [0, 0, 0]
+
+
+def test_pool_is_one_stream_whatever_the_draw_sizes():
+    pool = RandPool(2024)
+    chunks = [pool.u64(5), pool.u64(70000), pool.u64(3)]
+    perm = pool.perm(1000)
+    whole = np.random.Generator(np.random.PCG64(2024)).integers(
+        0, 1 << 64, 71008, dtype=np.uint64)
+    assert np.array_equal(np.concatenate(chunks), whole[:70008])
+    assert np.array_equal(perm, np.argsort(whole[70008:], kind="stable"))
+
+
+def test_only_the_session_makes_protocol_randomness():
+    # bench.py seeds its own input tables, which are not protocol randomness
+    src = Path(vw.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py"))
+                 if p.name not in ("session.py", "bench.py")
+                 and re.search(r"np\.random|\.rng\b", p.read_text())]
+    assert not offenders
