@@ -78,20 +78,16 @@ def f_cpsi(sess: Session, receiver: int, recv_keys, send_keys,
     if payload is not None and len(payload) != len(ys):
         raise SizeMismatch("payload length differs from sender key count")
     n = len(xs)
-    lookup = {int(k): j for j, k in enumerate(ys)}
+    _, hit, src = np.intersect1d(xs, ys, assume_unique=True,
+                                 return_indices=True)
     e = np.zeros(n, dtype=np.uint64)
-    z = np.zeros(n, dtype=np.uint64)
-    pay = as_ring(payload) if payload is not None else None
-    for i, k in enumerate(xs):
-        j = lookup.get(int(k))
-        if j is not None:
-            e[i] = 1
-            if pay is not None:
-                z[i] = pay[j]
+    e[hit] = 1
     e_sv = SharedVector(BINARY, 1, *sess.dealer.split(e, BINARY, 1))
     sess.dealer.deliver(2 * 1 * n)
     if payload is None:
         return e_sv, None
+    z = np.zeros(n, dtype=np.uint64)
+    z[hit] = as_ring(payload)[src]
     z_sv = SharedVector(ARITH, 64, *sess.dealer.split(z, ARITH))
     sess.dealer.deliver(2 * 64 * n)
     return e_sv, z_sv

@@ -255,15 +255,11 @@ def b2a_wide(sess: Session, x: SharedVector) -> SharedVector:
     (rb0, rb1), (ra0, ra1) = sess.dealer.dabits_packed(n, w)
     m0, m1 = x.shares[0] ^ rb0, x.shares[1] ^ rb1
     at0, at1 = sess.exchange(m0, m1, w * n, w * n)
-    va, vb = (m0 ^ at0) & width_mask(w), (m1 ^ at1) & width_mask(w)
-    z0 = np.zeros(n, dtype=np.uint64)
-    z1 = np.zeros(n, dtype=np.uint64)
-    for j in range(w):
-        vj0 = (va >> _U64(j)) & _U64(1)
-        vj1 = (vb >> _U64(j)) & _U64(1)
-        pw = _U64(1) << _U64(j)
-        z0 += pw * (ra0[j] * (_U64(1) - _U64(2) * vj0) + vj0)
-        z1 += pw * (ra1[j] * (_U64(1) - _U64(2) * vj1))
+    # bit j of both parties' opened masks as row j of a (w, n) array
+    j = np.arange(w, dtype=np.uint64)[:, None]
+    vj0, vj1 = ((m0 ^ at0) >> j) & _U64(1), ((m1 ^ at1) >> j) & _U64(1)
+    z0 = ((ra0 * (_U64(1) - _U64(2) * vj0) + vj0) << j).sum(0, dtype=np.uint64)
+    z1 = ((ra1 * (_U64(1) - _U64(2) * vj1)) << j).sum(0, dtype=np.uint64)
     return SharedVector(ARITH, 64, z0, z1)
 
 

@@ -318,12 +318,13 @@ def append_bitmap_columns(rel: Relation, col: str, domain) -> Relation:
 
 
 def _fk_counters(keys: np.ndarray) -> np.ndarray:
-    seen: dict[int, int] = {}
-    out = np.zeros(len(keys), dtype=np.uint64)
-    for i, k in enumerate(keys):
-        c = seen.get(int(k), 0) + 1
-        seen[int(k)] = c
-        out[i] = c
+    """Each row's 1-based occurrence number among the rows with its key."""
+    order = np.argsort(keys, kind="stable")
+    sk, idx = keys[order], np.arange(len(keys))
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = sk[1:] != sk[:-1]
+    out = np.empty(len(keys), dtype=np.uint64)
+    out[order] = idx - np.maximum.accumulate(np.where(starts, idx, 0)) + 1
     return out
 
 
