@@ -599,14 +599,28 @@ PROTOCOLS = {
 }
 
 
+def _auto(t: _Table, q: JgaQuery) -> str:
+    """`select_protocol`'s pick among the protocols the view can run.
+
+    In a PK-FK view P0's group column is secret-shared: no party can sort
+    by it locally (oneside), and the bitmap family reads it only from the
+    view's `__bm:<g0>:<j>` columns over a public domain. Such queries fall
+    back to osorting.
+    """
+    try:
+        d0 = len(t.domain(q, 0))
+    except DomainTooLarge:
+        d0 = 1 << 32
+    name = select_protocol(t.n, d0, len(t.domain(q, 1)), q.aggs,
+                           one_side=q.one_side())
+    if t.pkfk and q.group0 and name != "osorting" and (
+            name == "oneside" or q.dom0 is None or not all(
+                f"__bm:{q.group0}:{j}" in t.v0.j0_half for j in range(d0))):
+        return "osorting"
+    return name
+
+
 def run_query(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
-    name = q.protocol
-    if name == "auto":
-        t = _Table(view0, view1)
-        try:
-            d0 = len(t.domain(q, 0))
-        except DomainTooLarge:
-            d0 = 1 << 32
-        name = select_protocol(t.n, d0, len(t.domain(q, 1)), q.aggs,
-                               one_side=q.one_side())
+    name = _auto(_Table(view0, view1), q) if q.protocol == "auto" \
+        else q.protocol
     return PROTOCOLS[name](sess, view0, view1, q)

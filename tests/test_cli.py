@@ -229,6 +229,20 @@ def test_bitmap_on_pkfk_without_bitmap_columns_exits_2(tmp_path, capsys):
     assert "__bm:g0:0" in err and "views.append_bitmap_columns" in err
 
 
+def test_auto_on_pkfk_without_bitmap_columns_verifies(tmp_path, capsys):
+    (tmp_path / "p.csv").write_text("k,g0,v0\n1,0,10\n2,1,20\n3,0,30\n")
+    (tmp_path / "f.csv").write_text("k,g1,v1\n1,0,1\n1,1,2\n3,1,3\n2,0,4\n")
+    spec = {"table0": str(tmp_path / "p.csv"), "table1": str(tmp_path / "f.csv"),
+            "key0": "k", "key1": "k", "join": "pkfk", "group0": "g0",
+            "group1": "g1", "dom0": [0, 1], "dom1": [0, 1], "level": 2,
+            "aggs": [{"side": 0, "col": "v0", "fn": "sum"}]}
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps(spec))
+    views = tmp_path / "v"
+    assert cli.main(["genview", str(sp), "--out", str(views)]) == 0
+    assert cli.main(["query", str(sp), "--views", str(views),
+                     "--protocol", "auto", "--verify"]) == 0
+
 def test_join_key_out_of_range_exits_2(workspace, capsys):
     tmp, spec_path, _ = workspace
     (tmp / "t1.csv").write_text(T1.replace("60,5,9", f"{1 << 62},5,9"))

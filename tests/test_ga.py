@@ -395,3 +395,25 @@ def test_pkfk_bitmap_without_g0_over_p0_values():
             q = JgaQuery(None, "g1", aggs, dom1=[3, 4])
             got = ga.ga_bitmap(Session(4, 5, 6), v0, v1, q).rows
             assert got == oracle.eval_jga(r0, r1, q), (level, aggs)
+
+
+@pytest.mark.parametrize("bitmaps", [False, True])
+def test_auto_on_pkfk_picks_only_protocols_the_view_can_run(bitmaps):
+    # P0's g0 is secret-shared in a PK-FK view: auto once picked bitmap or
+    # mix without the __bm columns (MissingColumn) and oneside on g0
+    dom = [0, 1]
+    r0 = Relation("P", {"k": [1, 2, 3], "g0": [0, 1, 0], "v0": [5, 6, 7]},
+                  "k", "pk")
+    r1 = Relation("F", {"k": [1, 1, 3, 2], "g1": [0, 1, 1, 0],
+                        "v1": [1, 2, 3, 4]}, "k", "fk")
+    r0v = vw.append_bitmap_columns(r0, "g0", dom) if bitmaps else r0
+    agg_lists = ([(0, "v0", "sum"), (1, "v1", "sum"), (0, None, "count")],
+                 [(0, "v0", "max"), (1, "v1", "min"), (1, None, "count")])
+    for level in (0, 1, 2):
+        v0, v1 = vw.gen_pkfk(Session(1, 2, 3), r0v, r1, level=level)
+        for g0, g1 in (("g0", "g1"), ("g0", None), (None, "g1")):
+            for aggs in agg_lists:
+                for dom0 in (dom, None):
+                    q = JgaQuery(g0, g1, aggs, dom0=dom0, dom1=dom)
+                    got = ga.run_query(Session(4, 5, 6), v0, v1, q).rows
+                    assert got == oracle.eval_jga(r0, r1, q), (level, q)
