@@ -151,7 +151,7 @@ class RandPool:
             if n - tail >= self._BLOCK:  # a large draw is handed out whole
                 out = np.concatenate([self._buf[self._pos:], fresh]) \
                     if tail else fresh
-                self._buf, self._pos = fresh[:0], 0
+                self._buf, self._pos = np.empty(0, dtype=np.uint64), 0
                 return out
             self._buf = np.concatenate([self._buf[self._pos:], fresh])
             self._pos = 0
