@@ -357,3 +357,14 @@ def test_keys_just_below_the_limits_match_the_oracle():
         v0, v1 = vw.gen_pkfk(Session(1, 2, 3), p0, p1, level=level)
         got = ga.ga_osorting(Session(4, 5, 6), v0, v1, q).rows
         assert got == oracle.eval_jga(p0, p1, q), level
+
+
+def test_fk_counters_match_a_per_row_count():
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 7, 300):
+        keys = rng.integers(0, max(1, n // 3) + 1, n).astype(np.uint64)
+        seen, want = {}, []
+        for k in keys.tolist():
+            seen[k] = seen.get(k, 0) + 1
+            want.append(seen[k])
+        assert vw._fk_counters(keys).tolist() == want
