@@ -613,11 +613,11 @@ def _auto(t: _Table, q: JgaQuery) -> str:
         d0 = 1 << 32
     name = select_protocol(t.n, d0, len(t.domain(q, 1)), q.aggs,
                            one_side=q.one_side())
-    if t.pkfk and q.group0 and name != "osorting" and (
-            name == "oneside" or q.dom0 is None or not all(
-                f"__bm:{q.group0}:{j}" in t.v0.j0_half for j in range(d0))):
-        return "osorting"
-    return name
+    if not (t.pkfk and q.group0) or name == "osorting":
+        return name
+    bitmaps = q.dom0 is not None and all(
+        f"__bm:{q.group0}:{j}" in t.v0.j0_half for j in range(d0))
+    return name if bitmaps and name != "oneside" else "osorting"
 
 
 def run_query(sess: Session, view0, view1, q: JgaQuery) -> GroupResult:
