@@ -6,7 +6,8 @@ the error the cell raises. The grid spans every `ga.PROTOCOLS` entry, PK-PK
 and PK-FK views (the PK-FK one with `views.append_bitmap_columns` on g0),
 levels 0-2, the group sets (g0, g1), (g0, -) and (-, g1), and two aggregate
 lists: all sum/count (the suffix-sum path) and max/min/count (`trav_flags`).
-Each view generation has its own cell too. A second table pins the
+Each view generation has its own cell too, and PK-PK sorting and osorting
+queries that pass dom0 have cells of their own. A second table pins the
 oblivious primitives and gates one by one, at n = 13 (not a power of two),
 by (outputs with both share halves, digest, phase shapes). A third table
 pins Beneš routing itself: every layer's top positions, bottom positions
@@ -39,6 +40,7 @@ AGGS = {
     "extremes": [(0, "v0", "max"), (1, "v1", "min"), (1, None, "count")],
 }
 VIEWS = [(join, level) for join in ("pkpk", "pkfk") for level in (0, 1, 2)]
+DOM0_PROTOCOLS = ("sorting", "osorting")
 
 
 def _tables(join):
@@ -61,31 +63,52 @@ def _hash(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-def grid_cells(join, level) -> dict[str, str]:
-    """Every cell of one view: the view generation itself, then the queries."""
+def _view(join, level):
+    """One fixed view and the transcript of its generation."""
     r0, r1 = _tables(join)
     sess = Session(1, 2, 3)
     if join == "pkpk":
         v0, v1 = vw.GENERATORS[level](sess, r0, r1)
     else:
         v0, v1 = vw.gen_pkfk(sess, r0, r1, level=level)
-    t = sess.transcript
+    return v0, v1, sess.transcript
+
+
+def _query_cell(v0, v1, q) -> str:
+    run = Session(4, 5, 6)
+    try:
+        rows = ga.PROTOCOLS[q.protocol](run, v0, v1, q).rows
+    except Exception as exc:  # the error class is the record
+        return type(exc).__name__
+    t = run.transcript
+    return _hash(rows, t.digest(), t.phase_shapes())
+
+
+def grid_cells(join, level) -> dict[str, str]:
+    """Every cell of one view: the view generation itself, then the queries."""
+    v0, v1, t = _view(join, level)
     prefix = f"{join}-l{level}"
     cells = {f"{prefix}-view": _hash(t.digest(), t.phase_shapes())}
-    for proto, fn in ga.PROTOCOLS.items():
+    for proto in ga.PROTOCOLS:
         for gname, (g0, g1) in GROUPS.items():
             for aname, aggs in AGGS.items():
                 q = JgaQuery(g0, g1, aggs, protocol=proto,
                              dom0=DOM0 if join == "pkfk" else None)
-                run = Session(4, 5, 6)
-                try:
-                    rows = fn(run, v0, v1, q).rows
-                except Exception as exc:  # the error class is the record
-                    out = type(exc).__name__
-                else:
-                    t = run.transcript
-                    out = _hash(rows, t.digest(), t.phase_shapes())
-                cells[f"{prefix}-{proto}-{gname}-{aname}"] = out
+                cells[f"{prefix}-{proto}-{gname}-{aname}"] = \
+                    _query_cell(v0, v1, q)
+    return cells
+
+
+def dom0_cells(level) -> dict[str, str]:
+    """PK-PK sorting and osorting queries on g0 that pass the public dom0."""
+    v0, v1, _ = _view("pkpk", level)
+    cells = {}
+    for proto in DOM0_PROTOCOLS:
+        for gname in ("g0g1", "g0"):
+            for aname, aggs in AGGS.items():
+                q = JgaQuery(*GROUPS[gname], aggs, protocol=proto, dom0=DOM0)
+                cells[f"pkpk-l{level}-{proto}-dom0-{gname}-{aname}"] = \
+                    _query_cell(v0, v1, q)
     return cells
 
 
@@ -315,6 +338,34 @@ GOLDEN = {
 }
 
 
+GOLDEN_DOM0 = {
+    "pkpk-l0-sorting-dom0-g0g1-sums": "4276e5d35273c8eb",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "3a05e767c6e7f6b2",
+    "pkpk-l0-sorting-dom0-g0-sums": "c119f1d726a05726",
+    "pkpk-l0-sorting-dom0-g0-extremes": "da5659c4b76a1935",
+    "pkpk-l0-osorting-dom0-g0g1-sums": "d087ead56fd616a7",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "c7b978d80c2043b3",
+    "pkpk-l0-osorting-dom0-g0-sums": "0522a22622ee6181",
+    "pkpk-l0-osorting-dom0-g0-extremes": "f2520ad469bd9729",
+    "pkpk-l1-sorting-dom0-g0g1-sums": "083ad25e34562d4a",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "15c78eec933bf24f",
+    "pkpk-l1-sorting-dom0-g0-sums": "d8f61079f48acc60",
+    "pkpk-l1-sorting-dom0-g0-extremes": "08b918a20fbb999b",
+    "pkpk-l1-osorting-dom0-g0g1-sums": "d9fa343d77a57952",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "f6f111fa9dc7665b",
+    "pkpk-l1-osorting-dom0-g0-sums": "6e8faa62e23cc186",
+    "pkpk-l1-osorting-dom0-g0-extremes": "ee916b36a742f437",
+    "pkpk-l2-sorting-dom0-g0g1-sums": "543fe4409e77a928",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "e5dc9c7b91b0fac1",
+    "pkpk-l2-sorting-dom0-g0-sums": "bbda27f40b7ec901",
+    "pkpk-l2-sorting-dom0-g0-extremes": "caa023326736ada2",
+    "pkpk-l2-osorting-dom0-g0g1-sums": "4367fad0f8b8de80",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "884e865d413475c0",
+    "pkpk-l2-osorting-dom0-g0-sums": "2a4089999406328d",
+    "pkpk-l2-osorting-dom0-g0-extremes": "2159dde8be28e311",
+}
+
+
 PRIM_N = 13
 
 
@@ -521,10 +572,25 @@ def test_golden_grid(join, level):
     assert not changed, "\n".join(changed)
 
 
+@pytest.mark.parametrize("level", (0, 1, 2))
+def test_golden_dom0(level):
+    got = dom0_cells(level)
+    want = {k: v for k, v in GOLDEN_DOM0.items()
+            if k.startswith(f"pkpk-l{level}-")}
+    changed = [f"{k}: {want.get(k)} -> {v}" for k, v in got.items()
+               if want.get(k) != v]
+    assert len(got) == len(want) and not changed, "\n".join(changed)
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for join, level in VIEWS:
         for key, value in grid_cells(join, level).items():
+            print(f'    "{key}": "{value}",')
+    print("}")
+    print("GOLDEN_DOM0 = {")
+    for level in (0, 1, 2):
+        for key, value in dom0_cells(level).items():
             print(f'    "{key}": "{value}",')
     print("}")
     print("GOLDEN_PRIMITIVES = {")
