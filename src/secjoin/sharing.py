@@ -188,7 +188,7 @@ def mul(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     if n == 0:
         return x.slice(0, 0)
     if x.flavor == BINARY:
-        return _and_bin(sess, x, y)
+        return _and_bin(sess, x, [y])[0]
     (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_arith(n)
     d0, e0 = x.shares[0] - a0, y.shares[0] - b0
     d1, e1 = x.shares[1] - a1, y.shares[1] - b1
@@ -202,19 +202,30 @@ def mul(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     return SharedVector(ARITH, 64, z0, z1)
 
 
-def _and_bin(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
-    n, w = len(x), x.width
-    (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_bin(n, w)
-    de0 = np.concatenate([x.shares[0] ^ a0, y.shares[0] ^ b0])  # (d, e) halves
-    de1 = np.concatenate([x.shares[1] ^ a1, y.shares[1] ^ b1])
-    bits = 2 * w * n
-    at0, at1 = sess.exchange(de0, de1, bits, bits)
-    de_0, de_1 = de0 ^ at0, de1 ^ at1  # the opened (d, e) as each party sees it
-    d_0, e_0, d_1, e_1 = de_0[:n], de_0[n:], de_1[:n], de_1[n:]
+def _and_bin(sess: Session, x: SharedVector,
+             ys: list[SharedVector]) -> list[SharedVector]:
+    """x AND y for every y in ys: one triple draw and one exchange for all."""
+    n, w, k = len(x), x.width, len(ys)
+    (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_bin(k * n, w)
+    de = []  # each party's (d, e) half: x ^ a per y, then every y ^ b
+    for half, (a, b) in enumerate(((a0, b0), (a1, b1))):
+        buf = np.empty(2 * k * n, dtype=np.uint64)
+        np.bitwise_xor(x.shares[half], a.reshape(k, n),
+                       out=buf[:k * n].reshape(k, n))
+        for i, y in enumerate(ys):
+            lo = (k + i) * n
+            np.bitwise_xor(y.shares[half], b[i * n:(i + 1) * n],
+                           out=buf[lo:lo + n])
+        de.append(buf)
+    bits = 2 * w * k * n
+    at0, at1 = sess.exchange(de[0], de[1], bits, bits)
+    de_0, de_1 = de[0] ^ at0, de[1] ^ at1  # the opened (d, e) as each party sees it
+    d_0, e_0, d_1, e_1 = de_0[:k * n], de_0[k * n:], de_1[:k * n], de_1[k * n:]
     wm = width_mask(w)
     z0 = (c0 ^ (d_0 & b0) ^ (e_0 & a0) ^ (d_0 & e_0)) & wm
     z1 = (c1 ^ (d_1 & b1) ^ (e_1 & a1)) & wm
-    return SharedVector(BINARY, w, z0, z1)
+    return [SharedVector(BINARY, w, z0[i * n:(i + 1) * n], z1[i * n:(i + 1) * n])
+            for i in range(k)]
 
 
 def and_bits(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
@@ -311,7 +322,11 @@ def _is_zero_bits(sess: Session, t: SharedVector) -> SharedVector:
 
 
 def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
-    """Unsigned x > y as a 1-bit binary share (bitwise compare tree)."""
+    """Unsigned x > y as a 1-bit binary share (bitwise compare tree).
+
+    Both ANDs of a prefix level read the previous level's eq_bits, so they
+    share one exchange: 1 + ceil(log2 w) rounds in all.
+    """
     if x.flavor == ARITH:
         x = a2b(sess, x)
     if y.flavor == ARITH:
@@ -323,9 +338,10 @@ def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     eq_bits = not_bits(xor(x, y))
     s = 1
     while s < w:
-        gt_bits = xor(gt_bits, and_bits(sess, eq_bits, _shl(gt_bits, s)))
-        if 2 * s < w:
-            eq_bits = and_bits(sess, eq_bits, _shl(eq_bits, s))
+        rights = [_shl(gt_bits, s)] + ([_shl(eq_bits, s)] if 2 * s < w else [])
+        carry, *eq_next = _and_bin(sess, eq_bits, rights)
+        gt_bits = xor(gt_bits, carry)
+        eq_bits = eq_next[0] if eq_next else eq_bits
         s *= 2
     return gt_bits.map(lambda a: (a >> _U64(w - 1)) & _U64(1), 1)
 

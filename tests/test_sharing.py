@@ -236,3 +236,33 @@ def test_share_halves_not_constant():
         sess = Session(1, 2, seed)
         seen.add(int(sh.share_vec(sess, 0, [999]).shares[0][0]))
     assert len(seen) >= 2
+
+
+def test_gt_every_width_vs_numpy_and_rounds():
+    # both ANDs of a prefix level share one exchange: 1 + ceil(log2 w) rounds
+    rng = np.random.default_rng(21)
+    for w in range(1, 65):
+        sess = fresh(w)
+        top = (1 << w) - 1
+        xs = rng.integers(0, 1 << 63, 200, dtype=np.uint64) * np.uint64(2) \
+            + rng.integers(0, 2, 200, dtype=np.uint64)
+        xs &= np.uint64(top)
+        ys = xs.copy()  # ties, then random values and the extremes
+        ys[50:] = rng.integers(0, 1 << 63, 150, dtype=np.uint64) & np.uint64(top)
+        xs[:4], ys[:4] = [0, top, 0, top], [top, 0, 0, top]
+        x = sh.share_vec(sess, 0, xs, sh.BINARY, w)
+        y = sh.share_vec(sess, 1, ys, sh.BINARY, w)
+        before = sess.transcript.wire_rounds
+        got = sh.gt(sess, x, y)
+        assert sess.transcript.wire_rounds - before == 1 + (w - 1).bit_length()
+        assert (got.flavor, got.width) == (sh.BINARY, 1)
+        assert np.array_equal(got.reconstruct(), (xs > ys).astype(np.uint64)), w
+
+
+def test_gt_at_24_bits_takes_six_rounds():
+    sess = fresh()
+    x = sh.share_vec(sess, 0, [5, 1 << 23], sh.BINARY, 24)
+    y = sh.share_vec(sess, 1, [6, 3], sh.BINARY, 24)
+    before = sess.transcript.wire_rounds
+    assert sh.gt(sess, x, y).reconstruct().tolist() == [0, 1]
+    assert sess.transcript.wire_rounds - before == 6
