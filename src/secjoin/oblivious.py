@@ -16,7 +16,8 @@ import numpy as np
 
 from . import sharing as sh
 from .benes import build_program
-from .errors import NotAPermutation, PreconditionViolated, SizeMismatch
+from .errors import (FlavorMismatch, NotAPermutation, PreconditionViolated,
+                     SizeMismatch)
 from .ring import ARITH, BINARY, as_ring, combine, uncombine, width_mask
 from .session import Session
 from .sharing import SharedVector
@@ -324,37 +325,50 @@ def per_gen(sess: Session, v: SharedVector) -> SharedVector:
 # ---------------------------------------------------------------------------
 
 def _multi_limb_gt(sess: Session, a_limbs, b_limbs) -> SharedVector:
-    """Strict greater-than over most-significant-first limb lists."""
-    gt_acc, eq_acc = None, None
-    for a, b in zip(a_limbs, b_limbs):
-        if a.width == 1:
-            g = sh.and_bits(sess, a, sh.not_bits(b))
-            e = sh.not_bits(sh.xor(a, b))
-        else:
-            g = sh.gt(sess, a, b)
-            e = sh.eq(sess, a, b)
-        if gt_acc is None:
-            gt_acc, eq_acc = g, e
-        else:
-            gt_acc = sh.xor(gt_acc, sh.and_bits(sess, eq_acc, g))
-            eq_acc = sh.and_bits(sess, eq_acc, e)
+    """Strict greater-than over most-significant-first limb lists; the last
+    limb's equality is never read, so it is never computed."""
+    gt_acc, eq_acc = sh.gt(sess, a_limbs[0], b_limbs[0]), None
+    for i in range(1, len(a_limbs)):
+        e = sh.eq(sess, a_limbs[i - 1], b_limbs[i - 1])
+        eq_acc = e if eq_acc is None else sh.and_bits(sess, eq_acc, e)
+        g = sh.gt(sess, a_limbs[i], b_limbs[i])
+        gt_acc = sh.xor(gt_acc, sh.and_bits(sess, eq_acc, g))
     return gt_acc
+
+
+def _pack_layout(widths: list[int]):
+    """Limb widths, and each field's (limb, shift), for fields packed most
+    significant first, greedily, into binary limbs of at most 64 bits."""
+    limb_widths, ends = [], []
+    for w in widths:
+        if not limb_widths or limb_widths[-1] + w > 64:
+            limb_widths.append(0)
+        limb_widths[-1] += w
+        ends.append((len(limb_widths) - 1, limb_widths[-1]))
+    return limb_widths, [(li, limb_widths[li] - end) for li, end in ends]
 
 
 def stable_sort(sess: Session, key_cols: list[SharedVector],
                 carry_cols: list[SharedVector] | None = None):
     """Ascending stable sort of binary-shared keys via a bitonic network.
 
-    Ties keep input order: the row index is appended as the least significant
-    key limb, which also makes every comparator key distinct. Returns
-    (pi, sorted key columns, sorted carry columns) where pi is the gather
-    permutation (sorted_i = input_{pi(i)}) as a binary shared vector.
+    Ties keep input order: the 1-based row index, in m.bit_length() bits,
+    is the least significant key field, which also makes every comparator
+    key distinct. The fields are packed by local shifts and XORs into as few
+    binary limbs of at most 64 bits as they fit in, so a one-limb key costs
+    a stage one `gt`. Columns of one (flavor, width) ride end to end in one
+    vector and are muxed in one call. Returns (pi, sorted key columns,
+    sorted carry columns) where pi is the gather permutation
+    (sorted_i = input_{pi(i)}) as a binary shared vector of m.bit_length()
+    bits.
     """
     carry_cols = carry_cols or []
     n = len(key_cols[0])
     if n == 0:
         return (SharedVector.zeros(0, BINARY), [k.copy() for k in key_cols],
                 [c.copy() for c in carry_cols])
+    if any(k.flavor != BINARY for k in key_cols):
+        raise FlavorMismatch("stable_sort needs binary-shared keys")
     m = _pad_pow2(n)
 
     def pad(sv: SharedVector, fill: int) -> SharedVector:
@@ -362,13 +376,28 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
         return SharedVector.concat(
             [sv, SharedVector.public(extra, sv.flavor, sv.width)])
 
-    # keys pad with all ones (masked to each limb's width), so pads sort last
-    keys = [pad(k, (1 << 64) - 1) for k in key_cols]
-    idx = SharedVector.public(np.arange(1, m + 1, dtype=np.uint64), BINARY)
-    cols = keys + [idx] + [pad(c, 0) for c in carry_cols]
-    nk = len(keys)
+    # keys pad with all ones (masked to each field's width), so pads sort last
+    fields = [pad(k.map(lambda a, w=width_mask(k.width): a & w), (1 << 64) - 1)
+              for k in key_cols]
+    fields.append(SharedVector.public(np.arange(1, m + 1, dtype=np.uint64),
+                                      BINARY, m.bit_length()))
+    limb_widths, layout = _pack_layout([f.width for f in fields])
+    limbs = [SharedVector(BINARY, w, np.zeros(m, np.uint64),
+                          np.zeros(m, np.uint64)) for w in limb_widths]
+    for f, (li, shift) in zip(fields, layout):
+        for half, src in zip(limbs[li].shares, f.shares):
+            half ^= src << _U64(shift)
 
-    rows = np.arange(m)
+    stacks, place = {}, []  # (flavor, width) -> its columns, end to end
+    for col in limbs + [pad(c, 0) for c in carry_cols]:
+        blocks = stacks.setdefault((col.flavor, col.width), [])
+        place.append(((col.flavor, col.width), len(blocks)))
+        blocks.append(col)
+    stacks = {kind: SharedVector.concat(b) for kind, b in stacks.items()}
+    offsets = {kind: (np.arange(len(sv) // m) * m)[:, None]
+               for kind, sv in stacks.items()}
+
+    rows, h = np.arange(m), m // 2
     k = 2
     while k <= m:
         j = k // 2
@@ -376,23 +405,30 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             left = rows[(rows & j) == 0]  # each comparator's lower row
             right = left | j
             desc = ((left & k) != 0).astype(np.uint64)
-            a_key = [c.gather(left) for c in cols[:nk + 1]]
-            b_key = [c.gather(right) for c in cols[:nk + 1]]
-            swap = _multi_limb_gt(sess, a_key, b_key)
-            swap = sh.xor_public(swap, desc)
-            for col in cols:
-                va, vb = col.gather(left), col.gather(right)
-                new_a = sh.mux(sess, swap, vb, va)
+            pairs = {}
+            for kind, sv in stacks.items():
+                off = offsets[kind]
+                li, ri = (left + off).ravel(), (right + off).ravel()
+                pairs[kind] = (li, ri, sv.gather(li), sv.gather(ri))
+            a_key, b_key = ([pairs[kind][side].slice(t * h, (t + 1) * h)
+                             for kind, t in place[:len(limbs)]]
+                            for side in (2, 3))
+            swap = sh.xor_public(_multi_limb_gt(sess, a_key, b_key), desc)
+            for kind, (li, ri, va, vb) in pairs.items():
+                sel = swap.map(lambda a, c=len(li) // h: np.tile(a, c))
+                new_a = sh.mux(sess, sel, vb, va)
                 new_b = sh.sub(sh.add(va, vb), new_a)  # the pair keeps its sum
-                for half, a, b in zip(col.shares, new_a.shares, new_b.shares):
-                    half[left], half[right] = a, b
+                for half, a, b in zip(stacks[kind].shares, new_a.shares,
+                                      new_b.shares):
+                    half[li], half[ri] = a, b
             j //= 2
         k *= 2
 
-    sorted_keys = [c.slice(0, n) for c in cols[:nk]]
-    pi = cols[nk].slice(0, n)
-    sorted_carries = [c.slice(0, n) for c in cols[nk + 1:]]
-    return pi, sorted_keys, sorted_carries
+    out = [stacks[kind].slice(t * m, t * m + n) for kind, t in place]
+    unpacked = [out[li].map(lambda a, s=_U64(shift), w=width_mask(f.width):
+                            (a >> s) & w, f.width)
+                for f, (li, shift) in zip(fields, layout)]
+    return unpacked[-1], unpacked[:-1], out[len(limbs):]
 
 
 # ---------------------------------------------------------------------------

@@ -310,3 +310,64 @@ def test_osn_scaling_law_nlogn():
     b1024 = bench.measure_osn(1024)
     ratio = b1024.wire_bits / b256.wire_bits
     assert 4 * (10 / 8) * 0.8 <= ratio <= 4 * (10 / 8) * 1.2
+
+
+def _stable_order(keys):
+    """numpy's stable argsort over most-significant-first key columns."""
+    order = np.arange(len(keys[0]))
+    for key in keys[::-1]:
+        order = order[np.argsort(key[order], kind="stable")]
+    return order
+
+
+def _check_packed_sort(sess, rng, widths, n):
+    keys = []
+    for w in widths:  # few distinct values per field, so ties are common
+        top = (1 << w) - 1
+        mid = int(rng.integers(0, 1 << 64, dtype=np.uint64)) & top
+        pool = np.array([0, top, mid], dtype=np.uint64)
+        keys.append(pool[rng.integers(0, 3, n)])
+    vals = rng.integers(0, 1 << 64, n, dtype=np.uint64)
+    bits = rng.integers(0, 2, n, dtype=np.uint64)
+    carries = [sh.share_vec(sess, 1, vals), sh.share_vec(sess, 0, vals, sh.BINARY),
+               sh.share_vec(sess, 1, bits, sh.BINARY, 1),
+               sh.share_vec(sess, 0, vals & np.uint64(127), sh.BINARY, 7)]
+    key_svs = [sh.share_vec(sess, i % 2, k, sh.BINARY, w)
+               for i, (k, w) in enumerate(zip(keys, widths))]
+    pi, sk, sc = ob.stable_sort(sess, key_svs, carries)
+    order = _stable_order(keys)
+    assert np.array_equal(pi.reconstruct().astype(np.int64) - 1, order)
+    for got, key, w in zip(sk, keys, widths):
+        assert (got.flavor, got.width) == (sh.BINARY, w)
+        assert np.array_equal(got.reconstruct(), key[order])
+    for got, want in zip(sc, carries):
+        assert (got.flavor, got.width) == (want.flavor, want.width)
+        assert np.array_equal(got.reconstruct(), want.reconstruct()[order])
+
+
+def test_stable_sort_packed_widths_vs_argsort():
+    sess = fresh()
+    rng = np.random.default_rng(17)
+    # n = 13 pads to m = 16, so the row index takes 5 bits: 59 key bits
+    # fill one limb exactly, 60 spill the index into a second limb
+    exact = [1, 4, 12, 12, 12, 12, 4, 1, 1]
+    for widths in (exact, exact + [1], [63, 1], [63, 1, 1], [1, 63], [64],
+                   [64, 64], [4, 64, 12], [12, 63, 4, 1]):
+        _check_packed_sort(sess, rng, widths, 13)
+    for _ in range(12):
+        widths = [int(w) for w in rng.choice([1, 4, 12, 63, 64],
+                                             int(rng.integers(1, 4)))]
+        _check_packed_sort(sess, rng, widths, int(rng.integers(1, 301)))
+    for n in (1, 2, 3, 300):
+        _check_packed_sort(sess, rng, [1, 4], n)
+
+
+def test_pack_layout_fills_limbs_greedily():
+    assert ob._pack_layout([1, 4, 12, 12, 12, 12, 4, 1, 1, 5]) == \
+        ([64], [(0, 63), (0, 59), (0, 47), (0, 35), (0, 23), (0, 11),
+                (0, 7), (0, 6), (0, 5), (0, 0)])
+    assert ob._pack_layout([1, 4, 12, 12, 12, 12, 4, 1, 1, 1, 5]) == \
+        ([60, 5], [(0, 59), (0, 55), (0, 43), (0, 31), (0, 19), (0, 7),
+                   (0, 3), (0, 2), (0, 1), (0, 0), (1, 0)])
+    assert ob._pack_layout([1, 64, 11]) == ([1, 64, 11],
+                                            [(0, 0), (1, 0), (2, 0)])
