@@ -63,3 +63,7 @@ class MissingColumn(SecJoinError):
 
 class KeyOutOfRange(SecJoinError):
     """A join key or an FK fan-out exceeds the limits of view generation."""
+
+
+class ValueOutsideDomain(SecJoinError):
+    """A group column holds a value that its public domain lacks."""

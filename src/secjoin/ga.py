@@ -19,7 +19,11 @@ either kind. All but bitmap start from `_Table.local_order`, then:
 
 `_sort` is the osn, convert and sort phases; `_grouped_tail` is boundary
 flags, suffix sums or `trav_flags`, then `_reveal` (mask, shuffle, open)
-and `_rows` (the canonical table).
+and `_rows` (the canonical table). When the query gives dom0 and P0 holds
+g0 in plain (PK-PK views), `_sort` sorts on g0's rank in the sorted dom0,
+ceil(log2 d0) bits wide, and P1 maps the revealed ranks back through dom0.
+A plain group column with a value outside the domain the query gives
+raises `ValueOutsideDomain` before any message.
 
 Null handling: masked rows carry a validity bit; 0 stands in for the dropped
 value and canonicalization removes invalid rows. Inside running aggregates
@@ -35,12 +39,13 @@ import numpy as np
 
 from . import oblivious as ob
 from . import sharing as sh
-from .errors import DomainTooLarge, MissingColumn, SizeMismatch
+from .errors import (DomainTooLarge, MissingColumn, SizeMismatch,
+                     ValueOutsideDomain)
 from .oblivious import AGG_IDENTITY, PlainColumn
 from .ring import ARITH, BINARY
 from .session import Session
 from .sharing import SharedVector
-from .views import shared_e
+from .views import SENTINEL, shared_e
 
 _U64 = np.uint64
 
@@ -152,21 +157,54 @@ class _Table:
         order = np.argsort(col.values, kind="stable").astype(np.int64) + 1
         return order, col.values[order - 1]
 
+    def real(self, side: int) -> np.ndarray:
+        """The rows of a side's plain columns that hold base-table rows, not
+        the padding rows of view generation, whose keys are sentinels."""
+        if side == 1 and self.pkfk:
+            keys = self.j1[self.v1.key_col1]
+        else:
+            view = self.v1 if side else self.v0
+            keys = view.j[view.key_col]
+        return keys < _U64(SENTINEL[0])
+
     def domain(self, q: JgaQuery, side: int, cap: int | None = None) -> list:
-        """The sorted public domain of a group column ([None] without one)."""
+        """The sorted public domain of a group column ([None] without one).
+
+        A plain column must lie inside the domain the query gives: a value
+        outside it raises `ValueOutsideDomain` before any message.
+        """
         name, dom = (q.group0, q.dom0) if side == 0 else (q.group1, q.dom1)
         if name is None:
             return [None]
-        if dom is None:
-            col = self.col(side, name)
-            if not isinstance(col, PlainColumn):
-                raise DomainTooLarge("a public domain is required for this "
-                                     "protocol")
-            dom = col.values
-        dom = sorted({int(v) for v in dom})
+        col = self.col(side, name)
+        plain = isinstance(col, PlainColumn)
+        if dom is None and not plain:
+            raise DomainTooLarge("a public domain is required for this "
+                                 "protocol")
+        given = dom is not None
+        dom = sorted({int(v) for v in (dom if given else col.values)})
+        if given and plain and not np.isin(col.values[self.real(side)],
+                                           np.array(dom, np.uint64)).all():
+            raise ValueOutsideDomain(f"{name!r} holds a value outside dom{side}")
         if cap is not None and len(dom) > cap:
             raise DomainTooLarge(f"d{side} = {len(dom)} exceeds {cap}")
         return dom
+
+    def g0_key(self, q: JgaQuery):
+        """P0's sort key column(s) and the public array that decodes it.
+
+        With a public dom0 and g0 plain at P0 (PK-PK views), the key is g0's
+        rank in the sorted dom0 in ceil(log2 d0) bits, decoded by dom0;
+        otherwise it is g0 itself (or nothing) and needs no decoding.
+        """
+        if q.group0 is None:
+            return [], None
+        col = self.col(0, q.group0)
+        if q.dom0 is None or not isinstance(col, PlainColumn):
+            return [col], None
+        dom = np.array(self.domain(q, 0), dtype=np.uint64)
+        width = max(1, (len(dom) - 1).bit_length())
+        return [PlainColumn(np.searchsorted(dom, col.values), BINARY, width)], dom
 
 
 def _protocol(body):
@@ -248,10 +286,12 @@ def _osn(sess, t, q, values, receiver, order, head) -> list[SharedVector]:
     return moved[:len(head)]
 
 
-def _sort(sess, t, q, order, values=None):
-    """osn, convert, sort: P1's order moves e, g0 and any value slots, then
-    (e, g0) is sorted. Returns (gather permutation, e, g0, values)."""
-    head = [t.e] + ([t.col(0, q.group0)] if q.group0 else [])
+def _sort(sess, t, q, order, g0, values=None):
+    """osn, convert, sort: P1's order moves e, P0's key `g0` (`g0_key`) and
+    any value slots, then (e, g0) is sorted. Returns (gather permutation, e,
+    g0, values); g0 comes back labelled 64 bits wide, its value unchanged,
+    so the later phases keep their shapes."""
+    head = [t.e] + g0
     with sess.phase("osn"):
         e, *g0 = ob.osn_shared(sess, 1, order, head) if values is None \
             else _osn(sess, t, q, values, 1, order, head)
@@ -261,6 +301,7 @@ def _sort(sess, t, q, order, values=None):
             values = _convert_values(sess, q, values, t.n)
     with sess.phase("sort"):
         pi, (e, *g0), _ = ob.stable_sort(sess, [e] + g0)
+    g0 = [SharedVector(BINARY, 64, *g.shares) for g in g0]
     return pi, e, (g0 or [None])[0], values
 
 
@@ -323,9 +364,10 @@ def _rows(keep, groups, aggs, suffix: bool = False) -> GroupResult:
 
 
 def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
-                  values: list[SharedVector]) -> GroupResult:
+                  values: list[SharedVector], dom0=None) -> GroupResult:
     """Common tail once rows sit in (e, g0, g1) order; all-sum/count queries
-    take local suffix sums, which party 1 differences after the reveal."""
+    take local suffix sums, which party 1 differences after the reveal.
+    With `dom0`, g0 holds ranks, which party 1 maps back to values."""
     n = len(e_s)
     suffix = _sum_like(q.aggs)
     with sess.phase("flag"):
@@ -345,6 +387,8 @@ def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
             results = [ob.trav_flags(sess, c, v, fn)[0]
                        for (_side, _col, fn), v in zip(q.aggs, values)]
     keep, groups, aggs = _reveal(sess, f, groups, results)
+    if dom0 is not None:
+        groups[0] = dom0[groups[0]]
     return _rows(keep, groups, aggs, suffix)
 
 
@@ -356,25 +400,27 @@ def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
 def ga_sorting(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """First-attempt baseline: full shared permutation after the stable sort."""
     order, g1 = t.local_order(1, q.group1)
+    g0, dom0 = t.g0_key(q)
     with sess.phase("share"):
         g1_s = [sh.share_vec(sess, 1, g1, BINARY)] if q.group1 else []
         values = _own_values(sess, t, q, 1, order)
-    pi, e_s, g0_s, values = _sort(sess, t, q, order, values)
+    pi, e_s, g0_s, values = _sort(sess, t, q, order, g0, values)
     with sess.phase("perm"):
         moved = ob.perm_shared(sess, pi, g1_s + values)
     return _grouped_tail(sess, q, e_s, [g0_s, moved[0] if g1_s else None],
-                         moved[len(g1_s):])
+                         moved[len(g1_s):], dom0)
 
 
 @_protocol
 def ga_osorting(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """Optimized sorting: plain-vector permutation application where possible."""
     order, g1 = t.local_order(1, q.group1)
-    pi, e_s, g0_s, _ = _sort(sess, t, q, order)
+    g0, dom0 = t.g0_key(q)
+    pi, e_s, g0_s, _ = _sort(sess, t, q, order, g0)
     g1_s, _, values, _ = _carry(sess, t, q, ob.perm_plain, pi, order, g1, [])
     with sess.phase("convert"):
         values = _convert_values(sess, q, values, t.n)
-    return _grouped_tail(sess, q, e_s, [g0_s, g1_s], values)
+    return _grouped_tail(sess, q, e_s, [g0_s, g1_s], values, dom0)
 
 
 # ---------------------------------------------------------------------------

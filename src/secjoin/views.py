@@ -18,7 +18,7 @@ from . import oblivious as ob
 from . import setops
 from . import sharing as sh
 from .errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
-                     NotAPermutation, SizeMismatch)
+                     NotAPermutation, SizeMismatch, ValueOutsideDomain)
 from .ring import ARITH, BINARY, as_ring
 from .session import Session
 from .sharing import SharedVector
@@ -312,6 +312,9 @@ def append_bitmap_columns(rel: Relation, col: str, domain) -> Relation:
     dom = sorted(int(v) for v in set(domain))
     cols = dict(rel.columns)
     base = rel.columns[col]
+    if not np.isin(base, np.array(dom, dtype=np.uint64)).all():
+        raise ValueOutsideDomain(f"{rel.name}.{col} holds a value outside "
+                                 "its domain")
     for j, val in enumerate(dom):
         cols[f"__bm:{col}:{j}"] = (base == np.uint64(val)).astype(np.uint64)
     return Relation(rel.name, cols, rel.key, rel.key_kind)

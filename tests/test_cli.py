@@ -264,3 +264,18 @@ def test_bitmap_query_with_xor_aggregates(workspace, capsys):
     capsys.readouterr()
     # keys 10 and 30 join, both in g0 = 0: 1 ^ 3 and 8 ^ 7
     assert res.read_text() == "g0,g1,xor_v0,xor_v1\n0,,2,15\n"
+
+
+def test_group_value_outside_dom0_exits_2(workspace, capsys):
+    # both joined rows of T0 have g0 = 0, which a dom0 of [1] leaves out
+    tmp, spec_path, spec = workspace
+    spec = dict(spec, dom0=[1], dom1=[5, 6])
+    spec_path.write_text(json.dumps(spec))
+    out = tmp / "views"
+    assert cli.main(["genview", str(spec_path), "--out", str(out)]) == 0
+    for proto in ("sorting", "osorting", "bsorting", "mix", "bitmap", "auto"):
+        capsys.readouterr()
+        rc = cli.main(["query", str(spec_path), "--views", str(out),
+                       "--protocol", proto])
+        assert rc == 2, proto
+        assert "outside dom0" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import pytest
 
 from secjoin import bench, ga, oracle
 from secjoin import views as vw
-from secjoin.errors import DomainTooLarge
+from secjoin.errors import DomainTooLarge, ValueOutsideDomain
 from secjoin.ga import JgaQuery, select_protocol
 from secjoin.session import Session
 from secjoin.views import Relation
@@ -417,3 +417,91 @@ def test_auto_on_pkfk_picks_only_protocols_the_view_can_run(bitmaps):
                     q = JgaQuery(g0, g1, aggs, dom0=dom0, dom1=dom)
                     got = ga.run_query(Session(4, 5, 6), v0, v1, q).rows
                     assert got == oracle.eval_jga(r0, r1, q), (level, q)
+
+
+def _full_join(rng, n, dom0, d1=4):
+    keys = np.arange(1, n + 1)
+    r0 = Relation("A", {"k": rng.permutation(keys),
+                        "g0": np.array(dom0, dtype=np.uint64)[
+                            rng.integers(0, len(dom0), n)],
+                        "v0": rng.integers(0, 99, n)}, "k")
+    r1 = Relation("B", {"k": rng.permutation(keys), "g1": rng.integers(0, d1, n),
+                        "v1": rng.integers(0, 99, n)}, "k")
+    return r0, r1
+
+
+def test_sorting_ranks_g0_over_a_public_dom0():
+    # P0 sorts on g0's rank in dom0 and P1 maps revealed ranks back
+    rng = np.random.default_rng(31)
+    doms = ([7], [0, 1], [3, 9, (1 << 64) - 1], list(range(16)),
+            list(range(0, 34, 2)))
+    for i, dom0 in enumerate(doms):
+        r0, r1 = _full_join(rng, 12, dom0)
+        for level in (0, 1, 2):
+            v0, v1 = vw.GENERATORS[level](Session(i, 1, 2), r0, r1)
+            for aggs in ([(0, "v0", "sum"), (1, None, "count")],
+                         [(1, "v1", "max"), (0, "v0", "min")]):
+                q = JgaQuery("g0", "g1", aggs, dom0=dom0[::-1])
+                expect = oracle.eval_jga(r0, r1, q)
+                for proto in ("sorting", "osorting"):
+                    got = ga.PROTOCOLS[proto](Session(3, 4, 5), v0, v1, q).rows
+                    assert got == expect, (dom0, level, proto)
+
+
+def test_osorting_sort_phase_rounds_follow_the_packed_width():
+    # e, g0's rank and the row index pack into one limb of W bits: each of
+    # the L(L+1)/2 bitonic stages is one gt of 1 + ceil(log2 W) rounds and
+    # one mux
+    rng = np.random.default_rng(32)
+    for n, d0 in ((13, 3), (100, 16), (200, 5)):
+        r0, r1 = _full_join(rng, n, list(range(d0)))
+        v0, v1 = vw.gen_psiv(Session(1, 2, 3), r0, r1)
+        sess = Session(4, 5, 6)
+        ga.ga_osorting(sess, v0, v1, JgaQuery("g0", "g1", [(0, "v0", "sum")],
+                                              dom0=list(range(d0))))
+        m = 1 << (n - 1).bit_length()
+        levels = m.bit_length() - 1
+        width = 1 + (d0 - 1).bit_length() + m.bit_length()
+        assert width <= 64
+        stages = levels * (levels + 1) // 2
+        assert sess.transcript.rounds_for("sort") == \
+            stages * ((width - 1).bit_length() + 2), (n, d0)
+
+
+def _outside_domain_views(level):
+    r0 = Relation("A", {"k": [1, 2, 3, 4], "g0": [0, 1, 5, 1],
+                        "v0": [10, 20, 30, 40]}, "k")
+    r1 = Relation("B", {"k": [1, 2, 3, 4], "g1": [0, 0, 1, 7],
+                        "v1": [1, 2, 3, 4]}, "k")
+    return vw.GENERATORS[level](Session(1, 2, 3), r0, r1)
+
+
+@pytest.mark.parametrize("proto", ALL_PROTOCOLS + ("auto",))
+def test_group_value_outside_its_domain_raises_before_any_message(proto):
+    # g0 = 5 lies outside dom0: bsorting, mix and bitmap once gave wrong
+    # rows silently, and sorting and osorting now rank g0 through dom0
+    for level in (0, 1, 2):
+        v0, v1 = _outside_domain_views(level)
+        q = JgaQuery("g0", "g1", [(0, "v0", "sum"), (0, None, "count")],
+                     protocol=proto, dom0=[0, 1], dom1=[0, 1, 7])
+        sess = Session(4, 5, 6)
+        with pytest.raises(ValueOutsideDomain):
+            ga.run_query(sess, v0, v1, q)
+        assert sess.transcript.wire_bits == sess.transcript.hybrid_bits == 0
+
+
+def test_bitmap_checks_g1_against_dom1():
+    v0, v1 = _outside_domain_views(2)
+    q = JgaQuery("g0", "g1", [(0, "v0", "sum")], protocol="bitmap",
+                 dom0=[0, 1, 5], dom1=[0, 1])
+    sess = Session(4, 5, 6)
+    with pytest.raises(ValueOutsideDomain):
+        ga.run_query(sess, v0, v1, q)
+    assert sess.transcript.wire_bits == 0
+
+
+def test_append_bitmap_columns_rejects_a_value_outside_the_domain():
+    r0 = Relation("P", {"k": [1, 2, 3], "g0": [0, 1, 2], "v0": [5, 6, 7]},
+                  "k", "pk")
+    with pytest.raises(ValueOutsideDomain):
+        vw.append_bitmap_columns(r0, "g0", [0, 1])
