@@ -114,255 +114,255 @@ def dom0_cells(level) -> dict[str, str]:
 
 GOLDEN = {
     "pkpk-l0-view": "6a0997a0cb14d258",
-    "pkpk-l0-sorting-g0g1-sums": "4276e5d35273c8eb",
-    "pkpk-l0-sorting-g0g1-extremes": "3a05e767c6e7f6b2",
-    "pkpk-l0-sorting-g0-sums": "c119f1d726a05726",
-    "pkpk-l0-sorting-g0-extremes": "da5659c4b76a1935",
-    "pkpk-l0-sorting-g1-sums": "5754515f13f4ff16",
-    "pkpk-l0-sorting-g1-extremes": "f421af3097544f04",
-    "pkpk-l0-osorting-g0g1-sums": "d087ead56fd616a7",
-    "pkpk-l0-osorting-g0g1-extremes": "c7b978d80c2043b3",
-    "pkpk-l0-osorting-g0-sums": "0522a22622ee6181",
-    "pkpk-l0-osorting-g0-extremes": "f2520ad469bd9729",
-    "pkpk-l0-osorting-g1-sums": "42dcb7a292c3a67d",
-    "pkpk-l0-osorting-g1-extremes": "ca72cbda83f57036",
+    "pkpk-l0-sorting-g0g1-sums": "faeac6ec5841be8e",
+    "pkpk-l0-sorting-g0g1-extremes": "416cec42fb2d866d",
+    "pkpk-l0-sorting-g0-sums": "37d2084d225283d4",
+    "pkpk-l0-sorting-g0-extremes": "6ceeecaa30ebcfbd",
+    "pkpk-l0-sorting-g1-sums": "d29ef200fd3c7054",
+    "pkpk-l0-sorting-g1-extremes": "61d305a6066496d5",
+    "pkpk-l0-osorting-g0g1-sums": "e2efe85c2871eb25",
+    "pkpk-l0-osorting-g0g1-extremes": "fae4c35999f5b28f",
+    "pkpk-l0-osorting-g0-sums": "51b1cad69849a7fb",
+    "pkpk-l0-osorting-g0-extremes": "acaaf295c91b75b6",
+    "pkpk-l0-osorting-g1-sums": "55e200420b555f9e",
+    "pkpk-l0-osorting-g1-extremes": "6993da57bf3d2ac9",
     "pkpk-l0-bsorting-g0g1-sums": "fa225aedd0ac107b",
-    "pkpk-l0-bsorting-g0g1-extremes": "d34db5b4a26d0e43",
+    "pkpk-l0-bsorting-g0g1-extremes": "ec75f45dae3b6d79",
     "pkpk-l0-bsorting-g0-sums": "a9df23151ed004bc",
-    "pkpk-l0-bsorting-g0-extremes": "3839931fb9f399bf",
+    "pkpk-l0-bsorting-g0-extremes": "92517488b2835304",
     "pkpk-l0-bsorting-g1-sums": "3559ea01918e8169",
-    "pkpk-l0-bsorting-g1-extremes": "381a9a0ca2bcd2fa",
+    "pkpk-l0-bsorting-g1-extremes": "72488754e4a3018e",
     "pkpk-l0-mix-g0g1-sums": "27e716ea3a593c1f",
-    "pkpk-l0-mix-g0g1-extremes": "f2e7fd30106cae6c",
+    "pkpk-l0-mix-g0g1-extremes": "23dc3d19d26ac83d",
     "pkpk-l0-mix-g0-sums": "e6e4ff918dd60cbc",
-    "pkpk-l0-mix-g0-extremes": "58edec1abba78210",
+    "pkpk-l0-mix-g0-extremes": "179d18df01ad00c5",
     "pkpk-l0-mix-g1-sums": "9f125a56d8fee3f8",
-    "pkpk-l0-mix-g1-extremes": "85f14ef0daf93fae",
+    "pkpk-l0-mix-g1-extremes": "e69ad7ad5e58e470",
     "pkpk-l0-bitmap-g0g1-sums": "2c458255175dda0e",
-    "pkpk-l0-bitmap-g0g1-extremes": "23347755053c9b97",
+    "pkpk-l0-bitmap-g0g1-extremes": "2938faa087b7c7fe",
     "pkpk-l0-bitmap-g0-sums": "5da063a5be8eb914",
-    "pkpk-l0-bitmap-g0-extremes": "343972cec6d584b8",
+    "pkpk-l0-bitmap-g0-extremes": "922d1714ebc0d125",
     "pkpk-l0-bitmap-g1-sums": "25da8044ad337382",
-    "pkpk-l0-bitmap-g1-extremes": "4d2f131c1c5f401e",
+    "pkpk-l0-bitmap-g1-extremes": "2fd33a4828b40f48",
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l0-oneside-g0-sums": "b10715b850812f12",
-    "pkpk-l0-oneside-g0-extremes": "d1a5f7baf06350d4",
+    "pkpk-l0-oneside-g0-extremes": "c9de4b17f922abf9",
     "pkpk-l0-oneside-g1-sums": "2c1c8bc5f0da6f12",
-    "pkpk-l0-oneside-g1-extremes": "4f6afb90506a39bf",
+    "pkpk-l0-oneside-g1-extremes": "7a952006ac4d60b0",
     "pkpk-l1-view": "9db97b1f326b284b",
-    "pkpk-l1-sorting-g0g1-sums": "083ad25e34562d4a",
-    "pkpk-l1-sorting-g0g1-extremes": "15c78eec933bf24f",
-    "pkpk-l1-sorting-g0-sums": "d8f61079f48acc60",
-    "pkpk-l1-sorting-g0-extremes": "08b918a20fbb999b",
-    "pkpk-l1-sorting-g1-sums": "3fef9aa6cd81ebf2",
-    "pkpk-l1-sorting-g1-extremes": "1f4353df82c3fbbd",
-    "pkpk-l1-osorting-g0g1-sums": "d9fa343d77a57952",
-    "pkpk-l1-osorting-g0g1-extremes": "f6f111fa9dc7665b",
-    "pkpk-l1-osorting-g0-sums": "6e8faa62e23cc186",
-    "pkpk-l1-osorting-g0-extremes": "ee916b36a742f437",
-    "pkpk-l1-osorting-g1-sums": "482ef00a85539ffb",
-    "pkpk-l1-osorting-g1-extremes": "a0ef753bc776fb79",
+    "pkpk-l1-sorting-g0g1-sums": "edc97e7c5bb5a4cc",
+    "pkpk-l1-sorting-g0g1-extremes": "066046ce8866aa5c",
+    "pkpk-l1-sorting-g0-sums": "5cd2116e4a275f0f",
+    "pkpk-l1-sorting-g0-extremes": "b4af7df0348afaeb",
+    "pkpk-l1-sorting-g1-sums": "58d982710d94fabf",
+    "pkpk-l1-sorting-g1-extremes": "2806e65f2dd9f6db",
+    "pkpk-l1-osorting-g0g1-sums": "698cefa1b018daa4",
+    "pkpk-l1-osorting-g0g1-extremes": "8cc4746252bc0692",
+    "pkpk-l1-osorting-g0-sums": "6f152479ed058d46",
+    "pkpk-l1-osorting-g0-extremes": "16159d795d9903bc",
+    "pkpk-l1-osorting-g1-sums": "60f4b92e716b0b5f",
+    "pkpk-l1-osorting-g1-extremes": "97c1f815cd42ea18",
     "pkpk-l1-bsorting-g0g1-sums": "d520f6db261fc4d8",
-    "pkpk-l1-bsorting-g0g1-extremes": "1709100b650d253e",
+    "pkpk-l1-bsorting-g0g1-extremes": "cd9eb951659142db",
     "pkpk-l1-bsorting-g0-sums": "e4513accbafe4bd8",
-    "pkpk-l1-bsorting-g0-extremes": "3f518acc2c187726",
+    "pkpk-l1-bsorting-g0-extremes": "1408a17e365a041a",
     "pkpk-l1-bsorting-g1-sums": "454dfadedd2d29e3",
-    "pkpk-l1-bsorting-g1-extremes": "ea2f32b07c5356be",
+    "pkpk-l1-bsorting-g1-extremes": "8207758902acb455",
     "pkpk-l1-mix-g0g1-sums": "fe78612fac7f9234",
-    "pkpk-l1-mix-g0g1-extremes": "f04fec7bd2248dc7",
+    "pkpk-l1-mix-g0g1-extremes": "b63756f672021af0",
     "pkpk-l1-mix-g0-sums": "b21b7acbb67def61",
-    "pkpk-l1-mix-g0-extremes": "fbb9a96d854d5718",
+    "pkpk-l1-mix-g0-extremes": "bf24c943700103f0",
     "pkpk-l1-mix-g1-sums": "2f8c719fe0f6e30a",
-    "pkpk-l1-mix-g1-extremes": "08b317d2edb0e25d",
+    "pkpk-l1-mix-g1-extremes": "e494d9a3234df19a",
     "pkpk-l1-bitmap-g0g1-sums": "c87c3c95045e94b9",
-    "pkpk-l1-bitmap-g0g1-extremes": "78c7ee9bfa7d81a5",
+    "pkpk-l1-bitmap-g0g1-extremes": "14f47690635beec4",
     "pkpk-l1-bitmap-g0-sums": "2c6ecebd9cf457cc",
-    "pkpk-l1-bitmap-g0-extremes": "b10441d1595524c3",
+    "pkpk-l1-bitmap-g0-extremes": "10e7e7f54117f928",
     "pkpk-l1-bitmap-g1-sums": "a86c3ddd068cd1ca",
-    "pkpk-l1-bitmap-g1-extremes": "be81d243ce78b99f",
+    "pkpk-l1-bitmap-g1-extremes": "94c8e370d0283754",
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l1-oneside-g0-sums": "b6cd4143458b0231",
-    "pkpk-l1-oneside-g0-extremes": "147a71fd527fbb51",
+    "pkpk-l1-oneside-g0-extremes": "f60010f1e6457331",
     "pkpk-l1-oneside-g1-sums": "0766b89da3ac36fa",
-    "pkpk-l1-oneside-g1-extremes": "96e3315ff08a3c7f",
+    "pkpk-l1-oneside-g1-extremes": "8e7a77b18016324d",
     "pkpk-l2-view": "9af3687269ebea0c",
-    "pkpk-l2-sorting-g0g1-sums": "543fe4409e77a928",
-    "pkpk-l2-sorting-g0g1-extremes": "e5dc9c7b91b0fac1",
-    "pkpk-l2-sorting-g0-sums": "bbda27f40b7ec901",
-    "pkpk-l2-sorting-g0-extremes": "caa023326736ada2",
-    "pkpk-l2-sorting-g1-sums": "bc2d7260fce4cfb3",
-    "pkpk-l2-sorting-g1-extremes": "78bd3a2501e6f145",
-    "pkpk-l2-osorting-g0g1-sums": "4367fad0f8b8de80",
-    "pkpk-l2-osorting-g0g1-extremes": "884e865d413475c0",
-    "pkpk-l2-osorting-g0-sums": "2a4089999406328d",
-    "pkpk-l2-osorting-g0-extremes": "2159dde8be28e311",
-    "pkpk-l2-osorting-g1-sums": "8c18e16ec5c214ed",
-    "pkpk-l2-osorting-g1-extremes": "d359760680c8aae2",
+    "pkpk-l2-sorting-g0g1-sums": "049c2dc9eb230f3b",
+    "pkpk-l2-sorting-g0g1-extremes": "16deebf55347599e",
+    "pkpk-l2-sorting-g0-sums": "83cd58594613b572",
+    "pkpk-l2-sorting-g0-extremes": "4bdd16dbfecb6bd7",
+    "pkpk-l2-sorting-g1-sums": "00cbcc400d14bbce",
+    "pkpk-l2-sorting-g1-extremes": "d2c65df5e8e86a71",
+    "pkpk-l2-osorting-g0g1-sums": "c25e98df2774399d",
+    "pkpk-l2-osorting-g0g1-extremes": "2a714e95260ef1a4",
+    "pkpk-l2-osorting-g0-sums": "bbcb7ef67a77c942",
+    "pkpk-l2-osorting-g0-extremes": "c79dddb305fd93d7",
+    "pkpk-l2-osorting-g1-sums": "29f5c517ed4e9152",
+    "pkpk-l2-osorting-g1-extremes": "4272abf45b26ac53",
     "pkpk-l2-bsorting-g0g1-sums": "64958c5372b900b7",
-    "pkpk-l2-bsorting-g0g1-extremes": "8d09afabcf14a0a1",
+    "pkpk-l2-bsorting-g0g1-extremes": "4b8939a83465c801",
     "pkpk-l2-bsorting-g0-sums": "2631a34c7f13a76c",
-    "pkpk-l2-bsorting-g0-extremes": "d65c5484009c71eb",
+    "pkpk-l2-bsorting-g0-extremes": "094adcf07578b575",
     "pkpk-l2-bsorting-g1-sums": "92b585754935e767",
-    "pkpk-l2-bsorting-g1-extremes": "85007f26c14160d4",
+    "pkpk-l2-bsorting-g1-extremes": "92ae2fbd80d73685",
     "pkpk-l2-mix-g0g1-sums": "a5deeb4135c29618",
-    "pkpk-l2-mix-g0g1-extremes": "d01ffa5ece5b2a23",
+    "pkpk-l2-mix-g0g1-extremes": "b73604d4b503cebd",
     "pkpk-l2-mix-g0-sums": "8e9f0ed819431163",
-    "pkpk-l2-mix-g0-extremes": "a81fddb9e1930ba0",
+    "pkpk-l2-mix-g0-extremes": "6b9061f2e3627fa3",
     "pkpk-l2-mix-g1-sums": "0cd27a05aea75062",
-    "pkpk-l2-mix-g1-extremes": "73676fe51c45c179",
+    "pkpk-l2-mix-g1-extremes": "47a2e0ecb6f7c7bf",
     "pkpk-l2-bitmap-g0g1-sums": "4f36bde88daebc6e",
-    "pkpk-l2-bitmap-g0g1-extremes": "206d412b70b38a0b",
+    "pkpk-l2-bitmap-g0g1-extremes": "5dd09a872e83414b",
     "pkpk-l2-bitmap-g0-sums": "c42582fccb5cb0d1",
-    "pkpk-l2-bitmap-g0-extremes": "cb3b9602b317d96e",
+    "pkpk-l2-bitmap-g0-extremes": "ff1838ae4eedf423",
     "pkpk-l2-bitmap-g1-sums": "22970b5f3734d0d2",
-    "pkpk-l2-bitmap-g1-extremes": "d688434e9b4e6d99",
+    "pkpk-l2-bitmap-g1-extremes": "af9160df16d24a2c",
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l2-oneside-g0-sums": "80e5c7d6484a7f23",
-    "pkpk-l2-oneside-g0-extremes": "ef63022d271f9071",
+    "pkpk-l2-oneside-g0-extremes": "85f52296bbe037f6",
     "pkpk-l2-oneside-g1-sums": "8168202e678455fb",
-    "pkpk-l2-oneside-g1-extremes": "6092f7035f26e838",
+    "pkpk-l2-oneside-g1-extremes": "794566615cf4d1e9",
     "pkfk-l0-view": "162aa1009ae9b3d3",
-    "pkfk-l0-sorting-g0g1-sums": "88326c97f016149e",
-    "pkfk-l0-sorting-g0g1-extremes": "82b4980780a1bd02",
-    "pkfk-l0-sorting-g0-sums": "2189ef4884f6d945",
-    "pkfk-l0-sorting-g0-extremes": "9aa2d3be678fce26",
-    "pkfk-l0-sorting-g1-sums": "da2753a844886acf",
-    "pkfk-l0-sorting-g1-extremes": "628a6c1fc99534c9",
-    "pkfk-l0-osorting-g0g1-sums": "86ca1081984db3d7",
-    "pkfk-l0-osorting-g0g1-extremes": "6cd0a80e78b3f192",
-    "pkfk-l0-osorting-g0-sums": "98453d13e5932435",
-    "pkfk-l0-osorting-g0-extremes": "315308f76ce247dc",
-    "pkfk-l0-osorting-g1-sums": "5b11e0ba287fb351",
-    "pkfk-l0-osorting-g1-extremes": "011335ddd5dedb03",
+    "pkfk-l0-sorting-g0g1-sums": "27d6462e8a11b9a5",
+    "pkfk-l0-sorting-g0g1-extremes": "84515a456842a2a2",
+    "pkfk-l0-sorting-g0-sums": "64e75001887a25a1",
+    "pkfk-l0-sorting-g0-extremes": "b11d99034c615976",
+    "pkfk-l0-sorting-g1-sums": "20a018a5fa08ceee",
+    "pkfk-l0-sorting-g1-extremes": "6dc23609cb7fe18a",
+    "pkfk-l0-osorting-g0g1-sums": "1cb9dc74d3978b6d",
+    "pkfk-l0-osorting-g0g1-extremes": "7f0159d8e3354b20",
+    "pkfk-l0-osorting-g0-sums": "5319e97863b253a9",
+    "pkfk-l0-osorting-g0-extremes": "4604385abf0a1690",
+    "pkfk-l0-osorting-g1-sums": "884908b81d4d46bf",
+    "pkfk-l0-osorting-g1-extremes": "d80ccbeec8309919",
     "pkfk-l0-bsorting-g0g1-sums": "cb922ab64c58d52e",
-    "pkfk-l0-bsorting-g0g1-extremes": "5ce1cf625db75e18",
+    "pkfk-l0-bsorting-g0g1-extremes": "00c5da24192c7436",
     "pkfk-l0-bsorting-g0-sums": "eaf040ac7bf6d476",
-    "pkfk-l0-bsorting-g0-extremes": "5aa2003be88011b6",
+    "pkfk-l0-bsorting-g0-extremes": "f3d493a631c4336e",
     "pkfk-l0-bsorting-g1-sums": "1d41c5a7bf174733",
-    "pkfk-l0-bsorting-g1-extremes": "26f0507f99e81adc",
+    "pkfk-l0-bsorting-g1-extremes": "4d4891317396e356",
     "pkfk-l0-mix-g0g1-sums": "f3b23e0f8688e85d",
-    "pkfk-l0-mix-g0g1-extremes": "d0bdfd422d517c77",
+    "pkfk-l0-mix-g0g1-extremes": "ecaa5319bc081e65",
     "pkfk-l0-mix-g0-sums": "c6cb84f16a1aba94",
-    "pkfk-l0-mix-g0-extremes": "c1e981a0a8572695",
+    "pkfk-l0-mix-g0-extremes": "0916b6d3d2293097",
     "pkfk-l0-mix-g1-sums": "6fd0a837b7bbdaf1",
-    "pkfk-l0-mix-g1-extremes": "3582aedd809d3252",
+    "pkfk-l0-mix-g1-extremes": "a6c73187f991ec5e",
     "pkfk-l0-bitmap-g0g1-sums": "7419600e47545855",
-    "pkfk-l0-bitmap-g0g1-extremes": "91db16a5be3a1e78",
+    "pkfk-l0-bitmap-g0g1-extremes": "f7c28609d893b84a",
     "pkfk-l0-bitmap-g0-sums": "a31aac9a874c0284",
-    "pkfk-l0-bitmap-g0-extremes": "e09346f17aee3f7d",
+    "pkfk-l0-bitmap-g0-extremes": "cfd6df2d434ca7d0",
     "pkfk-l0-bitmap-g1-sums": "dea0f74c4c11fe60",
-    "pkfk-l0-bitmap-g1-extremes": "2c61f49063e6bc6c",
+    "pkfk-l0-bitmap-g1-extremes": "ff3cce8c21d7677a",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g1-sums": "fd0738f5e48bb42a",
-    "pkfk-l0-oneside-g1-extremes": "24d039fab6f9d51a",
+    "pkfk-l0-oneside-g1-extremes": "113c61c9126fc37d",
     "pkfk-l1-view": "844fe1cf00ea86e8",
-    "pkfk-l1-sorting-g0g1-sums": "73d96d4ec20d984b",
-    "pkfk-l1-sorting-g0g1-extremes": "822c79501ddf1c15",
-    "pkfk-l1-sorting-g0-sums": "feea9ccf57050c72",
-    "pkfk-l1-sorting-g0-extremes": "620dae97f80db2ad",
-    "pkfk-l1-sorting-g1-sums": "0a2c9d33c324f581",
-    "pkfk-l1-sorting-g1-extremes": "b7729c686b6a5891",
-    "pkfk-l1-osorting-g0g1-sums": "cf06afdcbe1fb5ad",
-    "pkfk-l1-osorting-g0g1-extremes": "1c8b21ae95fd62ca",
-    "pkfk-l1-osorting-g0-sums": "da362faad604b9f8",
-    "pkfk-l1-osorting-g0-extremes": "6e99aac49754f322",
-    "pkfk-l1-osorting-g1-sums": "dfb038f639959b7d",
-    "pkfk-l1-osorting-g1-extremes": "ba53e1de462b58a0",
+    "pkfk-l1-sorting-g0g1-sums": "25a9ff8c44b894d0",
+    "pkfk-l1-sorting-g0g1-extremes": "2aa217c86638f44a",
+    "pkfk-l1-sorting-g0-sums": "d574250a5e4e5632",
+    "pkfk-l1-sorting-g0-extremes": "780130462cb91b66",
+    "pkfk-l1-sorting-g1-sums": "8637818aacda5533",
+    "pkfk-l1-sorting-g1-extremes": "cfe2d94ffaf101bf",
+    "pkfk-l1-osorting-g0g1-sums": "71baa413f022df7d",
+    "pkfk-l1-osorting-g0g1-extremes": "30ca78b6253953dd",
+    "pkfk-l1-osorting-g0-sums": "25cb1766bf96344f",
+    "pkfk-l1-osorting-g0-extremes": "ce86fd85bb66086f",
+    "pkfk-l1-osorting-g1-sums": "46c9c6f128b2e7b1",
+    "pkfk-l1-osorting-g1-extremes": "6d6bfc7135ddff8c",
     "pkfk-l1-bsorting-g0g1-sums": "94a2911427be303d",
-    "pkfk-l1-bsorting-g0g1-extremes": "09b1bedf39d71cdc",
+    "pkfk-l1-bsorting-g0g1-extremes": "44953bf5df188d00",
     "pkfk-l1-bsorting-g0-sums": "5d6016ca15c82bbc",
-    "pkfk-l1-bsorting-g0-extremes": "da764503b9b227ad",
+    "pkfk-l1-bsorting-g0-extremes": "8e1f518fabcb38a8",
     "pkfk-l1-bsorting-g1-sums": "066c5b3161bd9420",
-    "pkfk-l1-bsorting-g1-extremes": "c098cbc4e13673c3",
+    "pkfk-l1-bsorting-g1-extremes": "29d535d50ff4eb07",
     "pkfk-l1-mix-g0g1-sums": "4af1d94a9f83ae39",
-    "pkfk-l1-mix-g0g1-extremes": "d20d77a9a836f5dc",
+    "pkfk-l1-mix-g0g1-extremes": "6643c967b3e56074",
     "pkfk-l1-mix-g0-sums": "de8ecad75d48f926",
-    "pkfk-l1-mix-g0-extremes": "c8cb1be79d1a3010",
+    "pkfk-l1-mix-g0-extremes": "fac1065685783fd1",
     "pkfk-l1-mix-g1-sums": "23864aea699190fd",
-    "pkfk-l1-mix-g1-extremes": "b87bbd9fad10beb3",
+    "pkfk-l1-mix-g1-extremes": "e3c61d6d3f9b6679",
     "pkfk-l1-bitmap-g0g1-sums": "0da2a9d312e91be5",
-    "pkfk-l1-bitmap-g0g1-extremes": "4b93cbe9aa765b43",
+    "pkfk-l1-bitmap-g0g1-extremes": "4afff4fbd092da4e",
     "pkfk-l1-bitmap-g0-sums": "2b52c6e463b26e6f",
-    "pkfk-l1-bitmap-g0-extremes": "3029def369899eea",
+    "pkfk-l1-bitmap-g0-extremes": "72cd06c5d1ecf46e",
     "pkfk-l1-bitmap-g1-sums": "ff5cd9b7d12629d7",
-    "pkfk-l1-bitmap-g1-extremes": "06843d10239cc16a",
+    "pkfk-l1-bitmap-g1-extremes": "321402c55142f6db",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g1-sums": "c99e008b32d50b33",
-    "pkfk-l1-oneside-g1-extremes": "3fa413e67081a878",
+    "pkfk-l1-oneside-g1-extremes": "51896cc6d0acb948",
     "pkfk-l2-view": "7656852fae86848b",
-    "pkfk-l2-sorting-g0g1-sums": "6a238ff95df3b7d4",
-    "pkfk-l2-sorting-g0g1-extremes": "4eb61de6191cfc8e",
-    "pkfk-l2-sorting-g0-sums": "3df4a434ac864660",
-    "pkfk-l2-sorting-g0-extremes": "d44cc553808ccc8f",
-    "pkfk-l2-sorting-g1-sums": "e47db8e265e21d1d",
-    "pkfk-l2-sorting-g1-extremes": "16c7a5eed5f2a157",
-    "pkfk-l2-osorting-g0g1-sums": "9cb843236761c0ca",
-    "pkfk-l2-osorting-g0g1-extremes": "6aeef3fce19077cd",
-    "pkfk-l2-osorting-g0-sums": "2753763b945cd965",
-    "pkfk-l2-osorting-g0-extremes": "6ece531d409f9ef7",
-    "pkfk-l2-osorting-g1-sums": "0d0301f3e1c7ce92",
-    "pkfk-l2-osorting-g1-extremes": "cff3205471f84711",
+    "pkfk-l2-sorting-g0g1-sums": "22c004c671c9a676",
+    "pkfk-l2-sorting-g0g1-extremes": "947e6ccaec06e4a2",
+    "pkfk-l2-sorting-g0-sums": "94f76e146676a6af",
+    "pkfk-l2-sorting-g0-extremes": "759f98e82bd9ad15",
+    "pkfk-l2-sorting-g1-sums": "e40765845038231e",
+    "pkfk-l2-sorting-g1-extremes": "56bc69538df987e4",
+    "pkfk-l2-osorting-g0g1-sums": "b201a6b29a52b6d9",
+    "pkfk-l2-osorting-g0g1-extremes": "87c5117aa26380de",
+    "pkfk-l2-osorting-g0-sums": "40e22af6c6b23300",
+    "pkfk-l2-osorting-g0-extremes": "53acd87b885b7045",
+    "pkfk-l2-osorting-g1-sums": "d19717e48e71e5f9",
+    "pkfk-l2-osorting-g1-extremes": "89e356695e851863",
     "pkfk-l2-bsorting-g0g1-sums": "5ad2a1454e440d0a",
-    "pkfk-l2-bsorting-g0g1-extremes": "0d96b4d5e79e89c6",
+    "pkfk-l2-bsorting-g0g1-extremes": "437acdac185cde51",
     "pkfk-l2-bsorting-g0-sums": "a349d5e64221676c",
-    "pkfk-l2-bsorting-g0-extremes": "8e1ae78be90cd361",
+    "pkfk-l2-bsorting-g0-extremes": "957104c115ebcfc0",
     "pkfk-l2-bsorting-g1-sums": "96db9319e0352be9",
-    "pkfk-l2-bsorting-g1-extremes": "e4e9f69d5082d9bf",
+    "pkfk-l2-bsorting-g1-extremes": "723208f3be61cc52",
     "pkfk-l2-mix-g0g1-sums": "2e2b77f222772a56",
-    "pkfk-l2-mix-g0g1-extremes": "c21ce75d7be8e729",
+    "pkfk-l2-mix-g0g1-extremes": "bbb37addb12e4d0e",
     "pkfk-l2-mix-g0-sums": "5806b5b5a0af5f68",
-    "pkfk-l2-mix-g0-extremes": "ec2e15f28712c57a",
+    "pkfk-l2-mix-g0-extremes": "3a0a257ec27858d5",
     "pkfk-l2-mix-g1-sums": "8d45fb62f3ee55f7",
-    "pkfk-l2-mix-g1-extremes": "656bf98d9d0626a9",
+    "pkfk-l2-mix-g1-extremes": "f3aa98e3e311787d",
     "pkfk-l2-bitmap-g0g1-sums": "7cf5334e900f065f",
-    "pkfk-l2-bitmap-g0g1-extremes": "9b24bf6bcf630722",
+    "pkfk-l2-bitmap-g0g1-extremes": "5a5a2743e7dbb627",
     "pkfk-l2-bitmap-g0-sums": "e0ce287bc509443c",
-    "pkfk-l2-bitmap-g0-extremes": "76c24c6bbab4398e",
+    "pkfk-l2-bitmap-g0-extremes": "8631fb0d6464f80b",
     "pkfk-l2-bitmap-g1-sums": "bcf3c933b16460d3",
-    "pkfk-l2-bitmap-g1-extremes": "5b016bdb9ac9f528",
+    "pkfk-l2-bitmap-g1-extremes": "23e7e96fa493f818",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g1-sums": "08dd314e40a9f8e0",
-    "pkfk-l2-oneside-g1-extremes": "d3c88d023dcea257",
+    "pkfk-l2-oneside-g1-extremes": "48ef7d6a8f6ecdca",
 }
 
 
 GOLDEN_DOM0 = {
-    "pkpk-l0-sorting-dom0-g0g1-sums": "4276e5d35273c8eb",
-    "pkpk-l0-sorting-dom0-g0g1-extremes": "3a05e767c6e7f6b2",
-    "pkpk-l0-sorting-dom0-g0-sums": "c119f1d726a05726",
-    "pkpk-l0-sorting-dom0-g0-extremes": "da5659c4b76a1935",
-    "pkpk-l0-osorting-dom0-g0g1-sums": "d087ead56fd616a7",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "c7b978d80c2043b3",
-    "pkpk-l0-osorting-dom0-g0-sums": "0522a22622ee6181",
-    "pkpk-l0-osorting-dom0-g0-extremes": "f2520ad469bd9729",
-    "pkpk-l1-sorting-dom0-g0g1-sums": "083ad25e34562d4a",
-    "pkpk-l1-sorting-dom0-g0g1-extremes": "15c78eec933bf24f",
-    "pkpk-l1-sorting-dom0-g0-sums": "d8f61079f48acc60",
-    "pkpk-l1-sorting-dom0-g0-extremes": "08b918a20fbb999b",
-    "pkpk-l1-osorting-dom0-g0g1-sums": "d9fa343d77a57952",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "f6f111fa9dc7665b",
-    "pkpk-l1-osorting-dom0-g0-sums": "6e8faa62e23cc186",
-    "pkpk-l1-osorting-dom0-g0-extremes": "ee916b36a742f437",
-    "pkpk-l2-sorting-dom0-g0g1-sums": "543fe4409e77a928",
-    "pkpk-l2-sorting-dom0-g0g1-extremes": "e5dc9c7b91b0fac1",
-    "pkpk-l2-sorting-dom0-g0-sums": "bbda27f40b7ec901",
-    "pkpk-l2-sorting-dom0-g0-extremes": "caa023326736ada2",
-    "pkpk-l2-osorting-dom0-g0g1-sums": "4367fad0f8b8de80",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "884e865d413475c0",
-    "pkpk-l2-osorting-dom0-g0-sums": "2a4089999406328d",
-    "pkpk-l2-osorting-dom0-g0-extremes": "2159dde8be28e311",
+    "pkpk-l0-sorting-dom0-g0g1-sums": "7491428901c34106",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "9be5600eb537f4e0",
+    "pkpk-l0-sorting-dom0-g0-sums": "400e4d392b29a5bc",
+    "pkpk-l0-sorting-dom0-g0-extremes": "b5bbdcd55d8ed823",
+    "pkpk-l0-osorting-dom0-g0g1-sums": "7ba11d24fa770b34",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "a9cc315c5b6e80d5",
+    "pkpk-l0-osorting-dom0-g0-sums": "2a3e51b7fd4b387c",
+    "pkpk-l0-osorting-dom0-g0-extremes": "89aa7391f4b84594",
+    "pkpk-l1-sorting-dom0-g0g1-sums": "f0c9c0cf79fd6d3b",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "a6543fe71d09863b",
+    "pkpk-l1-sorting-dom0-g0-sums": "c4152281c2ec5410",
+    "pkpk-l1-sorting-dom0-g0-extremes": "55efc0833b9526b4",
+    "pkpk-l1-osorting-dom0-g0g1-sums": "0f02732fc22819c8",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "9a1270248f02988b",
+    "pkpk-l1-osorting-dom0-g0-sums": "37142bdf91f8ba0b",
+    "pkpk-l1-osorting-dom0-g0-extremes": "af0c945983e9ed88",
+    "pkpk-l2-sorting-dom0-g0g1-sums": "105b037dd2214680",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "cb3816a5a017a32f",
+    "pkpk-l2-sorting-dom0-g0-sums": "5489ecabfdb73c7b",
+    "pkpk-l2-sorting-dom0-g0-extremes": "f08fd0299b4319c1",
+    "pkpk-l2-osorting-dom0-g0g1-sums": "ec3f404bf05455d7",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "3277d3fc35635b8a",
+    "pkpk-l2-osorting-dom0-g0-sums": "698c55c550e315d7",
+    "pkpk-l2-osorting-dom0-g0-extremes": "691c862d7296768b",
 }
 
 
@@ -497,17 +497,17 @@ GOLDEN_PRIMITIVES = {
     "invp_shared": "786dfb4b7988603b",
     "perm_plain": "79d22bccc19c2747",
     "invp_plain": "9c775f8223533b4e",
-    "stable_sort": "a2de823c9d02b237",
+    "stable_sort": "1d44d72101f369e3",
     "trav_flags-sum": "b6052fb894f775a6",
     "trav_flags-count": "b6052fb894f775a6",
-    "trav_flags-max": "65f4082cc815b089",
-    "trav_flags-min": "31c2515ee0f8c9d1",
+    "trav_flags-max": "9d308e17ac67c595",
+    "trav_flags-min": "b09c126bf4fd8e9b",
     "trav_flags-xor": "393e3ec8f1e77a44",
     "asym_mul-arith": "8dce452513397df5",
     "asym_mul-bin64": "fe232085952c8e4f",
     "asym_mul-bin1": "8539ba3c0a073a79",
     "share_open": "1958faf848c0ed3d",
-    "gates": "26a93d302aab3b99",
+    "gates": "0dac941163b1425a",
     "refresh_pkfk": "1439f9a2a778cda2",
 }
 
