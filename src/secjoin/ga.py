@@ -45,7 +45,7 @@ from .oblivious import AGG_IDENTITY, PlainColumn
 from .ring import ARITH, BINARY
 from .session import Session
 from .sharing import SharedVector
-from .views import SENTINEL, shared_e
+from .views import real_rows, shared_e
 
 _U64 = np.uint64
 
@@ -157,16 +157,6 @@ class _Table:
         order = np.argsort(col.values, kind="stable").astype(np.int64) + 1
         return order, col.values[order - 1]
 
-    def real(self, side: int) -> np.ndarray:
-        """The rows of a side's plain columns that hold base-table rows, not
-        the padding rows of view generation, whose keys are sentinels."""
-        if side == 1 and self.pkfk:
-            keys = self.j1[self.v1.key_col1]
-        else:
-            view = self.v1 if side else self.v0
-            keys = view.j[view.key_col]
-        return keys < _U64(SENTINEL[0])
-
     def domain(self, q: JgaQuery, side: int, cap: int | None = None) -> list:
         """The sorted public domain of a group column ([None] without one).
 
@@ -183,9 +173,11 @@ class _Table:
                                  "protocol")
         given = dom is not None
         dom = sorted({int(v) for v in (dom if given else col.values)})
-        if given and plain and not np.isin(col.values[self.real(side)],
-                                           np.array(dom, np.uint64)).all():
-            raise ValueOutsideDomain(f"{name!r} holds a value outside dom{side}")
+        if given and plain:
+            real = col.values[real_rows(self.v1 if side else self.v0)]
+            if not np.isin(real, np.array(dom, np.uint64)).all():
+                raise ValueOutsideDomain(f"{name!r} holds a value outside "
+                                         f"dom{side}")
         if cap is not None and len(dom) > cap:
             raise DomainTooLarge(f"d{side} = {len(dom)} exceeds {cap}")
         return dom

@@ -145,6 +145,15 @@ def shared_e(v0, v1) -> SharedVector:
     return SharedVector(BINARY, 1, v0.e_half.copy(), v1.e_half.copy())
 
 
+def real_rows(view) -> np.ndarray:
+    """Which rows of a view's plaintext columns hold base-table rows: the
+    padding rows of view generation carry sentinel keys, which real keys
+    never reach."""
+    keys = view.j1[view.key_col1] if view.kind == "pkfk" \
+        else view.j[view.key_col]
+    return keys < _U64(SENTINEL[0])
+
+
 # ---------------------------------------------------------------------------
 # PK-PK generation
 # ---------------------------------------------------------------------------

@@ -419,14 +419,16 @@ def test_auto_on_pkfk_picks_only_protocols_the_view_can_run(bitmaps):
                     assert got == oracle.eval_jga(r0, r1, q), (level, q)
 
 
-def _full_join(rng, n, dom0, d1=4):
-    keys = np.arange(1, n + 1)
-    r0 = Relation("A", {"k": rng.permutation(keys),
+def _join_pair(rng, n, dom0, d1=4):
+    """Every key of A joins; B has three keys more, so that levels 1 and 2
+    pad P0's view with rows whose g0 is 0, inside dom0 or not."""
+    r0 = Relation("A", {"k": rng.permutation(n) + 1,
                         "g0": np.array(dom0, dtype=np.uint64)[
                             rng.integers(0, len(dom0), n)],
                         "v0": rng.integers(0, 99, n)}, "k")
-    r1 = Relation("B", {"k": rng.permutation(keys), "g1": rng.integers(0, d1, n),
-                        "v1": rng.integers(0, 99, n)}, "k")
+    r1 = Relation("B", {"k": rng.permutation(n + 3) + 1,
+                        "g1": rng.integers(0, d1, n + 3),
+                        "v1": rng.integers(0, 99, n + 3)}, "k")
     return r0, r1
 
 
@@ -436,7 +438,7 @@ def test_sorting_ranks_g0_over_a_public_dom0():
     doms = ([7], [0, 1], [3, 9, (1 << 64) - 1], list(range(16)),
             list(range(0, 34, 2)))
     for i, dom0 in enumerate(doms):
-        r0, r1 = _full_join(rng, 12, dom0)
+        r0, r1 = _join_pair(rng, 12, dom0)
         for level in (0, 1, 2):
             v0, v1 = vw.GENERATORS[level](Session(i, 1, 2), r0, r1)
             for aggs in ([(0, "v0", "sum"), (1, None, "count")],
@@ -454,7 +456,7 @@ def test_osorting_sort_phase_rounds_follow_the_packed_width():
     # one mux
     rng = np.random.default_rng(32)
     for n, d0 in ((13, 3), (100, 16), (200, 5)):
-        r0, r1 = _full_join(rng, n, list(range(d0)))
+        r0, r1 = _join_pair(rng, n, list(range(d0)))
         v0, v1 = vw.gen_psiv(Session(1, 2, 3), r0, r1)
         sess = Session(4, 5, 6)
         ga.ga_osorting(sess, v0, v1, JgaQuery("g0", "g1", [(0, "v0", "sum")],
