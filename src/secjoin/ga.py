@@ -39,13 +39,12 @@ import numpy as np
 
 from . import oblivious as ob
 from . import sharing as sh
-from .errors import (DomainTooLarge, MissingColumn, SizeMismatch,
-                     ValueOutsideDomain)
+from .errors import DomainTooLarge, MissingColumn, SizeMismatch
 from .oblivious import AGG_IDENTITY, PlainColumn
 from .ring import ARITH, BINARY
 from .session import Session
 from .sharing import SharedVector
-from .views import real_rows, shared_e
+from .views import check_in_domain, real_rows, shared_e
 
 _U64 = np.uint64
 
@@ -157,16 +156,18 @@ class _Table:
         order = np.argsort(col.values, kind="stable").astype(np.int64) + 1
         return order, col.values[order - 1]
 
-    def domain(self, q: JgaQuery, side: int, cap: int | None = None) -> list:
+    def domain(self, q: JgaQuery, side: int, cap: int | None = None,
+               col=None) -> list:
         """The sorted public domain of a group column ([None] without one).
 
         A plain column must lie inside the domain the query gives: a value
-        outside it raises `ValueOutsideDomain` before any message.
+        outside it raises `ValueOutsideDomain` before any message. `col` is
+        the group column when the caller has already fetched it.
         """
         name, dom = (q.group0, q.dom0) if side == 0 else (q.group1, q.dom1)
         if name is None:
             return [None]
-        col = self.col(side, name)
+        col = self.col(side, name) if col is None else col
         plain = isinstance(col, PlainColumn)
         if dom is None and not plain:
             raise DomainTooLarge("a public domain is required for this "
@@ -174,10 +175,8 @@ class _Table:
         given = dom is not None
         dom = sorted({int(v) for v in (dom if given else col.values)})
         if given and plain:
-            real = col.values[real_rows(self.v1 if side else self.v0)]
-            if not np.isin(real, np.array(dom, np.uint64)).all():
-                raise ValueOutsideDomain(f"{name!r} holds a value outside "
-                                         f"dom{side}")
+            real = real_rows(self.v1 if side else self.v0)
+            check_in_domain(col.values[real], dom, repr(name), f"dom{side}")
         if cap is not None and len(dom) > cap:
             raise DomainTooLarge(f"d{side} = {len(dom)} exceeds {cap}")
         return dom
@@ -194,7 +193,7 @@ class _Table:
         col = self.col(0, q.group0)
         if q.dom0 is None or not isinstance(col, PlainColumn):
             return [col], None
-        dom = np.array(self.domain(q, 0), dtype=np.uint64)
+        dom = np.array(self.domain(q, 0, col=col), dtype=np.uint64)
         width = max(1, (len(dom) - 1).bit_length())
         return [PlainColumn(np.searchsorted(dom, col.values), BINARY, width)], dom
 

@@ -356,9 +356,8 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
     is the least significant key field, which also makes every comparator
     key distinct. The fields are packed by local shifts and XORs into as few
     binary limbs of at most 64 bits as they fit in, so a one-limb key costs
-    a stage one `gt`. Columns of one (flavor, width) ride end to end in one
-    vector and are muxed in one call. Returns (pi, sorted key columns,
-    sorted carry columns) where pi is the gather permutation
+    a stage one `gt` and, per column, one mux. Returns (pi, sorted key
+    columns, sorted carry columns) where pi is the gather permutation
     (sorted_i = input_{pi(i)}) as a binary shared vector of m.bit_length()
     bits.
     """
@@ -388,16 +387,8 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
         for half, src in zip(limbs[li].shares, f.shares):
             half ^= src << _U64(shift)
 
-    stacks, place = {}, []  # (flavor, width) -> its columns, end to end
-    for col in limbs + [pad(c, 0) for c in carry_cols]:
-        blocks = stacks.setdefault((col.flavor, col.width), [])
-        place.append(((col.flavor, col.width), len(blocks)))
-        blocks.append(col)
-    stacks = {kind: SharedVector.concat(b) for kind, b in stacks.items()}
-    offsets = {kind: (np.arange(len(sv) // m) * m)[:, None]
-               for kind, sv in stacks.items()}
-
-    rows, h = np.arange(m), m // 2
+    cols = limbs + [pad(c, 0) for c in carry_cols]
+    rows = np.arange(m)
     k = 2
     while k <= m:
         j = k // 2
@@ -405,26 +396,18 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             left = rows[(rows & j) == 0]  # each comparator's lower row
             right = left | j
             desc = ((left & k) != 0).astype(np.uint64)
-            pairs = {}
-            for kind, sv in stacks.items():
-                off = offsets[kind]
-                li, ri = (left + off).ravel(), (right + off).ravel()
-                pairs[kind] = (li, ri, sv.gather(li), sv.gather(ri))
-            a_key, b_key = ([pairs[kind][side].slice(t * h, (t + 1) * h)
-                             for kind, t in place[:len(limbs)]]
-                            for side in (2, 3))
-            swap = sh.xor_public(_multi_limb_gt(sess, a_key, b_key), desc)
-            for kind, (li, ri, va, vb) in pairs.items():
-                sel = swap.map(lambda a, c=len(li) // h: np.tile(a, c))
-                new_a = sh.mux(sess, sel, vb, va)
+            pairs = [(c.gather(left), c.gather(right)) for c in cols]
+            swap = sh.xor_public(
+                _multi_limb_gt(sess, *zip(*pairs[:len(limbs)])), desc)
+            for c, (va, vb) in zip(cols, pairs):
+                new_a = sh.mux(sess, swap, vb, va)
                 new_b = sh.sub(sh.add(va, vb), new_a)  # the pair keeps its sum
-                for half, a, b in zip(stacks[kind].shares, new_a.shares,
-                                      new_b.shares):
-                    half[li], half[ri] = a, b
+                for half, a, b in zip(c.shares, new_a.shares, new_b.shares):
+                    half[left], half[right] = a, b
             j //= 2
         k *= 2
 
-    out = [stacks[kind].slice(t * m, t * m + n) for kind, t in place]
+    out = [c.slice(0, n) for c in cols]
     unpacked = [out[li].map(lambda a, s=_U64(shift), w=width_mask(f.width):
                             (a >> s) & w, f.width)
                 for f, (li, shift) in zip(fields, layout)]

@@ -154,6 +154,13 @@ def real_rows(view) -> np.ndarray:
     return keys < _U64(SENTINEL[0])
 
 
+def check_in_domain(values: np.ndarray, dom, what: str,
+                    dom_name: str = "its domain") -> None:
+    """Raise `ValueOutsideDomain` unless every value lies in `dom`."""
+    if not np.isin(values, np.array(dom, dtype=np.uint64)).all():
+        raise ValueOutsideDomain(f"{what} holds a value outside {dom_name}")
+
+
 # ---------------------------------------------------------------------------
 # PK-PK generation
 # ---------------------------------------------------------------------------
@@ -321,9 +328,7 @@ def append_bitmap_columns(rel: Relation, col: str, domain) -> Relation:
     dom = sorted(int(v) for v in set(domain))
     cols = dict(rel.columns)
     base = rel.columns[col]
-    if not np.isin(base, np.array(dom, dtype=np.uint64)).all():
-        raise ValueOutsideDomain(f"{rel.name}.{col} holds a value outside "
-                                 "its domain")
+    check_in_domain(base, dom, f"{rel.name}.{col}")
     for j, val in enumerate(dom):
         cols[f"__bm:{col}:{j}"] = (base == np.uint64(val)).astype(np.uint64)
     return Relation(rel.name, cols, rel.key, rel.key_kind)
