@@ -478,11 +478,7 @@ def trav_flags(sess: Session, flags: SharedVector, values: SharedVector,
         shift_idx = np.maximum(np.arange(n) - s, 0)
         prev_vals = vals.gather(shift_idx)
         combined = _agg_combine(sess, agg, prev_vals, vals)
-        if vals.flavor == ARITH:
-            run_a = sh.b2a(sess, run)
-            vals = sh.mux_arith(sess, run_a, combined, vals)
-        else:
-            vals = sh.mux(sess, run, combined, vals)
+        vals = sh.mux(sess, run, combined, vals)
         if validity is not None:
             prev_t = validity.gather(shift_idx)
             both = sh.or_bits(sess, validity, prev_t)

@@ -362,12 +362,6 @@ def mux(sess: Session, f: SharedVector, x: SharedVector, y: SharedVector) -> Sha
     return add(y, mul(sess, fa, sub(x, y)))
 
 
-def mux_arith(sess: Session, fa: SharedVector, x: SharedVector,
-              y: SharedVector) -> SharedVector:
-    """Mux with an already-converted arithmetic 0/1 selector."""
-    return add(y, mul(sess, fa, sub(x, y)))
-
-
 def asym_mul(sess: Session, f_holder: int, f_bits: np.ndarray, x_vals: np.ndarray,
              flavor: str = ARITH, width: int = 64) -> SharedVector:
     """f ? x : 0 where one party holds the bit f, the other holds x.
