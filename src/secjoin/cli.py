@@ -118,9 +118,7 @@ def cmd_query(args) -> int:
     p0, p1 = _view_paths(args.views)
     v0, v1 = store.load_view(p0), store.load_view(p1)
     if join == "pkfk":
-        import hashlib
-        want = hashlib.sha256((r0.key_hash() + r1.key_hash()).encode()).hexdigest()
-        if v0.base_key_hash != want:
+        if v0.base_key_hash != vw.pkfk_key_hash(r0, r1):
             raise ViewStale("stored view no longer matches the base tables")
     else:
         if v0.base_key_hash != r0.key_hash() or v1.base_key_hash != r1.key_hash():

@@ -334,6 +334,12 @@ def append_bitmap_columns(rel: Relation, col: str, domain) -> Relation:
     return Relation(rel.name, cols, rel.key, rel.key_kind)
 
 
+def pkfk_key_hash(r0: Relation, r1: Relation) -> str:
+    """The base-key hash a PK-FK view records: one hash over both tables'
+    join keys, checked against the tables before a stored view is queried."""
+    return hashlib.sha256((r0.key_hash() + r1.key_hash()).encode()).hexdigest()
+
+
 def _fk_counters(keys: np.ndarray) -> np.ndarray:
     """Each row's 1-based occurrence number among the rows with its key."""
     order = np.argsort(keys, kind="stable")
@@ -437,8 +443,7 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
         e_fin, _ = ob.trav_flags(sess, e_flags, e_sw, ob.AGG_XOR)
         j0_fin = {c: dup.slice(i * n, (i + 1) * n) for i, c in enumerate(names)}
 
-    base_hash = hashlib.sha256(
-        (r0.key_hash() + r1.key_hash()).encode()).hexdigest()
+    base_hash = pkfk_key_hash(r0, r1)
     view0 = PkFkView(
         party=0, level=-1, key_col0=r0.key, key_col1=r1.key, n=n,
         pi=pi0_m, sigma=None, e_half=e_fin.shares[0].copy(),
