@@ -418,29 +418,13 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
 # oblivious traversal (segmented running aggregate)
 # ---------------------------------------------------------------------------
 
-def adjacent_same_flags(sess: Session, limbs: list[SharedVector],
-                        plain_flags: np.ndarray | None = None,
-                        plain_holder: int = 1) -> SharedVector:
-    """1-bit flags c with c_i = 1 iff row i has the same key as row i-1.
-
-    `plain_flags`, when given, is one party's locally computed same-key
-    indicator that gets shared and ANDed in (used when part of the key is
-    plaintext on one side).
-    """
-    n = len(limbs[0]) if limbs else len(plain_flags)
+def adjacent_same_flags(sess: Session, limbs: list[SharedVector]) -> SharedVector:
+    """1-bit flags c with c_i = 1 iff row i has the same key limbs as row i-1."""
+    n = len(limbs[0])
     acc = None
     for limb in limbs:
-        prev = limb.gather(np.maximum(np.arange(n) - 1, 0))
-        if limb.width == 1:
-            same = sh.not_bits(sh.xor(limb, prev))
-        else:
-            same = sh.eq(sess, limb, prev)
+        same = sh.eq(sess, limb, limb.gather(np.maximum(np.arange(n) - 1, 0)))
         acc = same if acc is None else sh.and_bits(sess, acc, same)
-    if plain_flags is not None:
-        shared = sh.share_vec(sess, plain_holder, plain_flags, BINARY, 1)
-        acc = shared if acc is None else sh.and_bits(sess, acc, shared)
-    if acc is None:
-        raise SizeMismatch("adjacent_same_flags needs at least one key source")
     # first row starts its own group
     first = np.zeros(n, dtype=np.uint64)
     first[0] = 1

@@ -437,7 +437,7 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
             kk = j1[r1.key]
             same[1:] = (kk[1:] == kk[:-1]).astype(np.uint64)
         flags_plain = np.tile(same, reps)  # copy starts carry 0: scans restart
-        flags = ob.adjacent_same_flags(sess, [], flags_plain, plain_holder=1)
+        flags = sh.share_vec(sess, 1, flags_plain, BINARY, 1)
         e_flags = flags.slice(0, n)
         dup, _ = ob.trav_flags(sess, flags, stacked, ob.AGG_SUM)
         e_fin, _ = ob.trav_flags(sess, e_flags, e_sw, ob.AGG_XOR)
