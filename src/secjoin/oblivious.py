@@ -324,18 +324,6 @@ def per_gen(sess: Session, v: SharedVector) -> SharedVector:
 # stable sort (bitonic network)
 # ---------------------------------------------------------------------------
 
-def _multi_limb_gt(sess: Session, a_limbs, b_limbs) -> SharedVector:
-    """Strict greater-than over most-significant-first limb lists; the last
-    limb's equality is never read, so it is never computed."""
-    gt_acc, eq_acc = sh.gt(sess, a_limbs[0], b_limbs[0]), None
-    for i in range(1, len(a_limbs)):
-        e = sh.eq(sess, a_limbs[i - 1], b_limbs[i - 1])
-        eq_acc = e if eq_acc is None else sh.and_bits(sess, eq_acc, e)
-        g = sh.gt(sess, a_limbs[i], b_limbs[i])
-        gt_acc = sh.xor(gt_acc, sh.and_bits(sess, eq_acc, g))
-    return gt_acc
-
-
 def _pack_layout(widths: list[int]):
     """Limb widths, and each field's (limb, shift), for fields packed most
     significant first, greedily, into binary limbs of at most 64 bits."""
@@ -398,7 +386,7 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             desc = ((left & k) != 0).astype(np.uint64)
             pairs = [(c.gather(left), c.gather(right)) for c in cols]
             swap = sh.xor_public(
-                _multi_limb_gt(sess, *zip(*pairs[:len(limbs)])), desc)
+                sh.gt_limbs(sess, *zip(*pairs[:len(limbs)])), desc)
             for c, (va, vb) in zip(cols, pairs):
                 new_a = sh.mux(sess, swap, vb, va)
                 new_b = sh.sub(sh.add(va, vb), new_a)  # the pair keeps its sum

@@ -8,14 +8,16 @@ session so the transcript stays faithful.
 
 Gate costs: mul/AND burn one Beaver triple per element (per bit for packed
 binary) and one exchange round; add/XOR are local; conversions use dealer
-daBits/edaBits; eq/gt are log-width AND trees.
+daBits/edaBits. One log-depth prefix over (generate, propagate) bit pairs,
+`_prefix`, is the circuit behind eq, gt, the multi-limb gt_limbs and the
+carries of a2b: each of its levels is one exchange.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import FlavorMismatch, SizeMismatch, WidthMismatch
-from .ring import ARITH, BINARY, MASK, as_ring, combine, uncombine, width_mask
+from .ring import ARITH, BINARY, as_ring, combine, uncombine, width_mask
 from .session import Session
 
 _U64 = np.uint64
@@ -173,8 +175,14 @@ def replicate_bit(f: SharedVector, width: int) -> SharedVector:
 
 
 def _shl(x: SharedVector, s: int) -> SharedVector:
-    s = _U64(s)
-    return x.map(lambda a: a << s)
+    """x shifted s bits up, its vacated low bits zero and its width kept."""
+    s, m = _U64(s), width_mask(x.width)
+    return x.map(lambda a: (a << s) & m)
+
+
+def _top(x: SharedVector) -> SharedVector:
+    """The top bit of x as a 1-bit share (local)."""
+    return x.map(lambda a: (a >> _U64(x.width - 1)) & _U64(1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +214,8 @@ def _and_bin(sess: Session, x: SharedVector,
              ys: list[SharedVector]) -> list[SharedVector]:
     """x AND y for every y in ys: one triple draw and one exchange for all."""
     n, w, k = len(x), x.width, len(ys)
+    if n == 0:
+        return [x.copy() for _ in ys]
     (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_bin(k * n, w)
     de = []  # each party's (d, e) half: x ^ a per y, then every y ^ b
     for half, (a, b) in enumerate(((a0, b0), (a1, b1))):
@@ -275,7 +285,7 @@ def b2a_wide(sess: Session, x: SharedVector) -> SharedVector:
 
 
 def a2b(sess: Session, x: SharedVector) -> SharedVector:
-    """Arithmetic share -> packed 64-bit binary share (A2B)."""
+    """Arithmetic share -> packed 64-bit binary share (A2B): 7 rounds."""
     if x.flavor != ARITH:
         raise FlavorMismatch("a2b expects arithmetic shares")
     n = len(x)
@@ -285,65 +295,96 @@ def a2b(sess: Session, x: SharedVector) -> SharedVector:
     m0, m1 = x.shares[0] - ra0, x.shares[1] - ra1
     at0, at1 = sess.exchange(m0, m1, 64 * n, 64 * n)
     c0, c1 = m0 + at0, m1 + at1  # public x - r per party view
-    # Result = binary share of c + r: Kogge-Stone carries for a public addend,
-    # generate = c AND r (local), propagate = c XOR r (local).
-    g = SharedVector(BINARY, 64, c0 & rb0, c1 & rb1)
+    # Result = binary share of c + r for a public addend c: generate =
+    # c AND r and propagate = c XOR r are local, and the prefix's generate
+    # bits are the carries out of each bit.
     p = SharedVector(BINARY, 64, c0 ^ rb0, rb1.copy())
-    p_run = p
-    for k in range(6):
-        g = xor(g, and_bits(sess, p_run, _shl(g, 1 << k)))
-        p_run = and_bits(sess, p_run, _shl(p_run, 1 << k))
+    g, _ = _prefix(sess, SharedVector(BINARY, 64, c0 & rb0, c1 & rb1), p, 64,
+                   False)
     return xor(p, _shl(g, 1))
 
 
+def _prefix(sess: Session, g: SharedVector | None, p: SharedVector, w: int,
+            top_p: bool) -> tuple[SharedVector | None, SharedVector]:
+    """Log-depth prefix over w (generate, propagate) bit pairs.
+
+    Level s joins each bit's pair with the pair s bits below it by
+    (g, p) o (g', p') = (g ^ p & g', p & p'), so that afterwards bit i holds
+    the pair of bits i down to 0. A level is one exchange: both of its ANDs
+    read the same p. The shifted g reads zeros in its vacated low bits and
+    the shifted p reads ones (party 0 ORs them into its half), so p's top
+    bit is the AND of exactly w bits at any width. With g None only p runs;
+    without `top_p` the last level skips p, whose top bit is then stale.
+    """
+    s = 1
+    while s < w:
+        ys = [] if g is None else [_shl(g, s)]
+        if top_p or 2 * s < w:
+            shifted = _shl(p, s)
+            shifted.shares[0][:] |= width_mask(s)
+            ys.append(shifted)
+        ands = _and_bin(sess, p, ys)
+        if g is not None:
+            g = xor(g, ands.pop(0))
+        p = ands[0] if ands else p
+        s *= 2
+    return g, p
+
+
 def eq(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
-    """Equality indicator as a 1-bit binary share (log-width AND tree)."""
+    """Equality indicator as a 1-bit binary share: the prefix over the
+    propagate bits NOT(x ^ y) alone, ceil(log2 w) rounds."""
     if x.width != y.width:
         raise WidthMismatch(f"{x.width} vs {y.width}")
     if x.flavor == ARITH:
         x, y = a2b(sess, x), a2b(sess, y)
-    t = xor(x, y)
-    return _is_zero_bits(sess, t)
+    _, p = _prefix(sess, None, not_bits(xor(x, y)), x.width, True)
+    return _top(p)
 
 
-def _is_zero_bits(sess: Session, t: SharedVector) -> SharedVector:
-    """AND-reduce NOT(bit) over the width; 1-bit result."""
-    w = t.width
-    # pad unused high bits of the NOT with ones so they don't break the AND
-    t = not_bits(SharedVector(BINARY, 64, *t.shares))
-    s = 1
-    while s < w:
-        shifted = t.map(lambda a: a >> _U64(s))
-        head = shifted.shares[0]  # party 0 refills the vacated top bits
-        head |= MASK << _U64(64 - s)
-        t = and_bits(sess, t, shifted)
-        s *= 2
-    return t.map(lambda a: a & _U64(1), 1)
-
-
-def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
-    """Unsigned x > y as a 1-bit binary share (bitwise compare tree).
-
-    Both ANDs of a prefix level read the previous level's eq_bits, so they
-    share one exchange: 1 + ceil(log2 w) rounds in all.
-    """
+def _gt_eq(sess: Session, x: SharedVector, y: SharedVector,
+           with_eq: bool) -> tuple[SharedVector, SharedVector]:
+    """(x > y, x == y) as 1-bit shares from one prefix over the generate
+    bits x AND NOT y and the propagate bits NOT(x ^ y); the equality is
+    stale unless `with_eq`."""
     if x.flavor == ARITH:
         x = a2b(sess, x)
     if y.flavor == ARITH:
         y = a2b(sess, y)
     if x.width != y.width:
         raise WidthMismatch(f"{x.width} vs {y.width}")
-    w = x.width
-    gt_bits = and_bits(sess, x, not_bits(y))
-    eq_bits = not_bits(xor(x, y))
-    s = 1
-    while s < w:
-        rights = [_shl(gt_bits, s)] + ([_shl(eq_bits, s)] if 2 * s < w else [])
-        carry, *eq_next = _and_bin(sess, eq_bits, rights)
-        gt_bits = xor(gt_bits, carry)
-        eq_bits = eq_next[0] if eq_next else eq_bits
-        s *= 2
-    return gt_bits.map(lambda a: (a >> _U64(w - 1)) & _U64(1), 1)
+    g, p = _prefix(sess, and_bits(sess, x, not_bits(y)), not_bits(xor(x, y)),
+                   x.width, with_eq)
+    return _top(g), _top(p)
+
+
+def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
+    """Unsigned x > y as a 1-bit binary share: the top generate bit of the
+    prefix, 1 + ceil(log2 w) rounds."""
+    return _gt_eq(sess, x, y, False)[0]
+
+
+def gt_limbs(sess: Session, xs: list[SharedVector],
+             ys: list[SharedVector]) -> SharedVector:
+    """x > y in the lexicographic order of most-significant-first limb lists.
+
+    Each limb's (gt, eq) pair comes from one prefix tree; the last limb's
+    equality is never read, so it is never computed. Limb i's pair then
+    sits at bit k - 1 - i of k-bit pairs, and one more prefix over those k
+    bits folds the limbs by the same rule, in ceil(log2 k) rounds.
+    """
+    k = len(xs)
+    pairs = [_gt_eq(sess, x, y, i < k - 1)
+             for i, (x, y) in enumerate(zip(xs, ys))]
+
+    def stack(bits):  # limb i's bit at position k - 1 - i
+        return SharedVector(BINARY, k, *(
+            sum(b.shares[h] << _U64(k - 1 - i) for i, b in enumerate(bits))
+            for h in (0, 1)))
+
+    gts, eqs = zip(*pairs)
+    g, _ = _prefix(sess, stack(gts), stack(eqs), k, False)
+    return _top(g)
 
 
 def mux(sess: Session, f: SharedVector, x: SharedVector, y: SharedVector) -> SharedVector:

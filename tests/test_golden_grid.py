@@ -114,255 +114,255 @@ def dom0_cells(level) -> dict[str, str]:
 
 GOLDEN = {
     "pkpk-l0-view": "6a0997a0cb14d258",
-    "pkpk-l0-sorting-g0g1-sums": "faeac6ec5841be8e",
-    "pkpk-l0-sorting-g0g1-extremes": "416cec42fb2d866d",
-    "pkpk-l0-sorting-g0-sums": "37d2084d225283d4",
-    "pkpk-l0-sorting-g0-extremes": "6ceeecaa30ebcfbd",
-    "pkpk-l0-sorting-g1-sums": "d29ef200fd3c7054",
-    "pkpk-l0-sorting-g1-extremes": "61d305a6066496d5",
-    "pkpk-l0-osorting-g0g1-sums": "e2efe85c2871eb25",
-    "pkpk-l0-osorting-g0g1-extremes": "fae4c35999f5b28f",
-    "pkpk-l0-osorting-g0-sums": "51b1cad69849a7fb",
-    "pkpk-l0-osorting-g0-extremes": "acaaf295c91b75b6",
-    "pkpk-l0-osorting-g1-sums": "55e200420b555f9e",
-    "pkpk-l0-osorting-g1-extremes": "6993da57bf3d2ac9",
-    "pkpk-l0-bsorting-g0g1-sums": "fa225aedd0ac107b",
-    "pkpk-l0-bsorting-g0g1-extremes": "ec75f45dae3b6d79",
-    "pkpk-l0-bsorting-g0-sums": "a9df23151ed004bc",
-    "pkpk-l0-bsorting-g0-extremes": "92517488b2835304",
-    "pkpk-l0-bsorting-g1-sums": "3559ea01918e8169",
-    "pkpk-l0-bsorting-g1-extremes": "72488754e4a3018e",
+    "pkpk-l0-sorting-g0g1-sums": "ab242218bb59660e",
+    "pkpk-l0-sorting-g0g1-extremes": "d2501be1cf8120ec",
+    "pkpk-l0-sorting-g0-sums": "afa66b87f251e5df",
+    "pkpk-l0-sorting-g0-extremes": "d96c3842825d65c9",
+    "pkpk-l0-sorting-g1-sums": "382e13c630b71bf1",
+    "pkpk-l0-sorting-g1-extremes": "9c1a0ad72349d0e1",
+    "pkpk-l0-osorting-g0g1-sums": "6392783176f9ebb6",
+    "pkpk-l0-osorting-g0g1-extremes": "fed4457263438ff8",
+    "pkpk-l0-osorting-g0-sums": "f8988f897e9ed90f",
+    "pkpk-l0-osorting-g0-extremes": "eddbf04535f95ba1",
+    "pkpk-l0-osorting-g1-sums": "4eb7006844cb7cef",
+    "pkpk-l0-osorting-g1-extremes": "ee0c735fc7d81c5c",
+    "pkpk-l0-bsorting-g0g1-sums": "e0741151cf354617",
+    "pkpk-l0-bsorting-g0g1-extremes": "3ea348c6c9a665fd",
+    "pkpk-l0-bsorting-g0-sums": "ab23b9630841d8ec",
+    "pkpk-l0-bsorting-g0-extremes": "34b13772d2e95bb5",
+    "pkpk-l0-bsorting-g1-sums": "348271a55230d0bc",
+    "pkpk-l0-bsorting-g1-extremes": "80717100545e8831",
     "pkpk-l0-mix-g0g1-sums": "27e716ea3a593c1f",
-    "pkpk-l0-mix-g0g1-extremes": "23dc3d19d26ac83d",
+    "pkpk-l0-mix-g0g1-extremes": "c2f2fbb2c554943c",
     "pkpk-l0-mix-g0-sums": "e6e4ff918dd60cbc",
-    "pkpk-l0-mix-g0-extremes": "179d18df01ad00c5",
+    "pkpk-l0-mix-g0-extremes": "57f3fd5c9b9336b9",
     "pkpk-l0-mix-g1-sums": "9f125a56d8fee3f8",
-    "pkpk-l0-mix-g1-extremes": "e69ad7ad5e58e470",
+    "pkpk-l0-mix-g1-extremes": "9047560338bcbc8f",
     "pkpk-l0-bitmap-g0g1-sums": "2c458255175dda0e",
-    "pkpk-l0-bitmap-g0g1-extremes": "2938faa087b7c7fe",
+    "pkpk-l0-bitmap-g0g1-extremes": "e3e7efef73c28dd0",
     "pkpk-l0-bitmap-g0-sums": "5da063a5be8eb914",
-    "pkpk-l0-bitmap-g0-extremes": "922d1714ebc0d125",
+    "pkpk-l0-bitmap-g0-extremes": "7a35a00033908a8a",
     "pkpk-l0-bitmap-g1-sums": "25da8044ad337382",
-    "pkpk-l0-bitmap-g1-extremes": "2fd33a4828b40f48",
+    "pkpk-l0-bitmap-g1-extremes": "d541284dea9b7131",
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l0-oneside-g0-sums": "b10715b850812f12",
-    "pkpk-l0-oneside-g0-extremes": "c9de4b17f922abf9",
+    "pkpk-l0-oneside-g0-extremes": "9ebfeef8ef5f67f2",
     "pkpk-l0-oneside-g1-sums": "2c1c8bc5f0da6f12",
-    "pkpk-l0-oneside-g1-extremes": "7a952006ac4d60b0",
-    "pkpk-l1-view": "9db97b1f326b284b",
-    "pkpk-l1-sorting-g0g1-sums": "edc97e7c5bb5a4cc",
-    "pkpk-l1-sorting-g0g1-extremes": "066046ce8866aa5c",
-    "pkpk-l1-sorting-g0-sums": "5cd2116e4a275f0f",
-    "pkpk-l1-sorting-g0-extremes": "b4af7df0348afaeb",
-    "pkpk-l1-sorting-g1-sums": "58d982710d94fabf",
-    "pkpk-l1-sorting-g1-extremes": "2806e65f2dd9f6db",
-    "pkpk-l1-osorting-g0g1-sums": "698cefa1b018daa4",
-    "pkpk-l1-osorting-g0g1-extremes": "8cc4746252bc0692",
-    "pkpk-l1-osorting-g0-sums": "6f152479ed058d46",
-    "pkpk-l1-osorting-g0-extremes": "16159d795d9903bc",
-    "pkpk-l1-osorting-g1-sums": "60f4b92e716b0b5f",
-    "pkpk-l1-osorting-g1-extremes": "97c1f815cd42ea18",
-    "pkpk-l1-bsorting-g0g1-sums": "d520f6db261fc4d8",
-    "pkpk-l1-bsorting-g0g1-extremes": "cd9eb951659142db",
-    "pkpk-l1-bsorting-g0-sums": "e4513accbafe4bd8",
-    "pkpk-l1-bsorting-g0-extremes": "1408a17e365a041a",
-    "pkpk-l1-bsorting-g1-sums": "454dfadedd2d29e3",
-    "pkpk-l1-bsorting-g1-extremes": "8207758902acb455",
-    "pkpk-l1-mix-g0g1-sums": "fe78612fac7f9234",
-    "pkpk-l1-mix-g0g1-extremes": "b63756f672021af0",
-    "pkpk-l1-mix-g0-sums": "b21b7acbb67def61",
-    "pkpk-l1-mix-g0-extremes": "bf24c943700103f0",
-    "pkpk-l1-mix-g1-sums": "2f8c719fe0f6e30a",
-    "pkpk-l1-mix-g1-extremes": "e494d9a3234df19a",
-    "pkpk-l1-bitmap-g0g1-sums": "c87c3c95045e94b9",
-    "pkpk-l1-bitmap-g0g1-extremes": "14f47690635beec4",
-    "pkpk-l1-bitmap-g0-sums": "2c6ecebd9cf457cc",
-    "pkpk-l1-bitmap-g0-extremes": "10e7e7f54117f928",
-    "pkpk-l1-bitmap-g1-sums": "a86c3ddd068cd1ca",
-    "pkpk-l1-bitmap-g1-extremes": "94c8e370d0283754",
+    "pkpk-l0-oneside-g1-extremes": "8d348425a4fb2fc3",
+    "pkpk-l1-view": "92ff09382cbf5f1b",
+    "pkpk-l1-sorting-g0g1-sums": "55624122a506765d",
+    "pkpk-l1-sorting-g0g1-extremes": "faaee1afe23849c2",
+    "pkpk-l1-sorting-g0-sums": "53d0223085d4b57b",
+    "pkpk-l1-sorting-g0-extremes": "e04743a6fdbdfc4d",
+    "pkpk-l1-sorting-g1-sums": "9a00445f2f2f1839",
+    "pkpk-l1-sorting-g1-extremes": "c3e02024fbb9ea8d",
+    "pkpk-l1-osorting-g0g1-sums": "02e41b037c2684b1",
+    "pkpk-l1-osorting-g0g1-extremes": "88502ff2f7ed54f6",
+    "pkpk-l1-osorting-g0-sums": "f12d802dc7d9a69b",
+    "pkpk-l1-osorting-g0-extremes": "d61241d6192e3307",
+    "pkpk-l1-osorting-g1-sums": "1c3dad71a21dc377",
+    "pkpk-l1-osorting-g1-extremes": "bb33c92eb50c169c",
+    "pkpk-l1-bsorting-g0g1-sums": "1983318ef42a040d",
+    "pkpk-l1-bsorting-g0g1-extremes": "fb20c7b02469ca7a",
+    "pkpk-l1-bsorting-g0-sums": "0266b43027c46e4c",
+    "pkpk-l1-bsorting-g0-extremes": "bf00db30aa914234",
+    "pkpk-l1-bsorting-g1-sums": "b2e01b56909f1c3e",
+    "pkpk-l1-bsorting-g1-extremes": "7fb047e5e433ea4f",
+    "pkpk-l1-mix-g0g1-sums": "7c7cf9475472ce29",
+    "pkpk-l1-mix-g0g1-extremes": "4113ddfe1b11f390",
+    "pkpk-l1-mix-g0-sums": "c6eaed7de5647bf7",
+    "pkpk-l1-mix-g0-extremes": "c0f13b4c6ca265ee",
+    "pkpk-l1-mix-g1-sums": "a700d4552d65ea39",
+    "pkpk-l1-mix-g1-extremes": "e485730ea5dab218",
+    "pkpk-l1-bitmap-g0g1-sums": "1bd159cbc8492cd7",
+    "pkpk-l1-bitmap-g0g1-extremes": "3db9866885b6a3c3",
+    "pkpk-l1-bitmap-g0-sums": "be52e04bc833fdd4",
+    "pkpk-l1-bitmap-g0-extremes": "d5a392a1dde43d39",
+    "pkpk-l1-bitmap-g1-sums": "202269a3923ae791",
+    "pkpk-l1-bitmap-g1-extremes": "d174db993033224f",
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l1-oneside-g0-sums": "b6cd4143458b0231",
-    "pkpk-l1-oneside-g0-extremes": "f60010f1e6457331",
-    "pkpk-l1-oneside-g1-sums": "0766b89da3ac36fa",
-    "pkpk-l1-oneside-g1-extremes": "8e7a77b18016324d",
+    "pkpk-l1-oneside-g0-sums": "1a18d1d00194a311",
+    "pkpk-l1-oneside-g0-extremes": "40f9073acb21ade6",
+    "pkpk-l1-oneside-g1-sums": "66fe69174b8947c6",
+    "pkpk-l1-oneside-g1-extremes": "fa59540eafa3a94d",
     "pkpk-l2-view": "9af3687269ebea0c",
-    "pkpk-l2-sorting-g0g1-sums": "049c2dc9eb230f3b",
-    "pkpk-l2-sorting-g0g1-extremes": "16deebf55347599e",
-    "pkpk-l2-sorting-g0-sums": "83cd58594613b572",
-    "pkpk-l2-sorting-g0-extremes": "4bdd16dbfecb6bd7",
-    "pkpk-l2-sorting-g1-sums": "00cbcc400d14bbce",
-    "pkpk-l2-sorting-g1-extremes": "d2c65df5e8e86a71",
-    "pkpk-l2-osorting-g0g1-sums": "c25e98df2774399d",
-    "pkpk-l2-osorting-g0g1-extremes": "2a714e95260ef1a4",
-    "pkpk-l2-osorting-g0-sums": "bbcb7ef67a77c942",
-    "pkpk-l2-osorting-g0-extremes": "c79dddb305fd93d7",
-    "pkpk-l2-osorting-g1-sums": "29f5c517ed4e9152",
-    "pkpk-l2-osorting-g1-extremes": "4272abf45b26ac53",
-    "pkpk-l2-bsorting-g0g1-sums": "64958c5372b900b7",
-    "pkpk-l2-bsorting-g0g1-extremes": "4b8939a83465c801",
-    "pkpk-l2-bsorting-g0-sums": "2631a34c7f13a76c",
-    "pkpk-l2-bsorting-g0-extremes": "094adcf07578b575",
-    "pkpk-l2-bsorting-g1-sums": "92b585754935e767",
-    "pkpk-l2-bsorting-g1-extremes": "92ae2fbd80d73685",
+    "pkpk-l2-sorting-g0g1-sums": "8de81fb19a88b554",
+    "pkpk-l2-sorting-g0g1-extremes": "4fd59966025aa68d",
+    "pkpk-l2-sorting-g0-sums": "6be9f3195a85c63e",
+    "pkpk-l2-sorting-g0-extremes": "5fc4a305fcc10e2f",
+    "pkpk-l2-sorting-g1-sums": "c38588d1e96ead32",
+    "pkpk-l2-sorting-g1-extremes": "593154354ac58df4",
+    "pkpk-l2-osorting-g0g1-sums": "8aa3ed7ef0a0fbec",
+    "pkpk-l2-osorting-g0g1-extremes": "3d8ddb7455072950",
+    "pkpk-l2-osorting-g0-sums": "c0748bcb98e4f329",
+    "pkpk-l2-osorting-g0-extremes": "a95a43c5f7defe6a",
+    "pkpk-l2-osorting-g1-sums": "4c0b5a9e1a27be68",
+    "pkpk-l2-osorting-g1-extremes": "a19d011fa825a674",
+    "pkpk-l2-bsorting-g0g1-sums": "90d7bb56214c81b9",
+    "pkpk-l2-bsorting-g0g1-extremes": "2a3f7b82bfcf7272",
+    "pkpk-l2-bsorting-g0-sums": "49ed2627ab0fc8e3",
+    "pkpk-l2-bsorting-g0-extremes": "7e3b08853db42f33",
+    "pkpk-l2-bsorting-g1-sums": "b18e92b6b46cd962",
+    "pkpk-l2-bsorting-g1-extremes": "d480077f8073f0d0",
     "pkpk-l2-mix-g0g1-sums": "a5deeb4135c29618",
-    "pkpk-l2-mix-g0g1-extremes": "b73604d4b503cebd",
+    "pkpk-l2-mix-g0g1-extremes": "de6b94f9ffc725fe",
     "pkpk-l2-mix-g0-sums": "8e9f0ed819431163",
-    "pkpk-l2-mix-g0-extremes": "6b9061f2e3627fa3",
+    "pkpk-l2-mix-g0-extremes": "3fa3c5123ad4201f",
     "pkpk-l2-mix-g1-sums": "0cd27a05aea75062",
-    "pkpk-l2-mix-g1-extremes": "47a2e0ecb6f7c7bf",
+    "pkpk-l2-mix-g1-extremes": "49b5032a3ec088e5",
     "pkpk-l2-bitmap-g0g1-sums": "4f36bde88daebc6e",
-    "pkpk-l2-bitmap-g0g1-extremes": "5dd09a872e83414b",
+    "pkpk-l2-bitmap-g0g1-extremes": "8db6318c78d43a17",
     "pkpk-l2-bitmap-g0-sums": "c42582fccb5cb0d1",
-    "pkpk-l2-bitmap-g0-extremes": "ff1838ae4eedf423",
+    "pkpk-l2-bitmap-g0-extremes": "b30f2b7cc748e528",
     "pkpk-l2-bitmap-g1-sums": "22970b5f3734d0d2",
-    "pkpk-l2-bitmap-g1-extremes": "af9160df16d24a2c",
+    "pkpk-l2-bitmap-g1-extremes": "d9c6cad64a17eb95",
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l2-oneside-g0-sums": "80e5c7d6484a7f23",
-    "pkpk-l2-oneside-g0-extremes": "85f52296bbe037f6",
+    "pkpk-l2-oneside-g0-extremes": "061348b73d9c9e90",
     "pkpk-l2-oneside-g1-sums": "8168202e678455fb",
-    "pkpk-l2-oneside-g1-extremes": "794566615cf4d1e9",
+    "pkpk-l2-oneside-g1-extremes": "ce97d4759fcfd4ae",
     "pkfk-l0-view": "162aa1009ae9b3d3",
-    "pkfk-l0-sorting-g0g1-sums": "27d6462e8a11b9a5",
-    "pkfk-l0-sorting-g0g1-extremes": "84515a456842a2a2",
-    "pkfk-l0-sorting-g0-sums": "64e75001887a25a1",
-    "pkfk-l0-sorting-g0-extremes": "b11d99034c615976",
-    "pkfk-l0-sorting-g1-sums": "20a018a5fa08ceee",
-    "pkfk-l0-sorting-g1-extremes": "6dc23609cb7fe18a",
-    "pkfk-l0-osorting-g0g1-sums": "1cb9dc74d3978b6d",
-    "pkfk-l0-osorting-g0g1-extremes": "7f0159d8e3354b20",
-    "pkfk-l0-osorting-g0-sums": "5319e97863b253a9",
-    "pkfk-l0-osorting-g0-extremes": "4604385abf0a1690",
-    "pkfk-l0-osorting-g1-sums": "884908b81d4d46bf",
-    "pkfk-l0-osorting-g1-extremes": "d80ccbeec8309919",
-    "pkfk-l0-bsorting-g0g1-sums": "cb922ab64c58d52e",
-    "pkfk-l0-bsorting-g0g1-extremes": "00c5da24192c7436",
-    "pkfk-l0-bsorting-g0-sums": "eaf040ac7bf6d476",
-    "pkfk-l0-bsorting-g0-extremes": "f3d493a631c4336e",
-    "pkfk-l0-bsorting-g1-sums": "1d41c5a7bf174733",
-    "pkfk-l0-bsorting-g1-extremes": "4d4891317396e356",
-    "pkfk-l0-mix-g0g1-sums": "f3b23e0f8688e85d",
-    "pkfk-l0-mix-g0g1-extremes": "ecaa5319bc081e65",
-    "pkfk-l0-mix-g0-sums": "c6cb84f16a1aba94",
-    "pkfk-l0-mix-g0-extremes": "0916b6d3d2293097",
+    "pkfk-l0-sorting-g0g1-sums": "5519bcf3fb62c8d5",
+    "pkfk-l0-sorting-g0g1-extremes": "ba5eb92ea81ef303",
+    "pkfk-l0-sorting-g0-sums": "1834d863b4b5eae0",
+    "pkfk-l0-sorting-g0-extremes": "a274206a513b8afd",
+    "pkfk-l0-sorting-g1-sums": "da6fa4bfeac62af5",
+    "pkfk-l0-sorting-g1-extremes": "cb408ec86af05ee8",
+    "pkfk-l0-osorting-g0g1-sums": "b7fccda86ed79ea8",
+    "pkfk-l0-osorting-g0g1-extremes": "6fa5b82033f82a76",
+    "pkfk-l0-osorting-g0-sums": "8a9ea6e064e9e1de",
+    "pkfk-l0-osorting-g0-extremes": "2531818b40c4a48b",
+    "pkfk-l0-osorting-g1-sums": "bca8add6620297de",
+    "pkfk-l0-osorting-g1-extremes": "2743f06577c31583",
+    "pkfk-l0-bsorting-g0g1-sums": "c97271d516f875af",
+    "pkfk-l0-bsorting-g0g1-extremes": "f6dd5272bd9eb222",
+    "pkfk-l0-bsorting-g0-sums": "97165af6c26f82c9",
+    "pkfk-l0-bsorting-g0-extremes": "46da6b86a03d897c",
+    "pkfk-l0-bsorting-g1-sums": "ab4c02e46ce587a3",
+    "pkfk-l0-bsorting-g1-extremes": "cf7410d0c9e9acb1",
+    "pkfk-l0-mix-g0g1-sums": "9e740cdf017aab51",
+    "pkfk-l0-mix-g0g1-extremes": "d2dad1ae5e3a2950",
+    "pkfk-l0-mix-g0-sums": "5036ad1df4ffad90",
+    "pkfk-l0-mix-g0-extremes": "2843f280d8616f6b",
     "pkfk-l0-mix-g1-sums": "6fd0a837b7bbdaf1",
-    "pkfk-l0-mix-g1-extremes": "a6c73187f991ec5e",
+    "pkfk-l0-mix-g1-extremes": "1e0135fbf337b3fb",
     "pkfk-l0-bitmap-g0g1-sums": "7419600e47545855",
-    "pkfk-l0-bitmap-g0g1-extremes": "f7c28609d893b84a",
+    "pkfk-l0-bitmap-g0g1-extremes": "4418b5b88afe5285",
     "pkfk-l0-bitmap-g0-sums": "a31aac9a874c0284",
-    "pkfk-l0-bitmap-g0-extremes": "cfd6df2d434ca7d0",
+    "pkfk-l0-bitmap-g0-extremes": "bfe7a73c1749e054",
     "pkfk-l0-bitmap-g1-sums": "dea0f74c4c11fe60",
-    "pkfk-l0-bitmap-g1-extremes": "ff3cce8c21d7677a",
+    "pkfk-l0-bitmap-g1-extremes": "2978a245e262ec78",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g1-sums": "fd0738f5e48bb42a",
-    "pkfk-l0-oneside-g1-extremes": "113c61c9126fc37d",
-    "pkfk-l1-view": "844fe1cf00ea86e8",
-    "pkfk-l1-sorting-g0g1-sums": "25a9ff8c44b894d0",
-    "pkfk-l1-sorting-g0g1-extremes": "2aa217c86638f44a",
-    "pkfk-l1-sorting-g0-sums": "d574250a5e4e5632",
-    "pkfk-l1-sorting-g0-extremes": "780130462cb91b66",
-    "pkfk-l1-sorting-g1-sums": "8637818aacda5533",
-    "pkfk-l1-sorting-g1-extremes": "cfe2d94ffaf101bf",
-    "pkfk-l1-osorting-g0g1-sums": "71baa413f022df7d",
-    "pkfk-l1-osorting-g0g1-extremes": "30ca78b6253953dd",
-    "pkfk-l1-osorting-g0-sums": "25cb1766bf96344f",
-    "pkfk-l1-osorting-g0-extremes": "ce86fd85bb66086f",
-    "pkfk-l1-osorting-g1-sums": "46c9c6f128b2e7b1",
-    "pkfk-l1-osorting-g1-extremes": "6d6bfc7135ddff8c",
-    "pkfk-l1-bsorting-g0g1-sums": "94a2911427be303d",
-    "pkfk-l1-bsorting-g0g1-extremes": "44953bf5df188d00",
-    "pkfk-l1-bsorting-g0-sums": "5d6016ca15c82bbc",
-    "pkfk-l1-bsorting-g0-extremes": "8e1f518fabcb38a8",
-    "pkfk-l1-bsorting-g1-sums": "066c5b3161bd9420",
-    "pkfk-l1-bsorting-g1-extremes": "29d535d50ff4eb07",
-    "pkfk-l1-mix-g0g1-sums": "4af1d94a9f83ae39",
-    "pkfk-l1-mix-g0g1-extremes": "6643c967b3e56074",
-    "pkfk-l1-mix-g0-sums": "de8ecad75d48f926",
-    "pkfk-l1-mix-g0-extremes": "fac1065685783fd1",
+    "pkfk-l0-oneside-g1-extremes": "a9bcde8dde1a6437",
+    "pkfk-l1-view": "d60f485446a2919b",
+    "pkfk-l1-sorting-g0g1-sums": "8c754e22681f7a78",
+    "pkfk-l1-sorting-g0g1-extremes": "515b903a6d65163f",
+    "pkfk-l1-sorting-g0-sums": "c9d39d93ae685bbc",
+    "pkfk-l1-sorting-g0-extremes": "ef217fffa708c4ed",
+    "pkfk-l1-sorting-g1-sums": "3a65f0a89cd157e7",
+    "pkfk-l1-sorting-g1-extremes": "d9dacf1ee781ac0e",
+    "pkfk-l1-osorting-g0g1-sums": "b748b541bea47178",
+    "pkfk-l1-osorting-g0g1-extremes": "ea385bdaf04af8c3",
+    "pkfk-l1-osorting-g0-sums": "eaac8c98b47f1494",
+    "pkfk-l1-osorting-g0-extremes": "e2b9e3f60e8eb289",
+    "pkfk-l1-osorting-g1-sums": "fb93c0d8e00094b7",
+    "pkfk-l1-osorting-g1-extremes": "569247de3633d1bb",
+    "pkfk-l1-bsorting-g0g1-sums": "35a6e1bd0e160acc",
+    "pkfk-l1-bsorting-g0g1-extremes": "a598893e111682db",
+    "pkfk-l1-bsorting-g0-sums": "45283cf6a657cb7b",
+    "pkfk-l1-bsorting-g0-extremes": "621e3040eed96512",
+    "pkfk-l1-bsorting-g1-sums": "dd847a152c74482c",
+    "pkfk-l1-bsorting-g1-extremes": "bfc1347553d5d432",
+    "pkfk-l1-mix-g0g1-sums": "57fac117247d6ef8",
+    "pkfk-l1-mix-g0g1-extremes": "3bc959c48a008f43",
+    "pkfk-l1-mix-g0-sums": "ae93c3d640a78efc",
+    "pkfk-l1-mix-g0-extremes": "161a463d0ac6cacd",
     "pkfk-l1-mix-g1-sums": "23864aea699190fd",
-    "pkfk-l1-mix-g1-extremes": "e3c61d6d3f9b6679",
+    "pkfk-l1-mix-g1-extremes": "ba47249def248ca4",
     "pkfk-l1-bitmap-g0g1-sums": "0da2a9d312e91be5",
-    "pkfk-l1-bitmap-g0g1-extremes": "4afff4fbd092da4e",
+    "pkfk-l1-bitmap-g0g1-extremes": "fd1923031231b03d",
     "pkfk-l1-bitmap-g0-sums": "2b52c6e463b26e6f",
-    "pkfk-l1-bitmap-g0-extremes": "72cd06c5d1ecf46e",
+    "pkfk-l1-bitmap-g0-extremes": "990d6fb5fb15870b",
     "pkfk-l1-bitmap-g1-sums": "ff5cd9b7d12629d7",
-    "pkfk-l1-bitmap-g1-extremes": "321402c55142f6db",
+    "pkfk-l1-bitmap-g1-extremes": "5ff25bffac5a8d1a",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g1-sums": "c99e008b32d50b33",
-    "pkfk-l1-oneside-g1-extremes": "51896cc6d0acb948",
+    "pkfk-l1-oneside-g1-extremes": "e9f6b40d1d690b63",
     "pkfk-l2-view": "7656852fae86848b",
-    "pkfk-l2-sorting-g0g1-sums": "22c004c671c9a676",
-    "pkfk-l2-sorting-g0g1-extremes": "947e6ccaec06e4a2",
-    "pkfk-l2-sorting-g0-sums": "94f76e146676a6af",
-    "pkfk-l2-sorting-g0-extremes": "759f98e82bd9ad15",
-    "pkfk-l2-sorting-g1-sums": "e40765845038231e",
-    "pkfk-l2-sorting-g1-extremes": "56bc69538df987e4",
-    "pkfk-l2-osorting-g0g1-sums": "b201a6b29a52b6d9",
-    "pkfk-l2-osorting-g0g1-extremes": "87c5117aa26380de",
-    "pkfk-l2-osorting-g0-sums": "40e22af6c6b23300",
-    "pkfk-l2-osorting-g0-extremes": "53acd87b885b7045",
-    "pkfk-l2-osorting-g1-sums": "d19717e48e71e5f9",
-    "pkfk-l2-osorting-g1-extremes": "89e356695e851863",
-    "pkfk-l2-bsorting-g0g1-sums": "5ad2a1454e440d0a",
-    "pkfk-l2-bsorting-g0g1-extremes": "437acdac185cde51",
-    "pkfk-l2-bsorting-g0-sums": "a349d5e64221676c",
-    "pkfk-l2-bsorting-g0-extremes": "957104c115ebcfc0",
-    "pkfk-l2-bsorting-g1-sums": "96db9319e0352be9",
-    "pkfk-l2-bsorting-g1-extremes": "723208f3be61cc52",
-    "pkfk-l2-mix-g0g1-sums": "2e2b77f222772a56",
-    "pkfk-l2-mix-g0g1-extremes": "bbb37addb12e4d0e",
-    "pkfk-l2-mix-g0-sums": "5806b5b5a0af5f68",
-    "pkfk-l2-mix-g0-extremes": "3a0a257ec27858d5",
+    "pkfk-l2-sorting-g0g1-sums": "8376d557c30d1845",
+    "pkfk-l2-sorting-g0g1-extremes": "4958219bc8a8c9a8",
+    "pkfk-l2-sorting-g0-sums": "67da4d71b8b8e990",
+    "pkfk-l2-sorting-g0-extremes": "b15db49166cda1f8",
+    "pkfk-l2-sorting-g1-sums": "9d53350324b42991",
+    "pkfk-l2-sorting-g1-extremes": "2e6c38c9ef5ec71e",
+    "pkfk-l2-osorting-g0g1-sums": "46781869b34904a7",
+    "pkfk-l2-osorting-g0g1-extremes": "aa4f49392d1b7af0",
+    "pkfk-l2-osorting-g0-sums": "951af48556000346",
+    "pkfk-l2-osorting-g0-extremes": "61c0bfe68db76a36",
+    "pkfk-l2-osorting-g1-sums": "c4af074b70b395f6",
+    "pkfk-l2-osorting-g1-extremes": "5f783ae3ad09916f",
+    "pkfk-l2-bsorting-g0g1-sums": "8cc97d534f8372ea",
+    "pkfk-l2-bsorting-g0g1-extremes": "f225a390f4087ce7",
+    "pkfk-l2-bsorting-g0-sums": "2851f291ec73bd57",
+    "pkfk-l2-bsorting-g0-extremes": "89c56ce2e4df25c3",
+    "pkfk-l2-bsorting-g1-sums": "4add4b5aa5d776d0",
+    "pkfk-l2-bsorting-g1-extremes": "fc1b06ef92480ac7",
+    "pkfk-l2-mix-g0g1-sums": "4f9c4e3d8cfbaf0f",
+    "pkfk-l2-mix-g0g1-extremes": "767b6be7e27e48c2",
+    "pkfk-l2-mix-g0-sums": "efe7dbc49a8af3bc",
+    "pkfk-l2-mix-g0-extremes": "2960a337f9446eb9",
     "pkfk-l2-mix-g1-sums": "8d45fb62f3ee55f7",
-    "pkfk-l2-mix-g1-extremes": "f3aa98e3e311787d",
+    "pkfk-l2-mix-g1-extremes": "4a75d69a1a2b75b1",
     "pkfk-l2-bitmap-g0g1-sums": "7cf5334e900f065f",
-    "pkfk-l2-bitmap-g0g1-extremes": "5a5a2743e7dbb627",
+    "pkfk-l2-bitmap-g0g1-extremes": "eca81f45ea535a54",
     "pkfk-l2-bitmap-g0-sums": "e0ce287bc509443c",
-    "pkfk-l2-bitmap-g0-extremes": "8631fb0d6464f80b",
+    "pkfk-l2-bitmap-g0-extremes": "e6db1fc9ad71e6a8",
     "pkfk-l2-bitmap-g1-sums": "bcf3c933b16460d3",
-    "pkfk-l2-bitmap-g1-extremes": "23e7e96fa493f818",
+    "pkfk-l2-bitmap-g1-extremes": "0ef2bf1d099f24cd",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g1-sums": "08dd314e40a9f8e0",
-    "pkfk-l2-oneside-g1-extremes": "48ef7d6a8f6ecdca",
+    "pkfk-l2-oneside-g1-extremes": "9d0cb9ae6c2781ef",
 }
 
 
 GOLDEN_DOM0 = {
-    "pkpk-l0-sorting-dom0-g0g1-sums": "7491428901c34106",
-    "pkpk-l0-sorting-dom0-g0g1-extremes": "9be5600eb537f4e0",
-    "pkpk-l0-sorting-dom0-g0-sums": "400e4d392b29a5bc",
-    "pkpk-l0-sorting-dom0-g0-extremes": "b5bbdcd55d8ed823",
-    "pkpk-l0-osorting-dom0-g0g1-sums": "7ba11d24fa770b34",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "a9cc315c5b6e80d5",
-    "pkpk-l0-osorting-dom0-g0-sums": "2a3e51b7fd4b387c",
-    "pkpk-l0-osorting-dom0-g0-extremes": "89aa7391f4b84594",
-    "pkpk-l1-sorting-dom0-g0g1-sums": "f0c9c0cf79fd6d3b",
-    "pkpk-l1-sorting-dom0-g0g1-extremes": "a6543fe71d09863b",
-    "pkpk-l1-sorting-dom0-g0-sums": "c4152281c2ec5410",
-    "pkpk-l1-sorting-dom0-g0-extremes": "55efc0833b9526b4",
-    "pkpk-l1-osorting-dom0-g0g1-sums": "0f02732fc22819c8",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "9a1270248f02988b",
-    "pkpk-l1-osorting-dom0-g0-sums": "37142bdf91f8ba0b",
-    "pkpk-l1-osorting-dom0-g0-extremes": "af0c945983e9ed88",
-    "pkpk-l2-sorting-dom0-g0g1-sums": "105b037dd2214680",
-    "pkpk-l2-sorting-dom0-g0g1-extremes": "cb3816a5a017a32f",
-    "pkpk-l2-sorting-dom0-g0-sums": "5489ecabfdb73c7b",
-    "pkpk-l2-sorting-dom0-g0-extremes": "f08fd0299b4319c1",
-    "pkpk-l2-osorting-dom0-g0g1-sums": "ec3f404bf05455d7",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "3277d3fc35635b8a",
-    "pkpk-l2-osorting-dom0-g0-sums": "698c55c550e315d7",
-    "pkpk-l2-osorting-dom0-g0-extremes": "691c862d7296768b",
+    "pkpk-l0-sorting-dom0-g0g1-sums": "b778fee6f253c0e6",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "5eb9eba050428191",
+    "pkpk-l0-sorting-dom0-g0-sums": "735bdbf61291e710",
+    "pkpk-l0-sorting-dom0-g0-extremes": "38b31c57939b0706",
+    "pkpk-l0-osorting-dom0-g0g1-sums": "114b451972731926",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "16876a617627b88b",
+    "pkpk-l0-osorting-dom0-g0-sums": "75e6d33541521022",
+    "pkpk-l0-osorting-dom0-g0-extremes": "a241a583e3509c46",
+    "pkpk-l1-sorting-dom0-g0g1-sums": "bfdf70fc9240dc61",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "f424c21948833ebe",
+    "pkpk-l1-sorting-dom0-g0-sums": "80b70e50327ac2f3",
+    "pkpk-l1-sorting-dom0-g0-extremes": "617565389cf95914",
+    "pkpk-l1-osorting-dom0-g0g1-sums": "1462b7a28cb5e97b",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "a839eab7fdf99683",
+    "pkpk-l1-osorting-dom0-g0-sums": "057637eba22714a1",
+    "pkpk-l1-osorting-dom0-g0-extremes": "d30e463c022a0c84",
+    "pkpk-l2-sorting-dom0-g0g1-sums": "7a7d1c99a3f847e7",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "5b1e504455504793",
+    "pkpk-l2-sorting-dom0-g0-sums": "efdf291e4b35b339",
+    "pkpk-l2-sorting-dom0-g0-extremes": "f1cb20bbe10133c1",
+    "pkpk-l2-osorting-dom0-g0g1-sums": "e461890c3af6305f",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "7a0827536c7dbcb3",
+    "pkpk-l2-osorting-dom0-g0-sums": "8511e1b02c1574e0",
+    "pkpk-l2-osorting-dom0-g0-extremes": "b37e74c873ca96e5",
 }
 
 
@@ -497,17 +497,17 @@ GOLDEN_PRIMITIVES = {
     "invp_shared": "786dfb4b7988603b",
     "perm_plain": "79d22bccc19c2747",
     "invp_plain": "9c775f8223533b4e",
-    "stable_sort": "1d44d72101f369e3",
+    "stable_sort": "7f754d01f70128fe",
     "trav_flags-sum": "b6052fb894f775a6",
     "trav_flags-count": "b6052fb894f775a6",
-    "trav_flags-max": "9d308e17ac67c595",
-    "trav_flags-min": "b09c126bf4fd8e9b",
+    "trav_flags-max": "bcf4b3ba99dad499",
+    "trav_flags-min": "ce7fd8fb30d2d391",
     "trav_flags-xor": "393e3ec8f1e77a44",
     "asym_mul-arith": "8dce452513397df5",
     "asym_mul-bin64": "fe232085952c8e4f",
     "asym_mul-bin1": "8539ba3c0a073a79",
     "share_open": "1958faf848c0ed3d",
-    "gates": "0dac941163b1425a",
+    "gates": "27072eb56d5ebf60",
     "refresh_pkfk": "1439f9a2a778cda2",
 }
 
