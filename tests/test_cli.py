@@ -135,6 +135,25 @@ def test_stale_view_detected(workspace, capsys):
     assert rc == 2
 
 
+def test_stale_pkfk_view_detected(tmp_path, capsys):
+    (tmp_path / "p.csv").write_text("k,g0,v0\n1,0,10\n2,1,20\n")
+    (tmp_path / "f.csv").write_text("k,g1,v1\n2,3,1\n1,3,2\n2,4,3\n")
+    spec = {"table0": str(tmp_path / "p.csv"), "table1": str(tmp_path / "f.csv"),
+            "key0": "k", "key1": "k", "join": "pkfk",
+            "group0": "g0", "group1": "g1",
+            "aggs": [{"side": 0, "col": "v0", "fn": "sum"}], "level": 0}
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps(spec))
+    views = tmp_path / "v"
+    assert cli.main(["genview", str(sp), "--out", str(views)]) == 0
+    assert cli.main(["query", str(sp), "--views", str(views)]) == 0
+    # change a foreign key under the view
+    (tmp_path / "f.csv").write_text("k,g1,v1\n2,3,1\n1,3,2\n1,4,3\n")
+    rc = cli.main(["query", str(sp), "--views", str(views)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "no longer matches" in err
+
+
 def test_verify_fails_on_injected_fault(workspace, capsys, monkeypatch):
     tmp, spec_path, _ = workspace
     out = tmp / "views"

@@ -451,23 +451,30 @@ def test_sorting_ranks_g0_over_a_public_dom0():
 
 
 def test_osorting_sort_phase_rounds_follow_the_packed_width():
-    # e, g0's rank and the row index pack into one limb of W bits: each of
-    # the L(L+1)/2 bitonic stages is one gt of 1 + ceil(log2 W) rounds and
-    # one mux
+    # with dom0, e, g0's rank and the row index pack into one limb of W
+    # bits; without, g0 keeps a 64-bit limb between e's and the index's.
+    # Each of the L(L+1)/2 bitonic stages is, per limb of width w, one gt
+    # of 1 + ceil(log2 w) rounds and one mux, then ceil(log2 #limbs)
+    # rounds that fold the limbs' (gt, eq) pairs
     rng = np.random.default_rng(32)
-    for n, d0 in ((13, 3), (100, 16), (200, 5)):
+    for n, d0, with_dom0 in ((13, 3, True), (100, 16, True), (200, 5, True),
+                             (100, 16, False)):
         r0, r1 = _join_pair(rng, n, list(range(d0)))
         v0, v1 = vw.gen_psiv(Session(1, 2, 3), r0, r1)
         sess = Session(4, 5, 6)
-        ga.ga_osorting(sess, v0, v1, JgaQuery("g0", "g1", [(0, "v0", "sum")],
-                                              dom0=list(range(d0))))
+        ga.ga_osorting(sess, v0, v1, JgaQuery(
+            "g0", "g1", [(0, "v0", "sum")],
+            dom0=list(range(d0)) if with_dom0 else None))
         m = 1 << (n - 1).bit_length()
         levels = m.bit_length() - 1
-        width = 1 + (d0 - 1).bit_length() + m.bit_length()
-        assert width <= 64
+        widths = [1 + (d0 - 1).bit_length() + m.bit_length()] if with_dom0 \
+            else [1, 64, m.bit_length()]
+        assert max(widths) <= 64
         stages = levels * (levels + 1) // 2
-        assert sess.transcript.rounds_for("sort") == \
-            stages * ((width - 1).bit_length() + 2), (n, d0)
+        per_stage = sum((w - 1).bit_length() + 2 for w in widths) \
+            + (len(widths) - 1).bit_length()
+        assert sess.transcript.rounds_for("sort") == stages * per_stage, \
+            (n, d0, with_dom0)
 
 
 def _outside_domain_views(level):

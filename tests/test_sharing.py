@@ -266,3 +266,91 @@ def test_gt_at_24_bits_takes_six_rounds():
     before = sess.transcript.wire_rounds
     assert sh.gt(sess, x, y).reconstruct().tolist() == [0, 1]
     assert sess.transcript.wire_rounds - before == 6
+
+
+def test_eq_and_gt_eq_every_width_vs_numpy():
+    # the propagate prefix's top bit must AND exactly w bits, so the
+    # shifted bits read ones below bit 0 at widths that are not powers of 2
+    rng = np.random.default_rng(23)
+    for w in range(1, 65):
+        sess = fresh(w)
+        top = np.uint64((1 << w) - 1)
+        xs = rng.integers(0, 1 << 64, 40, dtype=np.uint64) & top
+        ys = np.concatenate([xs ^ np.uint64(1), xs ^ np.uint64(1 << (w - 1)), xs,
+                             rng.integers(0, 1 << 64, 40, dtype=np.uint64) & top])
+        xs = np.tile(xs, 4)
+        x = sh.share_vec(sess, 0, xs, sh.BINARY, w)
+        y = sh.share_vec(sess, 1, ys, sh.BINARY, w)
+        want_gt = (xs > ys).astype(np.uint64)
+        want_eq = (xs == ys).astype(np.uint64)
+        rounds, bits = sess.transcript.wire_rounds, sess.transcript.wire_bits
+        assert np.array_equal(sh.eq(sess, x, y).reconstruct(), want_eq), w
+        # one w-bit AND exchange per level
+        levels = (w - 1).bit_length()
+        assert sess.transcript.wire_rounds - rounds == levels
+        assert sess.transcript.wire_bits - bits == levels * 4 * w * len(xs)
+        g, e = sh._gt_eq(sess, x, y, True)
+        assert np.array_equal(g.reconstruct(), want_gt), w
+        assert np.array_equal(e.reconstruct(), want_eq), w
+
+
+def test_a2b_edge_values_in_seven_rounds():
+    # one exchange opens x - r, then each of the 6 carry levels is one
+    xs = np.array([0, 1, 1 << 63, (1 << 64) - 1], dtype=np.uint64)
+    for seed in range(20):
+        sess = fresh(seed)
+        x = sh.share_vec(sess, 0, xs)
+        before = sess.transcript.wire_rounds
+        bits = sess.transcript.wire_bits
+        got = sh.a2b(sess, x)
+        assert sess.transcript.wire_rounds - before == 7
+        # the open, then 11 64-bit ANDs: the last level skips propagate
+        assert sess.transcript.wire_bits - bits == (2 + 11 * 4) * 64 * len(xs)
+        assert (got.flavor, got.width) == (sh.BINARY, 64)
+        assert np.array_equal(got.reconstruct(), xs), seed
+
+
+def test_gt_limbs_three_limbs_vs_lexicographic_order():
+    # the bitonic sort's key limbs without dom0: e, g0 and the row index.
+    # Blocks of 80 rows tie in both upper limbs, in the first only, in the
+    # first and all but bit 0 of the second, in none, and in all three.
+    rng = np.random.default_rng(29)
+    widths = (1, 64, 10)
+    a = [rng.integers(0, 1 << w, 400, dtype=np.uint64) for w in widths]
+    b = [rng.integers(0, 1 << w, 400, dtype=np.uint64) for w in widths]
+    for limb, rows in ((0, slice(0, 240)), (1, slice(0, 80)),
+                       (0, slice(320, 400)), (1, slice(320, 400)),
+                       (2, slice(320, 400))):
+        b[limb][rows] = a[limb][rows]
+    b[1][160:240] = a[1][160:240] ^ np.uint64(1)
+    sess = fresh()
+    xs = [sh.share_vec(sess, 0, v, sh.BINARY, w) for v, w in zip(a, widths)]
+    ys = [sh.share_vec(sess, 1, v, sh.BINARY, w) for v, w in zip(b, widths)]
+    before = sess.transcript.wire_rounds
+    got = sh.gt_limbs(sess, xs, ys)
+    # a gt of 1 + ceil(log2 w) rounds per limb, then ceil(log2 3) to fold
+    assert sess.transcript.wire_rounds - before == 1 + 7 + 5 + 2
+    want = [tuple(int(v[i]) for v in a) > tuple(int(v[i]) for v in b)
+            for i in range(400)]
+    assert got.reconstruct().tolist() == [int(t) for t in want]
+
+
+def test_comparisons_send_no_share_bit_above_the_width():
+    # a shifted operand keeps its width: its bits pushed past the top
+    # would otherwise go out unmasked by the width-w triple
+    sess = fresh()
+    sent = []
+    exchange = sess.exchange
+
+    def record(d0, d1, b0, b1):
+        sent.extend([d0, d1])
+        return exchange(d0, d1, b0, b1)
+
+    sess.exchange = record
+    rng = np.random.default_rng(31)
+    x, y = (sh.share_vec(sess, i, rng.integers(0, 1 << 10, 50, dtype=np.uint64),
+                         sh.BINARY, 10) for i in (0, 1))
+    sh.gt(sess, x, y)
+    sh.eq(sess, x, y)
+    sh.gt_limbs(sess, [x, y], [y, x])
+    assert sent and all(int(d.max()) < 1 << 10 for d in sent)
