@@ -175,9 +175,8 @@ def replicate_bit(f: SharedVector, width: int) -> SharedVector:
 
 
 def _shl(x: SharedVector, s: int) -> SharedVector:
-    """x shifted s bits up, its vacated low bits zero and its width kept."""
-    s, m = _U64(s), width_mask(x.width)
-    return x.map(lambda a: (a << s) & m)
+    s = _U64(s)
+    return x.map(lambda a: a << s)
 
 
 def _top(x: SharedVector) -> SharedVector:
@@ -217,6 +216,7 @@ def _and_bin(sess: Session, x: SharedVector,
     if n == 0:
         return [x.copy() for _ in ys]
     (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_bin(k * n, w)
+    wm = width_mask(w)
     de = []  # each party's (d, e) half: x ^ a per y, then every y ^ b
     for half, (a, b) in enumerate(((a0, b0), (a1, b1))):
         buf = np.empty(2 * k * n, dtype=np.uint64)
@@ -226,14 +226,15 @@ def _and_bin(sess: Session, x: SharedVector,
             lo = (k + i) * n
             np.bitwise_xor(y.shares[half], b[i * n:(i + 1) * n],
                            out=buf[lo:lo + n])
+        if w < 64:  # a shifted operand's bits above the width never go out
+            buf &= wm
         de.append(buf)
     bits = 2 * w * k * n
     at0, at1 = sess.exchange(de[0], de[1], bits, bits)
     de_0, de_1 = de[0] ^ at0, de[1] ^ at1  # the opened (d, e) as each party sees it
     d_0, e_0, d_1, e_1 = de_0[:k * n], de_0[k * n:], de_1[:k * n], de_1[k * n:]
-    wm = width_mask(w)
-    z0 = (c0 ^ (d_0 & b0) ^ (e_0 & a0) ^ (d_0 & e_0)) & wm
-    z1 = (c1 ^ (d_1 & b1) ^ (e_1 & a1)) & wm
+    z0 = c0 ^ (d_0 & b0) ^ (e_0 & a0) ^ (d_0 & e_0)
+    z1 = c1 ^ (d_1 & b1) ^ (e_1 & a1)
     return [SharedVector(BINARY, w, z0[i * n:(i + 1) * n], z1[i * n:(i + 1) * n])
             for i in range(k)]
 
@@ -368,14 +369,17 @@ def gt_limbs(sess: Session, xs: list[SharedVector],
              ys: list[SharedVector]) -> SharedVector:
     """x > y in the lexicographic order of most-significant-first limb lists.
 
-    Each limb's (gt, eq) pair comes from one prefix tree; the last limb's
-    equality is never read, so it is never computed. Limb i's pair then
-    sits at bit k - 1 - i of k-bit pairs, and one more prefix over those k
-    bits folds the limbs by the same rule, in ceil(log2 k) rounds.
+    Each limb's (gt, eq) pair comes from one prefix tree. Limb i's pair
+    then sits at bit k - 1 - i of k-bit pairs, and one more prefix over
+    those k bits folds the limbs by the same rule, in ceil(log2 k) rounds.
+    The last limb's equality lands at bit 0, where it only ever meets the
+    zero generate below, so its tree skips the last propagate level.
     """
     k = len(xs)
     pairs = [_gt_eq(sess, x, y, i < k - 1)
              for i, (x, y) in enumerate(zip(xs, ys))]
+    if k == 1:  # nothing to fold
+        return pairs[0][0]
 
     def stack(bits):  # limb i's bit at position k - 1 - i
         return SharedVector(BINARY, k, *(
