@@ -319,15 +319,15 @@ def _prefix(sess: Session, g: SharedVector | None, p: SharedVector, w: int,
     """
     s = 1
     while s < w:
-        ys = [] if g is None else [_shl(g, s)]
-        if top_p or 2 * s < w:
-            shifted = _shl(p, s)
-            shifted.shares[0][:] |= width_mask(s)
-            ys.append(shifted)
+        keep_p = top_p or 2 * s < w
+        ys = ([] if g is None else [_shl(g, s)]) + ([_shl(p, s)] if keep_p else [])
+        if keep_p:
+            ys[-1].shares[0][:] |= width_mask(s)
         ands = _and_bin(sess, p, ys)
         if g is not None:
-            g = xor(g, ands.pop(0))
-        p = ands[0] if ands else p
+            g = xor(g, ands[0])
+        if keep_p:
+            p = ands[-1]
         s *= 2
     return g, p
 
