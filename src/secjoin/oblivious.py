@@ -18,7 +18,8 @@ from . import sharing as sh
 from .benes import build_program
 from .errors import (FlavorMismatch, NotAPermutation, PreconditionViolated,
                      SizeMismatch)
-from .ring import ARITH, BINARY, as_ring, combine, uncombine, width_mask
+from .ring import (ARITH, BINARY, as_ring, combine, mask_words, uncombine,
+                   width_mask)
 from .session import Session
 from .sharing import SharedVector
 
@@ -132,18 +133,27 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
             cur[ci][b_idx] = fresh_b
         pos += k
 
-    width_sum = sum(col.width for col in cols)
+    # Only a column's low `width` bits matter (neither XOR nor a carry moves
+    # a bit downward), so every frame is cut to its columns' widths, and the
+    # OT pads are drawn at those widths: no word sent has a bit above what
+    # its ledger entry counts.
+    widths = [col.width for col in cols]
+    word_widths = [w for w in widths for _ in (0, 1)]
+    width_sum = sum(widths)
     if s_count:
-        (c_bits, qc), (q0, q1) = sess.dealer.random_ots(s_count, 2 * ncols)
+        (c_bits, qc), (q0, q1) = sess.dealer.random_ots(
+            s_count, 2 * ncols, receiver=receiver, widths=word_widths)
         d = sess.send(receiver, ctrl ^ c_bits, s_count)
         y0 = t_straight ^ np.where((d == 1)[:, None], q1, q0)
         y1 = t_cross ^ np.where((d == 1)[:, None], q0, q1)
+        mask_words(y0, word_widths)
+        mask_words(y1, word_widths)
         y0 = sess.send(sender, y0, 2 * width_sum * s_count)
         y1 = sess.send(sender, y1, 2 * width_sum * s_count)
         t_sel = (np.where((ctrl == 1)[:, None], y1, y0) ^ qc)
     # the receiver evaluates its own copy: what was sent stays read-only
-    masked = [sess.send(sender, combine(col.flavor, dcol, mk),
-                        col.width * m).copy()
+    masked = [sess.send(sender, combine(col.flavor, dcol, mk)
+                        & width_mask(col.width), col.width * m).copy()
               for col, dcol, mk in zip(cols, data, init)]
 
     # Receiver-side evaluation, layer by layer.

@@ -44,6 +44,18 @@ def width_mask(width: int) -> np.uint64:
     return np.uint64((1 << width) - 1)
 
 
+def mask_words(a: np.ndarray, widths: list[int]) -> None:
+    """Cut word j of every row of `a` (its last axis) to widths[j] bits, in
+    place: one pass when the widths agree, else one per narrow word."""
+    if len(set(widths)) == 1:
+        if widths[0] < K:
+            a &= width_mask(widths[0])
+        return
+    for j, w in enumerate(widths):
+        if w < K:
+            a[..., j] &= width_mask(w)
+
+
 def combine(flavor: str, a, b):
     """Join two share halves: a + b (arithmetic) or a ^ b (binary)."""
     return a ^ b if flavor == BINARY else a + b

@@ -4,7 +4,8 @@ The two parties run on one cooperative scheduler: protocol code is written as
 a single choreography that says which party computes what, and every value
 that crosses between parties is pushed through the session as a real byte
 frame. The transcript keeps wire traffic and dealer (hybrid) traffic in
-strictly separate ledgers; all acceptance checks read this ledger.
+strictly separate ledgers, the hybrid one also by kind of delivery; all
+acceptance checks read this ledger.
 
 A "round" increments whenever the direction of dependency flips; batched
 parallel messages in one flow count as one round, and a simultaneous exchange
@@ -42,6 +43,7 @@ class Transcript:
         self.wire_bits_sent = [0, 0]
         self.wire_rounds = 0
         self.hybrid_bits = 0
+        self.hybrid_by_kind: dict[str, int] = {}
         self.phases: list[PhaseRecord] = []
         self._digest = hashlib.sha256()
         self._last_flow = None
@@ -66,8 +68,9 @@ class Transcript:
         self._digest.update(pay0)
         self._digest.update(pay1)
 
-    def note_hybrid(self, bits: int):
+    def note_hybrid(self, bits: int, kind: str):
         self.hybrid_bits += bits
+        self.hybrid_by_kind[kind] = self.hybrid_by_kind.get(kind, 0) + bits
 
     # -- phases -----------------------------------------------------------
 
@@ -138,7 +141,7 @@ class RandPool:
 
     _BLOCK = 1 << 14
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int | np.random.SeedSequence):
         self._gen = np.random.Generator(np.random.PCG64(seed))
         self._buf = np.empty(0, dtype=np.uint64)
         self._pos = 0
@@ -159,8 +162,12 @@ class RandPool:
         self._pos += n
         return out
 
-    def bits(self, n: int) -> np.ndarray:
-        return self.u64(n) & np.uint64(1)
+    def spawn(self, n: int) -> list["RandPool"]:
+        """n child streams seeded by children of this stream's seed sequence,
+        so no child repeats this stream or another child (a seed of [s, 0]
+        would: PCG64([s, 0]) is PCG64(s))."""
+        return [RandPool(child)
+                for child in self._gen.bit_generator.seed_seq.spawn(n)]
 
     def perm(self, n: int) -> np.ndarray:
         """A uniform permutation of [0, n): the stable argsort of n fresh
@@ -195,8 +202,9 @@ class Session:
     """One two-party protocol execution context.
 
     A fixed seed triple (seed0, seed1, seedD) makes every run bit-reproducible:
-    the parties and the dealer each own one `RandPool`, and all protocol
-    randomness is drawn from exactly one of them.
+    each party owns one `RandPool`, the dealer owns one seeded by seedD and
+    one child of it per party, and all protocol randomness is drawn from
+    exactly one of them.
     """
 
     def __init__(self, seed0: int = 11, seed1: int = 22, seedD: int = 33,

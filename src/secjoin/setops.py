@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dealer import OUTPUTS
 from .errors import SizeMismatch
 from .ring import BINARY, ARITH, as_ring
 from .session import Session
@@ -39,7 +40,7 @@ def f_psi(sess: Session, x_keys, y_keys) -> np.ndarray:
     _check_distinct(x, "P0")
     _check_distinct(y, "P1")
     inter = np.intersect1d(x, y)
-    sess.dealer.deliver(2 * 64 * len(inter))
+    sess.dealer.deliver(2 * 64 * len(inter), OUTPUTS)
     return inter
 
 
@@ -59,7 +60,7 @@ def f_pid(sess: Session, x_keys, y_keys) -> tuple[PidOutput, PidOutput]:
     full_map = dict(zip(union.tolist(), ri_star[pool.perm(m)].tolist()))
     out0 = PidOutput({k: full_map[k] for k in x.tolist()}, ri_star.copy())
     out1 = PidOutput({k: full_map[k] for k in y.tolist()}, ri_star.copy())
-    sess.dealer.deliver(2 * 64 * m + 128 * (len(x) + len(y)))
+    sess.dealer.deliver(2 * 64 * m + 128 * (len(x) + len(y)), OUTPUTS)
     return out0, out1
 
 
@@ -69,7 +70,8 @@ def f_cpsi(sess: Session, receiver: int, recv_keys, send_keys,
 
     Per receiver index i: e_i = 1 and z_i = payload_j if some sender key j
     equals recv key i, else e_i = 0, z_i = 0 (the reserved null). Outputs are
-    dealer-sampled share pairs; with payload absent only E is produced.
+    share pairs whose party-0 half party 0 expands from its dealer seed, so
+    only party 1's half is delivered; with payload absent only E is produced.
     """
     xs = as_ring(recv_keys)
     ys = as_ring(send_keys)
@@ -83,11 +85,11 @@ def f_cpsi(sess: Session, receiver: int, recv_keys, send_keys,
     e = np.zeros(n, dtype=np.uint64)
     e[hit] = 1
     e_sv = SharedVector(BINARY, 1, *sess.dealer.split(e, BINARY, 1))
-    sess.dealer.deliver(2 * 1 * n)
+    sess.dealer.deliver(n, OUTPUTS)  # e1; party 0 expands e0
     if payload is None:
         return e_sv, None
     z = np.zeros(n, dtype=np.uint64)
     z[hit] = as_ring(payload)[src]
     z_sv = SharedVector(ARITH, 64, *sess.dealer.split(z, ARITH))
-    sess.dealer.deliver(2 * 64 * n)
+    sess.dealer.deliver(64 * n, OUTPUTS)  # z1
     return e_sv, z_sv

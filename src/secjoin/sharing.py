@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dealer import SHARE_MASKS
 from .errors import FlavorMismatch, SizeMismatch, WidthMismatch
 from .ring import ARITH, BINARY, as_ring, combine, uncombine, width_mask
 from .session import Session
@@ -98,19 +99,18 @@ def share_vec(sess: Session, owner: int, values, flavor: str = ARITH,
               width: int = 64) -> SharedVector:
     """Share a plaintext vector held by `owner`.
 
-    The party-0 half is a dealer-drawn mask; when party 0 owns the input it
-    wires the masked vector to party 1, otherwise the dealer hands the mask
-    to both sides and party 1 finishes locally.
+    The party-0 half is a mask party 0 expands from its dealer seed; when
+    party 0 owns the input it wires the masked vector to party 1, otherwise
+    the dealer hands the mask to party 1, which finishes locally.
     """
     v = as_ring(values) & width_mask(width)
     n = len(v)
     r, other = sess.dealer.split(v, flavor, width)
-    sess.dealer.deliver(width * n)  # mask to party 0
     if owner == 0:
         if n:
             other = sess.send(0, other, width * n)
     else:
-        sess.dealer.deliver(width * n)  # mask to the owner as well
+        sess.dealer.deliver(width * n, SHARE_MASKS)  # party 0's mask to the owner
     return SharedVector(flavor, width, r, other)
 
 
@@ -422,7 +422,7 @@ def asym_mul(sess: Session, f_holder: int, f_bits: np.ndarray, x_vals: np.ndarra
     x_holder = 1 - f_holder
     f_bits = as_ring(f_bits) & _U64(1)
     x_vals = as_ring(x_vals) & width_mask(width)
-    (c, qc), (q0, q1) = sess.dealer.random_ots(n)
+    (c, qc), (q0, q1) = sess.dealer.random_ots(n, receiver=f_holder)
     qc, q0, q1 = qc[:, 0], q0[:, 0], q1[:, 0]
     d = sess.send(f_holder, f_bits ^ c, n)
     r = sess.parties[x_holder].pool.u64(n) & width_mask(width)

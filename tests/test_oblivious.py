@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from secjoin import dealer as dl
 from secjoin import oblivious as ob
 from secjoin import oracle
 from secjoin import sharing as sh
@@ -54,6 +55,24 @@ def test_osn_rejects_non_permutation_before_any_draw(pi):
     runs = [ob.osn_plain(s, 0, np.array([3, 1, 2]), [col])[0] for s in (sess, other)]
     assert [h.tolist() for h in runs[0].shares] == [h.tolist() for h in runs[1].shares]
     assert sess.transcript.digest() == other.transcript.digest()
+
+
+def test_osn_pads_are_sized_to_the_columns():
+    # one OT per switch carries two translations per column, each at the
+    # column's width, and only the receiver's pads q_c are delivered
+    pi = np.array([3, 1, 2, 5, 4])
+    vals = np.array([1, 0, 1, 1, 0], dtype=np.uint64)
+    cols = [ob.PlainColumn(vals, sh.BINARY, 1),
+            ob.PlainColumn(vals * np.uint64(100), sh.ARITH, 7),
+            ob.PlainColumn(vals - np.uint64(3))]
+    for receiver in (0, 1):
+        sess = fresh()
+        got = ob.osn_plain(sess, receiver, pi, cols)
+        for g, c in zip(got, cols):
+            assert np.array_equal(g.reconstruct(), c.values[pi - 1])
+        switches = build_program(ob._extend_perm(pi, 8) - 1).num_switches
+        assert sess.transcript.hybrid_by_kind == {
+            dl.SEEDS: 2 * 128, dl.OT_PADS: 2 * (1 + 7 + 64) * switches}
 
 
 def test_osn_plain_exhaustive_all_perms():

@@ -2,8 +2,12 @@
 import numpy as np
 import pytest
 
+from secjoin import dealer as dl
+from secjoin import oblivious as ob
+from secjoin import setops
 from secjoin import sharing as sh
 from secjoin.errors import DealerExhausted, FlavorMismatch, WidthMismatch
+from secjoin.ring import width_mask
 from secjoin.session import Session
 
 MOD = 1 << 64
@@ -354,3 +358,134 @@ def test_comparisons_send_no_share_bit_above_the_width():
     sh.eq(sess, x, y)
     sh.gt_limbs(sess, [x, y], [y, x])
     assert sent and all(int(d.max()) < 1 << 10 for d in sent)
+
+
+def test_osn_sends_no_bit_above_the_column_width():
+    # masks, translations and OT pads keep each column's width: a word
+    # carries no bit that its frame's ledger entry does not count
+    rng = np.random.default_rng(37)
+    pi = rng.permutation(50) + 1
+    for flavor in (sh.ARITH, sh.BINARY):
+        for w in (1, 7, 64):
+            sess = fresh(w)
+            sent = []
+            send = sess.send
+
+            def record(src, data, bits):
+                sent.append((data, bits))
+                return send(src, data, bits)
+
+            sess.send = record
+            vals = rng.integers(0, 1 << 64, 50, dtype=np.uint64)
+            got = ob.osn_plain(sess, 0, pi, [ob.PlainColumn(vals, flavor, w)])
+            assert np.array_equal(got[0].reconstruct(),
+                                  vals[pi - 1] & width_mask(w))
+            x = sh.share_vec(sess, 0, vals, flavor, w)
+            ob.osn_shared(sess, 1, pi, [x])
+            assert sent
+            for data, bits in sent:
+                assert bits % data.size == 0
+                assert int(data.max()) < 1 << (bits // data.size), (flavor, w)
+
+
+WIDTHS = (1, 7, 64)
+
+
+def test_correlations_reconstruct_at_widths_1_7_and_64():
+    sess = fresh()
+    d, n = sess.dealer, 300
+    (a0, a1), (b0, b1), (c0, c1) = d.triples_arith(n)
+    assert np.array_equal((a0 + a1) * (b0 + b1), c0 + c1)
+    (rb0, rb1), (ra0, ra1) = d.dabits(n)
+    assert int(max(rb0.max(), rb1.max())) <= 1
+    assert np.array_equal(ra0 + ra1, rb0 ^ rb1)
+    for w in WIDTHS:
+        top = int(width_mask(w))
+        (a0, a1), (b0, b1), (c0, c1) = d.triples_bin(n, w)
+        assert all(int(h.max()) <= top for h in (a0, a1, b0, b1, c0, c1))
+        assert np.array_equal((a0 ^ a1) & (b0 ^ b1), c0 ^ c1)
+        (rb0, rb1), (ra0, ra1) = d.dabits_packed(n, w)
+        assert ra0.shape == (w, n) and int(max(rb0.max(), rb1.max())) <= top
+        j = np.arange(w, dtype=np.uint64)[:, None]
+        assert np.array_equal(ra0 + ra1, ((rb0 ^ rb1) >> j) & np.uint64(1))
+        (ra0, ra1), (rb0, rb1) = d.edabits(n, w)
+        assert np.array_equal(rb0 ^ rb1, (ra0 + ra1) & np.uint64(top))
+        for receiver in (0, 1):
+            (c, qc), (q0, q1) = d.random_ots(n, 2, receiver=receiver,
+                                             widths=[w, 7])
+            assert np.array_equal(qc, np.where((c == 1)[:, None], q1, q0))
+            for word, ww in enumerate((w, 7)):
+                assert int(max(q0[:, word].max(), q1[:, word].max())) \
+                    < 1 << ww
+
+
+def test_each_call_delivers_only_its_correction():
+    sess = fresh()
+    d, t, n = sess.dealer, sess.transcript, 30
+    assert t.hybrid_bits == 0 and t.hybrid_by_kind == {}
+
+    def delivered(call):
+        before = dict(t.hybrid_by_kind)
+        call()
+        return {k: v - before.get(k, 0) for k, v in t.hybrid_by_kind.items()
+                if v != before.get(k, 0)}
+
+    # the two seeds go out once, with the session's first correlation
+    assert delivered(lambda: d.triples_arith(n)) == \
+        {dl.SEEDS: 2 * 128, dl.TRIPLES: 64 * n}
+    assert delivered(lambda: d.dabits(n)) == {dl.DABITS: 64 * n}
+    assert delivered(lambda: d.random_ots(n, receiver=0)) == \
+        {dl.OT_PADS: 64 * n}
+    assert delivered(lambda: d.random_ots(n, 3, receiver=1,
+                                          widths=[1, 7, 64])) == \
+        {dl.OT_PADS: 72 * n}
+    for w in WIDTHS:
+        assert delivered(lambda: d.triples_bin(n, w)) == \
+            {dl.BIT_TRIPLES: w * n}
+        assert delivered(lambda: d.dabits_packed(n, w)) == \
+            {dl.DABITS: 64 * w * n}
+        assert delivered(lambda: d.edabits(n, w)) == {dl.EDABITS: w * n}
+        vals = np.arange(n, dtype=np.uint64)
+        assert delivered(lambda: sh.share_vec(sess, 0, vals, sh.BINARY, w)) \
+            == {}
+        assert delivered(lambda: sh.share_vec(sess, 1, vals, sh.BINARY, w)) \
+            == {dl.SHARE_MASKS: w * n}
+    keys = np.arange(1, n + 1)
+    assert delivered(lambda: setops.f_cpsi(sess, 0, keys, keys + 5)) == \
+        {dl.OUTPUTS: n}
+    assert delivered(lambda: setops.f_cpsi(sess, 1, keys, keys + 5,
+                                           keys * 3)) == \
+        {dl.OUTPUTS: n + 64 * n}
+    assert t.hybrid_bits == sum(t.hybrid_by_kind.values())
+    assert t.hybrid_by_kind[dl.SEEDS] == 2 * 128
+
+
+def test_each_partys_halves_do_not_depend_on_the_other_stream():
+    # with seedD fixed, the halves party p expands from its own seed come out
+    # the same whatever the other party's stream drew before or in between
+    for p in (0, 1):
+        runs = []
+        for extra in (0, 5, 1000):
+            d = Session(1, 2 + extra, 3).dealer
+            other = d.streams[1 - p]
+            other.u64(extra)
+            a, b, c = d.triples_arith(20)
+            other.u64(extra)
+            x, y, z = d.triples_bin(20, 7)
+            rb, ra = d.dabits(20)
+            ea, eb = d.edabits(20)
+            (choice, _), _ = d.random_ots(20, receiver=p)
+            _, pads = d.random_ots(20, 2, receiver=1 - p)
+            own = [a[p], b[p], x[p], y[p], rb[p], ea[p], choice, *pads]
+            if p == 0:  # Dealer.split draws party 0's half
+                own += [c[0], z[0], ra[0], eb[0]]
+            runs.append([h.tolist() for h in own])
+        assert runs[0] == runs[1] == runs[2], p
+
+
+def test_party_streams_repeat_neither_each_other_nor_the_dealer():
+    # PCG64([s, 0]) is PCG64(s): a party stream seeded that way would hand
+    # party 0 the dealer's own private-ID randomness
+    d = Session(1, 2, 3).dealer
+    draws = [pool.u64(8).tolist() for pool in (d.pool, *d.streams)]
+    assert len({tuple(v) for v in draws}) == 3
