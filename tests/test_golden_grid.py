@@ -114,255 +114,255 @@ def dom0_cells(level) -> dict[str, str]:
 
 GOLDEN = {
     "pkpk-l0-view": "6a0997a0cb14d258",
-    "pkpk-l0-sorting-g0g1-sums": "ab242218bb59660e",
-    "pkpk-l0-sorting-g0g1-extremes": "d2501be1cf8120ec",
-    "pkpk-l0-sorting-g0-sums": "afa66b87f251e5df",
-    "pkpk-l0-sorting-g0-extremes": "d96c3842825d65c9",
-    "pkpk-l0-sorting-g1-sums": "382e13c630b71bf1",
-    "pkpk-l0-sorting-g1-extremes": "9c1a0ad72349d0e1",
-    "pkpk-l0-osorting-g0g1-sums": "6392783176f9ebb6",
-    "pkpk-l0-osorting-g0g1-extremes": "fed4457263438ff8",
-    "pkpk-l0-osorting-g0-sums": "f8988f897e9ed90f",
-    "pkpk-l0-osorting-g0-extremes": "eddbf04535f95ba1",
-    "pkpk-l0-osorting-g1-sums": "4eb7006844cb7cef",
-    "pkpk-l0-osorting-g1-extremes": "ee0c735fc7d81c5c",
-    "pkpk-l0-bsorting-g0g1-sums": "e0741151cf354617",
-    "pkpk-l0-bsorting-g0g1-extremes": "3ea348c6c9a665fd",
-    "pkpk-l0-bsorting-g0-sums": "ab23b9630841d8ec",
-    "pkpk-l0-bsorting-g0-extremes": "34b13772d2e95bb5",
-    "pkpk-l0-bsorting-g1-sums": "348271a55230d0bc",
-    "pkpk-l0-bsorting-g1-extremes": "80717100545e8831",
-    "pkpk-l0-mix-g0g1-sums": "27e716ea3a593c1f",
-    "pkpk-l0-mix-g0g1-extremes": "c2f2fbb2c554943c",
-    "pkpk-l0-mix-g0-sums": "e6e4ff918dd60cbc",
-    "pkpk-l0-mix-g0-extremes": "57f3fd5c9b9336b9",
-    "pkpk-l0-mix-g1-sums": "9f125a56d8fee3f8",
-    "pkpk-l0-mix-g1-extremes": "9047560338bcbc8f",
-    "pkpk-l0-bitmap-g0g1-sums": "2c458255175dda0e",
-    "pkpk-l0-bitmap-g0g1-extremes": "e3e7efef73c28dd0",
-    "pkpk-l0-bitmap-g0-sums": "5da063a5be8eb914",
-    "pkpk-l0-bitmap-g0-extremes": "7a35a00033908a8a",
-    "pkpk-l0-bitmap-g1-sums": "25da8044ad337382",
-    "pkpk-l0-bitmap-g1-extremes": "d541284dea9b7131",
+    "pkpk-l0-sorting-g0g1-sums": "195f14e1a3ac99bd",
+    "pkpk-l0-sorting-g0g1-extremes": "7ed468b5d04235fe",
+    "pkpk-l0-sorting-g0-sums": "3b9dc2b6e3f9107b",
+    "pkpk-l0-sorting-g0-extremes": "1333ca41daba63cc",
+    "pkpk-l0-sorting-g1-sums": "35f290c3f3d9a7fa",
+    "pkpk-l0-sorting-g1-extremes": "c8239da1e5b0165d",
+    "pkpk-l0-osorting-g0g1-sums": "96e1c1ba06f2bf19",
+    "pkpk-l0-osorting-g0g1-extremes": "d2c3d164ea7e8df8",
+    "pkpk-l0-osorting-g0-sums": "13017ab9557c0327",
+    "pkpk-l0-osorting-g0-extremes": "d74516eb54042e2f",
+    "pkpk-l0-osorting-g1-sums": "0d03060764be0e9b",
+    "pkpk-l0-osorting-g1-extremes": "9852e40864b8c6c2",
+    "pkpk-l0-bsorting-g0g1-sums": "4c6e423f71bfad9d",
+    "pkpk-l0-bsorting-g0g1-extremes": "909e1e24548489e9",
+    "pkpk-l0-bsorting-g0-sums": "5b4aabff12b4d940",
+    "pkpk-l0-bsorting-g0-extremes": "0c1313f4fe674efa",
+    "pkpk-l0-bsorting-g1-sums": "1aab3283dc1d214c",
+    "pkpk-l0-bsorting-g1-extremes": "a8a78b732f5aa6c7",
+    "pkpk-l0-mix-g0g1-sums": "f4b4f188c2fbcfbd",
+    "pkpk-l0-mix-g0g1-extremes": "ca621d0bfb24f2cc",
+    "pkpk-l0-mix-g0-sums": "caccd1a2aeb3f79e",
+    "pkpk-l0-mix-g0-extremes": "fe356f44f7531496",
+    "pkpk-l0-mix-g1-sums": "d92b57f236e08153",
+    "pkpk-l0-mix-g1-extremes": "9a57d8906900d6dd",
+    "pkpk-l0-bitmap-g0g1-sums": "afa58bc2f07edac1",
+    "pkpk-l0-bitmap-g0g1-extremes": "3f6418248f469b12",
+    "pkpk-l0-bitmap-g0-sums": "7eba2b55bc14d0a4",
+    "pkpk-l0-bitmap-g0-extremes": "ccc8bfc433dd16b9",
+    "pkpk-l0-bitmap-g1-sums": "9d724e68e852ecc1",
+    "pkpk-l0-bitmap-g1-extremes": "f4c0ed6a46a95a4b",
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l0-oneside-g0-sums": "b10715b850812f12",
-    "pkpk-l0-oneside-g0-extremes": "9ebfeef8ef5f67f2",
-    "pkpk-l0-oneside-g1-sums": "2c1c8bc5f0da6f12",
-    "pkpk-l0-oneside-g1-extremes": "8d348425a4fb2fc3",
-    "pkpk-l1-view": "92ff09382cbf5f1b",
-    "pkpk-l1-sorting-g0g1-sums": "55624122a506765d",
-    "pkpk-l1-sorting-g0g1-extremes": "faaee1afe23849c2",
-    "pkpk-l1-sorting-g0-sums": "53d0223085d4b57b",
-    "pkpk-l1-sorting-g0-extremes": "e04743a6fdbdfc4d",
-    "pkpk-l1-sorting-g1-sums": "9a00445f2f2f1839",
-    "pkpk-l1-sorting-g1-extremes": "c3e02024fbb9ea8d",
-    "pkpk-l1-osorting-g0g1-sums": "02e41b037c2684b1",
-    "pkpk-l1-osorting-g0g1-extremes": "88502ff2f7ed54f6",
-    "pkpk-l1-osorting-g0-sums": "f12d802dc7d9a69b",
-    "pkpk-l1-osorting-g0-extremes": "d61241d6192e3307",
-    "pkpk-l1-osorting-g1-sums": "1c3dad71a21dc377",
-    "pkpk-l1-osorting-g1-extremes": "bb33c92eb50c169c",
-    "pkpk-l1-bsorting-g0g1-sums": "1983318ef42a040d",
-    "pkpk-l1-bsorting-g0g1-extremes": "fb20c7b02469ca7a",
-    "pkpk-l1-bsorting-g0-sums": "0266b43027c46e4c",
-    "pkpk-l1-bsorting-g0-extremes": "bf00db30aa914234",
-    "pkpk-l1-bsorting-g1-sums": "b2e01b56909f1c3e",
-    "pkpk-l1-bsorting-g1-extremes": "7fb047e5e433ea4f",
-    "pkpk-l1-mix-g0g1-sums": "7c7cf9475472ce29",
-    "pkpk-l1-mix-g0g1-extremes": "4113ddfe1b11f390",
-    "pkpk-l1-mix-g0-sums": "c6eaed7de5647bf7",
-    "pkpk-l1-mix-g0-extremes": "c0f13b4c6ca265ee",
-    "pkpk-l1-mix-g1-sums": "a700d4552d65ea39",
-    "pkpk-l1-mix-g1-extremes": "e485730ea5dab218",
-    "pkpk-l1-bitmap-g0g1-sums": "1bd159cbc8492cd7",
-    "pkpk-l1-bitmap-g0g1-extremes": "3db9866885b6a3c3",
-    "pkpk-l1-bitmap-g0-sums": "be52e04bc833fdd4",
-    "pkpk-l1-bitmap-g0-extremes": "d5a392a1dde43d39",
-    "pkpk-l1-bitmap-g1-sums": "202269a3923ae791",
-    "pkpk-l1-bitmap-g1-extremes": "d174db993033224f",
+    "pkpk-l0-oneside-g0-sums": "954184d82d22cccb",
+    "pkpk-l0-oneside-g0-extremes": "8c38f3d12ae690de",
+    "pkpk-l0-oneside-g1-sums": "f1ca6075d055ad91",
+    "pkpk-l0-oneside-g1-extremes": "5845b99e764bf9cf",
+    "pkpk-l1-view": "4635a51cabc0d3e0",
+    "pkpk-l1-sorting-g0g1-sums": "554d73187f685a84",
+    "pkpk-l1-sorting-g0g1-extremes": "7c2f487d9f5052b3",
+    "pkpk-l1-sorting-g0-sums": "3ddef608e320e6e0",
+    "pkpk-l1-sorting-g0-extremes": "3d01cac4e29586c5",
+    "pkpk-l1-sorting-g1-sums": "ef099017f9103655",
+    "pkpk-l1-sorting-g1-extremes": "d3a1c5725f0aa0ae",
+    "pkpk-l1-osorting-g0g1-sums": "cde0c1f24fd69d71",
+    "pkpk-l1-osorting-g0g1-extremes": "a930748561fa31f3",
+    "pkpk-l1-osorting-g0-sums": "1c9b029e4d934da9",
+    "pkpk-l1-osorting-g0-extremes": "2c49eb7ebcc04c5f",
+    "pkpk-l1-osorting-g1-sums": "d917e2688524adf1",
+    "pkpk-l1-osorting-g1-extremes": "c41e923267549c8b",
+    "pkpk-l1-bsorting-g0g1-sums": "bff28acc2ad79114",
+    "pkpk-l1-bsorting-g0g1-extremes": "7f344b75fb7884ab",
+    "pkpk-l1-bsorting-g0-sums": "623fdc8302b56a99",
+    "pkpk-l1-bsorting-g0-extremes": "11ed31f471c54138",
+    "pkpk-l1-bsorting-g1-sums": "44d79747ef052ccd",
+    "pkpk-l1-bsorting-g1-extremes": "15b3fe407cec4a39",
+    "pkpk-l1-mix-g0g1-sums": "fcbbb68f09fba26e",
+    "pkpk-l1-mix-g0g1-extremes": "59ad5831e613789a",
+    "pkpk-l1-mix-g0-sums": "8956d4c28fb7b428",
+    "pkpk-l1-mix-g0-extremes": "b7a541448ff39ed2",
+    "pkpk-l1-mix-g1-sums": "1363e317d11420fb",
+    "pkpk-l1-mix-g1-extremes": "3525d8e5290eb627",
+    "pkpk-l1-bitmap-g0g1-sums": "3667520d1463b32d",
+    "pkpk-l1-bitmap-g0g1-extremes": "1cd079d9af334862",
+    "pkpk-l1-bitmap-g0-sums": "5057e605e950509a",
+    "pkpk-l1-bitmap-g0-extremes": "20c59ddb402a6d0e",
+    "pkpk-l1-bitmap-g1-sums": "ce95acffe9892e26",
+    "pkpk-l1-bitmap-g1-extremes": "61715e138533ff1d",
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l1-oneside-g0-sums": "1a18d1d00194a311",
-    "pkpk-l1-oneside-g0-extremes": "40f9073acb21ade6",
-    "pkpk-l1-oneside-g1-sums": "66fe69174b8947c6",
-    "pkpk-l1-oneside-g1-extremes": "fa59540eafa3a94d",
-    "pkpk-l2-view": "9af3687269ebea0c",
-    "pkpk-l2-sorting-g0g1-sums": "8de81fb19a88b554",
-    "pkpk-l2-sorting-g0g1-extremes": "4fd59966025aa68d",
-    "pkpk-l2-sorting-g0-sums": "6be9f3195a85c63e",
-    "pkpk-l2-sorting-g0-extremes": "5fc4a305fcc10e2f",
-    "pkpk-l2-sorting-g1-sums": "c38588d1e96ead32",
-    "pkpk-l2-sorting-g1-extremes": "593154354ac58df4",
-    "pkpk-l2-osorting-g0g1-sums": "8aa3ed7ef0a0fbec",
-    "pkpk-l2-osorting-g0g1-extremes": "3d8ddb7455072950",
-    "pkpk-l2-osorting-g0-sums": "c0748bcb98e4f329",
-    "pkpk-l2-osorting-g0-extremes": "a95a43c5f7defe6a",
-    "pkpk-l2-osorting-g1-sums": "4c0b5a9e1a27be68",
-    "pkpk-l2-osorting-g1-extremes": "a19d011fa825a674",
-    "pkpk-l2-bsorting-g0g1-sums": "90d7bb56214c81b9",
-    "pkpk-l2-bsorting-g0g1-extremes": "2a3f7b82bfcf7272",
-    "pkpk-l2-bsorting-g0-sums": "49ed2627ab0fc8e3",
-    "pkpk-l2-bsorting-g0-extremes": "7e3b08853db42f33",
-    "pkpk-l2-bsorting-g1-sums": "b18e92b6b46cd962",
-    "pkpk-l2-bsorting-g1-extremes": "d480077f8073f0d0",
-    "pkpk-l2-mix-g0g1-sums": "a5deeb4135c29618",
-    "pkpk-l2-mix-g0g1-extremes": "de6b94f9ffc725fe",
-    "pkpk-l2-mix-g0-sums": "8e9f0ed819431163",
-    "pkpk-l2-mix-g0-extremes": "3fa3c5123ad4201f",
-    "pkpk-l2-mix-g1-sums": "0cd27a05aea75062",
-    "pkpk-l2-mix-g1-extremes": "49b5032a3ec088e5",
-    "pkpk-l2-bitmap-g0g1-sums": "4f36bde88daebc6e",
-    "pkpk-l2-bitmap-g0g1-extremes": "8db6318c78d43a17",
-    "pkpk-l2-bitmap-g0-sums": "c42582fccb5cb0d1",
-    "pkpk-l2-bitmap-g0-extremes": "b30f2b7cc748e528",
-    "pkpk-l2-bitmap-g1-sums": "22970b5f3734d0d2",
-    "pkpk-l2-bitmap-g1-extremes": "d9c6cad64a17eb95",
+    "pkpk-l1-oneside-g0-sums": "b44edb43139616f3",
+    "pkpk-l1-oneside-g0-extremes": "423e7b91ac83b224",
+    "pkpk-l1-oneside-g1-sums": "f140af6e98e1b03a",
+    "pkpk-l1-oneside-g1-extremes": "e2c4e6da2b172017",
+    "pkpk-l2-view": "a7d548c2320a314f",
+    "pkpk-l2-sorting-g0g1-sums": "adb23b0e9c808f25",
+    "pkpk-l2-sorting-g0g1-extremes": "1fb4beabc8625951",
+    "pkpk-l2-sorting-g0-sums": "fd4f6eba28d4ca88",
+    "pkpk-l2-sorting-g0-extremes": "9bd6f08c927de0b3",
+    "pkpk-l2-sorting-g1-sums": "0c774285da857c3b",
+    "pkpk-l2-sorting-g1-extremes": "7d66982cef51aebc",
+    "pkpk-l2-osorting-g0g1-sums": "408fc8fe5f5f1f24",
+    "pkpk-l2-osorting-g0g1-extremes": "f385b0183a1f6adf",
+    "pkpk-l2-osorting-g0-sums": "e3451adf27fc5dd0",
+    "pkpk-l2-osorting-g0-extremes": "c281e1e0510ec795",
+    "pkpk-l2-osorting-g1-sums": "8892973d2d73e0d3",
+    "pkpk-l2-osorting-g1-extremes": "2212547bf88288ae",
+    "pkpk-l2-bsorting-g0g1-sums": "f24f0239da2a6288",
+    "pkpk-l2-bsorting-g0g1-extremes": "e8e769d1378e7f2f",
+    "pkpk-l2-bsorting-g0-sums": "73378e056826b5ae",
+    "pkpk-l2-bsorting-g0-extremes": "94da7ad1c7b65a01",
+    "pkpk-l2-bsorting-g1-sums": "39bba5a50d185ea1",
+    "pkpk-l2-bsorting-g1-extremes": "40e27912769b971b",
+    "pkpk-l2-mix-g0g1-sums": "238dda526a643ce4",
+    "pkpk-l2-mix-g0g1-extremes": "e09ef65d1183ffad",
+    "pkpk-l2-mix-g0-sums": "fa2e8bf9188e3dfb",
+    "pkpk-l2-mix-g0-extremes": "fda90f4c64a76229",
+    "pkpk-l2-mix-g1-sums": "f19dd9c45d281b77",
+    "pkpk-l2-mix-g1-extremes": "b52e532c089cc26e",
+    "pkpk-l2-bitmap-g0g1-sums": "c8f55b4896ff43ac",
+    "pkpk-l2-bitmap-g0g1-extremes": "c8f9aa9a67d26fea",
+    "pkpk-l2-bitmap-g0-sums": "b87b3fde0d12eb9d",
+    "pkpk-l2-bitmap-g0-extremes": "2e469d5c83b0d910",
+    "pkpk-l2-bitmap-g1-sums": "88966011e911488c",
+    "pkpk-l2-bitmap-g1-extremes": "164d16941fc327a8",
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l2-oneside-g0-sums": "80e5c7d6484a7f23",
-    "pkpk-l2-oneside-g0-extremes": "061348b73d9c9e90",
-    "pkpk-l2-oneside-g1-sums": "8168202e678455fb",
-    "pkpk-l2-oneside-g1-extremes": "ce97d4759fcfd4ae",
-    "pkfk-l0-view": "162aa1009ae9b3d3",
-    "pkfk-l0-sorting-g0g1-sums": "5519bcf3fb62c8d5",
-    "pkfk-l0-sorting-g0g1-extremes": "ba5eb92ea81ef303",
-    "pkfk-l0-sorting-g0-sums": "1834d863b4b5eae0",
-    "pkfk-l0-sorting-g0-extremes": "a274206a513b8afd",
-    "pkfk-l0-sorting-g1-sums": "da6fa4bfeac62af5",
-    "pkfk-l0-sorting-g1-extremes": "cb408ec86af05ee8",
-    "pkfk-l0-osorting-g0g1-sums": "b7fccda86ed79ea8",
-    "pkfk-l0-osorting-g0g1-extremes": "6fa5b82033f82a76",
-    "pkfk-l0-osorting-g0-sums": "8a9ea6e064e9e1de",
-    "pkfk-l0-osorting-g0-extremes": "2531818b40c4a48b",
-    "pkfk-l0-osorting-g1-sums": "bca8add6620297de",
-    "pkfk-l0-osorting-g1-extremes": "2743f06577c31583",
-    "pkfk-l0-bsorting-g0g1-sums": "c97271d516f875af",
-    "pkfk-l0-bsorting-g0g1-extremes": "f6dd5272bd9eb222",
-    "pkfk-l0-bsorting-g0-sums": "97165af6c26f82c9",
-    "pkfk-l0-bsorting-g0-extremes": "46da6b86a03d897c",
-    "pkfk-l0-bsorting-g1-sums": "ab4c02e46ce587a3",
-    "pkfk-l0-bsorting-g1-extremes": "cf7410d0c9e9acb1",
-    "pkfk-l0-mix-g0g1-sums": "9e740cdf017aab51",
-    "pkfk-l0-mix-g0g1-extremes": "d2dad1ae5e3a2950",
-    "pkfk-l0-mix-g0-sums": "5036ad1df4ffad90",
-    "pkfk-l0-mix-g0-extremes": "2843f280d8616f6b",
-    "pkfk-l0-mix-g1-sums": "6fd0a837b7bbdaf1",
-    "pkfk-l0-mix-g1-extremes": "1e0135fbf337b3fb",
-    "pkfk-l0-bitmap-g0g1-sums": "7419600e47545855",
-    "pkfk-l0-bitmap-g0g1-extremes": "4418b5b88afe5285",
-    "pkfk-l0-bitmap-g0-sums": "a31aac9a874c0284",
-    "pkfk-l0-bitmap-g0-extremes": "bfe7a73c1749e054",
-    "pkfk-l0-bitmap-g1-sums": "dea0f74c4c11fe60",
-    "pkfk-l0-bitmap-g1-extremes": "2978a245e262ec78",
+    "pkpk-l2-oneside-g0-sums": "19e3e4a4ee866652",
+    "pkpk-l2-oneside-g0-extremes": "201d61c2fc7981fb",
+    "pkpk-l2-oneside-g1-sums": "58b5332214835601",
+    "pkpk-l2-oneside-g1-extremes": "b6ba91d476e4d353",
+    "pkfk-l0-view": "cf83e12e81efbcb6",
+    "pkfk-l0-sorting-g0g1-sums": "fd1f3b3699c0113b",
+    "pkfk-l0-sorting-g0g1-extremes": "ffd66b512dd60b7a",
+    "pkfk-l0-sorting-g0-sums": "d9429c8f5317aa57",
+    "pkfk-l0-sorting-g0-extremes": "a4a187d240205b82",
+    "pkfk-l0-sorting-g1-sums": "e1888d84ca295bce",
+    "pkfk-l0-sorting-g1-extremes": "b8efed2e398a9a18",
+    "pkfk-l0-osorting-g0g1-sums": "ae6b8cc807f40554",
+    "pkfk-l0-osorting-g0g1-extremes": "f13e88fa71c372f8",
+    "pkfk-l0-osorting-g0-sums": "aef7694eb467737b",
+    "pkfk-l0-osorting-g0-extremes": "55abd74f75f06820",
+    "pkfk-l0-osorting-g1-sums": "313cd5bfdfd3adcf",
+    "pkfk-l0-osorting-g1-extremes": "175d88feb6c0154f",
+    "pkfk-l0-bsorting-g0g1-sums": "70f13389520c97af",
+    "pkfk-l0-bsorting-g0g1-extremes": "c4a3d0362a000cde",
+    "pkfk-l0-bsorting-g0-sums": "dc87a4c1cfcf50f8",
+    "pkfk-l0-bsorting-g0-extremes": "01ba8fc3f33dccfe",
+    "pkfk-l0-bsorting-g1-sums": "5618f515e832aa5a",
+    "pkfk-l0-bsorting-g1-extremes": "34f645505296d144",
+    "pkfk-l0-mix-g0g1-sums": "6f24d54aac1712e7",
+    "pkfk-l0-mix-g0g1-extremes": "d1f442f99e09a11d",
+    "pkfk-l0-mix-g0-sums": "9383d68c6c75fc0c",
+    "pkfk-l0-mix-g0-extremes": "4bdc99961fb6a181",
+    "pkfk-l0-mix-g1-sums": "42c490054775f6ec",
+    "pkfk-l0-mix-g1-extremes": "c660239351ce95b3",
+    "pkfk-l0-bitmap-g0g1-sums": "29a738d46fcc0e27",
+    "pkfk-l0-bitmap-g0g1-extremes": "024b9922b7728ae0",
+    "pkfk-l0-bitmap-g0-sums": "530587f763ce9561",
+    "pkfk-l0-bitmap-g0-extremes": "7538247cfb78c633",
+    "pkfk-l0-bitmap-g1-sums": "17ddcd964fc34c7f",
+    "pkfk-l0-bitmap-g1-extremes": "584a937b1da83444",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l0-oneside-g1-sums": "fd0738f5e48bb42a",
-    "pkfk-l0-oneside-g1-extremes": "a9bcde8dde1a6437",
-    "pkfk-l1-view": "d60f485446a2919b",
-    "pkfk-l1-sorting-g0g1-sums": "8c754e22681f7a78",
-    "pkfk-l1-sorting-g0g1-extremes": "515b903a6d65163f",
-    "pkfk-l1-sorting-g0-sums": "c9d39d93ae685bbc",
-    "pkfk-l1-sorting-g0-extremes": "ef217fffa708c4ed",
-    "pkfk-l1-sorting-g1-sums": "3a65f0a89cd157e7",
-    "pkfk-l1-sorting-g1-extremes": "d9dacf1ee781ac0e",
-    "pkfk-l1-osorting-g0g1-sums": "b748b541bea47178",
-    "pkfk-l1-osorting-g0g1-extremes": "ea385bdaf04af8c3",
-    "pkfk-l1-osorting-g0-sums": "eaac8c98b47f1494",
-    "pkfk-l1-osorting-g0-extremes": "e2b9e3f60e8eb289",
-    "pkfk-l1-osorting-g1-sums": "fb93c0d8e00094b7",
-    "pkfk-l1-osorting-g1-extremes": "569247de3633d1bb",
-    "pkfk-l1-bsorting-g0g1-sums": "35a6e1bd0e160acc",
-    "pkfk-l1-bsorting-g0g1-extremes": "a598893e111682db",
-    "pkfk-l1-bsorting-g0-sums": "45283cf6a657cb7b",
-    "pkfk-l1-bsorting-g0-extremes": "621e3040eed96512",
-    "pkfk-l1-bsorting-g1-sums": "dd847a152c74482c",
-    "pkfk-l1-bsorting-g1-extremes": "bfc1347553d5d432",
-    "pkfk-l1-mix-g0g1-sums": "57fac117247d6ef8",
-    "pkfk-l1-mix-g0g1-extremes": "3bc959c48a008f43",
-    "pkfk-l1-mix-g0-sums": "ae93c3d640a78efc",
-    "pkfk-l1-mix-g0-extremes": "161a463d0ac6cacd",
-    "pkfk-l1-mix-g1-sums": "23864aea699190fd",
-    "pkfk-l1-mix-g1-extremes": "ba47249def248ca4",
-    "pkfk-l1-bitmap-g0g1-sums": "0da2a9d312e91be5",
-    "pkfk-l1-bitmap-g0g1-extremes": "fd1923031231b03d",
-    "pkfk-l1-bitmap-g0-sums": "2b52c6e463b26e6f",
-    "pkfk-l1-bitmap-g0-extremes": "990d6fb5fb15870b",
-    "pkfk-l1-bitmap-g1-sums": "ff5cd9b7d12629d7",
-    "pkfk-l1-bitmap-g1-extremes": "5ff25bffac5a8d1a",
+    "pkfk-l0-oneside-g1-sums": "6468c5af94c501b1",
+    "pkfk-l0-oneside-g1-extremes": "eb7e9adfd59974c7",
+    "pkfk-l1-view": "e537b17759b5d64f",
+    "pkfk-l1-sorting-g0g1-sums": "d84e2256039e3337",
+    "pkfk-l1-sorting-g0g1-extremes": "abd9c12720c55289",
+    "pkfk-l1-sorting-g0-sums": "f53a1b29872f39bc",
+    "pkfk-l1-sorting-g0-extremes": "123a23f9196766ff",
+    "pkfk-l1-sorting-g1-sums": "c3c7c4e847ed932f",
+    "pkfk-l1-sorting-g1-extremes": "3c05c3f2fe0642ad",
+    "pkfk-l1-osorting-g0g1-sums": "019f5cece00b4556",
+    "pkfk-l1-osorting-g0g1-extremes": "22c9cee04ff764bf",
+    "pkfk-l1-osorting-g0-sums": "7e92ccb596b709eb",
+    "pkfk-l1-osorting-g0-extremes": "42cfb91bd38c9acd",
+    "pkfk-l1-osorting-g1-sums": "a762ee920bb3af5a",
+    "pkfk-l1-osorting-g1-extremes": "442b164c32e877f1",
+    "pkfk-l1-bsorting-g0g1-sums": "bd4baf26afbbaaca",
+    "pkfk-l1-bsorting-g0g1-extremes": "6e1190529181a32d",
+    "pkfk-l1-bsorting-g0-sums": "ca4a39be06155f25",
+    "pkfk-l1-bsorting-g0-extremes": "8bfb06ed0303d32f",
+    "pkfk-l1-bsorting-g1-sums": "5e12349e429839dc",
+    "pkfk-l1-bsorting-g1-extremes": "e567f355732aa788",
+    "pkfk-l1-mix-g0g1-sums": "969c74fadf75d52e",
+    "pkfk-l1-mix-g0g1-extremes": "28bb78309d0daec5",
+    "pkfk-l1-mix-g0-sums": "5abb876cd8007932",
+    "pkfk-l1-mix-g0-extremes": "f72fa0f40b55e106",
+    "pkfk-l1-mix-g1-sums": "e2394163fb78d035",
+    "pkfk-l1-mix-g1-extremes": "076079454c8d40a8",
+    "pkfk-l1-bitmap-g0g1-sums": "ca68c31a324e21d3",
+    "pkfk-l1-bitmap-g0g1-extremes": "44912af483da232f",
+    "pkfk-l1-bitmap-g0-sums": "24e0a93cfbcbde58",
+    "pkfk-l1-bitmap-g0-extremes": "4b8d7d8afc1d99c6",
+    "pkfk-l1-bitmap-g1-sums": "2e03f8529996a078",
+    "pkfk-l1-bitmap-g1-extremes": "bdeb17e96c17d2b2",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l1-oneside-g1-sums": "c99e008b32d50b33",
-    "pkfk-l1-oneside-g1-extremes": "e9f6b40d1d690b63",
-    "pkfk-l2-view": "7656852fae86848b",
-    "pkfk-l2-sorting-g0g1-sums": "8376d557c30d1845",
-    "pkfk-l2-sorting-g0g1-extremes": "4958219bc8a8c9a8",
-    "pkfk-l2-sorting-g0-sums": "67da4d71b8b8e990",
-    "pkfk-l2-sorting-g0-extremes": "b15db49166cda1f8",
-    "pkfk-l2-sorting-g1-sums": "9d53350324b42991",
-    "pkfk-l2-sorting-g1-extremes": "2e6c38c9ef5ec71e",
-    "pkfk-l2-osorting-g0g1-sums": "46781869b34904a7",
-    "pkfk-l2-osorting-g0g1-extremes": "aa4f49392d1b7af0",
-    "pkfk-l2-osorting-g0-sums": "951af48556000346",
-    "pkfk-l2-osorting-g0-extremes": "61c0bfe68db76a36",
-    "pkfk-l2-osorting-g1-sums": "c4af074b70b395f6",
-    "pkfk-l2-osorting-g1-extremes": "5f783ae3ad09916f",
-    "pkfk-l2-bsorting-g0g1-sums": "8cc97d534f8372ea",
-    "pkfk-l2-bsorting-g0g1-extremes": "f225a390f4087ce7",
-    "pkfk-l2-bsorting-g0-sums": "2851f291ec73bd57",
-    "pkfk-l2-bsorting-g0-extremes": "89c56ce2e4df25c3",
-    "pkfk-l2-bsorting-g1-sums": "4add4b5aa5d776d0",
-    "pkfk-l2-bsorting-g1-extremes": "fc1b06ef92480ac7",
-    "pkfk-l2-mix-g0g1-sums": "4f9c4e3d8cfbaf0f",
-    "pkfk-l2-mix-g0g1-extremes": "767b6be7e27e48c2",
-    "pkfk-l2-mix-g0-sums": "efe7dbc49a8af3bc",
-    "pkfk-l2-mix-g0-extremes": "2960a337f9446eb9",
-    "pkfk-l2-mix-g1-sums": "8d45fb62f3ee55f7",
-    "pkfk-l2-mix-g1-extremes": "4a75d69a1a2b75b1",
-    "pkfk-l2-bitmap-g0g1-sums": "7cf5334e900f065f",
-    "pkfk-l2-bitmap-g0g1-extremes": "eca81f45ea535a54",
-    "pkfk-l2-bitmap-g0-sums": "e0ce287bc509443c",
-    "pkfk-l2-bitmap-g0-extremes": "e6db1fc9ad71e6a8",
-    "pkfk-l2-bitmap-g1-sums": "bcf3c933b16460d3",
-    "pkfk-l2-bitmap-g1-extremes": "0ef2bf1d099f24cd",
+    "pkfk-l1-oneside-g1-sums": "2796ec7bea715b11",
+    "pkfk-l1-oneside-g1-extremes": "534a05a62e656358",
+    "pkfk-l2-view": "e75c54e19311354a",
+    "pkfk-l2-sorting-g0g1-sums": "442d6d4c8d2fb321",
+    "pkfk-l2-sorting-g0g1-extremes": "7dd8404f4fb15684",
+    "pkfk-l2-sorting-g0-sums": "4bee10495bef3984",
+    "pkfk-l2-sorting-g0-extremes": "3b4d8cabf496a2f0",
+    "pkfk-l2-sorting-g1-sums": "6642d35f939e03de",
+    "pkfk-l2-sorting-g1-extremes": "ca5f1ae5b0e5d870",
+    "pkfk-l2-osorting-g0g1-sums": "5688fb47b5644f3a",
+    "pkfk-l2-osorting-g0g1-extremes": "75b7ed9c845ec1fd",
+    "pkfk-l2-osorting-g0-sums": "c95d20e85fa9305d",
+    "pkfk-l2-osorting-g0-extremes": "781ec36957e4a37d",
+    "pkfk-l2-osorting-g1-sums": "d47a46c743706433",
+    "pkfk-l2-osorting-g1-extremes": "05b22a6a29109f08",
+    "pkfk-l2-bsorting-g0g1-sums": "4de4f6f82f6e1ad8",
+    "pkfk-l2-bsorting-g0g1-extremes": "3f37077931e025e2",
+    "pkfk-l2-bsorting-g0-sums": "029ea7d0f5eb5f4f",
+    "pkfk-l2-bsorting-g0-extremes": "958732981ea5c4b6",
+    "pkfk-l2-bsorting-g1-sums": "3a2c69ac703f0635",
+    "pkfk-l2-bsorting-g1-extremes": "abb4ce4ef2d13629",
+    "pkfk-l2-mix-g0g1-sums": "b4702c603aff3357",
+    "pkfk-l2-mix-g0g1-extremes": "f0929884f9677022",
+    "pkfk-l2-mix-g0-sums": "433cdb832a8d4f90",
+    "pkfk-l2-mix-g0-extremes": "68c693bc58f25ab5",
+    "pkfk-l2-mix-g1-sums": "aae00c5c75d7985c",
+    "pkfk-l2-mix-g1-extremes": "46a771cf23096c86",
+    "pkfk-l2-bitmap-g0g1-sums": "c39fac9f8ee3a013",
+    "pkfk-l2-bitmap-g0g1-extremes": "8fee9d13b901aa53",
+    "pkfk-l2-bitmap-g0-sums": "d79809f20fb3efe1",
+    "pkfk-l2-bitmap-g0-extremes": "a44120d15ff18d89",
+    "pkfk-l2-bitmap-g1-sums": "969e71df1ab538c1",
+    "pkfk-l2-bitmap-g1-extremes": "bc52ef18ca641e6a",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l2-oneside-g1-sums": "08dd314e40a9f8e0",
-    "pkfk-l2-oneside-g1-extremes": "9d0cb9ae6c2781ef",
+    "pkfk-l2-oneside-g1-sums": "6310555ea5078cf8",
+    "pkfk-l2-oneside-g1-extremes": "d4714e80b983d1cf",
 }
 
 
 GOLDEN_DOM0 = {
-    "pkpk-l0-sorting-dom0-g0g1-sums": "b778fee6f253c0e6",
-    "pkpk-l0-sorting-dom0-g0g1-extremes": "5eb9eba050428191",
-    "pkpk-l0-sorting-dom0-g0-sums": "735bdbf61291e710",
-    "pkpk-l0-sorting-dom0-g0-extremes": "38b31c57939b0706",
-    "pkpk-l0-osorting-dom0-g0g1-sums": "114b451972731926",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "16876a617627b88b",
-    "pkpk-l0-osorting-dom0-g0-sums": "75e6d33541521022",
-    "pkpk-l0-osorting-dom0-g0-extremes": "a241a583e3509c46",
-    "pkpk-l1-sorting-dom0-g0g1-sums": "bfdf70fc9240dc61",
-    "pkpk-l1-sorting-dom0-g0g1-extremes": "f424c21948833ebe",
-    "pkpk-l1-sorting-dom0-g0-sums": "80b70e50327ac2f3",
-    "pkpk-l1-sorting-dom0-g0-extremes": "617565389cf95914",
-    "pkpk-l1-osorting-dom0-g0g1-sums": "1462b7a28cb5e97b",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "a839eab7fdf99683",
-    "pkpk-l1-osorting-dom0-g0-sums": "057637eba22714a1",
-    "pkpk-l1-osorting-dom0-g0-extremes": "d30e463c022a0c84",
-    "pkpk-l2-sorting-dom0-g0g1-sums": "7a7d1c99a3f847e7",
-    "pkpk-l2-sorting-dom0-g0g1-extremes": "5b1e504455504793",
-    "pkpk-l2-sorting-dom0-g0-sums": "efdf291e4b35b339",
-    "pkpk-l2-sorting-dom0-g0-extremes": "f1cb20bbe10133c1",
-    "pkpk-l2-osorting-dom0-g0g1-sums": "e461890c3af6305f",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "7a0827536c7dbcb3",
-    "pkpk-l2-osorting-dom0-g0-sums": "8511e1b02c1574e0",
-    "pkpk-l2-osorting-dom0-g0-extremes": "b37e74c873ca96e5",
+    "pkpk-l0-sorting-dom0-g0g1-sums": "48cb3e761e2dcc98",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "433d46e999c6e1c1",
+    "pkpk-l0-sorting-dom0-g0-sums": "0ff298fffe589d2f",
+    "pkpk-l0-sorting-dom0-g0-extremes": "8e3efe6b24d39ff8",
+    "pkpk-l0-osorting-dom0-g0g1-sums": "d8f8bb3d369a1d65",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "dfad476b82d359ec",
+    "pkpk-l0-osorting-dom0-g0-sums": "68fde9e161ae4b37",
+    "pkpk-l0-osorting-dom0-g0-extremes": "a37b6661945979f1",
+    "pkpk-l1-sorting-dom0-g0g1-sums": "8776e1d992122c37",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "d9e19f049c68f266",
+    "pkpk-l1-sorting-dom0-g0-sums": "398f711848a48555",
+    "pkpk-l1-sorting-dom0-g0-extremes": "a67a307c0479eda4",
+    "pkpk-l1-osorting-dom0-g0g1-sums": "c96276c5d62fd37b",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "ab1139c4db8e26a5",
+    "pkpk-l1-osorting-dom0-g0-sums": "105f21dd163a758e",
+    "pkpk-l1-osorting-dom0-g0-extremes": "d5ccb792e9f67dc0",
+    "pkpk-l2-sorting-dom0-g0g1-sums": "e5d022afe47ae1d4",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "6004e89efc06b325",
+    "pkpk-l2-sorting-dom0-g0-sums": "cc7cb8b1f7518f42",
+    "pkpk-l2-sorting-dom0-g0-extremes": "2e26a6be09f47f3a",
+    "pkpk-l2-osorting-dom0-g0g1-sums": "97fae21e476f1f3a",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "2fc88ff9aae606ad",
+    "pkpk-l2-osorting-dom0-g0-sums": "5ab8426541529dcf",
+    "pkpk-l2-osorting-dom0-g0-extremes": "8f833ee01b7168b1",
 }
 
 
@@ -490,25 +490,25 @@ def primitive_cell(name) -> str:
 
 
 GOLDEN_PRIMITIVES = {
-    "osn_plain": "81fbea3a0c7f0204",
-    "osn_shared": "0deb35cf6cfb8825",
-    "shuffle": "0ed3c8c81222831a",
-    "perm_shared": "6b87f195a641e8c1",
-    "invp_shared": "786dfb4b7988603b",
-    "perm_plain": "79d22bccc19c2747",
-    "invp_plain": "9c775f8223533b4e",
-    "stable_sort": "7f754d01f70128fe",
-    "trav_flags-sum": "b6052fb894f775a6",
-    "trav_flags-count": "b6052fb894f775a6",
-    "trav_flags-max": "bcf4b3ba99dad499",
-    "trav_flags-min": "ce7fd8fb30d2d391",
-    "trav_flags-xor": "393e3ec8f1e77a44",
-    "asym_mul-arith": "8dce452513397df5",
-    "asym_mul-bin64": "fe232085952c8e4f",
-    "asym_mul-bin1": "8539ba3c0a073a79",
-    "share_open": "1958faf848c0ed3d",
-    "gates": "27072eb56d5ebf60",
-    "refresh_pkfk": "1439f9a2a778cda2",
+    "osn_plain": "8f775677e4ce5316",
+    "osn_shared": "0722e9543830d9cb",
+    "shuffle": "0f5f79ee5f743aa5",
+    "perm_shared": "948fd1aa3debb101",
+    "invp_shared": "40f2b52bae8a23aa",
+    "perm_plain": "8553ccd7a4907ad8",
+    "invp_plain": "e74f1914390c10f1",
+    "stable_sort": "cbb323df636a0c8a",
+    "trav_flags-sum": "c189ed2ed1bffb48",
+    "trav_flags-count": "c189ed2ed1bffb48",
+    "trav_flags-max": "25a26b5d9134eb35",
+    "trav_flags-min": "6c7b75c57aa212ee",
+    "trav_flags-xor": "950fa05b47c3bc27",
+    "asym_mul-arith": "564339563277dce7",
+    "asym_mul-bin64": "e5f9be87296a4565",
+    "asym_mul-bin1": "db34f5360e8e8207",
+    "share_open": "f35f8cf7626fa1d1",
+    "gates": "6f2b9a0a69f51be4",
+    "refresh_pkfk": "6ee53a90e7050c1f",
 }
 
 
