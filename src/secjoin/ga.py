@@ -28,7 +28,8 @@ raises `ValueOutsideDomain` before any message.
 Null handling: masked rows carry a validity bit; 0 stands in for the dropped
 value and canonicalization removes invalid rows. Inside running aggregates
 the null replacement is the aggregate's identity (0 for sum/count/xor/max,
-2^64-1 for min), so min callers must avoid the reserved extreme.
+2^64-1 for min). A null changes no aggregate it meets and rows are kept by
+validity, not by value, so a real row may hold either identity.
 """
 from __future__ import annotations
 

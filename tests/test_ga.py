@@ -1,10 +1,14 @@
 """Group-aggregation protocols: oracle equivalence and ledger properties."""
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secjoin import bench, ga, oracle
 from secjoin import views as vw
-from secjoin.errors import DomainTooLarge, ValueOutsideDomain
+from secjoin.errors import DomainTooLarge, SecJoinError, ValueOutsideDomain
 from secjoin.ga import JgaQuery, select_protocol
 from secjoin.session import Session
 from secjoin.views import Relation
@@ -514,3 +518,41 @@ def test_append_bitmap_columns_rejects_a_value_outside_the_domain():
                   "k", "pk")
     with pytest.raises(ValueOutsideDomain):
         vw.append_bitmap_columns(r0, "g0", [0, 1])
+
+
+EXTREMES = (0, 1, (1 << 64) - 2, (1 << 64) - 1)
+EXTREME_AGGS = [(side, f"v{side}", fn) for fn in ("min", "max", "sum", "xor")
+                for side in (0, 1)]
+
+
+def _extreme_relation(draw, name, keys):
+    n = len(keys)
+    return Relation(name, {"k": keys,
+                           f"g{name == 'B':d}": draw(st.lists(
+                               st.integers(0, 1), min_size=n, max_size=n)),
+                           f"v{name == 'B':d}": draw(st.lists(
+                               st.sampled_from(EXTREMES), min_size=n,
+                               max_size=n))}, "k")
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_ring_extremes_give_the_oracles_rows_or_a_typed_error(data):
+    # min's null replacement is 2^64 - 1, the largest value a row may hold:
+    # every protocol must still give the oracle's rows at the ring's ends
+    keys = st.lists(st.integers(1, 8), min_size=1, max_size=6, unique=True)
+    r0 = _extreme_relation(data.draw, "A", data.draw(keys))
+    r1 = _extreme_relation(data.draw, "B", data.draw(keys))
+    groups = data.draw(st.sampled_from([("g0", "g1"), ("g0", None),
+                                        (None, "g1")]))
+    q = JgaQuery(*groups, EXTREME_AGGS)
+    expect = oracle.eval_jga(r0, r1, q)
+    for level in (0, 1, 2):
+        v0, v1 = vw.GENERATORS[level](Session(1, 2, 3), r0, r1)
+        for proto in (*ga.PROTOCOLS, "auto"):
+            try:
+                rows = ga.run_query(Session(4, 5, 6), v0, v1,
+                                    dataclasses.replace(q, protocol=proto)).rows
+            except SecJoinError:
+                continue
+            assert rows == expect, (level, proto)
