@@ -21,12 +21,8 @@ class DealerExhausted(SecJoinError):
     """The dealer's correlation budget ran out mid-protocol."""
 
 
-class ProtocolDesync(SecJoinError):
-    """One party expected a message the other never sent (programming error)."""
-
-
 class NotAPermutation(SecJoinError):
-    """A value that must reconstruct to a permutation does not (debug check)."""
+    """A value that must be a permutation of [1..n] is not."""
 
 
 class PreconditionViolated(SecJoinError):

@@ -74,6 +74,15 @@ class PlainColumn:
 # oblivious switching network
 # ---------------------------------------------------------------------------
 
+def check_perm(pi: np.ndarray, what: str) -> None:
+    """Raise `NotAPermutation` unless the int64 vector pi is a permutation
+    of [1..n]: one range check and one count, O(n)."""
+    n = len(pi)
+    if n and (pi.min() < 1 or pi.max() > n
+              or np.count_nonzero(np.bincount(pi, minlength=n + 1)) != n):
+        raise NotAPermutation(f"{what} is not a permutation of [1..{n}]")
+
+
 def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
                  cols: list[PlainColumn]) -> list[SharedVector]:
     """Core OSN: the receiver knows pi, the sender holds plain columns.
@@ -91,15 +100,13 @@ def _osn_network(sess: Session, receiver: int, pi: np.ndarray,
             raise SizeMismatch(f"column length {len(col)} != |pi| = {n}")
     if n == 0:
         return [SharedVector.zeros(0, c.flavor, c.width) for c in cols]
-    if (pi.min() < 1 or pi.max() > n
-            or np.count_nonzero(np.bincount(pi, minlength=n + 1)) != n):
-        raise NotAPermutation(f"pi is not a permutation of [1..{n}]")
+    check_perm(pi, "pi")
 
     m = _pad_pow2(n)
     prog = build_program(_extend_perm(pi, m) - 1)
     s_count = prog.num_switches
     ctrl = prog.controls()
-    spool = sess.parties[sender].pool
+    spool = sess.parties[sender]
     ncols = len(cols)
 
     data = []
@@ -239,33 +246,33 @@ def _unshuffle(sess: Session, cols, perms):
     return osn_shared(sess, 0, invert_perm(phi_a), step1)
 
 
-def _open_perm(sess: Session, sv: SharedVector, to, debug: bool) -> np.ndarray:
-    vals = sh.open_vec(sess, sv, to)
-    out = vals.astype(np.int64)
-    if debug and sorted(out.tolist()) != list(range(1, len(out) + 1)):
-        raise NotAPermutation(f"opened vector is not a permutation of [{len(out)}]")
+def _open_perm(sess: Session, sv: SharedVector, to) -> np.ndarray:
+    """Open a shared permutation, which must be one of [1..n]: a shared pi
+    that is not gives an opened vector that is not either."""
+    out = sh.open_vec(sess, sv, to).astype(np.int64)
+    check_perm(out, "the opened permutation")
     return out
 
 
-def invp_shared(sess: Session, pi: SharedVector, cols: list[SharedVector],
-                debug: bool = False) -> list[SharedVector]:
+def invp_shared(sess: Session, pi: SharedVector,
+                cols: list[SharedVector]) -> list[SharedVector]:
     """Apply pi^-1 to shared columns: shuffle (pi, X) jointly, open the
     shuffled permutation, finish locally."""
     shuffled, _ = _shuffle_keep(sess, [pi] + list(cols))
-    sigma = _open_perm(sess, shuffled[0], "both", debug)
+    sigma = _open_perm(sess, shuffled[0], "both")
     gather = invert_perm(sigma) - 1
     return [c.gather(gather) for c in shuffled[1:]]
 
 
-def perm_shared(sess: Session, pi: SharedVector, cols: list[SharedVector],
-                debug: bool = False) -> list[SharedVector]:
+def perm_shared(sess: Session, pi: SharedVector,
+                cols: list[SharedVector]) -> list[SharedVector]:
     """Apply pi to shared columns (dual of invp_shared).
 
     Shuffle pi alone, open sigma = pi . phi, gather by sigma, then undo the
     hidden phi by running the switching passes backwards.
     """
     shuffled, perms = _shuffle_keep(sess, [pi])
-    sigma = _open_perm(sess, shuffled[0], "both", debug)
+    sigma = _open_perm(sess, shuffled[0], "both")
     gathered = [c.gather(sigma - 1) for c in cols]
     return _unshuffle(sess, gathered, perms)
 
@@ -277,7 +284,7 @@ def perm_plain(sess: Session, pi: SharedVector, sender: int,
     n = len(pi)
     sigma = sess.parties[receiver].draw_perm(n)
     rho_sv = osn_shared(sess, receiver, sigma, [pi])[0]
-    rho = _open_perm(sess, rho_sv, sender, False)
+    rho = _open_perm(sess, rho_sv, sender)
     moved = [PlainColumn(c.values[rho - 1], c.flavor, c.width) for c in cols]
     return osn_plain(sess, receiver, invert_perm(sigma), moved)
 
@@ -289,7 +296,7 @@ def invp_plain(sess: Session, pi: SharedVector, sender: int,
     n = len(pi)
     sigma = sess.parties[sender].draw_perm(n)
     rho_sv = osn_shared(sess, sender, sigma, [pi])[0]
-    rho = _open_perm(sess, rho_sv, receiver, False)
+    rho = _open_perm(sess, rho_sv, receiver)
     moved = [PlainColumn(c.values[sigma - 1], c.flavor, c.width) for c in cols]
     return osn_plain(sess, receiver, invert_perm(rho), moved)
 

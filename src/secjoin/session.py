@@ -1,11 +1,11 @@
-"""Two-party execution substrate: channel, transcript ledger, session.
+"""Two-party execution substrate: transcript ledger, random streams, session.
 
-The two parties run on one cooperative scheduler: protocol code is written as
-a single choreography that says which party computes what, and every value
-that crosses between parties is pushed through the session as a real byte
-frame. The transcript keeps wire traffic and dealer (hybrid) traffic in
-strictly separate ledgers, the hybrid one also by kind of delivery; all
-acceptance checks read this ledger.
+Protocol code is written as one choreography that says which party computes
+what. Every value that crosses between parties goes through `Session.send`
+or `Session.exchange` as an array frame, which the transcript notes as
+sent and received at once. The transcript keeps wire traffic and dealer
+(hybrid) traffic in strictly separate ledgers, the hybrid one also by kind
+of delivery; all acceptance checks read this ledger.
 
 A "round" increments whenever the direction of dependency flips; batched
 parallel messages in one flow count as one round, and a simultaneous exchange
@@ -14,13 +14,12 @@ parallel messages in one flow count as one round, and a simultaneous exchange
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProtocolDesync
+from .dealer import Dealer
 
 _EXCHANGE = -1
 
@@ -132,70 +131,37 @@ class Transcript:
 
 
 class RandPool:
-    """One owner's uniform uint64 stream over its own PCG64 generator.
-
-    Draws are buffered, and the unread tail of the buffer is kept when it is
-    refilled, so each value depends only on how many values the owner drew
-    before it, not on how those draws were grouped into calls.
-    """
-
-    _BLOCK = 1 << 14
+    """One owner's uniform uint64 stream: the raw outputs of its own PCG64
+    generator, so each value depends only on how many values the owner drew
+    before it, not on how those draws were grouped into calls."""
 
     def __init__(self, seed: int | np.random.SeedSequence):
-        self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._buf = np.empty(0, dtype=np.uint64)
-        self._pos = 0
+        self._bitgen = np.random.PCG64(seed)
 
     def u64(self, n: int) -> np.ndarray:
-        tail = len(self._buf) - self._pos
-        if n > tail:
-            fresh = self._gen.integers(0, 1 << 64, max(n - tail, self._BLOCK),
-                                       dtype=np.uint64)
-            if n - tail >= self._BLOCK:  # a large draw is handed out whole
-                out = np.concatenate([self._buf[self._pos:], fresh]) \
-                    if tail else fresh
-                self._buf, self._pos = np.empty(0, dtype=np.uint64), 0
-                return out
-            self._buf = np.concatenate([self._buf[self._pos:], fresh])
-            self._pos = 0
-        out = self._buf[self._pos:self._pos + n].copy()
-        self._pos += n
-        return out
+        return self._bitgen.random_raw(n)
 
     def spawn(self, n: int) -> list["RandPool"]:
         """n child streams seeded by children of this stream's seed sequence,
         so no child repeats this stream or another child (a seed of [s, 0]
         would: PCG64([s, 0]) is PCG64(s))."""
-        return [RandPool(child)
-                for child in self._gen.bit_generator.seed_seq.spawn(n)]
+        return [RandPool(child) for child in self._bitgen.seed_seq.spawn(n)]
 
     def perm(self, n: int) -> np.ndarray:
         """A uniform permutation of [0, n): the stable argsort of n fresh
         values (two of them tie with probability about n^2 / 2^65)."""
         return np.argsort(self.u64(n), kind="stable")
 
-
-@dataclass
-class PartyState:
-    """Per-party private state: identity and its own random stream."""
-
-    id: int
-    pool: RandPool
-
     def draw_perm(self, n: int) -> np.ndarray:
-        """Sample a uniform permutation of [n] (1-based targets)."""
-        return self.pool.perm(n) + 1
+        """A uniform permutation of [n] (1-based targets)."""
+        return self.perm(n) + 1
 
 
-def _payload_bytes(data) -> bytes:
+def _payload_bytes(data: np.ndarray) -> bytes:
     """A frame's bytes; a sent array is frozen, so that a later in-place
     write by its sender raises instead of changing what was received."""
-    if isinstance(data, np.ndarray):
-        data.flags.writeable = False
-        return data.tobytes()
-    if isinstance(data, bytes):
-        return data
-    raise TypeError(f"unsupported frame payload type {type(data)!r}")
+    data.flags.writeable = False
+    return data.tobytes()
 
 
 class Session:
@@ -209,37 +175,17 @@ class Session:
 
     def __init__(self, seed0: int = 11, seed1: int = 22, seedD: int = 33,
                  triple_budget: int | None = None):
-        from .dealer import Dealer
-
         self.seeds = (seed0, seed1, seedD)
-        self.parties = (PartyState(0, RandPool(seed0)),
-                        PartyState(1, RandPool(seed1)))
+        self.parties = (RandPool(seed0), RandPool(seed1))
         self.transcript = Transcript()
         self.dealer = Dealer(RandPool(seedD), self.transcript, triple_budget)
-        self._queues = (deque(), deque())  # index = sending party
         self.tamper_phase: str | None = None
         self._tampered = False
 
-    # -- raw queue interface (desync is detectable here) -------------------
-
-    def post(self, src: int, data, bits: int):
-        payload = _payload_bytes(data)
-        self.transcript.note_send(src, bits, payload)
-        self._queues[src].append(data)
-
-    def take(self, src: int):
-        if not self._queues[src]:
-            raise ProtocolDesync(f"party {1 - src} expected a message from "
-                                 f"party {src} that was never sent")
-        data = self._queues[src].popleft()
-        return self._maybe_tamper(data)
-
-    # -- choreography helpers ----------------------------------------------
-
-    def send(self, src: int, data, bits: int):
+    def send(self, src: int, data: np.ndarray, bits: int) -> np.ndarray:
         """One-way message; returns the payload as the receiver sees it."""
-        self.post(src, data, bits)
-        return self.take(src)
+        self.transcript.note_send(src, bits, _payload_bytes(data))
+        return self._maybe_tamper(data)
 
     def exchange(self, data0, data1, bits0: int, bits1: int):
         """Simultaneous both-direction flow; one round total.
@@ -252,7 +198,7 @@ class Session:
 
     def _maybe_tamper(self, data):
         if (self.tamper_phase is not None and not self._tampered
-                and isinstance(data, np.ndarray) and data.size
+                and data.size
                 and any(self.tamper_phase in p[0].split(".")
                         for p in self.transcript._phase_stack)):
             data = data.copy()
@@ -267,14 +213,3 @@ class Session:
             yield
         finally:
             self.transcript.pop_phase()
-
-    def run_protocol(self, protocol, *args, **kwargs):
-        """Run a named two-party program to completion.
-
-        Returns (protocol outputs, transcript). Leftover queued messages mean
-        one party ended while the other still owed it a receive.
-        """
-        out = protocol(self, *args, **kwargs)
-        if self._queues[0] or self._queues[1]:
-            raise ProtocolDesync("protocol ended with undelivered messages")
-        return out, self.transcript

@@ -7,10 +7,11 @@ code: everything that logically crosses between parties goes through the
 session so the transcript stays faithful.
 
 Gate costs: mul/AND burn one Beaver triple per element (per bit for packed
-binary) and one exchange round; add/XOR are local; conversions use dealer
-daBits/edaBits. One log-depth prefix over (generate, propagate) bit pairs,
-`_prefix`, is the circuit behind eq, gt, the multi-limb gt_limbs and the
-carries of a2b: each of its levels is one exchange.
+binary) and one exchange round, in one gate for both flavors (`_beaver`);
+add/XOR are local; conversions use dealer daBits/edaBits. One log-depth
+prefix over (generate, propagate) bit pairs, `_prefix`, is the circuit
+behind eq, gt, the multi-limb gt_limbs and the carries of a2b: each of its
+levels is one exchange.
 """
 from __future__ import annotations
 
@@ -191,51 +192,43 @@ def _top(x: SharedVector) -> SharedVector:
 def mul(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     """Beaver multiplication: x*y for arithmetic shares, AND for binary."""
     x._check_like(y)
-    n = len(x)
-    if n == 0:
-        return x.slice(0, 0)
-    if x.flavor == BINARY:
-        return _and_bin(sess, x, [y])[0]
-    (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_arith(n)
-    d0, e0 = x.shares[0] - a0, y.shares[0] - b0
-    d1, e1 = x.shares[1] - a1, y.shares[1] - b1
-    bits = 2 * 64 * n
-    at0, at1 = sess.exchange(np.concatenate([d0, e0]),
-                             np.concatenate([d1, e1]), bits, bits)
-    d_0, e_0 = d0 + at0[:n], e0 + at0[n:]   # opened (d, e) as party 0 sees them
-    d_1, e_1 = d1 + at1[:n], e1 + at1[n:]
-    z0 = c0 + d_0 * b0 + e_0 * a0 + d_0 * e_0
-    z1 = c1 + d_1 * b1 + e_1 * a1
-    return SharedVector(ARITH, 64, z0, z1)
+    return _beaver(sess, x, [y])[0]
 
 
-def _and_bin(sess: Session, x: SharedVector,
-             ys: list[SharedVector]) -> list[SharedVector]:
-    """x AND y for every y in ys: one triple draw and one exchange for all."""
-    n, w, k = len(x), x.width, len(ys)
+def _beaver(sess: Session, x: SharedVector,
+            ys: list[SharedVector]) -> list[SharedVector]:
+    """x*y (arithmetic) or x AND y (binary) for every y in ys: one triple
+    draw and one exchange for all. An arithmetic product is 64 bits wide."""
+    n, k = len(x), len(ys)
     if n == 0:
         return [x.copy() for _ in ys]
-    (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_bin(k * n, w)
+    f = x.flavor
+    if f == BINARY:
+        w, minus, times = x.width, np.bitwise_xor, np.bitwise_and
+        (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_bin(k * n, w)
+    else:
+        w, minus, times = 64, np.subtract, np.multiply
+        (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_arith(k * n)
     wm = width_mask(w)
-    de = []  # each party's (d, e) half: x ^ a per y, then every y ^ b
+    de = []  # each party's (d, e) half: x - a per y, then every y - b
     for half, (a, b) in enumerate(((a0, b0), (a1, b1))):
         buf = np.empty(2 * k * n, dtype=np.uint64)
-        np.bitwise_xor(x.shares[half], a.reshape(k, n),
-                       out=buf[:k * n].reshape(k, n))
+        minus(x.shares[half], a.reshape(k, n), out=buf[:k * n].reshape(k, n))
         for i, y in enumerate(ys):
             lo = (k + i) * n
-            np.bitwise_xor(y.shares[half], b[i * n:(i + 1) * n],
-                           out=buf[lo:lo + n])
+            minus(y.shares[half], b[i * n:(i + 1) * n], out=buf[lo:lo + n])
         if w < 64:  # a shifted operand's bits above the width never go out
             buf &= wm
         de.append(buf)
     bits = 2 * w * k * n
     at0, at1 = sess.exchange(de[0], de[1], bits, bits)
-    de_0, de_1 = de[0] ^ at0, de[1] ^ at1  # the opened (d, e) as each party sees it
+    # the opened (d, e) as each party sees it
+    de_0, de_1 = combine(f, de[0], at0), combine(f, de[1], at1)
     d_0, e_0, d_1, e_1 = de_0[:k * n], de_0[k * n:], de_1[:k * n], de_1[k * n:]
-    z0 = c0 ^ (d_0 & b0) ^ (e_0 & a0) ^ (d_0 & e_0)
-    z1 = c1 ^ (d_1 & b1) ^ (e_1 & a1)
-    return [SharedVector(BINARY, w, z0[i * n:(i + 1) * n], z1[i * n:(i + 1) * n])
+    z0 = combine(f, combine(f, c0, times(d_0, b0)),
+                 combine(f, times(e_0, a0), times(d_0, e_0)))
+    z1 = combine(f, combine(f, c1, times(d_1, b1)), times(e_1, a1))
+    return [SharedVector(f, w, z0[i * n:(i + 1) * n], z1[i * n:(i + 1) * n])
             for i in range(k)]
 
 
@@ -323,7 +316,7 @@ def _prefix(sess: Session, g: SharedVector | None, p: SharedVector, w: int,
         ys = ([] if g is None else [_shl(g, s)]) + ([_shl(p, s)] if keep_p else [])
         if keep_p:
             ys[-1].shares[0][:] |= width_mask(s)
-        ands = _and_bin(sess, p, ys)
+        ands = _beaver(sess, p, ys)
         if g is not None:
             g = xor(g, ands[0])
         if keep_p:
@@ -425,7 +418,7 @@ def asym_mul(sess: Session, f_holder: int, f_bits: np.ndarray, x_vals: np.ndarra
     (c, qc), (q0, q1) = sess.dealer.random_ots(n, receiver=f_holder)
     qc, q0, q1 = qc[:, 0], q0[:, 0], q1[:, 0]
     d = sess.send(f_holder, f_bits ^ c, n)
-    r = sess.parties[x_holder].pool.u64(n) & width_mask(width)
+    r = sess.parties[x_holder].u64(n) & width_mask(width)
     # the bit holder ends with the half that joins r to f ? x : 0
     m0, m1 = uncombine(flavor, _U64(0), r), uncombine(flavor, x_vals, r)
     y0 = m0 ^ np.where(d == 1, q1, q0)

@@ -18,7 +18,7 @@ from . import oblivious as ob
 from . import setops
 from . import sharing as sh
 from .errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
-                     NotAPermutation, SizeMismatch, ValueOutsideDomain)
+                     SizeMismatch, ValueOutsideDomain)
 from .ring import ARITH, BINARY, as_ring
 from .session import Session
 from .sharing import SharedVector
@@ -279,8 +279,7 @@ def gen_secv(sess: Session, r0: Relation, r1: Relation,
     with sess.phase("mux"):
         pi_b_sv = sh.mux(sess, e_sv, z_sv, p0_sv)
         pi_b = sh.open_vec(sess, pi_b_sv, to=pb).astype(np.int64)
-    if sorted(pi_b.tolist()) != list(range(1, na + 1)):
-        raise NotAPermutation("secV produced an invalid revealed permutation")
+    ob.check_perm(pi_b, "secV's revealed permutation")
 
     pis = [None, None]
     pis[pa], pis[pb] = pi_a, pi_b
@@ -395,9 +394,9 @@ def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC,
             e_map = SharedVector.concat(
                 [e_map, SharedVector.zeros(m - n_e, BINARY, 1)])
             pi1_m = _extend_injective(pi1_m, m, max(v1c.codomain, m),
-                                      sess.parties[1].pool)
+                                      sess.parties[1])
             pi0_m = _extend_injective(pi0_m, m, max(v0c.codomain, m),
-                                      sess.parties[0].pool)
+                                      sess.parties[0])
     n = len(pi1_m)
     view0, view1 = _pkfk_steps23(sess, r0, r1, pi0_m, pi1_m, e_map, n)
     view0.level = view1.level = level

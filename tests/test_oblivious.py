@@ -145,9 +145,9 @@ def test_perm_invp_shared_exhaustive():
             x = rng.integers(0, 1 << 64, n, dtype=np.uint64)
             piv = sh.share_vec(sess, 0, pi)
             xv = sh.share_vec(sess, 1, x)
-            got = ob.perm_shared(sess, piv, [xv], debug=True)[0].reconstruct()
+            got = ob.perm_shared(sess, piv, [xv])[0].reconstruct()
             assert np.array_equal(got, x[pi - 1])
-            got = ob.invp_shared(sess, piv, [xv], debug=True)[0].reconstruct()
+            got = ob.invp_shared(sess, piv, [xv])[0].reconstruct()
             assert got.tolist() == oracle.oracle_primitive("invp", pi, x.tolist())
 
 
@@ -171,6 +171,23 @@ def test_perm_shared_identity_permutation():
     piv = sh.share_vec(sess, 0, np.arange(1, 11))
     xv = sh.share_vec(sess, 1, x)
     assert np.array_equal(ob.perm_shared(sess, piv, [xv])[0].reconstruct(), x)
+
+
+@pytest.mark.parametrize("pi", [[1, 1, 3], [1, 2, 9], [0, 1, 2],
+                                [(1 << 64) - 1, 1, 2]])
+def test_every_opened_permutation_is_checked(pi):
+    # a shared pi that is no permutation once gave [10, 10, 30] from
+    # perm_shared and perm_plain and [20, 30, 30] from invp_shared, or a
+    # bare IndexError for an entry past n
+    x = np.array([10, 20, 30], dtype=np.uint64)
+    runs = (lambda s, piv: ob.perm_shared(s, piv, [sh.share_vec(s, 1, x)]),
+            lambda s, piv: ob.invp_shared(s, piv, [sh.share_vec(s, 1, x)]),
+            lambda s, piv: ob.perm_plain(s, piv, 1, [ob.PlainColumn(x)]),
+            lambda s, piv: ob.invp_plain(s, piv, 1, [ob.PlainColumn(x)]))
+    for run in runs:
+        sess = fresh()
+        with pytest.raises(NotAPermutation):
+            run(sess, sh.share_vec(sess, 0, pi))
 
 
 def test_perm_invp_plain_exhaustive():

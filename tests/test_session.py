@@ -7,7 +7,6 @@ import pytest
 
 from secjoin import sharing as sh
 from secjoin import views as vw
-from secjoin.errors import ProtocolDesync
 from secjoin.session import RandPool, Session
 from secjoin.views import Relation
 
@@ -21,11 +20,11 @@ def _mul_program(sess):
     return sh.mul(sess, x, y)
 
 
-def test_run_protocol_mul_single_round():
+def test_mul_program_single_round():
     sess = Session(1, 2, 3)
-    out, t = sess.run_protocol(_mul_program)
+    out = _mul_program(sess)
     assert out.reconstruct()[0] == 12
-    assert t.wire_rounds == 1
+    assert sess.transcript.wire_rounds == 1
 
 
 def test_zero_message_program_zero_bits():
@@ -35,7 +34,8 @@ def test_zero_message_program_zero_bits():
         a = sh.SharedVector.public([1, 2, 3])
         return sh.add(a, a)
 
-    _, t = sess.run_protocol(local_only)
+    local_only(sess)
+    t = sess.transcript
     assert t.wire_bits == 0 and t.wire_rounds == 0
 
 
@@ -109,23 +109,6 @@ def test_secv_phase_labels():
         "cpsi-1", "osn", "cpsi-2", "shuffle", "sorting", "mux"}
 
 
-def test_protocol_desync_on_missing_message():
-    sess = Session(1, 2, 3)
-    with pytest.raises(ProtocolDesync):
-        sess.take(0)
-
-
-def test_protocol_desync_on_leftover_message():
-    sess = Session(1, 2, 3)
-
-    def bad(s):
-        s.post(0, np.zeros(1, dtype=np.uint64), 64)
-        return None
-
-    with pytest.raises(ProtocolDesync):
-        sess.run_protocol(bad)
-
-
 def test_leakage_shape_same_sizes_different_contents():
     # level-2 pre-check: equal (n_x, n_y), different data => identical
     # per-phase (bits, rounds) sequences
@@ -166,8 +149,19 @@ def test_pool_is_one_stream_whatever_the_draw_sizes():
     perm = pool.perm(1000)
     whole = np.random.Generator(np.random.PCG64(2024)).integers(
         0, 1 << 64, 71008, dtype=np.uint64)
+    # the full-range integers are the generator's raw outputs
+    assert np.array_equal(whole, np.random.PCG64(2024).random_raw(71008))
     assert np.array_equal(np.concatenate(chunks), whole[:70008])
     assert np.array_equal(perm, np.argsort(whole[70008:], kind="stable"))
+
+
+def test_dealer_party_streams_are_the_spawned_children_raw_outputs():
+    sess = Session(1, 2, 77)
+    children = np.random.SeedSequence(77).spawn(2)
+    for p in (0, 1):
+        got = [sess.dealer.streams[p].u64(n) for n in (3, 20000, 1)]
+        raw = np.random.PCG64(children[p]).random_raw(20004)
+        assert np.array_equal(np.concatenate(got), raw)
 
 
 def test_only_the_session_makes_protocol_randomness():
