@@ -556,3 +556,58 @@ def test_ring_extremes_give_the_oracles_rows_or_a_typed_error(data):
             except SecJoinError:
                 continue
             assert rows == expect, (level, proto)
+
+
+# (PK keys, FK-side keys, FK side?) of each degenerate shape
+DEGENERATE_SHAPES = {
+    "n1-hit": ([5], [5], False),
+    "n1-miss": ([5], [6], False),
+    "empty-intersection": ([1, 2, 3], [4, 5], False),
+    "pkfk-all-on-one-pk": ([1, 2, 3], [2, 2, 2, 2], True),
+    "pkfk-no-match": ([1, 2], [7, 8, 7], True),
+    "pkfk-n1": ([4], [4], True),
+}
+DEGENERATE_AGGS = (
+    [(0, "v0", "sum"), (1, "v1", "sum"), (0, None, "count")],
+    [(0, "v0", "max"), (1, "v1", "min"), (1, None, "count")],
+    [(0, "v0", "xor"), (1, "v1", "xor")],
+    [],
+)
+
+
+def _degenerate_relation(draw, name, keys, kind):
+    n = len(keys)
+    side = int(name == "F")
+    ints = (lambda vals: draw(st.lists(st.sampled_from(vals), min_size=n,
+                                       max_size=n)))
+    return Relation(name, {"k": keys, f"g{side}": ints((0, 1)),
+                           f"v{side}": ints((0, 1, 7, (1 << 64) - 1))},
+                    "k", kind)
+
+
+@pytest.mark.parametrize("shape", DEGENERATE_SHAPES)
+@settings(max_examples=2, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_degenerate_shapes_give_the_oracles_rows_or_a_typed_error(shape, data):
+    pk, fk, pkfk = DEGENERATE_SHAPES[shape]
+    r0 = _degenerate_relation(data.draw, "P", pk, "pk")
+    r1 = _degenerate_relation(data.draw, "F", fk, "fk" if pkfk else "pk")
+    groups = data.draw(st.sampled_from([("g0", "g1"), ("g0", None),
+                                        (None, "g1")]))
+    doms = data.draw(st.sampled_from([{}, {"dom0": [0, 1], "dom1": [0, 1]}]))
+    r0v = vw.append_bitmap_columns(r0, "g0", [0, 1]) if pkfk else r0
+    for level in (0, 1, 2):
+        if pkfk:
+            v0, v1 = vw.gen_pkfk(Session(1, 2, 3), r0v, r1, level=level)
+        else:
+            v0, v1 = vw.GENERATORS[level](Session(1, 2, 3), r0, r1)
+        for aggs in DEGENERATE_AGGS:
+            q = JgaQuery(*groups, aggs, **doms)
+            expect = oracle.eval_jga(r0, r1, q)
+            for proto in (*ga.PROTOCOLS, "auto"):
+                try:
+                    rows = ga.run_query(Session(4, 5, 6), v0, v1,
+                                        dataclasses.replace(q, protocol=proto)).rows
+                except SecJoinError:
+                    continue
+                assert rows == expect, (level, aggs, proto)
