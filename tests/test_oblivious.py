@@ -176,9 +176,8 @@ def test_perm_shared_identity_permutation():
 @pytest.mark.parametrize("pi", [[1, 1, 3], [1, 2, 9], [0, 1, 2],
                                 [(1 << 64) - 1, 1, 2]])
 def test_every_opened_permutation_is_checked(pi):
-    # a shared pi that is no permutation once gave [10, 10, 30] from
-    # perm_shared and perm_plain and [20, 30, 30] from invp_shared, or a
-    # bare IndexError for an entry past n
+    # unchecked, a repeated entry gives a wrong table (perm_shared: [10, 10,
+    # 30]) and an entry outside [1..n] a bare IndexError
     x = np.array([10, 20, 30], dtype=np.uint64)
     runs = (lambda s, piv: ob.perm_shared(s, piv, [sh.share_vec(s, 1, x)]),
             lambda s, piv: ob.invp_shared(s, piv, [sh.share_vec(s, 1, x)]),
