@@ -18,8 +18,12 @@ either kind. All but bitmap start from `_Table.local_order`, then:
             _tree_reduce (max, min), _rows
 
 `_sort` is the osn, convert and sort phases; `_grouped_tail` is boundary
-flags, suffix sums or `trav_flags`, then `_reveal` (mask, shuffle, open)
-and `_rows` (the canonical table). When the query gives dom0 and P0 holds
+flags, suffix sums or `_segmented`, then `_reveal` (mask, shuffle, open)
+and `_rows` (the canonical table). `_segmented` scans a query's aggregates
+with one stacked `trav_flags` per kind (sum and count, xor, max and min),
+so each level of a kind's scan is one exchange for all its aggregates, and
+a `_tree_reduce` level puts its two independent ANDs in one exchange. When
+the query gives dom0 and P0 holds
 g0 in plain (PK-PK views), `_sort` sorts on g0's rank in the sorted dom0,
 ceil(log2 d0) bits wide, and P1 maps the revealed ranks back through dom0.
 A plain group column with a value outside the domain the query gives
@@ -312,15 +316,25 @@ def _carry(sess, t, q, apply, pi, order, g1, p0_head):
     return (out[0] if head else None), moved[:len(p0_head)], values, rho
 
 
-def _segmented(sess, run, q, values, valid):
-    """Running aggregates along runs, the first also ORing `valid` along;
-    without aggregates `valid` gets its own scan (max of bits is their OR)."""
-    outs, run_valid = [], None
-    for (_side, _col, fn), v in zip(q.aggs, values):
-        r, tv = ob.trav_flags(sess, run, v, fn, validity=None if outs else valid)
-        run_valid = run_valid if outs else tv
-        outs.append(r)
-    if not outs:
+def _segmented(sess, run, q, values, valid=None):
+    """Running aggregates along runs, in query order: one stacked
+    `trav_flags` per kind of aggregate. With `valid`, the max/min scan (or,
+    without one, the first) also ORs it along, which costs the max/min scan
+    no round; without aggregates `valid` gets its own scan (max of bits is
+    their OR). Returns (aggregates, the scanned `valid`)."""
+    fns = [fn for _, _, fn in q.aggs]
+    kinds = sorted(dict.fromkeys(ob.AGG_KIND[fn] for fn in fns),
+                   key=lambda kind: kind != ob.AGG_MAX)  # max/min first
+    outs, run_valid = [None] * len(fns), None
+    for kind in kinds:
+        idx = [i for i, fn in enumerate(fns) if ob.AGG_KIND[fn] == kind]
+        res, tv = ob.trav_flags(sess, run, [values[i] for i in idx],
+                                [fns[i] for i in idx], validity=valid)
+        if valid is not None:
+            run_valid, valid = tv, None
+        for i, r in zip(idx, res):
+            outs[i] = r
+    if valid is not None:  # no aggregates
         run_valid, _ = ob.trav_flags(sess, run, valid, ob.AGG_MAX)
     return outs, run_valid
 
@@ -376,8 +390,7 @@ def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
             results = [v.map(lambda a: np.cumsum(a[::-1])[::-1].copy())
                        for v in values]
         else:
-            results = [ob.trav_flags(sess, c, v, fn)[0]
-                       for (_side, _col, fn), v in zip(q.aggs, values)]
+            results, _ = _segmented(sess, c, q, values)
     keep, groups, aggs = _reveal(sess, f, groups, results)
     if dom0 is not None:
         groups[0] = dom0[groups[0]]
@@ -589,10 +602,11 @@ def _tree_reduce(sess: Session, validity: SharedVector, values: SharedVector,
             t, v, length = pad(t), pad(v), length + 1
         (ta, tb), (va, vb) = halves(t), halves(v)
         g = sh.gt(sess, vb, va) if fn == "max" else sh.gt(sess, va, vb)
-        blocked = sh.and_bits(sess, ta, sh.not_bits(g))
+        # ta AND NOT g and the OR's ta AND tb share one exchange
+        [[blocked, both]] = sh._beaver(sess, [(ta, [sh.not_bits(g), tb])])
         pick_b = sh.and_bits(sess, tb, sh.not_bits(blocked))
         v = sh.mux(sess, pick_b, vb, va)
-        t = sh.or_bits(sess, ta, tb)
+        t = sh.xor(sh.xor(ta, tb), both)
         length //= 2
     return v
 
@@ -617,9 +631,8 @@ def ga_oneside(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     with sess.phase("convert"):
         values = _convert_values(sess, q, values, t.n)
     with sess.phase("aggregate"):
-        # a generator, so that each null fill runs just before its aggregate
-        filled = (_null_fill(sess, e_m, v, fn)
-                  for (_side, _col, fn), v in zip(q.aggs, values))
+        filled = [_null_fill(sess, e_m, v, fn)
+                  for (_side, _col, fn), v in zip(q.aggs, values)]
         outs, valid = _segmented(sess, run, q, filled, e_m)
     with sess.phase("flag"):
         f = sh.and_bits(sess, ends, valid)

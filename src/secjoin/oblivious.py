@@ -34,6 +34,10 @@ AGG_XOR = "xor"
 AGG_IDENTITY = {AGG_SUM: 0, AGG_COUNT: 0, AGG_XOR: 0,
                 AGG_MAX: 0, AGG_MIN: (1 << 64) - 1}
 
+# the aggregates one stacked `trav_flags` scan can take together
+AGG_KIND = {AGG_SUM: AGG_SUM, AGG_COUNT: AGG_SUM, AGG_XOR: AGG_XOR,
+            AGG_MAX: AGG_MAX, AGG_MIN: AGG_MAX}
+
 
 def _pad_pow2(n: int) -> int:
     m = 1
@@ -360,9 +364,11 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
     Ties keep input order: the 1-based row index, in m.bit_length() bits,
     is the least significant key field, which also makes every comparator
     key distinct. The fields are packed by local shifts and XORs into as few
-    binary limbs of at most 64 bits as they fit in, so a one-limb key costs
-    a stage one `gt` and, per column, one mux. Returns (pi, sorted key
-    columns, sorted carry columns) where pi is the gather permutation
+    binary limbs of at most 64 bits as they fit in. A stage costs one
+    `gt_limbs` over the limbs and one exchange that muxes every column,
+    one Beaver group per flavor and width (an arithmetic carry column adds
+    a `b2a` of the swap bit before it). Returns (pi, sorted key columns,
+    sorted carry columns) where pi is the gather permutation
     (sorted_i = input_{pi(i)}) as a binary shared vector of m.bit_length()
     bits.
     """
@@ -393,6 +399,10 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             half ^= src << _U64(shift)
 
     cols = limbs + [pad(c, 0) for c in carry_cols]
+    # the columns that share a flavor and width share one selector group
+    kinds = {}
+    for i, c in enumerate(cols):
+        kinds.setdefault((c.flavor, c.width), []).append(i)
     rows = np.arange(m)
     k = 2
     while k <= m:
@@ -404,11 +414,20 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             pairs = [(c.gather(left), c.gather(right)) for c in cols]
             swap = sh.xor_public(
                 sh.gt_limbs(sess, *zip(*pairs[:len(limbs)])), desc)
-            for c, (va, vb) in zip(cols, pairs):
-                new_a = sh.mux(sess, swap, vb, va)
-                new_b = sh.sub(sh.add(va, vb), new_a)  # the pair keeps its sum
-                for half, a, b in zip(c.shares, new_a.shares, new_b.shares):
-                    half[left], half[right] = a, b
+            fa = sh.b2a(sess, swap) if any(f == ARITH for f, _ in kinds) else None
+            # swap * (vb - va) for every column in one exchange; the pair
+            # keeps its sum, so the upper row takes the rest
+            prods = sh._beaver(sess, [
+                (fa if flavor == ARITH else sh.replicate_bit(swap, width),
+                 [sh.sub(pairs[i][1], pairs[i][0]) for i in idx])
+                for (flavor, width), idx in kinds.items()])
+            for idx, ps in zip(kinds.values(), prods):
+                for i, p in zip(idx, ps):
+                    va, vb = pairs[i]
+                    new_a, new_b = sh.add(va, p), sh.sub(vb, p)
+                    for half, a, b in zip(cols[i].shares, new_a.shares,
+                                          new_b.shares):
+                        half[left], half[right] = a, b
             j //= 2
         k *= 2
 
@@ -436,48 +455,92 @@ def adjacent_same_flags(sess: Session, limbs: list[SharedVector]) -> SharedVecto
     return acc.map(lambda a: a & ~first)
 
 
-def _agg_combine(sess: Session, agg: str, prev: SharedVector, cur: SharedVector):
-    if agg in (AGG_SUM, AGG_COUNT):
-        return sh.add(prev, cur)
-    if agg == AGG_XOR:
-        return sh.xor(prev, cur)
-    if agg == AGG_MAX:
-        return sh.mux(sess, sh.gt(sess, prev, cur), prev, cur)
-    if agg == AGG_MIN:
-        return sh.mux(sess, sh.gt(sess, prev, cur), cur, prev)
-    raise ValueError(f"unknown aggregate {agg!r}")
-
-
-def trav_flags(sess: Session, flags: SharedVector, values: SharedVector,
-               agg: str, validity: SharedVector | None = None):
+def trav_flags(sess: Session, flags: SharedVector,
+               values: SharedVector | list[SharedVector], agg: str | list[str],
+               validity: SharedVector | None = None):
     """Segmented running aggregate with precomputed same-group flags.
 
-    Returns (aggregated values, aggregated validity) where validity is OR-ed
-    along each run when supplied (used for the null-absorbing encoding).
+    `values` is one vector under one `agg`, or a list of vectors of one
+    flavor and width under a list of aggregates of one kind: sum and count,
+    xor, or max and min. A list is scanned as one stack of blocks over the
+    flags: each level's shift stays inside a block, so no run crosses one,
+    and the run flags are ANDed once per level, not once per block. One
+    exchange per level carries every block's products and the next run
+    flags:
+      - sum, count: run * prev after a `b2a` of the run flags;
+      - xor: run AND prev;
+      - max, min: after one `gt(prev, cur)` over the stack, the bit
+        take = run AND (gt XOR dir), where the public dir is 1 on min
+        blocks; a second exchange muxes prev over cur by take.
+    With `validity`, the validity is ORed along each run (used for the
+    null-absorbing encoding): run AND its shifted self joins the first
+    exchange and the OR's AND joins the second, an exchange of its own for
+    sum and xor. Returns (aggregated values, aggregated validity), the
+    values as a list when given as one.
     """
-    n = len(values)
-    if len(flags) != n:
+    single = isinstance(values, SharedVector)
+    if single:
+        values, agg = [values], [agg]
+    n = len(flags)
+    if any(len(v) != n for v in values):
         raise SizeMismatch("flags and values differ in length")
-    if n == 0:
-        return values.copy(), validity
+    unknown = [a for a in agg if a not in AGG_KIND]
+    if unknown:
+        raise ValueError(f"unknown aggregate {unknown[0]!r}")
+    kinds = {AGG_KIND[a] for a in agg}
+    if len(kinds) > 1:
+        raise PreconditionViolated(f"one scan takes one kind of aggregate, "
+                                   f"not {sorted(kinds)}")
+    if n == 0 or not values:
+        outs = [v.copy() for v in values]
+        return (outs[0] if single else outs), validity
+    kind, blocks = kinds.pop(), len(values)
+    vals = SharedVector.concat(values)
+    dirs = np.repeat(np.array([a == AGG_MIN for a in agg], np.uint64), n)
+
+    def split(sv):
+        return [sv.slice(b * n, (b + 1) * n) for b in range(blocks)]
+
     run = flags
-    vals = values
     s = 1
     while s < n:
         shift_idx = np.maximum(np.arange(n) - s, 0)
-        prev_vals = vals.gather(shift_idx)
-        combined = _agg_combine(sess, agg, prev_vals, vals)
-        vals = sh.mux(sess, run, combined, vals)
+        prev = vals.map(lambda a: a.reshape(blocks, n)[:, shift_idx].ravel())
+        ys = []  # every AND with the run flags
+        if 2 * s < n:  # the last level needs no further run flags
+            zero_head = np.ones(n, dtype=np.uint64)
+            zero_head[:s] = 0
+            ys.append(run.map(lambda a: a[shift_idx] * zero_head))
         if validity is not None:
-            prev_t = validity.gather(shift_idx)
-            both = sh.or_bits(sess, validity, prev_t)
-            validity = sh.mux(sess, run, both, validity)
-        zero_head = np.ones(n, dtype=np.uint64)
-        zero_head[:s] = 0
-        prev_run = run.map(lambda a: a[shift_idx] * zero_head)
-        run = sh.and_bits(sess, run, prev_run)
+            ys.append(validity.gather(shift_idx))
+        head = len(ys)
+        if kind == AGG_MAX:  # take joins them
+            ys += split(sh.xor_public(sh.gt(sess, prev, vals), dirs))
+        groups = [(run, ys)]
+        if kind == AGG_SUM:
+            groups.append((sh.b2a(sess, run), split(prev)))
+        elif kind == AGG_XOR:
+            groups.append((sh.replicate_bit(run, vals.width), split(prev)))
+        ands, *prods = sh._beaver(sess, groups)
+        second = []  # the ANDs that read this level's products
+        if kind == AGG_MAX:
+            take = SharedVector.concat(ands[head:])
+            second.append((sh.replicate_bit(take, vals.width),
+                           [sh.xor(prev, vals)]))
+        if validity is not None:
+            second.append((validity, [ands[head - 1]]))
+        done = sh._beaver(sess, second) if second else []
+        if kind == AGG_MAX:
+            vals = sh.xor(vals, done[0][0])
+        else:
+            vals = sh.add(vals, SharedVector.concat(prods[0]))
+        if validity is not None:  # v OR t = v ^ t ^ (v AND t)
+            validity = sh.xor(sh.xor(validity, ands[head - 1]), done[-1][0])
+        if 2 * s < n:
+            run = ands[0]
         s *= 2
-    return vals, validity
+    outs = split(vals)
+    return (outs[0] if single else outs), validity
 
 
 def trav(sess: Session, key_limbs: list[SharedVector], values: SharedVector,

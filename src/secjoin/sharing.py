@@ -7,11 +7,14 @@ code: everything that logically crosses between parties goes through the
 session so the transcript stays faithful.
 
 Gate costs: mul/AND burn one Beaver triple per element (per bit for packed
-binary) and one exchange round, in one gate for both flavors (`_beaver`);
-add/XOR are local; conversions use dealer daBits/edaBits. One log-depth
-prefix over (generate, propagate) bit pairs, `_prefix`, is the circuit
-behind eq, gt, the multi-limb gt_limbs and the carries of a2b: each of its
-levels is one exchange.
+binary) and one exchange round, in one gate for both flavors (`_beaver`).
+The gate takes a list of (x, ys) groups of any flavors and widths and sends
+all their openings in one frame, so the independent ANDs and products of
+one circuit level share one exchange. add/XOR are local; conversions use
+dealer daBits/edaBits. One log-depth prefix over (generate, propagate) bit
+pairs, `_prefix`, is the circuit behind eq, gt, the multi-limb gt_limbs and
+the carries of a2b: each of its levels is one exchange for every tree it
+runs in lockstep (gt_limbs runs one tree per limb).
 """
 from __future__ import annotations
 
@@ -192,54 +195,70 @@ def _top(x: SharedVector) -> SharedVector:
 def mul(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     """Beaver multiplication: x*y for arithmetic shares, AND for binary."""
     x._check_like(y)
-    return _beaver(sess, x, [y])[0]
+    return _beaver(sess, [(x, [y])])[0][0]
 
 
-def _beaver(sess: Session, x: SharedVector,
-            ys: list[SharedVector]) -> list[SharedVector]:
-    """x*y (arithmetic) or x AND y (binary) for every y in ys: one triple
-    draw and one exchange for all. An arithmetic product is 64 bits wide."""
-    n, k = len(x), len(ys)
-    if n == 0:
-        return [x.copy() for _ in ys]
-    f = x.flavor
-    if f == BINARY:
-        w, minus, times = x.width, np.bitwise_xor, np.bitwise_and
-        (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_bin(k * n, w)
-    else:
-        w, minus, times = 64, np.subtract, np.multiply
-        (a0, a1), (b0, b1), (c0, c1) = sess.dealer.triples_arith(k * n)
-    wm = width_mask(w)
-    de = []  # each party's (d, e) half: x - a per y, then every y - b
-    for half, (a, b) in enumerate(((a0, b0), (a1, b1))):
-        buf = np.empty(2 * k * n, dtype=np.uint64)
-        minus(x.shares[half], a.reshape(k, n), out=buf[:k * n].reshape(k, n))
-        for i, y in enumerate(ys):
-            lo = (k + i) * n
-            minus(y.shares[half], b[i * n:(i + 1) * n], out=buf[lo:lo + n])
-        if w < 64:  # a shifted operand's bits above the width never go out
-            buf &= wm
-        de.append(buf)
-    bits = 2 * w * k * n
-    at0, at1 = sess.exchange(de[0], de[1], bits, bits)
-    # the opened (d, e) as each party sees it
-    de_0, de_1 = combine(f, de[0], at0), combine(f, de[1], at1)
-    d_0, e_0, d_1, e_1 = de_0[:k * n], de_0[k * n:], de_1[:k * n], de_1[k * n:]
-    z0 = combine(f, combine(f, c0, times(d_0, b0)),
-                 combine(f, times(e_0, a0), times(d_0, e_0)))
-    z1 = combine(f, combine(f, c1, times(d_1, b1)), times(e_1, a1))
-    return [SharedVector(f, w, z0[i * n:(i + 1) * n], z1[i * n:(i + 1) * n])
-            for i in range(k)]
+def _beaver(sess: Session, groups: list[tuple[SharedVector, list[SharedVector]]]
+            ) -> list[list[SharedVector]]:
+    """x*y (arithmetic) or x AND y (binary) for every y of every (x, ys)
+    group: one exchange for all. Groups may differ in flavor, width and
+    length; each draws its own triples and does its arithmetic on its own
+    slice of one preallocated frame per party, which carries every group's
+    (d, e) words. An arithmetic product is 64 bits wide."""
+    plan, size, bits = [], 0, 0
+    for x, ys in groups:
+        n, k = len(x), len(ys)
+        if x.flavor == BINARY:
+            w = x.width
+            trip = sess.dealer.triples_bin(k * n, w) if k * n else None
+        else:
+            w, trip = 64, sess.dealer.triples_arith(k * n) if k * n else None
+        plan.append((x, ys, n, k, w, trip, size))
+        size += 2 * k * n
+        bits += 2 * w * k * n
+    if not size:
+        return [[x.copy() for _ in ys] for x, ys in groups]
+    frames = (np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64))
+    for x, ys, n, k, w, trip, lo in plan:
+        if trip is None:
+            continue
+        minus = np.bitwise_xor if x.flavor == BINARY else np.subtract
+        (a0, a1), (b0, b1), _ = trip
+        for half, (a, b) in enumerate(((a0, b0), (a1, b1))):
+            # this party's (d, e) half: x - a per y, then every y - b
+            buf = frames[half][lo:lo + 2 * k * n]
+            minus(x.shares[half], a.reshape(k, n), out=buf[:k * n].reshape(k, n))
+            for i, y in enumerate(ys):
+                hi = (k + i) * n
+                minus(y.shares[half], b[i * n:(i + 1) * n], out=buf[hi:hi + n])
+            if w < 64:  # a shifted operand's bits above the width never go out
+                buf &= width_mask(w)
+    at0, at1 = sess.exchange(frames[0], frames[1], bits, bits)
+    out = []
+    for x, ys, n, k, w, trip, lo in plan:
+        if trip is None:
+            out.append([x.copy() for _ in ys])
+            continue
+        f = x.flavor
+        times = np.bitwise_and if f == BINARY else np.multiply
+        (a0, a1), (b0, b1), (c0, c1) = trip
+        sl = slice(lo, lo + 2 * k * n)
+        # the opened (d, e) as each party sees it
+        de_0 = combine(f, frames[0][sl], at0[sl])
+        de_1 = combine(f, frames[1][sl], at1[sl])
+        d_0, e_0, d_1, e_1 = de_0[:k * n], de_0[k * n:], de_1[:k * n], de_1[k * n:]
+        z0 = combine(f, combine(f, c0, times(d_0, b0)),
+                     combine(f, times(e_0, a0), times(d_0, e_0)))
+        z1 = combine(f, combine(f, c1, times(d_1, b1)), times(e_1, a1))
+        out.append([SharedVector(f, w, z0[i * n:(i + 1) * n], z1[i * n:(i + 1) * n])
+                    for i in range(k)])
+    return out
 
 
 def and_bits(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     if x.flavor != BINARY:
         raise FlavorMismatch("and_bits needs binary shares")
     return mul(sess, x, y)
-
-
-def or_bits(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
-    return xor(xor(x, y), and_bits(sess, x, y))
 
 
 def b2a(sess: Session, f: SharedVector) -> SharedVector:
@@ -293,36 +312,44 @@ def a2b(sess: Session, x: SharedVector) -> SharedVector:
     # c AND r and propagate = c XOR r are local, and the prefix's generate
     # bits are the carries out of each bit.
     p = SharedVector(BINARY, 64, c0 ^ rb0, rb1.copy())
-    g, _ = _prefix(sess, SharedVector(BINARY, 64, c0 & rb0, c1 & rb1), p, 64,
-                   False)
+    [(g, _)] = _prefix(sess, [(SharedVector(BINARY, 64, c0 & rb0, c1 & rb1), p,
+                               False)])
     return xor(p, _shl(g, 1))
 
 
-def _prefix(sess: Session, g: SharedVector | None, p: SharedVector, w: int,
-            top_p: bool) -> tuple[SharedVector | None, SharedVector]:
-    """Log-depth prefix over w (generate, propagate) bit pairs.
+def _prefix(sess: Session, trees: list[tuple[SharedVector | None, SharedVector, bool]]
+            ) -> list[tuple[SharedVector | None, SharedVector]]:
+    """Log-depth prefixes over (generate, propagate) bit pairs, every tree
+    of the (g, p, top_p) list in lockstep: each level is one exchange for
+    all the trees still wider than the level's stride.
 
     Level s joins each bit's pair with the pair s bits below it by
     (g, p) o (g', p') = (g ^ p & g', p & p'), so that afterwards bit i holds
-    the pair of bits i down to 0. A level is one exchange: both of its ANDs
-    read the same p. The shifted g reads zeros in its vacated low bits and
-    the shifted p reads ones (party 0 ORs them into its half), so p's top
-    bit is the AND of exactly w bits at any width. With g None only p runs;
-    without `top_p` the last level skips p, whose top bit is then stale.
+    the pair of bits i down to 0; a tree is as wide as its p. Both ANDs of
+    a tree's level read the same p. The shifted g reads zeros in its
+    vacated low bits and the shifted p reads ones (party 0 ORs them into
+    its half), so p's top bit is the AND of exactly w bits at any width.
+    With g None only p runs; without `top_p` the last level skips p, whose
+    top bit is then stale.
     """
+    gs, ps = [g for g, _, _ in trees], [p for _, p, _ in trees]
     s = 1
-    while s < w:
-        keep_p = top_p or 2 * s < w
-        ys = ([] if g is None else [_shl(g, s)]) + ([_shl(p, s)] if keep_p else [])
-        if keep_p:
-            ys[-1].shares[0][:] |= width_mask(s)
-        ands = _beaver(sess, p, ys)
-        if g is not None:
-            g = xor(g, ands[0])
-        if keep_p:
-            p = ands[-1]
+    while live := [i for i, p in enumerate(ps) if s < p.width]:
+        groups, keep = [], []
+        for i in live:
+            keep.append(trees[i][2] or 2 * s < ps[i].width)
+            ys = [] if gs[i] is None else [_shl(gs[i], s)]
+            if keep[-1]:
+                ys.append(_shl(ps[i], s))
+                ys[-1].shares[0][:] |= width_mask(s)
+            groups.append((ps[i], ys))
+        for i, keep_p, ands in zip(live, keep, _beaver(sess, groups)):
+            if gs[i] is not None:
+                gs[i] = xor(gs[i], ands[0])
+            if keep_p:
+                ps[i] = ands[-1]
         s *= 2
-    return g, p
+    return list(zip(gs, ps))
 
 
 def eq(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
@@ -332,24 +359,34 @@ def eq(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
         raise WidthMismatch(f"{x.width} vs {y.width}")
     if x.flavor == ARITH:
         x, y = a2b(sess, x), a2b(sess, y)
-    _, p = _prefix(sess, None, not_bits(xor(x, y)), x.width, True)
+    [(_, p)] = _prefix(sess, [(None, not_bits(xor(x, y)), True)])
     return _top(p)
+
+
+def _limb_pairs(sess: Session, xs: list[SharedVector], ys: list[SharedVector],
+                with_eqs: list[bool]) -> list[tuple[SharedVector, SharedVector]]:
+    """Each limb's (x > y, x == y) as 1-bit shares, from one prefix over its
+    generate bits x AND NOT y and its propagate bits NOT(x ^ y). Every
+    limb's generate AND shares one exchange and then the trees run in
+    lockstep, 1 + ceil(log2 w) rounds for the widest limb w. A limb's
+    equality is stale unless its `with_eqs` entry is set."""
+    for x, y in zip(xs, ys):
+        if x.width != y.width:
+            raise WidthMismatch(f"{x.width} vs {y.width}")
+    gens = _beaver(sess, [(x, [not_bits(y)]) for x, y in zip(xs, ys)])
+    trees = _prefix(sess, [(g, not_bits(xor(x, y)), with_eq) for [g], x, y, with_eq
+                           in zip(gens, xs, ys, with_eqs)])
+    return [(_top(g), _top(p)) for g, p in trees]
 
 
 def _gt_eq(sess: Session, x: SharedVector, y: SharedVector,
            with_eq: bool) -> tuple[SharedVector, SharedVector]:
-    """(x > y, x == y) as 1-bit shares from one prefix over the generate
-    bits x AND NOT y and the propagate bits NOT(x ^ y); the equality is
-    stale unless `with_eq`."""
+    """(x > y, x == y) as 1-bit shares of one limb pair (`_limb_pairs`)."""
     if x.flavor == ARITH:
         x = a2b(sess, x)
     if y.flavor == ARITH:
         y = a2b(sess, y)
-    if x.width != y.width:
-        raise WidthMismatch(f"{x.width} vs {y.width}")
-    g, p = _prefix(sess, and_bits(sess, x, not_bits(y)), not_bits(xor(x, y)),
-                   x.width, with_eq)
-    return _top(g), _top(p)
+    return _limb_pairs(sess, [x], [y], [with_eq])[0]
 
 
 def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
@@ -360,17 +397,19 @@ def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
 
 def gt_limbs(sess: Session, xs: list[SharedVector],
              ys: list[SharedVector]) -> SharedVector:
-    """x > y in the lexicographic order of most-significant-first limb lists.
+    """x > y in the lexicographic order of most-significant-first limb lists
+    of binary shares.
 
-    Each limb's (gt, eq) pair comes from one prefix tree. Limb i's pair
-    then sits at bit k - 1 - i of k-bit pairs, and one more prefix over
-    those k bits folds the limbs by the same rule, in ceil(log2 k) rounds.
-    The last limb's equality lands at bit 0, where it only ever meets the
-    zero generate below, so its tree skips the last propagate level.
+    The limbs' (gt, eq) pairs come from `_limb_pairs`, all trees in
+    lockstep. Limb i's pair then sits at bit k - 1 - i of k-bit pairs, and
+    one more prefix over those k bits folds the limbs by the same rule, in
+    ceil(log2 k) rounds. A key of limbs 1, 64 and 11 bits wide thus takes
+    1 + 6 + 2 rounds. The last limb's equality lands at bit 0, where it
+    only ever meets the zero generate below, so its tree skips the last
+    propagate level.
     """
     k = len(xs)
-    pairs = [_gt_eq(sess, x, y, i < k - 1)
-             for i, (x, y) in enumerate(zip(xs, ys))]
+    pairs = _limb_pairs(sess, xs, ys, [i < k - 1 for i in range(k)])
     if k == 1:  # nothing to fold
         return pairs[0][0]
 
@@ -380,7 +419,7 @@ def gt_limbs(sess: Session, xs: list[SharedVector],
             for h in (0, 1)))
 
     gts, eqs = zip(*pairs)
-    g, _ = _prefix(sess, stack(gts), stack(eqs), k, False)
+    [(g, _)] = _prefix(sess, [(stack(gts), stack(eqs), False)])
     return _top(g)
 
 

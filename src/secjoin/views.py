@@ -19,7 +19,7 @@ from . import setops
 from . import sharing as sh
 from .errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
                      SizeMismatch, ValueOutsideDomain)
-from .ring import ARITH, BINARY, as_ring
+from .ring import BINARY, as_ring
 from .session import Session
 from .sharing import SharedVector
 
@@ -423,24 +423,19 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
         e_sw = moved[0]
         j0_shared = dict(zip(r0.columns.keys(), moved[1:]))
     with sess.phase("duplicate"):
-        names = list(j0_shared)
-        reps = len(names)
-        stacked = SharedVector.concat(list(j0_shared.values()))
-        e_rep = SharedVector.concat([e_sw] * reps)
-        stacked = sh.mux(sess, e_rep, stacked,
-                         SharedVector.zeros(len(stacked), ARITH, 64))
-        # FK-group flags from P1's plaintext sorted keys, tiled per column
-        # with each copy restarting its own scan.
+        # every payload column where e is set, 0 elsewhere, in one exchange
+        [masked] = sh._beaver(sess, [(sh.b2a(sess, e_sw),
+                                      list(j0_shared.values()))])
+        # FK-group flags from P1's plaintext sorted keys; one stacked scan
+        # copies each PK tuple down its group in every column
         same = np.zeros(n, dtype=np.uint64)
         if n > 1:
             kk = j1[r1.key]
             same[1:] = (kk[1:] == kk[:-1]).astype(np.uint64)
-        flags_plain = np.tile(same, reps)  # copy starts carry 0: scans restart
-        flags = sh.share_vec(sess, 1, flags_plain, BINARY, 1)
-        e_flags = flags.slice(0, n)
-        dup, _ = ob.trav_flags(sess, flags, stacked, ob.AGG_SUM)
-        e_fin, _ = ob.trav_flags(sess, e_flags, e_sw, ob.AGG_XOR)
-        j0_fin = {c: dup.slice(i * n, (i + 1) * n) for i, c in enumerate(names)}
+        flags = sh.share_vec(sess, 1, same, BINARY, 1)
+        dup, _ = ob.trav_flags(sess, flags, masked, [ob.AGG_SUM] * len(masked))
+        e_fin, _ = ob.trav_flags(sess, flags, e_sw, ob.AGG_XOR)
+        j0_fin = dict(zip(j0_shared, dup))
 
     base_hash = pkfk_key_hash(r0, r1)
     view0 = PkFkView(

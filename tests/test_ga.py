@@ -457,9 +457,10 @@ def test_sorting_ranks_g0_over_a_public_dom0():
 def test_osorting_sort_phase_rounds_follow_the_packed_width():
     # with dom0, e, g0's rank and the row index pack into one limb of W
     # bits; without, g0 keeps a 64-bit limb between e's and the index's.
-    # Each of the L(L+1)/2 bitonic stages is, per limb of width w, one gt
-    # of 1 + ceil(log2 w) rounds and one mux, then ceil(log2 #limbs)
-    # rounds that fold the limbs' (gt, eq) pairs
+    # Each of the L(L+1)/2 bitonic stages is one exchange for every limb's
+    # generate AND, the limbs' prefix trees in lockstep (ceil(log2 w)
+    # rounds for the widest limb w), ceil(log2 #limbs) rounds that fold
+    # the limbs' (gt, eq) pairs and one exchange that muxes every limb
     rng = np.random.default_rng(32)
     for n, d0, with_dom0 in ((13, 3, True), (100, 16, True), (200, 5, True),
                              (100, 16, False)):
@@ -475,10 +476,26 @@ def test_osorting_sort_phase_rounds_follow_the_packed_width():
             else [1, 64, m.bit_length()]
         assert max(widths) <= 64
         stages = levels * (levels + 1) // 2
-        per_stage = sum((w - 1).bit_length() + 2 for w in widths) \
-            + (len(widths) - 1).bit_length()
+        per_stage = 1 + max((w - 1).bit_length() for w in widths) \
+            + (len(widths) - 1).bit_length() + 1
         assert sess.transcript.rounds_for("sort") == stages * per_stage, \
             (n, d0, with_dom0)
+
+
+def test_osorting_extremes_aggregate_in_one_scan():
+    # max and min share one stacked scan: per level, one gt over both
+    # blocks (1 + ceil(log2 64) rounds), one exchange for take and the
+    # next run flags, and one for the mux, where two scans took twice that
+    rng = np.random.default_rng(33)
+    r0, r1 = _join_pair(rng, 100, list(range(5)))
+    v0, v1 = vw.gen_psiv(Session(1, 2, 3), r0, r1)
+    q = JgaQuery("g0", "g1", [(0, "v0", "max"), (1, "v1", "min")])
+    sess = Session(4, 5, 6)
+    rows = ga.ga_osorting(sess, v0, v1, q).rows
+    assert rows == oracle.eval_jga(r0, r1, q)
+    levels = (v0.n_e - 1).bit_length()
+    assert v0.n_e == 100
+    assert sess.transcript.rounds_for("aggregate") == levels * (1 + 6 + 2)
 
 
 def _outside_domain_views(level):

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secjoin import dealer as dl
 from secjoin import oblivious as ob
@@ -406,3 +408,65 @@ def test_pack_layout_fills_limbs_greedily():
                    (0, 3), (0, 2), (0, 1), (0, 0), (1, 0)])
     assert ob._pack_layout([1, 64, 11]) == ([1, 64, 11],
                                             [(0, 0), (1, 0), (2, 0)])
+
+
+KIND_AGGS = {"sum": ("sum", "count"), "xor": ("xor",), "max": ("max", "min")}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(KIND_AGGS)), data=st.data(),
+       n=st.integers(1, 19), with_validity=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_trav_flags_matches_one_scan_per_aggregate(
+        kind, data, n, with_validity, seed):
+    # aggregates of one kind, with repeats, scanned as one stack: each
+    # block must come out as its own scan would, and the validity too
+    aggs = data.draw(st.lists(st.sampled_from(KIND_AGGS[kind]), min_size=1,
+                              max_size=4), label="aggs")
+    rng = np.random.default_rng(seed)
+    flags = rng.integers(0, 2, n, dtype=np.uint64)
+    flags[0] = 0  # row 0 starts a run, as every caller's flags say
+    pool = np.array([0, 1, 7, (1 << 63) + 5, (1 << 64) - 1], dtype=np.uint64)
+    values = [np.where(rng.integers(0, 2, n) == 1, pool[rng.integers(0, 5, n)],
+                       rng.integers(0, 1 << 64, n, dtype=np.uint64))
+              for _ in aggs]
+    valid = rng.integers(0, 2, n, dtype=np.uint64)
+    flavor = sh.ARITH if kind == "sum" else sh.BINARY
+
+    def scan(vals, fns):
+        sess = fresh(seed % 1000)
+        t = sh.share_vec(sess, 0, valid, sh.BINARY, 1) if with_validity else None
+        return ob.trav_flags(sess, sh.share_vec(sess, 1, flags, sh.BINARY, 1),
+                             [sh.share_vec(sess, 0, v, flavor) for v in vals],
+                             fns, validity=t)
+
+    got, got_t = scan(values, aggs)
+    assert len(got) == len(aggs)
+    combine = {"sum": lambda a, b: (a + b) % (1 << 64), "xor": int.__xor__,
+               "max": max, "min": min}
+    combine["count"] = combine["sum"]
+    for agg, v, out in zip(aggs, values, got):  # a plain running aggregate
+        want, acc, t, ts = [], 0, 0, []
+        for i in range(n):
+            acc = combine[agg](acc, int(v[i])) if flags[i] else int(v[i])
+            t = t | int(valid[i]) if flags[i] else int(valid[i])
+            want.append(acc)
+            ts.append(t)
+        assert out.reconstruct().tolist() == want, agg
+        if with_validity:
+            assert got_t.reconstruct().tolist() == ts
+    for agg, v, out in zip(aggs, values, got):
+        [want], want_t = scan([v], [agg])
+        assert np.array_equal(out.reconstruct(), want.reconstruct()), agg
+        if with_validity:
+            assert np.array_equal(got_t.reconstruct(), want_t.reconstruct())
+        else:
+            assert got_t is None and want_t is None
+
+
+def test_trav_flags_rejects_mixed_kinds():
+    sess = fresh()
+    f = sh.share_vec(sess, 1, [0, 1], sh.BINARY, 1)
+    v = sh.share_vec(sess, 0, [3, 4], sh.BINARY)
+    with pytest.raises(PreconditionViolated):
+        ob.trav_flags(sess, f, [v, v], ["max", "xor"])

@@ -332,8 +332,9 @@ def test_gt_limbs_three_limbs_vs_lexicographic_order():
     ys = [sh.share_vec(sess, 1, v, sh.BINARY, w) for v, w in zip(b, widths)]
     before = sess.transcript.wire_rounds
     got = sh.gt_limbs(sess, xs, ys)
-    # a gt of 1 + ceil(log2 w) rounds per limb, then ceil(log2 3) to fold
-    assert sess.transcript.wire_rounds - before == 1 + 7 + 5 + 2
+    # one exchange for every limb's generate AND, the limbs' trees in
+    # lockstep for ceil(log2 64) rounds, then ceil(log2 3) to fold
+    assert sess.transcript.wire_rounds - before == 1 + 6 + 2
     want = [tuple(int(v[i]) for v in a) > tuple(int(v[i]) for v in b)
             for i in range(400)]
     assert got.reconstruct().tolist() == [int(t) for t in want]
@@ -489,3 +490,61 @@ def test_party_streams_repeat_neither_each_other_nor_the_dealer():
     d = Session(1, 2, 3).dealer
     draws = [pool.u64(8).tolist() for pool in (d.pool, *d.streams)]
     assert len({tuple(v) for v in draws}) == 3
+
+
+def test_beaver_groups_match_separate_calls_in_one_round():
+    # groups of both flavors and of widths 1, 11 and 64, with one and with
+    # several ys, and an empty group: one exchange whose ledgered bits are
+    # the sum of what the separate calls ledger, and the same products
+    rng = np.random.default_rng(41)
+    n = 37
+
+    def operands(sess):
+        groups = []
+        for flavor, w, k in ((sh.BINARY, 1, 2), (sh.BINARY, 11, 1),
+                             (sh.BINARY, 64, 3), (sh.ARITH, 64, 2),
+                             (sh.BINARY, 5, 0)):
+            top = (1 << 64) - 1 if w == 64 else (1 << w) - 1
+            vals = [rng.integers(0, 1 << 64, n, dtype=np.uint64) & np.uint64(top)
+                    for _ in range(k + 1)]
+            svs = [sh.share_vec(sess, i % 2, v, flavor, w)
+                   for i, v in enumerate(vals)]
+            groups.append((svs[0], svs[1:]))
+        return groups
+
+    sep = fresh(3)
+    want, want_bits, want_rounds, want_hybrid = [], 0, 0, 0
+    for x, ys in operands(sep):
+        t = sep.transcript
+        bits, rounds, hybrid = t.wire_bits, t.wire_rounds, t.hybrid_bits
+        want.append([p.reconstruct() for p in sh._beaver(sep, [(x, ys)])[0]])
+        want_bits += t.wire_bits - bits
+        want_rounds += t.wire_rounds - rounds
+        want_hybrid += t.hybrid_bits - hybrid
+        for y in ys:  # each product against plain arithmetic too
+            if x.flavor == sh.ARITH:
+                expect = x.reconstruct() * y.reconstruct()
+            else:
+                expect = x.reconstruct() & y.reconstruct()
+            assert np.array_equal(want[-1][ys.index(y)], expect)
+    assert want_rounds == 4  # the empty group sends nothing
+
+    rng = np.random.default_rng(41)
+    one = fresh(3)
+    groups = operands(one)
+    bits, rounds = one.transcript.wire_bits, one.transcript.wire_rounds
+    hybrid = one.transcript.hybrid_bits
+    got = sh._beaver(one, groups)
+    assert one.transcript.wire_rounds - rounds == 1
+    assert one.transcript.wire_bits - bits == want_bits
+    assert want_bits == sum(2 * 2 * (x.width if x.flavor == sh.BINARY else 64)
+                            * len(ys) * n for x, ys in groups)
+    assert one.transcript.hybrid_bits - hybrid == want_hybrid == sum(
+        (x.width if x.flavor == sh.BINARY else 64) * len(ys) * n
+        for x, ys in groups)
+    for (x, ys), outs, expect in zip(groups, got, want):
+        assert len(outs) == len(ys)
+        for out, e in zip(outs, expect):
+            assert (out.flavor, out.width) == \
+                (x.flavor, x.width if x.flavor == sh.BINARY else 64)
+            assert np.array_equal(out.reconstruct(), e)
