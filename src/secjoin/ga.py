@@ -230,18 +230,17 @@ def _arith_to_bit(sess: Session, sv: SharedVector) -> SharedVector:
     return sh.a2b(sess, sv).map(lambda a: a & _U64(1), 1)
 
 
-def _mask(sess, f, fa, cols):
-    """Zero the columns where the 1-bit flag f (fa: f as arithmetic) is off."""
-    return [sh.mul(sess, fa, c) if c.flavor == ARITH
-            else sh.and_bits(sess, sh.replicate_bit(f, c.width), c)
-            for c in cols]
+def _mask(sess, f, cols):
+    """Zero the columns where the 1-bit flag f is off, in one exchange."""
+    return sh.mux_many(sess, f, [(c, SharedVector.zeros(len(c), c.flavor, c.width))
+                                 for c in cols])
 
 
-def _null_fill(sess, valid, v, fn):
-    """v where valid, the aggregate's identity elsewhere."""
-    ident = SharedVector.public(
-        np.full(len(v), AGG_IDENTITY[fn], dtype=np.uint64), v.flavor)
-    return sh.mux(sess, valid, v, ident)
+def _null_fill(sess, valid, values, q):
+    """Each value slot where valid, its aggregate's identity elsewhere."""
+    return sh.mux_many(sess, valid, [
+        (v, SharedVector.public(np.full(len(v), AGG_IDENTITY[fn], np.uint64),
+                                v.flavor)) for (_side, _col, fn), v in zip(q.aggs, values)])
 
 
 def _convert_values(sess, q, values: dict, n: int) -> list[SharedVector]:
@@ -343,8 +342,7 @@ def _reveal(sess, f, groups, results):
     """mask, shuffle, reveal: rows whose flag f is off are zeroed, all are
     shuffled by P0 and opened to P1 as (flags, [g0, g1], results)."""
     with sess.phase("mask"):
-        fa = sh.b2a(sess, f)
-        masked = _mask(sess, f, fa, [g for g in groups if g is not None] + results)
+        masked = _mask(sess, f, [g for g in groups if g is not None] + results)
     with sess.phase("shuffle"):
         alpha = sess.parties[0].draw_perm(len(f))
         cols = ob.osn_shared(sess, 0, alpha, [f] + masked)
@@ -489,13 +487,12 @@ def ga_mix(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
         values = _convert_values(sess, q, values, t.n)
     with sess.phase("mask"):
         valid = sh.and_bits(sess, _tile(e_m, d0), SharedVector.concat(bits))
-        values = [_null_fill(sess, valid, _tile(v, d0), fn)
-                  for (_side, _col, fn), v in zip(q.aggs, values)]
+        values = _null_fill(sess, valid, [_tile(v, d0) for v in values], q)
     with sess.phase("aggregate"):
         outs, valid = _segmented(sess, _tile(run, d0), q, values, valid)
     with sess.phase("mask-bound"):
         f = sh.and_bits(sess, _tile(ends, d0), valid)
-        outs = _mask(sess, f, sh.b2a(sess, f), outs)
+        outs = _mask(sess, f, outs)
     with sess.phase("reveal"):
         keep, *aggs = [sh.open_vec(sess, c, to=1) for c in [f] + outs]
     groups = [np.repeat(np.array(dom0, dtype=np.uint64), n) if q.group0 else None,
@@ -631,8 +628,7 @@ def ga_oneside(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     with sess.phase("convert"):
         values = _convert_values(sess, q, values, t.n)
     with sess.phase("aggregate"):
-        filled = [_null_fill(sess, e_m, v, fn)
-                  for (_side, _col, fn), v in zip(q.aggs, values)]
+        filled = _null_fill(sess, e_m, values, q)
         outs, valid = _segmented(sess, run, q, filled, e_m)
     with sess.phase("flag"):
         f = sh.and_bits(sess, ends, valid)

@@ -365,9 +365,9 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
     is the least significant key field, which also makes every comparator
     key distinct. The fields are packed by local shifts and XORs into as few
     binary limbs of at most 64 bits as they fit in. A stage costs one
-    `gt_limbs` over the limbs and one exchange that muxes every column,
-    one Beaver group per flavor and width (an arithmetic carry column adds
-    a `b2a` of the swap bit before it). Returns (pi, sorted key columns,
+    `gt_limbs` over the limbs and one `mux_many` exchange for every column
+    (an arithmetic carry column adds a `b2a` of the swap bit before it).
+    Returns (pi, sorted key columns,
     sorted carry columns) where pi is the gather permutation
     (sorted_i = input_{pi(i)}) as a binary shared vector of m.bit_length()
     bits.
@@ -399,10 +399,6 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             half ^= src << _U64(shift)
 
     cols = limbs + [pad(c, 0) for c in carry_cols]
-    # the columns that share a flavor and width share one selector group
-    kinds = {}
-    for i, c in enumerate(cols):
-        kinds.setdefault((c.flavor, c.width), []).append(i)
     rows = np.arange(m)
     k = 2
     while k <= m:
@@ -414,20 +410,11 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             pairs = [(c.gather(left), c.gather(right)) for c in cols]
             swap = sh.xor_public(
                 sh.gt_limbs(sess, *zip(*pairs[:len(limbs)])), desc)
-            fa = sh.b2a(sess, swap) if any(f == ARITH for f, _ in kinds) else None
-            # swap * (vb - va) for every column in one exchange; the pair
-            # keeps its sum, so the upper row takes the rest
-            prods = sh._beaver(sess, [
-                (fa if flavor == ARITH else sh.replicate_bit(swap, width),
-                 [sh.sub(pairs[i][1], pairs[i][0]) for i in idx])
-                for (flavor, width), idx in kinds.items()])
-            for idx, ps in zip(kinds.values(), prods):
-                for i, p in zip(idx, ps):
-                    va, vb = pairs[i]
-                    new_a, new_b = sh.add(va, p), sh.sub(vb, p)
-                    for half, a, b in zip(cols[i].shares, new_a.shares,
-                                          new_b.shares):
-                        half[left], half[right] = a, b
+            lower = sh.mux_many(sess, swap, [(vb, va) for va, vb in pairs])
+            for c, (va, vb), new_a in zip(cols, pairs, lower):
+                new_b = sh.sub(sh.add(va, vb), new_a)  # the pair keeps its sum
+                for half, a, b in zip(c.shares, new_a.shares, new_b.shares):
+                    half[left], half[right] = a, b
             j //= 2
         k *= 2
 
@@ -443,12 +430,11 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
 # ---------------------------------------------------------------------------
 
 def adjacent_same_flags(sess: Session, limbs: list[SharedVector]) -> SharedVector:
-    """1-bit flags c with c_i = 1 iff row i has the same key limbs as row i-1."""
+    """1-bit flags c with c_i = 1 iff row i has the same binary key limbs
+    as row i-1 (`sh.eq_limbs`, all limbs in lockstep)."""
     n = len(limbs[0])
-    acc = None
-    for limb in limbs:
-        same = sh.eq(sess, limb, limb.gather(np.maximum(np.arange(n) - 1, 0)))
-        acc = same if acc is None else sh.and_bits(sess, acc, same)
+    prev = np.maximum(np.arange(n) - 1, 0)
+    acc = sh.eq_limbs(sess, limbs, [limb.gather(prev) for limb in limbs])
     # first row starts its own group
     first = np.zeros(n, dtype=np.uint64)
     first[0] = 1

@@ -12,9 +12,9 @@ The gate takes a list of (x, ys) groups of any flavors and widths and sends
 all their openings in one frame, so the independent ANDs and products of
 one circuit level share one exchange. add/XOR are local; conversions use
 dealer daBits/edaBits. One log-depth prefix over (generate, propagate) bit
-pairs, `_prefix`, is the circuit behind eq, gt, the multi-limb gt_limbs and
-the carries of a2b: each of its levels is one exchange for every tree it
-runs in lockstep (gt_limbs runs one tree per limb).
+pairs, `_prefix`, is the circuit behind eq, gt, the multi-limb eq_limbs and
+gt_limbs and the carries of a2b: each of its levels is one exchange for
+every tree it runs in lockstep (the limb comparisons run one per limb).
 """
 from __future__ import annotations
 
@@ -352,6 +352,14 @@ def _prefix(sess: Session, trees: list[tuple[SharedVector | None, SharedVector, 
     return list(zip(gs, ps))
 
 
+def _stack_bits(bits: list[SharedVector]) -> SharedVector:
+    """k 1-bit shares as one k-bit share, bit i at position k - 1 - i."""
+    k = len(bits)
+    return SharedVector(BINARY, k, *(
+        sum(b.shares[h] << _U64(k - 1 - i) for i, b in enumerate(bits))
+        for h in (0, 1)))
+
+
 def eq(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     """Equality indicator as a 1-bit binary share: the prefix over the
     propagate bits NOT(x ^ y) alone, ceil(log2 w) rounds."""
@@ -359,7 +367,23 @@ def eq(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
         raise WidthMismatch(f"{x.width} vs {y.width}")
     if x.flavor == ARITH:
         x, y = a2b(sess, x), a2b(sess, y)
-    [(_, p)] = _prefix(sess, [(None, not_bits(xor(x, y)), True)])
+    return eq_limbs(sess, [x], [y])
+
+
+def eq_limbs(sess: Session, xs: list[SharedVector],
+             ys: list[SharedVector]) -> SharedVector:
+    """Whether every limb of xs equals its limb of ys, for binary shares:
+    the limbs' propagate prefixes in lockstep, ceil(log2 w) rounds for the
+    widest limb w, then one more over the k limbs' equality bits, which
+    ANDs them in ceil(log2 k) rounds."""
+    for x, y in zip(xs, ys):
+        if x.width != y.width:
+            raise WidthMismatch(f"{x.width} vs {y.width}")
+    eqs = [_top(p) for _, p in _prefix(
+        sess, [(None, not_bits(xor(x, y)), True) for x, y in zip(xs, ys)])]
+    if len(eqs) == 1:
+        return eqs[0]
+    [(_, p)] = _prefix(sess, [(None, _stack_bits(eqs), True)])
     return _top(p)
 
 
@@ -412,31 +436,41 @@ def gt_limbs(sess: Session, xs: list[SharedVector],
     pairs = _limb_pairs(sess, xs, ys, [i < k - 1 for i in range(k)])
     if k == 1:  # nothing to fold
         return pairs[0][0]
-
-    def stack(bits):  # limb i's bit at position k - 1 - i
-        return SharedVector(BINARY, k, *(
-            sum(b.shares[h] << _U64(k - 1 - i) for i, b in enumerate(bits))
-            for h in (0, 1)))
-
     gts, eqs = zip(*pairs)
-    [(g, _)] = _prefix(sess, [(stack(gts), stack(eqs), False)])
+    [(g, _)] = _prefix(sess, [(_stack_bits(gts), _stack_bits(eqs), False)])
     return _top(g)
 
 
 def mux(sess: Session, f: SharedVector, x: SharedVector, y: SharedVector) -> SharedVector:
     """f ? x : y with a 1-bit binary selector."""
+    return mux_many(sess, f, [(x, y)])[0]
+
+
+def mux_many(sess: Session, f: SharedVector,
+             pairs: list[tuple[SharedVector, SharedVector]]) -> list[SharedVector]:
+    """f ? x : y = y + f * (x - y) for every (x, y) pair under one 1-bit
+    binary selector, in one exchange: one Beaver group per flavor and
+    width, after one b2a of f when a pair is arithmetic."""
     if f.flavor != BINARY or f.width != 1:
         raise WidthMismatch("mux selector must be a 1-bit binary share")
-    x._check_like(y)
-    if len(f) != len(x):
-        raise SizeMismatch("selector length differs from data length")
-    if len(x) == 0:
-        return x.copy()
-    if x.flavor == BINARY:
-        rep = replicate_bit(f, x.width)
-        return xor(y, and_bits(sess, rep, xor(x, y)))
-    fa = b2a(sess, f)
-    return add(y, mul(sess, fa, sub(x, y)))
+    for x, y in pairs:
+        x._check_like(y)
+        if len(f) != len(x):
+            raise SizeMismatch("selector length differs from data length")
+    if len(f) == 0:
+        return [x.copy() for x, _ in pairs]
+    kinds = {}
+    for i, (x, _) in enumerate(pairs):
+        kinds.setdefault((x.flavor, x.width), []).append(i)
+    fa = b2a(sess, f) if any(flavor == ARITH for flavor, _ in kinds) else None
+    prods = _beaver(sess, [
+        (fa if flavor == ARITH else replicate_bit(f, width),
+         [sub(*pairs[i]) for i in idx]) for (flavor, width), idx in kinds.items()])
+    out = [None] * len(pairs)
+    for idx, ps in zip(kinds.values(), prods):
+        for i, p in zip(idx, ps):
+            out[i] = add(pairs[i][1], p)
+    return out
 
 
 def asym_mul(sess: Session, f_holder: int, f_bits: np.ndarray, x_vals: np.ndarray,

@@ -423,9 +423,9 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
         e_sw = moved[0]
         j0_shared = dict(zip(r0.columns.keys(), moved[1:]))
     with sess.phase("duplicate"):
-        # every payload column where e is set, 0 elsewhere, in one exchange
-        [masked] = sh._beaver(sess, [(sh.b2a(sess, e_sw),
-                                      list(j0_shared.values()))])
+        masked = sh.mux_many(sess, e_sw, [
+            (c, SharedVector.zeros(n, c.flavor, c.width))
+            for c in j0_shared.values()])
         # FK-group flags from P1's plaintext sorted keys; one stacked scan
         # copies each PK tuple down its group in every column
         same = np.zeros(n, dtype=np.uint64)

@@ -340,6 +340,29 @@ def test_gt_limbs_three_limbs_vs_lexicographic_order():
     assert got.reconstruct().tolist() == [int(t) for t in want]
 
 
+def test_eq_limbs_three_limbs_in_lockstep():
+    # limbs of 1, 64 and 10 bits that tie in all, some or none of them:
+    # the limbs' trees in lockstep for ceil(log2 64) rounds, then
+    # ceil(log2 3) rounds AND the three equality bits
+    rng = np.random.default_rng(43)
+    widths = (1, 64, 10)
+    a = [rng.integers(0, 1 << w, 400, dtype=np.uint64) for w in widths]
+    b = [v.copy() for v in a]
+    for limb, rows in ((0, slice(0, 80)), (1, slice(80, 160)),
+                       (2, slice(160, 240)), (1, slice(200, 280))):
+        b[limb][rows] ^= np.uint64(1 << (widths[limb] - 1))
+    sess = fresh()
+    xs = [sh.share_vec(sess, 0, v, sh.BINARY, w) for v, w in zip(a, widths)]
+    ys = [sh.share_vec(sess, 1, v, sh.BINARY, w) for v, w in zip(b, widths)]
+    before = sess.transcript.wire_rounds
+    got = sh.eq_limbs(sess, xs, ys)
+    assert sess.transcript.wire_rounds - before == 6 + 2
+    want = [all(int(x[i]) == int(y[i]) for x, y in zip(a, b))
+            for i in range(400)]
+    assert got.reconstruct().tolist() == [int(t) for t in want]
+    assert want == [i >= 280 for i in range(400)]
+
+
 def test_comparisons_send_no_share_bit_above_the_width():
     # a shifted operand keeps its width: its bits pushed past the top
     # would otherwise go out unmasked by the width-w triple
