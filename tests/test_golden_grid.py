@@ -114,255 +114,255 @@ def dom0_cells(level) -> dict[str, str]:
 
 GOLDEN = {
     "pkpk-l0-view": "6a0997a0cb14d258",
-    "pkpk-l0-sorting-g0g1-sums": "195f14e1a3ac99bd",
-    "pkpk-l0-sorting-g0g1-extremes": "7ed468b5d04235fe",
-    "pkpk-l0-sorting-g0-sums": "3b9dc2b6e3f9107b",
-    "pkpk-l0-sorting-g0-extremes": "1333ca41daba63cc",
-    "pkpk-l0-sorting-g1-sums": "35f290c3f3d9a7fa",
-    "pkpk-l0-sorting-g1-extremes": "c8239da1e5b0165d",
-    "pkpk-l0-osorting-g0g1-sums": "96e1c1ba06f2bf19",
-    "pkpk-l0-osorting-g0g1-extremes": "d2c3d164ea7e8df8",
-    "pkpk-l0-osorting-g0-sums": "13017ab9557c0327",
-    "pkpk-l0-osorting-g0-extremes": "d74516eb54042e2f",
-    "pkpk-l0-osorting-g1-sums": "0d03060764be0e9b",
-    "pkpk-l0-osorting-g1-extremes": "9852e40864b8c6c2",
-    "pkpk-l0-bsorting-g0g1-sums": "4c6e423f71bfad9d",
-    "pkpk-l0-bsorting-g0g1-extremes": "909e1e24548489e9",
-    "pkpk-l0-bsorting-g0-sums": "5b4aabff12b4d940",
-    "pkpk-l0-bsorting-g0-extremes": "0c1313f4fe674efa",
-    "pkpk-l0-bsorting-g1-sums": "1aab3283dc1d214c",
-    "pkpk-l0-bsorting-g1-extremes": "a8a78b732f5aa6c7",
-    "pkpk-l0-mix-g0g1-sums": "f4b4f188c2fbcfbd",
-    "pkpk-l0-mix-g0g1-extremes": "ca621d0bfb24f2cc",
-    "pkpk-l0-mix-g0-sums": "caccd1a2aeb3f79e",
-    "pkpk-l0-mix-g0-extremes": "fe356f44f7531496",
-    "pkpk-l0-mix-g1-sums": "d92b57f236e08153",
-    "pkpk-l0-mix-g1-extremes": "9a57d8906900d6dd",
+    "pkpk-l0-sorting-g0g1-sums": "f9918df348771571",
+    "pkpk-l0-sorting-g0g1-extremes": "0a704e3ee0302c9d",
+    "pkpk-l0-sorting-g0-sums": "b44bad5bc9b714d1",
+    "pkpk-l0-sorting-g0-extremes": "5e9ec13c5aaa1270",
+    "pkpk-l0-sorting-g1-sums": "e276deefa07f669d",
+    "pkpk-l0-sorting-g1-extremes": "500c1f1a491377d7",
+    "pkpk-l0-osorting-g0g1-sums": "804d9643a5fd45d6",
+    "pkpk-l0-osorting-g0g1-extremes": "9920375ce3ec218d",
+    "pkpk-l0-osorting-g0-sums": "8e89e9cf0e5fc682",
+    "pkpk-l0-osorting-g0-extremes": "908cc5e536d2cbaf",
+    "pkpk-l0-osorting-g1-sums": "1f15fe7ac35a0ffb",
+    "pkpk-l0-osorting-g1-extremes": "25f738b249078ec0",
+    "pkpk-l0-bsorting-g0g1-sums": "733f83167c3fac84",
+    "pkpk-l0-bsorting-g0g1-extremes": "eb44b888d3aaf503",
+    "pkpk-l0-bsorting-g0-sums": "73a20c0185672084",
+    "pkpk-l0-bsorting-g0-extremes": "d4ab06467fb1434c",
+    "pkpk-l0-bsorting-g1-sums": "9d416ec411a56969",
+    "pkpk-l0-bsorting-g1-extremes": "4ff569b6b45cfc3e",
+    "pkpk-l0-mix-g0g1-sums": "f1537ec7ba022a0d",
+    "pkpk-l0-mix-g0g1-extremes": "7ab20daa2709716b",
+    "pkpk-l0-mix-g0-sums": "390b199aa8ec5877",
+    "pkpk-l0-mix-g0-extremes": "2b90809f10b0c294",
+    "pkpk-l0-mix-g1-sums": "edd328cb2cc9e293",
+    "pkpk-l0-mix-g1-extremes": "a16058e194d9278c",
     "pkpk-l0-bitmap-g0g1-sums": "afa58bc2f07edac1",
-    "pkpk-l0-bitmap-g0g1-extremes": "3f6418248f469b12",
+    "pkpk-l0-bitmap-g0g1-extremes": "2323e65bc55929a0",
     "pkpk-l0-bitmap-g0-sums": "7eba2b55bc14d0a4",
-    "pkpk-l0-bitmap-g0-extremes": "ccc8bfc433dd16b9",
+    "pkpk-l0-bitmap-g0-extremes": "6e30e2dd49945e12",
     "pkpk-l0-bitmap-g1-sums": "9d724e68e852ecc1",
-    "pkpk-l0-bitmap-g1-extremes": "f4c0ed6a46a95a4b",
+    "pkpk-l0-bitmap-g1-extremes": "cca38afe346c266f",
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l0-oneside-g0-sums": "954184d82d22cccb",
-    "pkpk-l0-oneside-g0-extremes": "8c38f3d12ae690de",
-    "pkpk-l0-oneside-g1-sums": "f1ca6075d055ad91",
-    "pkpk-l0-oneside-g1-extremes": "5845b99e764bf9cf",
+    "pkpk-l0-oneside-g0-sums": "bdbc301e92aadac4",
+    "pkpk-l0-oneside-g0-extremes": "0c006cfb0e0131cc",
+    "pkpk-l0-oneside-g1-sums": "bdcf38781ffd15e8",
+    "pkpk-l0-oneside-g1-extremes": "2bdddbe5b05cd8fb",
     "pkpk-l1-view": "4635a51cabc0d3e0",
-    "pkpk-l1-sorting-g0g1-sums": "554d73187f685a84",
-    "pkpk-l1-sorting-g0g1-extremes": "7c2f487d9f5052b3",
-    "pkpk-l1-sorting-g0-sums": "3ddef608e320e6e0",
-    "pkpk-l1-sorting-g0-extremes": "3d01cac4e29586c5",
-    "pkpk-l1-sorting-g1-sums": "ef099017f9103655",
-    "pkpk-l1-sorting-g1-extremes": "d3a1c5725f0aa0ae",
-    "pkpk-l1-osorting-g0g1-sums": "cde0c1f24fd69d71",
-    "pkpk-l1-osorting-g0g1-extremes": "a930748561fa31f3",
-    "pkpk-l1-osorting-g0-sums": "1c9b029e4d934da9",
-    "pkpk-l1-osorting-g0-extremes": "2c49eb7ebcc04c5f",
-    "pkpk-l1-osorting-g1-sums": "d917e2688524adf1",
-    "pkpk-l1-osorting-g1-extremes": "c41e923267549c8b",
-    "pkpk-l1-bsorting-g0g1-sums": "bff28acc2ad79114",
-    "pkpk-l1-bsorting-g0g1-extremes": "7f344b75fb7884ab",
-    "pkpk-l1-bsorting-g0-sums": "623fdc8302b56a99",
-    "pkpk-l1-bsorting-g0-extremes": "11ed31f471c54138",
-    "pkpk-l1-bsorting-g1-sums": "44d79747ef052ccd",
-    "pkpk-l1-bsorting-g1-extremes": "15b3fe407cec4a39",
-    "pkpk-l1-mix-g0g1-sums": "fcbbb68f09fba26e",
-    "pkpk-l1-mix-g0g1-extremes": "59ad5831e613789a",
-    "pkpk-l1-mix-g0-sums": "8956d4c28fb7b428",
-    "pkpk-l1-mix-g0-extremes": "b7a541448ff39ed2",
-    "pkpk-l1-mix-g1-sums": "1363e317d11420fb",
-    "pkpk-l1-mix-g1-extremes": "3525d8e5290eb627",
+    "pkpk-l1-sorting-g0g1-sums": "5b04297712d5d03b",
+    "pkpk-l1-sorting-g0g1-extremes": "224902f33dad347d",
+    "pkpk-l1-sorting-g0-sums": "03cdb713d41c7ddd",
+    "pkpk-l1-sorting-g0-extremes": "801f79dc1e3afd96",
+    "pkpk-l1-sorting-g1-sums": "7ea650231fe2a90f",
+    "pkpk-l1-sorting-g1-extremes": "d7b674d356d4edc0",
+    "pkpk-l1-osorting-g0g1-sums": "1ff6d70ea763d83f",
+    "pkpk-l1-osorting-g0g1-extremes": "6f21cbdf31cf3b78",
+    "pkpk-l1-osorting-g0-sums": "362519f115b3d5e0",
+    "pkpk-l1-osorting-g0-extremes": "f77f04b7c327d35d",
+    "pkpk-l1-osorting-g1-sums": "431821647cc77006",
+    "pkpk-l1-osorting-g1-extremes": "caa4618051642f8a",
+    "pkpk-l1-bsorting-g0g1-sums": "482931aea4c12cd8",
+    "pkpk-l1-bsorting-g0g1-extremes": "9174ae07cc7f9ed4",
+    "pkpk-l1-bsorting-g0-sums": "3c0567de99be9fb8",
+    "pkpk-l1-bsorting-g0-extremes": "827f5e3f15661c79",
+    "pkpk-l1-bsorting-g1-sums": "4512be0f96207fb8",
+    "pkpk-l1-bsorting-g1-extremes": "b2be2d2315782b9b",
+    "pkpk-l1-mix-g0g1-sums": "41207088d8f620fc",
+    "pkpk-l1-mix-g0g1-extremes": "1cf9c42ba06b1ec3",
+    "pkpk-l1-mix-g0-sums": "5ebae67b310c88f1",
+    "pkpk-l1-mix-g0-extremes": "74c1b9b544226161",
+    "pkpk-l1-mix-g1-sums": "341e3b1e4ec4c83f",
+    "pkpk-l1-mix-g1-extremes": "92a696f40f13a5b9",
     "pkpk-l1-bitmap-g0g1-sums": "3667520d1463b32d",
-    "pkpk-l1-bitmap-g0g1-extremes": "1cd079d9af334862",
+    "pkpk-l1-bitmap-g0g1-extremes": "67d57799df4255df",
     "pkpk-l1-bitmap-g0-sums": "5057e605e950509a",
-    "pkpk-l1-bitmap-g0-extremes": "20c59ddb402a6d0e",
+    "pkpk-l1-bitmap-g0-extremes": "280e9d1ce683c7ba",
     "pkpk-l1-bitmap-g1-sums": "ce95acffe9892e26",
-    "pkpk-l1-bitmap-g1-extremes": "61715e138533ff1d",
+    "pkpk-l1-bitmap-g1-extremes": "71eeef63315d2952",
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l1-oneside-g0-sums": "b44edb43139616f3",
-    "pkpk-l1-oneside-g0-extremes": "423e7b91ac83b224",
-    "pkpk-l1-oneside-g1-sums": "f140af6e98e1b03a",
-    "pkpk-l1-oneside-g1-extremes": "e2c4e6da2b172017",
+    "pkpk-l1-oneside-g0-sums": "13560924459f3c3b",
+    "pkpk-l1-oneside-g0-extremes": "8882a88c7b690a6a",
+    "pkpk-l1-oneside-g1-sums": "618a9ede7e25b62e",
+    "pkpk-l1-oneside-g1-extremes": "ac8f4c594dd4518a",
     "pkpk-l2-view": "a7d548c2320a314f",
-    "pkpk-l2-sorting-g0g1-sums": "adb23b0e9c808f25",
-    "pkpk-l2-sorting-g0g1-extremes": "1fb4beabc8625951",
-    "pkpk-l2-sorting-g0-sums": "fd4f6eba28d4ca88",
-    "pkpk-l2-sorting-g0-extremes": "9bd6f08c927de0b3",
-    "pkpk-l2-sorting-g1-sums": "0c774285da857c3b",
-    "pkpk-l2-sorting-g1-extremes": "7d66982cef51aebc",
-    "pkpk-l2-osorting-g0g1-sums": "408fc8fe5f5f1f24",
-    "pkpk-l2-osorting-g0g1-extremes": "f385b0183a1f6adf",
-    "pkpk-l2-osorting-g0-sums": "e3451adf27fc5dd0",
-    "pkpk-l2-osorting-g0-extremes": "c281e1e0510ec795",
-    "pkpk-l2-osorting-g1-sums": "8892973d2d73e0d3",
-    "pkpk-l2-osorting-g1-extremes": "2212547bf88288ae",
-    "pkpk-l2-bsorting-g0g1-sums": "f24f0239da2a6288",
-    "pkpk-l2-bsorting-g0g1-extremes": "e8e769d1378e7f2f",
-    "pkpk-l2-bsorting-g0-sums": "73378e056826b5ae",
-    "pkpk-l2-bsorting-g0-extremes": "94da7ad1c7b65a01",
-    "pkpk-l2-bsorting-g1-sums": "39bba5a50d185ea1",
-    "pkpk-l2-bsorting-g1-extremes": "40e27912769b971b",
-    "pkpk-l2-mix-g0g1-sums": "238dda526a643ce4",
-    "pkpk-l2-mix-g0g1-extremes": "e09ef65d1183ffad",
-    "pkpk-l2-mix-g0-sums": "fa2e8bf9188e3dfb",
-    "pkpk-l2-mix-g0-extremes": "fda90f4c64a76229",
-    "pkpk-l2-mix-g1-sums": "f19dd9c45d281b77",
-    "pkpk-l2-mix-g1-extremes": "b52e532c089cc26e",
+    "pkpk-l2-sorting-g0g1-sums": "f07fb7bb59531369",
+    "pkpk-l2-sorting-g0g1-extremes": "1f9b193a1d1ec9e4",
+    "pkpk-l2-sorting-g0-sums": "bf25b371a6dfb57f",
+    "pkpk-l2-sorting-g0-extremes": "833c977fce1a7a96",
+    "pkpk-l2-sorting-g1-sums": "848bc01b4e284776",
+    "pkpk-l2-sorting-g1-extremes": "b8dbe141be48ec5e",
+    "pkpk-l2-osorting-g0g1-sums": "f89650803fc6fa7f",
+    "pkpk-l2-osorting-g0g1-extremes": "a8da3fb13c29922b",
+    "pkpk-l2-osorting-g0-sums": "727a7194e6c82056",
+    "pkpk-l2-osorting-g0-extremes": "0158f7f9e025b4b7",
+    "pkpk-l2-osorting-g1-sums": "a29475841db14063",
+    "pkpk-l2-osorting-g1-extremes": "4ef35ce95f5d0e2a",
+    "pkpk-l2-bsorting-g0g1-sums": "a806aacae7ea12fc",
+    "pkpk-l2-bsorting-g0g1-extremes": "d6cc46ab6c818f4d",
+    "pkpk-l2-bsorting-g0-sums": "c5e7217ca9ee10ca",
+    "pkpk-l2-bsorting-g0-extremes": "1ae15ceb3cda8f7f",
+    "pkpk-l2-bsorting-g1-sums": "de364c253547d63e",
+    "pkpk-l2-bsorting-g1-extremes": "6dbf201ebc2d96e2",
+    "pkpk-l2-mix-g0g1-sums": "cd953366c6586fba",
+    "pkpk-l2-mix-g0g1-extremes": "9df9f956abb40865",
+    "pkpk-l2-mix-g0-sums": "acccfce62a8e4b74",
+    "pkpk-l2-mix-g0-extremes": "c1a9f9fb76f71f78",
+    "pkpk-l2-mix-g1-sums": "531aa6e0e7296d89",
+    "pkpk-l2-mix-g1-extremes": "ecccbf62b7d17f1a",
     "pkpk-l2-bitmap-g0g1-sums": "c8f55b4896ff43ac",
-    "pkpk-l2-bitmap-g0g1-extremes": "c8f9aa9a67d26fea",
+    "pkpk-l2-bitmap-g0g1-extremes": "a981c29cfe2d0680",
     "pkpk-l2-bitmap-g0-sums": "b87b3fde0d12eb9d",
-    "pkpk-l2-bitmap-g0-extremes": "2e469d5c83b0d910",
+    "pkpk-l2-bitmap-g0-extremes": "27f2b18c1ea93ffd",
     "pkpk-l2-bitmap-g1-sums": "88966011e911488c",
-    "pkpk-l2-bitmap-g1-extremes": "164d16941fc327a8",
+    "pkpk-l2-bitmap-g1-extremes": "aeadd6c8df4bac4c",
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l2-oneside-g0-sums": "19e3e4a4ee866652",
-    "pkpk-l2-oneside-g0-extremes": "201d61c2fc7981fb",
-    "pkpk-l2-oneside-g1-sums": "58b5332214835601",
-    "pkpk-l2-oneside-g1-extremes": "b6ba91d476e4d353",
-    "pkfk-l0-view": "cf83e12e81efbcb6",
-    "pkfk-l0-sorting-g0g1-sums": "fd1f3b3699c0113b",
-    "pkfk-l0-sorting-g0g1-extremes": "ffd66b512dd60b7a",
-    "pkfk-l0-sorting-g0-sums": "d9429c8f5317aa57",
-    "pkfk-l0-sorting-g0-extremes": "a4a187d240205b82",
-    "pkfk-l0-sorting-g1-sums": "e1888d84ca295bce",
-    "pkfk-l0-sorting-g1-extremes": "b8efed2e398a9a18",
-    "pkfk-l0-osorting-g0g1-sums": "ae6b8cc807f40554",
-    "pkfk-l0-osorting-g0g1-extremes": "f13e88fa71c372f8",
-    "pkfk-l0-osorting-g0-sums": "aef7694eb467737b",
-    "pkfk-l0-osorting-g0-extremes": "55abd74f75f06820",
-    "pkfk-l0-osorting-g1-sums": "313cd5bfdfd3adcf",
-    "pkfk-l0-osorting-g1-extremes": "175d88feb6c0154f",
-    "pkfk-l0-bsorting-g0g1-sums": "70f13389520c97af",
-    "pkfk-l0-bsorting-g0g1-extremes": "c4a3d0362a000cde",
-    "pkfk-l0-bsorting-g0-sums": "dc87a4c1cfcf50f8",
-    "pkfk-l0-bsorting-g0-extremes": "01ba8fc3f33dccfe",
-    "pkfk-l0-bsorting-g1-sums": "5618f515e832aa5a",
-    "pkfk-l0-bsorting-g1-extremes": "34f645505296d144",
-    "pkfk-l0-mix-g0g1-sums": "6f24d54aac1712e7",
-    "pkfk-l0-mix-g0g1-extremes": "d1f442f99e09a11d",
-    "pkfk-l0-mix-g0-sums": "9383d68c6c75fc0c",
-    "pkfk-l0-mix-g0-extremes": "4bdc99961fb6a181",
-    "pkfk-l0-mix-g1-sums": "42c490054775f6ec",
-    "pkfk-l0-mix-g1-extremes": "c660239351ce95b3",
-    "pkfk-l0-bitmap-g0g1-sums": "29a738d46fcc0e27",
-    "pkfk-l0-bitmap-g0g1-extremes": "024b9922b7728ae0",
-    "pkfk-l0-bitmap-g0-sums": "530587f763ce9561",
-    "pkfk-l0-bitmap-g0-extremes": "7538247cfb78c633",
-    "pkfk-l0-bitmap-g1-sums": "17ddcd964fc34c7f",
-    "pkfk-l0-bitmap-g1-extremes": "584a937b1da83444",
+    "pkpk-l2-oneside-g0-sums": "ac7546eefdfacaa9",
+    "pkpk-l2-oneside-g0-extremes": "2ded3d4ce861fe3b",
+    "pkpk-l2-oneside-g1-sums": "49a525c9d5a5d673",
+    "pkpk-l2-oneside-g1-extremes": "9e96be6f5e7b516c",
+    "pkfk-l0-view": "2e8e35fb9f0335d5",
+    "pkfk-l0-sorting-g0g1-sums": "e0786a5ddb91f7c9",
+    "pkfk-l0-sorting-g0g1-extremes": "75cd2c654b5c3f48",
+    "pkfk-l0-sorting-g0-sums": "a254351d7256f4e6",
+    "pkfk-l0-sorting-g0-extremes": "f2adfa0c30d7125b",
+    "pkfk-l0-sorting-g1-sums": "1d2d6ea979a900ff",
+    "pkfk-l0-sorting-g1-extremes": "0e88e474ebda025c",
+    "pkfk-l0-osorting-g0g1-sums": "3bc9966a8b07ea24",
+    "pkfk-l0-osorting-g0g1-extremes": "f81f09a59837d057",
+    "pkfk-l0-osorting-g0-sums": "5f2492d86aa286a8",
+    "pkfk-l0-osorting-g0-extremes": "74a80677fe764e00",
+    "pkfk-l0-osorting-g1-sums": "7f3c10a958337911",
+    "pkfk-l0-osorting-g1-extremes": "adc6c3fc4acf1dad",
+    "pkfk-l0-bsorting-g0g1-sums": "ef38cccadb21569a",
+    "pkfk-l0-bsorting-g0g1-extremes": "d6066d3192592c4e",
+    "pkfk-l0-bsorting-g0-sums": "e52c104ad67d7acb",
+    "pkfk-l0-bsorting-g0-extremes": "5876207fe80024d2",
+    "pkfk-l0-bsorting-g1-sums": "3e78763933ab5206",
+    "pkfk-l0-bsorting-g1-extremes": "4419772dfa35eb88",
+    "pkfk-l0-mix-g0g1-sums": "b0139412f6f5ff10",
+    "pkfk-l0-mix-g0g1-extremes": "cdd1e2fced16b847",
+    "pkfk-l0-mix-g0-sums": "96ee97201e99f0bd",
+    "pkfk-l0-mix-g0-extremes": "cdf576042ecedad5",
+    "pkfk-l0-mix-g1-sums": "4ebab445506345ab",
+    "pkfk-l0-mix-g1-extremes": "4ca8da8455d6cd88",
+    "pkfk-l0-bitmap-g0g1-sums": "9af6c0a767473962",
+    "pkfk-l0-bitmap-g0g1-extremes": "b7d6c8444cc750bc",
+    "pkfk-l0-bitmap-g0-sums": "4a8ddcb01aef1b8f",
+    "pkfk-l0-bitmap-g0-extremes": "54a2b29389595002",
+    "pkfk-l0-bitmap-g1-sums": "f6fbef9dbedf1ec6",
+    "pkfk-l0-bitmap-g1-extremes": "d4236678a6ecec00",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l0-oneside-g1-sums": "6468c5af94c501b1",
-    "pkfk-l0-oneside-g1-extremes": "eb7e9adfd59974c7",
-    "pkfk-l1-view": "e537b17759b5d64f",
-    "pkfk-l1-sorting-g0g1-sums": "d84e2256039e3337",
-    "pkfk-l1-sorting-g0g1-extremes": "abd9c12720c55289",
-    "pkfk-l1-sorting-g0-sums": "f53a1b29872f39bc",
-    "pkfk-l1-sorting-g0-extremes": "123a23f9196766ff",
-    "pkfk-l1-sorting-g1-sums": "c3c7c4e847ed932f",
-    "pkfk-l1-sorting-g1-extremes": "3c05c3f2fe0642ad",
-    "pkfk-l1-osorting-g0g1-sums": "019f5cece00b4556",
-    "pkfk-l1-osorting-g0g1-extremes": "22c9cee04ff764bf",
-    "pkfk-l1-osorting-g0-sums": "7e92ccb596b709eb",
-    "pkfk-l1-osorting-g0-extremes": "42cfb91bd38c9acd",
-    "pkfk-l1-osorting-g1-sums": "a762ee920bb3af5a",
-    "pkfk-l1-osorting-g1-extremes": "442b164c32e877f1",
-    "pkfk-l1-bsorting-g0g1-sums": "bd4baf26afbbaaca",
-    "pkfk-l1-bsorting-g0g1-extremes": "6e1190529181a32d",
-    "pkfk-l1-bsorting-g0-sums": "ca4a39be06155f25",
-    "pkfk-l1-bsorting-g0-extremes": "8bfb06ed0303d32f",
-    "pkfk-l1-bsorting-g1-sums": "5e12349e429839dc",
-    "pkfk-l1-bsorting-g1-extremes": "e567f355732aa788",
-    "pkfk-l1-mix-g0g1-sums": "969c74fadf75d52e",
-    "pkfk-l1-mix-g0g1-extremes": "28bb78309d0daec5",
-    "pkfk-l1-mix-g0-sums": "5abb876cd8007932",
-    "pkfk-l1-mix-g0-extremes": "f72fa0f40b55e106",
-    "pkfk-l1-mix-g1-sums": "e2394163fb78d035",
-    "pkfk-l1-mix-g1-extremes": "076079454c8d40a8",
-    "pkfk-l1-bitmap-g0g1-sums": "ca68c31a324e21d3",
-    "pkfk-l1-bitmap-g0g1-extremes": "44912af483da232f",
-    "pkfk-l1-bitmap-g0-sums": "24e0a93cfbcbde58",
-    "pkfk-l1-bitmap-g0-extremes": "4b8d7d8afc1d99c6",
-    "pkfk-l1-bitmap-g1-sums": "2e03f8529996a078",
-    "pkfk-l1-bitmap-g1-extremes": "bdeb17e96c17d2b2",
+    "pkfk-l0-oneside-g1-sums": "90aa42c5702839a8",
+    "pkfk-l0-oneside-g1-extremes": "47303258c6a7076c",
+    "pkfk-l1-view": "7011a7810885cbe0",
+    "pkfk-l1-sorting-g0g1-sums": "15f966ca8af4ab92",
+    "pkfk-l1-sorting-g0g1-extremes": "021b9dbe20be8c7f",
+    "pkfk-l1-sorting-g0-sums": "201723df362a0fa3",
+    "pkfk-l1-sorting-g0-extremes": "e4f867213ef52d69",
+    "pkfk-l1-sorting-g1-sums": "4193461a86352805",
+    "pkfk-l1-sorting-g1-extremes": "9c23ab18d379e340",
+    "pkfk-l1-osorting-g0g1-sums": "e49aa1296dcca258",
+    "pkfk-l1-osorting-g0g1-extremes": "8405138452afbd09",
+    "pkfk-l1-osorting-g0-sums": "3e18c613ef0fcec9",
+    "pkfk-l1-osorting-g0-extremes": "bdf69f95f184924c",
+    "pkfk-l1-osorting-g1-sums": "918958e77ad1083e",
+    "pkfk-l1-osorting-g1-extremes": "62dc5b0a71bf6e6e",
+    "pkfk-l1-bsorting-g0g1-sums": "cc2ba909c165f427",
+    "pkfk-l1-bsorting-g0g1-extremes": "e9a29f2712236deb",
+    "pkfk-l1-bsorting-g0-sums": "16ceb6e65f3445c7",
+    "pkfk-l1-bsorting-g0-extremes": "bac39d66eac2afc1",
+    "pkfk-l1-bsorting-g1-sums": "7e396de5b1ca3544",
+    "pkfk-l1-bsorting-g1-extremes": "5ca56d897c98a262",
+    "pkfk-l1-mix-g0g1-sums": "2e4178475e9491bb",
+    "pkfk-l1-mix-g0g1-extremes": "48f6c77507b877d0",
+    "pkfk-l1-mix-g0-sums": "01ec170523b2d123",
+    "pkfk-l1-mix-g0-extremes": "3ce147471367343f",
+    "pkfk-l1-mix-g1-sums": "c4338be93aec4037",
+    "pkfk-l1-mix-g1-extremes": "a215590823399c6a",
+    "pkfk-l1-bitmap-g0g1-sums": "fd071426bf24dda6",
+    "pkfk-l1-bitmap-g0g1-extremes": "bae048dfcbb26101",
+    "pkfk-l1-bitmap-g0-sums": "73fcfb1fb2c0995d",
+    "pkfk-l1-bitmap-g0-extremes": "29eb0dc21e60fde6",
+    "pkfk-l1-bitmap-g1-sums": "dbdb53e2b7a3f9b5",
+    "pkfk-l1-bitmap-g1-extremes": "e551d0afea41a4e6",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l1-oneside-g1-sums": "2796ec7bea715b11",
-    "pkfk-l1-oneside-g1-extremes": "534a05a62e656358",
-    "pkfk-l2-view": "e75c54e19311354a",
-    "pkfk-l2-sorting-g0g1-sums": "442d6d4c8d2fb321",
-    "pkfk-l2-sorting-g0g1-extremes": "7dd8404f4fb15684",
-    "pkfk-l2-sorting-g0-sums": "4bee10495bef3984",
-    "pkfk-l2-sorting-g0-extremes": "3b4d8cabf496a2f0",
-    "pkfk-l2-sorting-g1-sums": "6642d35f939e03de",
-    "pkfk-l2-sorting-g1-extremes": "ca5f1ae5b0e5d870",
-    "pkfk-l2-osorting-g0g1-sums": "5688fb47b5644f3a",
-    "pkfk-l2-osorting-g0g1-extremes": "75b7ed9c845ec1fd",
-    "pkfk-l2-osorting-g0-sums": "c95d20e85fa9305d",
-    "pkfk-l2-osorting-g0-extremes": "781ec36957e4a37d",
-    "pkfk-l2-osorting-g1-sums": "d47a46c743706433",
-    "pkfk-l2-osorting-g1-extremes": "05b22a6a29109f08",
-    "pkfk-l2-bsorting-g0g1-sums": "4de4f6f82f6e1ad8",
-    "pkfk-l2-bsorting-g0g1-extremes": "3f37077931e025e2",
-    "pkfk-l2-bsorting-g0-sums": "029ea7d0f5eb5f4f",
-    "pkfk-l2-bsorting-g0-extremes": "958732981ea5c4b6",
-    "pkfk-l2-bsorting-g1-sums": "3a2c69ac703f0635",
-    "pkfk-l2-bsorting-g1-extremes": "abb4ce4ef2d13629",
-    "pkfk-l2-mix-g0g1-sums": "b4702c603aff3357",
-    "pkfk-l2-mix-g0g1-extremes": "f0929884f9677022",
-    "pkfk-l2-mix-g0-sums": "433cdb832a8d4f90",
-    "pkfk-l2-mix-g0-extremes": "68c693bc58f25ab5",
-    "pkfk-l2-mix-g1-sums": "aae00c5c75d7985c",
-    "pkfk-l2-mix-g1-extremes": "46a771cf23096c86",
-    "pkfk-l2-bitmap-g0g1-sums": "c39fac9f8ee3a013",
-    "pkfk-l2-bitmap-g0g1-extremes": "8fee9d13b901aa53",
-    "pkfk-l2-bitmap-g0-sums": "d79809f20fb3efe1",
-    "pkfk-l2-bitmap-g0-extremes": "a44120d15ff18d89",
-    "pkfk-l2-bitmap-g1-sums": "969e71df1ab538c1",
-    "pkfk-l2-bitmap-g1-extremes": "bc52ef18ca641e6a",
+    "pkfk-l1-oneside-g1-sums": "8af602db9a8f812a",
+    "pkfk-l1-oneside-g1-extremes": "41e23edb65187224",
+    "pkfk-l2-view": "09286b281ac6eabc",
+    "pkfk-l2-sorting-g0g1-sums": "34575364717a1415",
+    "pkfk-l2-sorting-g0g1-extremes": "842d1f21f19691d5",
+    "pkfk-l2-sorting-g0-sums": "d36b51c6a1062f91",
+    "pkfk-l2-sorting-g0-extremes": "787b3f7d2aecb6ee",
+    "pkfk-l2-sorting-g1-sums": "76cf9e5537c50bfc",
+    "pkfk-l2-sorting-g1-extremes": "ff61627f50ef4f8b",
+    "pkfk-l2-osorting-g0g1-sums": "67dea0037663397e",
+    "pkfk-l2-osorting-g0g1-extremes": "5f72b6cd8ff534a3",
+    "pkfk-l2-osorting-g0-sums": "e650ee19f6cdfe41",
+    "pkfk-l2-osorting-g0-extremes": "02222d96fb2cddf0",
+    "pkfk-l2-osorting-g1-sums": "cd5cb50690acab09",
+    "pkfk-l2-osorting-g1-extremes": "08524380cec9f4ac",
+    "pkfk-l2-bsorting-g0g1-sums": "9653f04329523d41",
+    "pkfk-l2-bsorting-g0g1-extremes": "e09d8b160d941003",
+    "pkfk-l2-bsorting-g0-sums": "a901eec18de8438f",
+    "pkfk-l2-bsorting-g0-extremes": "dec92a3f7f1eb2d9",
+    "pkfk-l2-bsorting-g1-sums": "b82d45bc41992965",
+    "pkfk-l2-bsorting-g1-extremes": "93671e3107526dc4",
+    "pkfk-l2-mix-g0g1-sums": "d5bd1c7babd3888c",
+    "pkfk-l2-mix-g0g1-extremes": "3e96ed3a8947b8e1",
+    "pkfk-l2-mix-g0-sums": "bff260d2efb9801f",
+    "pkfk-l2-mix-g0-extremes": "8334a79b0d969cd7",
+    "pkfk-l2-mix-g1-sums": "3b2481d57ffa5628",
+    "pkfk-l2-mix-g1-extremes": "066ab1164e4b52e8",
+    "pkfk-l2-bitmap-g0g1-sums": "02438df3ab55fb3c",
+    "pkfk-l2-bitmap-g0g1-extremes": "05c3ab3ee086e856",
+    "pkfk-l2-bitmap-g0-sums": "88413617bed24864",
+    "pkfk-l2-bitmap-g0-extremes": "59c8a24cb4885959",
+    "pkfk-l2-bitmap-g1-sums": "3eab4ec6286ce8b4",
+    "pkfk-l2-bitmap-g1-extremes": "554e2afc98759934",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l2-oneside-g1-sums": "6310555ea5078cf8",
-    "pkfk-l2-oneside-g1-extremes": "d4714e80b983d1cf",
+    "pkfk-l2-oneside-g1-sums": "f73983179e27d48c",
+    "pkfk-l2-oneside-g1-extremes": "efa0f90c8150d695",
 }
 
 
 GOLDEN_DOM0 = {
-    "pkpk-l0-sorting-dom0-g0g1-sums": "48cb3e761e2dcc98",
-    "pkpk-l0-sorting-dom0-g0g1-extremes": "433d46e999c6e1c1",
-    "pkpk-l0-sorting-dom0-g0-sums": "0ff298fffe589d2f",
-    "pkpk-l0-sorting-dom0-g0-extremes": "8e3efe6b24d39ff8",
-    "pkpk-l0-osorting-dom0-g0g1-sums": "d8f8bb3d369a1d65",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "dfad476b82d359ec",
-    "pkpk-l0-osorting-dom0-g0-sums": "68fde9e161ae4b37",
-    "pkpk-l0-osorting-dom0-g0-extremes": "a37b6661945979f1",
-    "pkpk-l1-sorting-dom0-g0g1-sums": "8776e1d992122c37",
-    "pkpk-l1-sorting-dom0-g0g1-extremes": "d9e19f049c68f266",
-    "pkpk-l1-sorting-dom0-g0-sums": "398f711848a48555",
-    "pkpk-l1-sorting-dom0-g0-extremes": "a67a307c0479eda4",
-    "pkpk-l1-osorting-dom0-g0g1-sums": "c96276c5d62fd37b",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "ab1139c4db8e26a5",
-    "pkpk-l1-osorting-dom0-g0-sums": "105f21dd163a758e",
-    "pkpk-l1-osorting-dom0-g0-extremes": "d5ccb792e9f67dc0",
-    "pkpk-l2-sorting-dom0-g0g1-sums": "e5d022afe47ae1d4",
-    "pkpk-l2-sorting-dom0-g0g1-extremes": "6004e89efc06b325",
-    "pkpk-l2-sorting-dom0-g0-sums": "cc7cb8b1f7518f42",
-    "pkpk-l2-sorting-dom0-g0-extremes": "2e26a6be09f47f3a",
-    "pkpk-l2-osorting-dom0-g0g1-sums": "97fae21e476f1f3a",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "2fc88ff9aae606ad",
-    "pkpk-l2-osorting-dom0-g0-sums": "5ab8426541529dcf",
-    "pkpk-l2-osorting-dom0-g0-extremes": "8f833ee01b7168b1",
+    "pkpk-l0-sorting-dom0-g0g1-sums": "7c73770d35e7081c",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "4a7137c9f7cd5a57",
+    "pkpk-l0-sorting-dom0-g0-sums": "5c63be6bf461afeb",
+    "pkpk-l0-sorting-dom0-g0-extremes": "c411cb604307f2fa",
+    "pkpk-l0-osorting-dom0-g0g1-sums": "b9632cfc7d094531",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "f28c7a8c24452f22",
+    "pkpk-l0-osorting-dom0-g0-sums": "8c84fe7baf303241",
+    "pkpk-l0-osorting-dom0-g0-extremes": "a0c2b292e2b9aefe",
+    "pkpk-l1-sorting-dom0-g0g1-sums": "44b94e1aacd5e8f1",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "6f2fdfd1edbe14b2",
+    "pkpk-l1-sorting-dom0-g0-sums": "d3dfdbb6f3fe54de",
+    "pkpk-l1-sorting-dom0-g0-extremes": "de0b912f2d3edf74",
+    "pkpk-l1-osorting-dom0-g0g1-sums": "2b9240fccc1cf9ff",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "7345466e0ebbd749",
+    "pkpk-l1-osorting-dom0-g0-sums": "62b7d3f114e92daf",
+    "pkpk-l1-osorting-dom0-g0-extremes": "2dbaef5b18538c15",
+    "pkpk-l2-sorting-dom0-g0g1-sums": "cfe8d2fed9066db8",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "0d5e4014aca0e0aa",
+    "pkpk-l2-sorting-dom0-g0-sums": "80c2f7d51eb5a14a",
+    "pkpk-l2-sorting-dom0-g0-extremes": "985c8bd2de9d6839",
+    "pkpk-l2-osorting-dom0-g0g1-sums": "b999c40268ad3fbb",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "1db2dccc612d8ddb",
+    "pkpk-l2-osorting-dom0-g0-sums": "d43b53187e7e6979",
+    "pkpk-l2-osorting-dom0-g0-extremes": "b263ff297c6bc6c3",
 }
 
 
@@ -497,18 +497,18 @@ GOLDEN_PRIMITIVES = {
     "invp_shared": "40f2b52bae8a23aa",
     "perm_plain": "8553ccd7a4907ad8",
     "invp_plain": "e74f1914390c10f1",
-    "stable_sort": "cbb323df636a0c8a",
-    "trav_flags-sum": "c189ed2ed1bffb48",
-    "trav_flags-count": "c189ed2ed1bffb48",
-    "trav_flags-max": "25a26b5d9134eb35",
-    "trav_flags-min": "6c7b75c57aa212ee",
-    "trav_flags-xor": "950fa05b47c3bc27",
+    "stable_sort": "f38da57a07ea2c46",
+    "trav_flags-sum": "f3d2145ea0a25dd0",
+    "trav_flags-count": "f3d2145ea0a25dd0",
+    "trav_flags-max": "07300b9ed47141a0",
+    "trav_flags-min": "35b67335005fe48e",
+    "trav_flags-xor": "d3a9740c96667cd8",
     "asym_mul-arith": "564339563277dce7",
     "asym_mul-bin64": "e5f9be87296a4565",
     "asym_mul-bin1": "db34f5360e8e8207",
     "share_open": "f35f8cf7626fa1d1",
     "gates": "6f2b9a0a69f51be4",
-    "refresh_pkfk": "6ee53a90e7050c1f",
+    "refresh_pkfk": "a4411ddbc9b045bb",
 }
 
 
