@@ -328,7 +328,8 @@ def _prefix(sess: Session, trees: list[tuple[SharedVector | None, SharedVector, 
     the pair of bits i down to 0; a tree is as wide as its p. Both ANDs of
     a tree's level read the same p. The shifted g reads zeros in its
     vacated low bits and the shifted p reads ones (party 0 ORs them into
-    its half), so p's top bit is the AND of exactly w bits at any width.
+    its half), so p's top bit is the AND of exactly the tree's w bits at
+    any width w.
     With g None only p runs; without `top_p` the last level skips p, whose
     top bit is then stale.
     """
