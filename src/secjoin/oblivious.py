@@ -515,7 +515,7 @@ def trav_flags(sess: Session, flags: SharedVector,
                            [sh.xor(prev, vals)]))
         if validity is not None:
             second.append((validity, [ands[head - 1]]))
-        done = sh._beaver(sess, second) if second else []
+        done = sh._beaver(sess, second)
         if kind == AGG_MAX:
             vals = sh.xor(vals, done[0][0])
         else:
