@@ -125,7 +125,6 @@ def cmd_query(args) -> int:
             raise ViewStale("stored view no longer matches the base tables")
     q = _query(spec, args)
     sess = Session(*_seeds(spec, args))
-    sess.tamper_phase = os.environ.get("SECJOIN_TAMPER") or None
     result = ga.run_query(sess, v0, v1, q)
     csv_text = result.to_csv(q.agg_labels())
     if args.out:

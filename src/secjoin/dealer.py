@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DealerExhausted
 from .ring import ARITH, BINARY, mask_words, uncombine, width_mask
 
 _U64 = np.uint64
@@ -39,22 +38,13 @@ OUTPUTS = "outputs"
 
 
 class Dealer:
-    def __init__(self, pool, transcript, triple_budget=None):
+    def __init__(self, pool, transcript):
         self.pool = pool
         self.streams = tuple(pool.spawn(2))
         self.transcript = transcript
-        self.triple_budget = triple_budget
         self._seeded = False
 
     # -- internals ----------------------------------------------------------
-
-    def _spend(self, units: int):
-        if self.triple_budget is not None:
-            if self.triple_budget < units:
-                raise DealerExhausted(
-                    f"dealer asked for {units} triples, "
-                    f"{self.triple_budget} remain")
-            self.triple_budget -= units
 
     def _draw(self, party: int, n: int, width: int = 64) -> np.ndarray:
         """n values of `width` bits from party's stream: values that party
@@ -85,7 +75,6 @@ class Dealer:
     def triples_arith(self, n: int):
         """n multiplication triples over Z_2^64; both halves of (a, b, c).
         Only c1 is delivered."""
-        self._spend(n)
         a0, b0 = self._draw(0, 2 * n).reshape(2, n)
         a1, b1 = self._draw(1, 2 * n).reshape(2, n)
         c0, c1 = self.split((a0 + a1) * (b0 + b1), ARITH)
@@ -95,7 +84,6 @@ class Dealer:
     def triples_bin(self, n: int, width: int):
         """n packed AND triples, `width` independent bit-triples per element.
         Only c1 is delivered."""
-        self._spend(n * width)
         a0, b0 = self._draw(0, 2 * n, width).reshape(2, n)
         a1, b1 = self._draw(1, 2 * n, width).reshape(2, n)
         c0, c1 = self.split((a0 ^ a1) & (b0 ^ b1), BINARY, width)

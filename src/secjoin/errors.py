@@ -17,10 +17,6 @@ class SizeMismatch(SecJoinError):
     """Vector lengths (or permutation sizes) do not line up."""
 
 
-class DealerExhausted(SecJoinError):
-    """The dealer's correlation budget ran out mid-protocol."""
-
-
 class NotAPermutation(SecJoinError):
     """A value that must be a permutation of [1..n] is not."""
 

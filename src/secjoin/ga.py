@@ -12,21 +12,24 @@ either kind. All but bitmap start from `_Table.local_order`, then:
   sorting   _own_values, _sort, perm_shared, _grouped_tail
   osorting  _sort, _carry by perm_plain, _grouped_tail
   bsorting  _p0_bitmap_bits, bit_sort, _carry by invp_plain, _grouped_tail
-  mix       _run_flags, _own_values, _p0_bitmap_bits, _osn, _segmented, _rows
-  oneside   _run_flags, _own_values, _osn, _segmented, _reveal, _rows
+  mix       _runs sorted by P1, with P0's g0 bitmap blocks (_p0_bitmap_bits)
+  oneside   _runs sorted by the party that groups
   bitmap    _Table.bitmap products per bucket pair, local sums and XORs or
-            _tree_reduce (max, min), _rows
+            _tree_reduce (max, min), _rows; count reads the bucket counts
 
 `_sort` is the osn, convert and sort phases; `_grouped_tail` is boundary
 flags, suffix sums or `_segmented`, then `_reveal` (mask, shuffle, open)
-and `_rows` (the canonical table). `_segmented` scans a query's aggregates
-with one stacked `trav_flags` per kind (sum and count, xor, max and min),
-so each level of a kind's scan is one exchange for all its aggregates, and
-a `_tree_reduce` level puts its two independent ANDs in one exchange. When
-the query gives dom0 and P0 holds
-g0 in plain (PK-PK views), `_sort` sorts on g0's rank in the sorted dom0,
-ceil(log2 d0) bits wide, and P1 maps the revealed ranks back through dom0.
-A plain group column with a value outside the domain the query gives
+and `_rows` (the canonical table). `_runs` is `_run_flags` and
+`_own_values` in the sorter's local order, `_osn`, `_null_fill`,
+`_segmented` with validity and the run-end flags; its rows are then masked
+and opened in P1's order, or go through `_reveal` in P0's, before `_rows`.
+`_segmented` scans a query's aggregates with one stacked `trav_flags` per
+kind (sum and count, xor, max and min), so each level of a kind's scan is
+one exchange for all its aggregates, and a `_tree_reduce` level puts its
+two independent ANDs in one exchange. When the query gives dom0 and P0
+holds g0 in plain (PK-PK views), `_sort` sorts on g0's rank in the sorted
+dom0, ceil(log2 d0) bits wide, and P1 maps the revealed ranks back through
+dom0. A plain group column with a value outside the domain the query gives
 raises `ValueOutsideDomain` before any message.
 
 Null handling: masked rows carry a validity bit; 0 stands in for the dropped
@@ -470,34 +473,61 @@ def ga_bsorting(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     return _grouped_tail(sess, q, e_s, [g0_s, g1_s], values)
 
 
-@_protocol
-def ga_mix(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
-    """Bitmap on g0 plus local sorting on g1; no oblivious sort at all."""
-    dom0 = t.domain(q, 0, BITMAP_SORT_CAP)
-    n, d0 = t.n, len(dom0)
-    order, g1 = t.local_order(1, q.group1)
-    with sess.phase("flag"):
-        run, ends = _run_flags(sess, 1, g1)
+def _runs(sess, t, q, sorter: int, dom0: list | None = None) -> GroupResult:
+    """Group by the runs of the sorter's locally sorted plain column, and by
+    g0's bitmap blocks when `dom0` is given (P1 sorts then): one OSN of e,
+    the value slots and the blocks into the sorter's order, the null fill,
+    the scan along runs with validity, and f = run end AND valid.
+
+    Rows in P1's order are masked by f and opened as they are, which shows
+    P1 only which of its own runs hold a group; rows in P0's order go
+    through `_reveal`'s shuffle, since P1 would see the run lengths of P0's
+    sorted column otherwise.
+    """
+    order, g = t.local_order(sorter, q.group1 if sorter else q.group0)
+    d = 1 if dom0 is None else len(dom0)
     with sess.phase("share"):
-        values = _own_values(sess, t, q, 1, order)
+        run, ends = _run_flags(sess, sorter, g)
+        values = _own_values(sess, t, q, sorter, order)
+        g_s = None if sorter else sh.share_vec(sess, 0, g, BINARY)
     with sess.phase("osn"):
-        bits = _p0_bitmap_bits(sess, t, q, dom0, mask_with_e=False)
-        e_m, *bits = _osn(sess, t, q, values, 1, order, [t.e] + bits)
+        bits = [] if dom0 is None else \
+            _p0_bitmap_bits(sess, t, q, dom0, mask_with_e=False)
+        e, *bits = _osn(sess, t, q, values, sorter, order, [t.e] + bits)
     with sess.phase("convert"):
         values = _convert_values(sess, q, values, t.n)
-    with sess.phase("mask"):
-        valid = sh.and_bits(sess, _tile(e_m, d0), SharedVector.concat(bits))
-        values = _null_fill(sess, valid, [_tile(v, d0) for v in values], q)
     with sess.phase("aggregate"):
-        outs, valid = _segmented(sess, _tile(run, d0), q, values, valid)
-    with sess.phase("mask-bound"):
-        f = sh.and_bits(sess, _tile(ends, d0), valid)
+        valid = _tile(e, d)
+        if bits:
+            valid = sh.and_bits(sess, valid, SharedVector.concat(bits))
+        values = _null_fill(sess, valid, [_tile(v, d) for v in values], q)
+        outs, valid = _segmented(sess, _tile(run, d), q, values, valid)
+    with sess.phase("flag"):
+        f = sh.and_bits(sess, _tile(ends, d), valid)
+    if not sorter:
+        return _rows(*_reveal(sess, f, [g_s, None], outs))
+    with sess.phase("mask"):
         outs = _mask(sess, f, outs)
     with sess.phase("reveal"):
         keep, *aggs = [sh.open_vec(sess, c, to=1) for c in [f] + outs]
-    groups = [np.repeat(np.array(dom0, dtype=np.uint64), n) if q.group0 else None,
-              np.tile(g1, d0) if q.group1 else None]
+    groups = [None if dom0 is None else np.repeat(np.array(dom0, np.uint64), t.n),
+              np.tile(g, d) if q.group1 else None]
     return _rows(keep, groups, aggs)
+
+
+@_protocol
+def ga_mix(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
+    """Bitmap on g0 plus local sorting on g1; no oblivious sort at all."""
+    return _runs(sess, t, q, 1,
+                 t.domain(q, 0, BITMAP_SORT_CAP) if q.group0 else None)
+
+
+@_protocol
+def ga_oneside(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
+    """Grouping entirely on one party: local sort plus one switching pass."""
+    if not q.one_side():
+        raise SizeMismatch("ga_oneside needs grouping columns on one side only")
+    return _runs(sess, t, q, 1 if q.group1 else 0)
 
 
 @_protocol
@@ -529,8 +559,8 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
         qvecs = []
         for side, col, fn in q.aggs:
             flavor = _value_flavor(fn)
-            if fn == "count":
-                qvecs.append(witness)
+            if fn == "count":  # reads the bucket counts
+                qvecs.append(None)
             elif side == 1:
                 x = cat1(b1 * np.tile(t.col(1, col).values, d1))
                 if plain:
@@ -563,21 +593,23 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
 
         agg_out, tbits = [bucket_sums(witness)], None
         for (_side, _col, fn), qv in zip(q.aggs, qvecs):
-            if fn in ("sum", "count"):
+            if fn == "sum":
                 agg_out.append(bucket_sums(qv))
             elif fn == "xor":  # linear over binary shares: reduce locally
                 x = sh.and_bits(sess, sh.replicate_bit(e_t, qv.width), qv)
                 agg_out.append(x.map(lambda a: np.bitwise_xor.reduce(
                     a.reshape(pairs, n), axis=1)))
-            else:
+            elif fn != "count":
                 if tbits is None:
                     tbits = sh.and_bits(sess, e_t, bb)
                 agg_out.append(_tree_reduce(sess, tbits, qv, pairs, fn))
     with sess.phase("reveal"):
         cnt_open, *opened = [sh.open_vec(sess, a, to=1) for a in agg_out]
+    it = iter(opened)
     groups = [np.repeat(np.array(dom0, dtype=np.uint64), d1) if q.group0 else None,
               np.tile(np.array(dom1, dtype=np.uint64), d0) if q.group1 else None]
-    return _rows(cnt_open, groups, opened)
+    return _rows(cnt_open, groups, [cnt_open if fn == "count" else next(it)
+                                    for _, _, fn in q.aggs])
 
 
 def _tree_reduce(sess: Session, validity: SharedVector, values: SharedVector,
@@ -606,34 +638,6 @@ def _tree_reduce(sess: Session, validity: SharedVector, values: SharedVector,
         t = sh.xor(sh.xor(ta, tb), both)
         length //= 2
     return v
-
-
-# ---------------------------------------------------------------------------
-# one-side case
-# ---------------------------------------------------------------------------
-
-@_protocol
-def ga_oneside(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
-    """Grouping entirely on one party: local sort plus one switching pass."""
-    if not q.one_side():
-        raise SizeMismatch("ga_oneside needs grouping columns on one side only")
-    sorter = 1 if q.group1 else 0
-    order, g = t.local_order(sorter, q.group1 if sorter else q.group0)
-    with sess.phase("share"):
-        run, ends = _run_flags(sess, sorter, g)
-        g_s = sh.share_vec(sess, sorter, g, BINARY)
-        values = _own_values(sess, t, q, sorter, order)
-    with sess.phase("osn"):
-        (e_m,) = _osn(sess, t, q, values, sorter, order, [t.e])
-    with sess.phase("convert"):
-        values = _convert_values(sess, q, values, t.n)
-    with sess.phase("aggregate"):
-        filled = _null_fill(sess, e_m, values, q)
-        outs, valid = _segmented(sess, run, q, filled, e_m)
-    with sess.phase("flag"):
-        f = sh.and_bits(sess, ends, valid)
-    groups = [None, g_s] if sorter else [g_s, None]
-    return _rows(*_reveal(sess, f, groups, outs))
 
 
 PROTOCOLS = {

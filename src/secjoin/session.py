@@ -173,19 +173,16 @@ class Session:
     exactly one of them.
     """
 
-    def __init__(self, seed0: int = 11, seed1: int = 22, seedD: int = 33,
-                 triple_budget: int | None = None):
+    def __init__(self, seed0: int = 11, seed1: int = 22, seedD: int = 33):
         self.seeds = (seed0, seed1, seedD)
         self.parties = (RandPool(seed0), RandPool(seed1))
         self.transcript = Transcript()
-        self.dealer = Dealer(RandPool(seedD), self.transcript, triple_budget)
-        self.tamper_phase: str | None = None
-        self._tampered = False
+        self.dealer = Dealer(RandPool(seedD), self.transcript)
 
     def send(self, src: int, data: np.ndarray, bits: int) -> np.ndarray:
         """One-way message; returns the payload as the receiver sees it."""
         self.transcript.note_send(src, bits, _payload_bytes(data))
-        return self._maybe_tamper(data)
+        return data
 
     def exchange(self, data0, data1, bits0: int, bits1: int):
         """Simultaneous both-direction flow; one round total.
@@ -194,17 +191,7 @@ class Session:
         """
         pay0, pay1 = _payload_bytes(data0), _payload_bytes(data1)
         self.transcript.note_exchange(bits0, bits1, pay0, pay1)
-        return self._maybe_tamper(data1), self._maybe_tamper(data0)
-
-    def _maybe_tamper(self, data):
-        if (self.tamper_phase is not None and not self._tampered
-                and data.size
-                and any(self.tamper_phase in p[0].split(".")
-                        for p in self.transcript._phase_stack)):
-            data = data.copy()
-            data.flat[0] = np.uint64(int(data.flat[0]) ^ 1)
-            self._tampered = True
-        return data
+        return data1, data0
 
     @contextmanager
     def phase(self, label: str):

@@ -478,8 +478,9 @@ def asym_mul(sess: Session, f_holder: int, f_bits: np.ndarray, x_vals: np.ndarra
              flavor: str = ARITH, width: int = 64) -> SharedVector:
     """f ? x : 0 where one party holds the bit f, the other holds x.
 
-    Realized through the dealer as one correlated transfer per element; the
-    bit holder acts as OT receiver.
+    Realized through the dealer as one correlated transfer per element, its
+    pads and frames at the result's width; the bit holder acts as OT
+    receiver.
     """
     n = len(f_bits)
     if len(x_vals) != n:
@@ -489,20 +490,19 @@ def asym_mul(sess: Session, f_holder: int, f_bits: np.ndarray, x_vals: np.ndarra
     x_holder = 1 - f_holder
     f_bits = as_ring(f_bits) & _U64(1)
     x_vals = as_ring(x_vals) & width_mask(width)
-    (c, qc), (q0, q1) = sess.dealer.random_ots(n, receiver=f_holder)
+    (c, qc), (q0, q1) = sess.dealer.random_ots(n, receiver=f_holder,
+                                               widths=[width])
     qc, q0, q1 = qc[:, 0], q0[:, 0], q1[:, 0]
     d = sess.send(f_holder, f_bits ^ c, n)
     r = sess.parties[x_holder].u64(n) & width_mask(width)
     # the bit holder ends with the half that joins r to f ? x : 0
     m0, m1 = uncombine(flavor, _U64(0), r), uncombine(flavor, x_vals, r)
-    y0 = m0 ^ np.where(d == 1, q1, q0)
-    y1 = m1 ^ np.where(d == 1, q0, q1)
-    y0, y1 = np.split(sess.send(x_holder, np.concatenate([y0, y1]), 2 * 64 * n), 2)
-    got = np.where(f_bits == 1, y1, y0) ^ qc
-    if width < 64:
-        got &= width_mask(width)
+    y = np.concatenate([m0 ^ np.where(d == 1, q1, q0), m1 ^ np.where(d == 1, q0, q1)])
+    if width < 64:  # no frame bit above the width
+        y &= width_mask(width)
+    y0, y1 = np.split(sess.send(x_holder, y, 2 * width * n), 2)
     halves = [r, r]
-    halves[f_holder] = got
+    halves[f_holder] = np.where(f_bits == 1, y1, y0) ^ qc
     return SharedVector(flavor, width, *halves)
 
 

@@ -154,15 +154,15 @@ def test_stale_pkfk_view_detected(tmp_path, capsys):
     assert rc == 2 and "no longer matches" in err
 
 
-def test_verify_fails_on_injected_fault(workspace, capsys, monkeypatch):
+def test_verify_fails_on_injected_fault(workspace, capsys, flip_in_reveal):
     tmp, spec_path, _ = workspace
     out = tmp / "views"
     assert cli.main(["genview", str(spec_path), "--out", str(out)]) == 0
-    monkeypatch.setenv("SECJOIN_TAMPER", "reveal")
+    flipped = flip_in_reveal()
     rc = cli.main(["query", str(spec_path), "--views", str(out),
                    "--protocol", "osorting", "--verify"])
     capsys.readouterr()
-    assert rc == 1
+    assert flipped and rc == 1
 
 
 def test_reproducible_outputs(workspace, capsys):

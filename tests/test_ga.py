@@ -121,6 +121,25 @@ def test_oneside_matches_oracle_and_skips_sort():
         assert rows == expect
         assert s2.transcript.bits_for("sort") == 0
         assert "sort" not in s2.transcript.phase_labels()
+        # P1's runs are opened in its own order; P0's go through the shuffle
+        assert ("shuffle" in s2.transcript.phase_labels()) == (side == 0)
+
+
+def test_bitmap_count_reads_the_bucket_counts():
+    # a count-only query: one b2a of e and one 64-bit product per row
+    rng = np.random.default_rng(7)
+    r0, r1 = rand_pair(rng, d0=3, d1=2)
+    q = JgaQuery("g0", "g1", [(0, None, "count"), (1, None, "count")],
+                 dom0=[0, 1, 2], dom1=[0, 1])
+    sess = Session(1, 2, 3)
+    v0, v1 = vw.gen_pidv(sess, r0, r1)
+    s2 = Session(4, 5, 6)
+    assert ga.ga_bitmap(s2, v0, v1, q).rows == oracle.eval_jga(r0, r1, q)
+    cells = 3 * 2 * v0.n_e  # bucket pairs x view rows
+    agg = next(p for p in s2.transcript.phases if p.label == "aggregate")
+    assert sum(agg.wire_bits) == 2 * cells + 4 * 64 * cells
+    assert agg.wire_rounds == 2
+    assert agg.hybrid_bits == 64 * cells + 64 * cells  # daBits, triples
 
 
 def test_osorting_cheaper_than_sorting_baseline():
@@ -288,7 +307,7 @@ def test_refresh_pkpk_then_query_matches_updated_oracle():
     assert ga.ga_osorting(s2, v0, v1, q).rows == oracle.eval_jga(r0, r1, q)
 
 
-def test_mutation_is_detected():
+def test_mutation_is_detected(flip_in_reveal):
     rng = np.random.default_rng(10)
     r0 = Relation("A", {"k": [1, 2, 3], "g0": [1, 2, 1], "v0": [5, 6, 7]}, "k")
     r1 = Relation("B", {"k": [3, 1, 9], "g1": [4, 4, 4], "v1": [1, 2, 3]}, "k")
@@ -298,10 +317,9 @@ def test_mutation_is_detected():
     expect = oracle.eval_jga(r0, r1, q)
     clean = ga.ga_bsorting(Session(4, 5, 6), v0, v1, q).rows
     assert clean == expect
-    tampered = Session(4, 5, 6)
-    tampered.tamper_phase = "reveal"
-    rows = ga.ga_bsorting(tampered, v0, v1, q).rows
-    assert tampered._tampered
+    flipped = flip_in_reveal()
+    rows = ga.ga_bsorting(Session(4, 5, 6), v0, v1, q).rows
+    assert flipped
     assert rows != expect
 
 

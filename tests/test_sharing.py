@@ -6,15 +6,15 @@ from secjoin import dealer as dl
 from secjoin import oblivious as ob
 from secjoin import setops
 from secjoin import sharing as sh
-from secjoin.errors import DealerExhausted, FlavorMismatch, WidthMismatch
+from secjoin.errors import FlavorMismatch, WidthMismatch
 from secjoin.ring import width_mask
 from secjoin.session import Session
 
 MOD = 1 << 64
 
 
-def fresh(seed=7, budget=None):
-    return Session(seed, seed + 1, seed + 2, triple_budget=budget)
+def fresh(seed=7):
+    return Session(seed, seed + 1, seed + 2)
 
 
 def test_share_zero_halves_cancel():
@@ -95,15 +95,6 @@ def test_mul_consumes_one_round_add_zero():
     assert sess.transcript.wire_rounds == rounds
 
 
-def test_mul_dealer_budget_exhausts():
-    sess = fresh(budget=1)
-    x = sh.share_vec(sess, 0, [3])
-    y = sh.share_vec(sess, 1, [4])
-    assert sh.mul(sess, x, y).reconstruct()[0] == 12
-    with pytest.raises(DealerExhausted):
-        sh.mul(sess, x, y)
-
-
 def test_mux_trivials_and_random():
     sess = fresh()
     f = sh.share_vec(sess, 0, [1, 0], sh.BINARY, 1)
@@ -171,6 +162,20 @@ def test_asym_mul_trivials_and_sweep():
         assert np.array_equal(got, fs * xs)
         gotb = sh.asym_mul(sess, holder, fs, xs, sh.BINARY, 64).reconstruct()
         assert np.array_equal(gotb, np.where(fs == 1, xs, 0))
+
+
+def test_asym_mul_narrow_ledgers_its_width():
+    # one flip bit and two 1-bit frames per element; pads at the width
+    n = 40
+    sess = fresh()
+    rng = np.random.default_rng(14)
+    fs = rng.integers(0, 2, n, dtype=np.uint64)
+    xs = rng.integers(0, 2, n, dtype=np.uint64)
+    got = sh.asym_mul(sess, 0, fs, xs, sh.BINARY, 1)
+    assert np.array_equal(got.reconstruct(), fs & xs)
+    t = sess.transcript
+    assert t.wire_bits == 3 * n
+    assert t.hybrid_by_kind[dl.OT_PADS] == n
 
 
 def test_convert_round_trips():
