@@ -14,7 +14,9 @@ pins Beneš routing itself: every layer's top positions, bottom positions
 and control bits of `build_program` on seeded random permutations at
 m = 2 .. 2^14, and on the identity and the reversal at m = 2^10. A change
 that keeps behaviour keeps every hash; `PYTHONPATH=src python
-tests/test_golden_grid.py` prints the tables afresh for a deliberate change.
+tests/test_golden_grid.py` prints the tables afresh for a deliberate change,
+headed by one rows-only digest of the GA and dom0 cells: running the script
+at two commits shows whether any query's rows or error class changed.
 """
 import dataclasses
 import hashlib
@@ -74,32 +76,35 @@ def _view(join, level):
     return v0, v1, sess.transcript
 
 
-def _query_cell(v0, v1, q) -> str:
+def _query_cell(v0, v1, q, rows_only=False) -> str:
     run = Session(4, 5, 6)
     try:
         rows = ga.PROTOCOLS[q.protocol](run, v0, v1, q).rows
     except Exception as exc:  # the error class is the record
         return type(exc).__name__
     t = run.transcript
-    return _hash(rows, t.digest(), t.phase_shapes())
+    return _hash(rows) if rows_only else \
+        _hash(rows, t.digest(), t.phase_shapes())
 
 
-def grid_cells(join, level) -> dict[str, str]:
-    """Every cell of one view: the view generation itself, then the queries."""
+def grid_cells(join, level, rows_only=False) -> dict[str, str]:
+    """Every cell of one view: the view generation itself, then the queries;
+    with `rows_only`, the queries alone, their transcripts left out."""
     v0, v1, t = _view(join, level)
     prefix = f"{join}-l{level}"
-    cells = {f"{prefix}-view": _hash(t.digest(), t.phase_shapes())}
+    cells = {} if rows_only else \
+        {f"{prefix}-view": _hash(t.digest(), t.phase_shapes())}
     for proto in ga.PROTOCOLS:
         for gname, (g0, g1) in GROUPS.items():
             for aname, aggs in AGGS.items():
                 q = JgaQuery(g0, g1, aggs, protocol=proto,
                              dom0=DOM0 if join == "pkfk" else None)
                 cells[f"{prefix}-{proto}-{gname}-{aname}"] = \
-                    _query_cell(v0, v1, q)
+                    _query_cell(v0, v1, q, rows_only)
     return cells
 
 
-def dom0_cells(level) -> dict[str, str]:
+def dom0_cells(level, rows_only=False) -> dict[str, str]:
     """PK-PK sorting and osorting queries on g0 that pass the public dom0."""
     v0, v1, _ = _view("pkpk", level)
     cells = {}
@@ -108,8 +113,20 @@ def dom0_cells(level) -> dict[str, str]:
             for aname, aggs in AGGS.items():
                 q = JgaQuery(*GROUPS[gname], aggs, protocol=proto, dom0=DOM0)
                 cells[f"pkpk-l{level}-{proto}-dom0-{gname}-{aname}"] = \
-                    _query_cell(v0, v1, q)
+                    _query_cell(v0, v1, q, rows_only)
     return cells
+
+
+def rows_digest() -> str:
+    """One hash of every GA and dom0 query cell's rows or error class, with
+    the transcripts left out: equal at two commits when no query changed
+    its answer."""
+    cells = {}
+    for join, level in VIEWS:
+        cells.update(grid_cells(join, level, rows_only=True))
+    for level in (0, 1, 2):
+        cells.update(dom0_cells(level, rows_only=True))
+    return _hash(sorted(cells.items()))
 
 
 GOLDEN = {
@@ -583,6 +600,7 @@ def test_golden_dom0(level):
 
 
 if __name__ == "__main__":
+    print(f"# rows-only digest of the GA and dom0 cells: {rows_digest()}")
     print("GOLDEN = {")
     for join, level in VIEWS:
         for key, value in grid_cells(join, level).items():
