@@ -143,30 +143,30 @@ GOLDEN = {
     "pkpk-l0-osorting-g0-extremes": "908cc5e536d2cbaf",
     "pkpk-l0-osorting-g1-sums": "1f15fe7ac35a0ffb",
     "pkpk-l0-osorting-g1-extremes": "25f738b249078ec0",
-    "pkpk-l0-bsorting-g0g1-sums": "733f83167c3fac84",
-    "pkpk-l0-bsorting-g0g1-extremes": "eb44b888d3aaf503",
-    "pkpk-l0-bsorting-g0-sums": "73a20c0185672084",
-    "pkpk-l0-bsorting-g0-extremes": "d4ab06467fb1434c",
+    "pkpk-l0-bsorting-g0g1-sums": "223f56fdd0bd0be2",
+    "pkpk-l0-bsorting-g0g1-extremes": "bea4d89a5a5fc432",
+    "pkpk-l0-bsorting-g0-sums": "22159b094e8f011a",
+    "pkpk-l0-bsorting-g0-extremes": "ed478c1ef0f21a79",
     "pkpk-l0-bsorting-g1-sums": "9d416ec411a56969",
     "pkpk-l0-bsorting-g1-extremes": "4ff569b6b45cfc3e",
-    "pkpk-l0-mix-g0g1-sums": "f1537ec7ba022a0d",
-    "pkpk-l0-mix-g0g1-extremes": "7ab20daa2709716b",
-    "pkpk-l0-mix-g0-sums": "390b199aa8ec5877",
-    "pkpk-l0-mix-g0-extremes": "2b90809f10b0c294",
-    "pkpk-l0-mix-g1-sums": "edd328cb2cc9e293",
-    "pkpk-l0-mix-g1-extremes": "a16058e194d9278c",
-    "pkpk-l0-bitmap-g0g1-sums": "afa58bc2f07edac1",
-    "pkpk-l0-bitmap-g0g1-extremes": "2323e65bc55929a0",
-    "pkpk-l0-bitmap-g0-sums": "7eba2b55bc14d0a4",
-    "pkpk-l0-bitmap-g0-extremes": "6e30e2dd49945e12",
-    "pkpk-l0-bitmap-g1-sums": "9d724e68e852ecc1",
-    "pkpk-l0-bitmap-g1-extremes": "cca38afe346c266f",
+    "pkpk-l0-mix-g0g1-sums": "b0ca6741d37f73b7",
+    "pkpk-l0-mix-g0g1-extremes": "bd032108afc8f4d1",
+    "pkpk-l0-mix-g0-sums": "4035196eac1207f3",
+    "pkpk-l0-mix-g0-extremes": "8a063fcba5478f86",
+    "pkpk-l0-mix-g1-sums": "8d96f6ab5bcaa38f",
+    "pkpk-l0-mix-g1-extremes": "d8811e99de52e395",
+    "pkpk-l0-bitmap-g0g1-sums": "9a0d18a91298129d",
+    "pkpk-l0-bitmap-g0g1-extremes": "95882dbe91d2764c",
+    "pkpk-l0-bitmap-g0-sums": "76f6708906e26b3e",
+    "pkpk-l0-bitmap-g0-extremes": "a136296f0ea031f3",
+    "pkpk-l0-bitmap-g1-sums": "84acecd194822661",
+    "pkpk-l0-bitmap-g1-extremes": "61f43b42757d2cfe",
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l0-oneside-g0-sums": "bdbc301e92aadac4",
-    "pkpk-l0-oneside-g0-extremes": "0c006cfb0e0131cc",
-    "pkpk-l0-oneside-g1-sums": "bdcf38781ffd15e8",
-    "pkpk-l0-oneside-g1-extremes": "2bdddbe5b05cd8fb",
+    "pkpk-l0-oneside-g0-sums": "acd8ef12db736e0c",
+    "pkpk-l0-oneside-g0-extremes": "8de7d2c8d84ea595",
+    "pkpk-l0-oneside-g1-sums": "8d96f6ab5bcaa38f",
+    "pkpk-l0-oneside-g1-extremes": "d8811e99de52e395",
     "pkpk-l1-view": "4635a51cabc0d3e0",
     "pkpk-l1-sorting-g0g1-sums": "5b04297712d5d03b",
     "pkpk-l1-sorting-g0g1-extremes": "224902f33dad347d",
@@ -180,30 +180,30 @@ GOLDEN = {
     "pkpk-l1-osorting-g0-extremes": "f77f04b7c327d35d",
     "pkpk-l1-osorting-g1-sums": "431821647cc77006",
     "pkpk-l1-osorting-g1-extremes": "caa4618051642f8a",
-    "pkpk-l1-bsorting-g0g1-sums": "482931aea4c12cd8",
-    "pkpk-l1-bsorting-g0g1-extremes": "9174ae07cc7f9ed4",
-    "pkpk-l1-bsorting-g0-sums": "3c0567de99be9fb8",
-    "pkpk-l1-bsorting-g0-extremes": "827f5e3f15661c79",
+    "pkpk-l1-bsorting-g0g1-sums": "61c99bdb1ebbb11e",
+    "pkpk-l1-bsorting-g0g1-extremes": "e645190789288dcf",
+    "pkpk-l1-bsorting-g0-sums": "ae92d40f0ad23427",
+    "pkpk-l1-bsorting-g0-extremes": "f3b8b8dcc8c134c0",
     "pkpk-l1-bsorting-g1-sums": "4512be0f96207fb8",
     "pkpk-l1-bsorting-g1-extremes": "b2be2d2315782b9b",
-    "pkpk-l1-mix-g0g1-sums": "41207088d8f620fc",
-    "pkpk-l1-mix-g0g1-extremes": "1cf9c42ba06b1ec3",
-    "pkpk-l1-mix-g0-sums": "5ebae67b310c88f1",
-    "pkpk-l1-mix-g0-extremes": "74c1b9b544226161",
-    "pkpk-l1-mix-g1-sums": "341e3b1e4ec4c83f",
-    "pkpk-l1-mix-g1-extremes": "92a696f40f13a5b9",
-    "pkpk-l1-bitmap-g0g1-sums": "3667520d1463b32d",
-    "pkpk-l1-bitmap-g0g1-extremes": "67d57799df4255df",
-    "pkpk-l1-bitmap-g0-sums": "5057e605e950509a",
-    "pkpk-l1-bitmap-g0-extremes": "280e9d1ce683c7ba",
-    "pkpk-l1-bitmap-g1-sums": "ce95acffe9892e26",
-    "pkpk-l1-bitmap-g1-extremes": "71eeef63315d2952",
+    "pkpk-l1-mix-g0g1-sums": "b10897a159d8379c",
+    "pkpk-l1-mix-g0g1-extremes": "1fdeb9ea8ac11bfe",
+    "pkpk-l1-mix-g0-sums": "2622c16f1871767a",
+    "pkpk-l1-mix-g0-extremes": "543a4169c36682ca",
+    "pkpk-l1-mix-g1-sums": "bb1e0c01f6735bc8",
+    "pkpk-l1-mix-g1-extremes": "9dd3772264ec1daa",
+    "pkpk-l1-bitmap-g0g1-sums": "54941534d087fdfa",
+    "pkpk-l1-bitmap-g0g1-extremes": "a79a12e0d31915dc",
+    "pkpk-l1-bitmap-g0-sums": "b5c9ce730cfb978c",
+    "pkpk-l1-bitmap-g0-extremes": "114665e28d900d18",
+    "pkpk-l1-bitmap-g1-sums": "fea6ed772fd35d8b",
+    "pkpk-l1-bitmap-g1-extremes": "bb9ffdca2c26fbb7",
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l1-oneside-g0-sums": "13560924459f3c3b",
-    "pkpk-l1-oneside-g0-extremes": "8882a88c7b690a6a",
-    "pkpk-l1-oneside-g1-sums": "618a9ede7e25b62e",
-    "pkpk-l1-oneside-g1-extremes": "ac8f4c594dd4518a",
+    "pkpk-l1-oneside-g0-sums": "2b120eadc642e7ca",
+    "pkpk-l1-oneside-g0-extremes": "0595f58ec025e39f",
+    "pkpk-l1-oneside-g1-sums": "bb1e0c01f6735bc8",
+    "pkpk-l1-oneside-g1-extremes": "9dd3772264ec1daa",
     "pkpk-l2-view": "a7d548c2320a314f",
     "pkpk-l2-sorting-g0g1-sums": "f07fb7bb59531369",
     "pkpk-l2-sorting-g0g1-extremes": "1f9b193a1d1ec9e4",
@@ -217,30 +217,30 @@ GOLDEN = {
     "pkpk-l2-osorting-g0-extremes": "0158f7f9e025b4b7",
     "pkpk-l2-osorting-g1-sums": "a29475841db14063",
     "pkpk-l2-osorting-g1-extremes": "4ef35ce95f5d0e2a",
-    "pkpk-l2-bsorting-g0g1-sums": "a806aacae7ea12fc",
-    "pkpk-l2-bsorting-g0g1-extremes": "d6cc46ab6c818f4d",
-    "pkpk-l2-bsorting-g0-sums": "c5e7217ca9ee10ca",
-    "pkpk-l2-bsorting-g0-extremes": "1ae15ceb3cda8f7f",
+    "pkpk-l2-bsorting-g0g1-sums": "7971f3483387e626",
+    "pkpk-l2-bsorting-g0g1-extremes": "8dc5372696b53efb",
+    "pkpk-l2-bsorting-g0-sums": "3fefb315d4dca7ec",
+    "pkpk-l2-bsorting-g0-extremes": "9cc457f5c297544e",
     "pkpk-l2-bsorting-g1-sums": "de364c253547d63e",
     "pkpk-l2-bsorting-g1-extremes": "6dbf201ebc2d96e2",
-    "pkpk-l2-mix-g0g1-sums": "cd953366c6586fba",
-    "pkpk-l2-mix-g0g1-extremes": "9df9f956abb40865",
-    "pkpk-l2-mix-g0-sums": "acccfce62a8e4b74",
-    "pkpk-l2-mix-g0-extremes": "c1a9f9fb76f71f78",
-    "pkpk-l2-mix-g1-sums": "531aa6e0e7296d89",
-    "pkpk-l2-mix-g1-extremes": "ecccbf62b7d17f1a",
-    "pkpk-l2-bitmap-g0g1-sums": "c8f55b4896ff43ac",
-    "pkpk-l2-bitmap-g0g1-extremes": "a981c29cfe2d0680",
-    "pkpk-l2-bitmap-g0-sums": "b87b3fde0d12eb9d",
-    "pkpk-l2-bitmap-g0-extremes": "27f2b18c1ea93ffd",
-    "pkpk-l2-bitmap-g1-sums": "88966011e911488c",
-    "pkpk-l2-bitmap-g1-extremes": "aeadd6c8df4bac4c",
+    "pkpk-l2-mix-g0g1-sums": "8d39daeef7b31705",
+    "pkpk-l2-mix-g0g1-extremes": "bab2f2aacb370d9f",
+    "pkpk-l2-mix-g0-sums": "80c215150a53ff4b",
+    "pkpk-l2-mix-g0-extremes": "2890dfdf1db8911f",
+    "pkpk-l2-mix-g1-sums": "067f2a8815cd6a7b",
+    "pkpk-l2-mix-g1-extremes": "720ba4249e0adfc1",
+    "pkpk-l2-bitmap-g0g1-sums": "41ea3e4051673027",
+    "pkpk-l2-bitmap-g0g1-extremes": "81d21856aff3b22b",
+    "pkpk-l2-bitmap-g0-sums": "f3e6cae3b26b33d2",
+    "pkpk-l2-bitmap-g0-extremes": "3793df216d3562e3",
+    "pkpk-l2-bitmap-g1-sums": "cdc7c7fde856ec23",
+    "pkpk-l2-bitmap-g1-extremes": "4eec3de76fc47a71",
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l2-oneside-g0-sums": "ac7546eefdfacaa9",
-    "pkpk-l2-oneside-g0-extremes": "2ded3d4ce861fe3b",
-    "pkpk-l2-oneside-g1-sums": "49a525c9d5a5d673",
-    "pkpk-l2-oneside-g1-extremes": "9e96be6f5e7b516c",
+    "pkpk-l2-oneside-g0-sums": "4fb318810f8bf016",
+    "pkpk-l2-oneside-g0-extremes": "32b8839fa1c30bcc",
+    "pkpk-l2-oneside-g1-sums": "067f2a8815cd6a7b",
+    "pkpk-l2-oneside-g1-extremes": "720ba4249e0adfc1",
     "pkfk-l0-view": "2e8e35fb9f0335d5",
     "pkfk-l0-sorting-g0g1-sums": "e0786a5ddb91f7c9",
     "pkfk-l0-sorting-g0g1-extremes": "75cd2c654b5c3f48",
@@ -260,24 +260,24 @@ GOLDEN = {
     "pkfk-l0-bsorting-g0-extremes": "5876207fe80024d2",
     "pkfk-l0-bsorting-g1-sums": "3e78763933ab5206",
     "pkfk-l0-bsorting-g1-extremes": "4419772dfa35eb88",
-    "pkfk-l0-mix-g0g1-sums": "b0139412f6f5ff10",
-    "pkfk-l0-mix-g0g1-extremes": "cdd1e2fced16b847",
-    "pkfk-l0-mix-g0-sums": "96ee97201e99f0bd",
-    "pkfk-l0-mix-g0-extremes": "cdf576042ecedad5",
-    "pkfk-l0-mix-g1-sums": "4ebab445506345ab",
-    "pkfk-l0-mix-g1-extremes": "4ca8da8455d6cd88",
-    "pkfk-l0-bitmap-g0g1-sums": "9af6c0a767473962",
-    "pkfk-l0-bitmap-g0g1-extremes": "b7d6c8444cc750bc",
-    "pkfk-l0-bitmap-g0-sums": "4a8ddcb01aef1b8f",
-    "pkfk-l0-bitmap-g0-extremes": "54a2b29389595002",
-    "pkfk-l0-bitmap-g1-sums": "f6fbef9dbedf1ec6",
-    "pkfk-l0-bitmap-g1-extremes": "d4236678a6ecec00",
+    "pkfk-l0-mix-g0g1-sums": "23c47ccad2b91a25",
+    "pkfk-l0-mix-g0g1-extremes": "4311fda3c1112edc",
+    "pkfk-l0-mix-g0-sums": "5ba1a0d80c0e9646",
+    "pkfk-l0-mix-g0-extremes": "b6403124aa0b90dd",
+    "pkfk-l0-mix-g1-sums": "635589de83628f1a",
+    "pkfk-l0-mix-g1-extremes": "3486a5145c2d4de3",
+    "pkfk-l0-bitmap-g0g1-sums": "d3433ad560f4730e",
+    "pkfk-l0-bitmap-g0g1-extremes": "2d64e6854a5284da",
+    "pkfk-l0-bitmap-g0-sums": "e69efb400acd1350",
+    "pkfk-l0-bitmap-g0-extremes": "092345bfbeb3bbc9",
+    "pkfk-l0-bitmap-g1-sums": "f824e8c719145f8b",
+    "pkfk-l0-bitmap-g1-extremes": "884ab4662734cce4",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l0-oneside-g1-sums": "90aa42c5702839a8",
-    "pkfk-l0-oneside-g1-extremes": "47303258c6a7076c",
+    "pkfk-l0-oneside-g1-sums": "635589de83628f1a",
+    "pkfk-l0-oneside-g1-extremes": "3486a5145c2d4de3",
     "pkfk-l1-view": "7011a7810885cbe0",
     "pkfk-l1-sorting-g0g1-sums": "15f966ca8af4ab92",
     "pkfk-l1-sorting-g0g1-extremes": "021b9dbe20be8c7f",
@@ -297,24 +297,24 @@ GOLDEN = {
     "pkfk-l1-bsorting-g0-extremes": "bac39d66eac2afc1",
     "pkfk-l1-bsorting-g1-sums": "7e396de5b1ca3544",
     "pkfk-l1-bsorting-g1-extremes": "5ca56d897c98a262",
-    "pkfk-l1-mix-g0g1-sums": "2e4178475e9491bb",
-    "pkfk-l1-mix-g0g1-extremes": "48f6c77507b877d0",
-    "pkfk-l1-mix-g0-sums": "01ec170523b2d123",
-    "pkfk-l1-mix-g0-extremes": "3ce147471367343f",
-    "pkfk-l1-mix-g1-sums": "c4338be93aec4037",
-    "pkfk-l1-mix-g1-extremes": "a215590823399c6a",
-    "pkfk-l1-bitmap-g0g1-sums": "fd071426bf24dda6",
-    "pkfk-l1-bitmap-g0g1-extremes": "bae048dfcbb26101",
-    "pkfk-l1-bitmap-g0-sums": "73fcfb1fb2c0995d",
-    "pkfk-l1-bitmap-g0-extremes": "29eb0dc21e60fde6",
-    "pkfk-l1-bitmap-g1-sums": "dbdb53e2b7a3f9b5",
-    "pkfk-l1-bitmap-g1-extremes": "e551d0afea41a4e6",
+    "pkfk-l1-mix-g0g1-sums": "bad34eb2fa215805",
+    "pkfk-l1-mix-g0g1-extremes": "4c8203e52f7539b3",
+    "pkfk-l1-mix-g0-sums": "6f41216ef6e753e0",
+    "pkfk-l1-mix-g0-extremes": "77e94e51b48218f7",
+    "pkfk-l1-mix-g1-sums": "f2c46ae938c4ae2d",
+    "pkfk-l1-mix-g1-extremes": "9b0201fb1a98003f",
+    "pkfk-l1-bitmap-g0g1-sums": "c54e7876ccbafcd9",
+    "pkfk-l1-bitmap-g0g1-extremes": "53d4d65f3da57b4f",
+    "pkfk-l1-bitmap-g0-sums": "bbd06e58eb888bb4",
+    "pkfk-l1-bitmap-g0-extremes": "406a4a01eb547683",
+    "pkfk-l1-bitmap-g1-sums": "c39f1980835056ac",
+    "pkfk-l1-bitmap-g1-extremes": "c0ad6df57f6293b7",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l1-oneside-g1-sums": "8af602db9a8f812a",
-    "pkfk-l1-oneside-g1-extremes": "41e23edb65187224",
+    "pkfk-l1-oneside-g1-sums": "f2c46ae938c4ae2d",
+    "pkfk-l1-oneside-g1-extremes": "9b0201fb1a98003f",
     "pkfk-l2-view": "09286b281ac6eabc",
     "pkfk-l2-sorting-g0g1-sums": "34575364717a1415",
     "pkfk-l2-sorting-g0g1-extremes": "842d1f21f19691d5",
@@ -334,24 +334,24 @@ GOLDEN = {
     "pkfk-l2-bsorting-g0-extremes": "dec92a3f7f1eb2d9",
     "pkfk-l2-bsorting-g1-sums": "b82d45bc41992965",
     "pkfk-l2-bsorting-g1-extremes": "93671e3107526dc4",
-    "pkfk-l2-mix-g0g1-sums": "d5bd1c7babd3888c",
-    "pkfk-l2-mix-g0g1-extremes": "3e96ed3a8947b8e1",
-    "pkfk-l2-mix-g0-sums": "bff260d2efb9801f",
-    "pkfk-l2-mix-g0-extremes": "8334a79b0d969cd7",
-    "pkfk-l2-mix-g1-sums": "3b2481d57ffa5628",
-    "pkfk-l2-mix-g1-extremes": "066ab1164e4b52e8",
-    "pkfk-l2-bitmap-g0g1-sums": "02438df3ab55fb3c",
-    "pkfk-l2-bitmap-g0g1-extremes": "05c3ab3ee086e856",
-    "pkfk-l2-bitmap-g0-sums": "88413617bed24864",
-    "pkfk-l2-bitmap-g0-extremes": "59c8a24cb4885959",
-    "pkfk-l2-bitmap-g1-sums": "3eab4ec6286ce8b4",
-    "pkfk-l2-bitmap-g1-extremes": "554e2afc98759934",
+    "pkfk-l2-mix-g0g1-sums": "acb2c7e1c15bfc7a",
+    "pkfk-l2-mix-g0g1-extremes": "8cdc878527ee71df",
+    "pkfk-l2-mix-g0-sums": "2f3552e77b60fd3b",
+    "pkfk-l2-mix-g0-extremes": "b48d74d8c48c875d",
+    "pkfk-l2-mix-g1-sums": "68955672df241528",
+    "pkfk-l2-mix-g1-extremes": "f185e87d872d706d",
+    "pkfk-l2-bitmap-g0g1-sums": "6173070a7472be4e",
+    "pkfk-l2-bitmap-g0g1-extremes": "32fd654d9a5d4774",
+    "pkfk-l2-bitmap-g0-sums": "9bb5fbeba3a84d77",
+    "pkfk-l2-bitmap-g0-extremes": "f73dd4d95bebb646",
+    "pkfk-l2-bitmap-g1-sums": "e93b17ed50f6d305",
+    "pkfk-l2-bitmap-g1-extremes": "581fd22a3b36dd29",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l2-oneside-g1-sums": "f73983179e27d48c",
-    "pkfk-l2-oneside-g1-extremes": "efa0f90c8150d695",
+    "pkfk-l2-oneside-g1-sums": "68955672df241528",
+    "pkfk-l2-oneside-g1-extremes": "f185e87d872d706d",
 }
 
 
@@ -522,7 +522,7 @@ GOLDEN_PRIMITIVES = {
     "trav_flags-xor": "d3a9740c96667cd8",
     "asym_mul-arith": "564339563277dce7",
     "asym_mul-bin64": "e5f9be87296a4565",
-    "asym_mul-bin1": "db34f5360e8e8207",
+    "asym_mul-bin1": "c2baef9a3590a85f",
     "share_open": "f35f8cf7626fa1d1",
     "gates": "6f2b9a0a69f51be4",
     "refresh_pkfk": "a4411ddbc9b045bb",
