@@ -165,7 +165,7 @@ def test_asym_mul_trivials_and_sweep():
 
 
 def test_asym_mul_narrow_ledgers_its_width():
-    # one flip bit and two 1-bit frames per element; pads at the width
+    # one flip bit and two 1-bit messages per element; pads at the width
     n = 40
     sess = fresh()
     rng = np.random.default_rng(14)
