@@ -13,7 +13,7 @@ from . import bench as bench_mod
 from . import ga, oracle
 from . import store
 from . import views as vw
-from .errors import SecJoinError, ViewStale
+from .errors import SecJoinError
 from .ga import JgaQuery
 from .session import Session
 
@@ -93,6 +93,7 @@ def cmd_refresh(args) -> int:
     r0, r1, join = _tables(spec)
     p0, p1 = _view_paths(args.views)
     v0, v1 = store.load_view(p0), store.load_view(p1)
+    vw.check_base_keys(v0, v1, r0, r1)
     up0 = store.updates_from_csv(args.updates0) if args.updates0 else []
     up1 = store.updates_from_csv(args.updates1) if args.updates1 else []
     sess = Session(*_seeds(spec, args))
@@ -117,12 +118,7 @@ def cmd_query(args) -> int:
     r0, r1, join = _tables(spec)
     p0, p1 = _view_paths(args.views)
     v0, v1 = store.load_view(p0), store.load_view(p1)
-    if join == "pkfk":
-        if v0.base_key_hash != vw.pkfk_key_hash(r0, r1):
-            raise ViewStale("stored view no longer matches the base tables")
-    else:
-        if v0.base_key_hash != r0.key_hash() or v1.base_key_hash != r1.key_hash():
-            raise ViewStale("stored view no longer matches the base tables")
+    vw.check_base_keys(v0, v1, r0, r1)
     q = _query(spec, args)
     sess = Session(*_seeds(spec, args))
     result = ga.run_query(sess, v0, v1, q)

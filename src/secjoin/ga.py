@@ -18,19 +18,20 @@ either kind. All but bitmap start from `_Table.local_order`, then:
             _tree_reduce (max, min), _rows; count reads the bucket counts
 
 `_sort` is the osn, convert and sort phases; `_grouped_tail` is boundary
-flags, suffix sums or `_segmented`, then `_reveal` (mask, shuffle, open)
-and `_rows` (the canonical table). `_runs` is `_run_flags` and
-`_own_values` in the sorter's local order, `_osn`, `_null_fill`,
-`_segmented` with validity and the run-end flags; its rows are then masked
-and opened in P1's order, or go through `_reveal` in P0's, before `_rows`.
-`_segmented` scans a query's aggregates with one stacked `trav_flags` per
-kind (sum and count, xor, max and min), so each level of a kind's scan is
-one exchange for all its aggregates, and a `_tree_reduce` level puts its
-two independent ANDs in one exchange. When the query gives dom0 and P0
-holds g0 in plain (PK-PK views), `_sort` sorts on g0's rank in the sorted
-dom0, ceil(log2 d0) bits wide, and P1 maps the revealed ranks back through
-dom0. A plain group column with a value outside the domain the query gives
-raises `ValueOutsideDomain` before any message.
+flags, suffix sums or one `trav_flags` scan, then `_reveal` (mask,
+shuffle, open) and `_rows` (the canonical table). `_runs` is `_run_flags`
+and `_own_values` in the sorter's local order, `_osn`, `_null_fill`, one
+`trav_flags` scan with validity and the run-end flags; its rows are then
+masked and opened in P1's order, or go through `_reveal` in P0's, before
+`_rows`. One `trav_flags` call scans all of a query's aggregates, whatever
+their kinds: a level costs a `gt` if any is max or min, a `b2a` if any is
+a sum or count, and at most two exchanges for all of them. A
+`_tree_reduce` level puts its two independent ANDs in one exchange. When
+the query gives dom0 and P0 holds g0 in plain (PK-PK views), `_sort` sorts
+on g0's rank in the sorted dom0, ceil(log2 d0) bits wide, and P1 maps the
+revealed ranks back through dom0. A plain group column with a value
+outside the domain the query gives raises `ValueOutsideDomain` before any
+message.
 
 Null handling: masked rows carry a validity bit; 0 stands in for the dropped
 value and canonicalization removes invalid rows. Inside running aggregates
@@ -318,29 +319,6 @@ def _carry(sess, t, q, apply, pi, order, g1, p0_head):
     return (out[0] if head else None), moved[:len(p0_head)], values, rho
 
 
-def _segmented(sess, run, q, values, valid=None):
-    """Running aggregates along runs, in query order: one stacked
-    `trav_flags` per kind of aggregate. With `valid`, the max/min scan (or,
-    without one, the first) also ORs it along, which costs the max/min scan
-    no round; without aggregates `valid` gets its own scan (max of bits is
-    their OR). Returns (aggregates, the scanned `valid`)."""
-    fns = [fn for _, _, fn in q.aggs]
-    kinds = sorted(dict.fromkeys(ob.AGG_KIND[fn] for fn in fns),
-                   key=lambda kind: kind != ob.AGG_MAX)  # max/min first
-    outs, run_valid = [None] * len(fns), None
-    for kind in kinds:
-        idx = [i for i, fn in enumerate(fns) if ob.AGG_KIND[fn] == kind]
-        res, tv = ob.trav_flags(sess, run, [values[i] for i in idx],
-                                [fns[i] for i in idx], validity=valid)
-        if valid is not None:
-            run_valid, valid = tv, None
-        for i, r in zip(idx, res):
-            outs[i] = r
-    if valid is not None:  # no aggregates
-        run_valid, _ = ob.trav_flags(sess, run, valid, ob.AGG_MAX)
-    return outs, run_valid
-
-
 def _reveal(sess, f, groups, results):
     """mask, shuffle, reveal: rows whose flag f is off are zeroed, all are
     shuffled by P0 and opened to P1 as (flags, [g0, g1], results)."""
@@ -391,7 +369,8 @@ def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
             results = [v.map(lambda a: np.cumsum(a[::-1])[::-1].copy())
                        for v in values]
         else:
-            results, _ = _segmented(sess, c, q, values)
+            results, _ = ob.trav_flags(sess, c, values,
+                                       [fn for _, _, fn in q.aggs])
     keep, groups, aggs = _reveal(sess, f, groups, results)
     if dom0 is not None:
         groups[0] = dom0[groups[0]]
@@ -501,7 +480,8 @@ def _runs(sess, t, q, sorter: int, dom0: list | None = None) -> GroupResult:
         if bits:
             valid = sh.and_bits(sess, valid, SharedVector.concat(bits))
         values = _null_fill(sess, valid, [_tile(v, d) for v in values], q)
-        outs, valid = _segmented(sess, _tile(run, d), q, values, valid)
+        outs, valid = ob.trav_flags(sess, _tile(run, d), values,
+                                    [fn for _, _, fn in q.aggs], valid)
     with sess.phase("flag"):
         f = sh.and_bits(sess, _tile(ends, d), valid)
     if not sorter:

@@ -34,7 +34,7 @@ AGG_XOR = "xor"
 AGG_IDENTITY = {AGG_SUM: 0, AGG_COUNT: 0, AGG_XOR: 0,
                 AGG_MAX: 0, AGG_MIN: (1 << 64) - 1}
 
-# the aggregates one stacked `trav_flags` scan can take together
+# the stack each aggregate joins in a `trav_flags` scan
 AGG_KIND = {AGG_SUM: AGG_SUM, AGG_COUNT: AGG_SUM, AGG_XOR: AGG_XOR,
             AGG_MAX: AGG_MAX, AGG_MIN: AGG_MAX}
 
@@ -441,57 +441,49 @@ def adjacent_same_flags(sess: Session, limbs: list[SharedVector]) -> SharedVecto
     return acc.map(lambda a: a & ~first)
 
 
-def trav_flags(sess: Session, flags: SharedVector,
-               values: SharedVector | list[SharedVector], agg: str | list[str],
-               validity: SharedVector | None = None):
-    """Segmented running aggregate with precomputed same-group flags.
+def trav_flags(sess: Session, flags: SharedVector, values: list[SharedVector],
+               aggs: list[str], validity: SharedVector | None = None):
+    """Segmented running aggregates with precomputed same-group flags.
 
-    `values` is one vector under one `agg`, or a list of vectors of one
-    flavor and width under a list of aggregates of one kind: sum and count,
-    xor, or max and min. A list is scanned as one stack of blocks over the
-    flags: each level's shift stays inside a block, so no run crosses one,
-    and the run flags are ANDed once per level, not once per block. One
-    exchange per level carries every block's products and the next run
-    flags:
-      - sum, count: run * prev after a `b2a` of the run flags;
+    Scans `values` under `aggs`, any mix of sum, count, xor, max and min, in
+    one pass. The vectors of one kind (`AGG_KIND`) share a flavor and width
+    and form one stack of blocks over the flags: each level's shift stays
+    inside a block, so no run crosses one, and the run flags are ANDed once
+    per level for every stack. A level runs one `gt(prev, cur)` over the
+    max/min stack, then one `b2a` of the run flags for the sum stack; one
+    exchange then carries the next run flags and every product with them:
+      - sum, count: run * prev;
       - xor: run AND prev;
-      - max, min: after one `gt(prev, cur)` over the stack, the bit
-        take = run AND (gt XOR dir), where the public dir is 1 on min
-        blocks; a second exchange muxes prev over cur by take.
+      - max, min: take = run AND (gt XOR dir), where the public dir is 1 on
+        min blocks.
+    A second exchange muxes the max/min stack's prev over cur by take.
     With `validity`, the validity is ORed along each run (used for the
     null-absorbing encoding): run AND its shifted self joins the first
-    exchange and the OR's AND joins the second, an exchange of its own for
-    sum and xor. Returns (aggregated values, aggregated validity), the
-    values as a list when given as one.
+    exchange and the OR's AND the second. Returns (aggregated values in the
+    given order, aggregated validity).
     """
-    single = isinstance(values, SharedVector)
-    if single:
-        values, agg = [values], [agg]
     n = len(flags)
     if any(len(v) != n for v in values):
         raise SizeMismatch("flags and values differ in length")
-    unknown = [a for a in agg if a not in AGG_KIND]
-    if unknown:
-        raise ValueError(f"unknown aggregate {unknown[0]!r}")
-    kinds = {AGG_KIND[a] for a in agg}
-    if len(kinds) > 1:
-        raise PreconditionViolated(f"one scan takes one kind of aggregate, "
-                                   f"not {sorted(kinds)}")
-    if n == 0 or not values:
-        outs = [v.copy() for v in values]
-        return (outs[0] if single else outs), validity
-    kind, blocks = kinds.pop(), len(values)
-    vals = SharedVector.concat(values)
-    dirs = np.repeat(np.array([a == AGG_MIN for a in agg], np.uint64), n)
+    stacks = {}  # each kind's indices into values, in the given order
+    for i, agg in enumerate(aggs):
+        stacks.setdefault(AGG_KIND[agg], []).append(i)
+    vals = {kind: SharedVector.concat([values[i] for i in idx])
+            for kind, idx in stacks.items()}
+    linear = [kind for kind in (AGG_SUM, AGG_XOR) if kind in vals]
+    dirs = np.repeat(np.array([aggs[i] == AGG_MIN for i in stacks.get(AGG_MAX, [])],
+                              np.uint64), n)
 
-    def split(sv):
-        return [sv.slice(b * n, (b + 1) * n) for b in range(blocks)]
+    def split(kind, sv):
+        return [sv.slice(b * n, (b + 1) * n) for b in range(len(stacks[kind]))]
 
     run = flags
     s = 1
     while s < n:
         shift_idx = np.maximum(np.arange(n) - s, 0)
-        prev = vals.map(lambda a: a.reshape(blocks, n)[:, shift_idx].ravel())
+        prev = {kind: v.map(lambda a, b=len(stacks[kind]):
+                            a.reshape(b, n)[:, shift_idx].ravel())
+                for kind, v in vals.items()}
         ys = []  # every AND with the run flags
         if 2 * s < n:  # the last level needs no further run flags
             zero_head = np.ones(n, dtype=np.uint64)
@@ -500,38 +492,38 @@ def trav_flags(sess: Session, flags: SharedVector,
         if validity is not None:
             ys.append(validity.gather(shift_idx))
         head = len(ys)
-        if kind == AGG_MAX:  # take joins them
-            ys += split(sh.xor_public(sh.gt(sess, prev, vals), dirs))
-        groups = [(run, ys)]
-        if kind == AGG_SUM:
-            groups.append((sh.b2a(sess, run), split(prev)))
-        elif kind == AGG_XOR:
-            groups.append((sh.replicate_bit(run, vals.width), split(prev)))
+        if AGG_MAX in vals:  # take joins them
+            ys += split(AGG_MAX, sh.xor_public(
+                sh.gt(sess, prev[AGG_MAX], vals[AGG_MAX]), dirs))
+        groups = [(run, ys)] + [
+            (sh.b2a(sess, run) if kind == AGG_SUM
+             else sh.replicate_bit(run, vals[kind].width), split(kind, prev[kind]))
+            for kind in linear]
         ands, *prods = sh._beaver(sess, groups)
         second = []  # the ANDs that read this level's products
-        if kind == AGG_MAX:
+        if AGG_MAX in vals:
             take = SharedVector.concat(ands[head:])
-            second.append((sh.replicate_bit(take, vals.width),
-                           [sh.xor(prev, vals)]))
+            second.append((sh.replicate_bit(take, vals[AGG_MAX].width),
+                           [sh.xor(prev[AGG_MAX], vals[AGG_MAX])]))
         if validity is not None:
             second.append((validity, [ands[head - 1]]))
         done = sh._beaver(sess, second)
-        if kind == AGG_MAX:
-            vals = sh.xor(vals, done[0][0])
-        else:
-            vals = sh.add(vals, SharedVector.concat(prods[0]))
+        if AGG_MAX in vals:
+            vals[AGG_MAX] = sh.xor(vals[AGG_MAX], done[0][0])
+        for kind, prod in zip(linear, prods):
+            vals[kind] = sh.add(vals[kind], SharedVector.concat(prod))
         if validity is not None:  # v OR t = v ^ t ^ (v AND t)
             validity = sh.xor(sh.xor(validity, ands[head - 1]), done[-1][0])
         if 2 * s < n:
             run = ands[0]
         s *= 2
-    outs = split(vals)
-    return (outs[0] if single else outs), validity
+    outs = {kind: iter(split(kind, v)) for kind, v in vals.items()}
+    return [next(outs[AGG_KIND[agg]]) for agg in aggs], validity
 
 
 def trav(sess: Session, key_limbs: list[SharedVector], values: SharedVector,
          agg: str) -> SharedVector:
     """y_i = agg over the maximal run of equal adjacent keys ending at i."""
     flags = adjacent_same_flags(sess, key_limbs)
-    out, _ = trav_flags(sess, flags, values, agg)
+    [out], _ = trav_flags(sess, flags, [values], [agg])
     return out

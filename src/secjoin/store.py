@@ -43,8 +43,6 @@ def view_to_bytes(view) -> bytes:
             "j1_cols": list(view.j1.keys()) if view.j1 is not None else None,
         }
         arrays = {"pi": view.pi, "e": view.e_half, "map_e": view.map_e_half}
-        if view.sigma is not None:
-            arrays["sigma"] = view.sigma
         arrays.update({f"j0:{c}": v for c, v in view.j0_half.items()})
         if view.j1 is not None:
             arrays.update({f"j1:{c}": v for c, v in view.j1.items()})
@@ -99,9 +97,7 @@ def _view(header: dict, arrays: dict):
     return PkFkView(
         party=header["party"], level=header["level"],
         key_col0=header["key_col0"], key_col1=header["key_col1"],
-        n=header["n"], pi=arrays["pi"].astype(np.int64),
-        sigma=arrays["sigma"].astype(np.int64) if "sigma" in arrays else None,
-        e_half=arrays["e"],
+        n=header["n"], pi=arrays["pi"].astype(np.int64), e_half=arrays["e"],
         j0_half={c: arrays[f"j0:{c}"] for c in header["j0_cols"]},
         j1=j1, map_e_half=arrays["map_e"], base_key_hash=header["hash"])
 

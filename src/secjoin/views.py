@@ -18,7 +18,7 @@ from . import oblivious as ob
 from . import setops
 from . import sharing as sh
 from .errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
-                     SizeMismatch, ValueOutsideDomain)
+                     SizeMismatch, ValueOutsideDomain, ViewStale)
 from .ring import BINARY, as_ring
 from .session import Session
 from .sharing import SharedVector
@@ -131,7 +131,6 @@ class PkFkView:
     key_col1: str
     n: int
     pi: np.ndarray
-    sigma: np.ndarray | None          # P1 only
     e_half: np.ndarray                # final duplicated flags
     j0_half: dict[str, np.ndarray]    # shares of duplicated J^0 columns
     j1: dict[str, np.ndarray] | None  # P1 only, sorted plaintext FK transcript
@@ -335,8 +334,26 @@ def append_bitmap_columns(rel: Relation, col: str, domain) -> Relation:
 
 def pkfk_key_hash(r0: Relation, r1: Relation) -> str:
     """The base-key hash a PK-FK view records: one hash over both tables'
-    join keys, checked against the tables before a stored view is queried."""
+    join keys (`check_base_keys` compares it with the tables)."""
     return hashlib.sha256((r0.key_hash() + r1.key_hash()).encode()).hexdigest()
+
+
+def check_base_keys(view0, view1, r0: Relation, r1: Relation) -> None:
+    """Raise `ViewStale` unless stored views were built from these tables'
+    join keys and every index map entry points into its table, extended to
+    the view's size as generation and refresh extend it."""
+    if view0.kind == "pkfk":
+        want = [pkfk_key_hash(r0, r1)] * 2
+        sizes = (max(view0.n, r0.n), max(view1.n, r1.n))
+    else:
+        want = [r0.key_hash(), r1.key_hash()]
+        sizes = (view0.codomain, view1.codomain)
+    if [view0.base_key_hash, view1.base_key_hash] != want:
+        raise ViewStale("stored view no longer matches the base tables")
+    for view, size in zip((view0, view1), sizes):
+        if len(view.pi) and (view.pi.min() < 1 or view.pi.max() > size):
+            raise ViewStale(f"party {view.party}'s stored view maps a row "
+                            f"outside its table of {size} rows")
 
 
 def _fk_counters(keys: np.ndarray) -> np.ndarray:
@@ -365,8 +382,7 @@ def _extend_injective(pi: np.ndarray, size: int, codomain: int,
     return np.concatenate([pi, free[pool.perm(len(free))[:need]]])
 
 
-def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC,
-             pi0: np.ndarray | None = None):
+def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC):
     """PK-FK view: composite-key mapping, sort-and-switch, oblivious duplication."""
     if r1.key_kind != "fk":
         raise SizeMismatch("gen_pkfk expects the right relation to be the FK side")
@@ -382,11 +398,7 @@ def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC,
         comp1 = _composite(r1.keys, counters)
         rel0c = Relation(r0.name + "+ck", {"__ck": comp0}, "__ck", "pk")
         rel1c = Relation(r1.name + "+ck", {"__ck": comp1}, "__ck", "pk")
-        gen = GENERATORS[level]
-        if level == LEVEL_SEC:
-            v0c, v1c = gen(sess, rel0c, rel1c, pi0=pi0)
-        else:
-            v0c, v1c = gen(sess, rel0c, rel1c)
+        v0c, v1c = GENERATORS[level](sess, rel0c, rel1c)
         n_e = v0c.n_e
         pi0_m, pi1_m = v0c.pi, v1c.pi
         e_map = shared_e(v0c, v1c)
@@ -426,26 +438,26 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
         masked = sh.mux_many(sess, e_sw, [
             (c, SharedVector.zeros(n, c.flavor, c.width))
             for c in j0_shared.values()])
-        # FK-group flags from P1's plaintext sorted keys; one stacked scan
-        # copies each PK tuple down its group in every column
+        # FK-group flags from P1's plaintext sorted keys; one scan copies
+        # each PK tuple down its group in every column and in e
         same = np.zeros(n, dtype=np.uint64)
         if n > 1:
             kk = j1[r1.key]
             same[1:] = (kk[1:] == kk[:-1]).astype(np.uint64)
         flags = sh.share_vec(sess, 1, same, BINARY, 1)
-        dup, _ = ob.trav_flags(sess, flags, masked, [ob.AGG_SUM] * len(masked))
-        e_fin, _ = ob.trav_flags(sess, flags, e_sw, ob.AGG_XOR)
+        (*dup, e_fin), _ = ob.trav_flags(
+            sess, flags, masked + [e_sw], [ob.AGG_SUM] * len(masked) + [ob.AGG_XOR])
         j0_fin = dict(zip(j0_shared, dup))
 
     base_hash = pkfk_key_hash(r0, r1)
     view0 = PkFkView(
         party=0, level=-1, key_col0=r0.key, key_col1=r1.key, n=n,
-        pi=pi0_m, sigma=None, e_half=e_fin.shares[0].copy(),
+        pi=pi0_m, e_half=e_fin.shares[0].copy(),
         j0_half={c: v.shares[0].copy() for c, v in j0_fin.items()},
         j1=None, map_e_half=e_map.shares[0].copy(), base_key_hash=base_hash)
     view1 = PkFkView(
         party=1, level=-1, key_col0=r0.key, key_col1=r1.key, n=n,
-        pi=pi1_m, sigma=sigma, e_half=e_fin.shares[1].copy(),
+        pi=pi1_m, e_half=e_fin.shares[1].copy(),
         j0_half={c: v.shares[1].copy() for c, v in j0_fin.items()},
         j1=j1, map_e_half=e_map.shares[1].copy(), base_key_hash=base_hash)
     return view0, view1

@@ -154,6 +154,62 @@ def test_stale_pkfk_view_detected(tmp_path, capsys):
     assert rc == 2 and "no longer matches" in err
 
 
+def _pkfk_workspace(tmp_path):
+    """PK keys 1..4 and FK keys 3, 1, 1, 9, a PK-FK view of them, and the
+    spec of an osorting sum query."""
+    (tmp_path / "p.csv").write_text("k,g0,v0\n1,0,10\n2,1,20\n3,0,30\n4,1,40\n")
+    (tmp_path / "f.csv").write_text("k,g1,v1\n3,5,7\n1,5,8\n1,6,9\n9,5,9\n")
+    spec = {"table0": str(tmp_path / "p.csv"), "table1": str(tmp_path / "f.csv"),
+            "key0": "k", "key1": "k", "join": "pkfk",
+            "group0": "g0", "group1": "g1", "protocol": "osorting",
+            "aggs": [{"side": 0, "col": "v0", "fn": "sum"}], "level": 2}
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps(spec))
+    views = tmp_path / "v"
+    assert cli.main(["genview", str(sp), "--out", str(views)]) == 0
+    return sp, views
+
+
+def _files(tmp_path):
+    return {p.name: p.read_bytes() for p in sorted(tmp_path.rglob("*.*"))}
+
+
+def test_refresh_refuses_a_stale_pkfk_view(tmp_path, capsys):
+    # a refresh once wrote the current tables' key hash into the view, so
+    # PK 3 -> 5 passed the query's check and gave (0, 5, 40), not (0, 5, 10)
+    sp, views = _pkfk_workspace(tmp_path)
+    p = tmp_path / "p.csv"
+    p.write_text(p.read_text().replace("3,0,30", "5,0,30"))
+    before = _files(tmp_path)
+    up = tmp_path / "up.csv"
+    up.write_text("idx,v0\n1,11\n")
+    rc = cli.main(["refresh", str(sp), "--views", str(views),
+                   "--updates0", str(up)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "no longer matches" in err
+    assert {k: v for k, v in _files(tmp_path).items() if k != "up.csv"} == before
+    assert cli.main(["query", str(sp), "--views", str(views), "--verify"]) == 2
+
+
+@pytest.mark.parametrize("cmd", ("refresh", "query"))
+@pytest.mark.parametrize("entry", (0, 99))
+def test_view_mapping_outside_its_table_is_a_typed_error(tmp_path, capsys,
+                                                         cmd, entry):
+    # an index map entry past the table once raised a bare IndexError in
+    # refresh, and entry 0 read the table's last row
+    from secjoin import store
+    sp, views = _pkfk_workspace(tmp_path)
+    path = str(views / "view_p0.bin")
+    view = store.load_view(path)
+    view.pi[1] = entry
+    store.save_view(view, path)
+    before = _files(tmp_path)
+    rc = cli.main([cmd, str(sp), "--views", str(views)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "outside its table" in err
+    assert _files(tmp_path) == before
+
+
 def test_verify_fails_on_injected_fault(workspace, capsys, flip_in_reveal):
     tmp, spec_path, _ = workspace
     out = tmp / "views"

@@ -351,7 +351,7 @@ def test_null_absorbs_under_every_aggregate():
         vals = sh.share_vec(sess, 1, [AGG_IDENTITY[agg], x], flavor)
         valid = sh.share_vec(sess, 0, [0, 1], sh.BINARY, 1)
         run = sh.share_vec(sess, 0, [0, 1], sh.BINARY, 1)  # one run of two
-        out, tout = ob.trav_flags(sess, run, vals, agg, validity=valid)
+        [out], tout = ob.trav_flags(sess, run, [vals], [agg], validity=valid)
         assert int(out.reconstruct()[1]) == x
         assert int(tout.reconstruct()[1]) == 1
 
@@ -514,6 +514,24 @@ def test_osorting_extremes_aggregate_in_one_scan():
     levels = (v0.n_e - 1).bit_length()
     assert v0.n_e == 100
     assert sess.transcript.rounds_for("aggregate") == levels * (1 + 6 + 2)
+
+
+def test_oneside_sum_and_max_aggregate_in_one_scan():
+    # the sum's products ride in the max scan's exchanges: after the null
+    # fill (2 rounds), a level is one gt (1 + ceil(log2 64) rounds), one
+    # b2a of the run flags, one exchange for take, the products and the
+    # next run flags, and one for the mux and the validity's OR
+    rng = np.random.default_rng(34)
+    r0, r1 = _join_pair(rng, 100, list(range(5)))
+    v0, v1 = vw.gen_psiv(Session(1, 2, 3), r0, r1)
+    levels = (v0.n_e - 1).bit_length()
+    assert v0.n_e == 100
+    for groups in (("g0", None), (None, "g1")):
+        q = JgaQuery(*groups, [(0, "v0", "sum"), (1, "v1", "max")])
+        sess = Session(4, 5, 6)
+        assert ga.ga_oneside(sess, v0, v1, q).rows == oracle.eval_jga(r0, r1, q)
+        assert sess.transcript.rounds_for("aggregate") == \
+            2 + levels * (1 + 6 + 1 + 1 + 1), groups
 
 
 def _outside_domain_views(level):

@@ -15,8 +15,9 @@ and control bits of `build_program` on seeded random permutations at
 m = 2 .. 2^14, and on the identity and the reversal at m = 2^10. A change
 that keeps behaviour keeps every hash; `PYTHONPATH=src python
 tests/test_golden_grid.py` prints the tables afresh for a deliberate change,
-headed by one rows-only digest of the GA and dom0 cells: running the script
-at two commits shows whether any query's rows or error class changed.
+headed by one rows-only digest of the GA and dom0 cells. `ROWS_DIGEST` pins
+that digest, so a change that alters any query's rows or error class fails
+here even after the tables are regenerated.
 """
 import dataclasses
 import hashlib
@@ -115,6 +116,10 @@ def dom0_cells(level, rows_only=False) -> dict[str, str]:
                 cells[f"pkpk-l{level}-{proto}-dom0-{gname}-{aname}"] = \
                     _query_cell(v0, v1, q, rows_only)
     return cells
+
+
+# `rows_digest()`: a regeneration may change transcripts, never this
+ROWS_DIGEST = "e6d42043ec6dab35"
 
 
 def rows_digest() -> str:
@@ -445,7 +450,8 @@ def _trav_flags(fn):
         flags = sh.share_vec(sess, 1, nib & np.uint64(1), BINARY, 1)
         values = sh.share_vec(sess, 0, x, flavor)
         valid = sh.share_vec(sess, 0, bits, BINARY, 1)
-        return ob.trav_flags(sess, flags, values, fn, validity=valid)
+        [out], valid = ob.trav_flags(sess, flags, [values], [fn], validity=valid)
+        return out, valid
     return run
 
 
@@ -577,6 +583,11 @@ def test_golden_routing(name):
 @pytest.mark.parametrize("name", PRIMITIVES)
 def test_golden_primitive(name):
     assert primitive_cell(name) == GOLDEN_PRIMITIVES.get(name)
+
+
+def test_rows_digest():
+    # a deliberate regeneration may move transcripts, never rows
+    assert rows_digest() == ROWS_DIGEST
 
 
 @pytest.mark.parametrize("join,level", VIEWS)

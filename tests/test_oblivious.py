@@ -410,19 +410,18 @@ def test_pack_layout_fills_limbs_greedily():
                                             [(0, 0), (1, 0), (2, 0)])
 
 
-KIND_AGGS = {"sum": ("sum", "count"), "xor": ("xor",), "max": ("max", "min")}
+FLAVOR = {"sum": sh.ARITH, "count": sh.ARITH, "xor": sh.BINARY,
+          "max": sh.BINARY, "min": sh.BINARY}
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(kind=st.sampled_from(sorted(KIND_AGGS)), data=st.data(),
+@given(aggs=st.lists(st.sampled_from(sorted(FLAVOR)), max_size=5),
        n=st.integers(1, 19), with_validity=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_stacked_trav_flags_matches_one_scan_per_aggregate(
-        kind, data, n, with_validity, seed):
-    # aggregates of one kind, with repeats, scanned as one stack: each
-    # block must come out as its own scan would, and the validity too
-    aggs = data.draw(st.lists(st.sampled_from(KIND_AGGS[kind]), min_size=1,
-                              max_size=4), label="aggs")
+        aggs, n, with_validity, seed):
+    # aggregates of mixed kinds, with repeats, scanned in one pass: each
+    # must come out as its own scan would, and the validity too
     rng = np.random.default_rng(seed)
     flags = rng.integers(0, 2, n, dtype=np.uint64)
     flags[0] = 0  # row 0 starts a run, as every caller's flags say
@@ -431,13 +430,13 @@ def test_stacked_trav_flags_matches_one_scan_per_aggregate(
                        rng.integers(0, 1 << 64, n, dtype=np.uint64))
               for _ in aggs]
     valid = rng.integers(0, 2, n, dtype=np.uint64)
-    flavor = sh.ARITH if kind == "sum" else sh.BINARY
 
     def scan(vals, fns):
         sess = fresh(seed % 1000)
         t = sh.share_vec(sess, 0, valid, sh.BINARY, 1) if with_validity else None
         return ob.trav_flags(sess, sh.share_vec(sess, 1, flags, sh.BINARY, 1),
-                             [sh.share_vec(sess, 0, v, flavor) for v in vals],
+                             [sh.share_vec(sess, 0, v, FLAVOR[fn])
+                              for v, fn in zip(vals, fns)],
                              fns, validity=t)
 
     got, got_t = scan(values, aggs)
@@ -452,6 +451,7 @@ def test_stacked_trav_flags_matches_one_scan_per_aggregate(
             t = t | int(valid[i]) if flags[i] else int(valid[i])
             want.append(acc)
             ts.append(t)
+        assert (out.flavor, out.width) == (FLAVOR[agg], 64)
         assert out.reconstruct().tolist() == want, agg
         if with_validity:
             assert got_t.reconstruct().tolist() == ts
@@ -462,11 +462,3 @@ def test_stacked_trav_flags_matches_one_scan_per_aggregate(
             assert np.array_equal(got_t.reconstruct(), want_t.reconstruct())
         else:
             assert got_t is None and want_t is None
-
-
-def test_trav_flags_rejects_mixed_kinds():
-    sess = fresh()
-    f = sh.share_vec(sess, 1, [0, 1], sh.BINARY, 1)
-    v = sh.share_vec(sess, 0, [3, 4], sh.BINARY)
-    with pytest.raises(PreconditionViolated):
-        ob.trav_flags(sess, f, [v, v], ["max", "xor"])

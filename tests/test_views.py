@@ -243,6 +243,24 @@ def test_pkfk_refresh_no_mapping_phase_and_bounded_cost():
     check_pkfk(n0, n1, r0, r1)
 
 
+def test_pkfk_duplicate_phase_scans_payload_and_e_together():
+    # after the masking mux (2 rounds), one scan copies the payload
+    # columns and e down each FK group: per level one b2a of the run flags
+    # and one exchange for every product and the next run flags
+    rng = np.random.default_rng(8)
+    r0, r1 = fk_tables(np.arange(1, 501), rng.integers(1, 601, 1000), rng)
+    sess = Session(1, 2, 3)
+    v0, v1 = vw.gen_pkfk(sess, r0, r1, level=0)
+    assert v0.n == 1000
+    levels = (v0.n - 1).bit_length()
+    assert sess.transcript.rounds_for("duplicate") == 2 + 2 * levels
+    check_pkfk(v0, v1, r0, r1)
+    s2 = Session(4, 5, 6)
+    n0, n1 = vw.refresh_pkfk(s2, v0, v1, r0, r1, updates0=[(3, {"v0": 77})])
+    assert s2.transcript.rounds_for("duplicate") == 2 + 2 * levels
+    check_pkfk(n0, n1, r0, r1)
+
+
 def test_view_serialization_round_trip(tmp_path):
     r0, r1 = demo_tables()
     sess = Session(1, 2, 3)
@@ -263,7 +281,7 @@ def test_view_serialization_round_trip(tmp_path):
     w0, w1 = vw.gen_pkfk(s, f0, f1, level=2)
     store.save_view(w1, str(tmp_path / "w1.bin"))
     back = store.load_view(str(tmp_path / "w1.bin"))
-    assert back.n == w1.n and back.sigma.tolist() == w1.sigma.tolist()
+    assert back.n == w1.n and back.pi.tolist() == w1.pi.tolist()
     for c in w1.j0_half:
         assert np.array_equal(back.j0_half[c], w1.j0_half[c])
     for c in w1.j1:
