@@ -137,29 +137,29 @@ def rows_digest() -> str:
 GOLDEN = {
     "pkpk-l0-view": "6a0997a0cb14d258",
     "pkpk-l0-sorting-g0g1-sums": "f9918df348771571",
-    "pkpk-l0-sorting-g0g1-extremes": "0a704e3ee0302c9d",
+    "pkpk-l0-sorting-g0g1-extremes": "7cd42bfa7ad7e08f",
     "pkpk-l0-sorting-g0-sums": "b44bad5bc9b714d1",
-    "pkpk-l0-sorting-g0-extremes": "5e9ec13c5aaa1270",
+    "pkpk-l0-sorting-g0-extremes": "23447b05f38dc8bd",
     "pkpk-l0-sorting-g1-sums": "e276deefa07f669d",
-    "pkpk-l0-sorting-g1-extremes": "500c1f1a491377d7",
+    "pkpk-l0-sorting-g1-extremes": "a95fd89fa223a927",
     "pkpk-l0-osorting-g0g1-sums": "804d9643a5fd45d6",
-    "pkpk-l0-osorting-g0g1-extremes": "9920375ce3ec218d",
+    "pkpk-l0-osorting-g0g1-extremes": "f4f3a46a4588a269",
     "pkpk-l0-osorting-g0-sums": "8e89e9cf0e5fc682",
-    "pkpk-l0-osorting-g0-extremes": "908cc5e536d2cbaf",
+    "pkpk-l0-osorting-g0-extremes": "f69f42790095a69c",
     "pkpk-l0-osorting-g1-sums": "1f15fe7ac35a0ffb",
-    "pkpk-l0-osorting-g1-extremes": "25f738b249078ec0",
+    "pkpk-l0-osorting-g1-extremes": "a64caf9c8f2a67b9",
     "pkpk-l0-bsorting-g0g1-sums": "223f56fdd0bd0be2",
-    "pkpk-l0-bsorting-g0g1-extremes": "bea4d89a5a5fc432",
+    "pkpk-l0-bsorting-g0g1-extremes": "59ee3969a7458df7",
     "pkpk-l0-bsorting-g0-sums": "22159b094e8f011a",
-    "pkpk-l0-bsorting-g0-extremes": "ed478c1ef0f21a79",
+    "pkpk-l0-bsorting-g0-extremes": "84af3bd92e67fd3f",
     "pkpk-l0-bsorting-g1-sums": "9d416ec411a56969",
-    "pkpk-l0-bsorting-g1-extremes": "4ff569b6b45cfc3e",
+    "pkpk-l0-bsorting-g1-extremes": "58a5be08280b524c",
     "pkpk-l0-mix-g0g1-sums": "b0ca6741d37f73b7",
-    "pkpk-l0-mix-g0g1-extremes": "bd032108afc8f4d1",
+    "pkpk-l0-mix-g0g1-extremes": "6ff40e86ef0b17a7",
     "pkpk-l0-mix-g0-sums": "4035196eac1207f3",
-    "pkpk-l0-mix-g0-extremes": "8a063fcba5478f86",
+    "pkpk-l0-mix-g0-extremes": "85fb4994b66e8f2b",
     "pkpk-l0-mix-g1-sums": "8d96f6ab5bcaa38f",
-    "pkpk-l0-mix-g1-extremes": "d8811e99de52e395",
+    "pkpk-l0-mix-g1-extremes": "c5dd4ee6194da80d",
     "pkpk-l0-bitmap-g0g1-sums": "9a0d18a91298129d",
     "pkpk-l0-bitmap-g0g1-extremes": "95882dbe91d2764c",
     "pkpk-l0-bitmap-g0-sums": "76f6708906e26b3e",
@@ -169,34 +169,34 @@ GOLDEN = {
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l0-oneside-g0-sums": "acd8ef12db736e0c",
-    "pkpk-l0-oneside-g0-extremes": "8de7d2c8d84ea595",
+    "pkpk-l0-oneside-g0-extremes": "1b2d2daf8ebf6e3f",
     "pkpk-l0-oneside-g1-sums": "8d96f6ab5bcaa38f",
-    "pkpk-l0-oneside-g1-extremes": "d8811e99de52e395",
+    "pkpk-l0-oneside-g1-extremes": "c5dd4ee6194da80d",
     "pkpk-l1-view": "4635a51cabc0d3e0",
     "pkpk-l1-sorting-g0g1-sums": "5b04297712d5d03b",
-    "pkpk-l1-sorting-g0g1-extremes": "224902f33dad347d",
+    "pkpk-l1-sorting-g0g1-extremes": "ddba5f37eba6c436",
     "pkpk-l1-sorting-g0-sums": "03cdb713d41c7ddd",
-    "pkpk-l1-sorting-g0-extremes": "801f79dc1e3afd96",
+    "pkpk-l1-sorting-g0-extremes": "e346102b209edbc9",
     "pkpk-l1-sorting-g1-sums": "7ea650231fe2a90f",
-    "pkpk-l1-sorting-g1-extremes": "d7b674d356d4edc0",
+    "pkpk-l1-sorting-g1-extremes": "d572871e423f9240",
     "pkpk-l1-osorting-g0g1-sums": "1ff6d70ea763d83f",
-    "pkpk-l1-osorting-g0g1-extremes": "6f21cbdf31cf3b78",
+    "pkpk-l1-osorting-g0g1-extremes": "b134ef19f8fdce87",
     "pkpk-l1-osorting-g0-sums": "362519f115b3d5e0",
-    "pkpk-l1-osorting-g0-extremes": "f77f04b7c327d35d",
+    "pkpk-l1-osorting-g0-extremes": "d5edf09348f92bd2",
     "pkpk-l1-osorting-g1-sums": "431821647cc77006",
-    "pkpk-l1-osorting-g1-extremes": "caa4618051642f8a",
+    "pkpk-l1-osorting-g1-extremes": "49c647f677dd104e",
     "pkpk-l1-bsorting-g0g1-sums": "61c99bdb1ebbb11e",
-    "pkpk-l1-bsorting-g0g1-extremes": "e645190789288dcf",
+    "pkpk-l1-bsorting-g0g1-extremes": "4b269089b18abf85",
     "pkpk-l1-bsorting-g0-sums": "ae92d40f0ad23427",
-    "pkpk-l1-bsorting-g0-extremes": "f3b8b8dcc8c134c0",
+    "pkpk-l1-bsorting-g0-extremes": "0a592fd521bf4927",
     "pkpk-l1-bsorting-g1-sums": "4512be0f96207fb8",
-    "pkpk-l1-bsorting-g1-extremes": "b2be2d2315782b9b",
+    "pkpk-l1-bsorting-g1-extremes": "1114d591907beba0",
     "pkpk-l1-mix-g0g1-sums": "b10897a159d8379c",
-    "pkpk-l1-mix-g0g1-extremes": "1fdeb9ea8ac11bfe",
+    "pkpk-l1-mix-g0g1-extremes": "9fb0883860204e77",
     "pkpk-l1-mix-g0-sums": "2622c16f1871767a",
-    "pkpk-l1-mix-g0-extremes": "543a4169c36682ca",
+    "pkpk-l1-mix-g0-extremes": "349cd35ab98052e7",
     "pkpk-l1-mix-g1-sums": "bb1e0c01f6735bc8",
-    "pkpk-l1-mix-g1-extremes": "9dd3772264ec1daa",
+    "pkpk-l1-mix-g1-extremes": "449bc9b3a5a25ffb",
     "pkpk-l1-bitmap-g0g1-sums": "54941534d087fdfa",
     "pkpk-l1-bitmap-g0g1-extremes": "a79a12e0d31915dc",
     "pkpk-l1-bitmap-g0-sums": "b5c9ce730cfb978c",
@@ -206,34 +206,34 @@ GOLDEN = {
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l1-oneside-g0-sums": "2b120eadc642e7ca",
-    "pkpk-l1-oneside-g0-extremes": "0595f58ec025e39f",
+    "pkpk-l1-oneside-g0-extremes": "8be93c3492cbfb68",
     "pkpk-l1-oneside-g1-sums": "bb1e0c01f6735bc8",
-    "pkpk-l1-oneside-g1-extremes": "9dd3772264ec1daa",
+    "pkpk-l1-oneside-g1-extremes": "449bc9b3a5a25ffb",
     "pkpk-l2-view": "a7d548c2320a314f",
     "pkpk-l2-sorting-g0g1-sums": "f07fb7bb59531369",
-    "pkpk-l2-sorting-g0g1-extremes": "1f9b193a1d1ec9e4",
+    "pkpk-l2-sorting-g0g1-extremes": "fdec57f5845a882f",
     "pkpk-l2-sorting-g0-sums": "bf25b371a6dfb57f",
-    "pkpk-l2-sorting-g0-extremes": "833c977fce1a7a96",
+    "pkpk-l2-sorting-g0-extremes": "38bcc06a9807fe15",
     "pkpk-l2-sorting-g1-sums": "848bc01b4e284776",
-    "pkpk-l2-sorting-g1-extremes": "b8dbe141be48ec5e",
+    "pkpk-l2-sorting-g1-extremes": "178277dfbef9bb70",
     "pkpk-l2-osorting-g0g1-sums": "f89650803fc6fa7f",
-    "pkpk-l2-osorting-g0g1-extremes": "a8da3fb13c29922b",
+    "pkpk-l2-osorting-g0g1-extremes": "739c7d198b4aa704",
     "pkpk-l2-osorting-g0-sums": "727a7194e6c82056",
-    "pkpk-l2-osorting-g0-extremes": "0158f7f9e025b4b7",
+    "pkpk-l2-osorting-g0-extremes": "21187195862f45a9",
     "pkpk-l2-osorting-g1-sums": "a29475841db14063",
-    "pkpk-l2-osorting-g1-extremes": "4ef35ce95f5d0e2a",
+    "pkpk-l2-osorting-g1-extremes": "664ad11064572db5",
     "pkpk-l2-bsorting-g0g1-sums": "7971f3483387e626",
-    "pkpk-l2-bsorting-g0g1-extremes": "8dc5372696b53efb",
+    "pkpk-l2-bsorting-g0g1-extremes": "ffeb85b23da529e0",
     "pkpk-l2-bsorting-g0-sums": "3fefb315d4dca7ec",
-    "pkpk-l2-bsorting-g0-extremes": "9cc457f5c297544e",
+    "pkpk-l2-bsorting-g0-extremes": "5ab39b09a1b5cfae",
     "pkpk-l2-bsorting-g1-sums": "de364c253547d63e",
-    "pkpk-l2-bsorting-g1-extremes": "6dbf201ebc2d96e2",
+    "pkpk-l2-bsorting-g1-extremes": "d47b8fc970291ab0",
     "pkpk-l2-mix-g0g1-sums": "8d39daeef7b31705",
-    "pkpk-l2-mix-g0g1-extremes": "bab2f2aacb370d9f",
+    "pkpk-l2-mix-g0g1-extremes": "72315f086d2d77f0",
     "pkpk-l2-mix-g0-sums": "80c215150a53ff4b",
-    "pkpk-l2-mix-g0-extremes": "2890dfdf1db8911f",
+    "pkpk-l2-mix-g0-extremes": "dcf6560e3644d454",
     "pkpk-l2-mix-g1-sums": "067f2a8815cd6a7b",
-    "pkpk-l2-mix-g1-extremes": "720ba4249e0adfc1",
+    "pkpk-l2-mix-g1-extremes": "25884fa0fd8b202f",
     "pkpk-l2-bitmap-g0g1-sums": "41ea3e4051673027",
     "pkpk-l2-bitmap-g0g1-extremes": "81d21856aff3b22b",
     "pkpk-l2-bitmap-g0-sums": "f3e6cae3b26b33d2",
@@ -243,148 +243,148 @@ GOLDEN = {
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l2-oneside-g0-sums": "4fb318810f8bf016",
-    "pkpk-l2-oneside-g0-extremes": "32b8839fa1c30bcc",
+    "pkpk-l2-oneside-g0-extremes": "3e99ba1638645eba",
     "pkpk-l2-oneside-g1-sums": "067f2a8815cd6a7b",
-    "pkpk-l2-oneside-g1-extremes": "720ba4249e0adfc1",
-    "pkfk-l0-view": "2e8e35fb9f0335d5",
-    "pkfk-l0-sorting-g0g1-sums": "e0786a5ddb91f7c9",
-    "pkfk-l0-sorting-g0g1-extremes": "75cd2c654b5c3f48",
-    "pkfk-l0-sorting-g0-sums": "a254351d7256f4e6",
-    "pkfk-l0-sorting-g0-extremes": "f2adfa0c30d7125b",
-    "pkfk-l0-sorting-g1-sums": "1d2d6ea979a900ff",
-    "pkfk-l0-sorting-g1-extremes": "0e88e474ebda025c",
-    "pkfk-l0-osorting-g0g1-sums": "3bc9966a8b07ea24",
-    "pkfk-l0-osorting-g0g1-extremes": "f81f09a59837d057",
-    "pkfk-l0-osorting-g0-sums": "5f2492d86aa286a8",
-    "pkfk-l0-osorting-g0-extremes": "74a80677fe764e00",
-    "pkfk-l0-osorting-g1-sums": "7f3c10a958337911",
-    "pkfk-l0-osorting-g1-extremes": "adc6c3fc4acf1dad",
-    "pkfk-l0-bsorting-g0g1-sums": "ef38cccadb21569a",
-    "pkfk-l0-bsorting-g0g1-extremes": "d6066d3192592c4e",
-    "pkfk-l0-bsorting-g0-sums": "e52c104ad67d7acb",
-    "pkfk-l0-bsorting-g0-extremes": "5876207fe80024d2",
-    "pkfk-l0-bsorting-g1-sums": "3e78763933ab5206",
-    "pkfk-l0-bsorting-g1-extremes": "4419772dfa35eb88",
-    "pkfk-l0-mix-g0g1-sums": "23c47ccad2b91a25",
-    "pkfk-l0-mix-g0g1-extremes": "4311fda3c1112edc",
-    "pkfk-l0-mix-g0-sums": "5ba1a0d80c0e9646",
-    "pkfk-l0-mix-g0-extremes": "b6403124aa0b90dd",
-    "pkfk-l0-mix-g1-sums": "635589de83628f1a",
-    "pkfk-l0-mix-g1-extremes": "3486a5145c2d4de3",
-    "pkfk-l0-bitmap-g0g1-sums": "d3433ad560f4730e",
-    "pkfk-l0-bitmap-g0g1-extremes": "2d64e6854a5284da",
-    "pkfk-l0-bitmap-g0-sums": "e69efb400acd1350",
-    "pkfk-l0-bitmap-g0-extremes": "092345bfbeb3bbc9",
-    "pkfk-l0-bitmap-g1-sums": "f824e8c719145f8b",
-    "pkfk-l0-bitmap-g1-extremes": "884ab4662734cce4",
+    "pkpk-l2-oneside-g1-extremes": "25884fa0fd8b202f",
+    "pkfk-l0-view": "7f2e3d95631ad1b2",
+    "pkfk-l0-sorting-g0g1-sums": "4609befce49afb81",
+    "pkfk-l0-sorting-g0g1-extremes": "fa4f58b181277bbe",
+    "pkfk-l0-sorting-g0-sums": "ab881ce74dbe39fc",
+    "pkfk-l0-sorting-g0-extremes": "f44ebfbbe25b1628",
+    "pkfk-l0-sorting-g1-sums": "3500a679f0808f5f",
+    "pkfk-l0-sorting-g1-extremes": "597f184ffe45f4d2",
+    "pkfk-l0-osorting-g0g1-sums": "0a66b6c6561d274d",
+    "pkfk-l0-osorting-g0g1-extremes": "8a5bd5b3011929e9",
+    "pkfk-l0-osorting-g0-sums": "3332f20c5f9260b3",
+    "pkfk-l0-osorting-g0-extremes": "4f82be400b9bec79",
+    "pkfk-l0-osorting-g1-sums": "7d9ed8900eb9ff63",
+    "pkfk-l0-osorting-g1-extremes": "464e67bf6229ccf7",
+    "pkfk-l0-bsorting-g0g1-sums": "510cb8bc6a2ff207",
+    "pkfk-l0-bsorting-g0g1-extremes": "a5de7fa513b8fd61",
+    "pkfk-l0-bsorting-g0-sums": "210385a3ab7493fc",
+    "pkfk-l0-bsorting-g0-extremes": "4fb6baf66cb42bdd",
+    "pkfk-l0-bsorting-g1-sums": "0c70cbef3e0f30b4",
+    "pkfk-l0-bsorting-g1-extremes": "f11ed43123d51be6",
+    "pkfk-l0-mix-g0g1-sums": "dc33d6f65f208426",
+    "pkfk-l0-mix-g0g1-extremes": "5e039ed993bb6629",
+    "pkfk-l0-mix-g0-sums": "ecbd235dddf4d68c",
+    "pkfk-l0-mix-g0-extremes": "39fb889753e80a5d",
+    "pkfk-l0-mix-g1-sums": "e07abb696629f2ab",
+    "pkfk-l0-mix-g1-extremes": "3ef0b6670d32f242",
+    "pkfk-l0-bitmap-g0g1-sums": "52129fdd4982275e",
+    "pkfk-l0-bitmap-g0g1-extremes": "f44c522aa19ebf6c",
+    "pkfk-l0-bitmap-g0-sums": "1e7140a5ca8e189c",
+    "pkfk-l0-bitmap-g0-extremes": "bf1d3aad33f36fea",
+    "pkfk-l0-bitmap-g1-sums": "c36cd02517288766",
+    "pkfk-l0-bitmap-g1-extremes": "1ed52cece4691e2b",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l0-oneside-g1-sums": "635589de83628f1a",
-    "pkfk-l0-oneside-g1-extremes": "3486a5145c2d4de3",
-    "pkfk-l1-view": "7011a7810885cbe0",
-    "pkfk-l1-sorting-g0g1-sums": "15f966ca8af4ab92",
-    "pkfk-l1-sorting-g0g1-extremes": "021b9dbe20be8c7f",
-    "pkfk-l1-sorting-g0-sums": "201723df362a0fa3",
-    "pkfk-l1-sorting-g0-extremes": "e4f867213ef52d69",
-    "pkfk-l1-sorting-g1-sums": "4193461a86352805",
-    "pkfk-l1-sorting-g1-extremes": "9c23ab18d379e340",
-    "pkfk-l1-osorting-g0g1-sums": "e49aa1296dcca258",
-    "pkfk-l1-osorting-g0g1-extremes": "8405138452afbd09",
-    "pkfk-l1-osorting-g0-sums": "3e18c613ef0fcec9",
-    "pkfk-l1-osorting-g0-extremes": "bdf69f95f184924c",
-    "pkfk-l1-osorting-g1-sums": "918958e77ad1083e",
-    "pkfk-l1-osorting-g1-extremes": "62dc5b0a71bf6e6e",
-    "pkfk-l1-bsorting-g0g1-sums": "cc2ba909c165f427",
-    "pkfk-l1-bsorting-g0g1-extremes": "e9a29f2712236deb",
-    "pkfk-l1-bsorting-g0-sums": "16ceb6e65f3445c7",
-    "pkfk-l1-bsorting-g0-extremes": "bac39d66eac2afc1",
-    "pkfk-l1-bsorting-g1-sums": "7e396de5b1ca3544",
-    "pkfk-l1-bsorting-g1-extremes": "5ca56d897c98a262",
-    "pkfk-l1-mix-g0g1-sums": "bad34eb2fa215805",
-    "pkfk-l1-mix-g0g1-extremes": "4c8203e52f7539b3",
-    "pkfk-l1-mix-g0-sums": "6f41216ef6e753e0",
-    "pkfk-l1-mix-g0-extremes": "77e94e51b48218f7",
-    "pkfk-l1-mix-g1-sums": "f2c46ae938c4ae2d",
-    "pkfk-l1-mix-g1-extremes": "9b0201fb1a98003f",
-    "pkfk-l1-bitmap-g0g1-sums": "c54e7876ccbafcd9",
-    "pkfk-l1-bitmap-g0g1-extremes": "53d4d65f3da57b4f",
-    "pkfk-l1-bitmap-g0-sums": "bbd06e58eb888bb4",
-    "pkfk-l1-bitmap-g0-extremes": "406a4a01eb547683",
-    "pkfk-l1-bitmap-g1-sums": "c39f1980835056ac",
-    "pkfk-l1-bitmap-g1-extremes": "c0ad6df57f6293b7",
+    "pkfk-l0-oneside-g1-sums": "e07abb696629f2ab",
+    "pkfk-l0-oneside-g1-extremes": "3ef0b6670d32f242",
+    "pkfk-l1-view": "82c5113011491e6b",
+    "pkfk-l1-sorting-g0g1-sums": "ea17e28dcd3090e2",
+    "pkfk-l1-sorting-g0g1-extremes": "839d46455262d449",
+    "pkfk-l1-sorting-g0-sums": "b518db8b35087236",
+    "pkfk-l1-sorting-g0-extremes": "aae1d1fb36c127fc",
+    "pkfk-l1-sorting-g1-sums": "e09b886045d61c64",
+    "pkfk-l1-sorting-g1-extremes": "0ae3ce65926b9f32",
+    "pkfk-l1-osorting-g0g1-sums": "23e39c19a02eb204",
+    "pkfk-l1-osorting-g0g1-extremes": "631de2b4572d77ea",
+    "pkfk-l1-osorting-g0-sums": "24b40a0697a9ffd5",
+    "pkfk-l1-osorting-g0-extremes": "5421165bda8b51b1",
+    "pkfk-l1-osorting-g1-sums": "a463dd3e505f5132",
+    "pkfk-l1-osorting-g1-extremes": "f9a91ea35c2fdeca",
+    "pkfk-l1-bsorting-g0g1-sums": "e8a3061d70dc96ef",
+    "pkfk-l1-bsorting-g0g1-extremes": "db59412ccf708ca9",
+    "pkfk-l1-bsorting-g0-sums": "323c1e21f53214f3",
+    "pkfk-l1-bsorting-g0-extremes": "0d4fd263b653f38f",
+    "pkfk-l1-bsorting-g1-sums": "b831c5ade006f9ef",
+    "pkfk-l1-bsorting-g1-extremes": "9adce27a843299de",
+    "pkfk-l1-mix-g0g1-sums": "ae838d7a10066d60",
+    "pkfk-l1-mix-g0g1-extremes": "d65cbd43a8f375b0",
+    "pkfk-l1-mix-g0-sums": "96576ec5f671361a",
+    "pkfk-l1-mix-g0-extremes": "a85049d7f01881f2",
+    "pkfk-l1-mix-g1-sums": "0db704a81f21c71d",
+    "pkfk-l1-mix-g1-extremes": "20685f982278da08",
+    "pkfk-l1-bitmap-g0g1-sums": "43b8d7a0d143f38c",
+    "pkfk-l1-bitmap-g0g1-extremes": "e019377ac024e7d5",
+    "pkfk-l1-bitmap-g0-sums": "b3589988252993c9",
+    "pkfk-l1-bitmap-g0-extremes": "7d88c24b8e4d6e9b",
+    "pkfk-l1-bitmap-g1-sums": "adfff80864a5dd5b",
+    "pkfk-l1-bitmap-g1-extremes": "4e4ecc775a0d6413",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l1-oneside-g1-sums": "f2c46ae938c4ae2d",
-    "pkfk-l1-oneside-g1-extremes": "9b0201fb1a98003f",
-    "pkfk-l2-view": "09286b281ac6eabc",
-    "pkfk-l2-sorting-g0g1-sums": "34575364717a1415",
-    "pkfk-l2-sorting-g0g1-extremes": "842d1f21f19691d5",
-    "pkfk-l2-sorting-g0-sums": "d36b51c6a1062f91",
-    "pkfk-l2-sorting-g0-extremes": "787b3f7d2aecb6ee",
-    "pkfk-l2-sorting-g1-sums": "76cf9e5537c50bfc",
-    "pkfk-l2-sorting-g1-extremes": "ff61627f50ef4f8b",
-    "pkfk-l2-osorting-g0g1-sums": "67dea0037663397e",
-    "pkfk-l2-osorting-g0g1-extremes": "5f72b6cd8ff534a3",
-    "pkfk-l2-osorting-g0-sums": "e650ee19f6cdfe41",
-    "pkfk-l2-osorting-g0-extremes": "02222d96fb2cddf0",
-    "pkfk-l2-osorting-g1-sums": "cd5cb50690acab09",
-    "pkfk-l2-osorting-g1-extremes": "08524380cec9f4ac",
-    "pkfk-l2-bsorting-g0g1-sums": "9653f04329523d41",
-    "pkfk-l2-bsorting-g0g1-extremes": "e09d8b160d941003",
-    "pkfk-l2-bsorting-g0-sums": "a901eec18de8438f",
-    "pkfk-l2-bsorting-g0-extremes": "dec92a3f7f1eb2d9",
-    "pkfk-l2-bsorting-g1-sums": "b82d45bc41992965",
-    "pkfk-l2-bsorting-g1-extremes": "93671e3107526dc4",
-    "pkfk-l2-mix-g0g1-sums": "acb2c7e1c15bfc7a",
-    "pkfk-l2-mix-g0g1-extremes": "8cdc878527ee71df",
-    "pkfk-l2-mix-g0-sums": "2f3552e77b60fd3b",
-    "pkfk-l2-mix-g0-extremes": "b48d74d8c48c875d",
-    "pkfk-l2-mix-g1-sums": "68955672df241528",
-    "pkfk-l2-mix-g1-extremes": "f185e87d872d706d",
-    "pkfk-l2-bitmap-g0g1-sums": "6173070a7472be4e",
-    "pkfk-l2-bitmap-g0g1-extremes": "32fd654d9a5d4774",
-    "pkfk-l2-bitmap-g0-sums": "9bb5fbeba3a84d77",
-    "pkfk-l2-bitmap-g0-extremes": "f73dd4d95bebb646",
-    "pkfk-l2-bitmap-g1-sums": "e93b17ed50f6d305",
-    "pkfk-l2-bitmap-g1-extremes": "581fd22a3b36dd29",
+    "pkfk-l1-oneside-g1-sums": "0db704a81f21c71d",
+    "pkfk-l1-oneside-g1-extremes": "20685f982278da08",
+    "pkfk-l2-view": "857f0a83525dc86d",
+    "pkfk-l2-sorting-g0g1-sums": "7a6b0cd8c8543b54",
+    "pkfk-l2-sorting-g0g1-extremes": "fefb99194eb88f09",
+    "pkfk-l2-sorting-g0-sums": "e8477663eb2df9a4",
+    "pkfk-l2-sorting-g0-extremes": "a2db83ebe25f022d",
+    "pkfk-l2-sorting-g1-sums": "de148a922280113b",
+    "pkfk-l2-sorting-g1-extremes": "5dd7a604abfd58f4",
+    "pkfk-l2-osorting-g0g1-sums": "aec90e0a2e678a58",
+    "pkfk-l2-osorting-g0g1-extremes": "0d99594efa65795a",
+    "pkfk-l2-osorting-g0-sums": "59b5b491285d8ded",
+    "pkfk-l2-osorting-g0-extremes": "b750bac2b9a49c8b",
+    "pkfk-l2-osorting-g1-sums": "81d5fd3455247883",
+    "pkfk-l2-osorting-g1-extremes": "a002fc5680b73b92",
+    "pkfk-l2-bsorting-g0g1-sums": "4bd03c261760f543",
+    "pkfk-l2-bsorting-g0g1-extremes": "93d673fbf04064f5",
+    "pkfk-l2-bsorting-g0-sums": "de81d0164fbf3a17",
+    "pkfk-l2-bsorting-g0-extremes": "cfb8bb5b743ac18b",
+    "pkfk-l2-bsorting-g1-sums": "f084b0d312c6824d",
+    "pkfk-l2-bsorting-g1-extremes": "973996d12ef5ca06",
+    "pkfk-l2-mix-g0g1-sums": "22335f7813a9d3c1",
+    "pkfk-l2-mix-g0g1-extremes": "10e02e48bf7c0015",
+    "pkfk-l2-mix-g0-sums": "dedb38295f418333",
+    "pkfk-l2-mix-g0-extremes": "680857c03a227785",
+    "pkfk-l2-mix-g1-sums": "836681013cd94688",
+    "pkfk-l2-mix-g1-extremes": "4dd1fce469bc2a87",
+    "pkfk-l2-bitmap-g0g1-sums": "85f2024ab532fe63",
+    "pkfk-l2-bitmap-g0g1-extremes": "b0a7bdfbc30b2d53",
+    "pkfk-l2-bitmap-g0-sums": "f5ce0592b09233ac",
+    "pkfk-l2-bitmap-g0-extremes": "12e3b3314931f100",
+    "pkfk-l2-bitmap-g1-sums": "ca2e26901690345a",
+    "pkfk-l2-bitmap-g1-extremes": "35721a4e510ff00d",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l2-oneside-g1-sums": "68955672df241528",
-    "pkfk-l2-oneside-g1-extremes": "f185e87d872d706d",
+    "pkfk-l2-oneside-g1-sums": "836681013cd94688",
+    "pkfk-l2-oneside-g1-extremes": "4dd1fce469bc2a87",
 }
 
 
 GOLDEN_DOM0 = {
     "pkpk-l0-sorting-dom0-g0g1-sums": "7c73770d35e7081c",
-    "pkpk-l0-sorting-dom0-g0g1-extremes": "4a7137c9f7cd5a57",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "bdf8001ff2f1c2aa",
     "pkpk-l0-sorting-dom0-g0-sums": "5c63be6bf461afeb",
-    "pkpk-l0-sorting-dom0-g0-extremes": "c411cb604307f2fa",
+    "pkpk-l0-sorting-dom0-g0-extremes": "a05be9ef176f3fc5",
     "pkpk-l0-osorting-dom0-g0g1-sums": "b9632cfc7d094531",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "f28c7a8c24452f22",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "db0c62433b840bdc",
     "pkpk-l0-osorting-dom0-g0-sums": "8c84fe7baf303241",
-    "pkpk-l0-osorting-dom0-g0-extremes": "a0c2b292e2b9aefe",
+    "pkpk-l0-osorting-dom0-g0-extremes": "0518b523c872c3e3",
     "pkpk-l1-sorting-dom0-g0g1-sums": "44b94e1aacd5e8f1",
-    "pkpk-l1-sorting-dom0-g0g1-extremes": "6f2fdfd1edbe14b2",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "4ca5c17d4f8d6211",
     "pkpk-l1-sorting-dom0-g0-sums": "d3dfdbb6f3fe54de",
-    "pkpk-l1-sorting-dom0-g0-extremes": "de0b912f2d3edf74",
+    "pkpk-l1-sorting-dom0-g0-extremes": "7fe1e376dfb883eb",
     "pkpk-l1-osorting-dom0-g0g1-sums": "2b9240fccc1cf9ff",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "7345466e0ebbd749",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "a4336a5edf84a63b",
     "pkpk-l1-osorting-dom0-g0-sums": "62b7d3f114e92daf",
-    "pkpk-l1-osorting-dom0-g0-extremes": "2dbaef5b18538c15",
+    "pkpk-l1-osorting-dom0-g0-extremes": "35f85315f5658672",
     "pkpk-l2-sorting-dom0-g0g1-sums": "cfe8d2fed9066db8",
-    "pkpk-l2-sorting-dom0-g0g1-extremes": "0d5e4014aca0e0aa",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "df0fc6ed7dca3799",
     "pkpk-l2-sorting-dom0-g0-sums": "80c2f7d51eb5a14a",
-    "pkpk-l2-sorting-dom0-g0-extremes": "985c8bd2de9d6839",
+    "pkpk-l2-sorting-dom0-g0-extremes": "4d283f6790a3aeb2",
     "pkpk-l2-osorting-dom0-g0g1-sums": "b999c40268ad3fbb",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "1db2dccc612d8ddb",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "e2e72a8b6aa9228a",
     "pkpk-l2-osorting-dom0-g0-sums": "d43b53187e7e6979",
-    "pkpk-l2-osorting-dom0-g0-extremes": "b263ff297c6bc6c3",
+    "pkpk-l2-osorting-dom0-g0-extremes": "541e6ede2de84672",
 }
 
 
@@ -531,7 +531,7 @@ GOLDEN_PRIMITIVES = {
     "asym_mul-bin1": "c2baef9a3590a85f",
     "share_open": "f35f8cf7626fa1d1",
     "gates": "6f2b9a0a69f51be4",
-    "refresh_pkfk": "a4411ddbc9b045bb",
+    "refresh_pkfk": "1c84024d3e15df2b",
 }
 
 
