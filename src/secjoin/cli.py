@@ -115,7 +115,7 @@ def cmd_refresh(args) -> int:
 
 def cmd_query(args) -> int:
     spec = _load_spec(args.spec)
-    r0, r1, join = _tables(spec)
+    r0, r1, _ = _tables(spec)
     p0, p1 = _view_paths(args.views)
     v0, v1 = store.load_view(p0), store.load_view(p1)
     vw.check_base_keys(v0, v1, r0, r1)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from secjoin import cli
+from secjoin import cli, store
 
 T0 = "k,g0,v0\n10,0,1\n20,1,2\n30,0,3\n40,1,4\n"
 T1 = "k,g1,v1\n30,5,7\n10,6,8\n60,5,9\n"
@@ -197,7 +197,6 @@ def test_view_mapping_outside_its_table_is_a_typed_error(tmp_path, capsys,
                                                          cmd, entry):
     # an index map entry past the table once raised a bare IndexError in
     # refresh, and entry 0 read the table's last row
-    from secjoin import store
     sp, views = _pkfk_workspace(tmp_path)
     path = str(views / "view_p0.bin")
     view = store.load_view(path)

@@ -287,6 +287,23 @@ def test_view_serialization_round_trip(tmp_path):
     for c in w1.j1:
         assert np.array_equal(back.j1[c], w1.j1[c])
 
+    # a file written while P1's view still kept its sorting permutation
+    # `sigma` (an array after pi, e and map_e) loads as well
+    data = store.view_to_bytes(w1)
+    off = len(store.MAGIC) + 4
+    hlen = int.from_bytes(data[len(store.MAGIC):off], "little")
+    header = json.loads(data[off:off + hlen])
+    header["arrays"].insert(3, ["sigma", w1.n])
+    head = json.dumps(header, sort_keys=True).encode()
+    cut = off + hlen + 3 * 8 * w1.n
+    sigma = np.arange(1, w1.n + 1, dtype=np.uint64).tobytes()
+    old = store.MAGIC + len(head).to_bytes(4, "little") + head + \
+        data[off + hlen:cut] + sigma + data[cut:]
+    back = store.view_from_bytes(old)
+    assert back.pi.tolist() == w1.pi.tolist()
+    for c in w1.j1:
+        assert np.array_equal(back.j1[c], w1.j1[c])
+
 
 def _level2_view_bytes(n=64):
     rng = np.random.default_rng(5)
