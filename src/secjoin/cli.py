@@ -26,22 +26,15 @@ def _load_spec(path: str) -> dict:
 
 
 def _seeds(spec: dict, args) -> tuple[int, int, int]:
-    s = list(spec.get("seeds", DEFAULT_SEEDS))
-    if args.seed0 is not None:
-        s[0] = args.seed0
-    if args.seed1 is not None:
-        s[1] = args.seed1
-    if args.seedD is not None:
-        s[2] = args.seedD
-    return tuple(s)
+    return tuple(s if flag is None else flag for s, flag in zip(
+        spec.get("seeds", DEFAULT_SEEDS), (args.seed0, args.seed1, args.seedD)))
 
 
-def _tables(spec: dict):
-    join = spec.get("join", "pkpk")
+def _tables(spec: dict, join: str):
     r0 = store.relation_from_csv(spec["table0"], "R0", spec["key0"], "pk")
     r1 = store.relation_from_csv(spec["table1"], "R1", spec["key1"],
                                  "fk" if join == "pkfk" else "pk")
-    return r0, r1, join
+    return r0, r1
 
 
 def _query(spec: dict, args) -> JgaQuery:
@@ -57,22 +50,32 @@ def _view_paths(out_dir: str) -> tuple[str, str]:
             os.path.join(out_dir, "view_p1.bin"))
 
 
+def _load(args):
+    """The spec, the tables read as the stored views' join kind, and the
+    views; `ViewStale` unless the views still match the tables."""
+    spec = _load_spec(args.spec)
+    p0, p1 = _view_paths(args.views)
+    v0, v1 = store.load_view(p0), store.load_view(p1)
+    r0, r1 = _tables(spec, v0.kind)
+    vw.check_base_keys(v0, v1, r0, r1)
+    return spec, r0, r1, v0, v1
+
+
 def cmd_genview(args) -> int:
     spec = _load_spec(args.spec)
-    r0, r1, join = _tables(spec)
+    join = spec.get("join", "pkpk")
+    r0, r1 = _tables(spec, join)
     level = args.level if args.level is not None else spec.get("level", 2)
     sess = Session(*_seeds(spec, args))
     if join == "pkfk":
         v0, v1 = vw.gen_pkfk(sess, r0, r1, level=level)
-        n_e = v0.n
     else:
         v0, v1 = vw.GENERATORS[level](sess, r0, r1)
-        n_e = v0.n_e
     os.makedirs(args.out, exist_ok=True)
     p0, p1 = _view_paths(args.out)
     store.save_view(v0, p0)
     store.save_view(v1, p1)
-    print(f"view generated: kind={join} level={level} n_e={n_e}")
+    print(f"view generated: kind={join} level={level} n_e={len(v0.pi)}")
     print(f"transcript: {sess.transcript.summary()}")
     print(f"phases: {sess.transcript.phase_labels()}")
     print(f"wrote {p0}, {p1}")
@@ -80,30 +83,25 @@ def cmd_genview(args) -> int:
 
 
 def _rewrite_table(path: str, rel):
-    names = list(rel.columns)
-    lines = [",".join(names)]
-    for i in range(rel.n):
-        lines.append(",".join(str(int(rel.columns[c][i])) for c in names))
+    rows = zip(*(c.tolist() for c in rel.columns.values()))
+    lines = [",".join(rel.columns)] + [",".join(map(str, r)) for r in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def cmd_refresh(args) -> int:
-    spec = _load_spec(args.spec)
-    r0, r1, join = _tables(spec)
-    p0, p1 = _view_paths(args.views)
-    v0, v1 = store.load_view(p0), store.load_view(p1)
-    vw.check_base_keys(v0, v1, r0, r1)
+    spec, r0, r1, v0, v1 = _load(args)
     up0 = store.updates_from_csv(args.updates0) if args.updates0 else []
     up1 = store.updates_from_csv(args.updates1) if args.updates1 else []
     sess = Session(*_seeds(spec, args))
-    if join == "pkfk":
+    if v0.kind == "pkfk":
         v0, v1 = vw.refresh_pkfk(sess, v0, v1, r0, r1, up0, up1)
     else:
         vw.refresh_pkpk(v0, r0, up0)
         vw.refresh_pkpk(v1, r1, up1)
     _rewrite_table(spec["table0"], r0)
     _rewrite_table(spec["table1"], r1)
+    p0, p1 = _view_paths(args.views)
     store.save_view(v0, p0)
     store.save_view(v1, p1)
     t = sess.transcript
@@ -114,11 +112,7 @@ def cmd_refresh(args) -> int:
 
 
 def cmd_query(args) -> int:
-    spec = _load_spec(args.spec)
-    r0, r1, _ = _tables(spec)
-    p0, p1 = _view_paths(args.views)
-    v0, v1 = store.load_view(p0), store.load_view(p1)
-    vw.check_base_keys(v0, v1, r0, r1)
+    spec, r0, r1, v0, v1 = _load(args)
     q = _query(spec, args)
     sess = Session(*_seeds(spec, args))
     result = ga.run_query(sess, v0, v1, q)
@@ -182,17 +176,9 @@ def cmd_demo(args) -> int:
     spec_path = os.path.join(out, "query.json")
     with open(spec_path, "w") as fh:
         json.dump(spec, fh, indent=2)
-    ns = argparse.Namespace(spec=spec_path, out=out, level=spec["level"],
-                            seed0=None, seed1=None, seedD=None,
-                            protocol=spec["protocol"])
-    rc = cmd_genview(ns)
-    if rc:
-        return rc
-    ns2 = argparse.Namespace(spec=spec_path, views=out,
-                             out=os.path.join(out, "result.csv"),
-                             verify=True, protocol=None,
-                             seed0=None, seed1=None, seedD=None)
-    return cmd_query(ns2)
+    return (main(["genview", spec_path, "--out", out])
+            or main(["query", spec_path, "--views", out, "--verify",
+                     "--out", os.path.join(out, "result.csv")]))
 
 
 def build_parser() -> argparse.ArgumentParser:

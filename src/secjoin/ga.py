@@ -48,7 +48,7 @@ import numpy as np
 
 from . import oblivious as ob
 from . import sharing as sh
-from .errors import DomainTooLarge, MissingColumn, SizeMismatch
+from .errors import DomainTooLarge, MissingColumn, ParseError, SizeMismatch
 from .oblivious import AGG_IDENTITY, PlainColumn
 from .ring import ARITH, BINARY
 from .session import Session
@@ -66,7 +66,8 @@ class JgaQuery:
     """One join-group-aggregate query over a view.
 
     aggs entries are (side, column, fn); count ignores the column (an
-    implicit all-ones vector is aggregated).
+    implicit all-ones vector is aggregated). A malformed entry raises
+    `ParseError` here, before any protocol sends a message.
     """
 
     group0: str | None
@@ -75,6 +76,14 @@ class JgaQuery:
     protocol: str = "auto"
     dom0: list[int] | None = None
     dom1: list[int] | None = None
+
+    def __post_init__(self):
+        for side, col, fn in self.aggs:
+            if fn not in ob.AGG_KIND or side not in (0, 1) \
+                    or (col is None and fn != "count"):
+                raise ParseError(f"aggregate {(side, col, fn)} needs side 0 "
+                                 f"or 1, a column unless it is a count, and "
+                                 f"one of {', '.join(ob.AGG_KIND)}")
 
     def one_side(self) -> bool:
         return (self.group0 is None) != (self.group1 is None)

@@ -101,13 +101,9 @@ class Transcript:
     def phase_shapes(self) -> list[tuple]:
         return [p.shape() for p in self.phases]
 
-    def phase_labels(self, top_level: bool = True) -> list[str]:
-        labels = []
-        for p in self.phases:
-            if top_level and "." in p.label:
-                continue
-            labels.append(p.label)
-        return labels
+    def phase_labels(self) -> list[str]:
+        """The top-level phases' labels, in order."""
+        return [p.label for p in self.phases if "." not in p.label]
 
     def bits_for(self, label_part: str) -> int:
         """Total wire bits over leaf phases whose path contains label_part."""

@@ -116,54 +116,52 @@ def load_view(path: str):
 # CSV tables
 # ---------------------------------------------------------------------------
 
+def _csv_rows(path: str) -> dict[str, np.ndarray]:
+    """A CSV file's columns by header name, one contiguous uint64 array each.
+
+    The first row is the header, of distinct names; blank rows are skipped;
+    every other row has one cell per name, each a decimal integer in
+    [0, 2^64).
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    names = [h.strip() for h in rows[0]] if rows else []
+    if not names:
+        raise ParseError(f"{path}: no header row")
+    if len(set(names)) != len(names):
+        raise ParseError(f"{path}: a header name repeats")
+    body = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(names):
+            raise ParseError(f"{path}:{lineno}: expected {len(names)} cells")
+        try:
+            vals = [int(cell) for cell in row]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-integer cell") from None
+        if min(vals) < 0 or max(vals) >= 1 << 64:
+            raise ParseError(f"{path}:{lineno}: value out of range")
+        body.append(vals)
+    cols = np.array(body, dtype=np.uint64).reshape(-1, len(names)).T.copy()
+    return dict(zip(names, cols))
+
+
 def relation_from_csv(path: str, name: str, key: str,
                       key_kind: str = "pk") -> Relation:
-    """First row is the header; every cell a decimal unsigned 64-bit value."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        cols = {h.strip(): [] for h in header}
-        names = [h.strip() for h in header]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(names):
-                raise ParseError(f"{path}:{lineno}: expected {len(names)} cells")
-            for h, cell in zip(names, row):
-                try:
-                    v = int(cell.strip())
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: non-integer cell "
-                                     f"{cell!r}") from None
-                if not 0 <= v < 1 << 64:
-                    raise ParseError(f"{path}:{lineno}: value out of range")
-                cols[h].append(v)
+    """A table read by `_csv_rows`, joined on its column `key`."""
+    cols = _csv_rows(path)
     if key not in cols:
         raise ParseError(f"{path}: key column {key!r} missing from header")
     return Relation(name, cols, key, key_kind)
 
 
 def updates_from_csv(path: str) -> list[tuple[int, dict]]:
-    """Update rows: header `idx,<col>[,...]`; each row rewrites those cells."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            return []
-        if not header or header[0] != "idx":
-            raise ParseError(f"{path}: first column must be 'idx'")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                idx = int(row[0])
-                cols = {h: int(c) for h, c in zip(header[1:], row[1:])}
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-integer cell") from None
-            out.append((idx, cols))
-    return out
+    """Update rows read by `_csv_rows`, header `idx,<col>[,...]`: each row
+    rewrites those cells of the table's 1-based row idx."""
+    cols = _csv_rows(path)
+    names = list(cols)
+    if names[0] != "idx":
+        raise ParseError(f"{path}: first column must be 'idx'")
+    return [(idx, dict(zip(names[1:], vals)))
+            for idx, *vals in zip(*(c.tolist() for c in cols.values()))]

@@ -353,3 +353,78 @@ def test_group_value_outside_dom0_exits_2(workspace, capsys):
                        "--protocol", proto])
         assert rc == 2, proto
         assert "outside dom0" in capsys.readouterr().err
+
+
+def _join_workspace(tmp_path, join):
+    """PK keys 1..4 and distinct FK keys 3, 1, 9, a view of kind `join`
+    built from them, and that spec."""
+    tmp_path.mkdir()
+    (tmp_path / "p.csv").write_text("k,g0,v0\n1,0,10\n2,1,20\n3,0,30\n4,1,40\n")
+    (tmp_path / "f.csv").write_text("k,g1,v1\n3,5,7\n1,6,8\n9,5,9\n")
+    spec = {"table0": str(tmp_path / "p.csv"), "table1": str(tmp_path / "f.csv"),
+            "key0": "k", "key1": "k", "join": join, "protocol": "osorting",
+            "group0": "g0", "group1": "g1", "level": 2,
+            "aggs": [{"side": 0, "col": "v0", "fn": "sum"},
+                     {"side": 1, "col": "v1", "fn": "max"}]}
+    sp = tmp_path / "s.json"
+    sp.write_text(json.dumps(spec))
+    views = tmp_path / "v"
+    assert cli.main(["genview", str(sp), "--out", str(views)]) == 0
+    (tmp_path / "up0.csv").write_text("idx,v0\n2,777\n")
+    (tmp_path / "up1.csv").write_text("idx,v1\n1,55\n")
+    return sp, views, spec
+
+
+@pytest.mark.parametrize("join", ("pkfk", "pkpk"))
+def test_refresh_follows_the_stored_view_kind(tmp_path, capsys, join):
+    # a spec whose join disagreed with the stored view once reached the
+    # other kind's refresh and died with a bare AttributeError
+    runs = {}
+    for name, spec_join in (("match", join),
+                            ("flip", {"pkfk": "pkpk", "pkpk": "pkfk"}[join])):
+        sp, views, spec = _join_workspace(tmp_path / name, join)
+        sp.write_text(json.dumps(dict(spec, join=spec_join)))
+        assert cli.main(["refresh", str(sp), "--views", str(views),
+                         "--updates0", str(tmp_path / name / "up0.csv"),
+                         "--updates1", str(tmp_path / name / "up1.csv")]) == 0
+        assert cli.main(["query", str(sp), "--views", str(views),
+                         "--verify"]) == 0
+        runs[name] = {k: v for k, v in _files(tmp_path / name).items()
+                      if k != "s.json"}
+    capsys.readouterr()
+    assert runs["match"] == runs["flip"]
+
+
+@pytest.mark.parametrize("updates", (
+    "idx,v0\n1,-5\n", f"idx,v0\n1,{1 << 64}\n", "idx,v0\n1\n",
+    "idx,v0\n1,5,6\n", "idx,v0,v0\n1,5,6\n", ""))
+def test_bad_updates_csv_exits_2_and_writes_nothing(workspace, capsys,
+                                                     updates):
+    # -5 was once stored as 2^64 - 5, 2^64 as 0, and a short or long row's
+    # missing or extra cells were ignored
+    tmp, spec_path, _ = workspace
+    assert cli.main(["genview", str(spec_path), "--out", str(tmp / "v")]) == 0
+    (tmp / "up.csv").write_text(updates)
+    before = _files(tmp)
+    rc = cli.main(["refresh", str(spec_path), "--views", str(tmp / "v"),
+                   "--updates0", str(tmp / "up.csv")])
+    assert rc == 2 and "up.csv" in capsys.readouterr().err
+    assert _files(tmp) == before
+
+
+@pytest.mark.parametrize("agg", ({"side": 0, "col": "v0", "fn": "avg"},
+                                 {"side": 2, "col": "v0", "fn": "sum"},
+                                 {"side": 1, "fn": "max"}))
+def test_malformed_aggregate_exits_2_on_every_protocol(workspace, capsys, agg):
+    # "avg" once ended bitmap in a bare UnboundLocalError, and side 2 ran
+    # the query on P0's column
+    tmp, spec_path, spec = workspace
+    assert cli.main(["genview", str(spec_path), "--out", str(tmp / "v")]) == 0
+    spec_path.write_text(json.dumps(dict(spec, aggs=[agg])))
+    for proto in ("sorting", "osorting", "bsorting", "mix", "bitmap",
+                  "oneside", "auto"):
+        capsys.readouterr()
+        rc = cli.main(["query", str(spec_path), "--views", str(tmp / "v"),
+                       "--protocol", proto, "--verify"])
+        assert rc == 2, proto
+        assert "aggregate" in capsys.readouterr().err, proto
