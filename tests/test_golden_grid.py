@@ -15,9 +15,10 @@ and control bits of `build_program` on seeded random permutations at
 m = 2 .. 2^14, and on the identity and the reversal at m = 2^10. A change
 that keeps behaviour keeps every hash; `PYTHONPATH=src python
 tests/test_golden_grid.py` prints the tables afresh for a deliberate change,
-headed by one rows-only digest of the GA and dom0 cells. `ROWS_DIGEST` pins
-that digest, so a change that alters any query's rows or error class fails
-here even after the tables are regenerated.
+headed by one rows-only digest of the GA and dom0 cells and by the names
+of the cells whose hash differs from the tables committed here.
+`ROWS_DIGEST` pins that digest, so a change that alters any query's rows or
+error class fails here even after the tables are regenerated.
 """
 import dataclasses
 import hashlib
@@ -611,22 +612,23 @@ def test_golden_dom0(level):
 
 
 if __name__ == "__main__":
+    tables = {
+        "GOLDEN": {k: v for join, level in VIEWS
+                   for k, v in grid_cells(join, level).items()},
+        "GOLDEN_DOM0": {k: v for level in (0, 1, 2)
+                        for k, v in dom0_cells(level).items()},
+        "GOLDEN_PRIMITIVES": {name: primitive_cell(name) for name in PRIMITIVES},
+        "GOLDEN_ROUTING": {name: routing_cell(name) for name in ROUTING},
+    }
     print(f"# rows-only digest of the GA and dom0 cells: {rows_digest()}")
-    print("GOLDEN = {")
-    for join, level in VIEWS:
-        for key, value in grid_cells(join, level).items():
+    for table, cells in tables.items():
+        committed = globals()[table]
+        changed = [k for k in {**committed, **cells}
+                   if committed.get(k) != cells.get(k)]
+        print(f"# {table}: {len(changed)} cells differ from the committed "
+              f"table", *changed, sep="\n#   ")
+    for table, cells in tables.items():
+        print(f"{table} = {{")
+        for key, value in cells.items():
             print(f'    "{key}": "{value}",')
-    print("}")
-    print("GOLDEN_DOM0 = {")
-    for level in (0, 1, 2):
-        for key, value in dom0_cells(level).items():
-            print(f'    "{key}": "{value}",')
-    print("}")
-    print("GOLDEN_PRIMITIVES = {")
-    for name in PRIMITIVES:
-        print(f'    "{name}": "{primitive_cell(name)}",')
-    print("}")
-    print("GOLDEN_ROUTING = {")
-    for name in ROUTING:
-        print(f'    "{name}": "{routing_cell(name)}",')
-    print("}")
+        print("}")
