@@ -238,9 +238,10 @@ def _tile(sv: SharedVector, reps: int) -> SharedVector:
     return sv.map(lambda a: np.tile(a, reps))
 
 
-def _arith_to_bit(sess: Session, sv: SharedVector) -> SharedVector:
-    """0/1 arithmetic share -> 1-bit binary share."""
-    return sh.a2b(sess, sv).map(lambda a: a & _U64(1), 1)
+def _arith_to_bit(sv: SharedVector) -> SharedVector:
+    """0/1 arithmetic share -> 1-bit binary share, locally: no carry reaches
+    bit 0, so the halves' low bits XOR to the value."""
+    return SharedVector(BINARY, 1, sv.shares[0] & _U64(1), sv.shares[1] & _U64(1))
 
 
 def _mask(sess, f, cols):
@@ -428,7 +429,7 @@ def _p0_bitmap_bits(sess, t: _Table, q: JgaQuery, dom0: list,
     bits = t.bitmap(0, q.group0, dom0)
     plain = isinstance(bits, PlainColumn)
     cat = SharedVector.public(bits.values, BINARY, 1) if plain \
-        else _arith_to_bit(sess, bits)
+        else _arith_to_bit(bits)
     e = _tile(t.e, d0)
     if mask_with_e and plain and q.group0 is not None:
         # e AND b = (e0 AND b, locally at P0) xor (e1 AND b, one transfer)
@@ -544,7 +545,7 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
         if plain:
             witness = sh.asym_mul(sess, 0, b0_cat, b1_cat, ARITH, 64)
         else:
-            witness = sh.mul(sess, b0_cat, SharedVector.public(b1_cat))
+            witness = sh.mul(sess, b0_cat, sh.share_vec(sess, 1, b1_cat, ARITH))
         qvecs = []
         for side, col, fn in q.aggs:
             flavor = _value_flavor(fn)
@@ -566,11 +567,6 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
                     v0 = sh.mul(sess, b0_cat, v0)
                 gate = sh.b2a(sess, sh.share_vec(sess, 1, b1_cat, BINARY, 1))
                 qvecs.append(sh.convert(sess, sh.mul(sess, gate, v0), flavor))
-        if any(fn in ("max", "min") for _, _, fn in q.aggs):
-            if plain:
-                bb = sh.asym_mul(sess, 0, b0_cat, b1_cat, BINARY, 1)
-            else:
-                bb = _arith_to_bit(sess, witness)
 
     e_t = _tile(t.e, pairs)
     with sess.phase("aggregate"):
@@ -590,7 +586,7 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
                     a.reshape(pairs, n), axis=1)))
             elif fn != "count":
                 if tbits is None:
-                    tbits = sh.and_bits(sess, e_t, bb)
+                    tbits = sh.and_bits(sess, e_t, _arith_to_bit(witness))
                 agg_out.append(_tree_reduce(sess, tbits, qv, pairs, fn))
     with sess.phase("reveal"):
         cnt_open, *opened = [sh.open_vec(sess, a, to=1) for a in agg_out]

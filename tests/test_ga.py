@@ -10,7 +10,9 @@ from secjoin import bench, ga, oracle
 from secjoin import views as vw
 from secjoin.errors import DomainTooLarge, SecJoinError, ValueOutsideDomain
 from secjoin.ga import JgaQuery, select_protocol
+from secjoin.ring import ARITH, BINARY
 from secjoin.session import Session
+from secjoin.sharing import SharedVector
 from secjoin.views import Relation
 
 ALL_PROTOCOLS = ("sorting", "osorting", "bsorting", "mix", "bitmap")
@@ -664,3 +666,39 @@ def test_degenerate_shapes_give_the_oracles_rows_or_a_typed_error(shape, data):
                 except SecJoinError:
                     continue
                 assert rows == expect, (level, aggs, proto)
+
+
+def test_arith_to_bit_reads_the_low_bits_locally():
+    # no carry reaches bit 0, so the halves' low bits XOR to a 0/1 value
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 2, 1000, dtype=np.uint64)
+    a0 = rng.integers(0, 1 << 64, 1000, dtype=np.uint64)
+    a0[:4] = [0, 1, (1 << 64) - 1, 1 << 63]
+    bit = ga._arith_to_bit(SharedVector(ARITH, 64, a0, x - a0))
+    assert (bit.flavor, bit.width) == (BINARY, 1)
+    assert np.array_equal(bit.reconstruct(), x)
+
+
+def test_pkfk_bitmap_keeps_p1s_bitmap_out_of_p0s_half(monkeypatch):
+    # the witness once multiplied by SharedVector.public(P1's g1 bitmap),
+    # which puts that private bitmap in party 0's half
+    r0 = Relation("P", {"k": [1, 2, 3, 4], "g0": [0, 1, 0, 1],
+                        "v0": [10, 20, 30, 40]}, "k")
+    r1 = Relation("F", {"k": [3, 1, 1, 9, 2], "g1": [5, 6, 5, 6, 5],
+                        "v1": [7, 8, 9, 1, 2]}, "k", "fk")
+    dom0, dom1 = [0, 1], [5, 6]
+    v0, v1 = vw.gen_pkfk(Session(1, 2, 3),
+                         vw.append_bitmap_columns(r0, "g0", dom0), r1)
+    q = JgaQuery("g0", "g1", [(0, "v0", "sum"), (1, "v1", "max")],
+                 dom0=dom0, dom1=dom1)
+    seen, public = [], SharedVector.public.__func__
+
+    def recording_public(cls, values, *args, **kwargs):
+        seen.append(np.asarray(values, dtype=np.uint64))
+        return public(cls, values, *args, **kwargs)
+
+    monkeypatch.setattr(SharedVector, "public", classmethod(recording_public))
+    assert ga.ga_bitmap(Session(4, 5, 6), v0, v1, q).rows == \
+        oracle.eval_jga(r0, r1, q)
+    b1 = np.tile(ga._Table(v0, v1).bitmap(1, "g1", dom1).values, len(dom0))
+    assert not any(np.array_equal(a, b1) for a in seen)
