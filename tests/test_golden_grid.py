@@ -162,11 +162,11 @@ GOLDEN = {
     "pkpk-l0-mix-g1-sums": "8d96f6ab5bcaa38f",
     "pkpk-l0-mix-g1-extremes": "c5dd4ee6194da80d",
     "pkpk-l0-bitmap-g0g1-sums": "9a0d18a91298129d",
-    "pkpk-l0-bitmap-g0g1-extremes": "95882dbe91d2764c",
+    "pkpk-l0-bitmap-g0g1-extremes": "5992932ffd4ca9f6",
     "pkpk-l0-bitmap-g0-sums": "76f6708906e26b3e",
-    "pkpk-l0-bitmap-g0-extremes": "a136296f0ea031f3",
+    "pkpk-l0-bitmap-g0-extremes": "f780436d9e2b4d48",
     "pkpk-l0-bitmap-g1-sums": "84acecd194822661",
-    "pkpk-l0-bitmap-g1-extremes": "61f43b42757d2cfe",
+    "pkpk-l0-bitmap-g1-extremes": "0d9ad82ed5c95ab2",
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l0-oneside-g0-sums": "acd8ef12db736e0c",
@@ -199,11 +199,11 @@ GOLDEN = {
     "pkpk-l1-mix-g1-sums": "bb1e0c01f6735bc8",
     "pkpk-l1-mix-g1-extremes": "449bc9b3a5a25ffb",
     "pkpk-l1-bitmap-g0g1-sums": "54941534d087fdfa",
-    "pkpk-l1-bitmap-g0g1-extremes": "a79a12e0d31915dc",
+    "pkpk-l1-bitmap-g0g1-extremes": "a8be4970adc5fe04",
     "pkpk-l1-bitmap-g0-sums": "b5c9ce730cfb978c",
-    "pkpk-l1-bitmap-g0-extremes": "114665e28d900d18",
+    "pkpk-l1-bitmap-g0-extremes": "ca079e1142cc6c69",
     "pkpk-l1-bitmap-g1-sums": "fea6ed772fd35d8b",
-    "pkpk-l1-bitmap-g1-extremes": "bb9ffdca2c26fbb7",
+    "pkpk-l1-bitmap-g1-extremes": "fedfd8fe881ba595",
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l1-oneside-g0-sums": "2b120eadc642e7ca",
@@ -236,11 +236,11 @@ GOLDEN = {
     "pkpk-l2-mix-g1-sums": "067f2a8815cd6a7b",
     "pkpk-l2-mix-g1-extremes": "25884fa0fd8b202f",
     "pkpk-l2-bitmap-g0g1-sums": "41ea3e4051673027",
-    "pkpk-l2-bitmap-g0g1-extremes": "81d21856aff3b22b",
+    "pkpk-l2-bitmap-g0g1-extremes": "90c96eef9d187bbe",
     "pkpk-l2-bitmap-g0-sums": "f3e6cae3b26b33d2",
-    "pkpk-l2-bitmap-g0-extremes": "3793df216d3562e3",
+    "pkpk-l2-bitmap-g0-extremes": "39643fb70c78561f",
     "pkpk-l2-bitmap-g1-sums": "cdc7c7fde856ec23",
-    "pkpk-l2-bitmap-g1-extremes": "4eec3de76fc47a71",
+    "pkpk-l2-bitmap-g1-extremes": "6a6c2a055a9036aa",
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l2-oneside-g0-sums": "4fb318810f8bf016",
@@ -260,24 +260,24 @@ GOLDEN = {
     "pkfk-l0-osorting-g0-extremes": "4f82be400b9bec79",
     "pkfk-l0-osorting-g1-sums": "7d9ed8900eb9ff63",
     "pkfk-l0-osorting-g1-extremes": "464e67bf6229ccf7",
-    "pkfk-l0-bsorting-g0g1-sums": "510cb8bc6a2ff207",
-    "pkfk-l0-bsorting-g0g1-extremes": "a5de7fa513b8fd61",
-    "pkfk-l0-bsorting-g0-sums": "210385a3ab7493fc",
-    "pkfk-l0-bsorting-g0-extremes": "4fb6baf66cb42bdd",
+    "pkfk-l0-bsorting-g0g1-sums": "4196c83cd582c23b",
+    "pkfk-l0-bsorting-g0g1-extremes": "e7830b14eef0fd3e",
+    "pkfk-l0-bsorting-g0-sums": "51da38e7a7182314",
+    "pkfk-l0-bsorting-g0-extremes": "c99261293816231f",
     "pkfk-l0-bsorting-g1-sums": "0c70cbef3e0f30b4",
     "pkfk-l0-bsorting-g1-extremes": "f11ed43123d51be6",
-    "pkfk-l0-mix-g0g1-sums": "dc33d6f65f208426",
-    "pkfk-l0-mix-g0g1-extremes": "5e039ed993bb6629",
-    "pkfk-l0-mix-g0-sums": "ecbd235dddf4d68c",
-    "pkfk-l0-mix-g0-extremes": "39fb889753e80a5d",
+    "pkfk-l0-mix-g0g1-sums": "bfef1778f199b44f",
+    "pkfk-l0-mix-g0g1-extremes": "343cc45c335adf6f",
+    "pkfk-l0-mix-g0-sums": "e49fc97f7227d9dd",
+    "pkfk-l0-mix-g0-extremes": "779a969d727d8d95",
     "pkfk-l0-mix-g1-sums": "e07abb696629f2ab",
     "pkfk-l0-mix-g1-extremes": "3ef0b6670d32f242",
-    "pkfk-l0-bitmap-g0g1-sums": "52129fdd4982275e",
-    "pkfk-l0-bitmap-g0g1-extremes": "f44c522aa19ebf6c",
-    "pkfk-l0-bitmap-g0-sums": "1e7140a5ca8e189c",
-    "pkfk-l0-bitmap-g0-extremes": "bf1d3aad33f36fea",
+    "pkfk-l0-bitmap-g0g1-sums": "e098e971cc46d766",
+    "pkfk-l0-bitmap-g0g1-extremes": "32a16d19353163e9",
+    "pkfk-l0-bitmap-g0-sums": "e7bb371602208a57",
+    "pkfk-l0-bitmap-g0-extremes": "54618af007a62221",
     "pkfk-l0-bitmap-g1-sums": "c36cd02517288766",
-    "pkfk-l0-bitmap-g1-extremes": "1ed52cece4691e2b",
+    "pkfk-l0-bitmap-g1-extremes": "93d7f81cc9f11cf1",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
@@ -297,24 +297,24 @@ GOLDEN = {
     "pkfk-l1-osorting-g0-extremes": "5421165bda8b51b1",
     "pkfk-l1-osorting-g1-sums": "a463dd3e505f5132",
     "pkfk-l1-osorting-g1-extremes": "f9a91ea35c2fdeca",
-    "pkfk-l1-bsorting-g0g1-sums": "e8a3061d70dc96ef",
-    "pkfk-l1-bsorting-g0g1-extremes": "db59412ccf708ca9",
-    "pkfk-l1-bsorting-g0-sums": "323c1e21f53214f3",
-    "pkfk-l1-bsorting-g0-extremes": "0d4fd263b653f38f",
+    "pkfk-l1-bsorting-g0g1-sums": "a2753dbb8b408e38",
+    "pkfk-l1-bsorting-g0g1-extremes": "19994530e7aa43da",
+    "pkfk-l1-bsorting-g0-sums": "08bddde6674ac4ef",
+    "pkfk-l1-bsorting-g0-extremes": "ef8cbbefd77aeeb4",
     "pkfk-l1-bsorting-g1-sums": "b831c5ade006f9ef",
     "pkfk-l1-bsorting-g1-extremes": "9adce27a843299de",
-    "pkfk-l1-mix-g0g1-sums": "ae838d7a10066d60",
-    "pkfk-l1-mix-g0g1-extremes": "d65cbd43a8f375b0",
-    "pkfk-l1-mix-g0-sums": "96576ec5f671361a",
-    "pkfk-l1-mix-g0-extremes": "a85049d7f01881f2",
+    "pkfk-l1-mix-g0g1-sums": "2cd72e3b6fa2b2d9",
+    "pkfk-l1-mix-g0g1-extremes": "e5200b3bfe18d820",
+    "pkfk-l1-mix-g0-sums": "6a0eff253e1c332c",
+    "pkfk-l1-mix-g0-extremes": "31353672790db094",
     "pkfk-l1-mix-g1-sums": "0db704a81f21c71d",
     "pkfk-l1-mix-g1-extremes": "20685f982278da08",
-    "pkfk-l1-bitmap-g0g1-sums": "43b8d7a0d143f38c",
-    "pkfk-l1-bitmap-g0g1-extremes": "e019377ac024e7d5",
-    "pkfk-l1-bitmap-g0-sums": "b3589988252993c9",
-    "pkfk-l1-bitmap-g0-extremes": "7d88c24b8e4d6e9b",
+    "pkfk-l1-bitmap-g0g1-sums": "5a7457252a3b6855",
+    "pkfk-l1-bitmap-g0g1-extremes": "69a944f9c6e83849",
+    "pkfk-l1-bitmap-g0-sums": "e2bc69244ee65ad0",
+    "pkfk-l1-bitmap-g0-extremes": "849eb77d3137ce97",
     "pkfk-l1-bitmap-g1-sums": "adfff80864a5dd5b",
-    "pkfk-l1-bitmap-g1-extremes": "4e4ecc775a0d6413",
+    "pkfk-l1-bitmap-g1-extremes": "7b2d55c13af7a61d",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
@@ -334,24 +334,24 @@ GOLDEN = {
     "pkfk-l2-osorting-g0-extremes": "b750bac2b9a49c8b",
     "pkfk-l2-osorting-g1-sums": "81d5fd3455247883",
     "pkfk-l2-osorting-g1-extremes": "a002fc5680b73b92",
-    "pkfk-l2-bsorting-g0g1-sums": "4bd03c261760f543",
-    "pkfk-l2-bsorting-g0g1-extremes": "93d673fbf04064f5",
-    "pkfk-l2-bsorting-g0-sums": "de81d0164fbf3a17",
-    "pkfk-l2-bsorting-g0-extremes": "cfb8bb5b743ac18b",
+    "pkfk-l2-bsorting-g0g1-sums": "74a88279f3ecffc9",
+    "pkfk-l2-bsorting-g0g1-extremes": "65c756bf669ee5f6",
+    "pkfk-l2-bsorting-g0-sums": "7c70f54911d88496",
+    "pkfk-l2-bsorting-g0-extremes": "50414027df91679e",
     "pkfk-l2-bsorting-g1-sums": "f084b0d312c6824d",
     "pkfk-l2-bsorting-g1-extremes": "973996d12ef5ca06",
-    "pkfk-l2-mix-g0g1-sums": "22335f7813a9d3c1",
-    "pkfk-l2-mix-g0g1-extremes": "10e02e48bf7c0015",
-    "pkfk-l2-mix-g0-sums": "dedb38295f418333",
-    "pkfk-l2-mix-g0-extremes": "680857c03a227785",
+    "pkfk-l2-mix-g0g1-sums": "7097fa5c8326f7f3",
+    "pkfk-l2-mix-g0g1-extremes": "9d16b3b4937547c4",
+    "pkfk-l2-mix-g0-sums": "3fd276fa8fadfe9a",
+    "pkfk-l2-mix-g0-extremes": "7a6da2020201c5ed",
     "pkfk-l2-mix-g1-sums": "836681013cd94688",
     "pkfk-l2-mix-g1-extremes": "4dd1fce469bc2a87",
-    "pkfk-l2-bitmap-g0g1-sums": "85f2024ab532fe63",
-    "pkfk-l2-bitmap-g0g1-extremes": "b0a7bdfbc30b2d53",
-    "pkfk-l2-bitmap-g0-sums": "f5ce0592b09233ac",
-    "pkfk-l2-bitmap-g0-extremes": "12e3b3314931f100",
+    "pkfk-l2-bitmap-g0g1-sums": "3e91ab9d42ec2217",
+    "pkfk-l2-bitmap-g0g1-extremes": "1384eeda3cbb08b2",
+    "pkfk-l2-bitmap-g0-sums": "e4179882f3ac7923",
+    "pkfk-l2-bitmap-g0-extremes": "dbe1a3076d703d37",
     "pkfk-l2-bitmap-g1-sums": "ca2e26901690345a",
-    "pkfk-l2-bitmap-g1-extremes": "35721a4e510ff00d",
+    "pkfk-l2-bitmap-g1-extremes": "dc6df1915adcdcb3",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
