@@ -79,8 +79,8 @@ class JgaQuery:
 
     def __post_init__(self):
         for side, col, fn in self.aggs:
-            if fn not in ob.AGG_KIND or side not in (0, 1) \
-                    or (col is None and fn != "count"):
+            if fn not in tuple(ob.AGG_KIND) or side not in (0, 1) \
+                    or not (fn == "count" or isinstance(col, str)):
                 raise ParseError(f"aggregate {(side, col, fn)} needs side 0 "
                                  f"or 1, a column unless it is a count, and "
                                  f"one of {', '.join(ob.AGG_KIND)}")

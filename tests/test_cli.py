@@ -414,10 +414,13 @@ def test_bad_updates_csv_exits_2_and_writes_nothing(workspace, capsys,
 
 @pytest.mark.parametrize("agg", ({"side": 0, "col": "v0", "fn": "avg"},
                                  {"side": 2, "col": "v0", "fn": "sum"},
-                                 {"side": 1, "fn": "max"}))
+                                 {"side": 1, "fn": "max"},
+                                 {"side": 0, "col": 5, "fn": "sum"},
+                                 {"side": 0, "col": "v0", "fn": ["sum"]}))
 def test_malformed_aggregate_exits_2_on_every_protocol(workspace, capsys, agg):
-    # "avg" once ended bitmap in a bare UnboundLocalError, and side 2 ran
-    # the query on P0's column
+    # "avg" once ended bitmap in a bare UnboundLocalError, side 2 ran the
+    # query on P0's column, and a missing or numeric column or a list as fn
+    # ended in a bare AttributeError or TypeError
     tmp, spec_path, spec = workspace
     assert cli.main(["genview", str(spec_path), "--out", str(tmp / "v")]) == 0
     spec_path.write_text(json.dumps(dict(spec, aggs=[agg])))
