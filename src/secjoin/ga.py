@@ -79,6 +79,7 @@ class JgaQuery:
 
     def __post_init__(self):
         for side, col, fn in self.aggs:
+            # a tuple compares a JSON list as fn, where a dict would hash it
             if fn not in tuple(ob.AGG_KIND) or side not in (0, 1) \
                     or not (fn == "count" or isinstance(col, str)):
                 raise ParseError(f"aggregate {(side, col, fn)} needs side 0 "
