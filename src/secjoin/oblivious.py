@@ -345,28 +345,16 @@ def per_gen(sess: Session, v: SharedVector) -> SharedVector:
 # stable sort (bitonic network)
 # ---------------------------------------------------------------------------
 
-def _pack_layout(widths: list[int]):
-    """Limb widths, and each field's (limb, shift), for fields packed most
-    significant first, greedily, into binary limbs of at most 64 bits."""
-    limb_widths, ends = [], []
-    for w in widths:
-        if not limb_widths or limb_widths[-1] + w > 64:
-            limb_widths.append(0)
-        limb_widths[-1] += w
-        ends.append((len(limb_widths) - 1, limb_widths[-1]))
-    return limb_widths, [(li, limb_widths[li] - end) for li, end in ends]
-
-
 def stable_sort(sess: Session, key_cols: list[SharedVector],
                 carry_cols: list[SharedVector] | None = None):
     """Ascending stable sort of binary-shared keys via a bitonic network.
 
     Ties keep input order: the 1-based row index, in m.bit_length() bits,
     is the least significant key field, which also makes every comparator
-    key distinct. The fields are packed by local shifts and XORs into as few
-    binary limbs of at most 64 bits as they fit in. A stage costs one
-    `gt_limbs` over the limbs and one `mux_many` exchange for every column
-    (an arithmetic carry column adds a `b2a` of the swap bit before it).
+    key distinct. The fields go into as few binary limbs as they fit in
+    (`sh.pack`). A stage costs one `sh.compare` over the limbs and one
+    `mux_many` exchange for every column (an arithmetic carry column adds a
+    `b2a` of the swap bit before it).
     Returns (pi, sorted key columns,
     sorted carry columns) where pi is the gather permutation
     (sorted_i = input_{pi(i)}) as a binary shared vector of m.bit_length()
@@ -387,16 +375,10 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             [sv, SharedVector.public(extra, sv.flavor, sv.width)])
 
     # keys pad with all ones (masked to each field's width), so pads sort last
-    fields = [pad(k.map(lambda a, w=width_mask(k.width): a & w), (1 << 64) - 1)
-              for k in key_cols]
+    fields = [pad(k, (1 << 64) - 1) for k in key_cols]
     fields.append(SharedVector.public(np.arange(1, m + 1, dtype=np.uint64),
                                       BINARY, m.bit_length()))
-    limb_widths, layout = _pack_layout([f.width for f in fields])
-    limbs = [SharedVector(BINARY, w, np.zeros(m, np.uint64),
-                          np.zeros(m, np.uint64)) for w in limb_widths]
-    for f, (li, shift) in zip(fields, layout):
-        for half, src in zip(limbs[li].shares, f.shares):
-            half ^= src << _U64(shift)
+    limbs, layout = sh.pack(fields)
 
     cols = limbs + [pad(c, 0) for c in carry_cols]
     rows = np.arange(m)
@@ -409,7 +391,7 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
             desc = ((left & k) != 0).astype(np.uint64)
             pairs = [(c.gather(left), c.gather(right)) for c in cols]
             swap = sh.xor_public(
-                sh.gt_limbs(sess, *zip(*pairs[:len(limbs)])), desc)
+                sh.compare(sess, *zip(*pairs[:len(limbs)]), True), desc)
             lower = sh.mux_many(sess, swap, [(vb, va) for va, vb in pairs])
             for c, (va, vb), new_a in zip(cols, pairs, lower):
                 new_b = sh.sub(sh.add(va, vb), new_a)  # the pair keeps its sum
@@ -429,12 +411,14 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
 # oblivious traversal (segmented running aggregate)
 # ---------------------------------------------------------------------------
 
-def adjacent_same_flags(sess: Session, limbs: list[SharedVector]) -> SharedVector:
-    """1-bit flags c with c_i = 1 iff row i has the same binary key limbs
-    as row i-1 (`sh.eq_limbs`, all limbs in lockstep)."""
-    n = len(limbs[0])
+def adjacent_same_flags(sess: Session, fields: list[SharedVector]) -> SharedVector:
+    """1-bit flags c with c_i = 1 iff row i has the same binary key fields
+    as row i-1: the fields packed into limbs (`sh.pack`), then one
+    `sh.compare` for equality over all of them."""
+    n = len(fields[0])
     prev = np.maximum(np.arange(n) - 1, 0)
-    acc = sh.eq_limbs(sess, limbs, [limb.gather(prev) for limb in limbs])
+    limbs, _ = sh.pack(fields)
+    acc = sh.compare(sess, limbs, [limb.gather(prev) for limb in limbs], False)
     # first row starts its own group
     first = np.zeros(n, dtype=np.uint64)
     first[0] = 1
@@ -521,9 +505,9 @@ def trav_flags(sess: Session, flags: SharedVector, values: list[SharedVector],
     return [next(outs[AGG_KIND[agg]]) for agg in aggs], validity
 
 
-def trav(sess: Session, key_limbs: list[SharedVector], values: SharedVector,
+def trav(sess: Session, keys: list[SharedVector], values: SharedVector,
          agg: str) -> SharedVector:
     """y_i = agg over the maximal run of equal adjacent keys ending at i."""
-    flags = adjacent_same_flags(sess, key_limbs)
+    flags = adjacent_same_flags(sess, keys)
     [out], _ = trav_flags(sess, flags, [values], [agg])
     return out

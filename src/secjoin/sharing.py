@@ -12,9 +12,11 @@ The gate takes a list of (x, ys) groups of any flavors and widths and sends
 all their openings in one frame, so the independent ANDs and products of
 one circuit level share one exchange. add/XOR are local; conversions use
 dealer daBits/edaBits. One log-depth prefix over (generate, propagate) bit
-pairs, `_prefix`, is the circuit behind eq, gt, the multi-limb eq_limbs and
-gt_limbs and the carries of a2b: each of its levels is one exchange for
-every tree it runs in lockstep (the limb comparisons run one per limb).
+pairs, `_prefix`, is the circuit behind `compare` and the carries of a2b:
+each of its levels is one exchange for every tree it runs in lockstep.
+`compare` gives x > y or x == y over keys of most-significant-first limbs,
+one tree per limb, and eq and gt are its one-limb calls; `pack` puts binary
+fields into such limbs.
 """
 from __future__ import annotations
 
@@ -353,93 +355,72 @@ def _prefix(sess: Session, trees: list[tuple[SharedVector | None, SharedVector, 
     return list(zip(gs, ps))
 
 
-def _stack_bits(bits: list[SharedVector]) -> SharedVector:
-    """k 1-bit shares as one k-bit share, bit i at position k - 1 - i."""
-    k = len(bits)
-    return SharedVector(BINARY, k, *(
-        sum(b.shares[h] << _U64(k - 1 - i) for i, b in enumerate(bits))
-        for h in (0, 1)))
+def pack(fields: list[SharedVector]
+         ) -> tuple[list[SharedVector], list[tuple[int, int]]]:
+    """Binary fields packed most significant first, greedily, into as few
+    binary limbs of at most 64 bits as they fit in, each field cut to its
+    width (local shifts and XORs). Returns the limbs and each field's
+    (limb, shift)."""
+    widths, ends = [], []
+    for f in fields:
+        if not widths or widths[-1] + f.width > 64:
+            widths.append(0)
+        widths[-1] += f.width
+        ends.append((len(widths) - 1, widths[-1]))
+    layout = [(li, widths[li] - end) for li, end in ends]
+    n = len(fields[0])
+    limbs = [SharedVector(BINARY, w, np.zeros(n, np.uint64), np.zeros(n, np.uint64))
+             for w in widths]
+    for f, (li, shift) in zip(fields, layout):
+        for half, src in zip(limbs[li].shares, f.shares):
+            half ^= (src & width_mask(f.width)) << _U64(shift)
+    return limbs, layout
+
+
+def compare(sess: Session, xs: list[SharedVector], ys: list[SharedVector],
+            greater: bool) -> SharedVector:
+    """xs > ys (`greater`) or xs == ys as a 1-bit binary share, for keys
+    given as most-significant-first limbs and ordered lexicographically;
+    arithmetic limbs go through `a2b` first.
+
+    A limb's propagate bits are NOT(x ^ y) and, for `greater`, its generate
+    bits x AND NOT y, every limb's in one exchange. Every limb's `_prefix`
+    then runs in lockstep, ceil(log2 w) rounds for the widest limb w, and
+    leaves the limb's x > y in g's top bit and its x == y in p's. With
+    k > 1 limbs, limb i's bits go to bit k - 1 - i of k-bit fields (`pack`)
+    and one more prefix over them folds the limbs by the same rule, in
+    ceil(log2 k) rounds: a `greater` key of limbs 1, 64 and 11 bits wide
+    thus takes 1 + 6 + 2 rounds. The last limb's equality lands at bit 0,
+    where it only ever meets the zero generate below, so for `greater` its
+    tree skips the last propagate level.
+    """
+    xs = [a2b(sess, x) if x.flavor == ARITH else x for x in xs]
+    ys = [a2b(sess, y) if y.flavor == ARITH else y for y in ys]
+    for x, y in zip(xs, ys):
+        if x.width != y.width:
+            raise WidthMismatch(f"{x.width} vs {y.width}")
+    k = len(xs)
+    gens = [g for [g] in _beaver(sess, [(x, [not_bits(y)]) for x, y in zip(xs, ys)])
+            ] if greater else [None] * k
+    trees = _prefix(sess, [(g, not_bits(xor(x, y)), not greater or i < k - 1)
+                           for i, (g, x, y) in enumerate(zip(gens, xs, ys))])
+    if k > 1:
+        [g], _ = pack([_top(g) for g, _ in trees]) if greater else ([None], None)
+        [p], _ = pack([_top(p) for _, p in trees])
+        trees = _prefix(sess, [(g, p, not greater)])
+    g, p = trees[0]
+    return _top(g if greater else p)
 
 
 def eq(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
-    """Equality indicator as a 1-bit binary share: the prefix over the
-    propagate bits NOT(x ^ y) alone, ceil(log2 w) rounds."""
-    if x.width != y.width:
-        raise WidthMismatch(f"{x.width} vs {y.width}")
-    if x.flavor == ARITH:
-        x, y = a2b(sess, x), a2b(sess, y)
-    return eq_limbs(sess, [x], [y])
-
-
-def eq_limbs(sess: Session, xs: list[SharedVector],
-             ys: list[SharedVector]) -> SharedVector:
-    """Whether every limb of xs equals its limb of ys, for binary shares:
-    the limbs' propagate prefixes in lockstep, ceil(log2 w) rounds for the
-    widest limb w, then one more over the k limbs' equality bits, which
-    ANDs them in ceil(log2 k) rounds."""
-    for x, y in zip(xs, ys):
-        if x.width != y.width:
-            raise WidthMismatch(f"{x.width} vs {y.width}")
-    eqs = [_top(p) for _, p in _prefix(
-        sess, [(None, not_bits(xor(x, y)), True) for x, y in zip(xs, ys)])]
-    if len(eqs) == 1:
-        return eqs[0]
-    [(_, p)] = _prefix(sess, [(None, _stack_bits(eqs), True)])
-    return _top(p)
-
-
-def _limb_pairs(sess: Session, xs: list[SharedVector], ys: list[SharedVector],
-                with_eqs: list[bool]) -> list[tuple[SharedVector, SharedVector]]:
-    """Each limb's (x > y, x == y) as 1-bit shares, from one prefix over its
-    generate bits x AND NOT y and its propagate bits NOT(x ^ y). Every
-    limb's generate AND shares one exchange and then the trees run in
-    lockstep, 1 + ceil(log2 w) rounds for the widest limb w. A limb's
-    equality is stale unless its `with_eqs` entry is set."""
-    for x, y in zip(xs, ys):
-        if x.width != y.width:
-            raise WidthMismatch(f"{x.width} vs {y.width}")
-    gens = _beaver(sess, [(x, [not_bits(y)]) for x, y in zip(xs, ys)])
-    trees = _prefix(sess, [(g, not_bits(xor(x, y)), with_eq) for [g], x, y, with_eq
-                           in zip(gens, xs, ys, with_eqs)])
-    return [(_top(g), _top(p)) for g, p in trees]
-
-
-def _gt_eq(sess: Session, x: SharedVector, y: SharedVector,
-           with_eq: bool) -> tuple[SharedVector, SharedVector]:
-    """(x > y, x == y) as 1-bit shares of one limb pair (`_limb_pairs`)."""
-    if x.flavor == ARITH:
-        x = a2b(sess, x)
-    if y.flavor == ARITH:
-        y = a2b(sess, y)
-    return _limb_pairs(sess, [x], [y], [with_eq])[0]
+    """x == y as a 1-bit binary share (`compare`): ceil(log2 w) rounds."""
+    return compare(sess, [x], [y], False)
 
 
 def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
-    """Unsigned x > y as a 1-bit binary share: the top generate bit of the
-    prefix, 1 + ceil(log2 w) rounds."""
-    return _gt_eq(sess, x, y, False)[0]
-
-
-def gt_limbs(sess: Session, xs: list[SharedVector],
-             ys: list[SharedVector]) -> SharedVector:
-    """x > y in the lexicographic order of most-significant-first limb lists
-    of binary shares.
-
-    The limbs' (gt, eq) pairs come from `_limb_pairs`, all trees in
-    lockstep. Limb i's pair then sits at bit k - 1 - i of k-bit pairs, and
-    one more prefix over those k bits folds the limbs by the same rule, in
-    ceil(log2 k) rounds. A key of limbs 1, 64 and 11 bits wide thus takes
-    1 + 6 + 2 rounds. The last limb's equality lands at bit 0, where it
-    only ever meets the zero generate below, so its tree skips the last
-    propagate level.
-    """
-    k = len(xs)
-    pairs = _limb_pairs(sess, xs, ys, [i < k - 1 for i in range(k)])
-    if k == 1:  # nothing to fold
-        return pairs[0][0]
-    gts, eqs = zip(*pairs)
-    [(g, _)] = _prefix(sess, [(_stack_bits(gts), _stack_bits(eqs), False)])
-    return _top(g)
+    """Unsigned x > y as a 1-bit binary share (`compare`): 1 + ceil(log2 w)
+    rounds."""
+    return compare(sess, [x], [y], True)
 
 
 def mux(sess: Session, f: SharedVector, x: SharedVector, y: SharedVector) -> SharedVector:

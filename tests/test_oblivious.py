@@ -399,15 +399,43 @@ def test_stable_sort_packed_widths_vs_argsort():
         _check_packed_sort(sess, rng, [1, 4], n)
 
 
+def _layout(widths):
+    limbs, layout = sh.pack([sh.SharedVector.zeros(2, sh.BINARY, w)
+                             for w in widths])
+    return [limb.width for limb in limbs], layout
+
+
 def test_pack_layout_fills_limbs_greedily():
-    assert ob._pack_layout([1, 4, 12, 12, 12, 12, 4, 1, 1, 5]) == \
+    assert _layout([1, 4, 12, 12, 12, 12, 4, 1, 1, 5]) == \
         ([64], [(0, 63), (0, 59), (0, 47), (0, 35), (0, 23), (0, 11),
                 (0, 7), (0, 6), (0, 5), (0, 0)])
-    assert ob._pack_layout([1, 4, 12, 12, 12, 12, 4, 1, 1, 1, 5]) == \
+    assert _layout([1, 4, 12, 12, 12, 12, 4, 1, 1, 1, 5]) == \
         ([60, 5], [(0, 59), (0, 55), (0, 43), (0, 31), (0, 19), (0, 7),
                    (0, 3), (0, 2), (0, 1), (0, 0), (1, 0)])
-    assert ob._pack_layout([1, 64, 11]) == ([1, 64, 11],
-                                            [(0, 0), (1, 0), (2, 0)])
+    assert _layout([1, 64, 11]) == ([1, 64, 11], [(0, 0), (1, 0), (2, 0)])
+
+
+def test_adjacent_same_flags_packs_its_fields():
+    # fields of 1, 12 and 64 bits pack into limbs of 13 and 64 bits: the
+    # limbs' trees take ceil(log2 64) rounds, then one round folds the two
+    rng = np.random.default_rng(47)
+    widths = (1, 12, 64)
+    n = 300
+    # each field 0, 1 or its top bit: ties are common
+    keys = [np.array([0, 1, 1 << (w - 1)], dtype=np.uint64)[rng.integers(0, 3, n)]
+            for w in widths]
+    sess = fresh()
+    fields = [sh.share_vec(sess, i % 2, k, sh.BINARY, w)
+              for i, (k, w) in enumerate(zip(keys, widths))]
+    before = sess.transcript.wire_rounds
+    got = ob.adjacent_same_flags(sess, fields)
+    assert sess.transcript.wire_rounds - before == 6 + 1
+    same = np.ones(n, dtype=bool)
+    for k in keys:
+        same[1:] &= k[1:] == k[:-1]
+    same[0] = False
+    assert (got.flavor, got.width) == (sh.BINARY, 1)
+    assert np.array_equal(got.reconstruct(), same.astype(np.uint64))
 
 
 FLAVOR = {"sum": sh.ARITH, "count": sh.ARITH, "xor": sh.BINARY,

@@ -298,9 +298,7 @@ def test_eq_and_gt_eq_every_width_vs_numpy():
         levels = (w - 1).bit_length()
         assert sess.transcript.wire_rounds - rounds == levels
         assert sess.transcript.wire_bits - bits == levels * 4 * w * len(xs)
-        g, e = sh._gt_eq(sess, x, y, True)
-        assert np.array_equal(g.reconstruct(), want_gt), w
-        assert np.array_equal(e.reconstruct(), want_eq), w
+        assert np.array_equal(sh.gt(sess, x, y).reconstruct(), want_gt), w
 
 
 def test_a2b_edge_values_in_seven_rounds():
@@ -336,7 +334,7 @@ def test_gt_limbs_three_limbs_vs_lexicographic_order():
     xs = [sh.share_vec(sess, 0, v, sh.BINARY, w) for v, w in zip(a, widths)]
     ys = [sh.share_vec(sess, 1, v, sh.BINARY, w) for v, w in zip(b, widths)]
     before = sess.transcript.wire_rounds
-    got = sh.gt_limbs(sess, xs, ys)
+    got = sh.compare(sess, xs, ys, True)
     # one exchange for every limb's generate AND, the limbs' trees in
     # lockstep for ceil(log2 64) rounds, then ceil(log2 3) to fold
     assert sess.transcript.wire_rounds - before == 1 + 6 + 2
@@ -360,7 +358,7 @@ def test_eq_limbs_three_limbs_in_lockstep():
     xs = [sh.share_vec(sess, 0, v, sh.BINARY, w) for v, w in zip(a, widths)]
     ys = [sh.share_vec(sess, 1, v, sh.BINARY, w) for v, w in zip(b, widths)]
     before = sess.transcript.wire_rounds
-    got = sh.eq_limbs(sess, xs, ys)
+    got = sh.compare(sess, xs, ys, False)
     assert sess.transcript.wire_rounds - before == 6 + 2
     want = [all(int(x[i]) == int(y[i]) for x, y in zip(a, b))
             for i in range(400)]
@@ -383,9 +381,9 @@ def test_comparisons_send_no_share_bit_above_the_width():
     rng = np.random.default_rng(31)
     x, y = (sh.share_vec(sess, i, rng.integers(0, 1 << 10, 50, dtype=np.uint64),
                          sh.BINARY, 10) for i in (0, 1))
-    sh.gt(sess, x, y)
-    sh.eq(sess, x, y)
-    sh.gt_limbs(sess, [x, y], [y, x])
+    sh.compare(sess, [x], [y], True)
+    sh.compare(sess, [x], [y], False)
+    sh.compare(sess, [x, y], [y, x], True)
     assert sent and all(int(d.max()) < 1 << 10 for d in sent)
 
 
