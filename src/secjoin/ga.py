@@ -28,7 +28,8 @@ their kinds: a level costs a `gt` if any is max or min, a `b2a` if any is
 a sum or count, and at most two exchanges for all of them. A
 `_tree_reduce` level puts its two independent ANDs in one exchange. When
 the query gives dom0 and P0 holds g0 in plain (PK-PK views), `_sort` sorts
-on g0's rank in the sorted dom0, ceil(log2 d0) bits wide, and P1 maps the
+on g0's rank in the sorted dom0, ceil(log2 d0) bits wide; the rank keeps
+that width through the flags, the mask and the reveal, and P1 maps the
 revealed ranks back through dom0. A plain group column with a value
 outside the domain the query gives raises `ValueOutsideDomain` before any
 message.
@@ -299,8 +300,8 @@ def _osn(sess, t, q, values, receiver, order, head) -> list[SharedVector]:
 def _sort(sess, t, q, order, g0, values=None):
     """osn, convert, sort: P1's order moves e, P0's key `g0` (`g0_key`) and
     any value slots, then (e, g0) is sorted. Returns (gather permutation, e,
-    g0, values); g0 comes back labelled 64 bits wide, its value unchanged,
-    so the later phases keep their shapes."""
+    g0, values); g0 keeps its width, so a rank of dom0 stays narrow in the
+    flags, the mask and the reveal."""
     head = [t.e] + g0
     with sess.phase("osn"):
         e, *g0 = ob.osn_shared(sess, 1, order, head) if values is None \
@@ -311,7 +312,6 @@ def _sort(sess, t, q, order, g0, values=None):
             values = _convert_values(sess, q, values, t.n)
     with sess.phase("sort"):
         pi, (e, *g0), _ = ob.stable_sort(sess, [e] + g0)
-    g0 = [SharedVector(BINARY, 64, *g.shares) for g in g0]
     return pi, e, (g0 or [None])[0], values
 
 

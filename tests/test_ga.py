@@ -97,9 +97,10 @@ def test_group_size_hiding_row_counts():
     s2 = Session(4, 5, 6)
     ga.ga_osorting(s2, v0, v1, q)
     reveal = next(p for p in s2.transcript.phases if p.label == "reveal")
-    # the sorting family reveals exactly n rows: one flag bit per row
-    # plus three 64-bit columns (g0, g1, one aggregate)
-    assert sum(reveal.wire_bits) == n * (1 + 3 * 64)
+    # the sorting family reveals exactly n rows: one flag bit per row,
+    # g0 as its 2-bit rank in dom0, and two 64-bit columns (g1, one
+    # aggregate)
+    assert sum(reveal.wire_bits) == n * (1 + 2 + 2 * 64)
 
     s3 = Session(4, 5, 6)
     ga.ga_bitmap(s3, v0, v1, q)
@@ -702,3 +703,4 @@ def test_pkfk_bitmap_keeps_p1s_bitmap_out_of_p0s_half(monkeypatch):
         oracle.eval_jga(r0, r1, q)
     b1 = np.tile(ga._Table(v0, v1).bitmap(1, "g1", dom1).values, len(dom0))
     assert not any(np.array_equal(a, b1) for a in seen)
+
