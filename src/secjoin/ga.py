@@ -566,7 +566,7 @@ def ga_bitmap(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
                 v0 = _tile(v0, pairs)
                 if not plain:
                     v0 = sh.mul(sess, b0_cat, v0)
-                gate = sh.b2a(sess, sh.share_vec(sess, 1, b1_cat, BINARY, 1))
+                gate = sh.share_vec(sess, 1, b1_cat, ARITH)
                 qvecs.append(sh.convert(sess, sh.mul(sess, gate, v0), flavor))
 
     e_t = _tile(t.e, pairs)

@@ -704,3 +704,24 @@ def test_pkfk_bitmap_keeps_p1s_bitmap_out_of_p0s_half(monkeypatch):
     b1 = np.tile(ga._Table(v0, v1).bitmap(1, "g1", dom1).values, len(dom0))
     assert not any(np.array_equal(a, b1) for a in seen)
 
+
+@pytest.mark.parametrize("bitmaps", (False, True))
+def test_pkfk_bitmap_gates_p0_values_without_a_dabit(bitmaps):
+    # P1 once shared its g1 bitmap as bits and converted them by b2a, one
+    # more round than sharing it arithmetically, which costs no wire
+    r0 = Relation("P", {"k": [1, 2, 3, 4], "g0": [0, 1, 0, 1],
+                        "v0": [10, 20, 30, 40]}, "k")
+    r1 = Relation("F", {"k": [3, 1, 1, 9, 2], "g1": [5, 6, 5, 6, 5],
+                        "v1": [7, 8, 9, 1, 2]}, "k", "fk")
+    dom0, dom1 = [0, 1], [5, 6]
+    if bitmaps:
+        r0 = vw.append_bitmap_columns(r0, "g0", dom0)
+    v0, v1 = vw.gen_pkfk(Session(1, 2, 3), r0, r1)
+    q = JgaQuery("g0" if bitmaps else None, "g1", [(0, "v0", "sum")],
+                 dom0=dom0, dom1=dom1)
+    sess = Session(4, 5, 6)
+    assert ga.ga_bitmap(sess, v0, v1, q).rows == oracle.eval_jga(r0, r1, q)
+    # asym_mul's two rounds for the witness over a plain bitmap, or one for
+    # the witness and one gating the value by a shared g0 bitmap; then one
+    # for P1's gate
+    assert sess.transcript.rounds_for("products") == 3
