@@ -272,12 +272,12 @@ GOLDEN = {
     "pkfk-l0-mix-g0-extremes": "779a969d727d8d95",
     "pkfk-l0-mix-g1-sums": "e07abb696629f2ab",
     "pkfk-l0-mix-g1-extremes": "3ef0b6670d32f242",
-    "pkfk-l0-bitmap-g0g1-sums": "e098e971cc46d766",
-    "pkfk-l0-bitmap-g0g1-extremes": "32a16d19353163e9",
-    "pkfk-l0-bitmap-g0-sums": "e7bb371602208a57",
-    "pkfk-l0-bitmap-g0-extremes": "54618af007a62221",
-    "pkfk-l0-bitmap-g1-sums": "c36cd02517288766",
-    "pkfk-l0-bitmap-g1-extremes": "93d7f81cc9f11cf1",
+    "pkfk-l0-bitmap-g0g1-sums": "2317863db110a9a3",
+    "pkfk-l0-bitmap-g0g1-extremes": "fb8295047bfa374d",
+    "pkfk-l0-bitmap-g0-sums": "87b9cd70cbf04a59",
+    "pkfk-l0-bitmap-g0-extremes": "99c8872354451b94",
+    "pkfk-l0-bitmap-g1-sums": "8bbb497a93cb7562",
+    "pkfk-l0-bitmap-g1-extremes": "59823306de81208c",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
@@ -309,12 +309,12 @@ GOLDEN = {
     "pkfk-l1-mix-g0-extremes": "31353672790db094",
     "pkfk-l1-mix-g1-sums": "0db704a81f21c71d",
     "pkfk-l1-mix-g1-extremes": "20685f982278da08",
-    "pkfk-l1-bitmap-g0g1-sums": "5a7457252a3b6855",
-    "pkfk-l1-bitmap-g0g1-extremes": "69a944f9c6e83849",
-    "pkfk-l1-bitmap-g0-sums": "e2bc69244ee65ad0",
-    "pkfk-l1-bitmap-g0-extremes": "849eb77d3137ce97",
-    "pkfk-l1-bitmap-g1-sums": "adfff80864a5dd5b",
-    "pkfk-l1-bitmap-g1-extremes": "7b2d55c13af7a61d",
+    "pkfk-l1-bitmap-g0g1-sums": "a303a4fe76d7ae6e",
+    "pkfk-l1-bitmap-g0g1-extremes": "a14745e34fb93b03",
+    "pkfk-l1-bitmap-g0-sums": "c773876d839654b1",
+    "pkfk-l1-bitmap-g0-extremes": "17ef91d82bc5da45",
+    "pkfk-l1-bitmap-g1-sums": "ab834a2881495663",
+    "pkfk-l1-bitmap-g1-extremes": "b3384791d3d4963c",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
@@ -346,12 +346,12 @@ GOLDEN = {
     "pkfk-l2-mix-g0-extremes": "7a6da2020201c5ed",
     "pkfk-l2-mix-g1-sums": "836681013cd94688",
     "pkfk-l2-mix-g1-extremes": "4dd1fce469bc2a87",
-    "pkfk-l2-bitmap-g0g1-sums": "3e91ab9d42ec2217",
-    "pkfk-l2-bitmap-g0g1-extremes": "1384eeda3cbb08b2",
-    "pkfk-l2-bitmap-g0-sums": "e4179882f3ac7923",
-    "pkfk-l2-bitmap-g0-extremes": "dbe1a3076d703d37",
-    "pkfk-l2-bitmap-g1-sums": "ca2e26901690345a",
-    "pkfk-l2-bitmap-g1-extremes": "dc6df1915adcdcb3",
+    "pkfk-l2-bitmap-g0g1-sums": "611ea59010e1bbec",
+    "pkfk-l2-bitmap-g0g1-extremes": "1a841816f8b5514a",
+    "pkfk-l2-bitmap-g0-sums": "1979b768a596ff1f",
+    "pkfk-l2-bitmap-g0-extremes": "2fa69d36892111a3",
+    "pkfk-l2-bitmap-g1-sums": "618c1601230d2e41",
+    "pkfk-l2-bitmap-g1-extremes": "83076e79bce7bfe7",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
@@ -362,30 +362,30 @@ GOLDEN = {
 
 
 GOLDEN_DOM0 = {
-    "pkpk-l0-sorting-dom0-g0g1-sums": "7c73770d35e7081c",
-    "pkpk-l0-sorting-dom0-g0g1-extremes": "bdf8001ff2f1c2aa",
-    "pkpk-l0-sorting-dom0-g0-sums": "5c63be6bf461afeb",
-    "pkpk-l0-sorting-dom0-g0-extremes": "a05be9ef176f3fc5",
-    "pkpk-l0-osorting-dom0-g0g1-sums": "b9632cfc7d094531",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "db0c62433b840bdc",
-    "pkpk-l0-osorting-dom0-g0-sums": "8c84fe7baf303241",
-    "pkpk-l0-osorting-dom0-g0-extremes": "0518b523c872c3e3",
-    "pkpk-l1-sorting-dom0-g0g1-sums": "44b94e1aacd5e8f1",
-    "pkpk-l1-sorting-dom0-g0g1-extremes": "4ca5c17d4f8d6211",
-    "pkpk-l1-sorting-dom0-g0-sums": "d3dfdbb6f3fe54de",
-    "pkpk-l1-sorting-dom0-g0-extremes": "7fe1e376dfb883eb",
-    "pkpk-l1-osorting-dom0-g0g1-sums": "2b9240fccc1cf9ff",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "a4336a5edf84a63b",
-    "pkpk-l1-osorting-dom0-g0-sums": "62b7d3f114e92daf",
-    "pkpk-l1-osorting-dom0-g0-extremes": "35f85315f5658672",
-    "pkpk-l2-sorting-dom0-g0g1-sums": "cfe8d2fed9066db8",
-    "pkpk-l2-sorting-dom0-g0g1-extremes": "df0fc6ed7dca3799",
-    "pkpk-l2-sorting-dom0-g0-sums": "80c2f7d51eb5a14a",
-    "pkpk-l2-sorting-dom0-g0-extremes": "4d283f6790a3aeb2",
-    "pkpk-l2-osorting-dom0-g0g1-sums": "b999c40268ad3fbb",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "e2e72a8b6aa9228a",
-    "pkpk-l2-osorting-dom0-g0-sums": "d43b53187e7e6979",
-    "pkpk-l2-osorting-dom0-g0-extremes": "541e6ede2de84672",
+    "pkpk-l0-sorting-dom0-g0g1-sums": "224d117c4e1efeb7",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "2187e5bd30724162",
+    "pkpk-l0-sorting-dom0-g0-sums": "8930d538ff556b4b",
+    "pkpk-l0-sorting-dom0-g0-extremes": "82a16905933806ba",
+    "pkpk-l0-osorting-dom0-g0g1-sums": "088d7ac1bf38d505",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "149b87d3ad54ef69",
+    "pkpk-l0-osorting-dom0-g0-sums": "712dc7467c7099fd",
+    "pkpk-l0-osorting-dom0-g0-extremes": "731a8182e1ed2085",
+    "pkpk-l1-sorting-dom0-g0g1-sums": "6f8070183c740b06",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "a260fdcc9da14b42",
+    "pkpk-l1-sorting-dom0-g0-sums": "b5cb99495a7086e1",
+    "pkpk-l1-sorting-dom0-g0-extremes": "d25bed0cfd66e915",
+    "pkpk-l1-osorting-dom0-g0g1-sums": "c9405aa2e6379e71",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "d4f7ae50672db87c",
+    "pkpk-l1-osorting-dom0-g0-sums": "9462201991035926",
+    "pkpk-l1-osorting-dom0-g0-extremes": "2b27c08dba7d35ed",
+    "pkpk-l2-sorting-dom0-g0g1-sums": "272d7d26f3988c59",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "8641706d3be7d5d8",
+    "pkpk-l2-sorting-dom0-g0-sums": "1e09f843586dad55",
+    "pkpk-l2-sorting-dom0-g0-extremes": "8842d83b52ca343c",
+    "pkpk-l2-osorting-dom0-g0g1-sums": "cbcf849399214ce0",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "585608db0bb4a8e7",
+    "pkpk-l2-osorting-dom0-g0-sums": "ceda85a8b218aaf2",
+    "pkpk-l2-osorting-dom0-g0-extremes": "1e1219342b6804c8",
 }
 
 
