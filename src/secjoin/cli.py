@@ -13,7 +13,7 @@ from . import bench as bench_mod
 from . import ga, oracle
 from . import store
 from . import views as vw
-from .errors import SecJoinError
+from .errors import ParseError, SecJoinError
 from .ga import JgaQuery
 from .session import Session
 
@@ -38,7 +38,16 @@ def _tables(spec: dict, join: str):
 
 
 def _query(spec: dict, args) -> JgaQuery:
-    aggs = [(a["side"], a.get("col"), a["fn"]) for a in spec.get("aggs", [])]
+    """The spec's query; `ParseError` on a group or aggregate list of the
+    wrong JSON type."""
+    for field in ("group0", "group1"):
+        group = spec.get(field)
+        if group is not None and not isinstance(group, str):
+            raise ParseError(f"spec {field} must be a column name, not {group!r}")
+    aggs = spec.get("aggs", [])
+    if not isinstance(aggs, list) or not all(isinstance(a, dict) for a in aggs):
+        raise ParseError(f"spec aggs must be a list of objects, not {aggs!r}")
+    aggs = [(a["side"], a.get("col"), a["fn"]) for a in aggs]
     protocol = args.protocol or spec.get("protocol", "auto")
     return JgaQuery(spec.get("group0"), spec.get("group1"), aggs,
                     protocol=protocol, dom0=spec.get("dom0"),
@@ -50,22 +59,26 @@ def _view_paths(out_dir: str) -> tuple[str, str]:
             os.path.join(out_dir, "view_p1.bin"))
 
 
-def _load(args):
-    """The spec, the tables read as the stored views' join kind, and the
-    views; `ViewStale` unless the views still match the tables."""
-    spec = _load_spec(args.spec)
+def _load(spec: dict, args):
+    """The tables read as the stored views' join kind, and the views;
+    `ViewStale` unless the views still match the tables."""
     p0, p1 = _view_paths(args.views)
     v0, v1 = store.load_view(p0), store.load_view(p1)
     r0, r1 = _tables(spec, v0.kind)
     vw.check_base_keys(v0, v1, r0, r1)
-    return spec, r0, r1, v0, v1
+    return r0, r1, v0, v1
 
 
 def cmd_genview(args) -> int:
     spec = _load_spec(args.spec)
     join = spec.get("join", "pkpk")
-    r0, r1 = _tables(spec, join)
+    if join not in ("pkpk", "pkfk"):
+        raise ParseError(f"spec join must be 'pkpk' or 'pkfk', not {join!r}")
     level = args.level if args.level is not None else spec.get("level", 2)
+    if type(level) is not int or level not in vw.GENERATORS:
+        raise ParseError(f"spec level must be one of {sorted(vw.GENERATORS)}, "
+                         f"not {level!r}")
+    r0, r1 = _tables(spec, join)
     sess = Session(*_seeds(spec, args))
     if join == "pkfk":
         v0, v1 = vw.gen_pkfk(sess, r0, r1, level=level)
@@ -90,7 +103,8 @@ def _rewrite_table(path: str, rel):
 
 
 def cmd_refresh(args) -> int:
-    spec, r0, r1, v0, v1 = _load(args)
+    spec = _load_spec(args.spec)
+    r0, r1, v0, v1 = _load(spec, args)
     up0 = store.updates_from_csv(args.updates0) if args.updates0 else []
     up1 = store.updates_from_csv(args.updates1) if args.updates1 else []
     sess = Session(*_seeds(spec, args))
@@ -112,8 +126,9 @@ def cmd_refresh(args) -> int:
 
 
 def cmd_query(args) -> int:
-    spec, r0, r1, v0, v1 = _load(args)
+    spec = _load_spec(args.spec)
     q = _query(spec, args)
+    r0, r1, v0, v1 = _load(spec, args)
     sess = Session(*_seeds(spec, args))
     result = ga.run_query(sess, v0, v1, q)
     csv_text = result.to_csv(q.agg_labels())

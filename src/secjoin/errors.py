@@ -50,7 +50,7 @@ class ParseError(SecJoinError):
 
 
 class MissingColumn(SecJoinError):
-    """A query names a column that the view does not carry."""
+    """A query or an update names a column that its view or table lacks."""
 
 
 class KeyOutOfRange(SecJoinError):

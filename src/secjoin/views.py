@@ -18,7 +18,7 @@ from . import oblivious as ob
 from . import setops
 from . import sharing as sh
 from .errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
-                     SizeMismatch, ValueOutsideDomain, ViewStale)
+                     MissingColumn, SizeMismatch, ValueOutsideDomain, ViewStale)
 from .ring import BINARY, as_ring
 from .session import Session
 from .sharing import SharedVector
@@ -71,17 +71,22 @@ class Relation:
         return hashlib.sha256(self.keys.tobytes()).hexdigest()
 
     def apply_updates(self, updates: list[tuple[int, dict]]):
-        """Apply payload updates {1-based row -> {col: value}} in place."""
+        """Apply payload updates {1-based row -> {col: value}} in place,
+        once every update has passed its checks."""
         for idx, cols in updates:
             if not 1 <= idx <= self.n:
                 raise SizeMismatch(f"update row {idx} out of range")
             for col, val in cols.items():
+                if col not in self.columns:
+                    raise MissingColumn(
+                        f"update of column {col!r}, which table {self.name} lacks")
                 if col == self.key and int(val) != int(self.keys[idx - 1]):
                     raise KeyModified(
                         f"update touches join key of row {idx}; rebuild the view")
-                if col == self.key:
-                    continue
-                self.columns[col][idx - 1] = _U64(int(val) & 0xFFFFFFFFFFFFFFFF)
+        for idx, cols in updates:
+            for col, val in cols.items():
+                if col != self.key:
+                    self.columns[col][idx - 1] = _U64(int(val) & 0xFFFFFFFFFFFFFFFF)
 
     def extended_column(self, col: str, codomain: int, party: int) -> np.ndarray:
         """Column padded with dummy rows up to `codomain` entries."""

@@ -431,3 +431,46 @@ def test_malformed_aggregate_exits_2_on_every_protocol(workspace, capsys, agg):
                        "--protocol", proto, "--verify"])
         assert rc == 2, proto
         assert "aggregate" in capsys.readouterr().err, proto
+
+
+def test_update_of_a_missing_column_exits_2_and_writes_nothing(workspace,
+                                                               capsys):
+    # an unknown column once ended in a bare KeyError: "error: 'zz'"
+    tmp, spec_path, _ = workspace
+    assert cli.main(["genview", str(spec_path), "--out", str(tmp / "v")]) == 0
+    (tmp / "up.csv").write_text("idx,zz\n1,5\n")
+    before = _files(tmp)
+    stamps = {p: p.stat().st_mtime_ns for p in tmp.rglob("*.*")}
+    capsys.readouterr()
+    rc = cli.main(["refresh", str(spec_path), "--views", str(tmp / "v"),
+                   "--updates0", str(tmp / "up.csv")])
+    err = capsys.readouterr().err
+    assert rc == 2 and "'zz'" in err and "R0" in err
+    assert _files(tmp) == before
+    assert {p: p.stat().st_mtime_ns for p in tmp.rglob("*.*")} == stamps
+
+
+@pytest.mark.parametrize("field, value", (
+    ("group0", 5), ("group1", ["g1"]), ("aggs", {"a": 1}), ("aggs", [1])))
+def test_query_spec_field_of_the_wrong_type_exits_2(workspace, capsys,
+                                                    field, value):
+    # group0 5 once ended in a bare AttributeError and aggs {"a": 1} in a
+    # bare TypeError, both exit 1; the check now precedes every file read,
+    # so a missing views directory is never reached
+    tmp, spec_path, spec = workspace
+    spec_path.write_text(json.dumps(dict(spec, **{field: value})))
+    rc = cli.main(["query", str(spec_path), "--views", str(tmp / "none")])
+    assert rc == 2 and f"spec {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", (
+    ("level", 3), ("level", "2"), ("join", "PKFK")))
+def test_genview_spec_level_or_join_unknown_exits_2(workspace, capsys,
+                                                     field, value):
+    # level 3 once exited with only "error: 3", and join "PKFK" quietly
+    # built a PK-PK view
+    tmp, spec_path, spec = workspace
+    spec_path.write_text(json.dumps(dict(spec, **{field: value})))
+    rc = cli.main(["genview", str(spec_path), "--out", str(tmp / "v")])
+    assert rc == 2 and f"spec {field}" in capsys.readouterr().err
+    assert not (tmp / "v").exists()
