@@ -1,9 +1,10 @@
 """Communication benchmarks: per-phase bit counts and scaling-law ratios.
 
-Wall-clock timing is out of scope; every measurement is a deterministic
-transcript of wire/hybrid bits and rounds under fixed seeds, compared against
-the protocols' asymptotic laws (n log n for switching, d0*d1 for the bitmap
-protocol, the halved cost of plain-vector permutation application).
+Every measurement here is a deterministic transcript of wire/hybrid bits and
+rounds under fixed seeds, compared against the protocols' asymptotic laws
+(n log n for switching, d0*d1 for the bitmap protocol, the halved cost of
+plain-vector permutation application). Wall-clock time, end to end and per
+layer, is measured by the benchmark under `perfbench/`.
 """
 from __future__ import annotations
 
