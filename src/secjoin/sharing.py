@@ -384,15 +384,15 @@ def compare(sess: Session, xs: list[SharedVector], ys: list[SharedVector],
     arithmetic limbs go through `a2b` first.
 
     A limb's propagate bits are NOT(x ^ y) and, for `greater`, its generate
-    bits x AND NOT y, every limb's in one exchange. Every limb's `_prefix`
+    bits are x AND NOT y, all limbs' in one exchange. Every limb's `_prefix`
     then runs in lockstep, ceil(log2 w) rounds for the widest limb w, and
     leaves the limb's x > y in g's top bit and its x == y in p's. With
-    k > 1 limbs, limb i's bits go to bit k - 1 - i of k-bit fields (`pack`)
-    and one more prefix over them folds the limbs by the same rule, in
-    ceil(log2 k) rounds: a `greater` key of limbs 1, 64 and 11 bits wide
-    thus takes 1 + 6 + 2 rounds. The last limb's equality lands at bit 0,
-    where it only ever meets the zero generate below, so for `greater` its
-    tree skips the last propagate level.
+    1 < k <= 64 limbs, limb i's two bits go to bit k - 1 - i of a k-bit g
+    and a k-bit p (`pack`), and one more prefix folds the limbs by the same
+    rule in ceil(log2 k) rounds. A `greater` key of limbs 1, 64 and 11 bits
+    wide thus takes 1 + 6 + 2 rounds. The last limb's equality lands at
+    bit 0, where it only ever meets the zero generate below, so for
+    `greater` its tree skips the last propagate level.
     """
     xs = [a2b(sess, x) if x.flavor == ARITH else x for x in xs]
     ys = [a2b(sess, y) if y.flavor == ARITH else y for y in ys]
@@ -400,8 +400,10 @@ def compare(sess: Session, xs: list[SharedVector], ys: list[SharedVector],
         if x.width != y.width:
             raise WidthMismatch(f"{x.width} vs {y.width}")
     k = len(xs)
-    gens = [g for [g] in _beaver(sess, [(x, [not_bits(y)]) for x, y in zip(xs, ys)])
-            ] if greater else [None] * k
+    gens = [None] * k
+    if greater:
+        gens = [g for [g] in _beaver(
+            sess, [(x, [not_bits(y)]) for x, y in zip(xs, ys)])]
     trees = _prefix(sess, [(g, not_bits(xor(x, y)), not greater or i < k - 1)
                            for i, (g, x, y) in enumerate(zip(gens, xs, ys))])
     if k > 1:
