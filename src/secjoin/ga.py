@@ -61,6 +61,10 @@ _U64 = np.uint64
 BITMAP_SORT_CAP = 1 << 12
 BITMAP_PAIR_CAP = 1 << 10
 
+# the running rule of each linear aggregate kind, and its inverse
+_SUFFIX = {ob.AGG_SUM: (np.cumsum, np.subtract),
+           ob.AGG_XOR: (np.bitwise_xor.accumulate, np.bitwise_xor)}
+
 
 @dataclass
 class JgaQuery:
@@ -106,15 +110,11 @@ class GroupResult:
         return "\n".join(lines) + "\n"
 
 
-def _sum_like(aggs) -> bool:
-    return all(fn in ("sum", "count") for _, _, fn in aggs)
-
-
 def select_protocol(n: int, d0: int, d1: int, aggs, one_side: bool = False) -> str:
     """The four-rule decision list from the evaluation guidelines."""
     if one_side:
         return "oneside"
-    sum_like = _sum_like(aggs)
+    sum_like = all(fn in ("sum", "count") for _, _, fn in aggs)
     if d0 < 2 ** 3 and d1 < 2 ** 3 and sum_like:
         return "bitmap"
     if min(d0, d1) < 2 ** 7 and sum_like:
@@ -266,12 +266,11 @@ def _convert_values(sess, q, values: dict, n: int) -> list[SharedVector]:
             for i, (_side, _col, fn) in enumerate(q.aggs)]
 
 
-def _run_flags(sess, owner: int, col: np.ndarray):
-    """Shared flags of a sorted column: (same as previous row, last of run)."""
+def _run_flags(sess, owner: int, col: np.ndarray) -> SharedVector:
+    """Shared 1-bit flags of a sorted column: same as the previous row."""
     same = np.zeros(len(col), dtype=np.uint64)
     same[1:] = col[1:] == col[:-1]
-    return (sh.share_vec(sess, owner, same, BINARY, 1),
-            sh.share_vec(sess, owner, _U64(1) - np.roll(same, -1), BINARY, 1))
+    return sh.share_vec(sess, owner, same, BINARY, 1)
 
 
 def _take(t: _Table, q: JgaQuery, values: dict, side=None, order=None):
@@ -344,48 +343,58 @@ def _reveal(sess, f, groups, results):
     return keep, [None if g is None else next(it) for g in groups], list(it)
 
 
-def _rows(keep, groups, aggs, suffix: bool = False) -> GroupResult:
+def _aggregate(sess, q, c, values, validity=None):
+    """Each group's results on its first row, where the 1-bit c marks a row
+    of the previous row's group (c's first row is 0): sum, count and xor as
+    local suffix sums, which `_rows` differences; max, min and the OR of
+    `validity` by one `trav_flags` scan over the reversed rows, whose flags
+    are c reversed and rotated by one. Returns (results, validity)."""
+    back = np.arange(len(c))[::-1]
+    results = [None if (rule := _SUFFIX.get(ob.AGG_KIND[fn])) is None else
+               v.map(lambda a, run=rule[0]: run(a[::-1])[::-1].copy())
+               for (_side, _col, fn), v in zip(q.aggs, values)]
+    scan = [i for i, r in enumerate(results) if r is None]
+    if scan or validity is not None:
+        outs, validity = ob.trav_flags(
+            sess, c.map(lambda a: np.roll(a[::-1], 1)),
+            [values[i].gather(back) for i in scan], [q.aggs[i][2] for i in scan],
+            None if validity is None else validity.gather(back))
+        for i, out in zip(scan, outs):
+            results[i] = out.gather(back)
+    return results, None if validity is None else validity.gather(back)
+
+
+def _rows(keep, groups, aggs, q: JgaQuery | None = None) -> GroupResult:
     """The canonical result table from the revealed rows marked by `keep`;
-    with `suffix`, adjacent kept rows difference suffix sums into sums."""
+    with the query, adjacent kept rows undo its sums', counts' and xors'
+    running rule (`_aggregate`)."""
     idx = np.flatnonzero(keep)
     keys = [g[idx] for g in groups if g is not None]
     if keys:
         idx = idx[np.lexsort(keys[::-1])]
     aggs = [a[idx] for a in aggs]
-    if suffix:
-        for a in aggs:
-            a[:-1] -= a[1:]
+    for (_side, _col, fn), a in zip(q.aggs if q else [], aggs):
+        if (rule := _SUFFIX.get(ob.AGG_KIND[fn])) is not None:
+            rule[1](a[:-1], a[1:], out=a[:-1])
     cols = [[None] * len(idx) if g is None else g[idx].tolist() for g in groups]
     return GroupResult(list(zip(*cols, *(a.tolist() for a in aggs))))
 
 
 def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
                   values: list[SharedVector], dom0=None) -> GroupResult:
-    """Common tail once rows sit in (e, g0, g1) order; all-sum/count queries
-    take local suffix sums, which party 1 differences after the reveal.
-    With `dom0`, g0 holds ranks, which party 1 maps back to values."""
-    n = len(e_s)
-    suffix = _sum_like(q.aggs)
+    """Common tail once rows sit in (e, g0, g1) order: the boundary flags,
+    `_aggregate`, and each group's first row revealed. With `dom0`, g0
+    holds ranks, which party 1 maps back to values."""
     with sess.phase("flag"):
         c = ob.adjacent_same_flags(
             sess, [e_s] + [g for g in groups if g is not None])
-        cont = c  # suffix sums keep each group's first row
-        if not suffix:  # the others keep its last: the next row starts anew
-            cont = c.gather(np.minimum(np.arange(1, n + 1), n - 1))
-            for half in cont.shares:
-                half[n - 1] &= ~_U64(1)
-        f = sh.and_bits(sess, e_s, sh.not_bits(cont))
+        f = sh.and_bits(sess, e_s, sh.not_bits(c))
     with sess.phase("aggregate"):
-        if suffix:
-            results = [v.map(lambda a: np.cumsum(a[::-1])[::-1].copy())
-                       for v in values]
-        else:
-            results, _ = ob.trav_flags(sess, c, values,
-                                       [fn for _, _, fn in q.aggs])
+        results, _ = _aggregate(sess, q, c, values)
     keep, groups, aggs = _reveal(sess, f, groups, results)
     if dom0 is not None:
         groups[0] = dom0[groups[0]]
-    return _rows(keep, groups, aggs, suffix)
+    return _rows(keep, groups, aggs, q)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +486,7 @@ def _runs(sess, t, q, sorter: int, dom0: list | None = None) -> GroupResult:
     order, g = t.local_order(sorter, q.group1 if sorter else q.group0)
     d = 1 if dom0 is None else len(dom0)
     with sess.phase("share"):
-        run, ends = _run_flags(sess, sorter, g)
+        run = _tile(_run_flags(sess, sorter, g), d)
         values = _own_values(sess, t, q, sorter, order)
         g_s = None if sorter else sh.share_vec(sess, 0, g, BINARY)
     with sess.phase("osn"):
@@ -491,19 +500,18 @@ def _runs(sess, t, q, sorter: int, dom0: list | None = None) -> GroupResult:
         if bits:
             valid = sh.and_bits(sess, valid, SharedVector.concat(bits))
         values = _null_fill(sess, valid, [_tile(v, d) for v in values], q)
-        outs, valid = ob.trav_flags(sess, _tile(run, d), values,
-                                    [fn for _, _, fn in q.aggs], valid)
+        outs, valid = _aggregate(sess, q, run, values, valid)
     with sess.phase("flag"):
-        f = sh.and_bits(sess, _tile(ends, d), valid)
+        f = sh.and_bits(sess, sh.not_bits(run), valid)
     if not sorter:
-        return _rows(*_reveal(sess, f, [g_s, None], outs))
+        return _rows(*_reveal(sess, f, [g_s, None], outs), q)
     with sess.phase("mask"):
         outs = _mask(sess, f, outs)
     with sess.phase("reveal"):
         keep, *aggs = [sh.open_vec(sess, c, to=1) for c in [f] + outs]
     groups = [None if dom0 is None else np.repeat(np.array(dom0, np.uint64), t.n),
               np.tile(g, d) if q.group1 else None]
-    return _rows(keep, groups, aggs)
+    return _rows(keep, groups, aggs, q)
 
 
 @_protocol

@@ -520,10 +520,10 @@ def test_osorting_extremes_aggregate_in_one_scan():
 
 
 def test_oneside_sum_and_max_aggregate_in_one_scan():
-    # the sum's products ride in the max scan's exchanges: after the null
-    # fill (2 rounds), a level is one gt (1 + ceil(log2 64) rounds), one
-    # b2a of the run flags, one exchange for take, the products and the
-    # next run flags, and one for the mux and the validity's OR
+    # the sum is a local suffix sum: after the null fill (2 rounds), a
+    # level of the max scan is one gt (1 + ceil(log2 64) rounds), one
+    # exchange for take, the validity's AND and the next run flags, and
+    # one for the mux and the validity's OR
     rng = np.random.default_rng(34)
     r0, r1 = _join_pair(rng, 100, list(range(5)))
     v0, v1 = vw.gen_psiv(Session(1, 2, 3), r0, r1)
@@ -534,7 +534,7 @@ def test_oneside_sum_and_max_aggregate_in_one_scan():
         sess = Session(4, 5, 6)
         assert ga.ga_oneside(sess, v0, v1, q).rows == oracle.eval_jga(r0, r1, q)
         assert sess.transcript.rounds_for("aggregate") == \
-            2 + levels * (1 + 6 + 1 + 1 + 1), groups
+            2 + levels * (1 + 6 + 1 + 1), groups
 
 
 def _outside_domain_views(level):
