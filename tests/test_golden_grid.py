@@ -138,29 +138,29 @@ def rows_digest() -> str:
 GOLDEN = {
     "pkpk-l0-view": "6a0997a0cb14d258",
     "pkpk-l0-sorting-g0g1-sums": "f9918df348771571",
-    "pkpk-l0-sorting-g0g1-extremes": "7cd42bfa7ad7e08f",
+    "pkpk-l0-sorting-g0g1-extremes": "1d92a6414411b250",
     "pkpk-l0-sorting-g0-sums": "b44bad5bc9b714d1",
-    "pkpk-l0-sorting-g0-extremes": "23447b05f38dc8bd",
+    "pkpk-l0-sorting-g0-extremes": "0c97724ba1bcb95d",
     "pkpk-l0-sorting-g1-sums": "e276deefa07f669d",
-    "pkpk-l0-sorting-g1-extremes": "a95fd89fa223a927",
+    "pkpk-l0-sorting-g1-extremes": "91d6f8151b2d3973",
     "pkpk-l0-osorting-g0g1-sums": "804d9643a5fd45d6",
-    "pkpk-l0-osorting-g0g1-extremes": "f4f3a46a4588a269",
+    "pkpk-l0-osorting-g0g1-extremes": "86b1be387b58f293",
     "pkpk-l0-osorting-g0-sums": "8e89e9cf0e5fc682",
-    "pkpk-l0-osorting-g0-extremes": "f69f42790095a69c",
+    "pkpk-l0-osorting-g0-extremes": "9f444d57914d326e",
     "pkpk-l0-osorting-g1-sums": "1f15fe7ac35a0ffb",
-    "pkpk-l0-osorting-g1-extremes": "a64caf9c8f2a67b9",
+    "pkpk-l0-osorting-g1-extremes": "ede776ac3171753d",
     "pkpk-l0-bsorting-g0g1-sums": "223f56fdd0bd0be2",
-    "pkpk-l0-bsorting-g0g1-extremes": "59ee3969a7458df7",
+    "pkpk-l0-bsorting-g0g1-extremes": "cf752b61cc39f997",
     "pkpk-l0-bsorting-g0-sums": "22159b094e8f011a",
-    "pkpk-l0-bsorting-g0-extremes": "84af3bd92e67fd3f",
+    "pkpk-l0-bsorting-g0-extremes": "b26787053957de8c",
     "pkpk-l0-bsorting-g1-sums": "9d416ec411a56969",
-    "pkpk-l0-bsorting-g1-extremes": "58a5be08280b524c",
-    "pkpk-l0-mix-g0g1-sums": "b0ca6741d37f73b7",
-    "pkpk-l0-mix-g0g1-extremes": "6ff40e86ef0b17a7",
-    "pkpk-l0-mix-g0-sums": "4035196eac1207f3",
-    "pkpk-l0-mix-g0-extremes": "85fb4994b66e8f2b",
-    "pkpk-l0-mix-g1-sums": "8d96f6ab5bcaa38f",
-    "pkpk-l0-mix-g1-extremes": "c5dd4ee6194da80d",
+    "pkpk-l0-bsorting-g1-extremes": "7d5bda3dee7d221b",
+    "pkpk-l0-mix-g0g1-sums": "5269d56f55d720da",
+    "pkpk-l0-mix-g0g1-extremes": "ec2c4b638e7f56c1",
+    "pkpk-l0-mix-g0-sums": "b892f92a86625dd3",
+    "pkpk-l0-mix-g0-extremes": "1b5529795e707194",
+    "pkpk-l0-mix-g1-sums": "2ad03e40ca94ffd8",
+    "pkpk-l0-mix-g1-extremes": "0a325aeba59c5b51",
     "pkpk-l0-bitmap-g0g1-sums": "9a0d18a91298129d",
     "pkpk-l0-bitmap-g0g1-extremes": "5992932ffd4ca9f6",
     "pkpk-l0-bitmap-g0-sums": "76f6708906e26b3e",
@@ -169,35 +169,35 @@ GOLDEN = {
     "pkpk-l0-bitmap-g1-extremes": "0d9ad82ed5c95ab2",
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l0-oneside-g0-sums": "acd8ef12db736e0c",
-    "pkpk-l0-oneside-g0-extremes": "1b2d2daf8ebf6e3f",
-    "pkpk-l0-oneside-g1-sums": "8d96f6ab5bcaa38f",
-    "pkpk-l0-oneside-g1-extremes": "c5dd4ee6194da80d",
+    "pkpk-l0-oneside-g0-sums": "46bb303812123d84",
+    "pkpk-l0-oneside-g0-extremes": "e3a3ae71cabb1387",
+    "pkpk-l0-oneside-g1-sums": "2ad03e40ca94ffd8",
+    "pkpk-l0-oneside-g1-extremes": "0a325aeba59c5b51",
     "pkpk-l1-view": "4635a51cabc0d3e0",
     "pkpk-l1-sorting-g0g1-sums": "5b04297712d5d03b",
-    "pkpk-l1-sorting-g0g1-extremes": "ddba5f37eba6c436",
+    "pkpk-l1-sorting-g0g1-extremes": "d8495b9562d7b098",
     "pkpk-l1-sorting-g0-sums": "03cdb713d41c7ddd",
-    "pkpk-l1-sorting-g0-extremes": "e346102b209edbc9",
+    "pkpk-l1-sorting-g0-extremes": "132d92b9b8e5057b",
     "pkpk-l1-sorting-g1-sums": "7ea650231fe2a90f",
-    "pkpk-l1-sorting-g1-extremes": "d572871e423f9240",
+    "pkpk-l1-sorting-g1-extremes": "bd565975906cc4f5",
     "pkpk-l1-osorting-g0g1-sums": "1ff6d70ea763d83f",
-    "pkpk-l1-osorting-g0g1-extremes": "b134ef19f8fdce87",
+    "pkpk-l1-osorting-g0g1-extremes": "82119c7cadf3d634",
     "pkpk-l1-osorting-g0-sums": "362519f115b3d5e0",
-    "pkpk-l1-osorting-g0-extremes": "d5edf09348f92bd2",
+    "pkpk-l1-osorting-g0-extremes": "badd8052c9e45af3",
     "pkpk-l1-osorting-g1-sums": "431821647cc77006",
-    "pkpk-l1-osorting-g1-extremes": "49c647f677dd104e",
+    "pkpk-l1-osorting-g1-extremes": "1a99e4cac0b3d2a6",
     "pkpk-l1-bsorting-g0g1-sums": "61c99bdb1ebbb11e",
-    "pkpk-l1-bsorting-g0g1-extremes": "4b269089b18abf85",
+    "pkpk-l1-bsorting-g0g1-extremes": "8096ad4beb52cd49",
     "pkpk-l1-bsorting-g0-sums": "ae92d40f0ad23427",
-    "pkpk-l1-bsorting-g0-extremes": "0a592fd521bf4927",
+    "pkpk-l1-bsorting-g0-extremes": "b4db1c21adfe1e01",
     "pkpk-l1-bsorting-g1-sums": "4512be0f96207fb8",
-    "pkpk-l1-bsorting-g1-extremes": "1114d591907beba0",
-    "pkpk-l1-mix-g0g1-sums": "b10897a159d8379c",
-    "pkpk-l1-mix-g0g1-extremes": "9fb0883860204e77",
-    "pkpk-l1-mix-g0-sums": "2622c16f1871767a",
-    "pkpk-l1-mix-g0-extremes": "349cd35ab98052e7",
-    "pkpk-l1-mix-g1-sums": "bb1e0c01f6735bc8",
-    "pkpk-l1-mix-g1-extremes": "449bc9b3a5a25ffb",
+    "pkpk-l1-bsorting-g1-extremes": "fb888356977d5ef3",
+    "pkpk-l1-mix-g0g1-sums": "f14fd717d7f4c4e6",
+    "pkpk-l1-mix-g0g1-extremes": "af6096ac57ef0d3a",
+    "pkpk-l1-mix-g0-sums": "c004e9499bc5a413",
+    "pkpk-l1-mix-g0-extremes": "2ba1d4e84674a76f",
+    "pkpk-l1-mix-g1-sums": "0aef3845c8b2b78b",
+    "pkpk-l1-mix-g1-extremes": "d7f487bc135a0fd7",
     "pkpk-l1-bitmap-g0g1-sums": "54941534d087fdfa",
     "pkpk-l1-bitmap-g0g1-extremes": "a8be4970adc5fe04",
     "pkpk-l1-bitmap-g0-sums": "b5c9ce730cfb978c",
@@ -206,35 +206,35 @@ GOLDEN = {
     "pkpk-l1-bitmap-g1-extremes": "fedfd8fe881ba595",
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l1-oneside-g0-sums": "2b120eadc642e7ca",
-    "pkpk-l1-oneside-g0-extremes": "8be93c3492cbfb68",
-    "pkpk-l1-oneside-g1-sums": "bb1e0c01f6735bc8",
-    "pkpk-l1-oneside-g1-extremes": "449bc9b3a5a25ffb",
+    "pkpk-l1-oneside-g0-sums": "51a1c4ef7c6aba4f",
+    "pkpk-l1-oneside-g0-extremes": "f9573e9da37e04bf",
+    "pkpk-l1-oneside-g1-sums": "0aef3845c8b2b78b",
+    "pkpk-l1-oneside-g1-extremes": "d7f487bc135a0fd7",
     "pkpk-l2-view": "a7d548c2320a314f",
     "pkpk-l2-sorting-g0g1-sums": "f07fb7bb59531369",
-    "pkpk-l2-sorting-g0g1-extremes": "fdec57f5845a882f",
+    "pkpk-l2-sorting-g0g1-extremes": "4531c10282ca4360",
     "pkpk-l2-sorting-g0-sums": "bf25b371a6dfb57f",
-    "pkpk-l2-sorting-g0-extremes": "38bcc06a9807fe15",
+    "pkpk-l2-sorting-g0-extremes": "c6a979869065efcc",
     "pkpk-l2-sorting-g1-sums": "848bc01b4e284776",
-    "pkpk-l2-sorting-g1-extremes": "178277dfbef9bb70",
+    "pkpk-l2-sorting-g1-extremes": "56fb35d9e139f573",
     "pkpk-l2-osorting-g0g1-sums": "f89650803fc6fa7f",
-    "pkpk-l2-osorting-g0g1-extremes": "739c7d198b4aa704",
+    "pkpk-l2-osorting-g0g1-extremes": "e741e30be609a879",
     "pkpk-l2-osorting-g0-sums": "727a7194e6c82056",
-    "pkpk-l2-osorting-g0-extremes": "21187195862f45a9",
+    "pkpk-l2-osorting-g0-extremes": "6d05bf8591b591ba",
     "pkpk-l2-osorting-g1-sums": "a29475841db14063",
-    "pkpk-l2-osorting-g1-extremes": "664ad11064572db5",
+    "pkpk-l2-osorting-g1-extremes": "323c377d8c5e873d",
     "pkpk-l2-bsorting-g0g1-sums": "7971f3483387e626",
-    "pkpk-l2-bsorting-g0g1-extremes": "ffeb85b23da529e0",
+    "pkpk-l2-bsorting-g0g1-extremes": "322e575ee7b9f77b",
     "pkpk-l2-bsorting-g0-sums": "3fefb315d4dca7ec",
-    "pkpk-l2-bsorting-g0-extremes": "5ab39b09a1b5cfae",
+    "pkpk-l2-bsorting-g0-extremes": "a4bf7a700343b2b5",
     "pkpk-l2-bsorting-g1-sums": "de364c253547d63e",
-    "pkpk-l2-bsorting-g1-extremes": "d47b8fc970291ab0",
-    "pkpk-l2-mix-g0g1-sums": "8d39daeef7b31705",
-    "pkpk-l2-mix-g0g1-extremes": "72315f086d2d77f0",
-    "pkpk-l2-mix-g0-sums": "80c215150a53ff4b",
-    "pkpk-l2-mix-g0-extremes": "dcf6560e3644d454",
-    "pkpk-l2-mix-g1-sums": "067f2a8815cd6a7b",
-    "pkpk-l2-mix-g1-extremes": "25884fa0fd8b202f",
+    "pkpk-l2-bsorting-g1-extremes": "3091080d986b0818",
+    "pkpk-l2-mix-g0g1-sums": "ff1226fcb915fbb7",
+    "pkpk-l2-mix-g0g1-extremes": "2f503c0cac71904c",
+    "pkpk-l2-mix-g0-sums": "b1c2d2924e4dcb72",
+    "pkpk-l2-mix-g0-extremes": "31360f98e0d4f1b8",
+    "pkpk-l2-mix-g1-sums": "7f29a9d0bcf612c3",
+    "pkpk-l2-mix-g1-extremes": "9c35c65ec0ee7611",
     "pkpk-l2-bitmap-g0g1-sums": "41ea3e4051673027",
     "pkpk-l2-bitmap-g0g1-extremes": "90c96eef9d187bbe",
     "pkpk-l2-bitmap-g0-sums": "f3e6cae3b26b33d2",
@@ -243,35 +243,35 @@ GOLDEN = {
     "pkpk-l2-bitmap-g1-extremes": "6a6c2a055a9036aa",
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l2-oneside-g0-sums": "4fb318810f8bf016",
-    "pkpk-l2-oneside-g0-extremes": "3e99ba1638645eba",
-    "pkpk-l2-oneside-g1-sums": "067f2a8815cd6a7b",
-    "pkpk-l2-oneside-g1-extremes": "25884fa0fd8b202f",
+    "pkpk-l2-oneside-g0-sums": "0d495fb8305eb195",
+    "pkpk-l2-oneside-g0-extremes": "ce3236dc18991e42",
+    "pkpk-l2-oneside-g1-sums": "7f29a9d0bcf612c3",
+    "pkpk-l2-oneside-g1-extremes": "9c35c65ec0ee7611",
     "pkfk-l0-view": "7f2e3d95631ad1b2",
     "pkfk-l0-sorting-g0g1-sums": "4609befce49afb81",
-    "pkfk-l0-sorting-g0g1-extremes": "fa4f58b181277bbe",
+    "pkfk-l0-sorting-g0g1-extremes": "1a6f9951d984c3a1",
     "pkfk-l0-sorting-g0-sums": "ab881ce74dbe39fc",
-    "pkfk-l0-sorting-g0-extremes": "f44ebfbbe25b1628",
+    "pkfk-l0-sorting-g0-extremes": "85de4659fa346e98",
     "pkfk-l0-sorting-g1-sums": "3500a679f0808f5f",
-    "pkfk-l0-sorting-g1-extremes": "597f184ffe45f4d2",
+    "pkfk-l0-sorting-g1-extremes": "67cf0891d4d2e654",
     "pkfk-l0-osorting-g0g1-sums": "0a66b6c6561d274d",
-    "pkfk-l0-osorting-g0g1-extremes": "8a5bd5b3011929e9",
+    "pkfk-l0-osorting-g0g1-extremes": "e8874509a81e1c7d",
     "pkfk-l0-osorting-g0-sums": "3332f20c5f9260b3",
-    "pkfk-l0-osorting-g0-extremes": "4f82be400b9bec79",
+    "pkfk-l0-osorting-g0-extremes": "a6ce1b4a17535b27",
     "pkfk-l0-osorting-g1-sums": "7d9ed8900eb9ff63",
-    "pkfk-l0-osorting-g1-extremes": "464e67bf6229ccf7",
+    "pkfk-l0-osorting-g1-extremes": "a4866eeca5d196d3",
     "pkfk-l0-bsorting-g0g1-sums": "4196c83cd582c23b",
-    "pkfk-l0-bsorting-g0g1-extremes": "e7830b14eef0fd3e",
+    "pkfk-l0-bsorting-g0g1-extremes": "d36c939d7029e22d",
     "pkfk-l0-bsorting-g0-sums": "51da38e7a7182314",
-    "pkfk-l0-bsorting-g0-extremes": "c99261293816231f",
+    "pkfk-l0-bsorting-g0-extremes": "b7b57fbdf7fa4948",
     "pkfk-l0-bsorting-g1-sums": "0c70cbef3e0f30b4",
-    "pkfk-l0-bsorting-g1-extremes": "f11ed43123d51be6",
-    "pkfk-l0-mix-g0g1-sums": "bfef1778f199b44f",
-    "pkfk-l0-mix-g0g1-extremes": "343cc45c335adf6f",
-    "pkfk-l0-mix-g0-sums": "e49fc97f7227d9dd",
-    "pkfk-l0-mix-g0-extremes": "779a969d727d8d95",
-    "pkfk-l0-mix-g1-sums": "e07abb696629f2ab",
-    "pkfk-l0-mix-g1-extremes": "3ef0b6670d32f242",
+    "pkfk-l0-bsorting-g1-extremes": "51ec8f69b35fcbfe",
+    "pkfk-l0-mix-g0g1-sums": "6c7a4d2d771b4a50",
+    "pkfk-l0-mix-g0g1-extremes": "297e54053b7afa98",
+    "pkfk-l0-mix-g0-sums": "1e0335d700f2d469",
+    "pkfk-l0-mix-g0-extremes": "a583ca2f079223bf",
+    "pkfk-l0-mix-g1-sums": "c9978246240b4a3a",
+    "pkfk-l0-mix-g1-extremes": "31a05708f451911c",
     "pkfk-l0-bitmap-g0g1-sums": "2317863db110a9a3",
     "pkfk-l0-bitmap-g0g1-extremes": "fb8295047bfa374d",
     "pkfk-l0-bitmap-g0-sums": "87b9cd70cbf04a59",
@@ -282,33 +282,33 @@ GOLDEN = {
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l0-oneside-g1-sums": "e07abb696629f2ab",
-    "pkfk-l0-oneside-g1-extremes": "3ef0b6670d32f242",
+    "pkfk-l0-oneside-g1-sums": "c9978246240b4a3a",
+    "pkfk-l0-oneside-g1-extremes": "31a05708f451911c",
     "pkfk-l1-view": "82c5113011491e6b",
     "pkfk-l1-sorting-g0g1-sums": "ea17e28dcd3090e2",
-    "pkfk-l1-sorting-g0g1-extremes": "839d46455262d449",
+    "pkfk-l1-sorting-g0g1-extremes": "e4cad4cb049a75fd",
     "pkfk-l1-sorting-g0-sums": "b518db8b35087236",
-    "pkfk-l1-sorting-g0-extremes": "aae1d1fb36c127fc",
+    "pkfk-l1-sorting-g0-extremes": "d13c4ac69664d57a",
     "pkfk-l1-sorting-g1-sums": "e09b886045d61c64",
-    "pkfk-l1-sorting-g1-extremes": "0ae3ce65926b9f32",
+    "pkfk-l1-sorting-g1-extremes": "5ed6e82ea8129c05",
     "pkfk-l1-osorting-g0g1-sums": "23e39c19a02eb204",
-    "pkfk-l1-osorting-g0g1-extremes": "631de2b4572d77ea",
+    "pkfk-l1-osorting-g0g1-extremes": "7ab75fc7d0e1d3b4",
     "pkfk-l1-osorting-g0-sums": "24b40a0697a9ffd5",
-    "pkfk-l1-osorting-g0-extremes": "5421165bda8b51b1",
+    "pkfk-l1-osorting-g0-extremes": "c0d09eae7d9053a8",
     "pkfk-l1-osorting-g1-sums": "a463dd3e505f5132",
-    "pkfk-l1-osorting-g1-extremes": "f9a91ea35c2fdeca",
+    "pkfk-l1-osorting-g1-extremes": "40248918625f01e9",
     "pkfk-l1-bsorting-g0g1-sums": "a2753dbb8b408e38",
-    "pkfk-l1-bsorting-g0g1-extremes": "19994530e7aa43da",
+    "pkfk-l1-bsorting-g0g1-extremes": "55a0434eb09a8428",
     "pkfk-l1-bsorting-g0-sums": "08bddde6674ac4ef",
-    "pkfk-l1-bsorting-g0-extremes": "ef8cbbefd77aeeb4",
+    "pkfk-l1-bsorting-g0-extremes": "c83fff51fdf432db",
     "pkfk-l1-bsorting-g1-sums": "b831c5ade006f9ef",
-    "pkfk-l1-bsorting-g1-extremes": "9adce27a843299de",
-    "pkfk-l1-mix-g0g1-sums": "2cd72e3b6fa2b2d9",
-    "pkfk-l1-mix-g0g1-extremes": "e5200b3bfe18d820",
-    "pkfk-l1-mix-g0-sums": "6a0eff253e1c332c",
-    "pkfk-l1-mix-g0-extremes": "31353672790db094",
-    "pkfk-l1-mix-g1-sums": "0db704a81f21c71d",
-    "pkfk-l1-mix-g1-extremes": "20685f982278da08",
+    "pkfk-l1-bsorting-g1-extremes": "50b4e25751d90bed",
+    "pkfk-l1-mix-g0g1-sums": "604cc199e28ac22f",
+    "pkfk-l1-mix-g0g1-extremes": "dd5e5eadc19bcd69",
+    "pkfk-l1-mix-g0-sums": "fd8e59e926782014",
+    "pkfk-l1-mix-g0-extremes": "e44b1da83fa8102b",
+    "pkfk-l1-mix-g1-sums": "9c97e4305d3b1be9",
+    "pkfk-l1-mix-g1-extremes": "633dedcec1d6552e",
     "pkfk-l1-bitmap-g0g1-sums": "a303a4fe76d7ae6e",
     "pkfk-l1-bitmap-g0g1-extremes": "a14745e34fb93b03",
     "pkfk-l1-bitmap-g0-sums": "c773876d839654b1",
@@ -319,33 +319,33 @@ GOLDEN = {
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l1-oneside-g1-sums": "0db704a81f21c71d",
-    "pkfk-l1-oneside-g1-extremes": "20685f982278da08",
+    "pkfk-l1-oneside-g1-sums": "9c97e4305d3b1be9",
+    "pkfk-l1-oneside-g1-extremes": "633dedcec1d6552e",
     "pkfk-l2-view": "857f0a83525dc86d",
     "pkfk-l2-sorting-g0g1-sums": "7a6b0cd8c8543b54",
-    "pkfk-l2-sorting-g0g1-extremes": "fefb99194eb88f09",
+    "pkfk-l2-sorting-g0g1-extremes": "1f2b21a484c0e7f7",
     "pkfk-l2-sorting-g0-sums": "e8477663eb2df9a4",
-    "pkfk-l2-sorting-g0-extremes": "a2db83ebe25f022d",
+    "pkfk-l2-sorting-g0-extremes": "551f3020862d57b4",
     "pkfk-l2-sorting-g1-sums": "de148a922280113b",
-    "pkfk-l2-sorting-g1-extremes": "5dd7a604abfd58f4",
+    "pkfk-l2-sorting-g1-extremes": "06ea9f1a04c7bb8b",
     "pkfk-l2-osorting-g0g1-sums": "aec90e0a2e678a58",
-    "pkfk-l2-osorting-g0g1-extremes": "0d99594efa65795a",
+    "pkfk-l2-osorting-g0g1-extremes": "b88d365993481091",
     "pkfk-l2-osorting-g0-sums": "59b5b491285d8ded",
-    "pkfk-l2-osorting-g0-extremes": "b750bac2b9a49c8b",
+    "pkfk-l2-osorting-g0-extremes": "d0b857c7ee8f7c49",
     "pkfk-l2-osorting-g1-sums": "81d5fd3455247883",
-    "pkfk-l2-osorting-g1-extremes": "a002fc5680b73b92",
+    "pkfk-l2-osorting-g1-extremes": "7b028865f77a9670",
     "pkfk-l2-bsorting-g0g1-sums": "74a88279f3ecffc9",
-    "pkfk-l2-bsorting-g0g1-extremes": "65c756bf669ee5f6",
+    "pkfk-l2-bsorting-g0g1-extremes": "342c69202f71165c",
     "pkfk-l2-bsorting-g0-sums": "7c70f54911d88496",
-    "pkfk-l2-bsorting-g0-extremes": "50414027df91679e",
+    "pkfk-l2-bsorting-g0-extremes": "130f531eb6680a36",
     "pkfk-l2-bsorting-g1-sums": "f084b0d312c6824d",
-    "pkfk-l2-bsorting-g1-extremes": "973996d12ef5ca06",
-    "pkfk-l2-mix-g0g1-sums": "7097fa5c8326f7f3",
-    "pkfk-l2-mix-g0g1-extremes": "9d16b3b4937547c4",
-    "pkfk-l2-mix-g0-sums": "3fd276fa8fadfe9a",
-    "pkfk-l2-mix-g0-extremes": "7a6da2020201c5ed",
-    "pkfk-l2-mix-g1-sums": "836681013cd94688",
-    "pkfk-l2-mix-g1-extremes": "4dd1fce469bc2a87",
+    "pkfk-l2-bsorting-g1-extremes": "ca7d10c23541541c",
+    "pkfk-l2-mix-g0g1-sums": "46b5fc9a041e965b",
+    "pkfk-l2-mix-g0g1-extremes": "948dc3f5519879f8",
+    "pkfk-l2-mix-g0-sums": "22ce373ac1b15089",
+    "pkfk-l2-mix-g0-extremes": "e06a9312bc0ee903",
+    "pkfk-l2-mix-g1-sums": "03dfd1efb8104b5c",
+    "pkfk-l2-mix-g1-extremes": "29435fe86610ac24",
     "pkfk-l2-bitmap-g0g1-sums": "611ea59010e1bbec",
     "pkfk-l2-bitmap-g0g1-extremes": "1a841816f8b5514a",
     "pkfk-l2-bitmap-g0-sums": "1979b768a596ff1f",
@@ -356,36 +356,36 @@ GOLDEN = {
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l2-oneside-g1-sums": "836681013cd94688",
-    "pkfk-l2-oneside-g1-extremes": "4dd1fce469bc2a87",
+    "pkfk-l2-oneside-g1-sums": "03dfd1efb8104b5c",
+    "pkfk-l2-oneside-g1-extremes": "29435fe86610ac24",
 }
 
 
 GOLDEN_DOM0 = {
     "pkpk-l0-sorting-dom0-g0g1-sums": "224d117c4e1efeb7",
-    "pkpk-l0-sorting-dom0-g0g1-extremes": "2187e5bd30724162",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "f7d4202cc522c756",
     "pkpk-l0-sorting-dom0-g0-sums": "8930d538ff556b4b",
-    "pkpk-l0-sorting-dom0-g0-extremes": "82a16905933806ba",
+    "pkpk-l0-sorting-dom0-g0-extremes": "ed16f67f898a5a0f",
     "pkpk-l0-osorting-dom0-g0g1-sums": "088d7ac1bf38d505",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "149b87d3ad54ef69",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "f445ea60d3677d28",
     "pkpk-l0-osorting-dom0-g0-sums": "712dc7467c7099fd",
-    "pkpk-l0-osorting-dom0-g0-extremes": "731a8182e1ed2085",
+    "pkpk-l0-osorting-dom0-g0-extremes": "a22d46b2cb3138fc",
     "pkpk-l1-sorting-dom0-g0g1-sums": "6f8070183c740b06",
-    "pkpk-l1-sorting-dom0-g0g1-extremes": "a260fdcc9da14b42",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "b5745b4e22d4ae6d",
     "pkpk-l1-sorting-dom0-g0-sums": "b5cb99495a7086e1",
-    "pkpk-l1-sorting-dom0-g0-extremes": "d25bed0cfd66e915",
+    "pkpk-l1-sorting-dom0-g0-extremes": "129f5243634115d9",
     "pkpk-l1-osorting-dom0-g0g1-sums": "c9405aa2e6379e71",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "d4f7ae50672db87c",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "d9cd8b072e6fb2d9",
     "pkpk-l1-osorting-dom0-g0-sums": "9462201991035926",
-    "pkpk-l1-osorting-dom0-g0-extremes": "2b27c08dba7d35ed",
+    "pkpk-l1-osorting-dom0-g0-extremes": "0e7d0fbe63130329",
     "pkpk-l2-sorting-dom0-g0g1-sums": "272d7d26f3988c59",
-    "pkpk-l2-sorting-dom0-g0g1-extremes": "8641706d3be7d5d8",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "42cd4d447135855e",
     "pkpk-l2-sorting-dom0-g0-sums": "1e09f843586dad55",
-    "pkpk-l2-sorting-dom0-g0-extremes": "8842d83b52ca343c",
+    "pkpk-l2-sorting-dom0-g0-extremes": "aee6e4e510e986e7",
     "pkpk-l2-osorting-dom0-g0g1-sums": "cbcf849399214ce0",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "585608db0bb4a8e7",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "3f99cc4e0b419cf8",
     "pkpk-l2-osorting-dom0-g0-sums": "ceda85a8b218aaf2",
-    "pkpk-l2-osorting-dom0-g0-extremes": "1e1219342b6804c8",
+    "pkpk-l2-osorting-dom0-g0-extremes": "36403424fa52eb00",
 }
 
 
