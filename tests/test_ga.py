@@ -537,6 +537,55 @@ def test_oneside_sum_and_max_aggregate_in_one_scan():
             2 + levels * (1 + 6 + 1 + 1), groups
 
 
+@pytest.mark.parametrize("join", ("pkpk", "pkfk"))
+def test_only_max_and_min_reach_the_scan(monkeypatch, join):
+    # sum, count and xor are local suffix sums in every body; a query that
+    # also held max or min, and every mix and oneside query, once pushed
+    # them through trav_flags as well
+    from secjoin import oblivious as ob
+    dom = [0, 1, 2]
+    rng = np.random.default_rng(35)
+    r0, r1 = rand_pair(rng, n_max=14, d0=3, d1=3, key_space=20)
+    if join == "pkfk":
+        r0 = vw.append_bitmap_columns(r0, "g0", dom)
+        r1 = Relation("B", {"k": rng.choice(r0.columns["k"], 12),
+                            "g1": rng.integers(0, 3, 12),
+                            "v1": rng.integers(0, 99, 12)}, "k", "fk")
+        v0, v1 = vw.gen_pkfk(Session(1, 2, 3), r0, r1)
+    else:
+        v0, v1 = vw.gen_secv(Session(1, 2, 3), r0, r1)
+    scans, scan = [], ob.trav_flags
+
+    def recording(sess, flags, values, aggs, validity=None):
+        scans.append(list(aggs))
+        return scan(sess, flags, values, aggs, validity)
+
+    monkeypatch.setattr(ob, "trav_flags", recording)
+    aggs = [(0, "v0", "sum"), (1, None, "count"), (1, "v1", "xor"),
+            (0, "v0", "max"), (1, "v1", "min")]
+    runs = [(proto, ("g0", "g1")) for proto in ALL_PROTOCOLS] + \
+        [("oneside", (None, "g1"))] + \
+        ([("oneside", ("g0", None))] if join == "pkpk" else [])
+    for proto, groups in runs:
+        q = JgaQuery(*groups, aggs, dom0=dom, dom1=dom)
+        scans.clear()
+        got = ga.PROTOCOLS[proto](Session(4, 5, 6), v0, v1, q).rows
+        assert got == oracle.eval_jga(r0, r1, q), proto
+        assert scans == ([] if proto == "bitmap" else [["max", "min"]]), proto
+
+
+def test_mix_sum_scans_only_the_validity():
+    # the sum is a local suffix sum: after the AND of e with the g0 bitmap
+    # (1 round) and the null fill (2), each level of the validity's OR
+    # takes one exchange for its AND and the next run flags and one for
+    # the OR; the parent's sum scan took a third for its b2a (45 rounds)
+    cell = bench.measure_ga("mix", 1000, 16, 16)
+    rounds = {label: r for label, _bits, r, _dealer in cell.phases}
+    levels = (16 * 1000 - 1).bit_length()
+    assert rounds["aggregate"] == 1 + 2 + 2 * levels == 31
+    assert cell.wire_rounds == 37
+
+
 def _outside_domain_views(level):
     r0 = Relation("A", {"k": [1, 2, 3, 4], "g0": [0, 1, 5, 1],
                         "v0": [10, 20, 30, 40]}, "k")
