@@ -25,9 +25,23 @@ def _load_spec(path: str) -> dict:
         return json.load(fh)
 
 
+def _int_list(spec: dict, field: str, size: int | None = None) -> list | None:
+    """The spec's list of integers in [0, 2^64) under `field`, if any;
+    `ParseError` naming the field for any other value."""
+    value = spec.get(field)
+    if value is not None and not (
+            isinstance(value, list) and len(value) == (size or len(value))
+            and all(type(v) is int and 0 <= v < 1 << 64 for v in value)):
+        count = f"{size} " if size else ""
+        raise ParseError(f"spec {field} must be a list of {count}integers in "
+                         f"[0, 2^64), not {value!r}")
+    return value
+
+
 def _seeds(spec: dict, args) -> tuple[int, int, int]:
     return tuple(s if flag is None else flag for s, flag in zip(
-        spec.get("seeds", DEFAULT_SEEDS), (args.seed0, args.seed1, args.seedD)))
+        _int_list(spec, "seeds", 3) or DEFAULT_SEEDS,
+        (args.seed0, args.seed1, args.seedD)))
 
 
 def _tables(spec: dict, join: str):
@@ -38,20 +52,25 @@ def _tables(spec: dict, join: str):
 
 
 def _query(spec: dict, args) -> JgaQuery:
-    """The spec's query; `ParseError` on a group or aggregate list of the
-    wrong JSON type."""
+    """The spec's query; `ParseError` naming the field on a group, aggregate
+    list, domain or protocol of the wrong JSON type or value."""
     for field in ("group0", "group1"):
         group = spec.get(field)
         if group is not None and not isinstance(group, str):
             raise ParseError(f"spec {field} must be a column name, not {group!r}")
     aggs = spec.get("aggs", [])
-    if not isinstance(aggs, list) or not all(isinstance(a, dict) for a in aggs):
-        raise ParseError(f"spec aggs must be a list of objects, not {aggs!r}")
+    if not isinstance(aggs, list) or not all(
+            isinstance(a, dict) and "side" in a and "fn" in a for a in aggs):
+        raise ParseError(f"spec aggs must be a list of objects with a side and "
+                         f"an fn, not {aggs!r}")
     aggs = [(a["side"], a.get("col"), a["fn"]) for a in aggs]
     protocol = args.protocol or spec.get("protocol", "auto")
+    if protocol not in ("auto", *ga.PROTOCOLS):
+        raise ParseError(f"spec protocol must be one of auto, "
+                         f"{', '.join(ga.PROTOCOLS)}, not {protocol!r}")
     return JgaQuery(spec.get("group0"), spec.get("group1"), aggs,
-                    protocol=protocol, dom0=spec.get("dom0"),
-                    dom1=spec.get("dom1"))
+                    protocol=protocol, dom0=_int_list(spec, "dom0"),
+                    dom1=_int_list(spec, "dom1"))
 
 
 def _view_paths(out_dir: str) -> tuple[str, str]:
@@ -78,8 +97,8 @@ def cmd_genview(args) -> int:
     if type(level) is not int or level not in vw.GENERATORS:
         raise ParseError(f"spec level must be one of {sorted(vw.GENERATORS)}, "
                          f"not {level!r}")
-    r0, r1 = _tables(spec, join)
     sess = Session(*_seeds(spec, args))
+    r0, r1 = _tables(spec, join)
     if join == "pkfk":
         v0, v1 = vw.gen_pkfk(sess, r0, r1, level=level)
     else:
@@ -104,10 +123,10 @@ def _rewrite_table(path: str, rel):
 
 def cmd_refresh(args) -> int:
     spec = _load_spec(args.spec)
+    sess = Session(*_seeds(spec, args))
     r0, r1, v0, v1 = _load(spec, args)
     up0 = store.updates_from_csv(args.updates0) if args.updates0 else []
     up1 = store.updates_from_csv(args.updates1) if args.updates1 else []
-    sess = Session(*_seeds(spec, args))
     if v0.kind == "pkfk":
         v0, v1 = vw.refresh_pkfk(sess, v0, v1, r0, r1, up0, up1)
     else:
@@ -128,8 +147,8 @@ def cmd_refresh(args) -> int:
 def cmd_query(args) -> int:
     spec = _load_spec(args.spec)
     q = _query(spec, args)
-    r0, r1, v0, v1 = _load(spec, args)
     sess = Session(*_seeds(spec, args))
+    r0, r1, v0, v1 = _load(spec, args)
     result = ga.run_query(sess, v0, v1, q)
     csv_text = result.to_csv(q.agg_labels())
     if args.out:

@@ -451,11 +451,18 @@ def test_update_of_a_missing_column_exits_2_and_writes_nothing(workspace,
 
 
 @pytest.mark.parametrize("field, value", (
-    ("group0", 5), ("group1", ["g1"]), ("aggs", {"a": 1}), ("aggs", [1])))
+    ("group0", 5), ("group1", ["g1"]), ("aggs", {"a": 1}), ("aggs", [1]),
+    ("aggs", [{"col": "v0", "fn": "sum"}]), ("aggs", [{"side": 0, "col": "v0"}]),
+    ("dom0", 5), ("dom0", ["a"]), ("dom0", [-1]), ("dom1", [2 ** 64]),
+    ("seeds", [1]), ("seeds", "abc"), ("seeds", [1.5, 2, 3]),
+    ("protocol", "PROTO"), ("protocol", 3)))
 def test_query_spec_field_of_the_wrong_type_exits_2(workspace, capsys,
                                                     field, value):
-    # group0 5 once ended in a bare AttributeError and aggs {"a": 1} in a
-    # bare TypeError, both exit 1; the check now precedes every file read,
+    # group0 5 once ended in a bare AttributeError, aggs {"a": 1} and dom0
+    # 5 in a bare TypeError, dom0 ["a"] in a ValueError and [-1] in an
+    # OverflowError (all exit 1); seeds [1] ran on default seeds for two
+    # parties, and an aggregate without a side or a protocol "PROTO"
+    # printed only the bare key. The check now precedes every file read,
     # so a missing views directory is never reached
     tmp, spec_path, spec = workspace
     spec_path.write_text(json.dumps(dict(spec, **{field: value})))
@@ -464,11 +471,12 @@ def test_query_spec_field_of_the_wrong_type_exits_2(workspace, capsys,
 
 
 @pytest.mark.parametrize("field, value", (
-    ("level", 3), ("level", "2"), ("join", "PKFK")))
+    ("level", 3), ("level", "2"), ("join", "PKFK"), ("seeds", [1]),
+    ("seeds", "abc")))
 def test_genview_spec_level_or_join_unknown_exits_2(workspace, capsys,
                                                      field, value):
-    # level 3 once exited with only "error: 3", and join "PKFK" quietly
-    # built a PK-PK view
+    # level 3 once exited with only "error: 3", join "PKFK" quietly built
+    # a PK-PK view, and seeds [1] built one on default seeds for two parties
     tmp, spec_path, spec = workspace
     spec_path.write_text(json.dumps(dict(spec, **{field: value})))
     rc = cli.main(["genview", str(spec_path), "--out", str(tmp / "v")])
