@@ -18,19 +18,25 @@ either kind. All but bitmap start from `_Table.local_order`, then:
             _tree_reduce (max, min), _rows; count reads the bucket counts
 
 `_sort` is the osn, convert and sort phases; `_grouped_tail` is boundary
-flags, suffix sums or one `trav_flags` scan, then `_reveal` (mask,
-shuffle, open) and `_rows` (the canonical table). `_runs` is `_run_flags`
-and `_own_values` in the sorter's local order, `_osn`, `_null_fill`, one
-`trav_flags` scan with validity and the run-end flags; its rows are then
-masked and opened in P1's order, or go through `_reveal` in P0's, before
-`_rows`. One `trav_flags` call scans all of a query's aggregates, whatever
-their kinds: a level costs a `gt` if any is max or min, a `b2a` if any is
-a sum or count, and at most two exchanges for all of them. A
-`_tree_reduce` level puts its two independent ANDs in one exchange. When
-the query gives dom0 and P0 holds g0 in plain (PK-PK views), `_sort` sorts
-on g0's rank in the sorted dom0, ceil(log2 d0) bits wide; the rank keeps
-that width through the flags, the mask and the reveal, and P1 maps the
-revealed ranks back through dom0. A plain group column with a value
+flags, `_aggregate`, then `_reveal` (mask, shuffle, open) and `_rows` (the
+canonical table). `_runs` is `_run_flags` and `_own_values` in the
+sorter's local order, `_osn`, `_null_fill`, `_aggregate` with validity and
+the run-start flags; its rows are then masked and opened in P1's order, or
+go through `_reveal` in P0's, before `_rows`.
+
+Both bodies aggregate by one rule, chosen per aggregate, and keep each
+group's first row. Sum, count and xor are local suffix sums on each share
+half. A kept row's suffix sum covers its group and every later one, so P1
+differences adjacent kept rows (`-` for sum and count, `^` for xor) into
+exactly the group results. Max and min, and `_runs`' validity OR, go
+through one `trav_flags` scan over the reversed rows: a level costs one
+`gt` and two exchanges for all of them. A `_tree_reduce` level puts its
+two independent ANDs in one exchange.
+
+When the query gives dom0 and P0 holds g0 in plain (PK-PK views), `_sort`
+sorts on g0's rank in the sorted dom0, ceil(log2 d0) bits wide; the rank
+keeps that width through the flags, the mask and the reveal, and P1 maps
+the revealed ranks back through dom0. A plain group column with a value
 outside the domain the query gives raises `ValueOutsideDomain` before any
 message.
 
@@ -476,7 +482,8 @@ def _runs(sess, t, q, sorter: int, dom0: list | None = None) -> GroupResult:
     """Group by the runs of the sorter's locally sorted plain column, and by
     g0's bitmap blocks when `dom0` is given (P1 sorts then): one OSN of e,
     the value slots and the blocks into the sorter's order, the null fill,
-    the scan along runs with validity, and f = run end AND valid.
+    `_aggregate` along the runs with validity, and f = run start AND the
+    OR of the run's validity.
 
     Rows in P1's order are masked by f and opened as they are, which shows
     P1 only which of its own runs hold a group; rows in P0's order go

@@ -5,7 +5,8 @@ Each cell runs one protocol over one fixed view and stores a short hash of
 the error the cell raises. The grid spans every `ga.PROTOCOLS` entry, PK-PK
 and PK-FK views (the PK-FK one with `views.append_bitmap_columns` on g0),
 levels 0-2, the group sets (g0, g1), (g0, -) and (-, g1), and two aggregate
-lists: all sum/count (the suffix-sum path) and max/min/count (`trav_flags`).
+lists: all sum/count (local suffix sums only) and max/min/count (suffix
+sums for the count, one `trav_flags` scan for max and min).
 Each view generation has its own cell too, and PK-PK sorting and osorting
 queries that pass dom0 have cells of their own. A second table pins the
 oblivious primitives and gates one by one, at n = 13 (not a power of two),
