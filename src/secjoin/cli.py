@@ -30,7 +30,7 @@ def _int_list(spec: dict, field: str, size: int | None = None) -> list | None:
     `ParseError` naming the field for any other value."""
     value = spec.get(field)
     if value is not None and not (
-            isinstance(value, list) and len(value) == (size or len(value))
+            isinstance(value, list) and (size is None or len(value) == size)
             and all(type(v) is int and 0 <= v < 1 << 64 for v in value)):
         count = f"{size} " if size else ""
         raise ParseError(f"spec {field} must be a list of {count}integers in "

@@ -578,7 +578,7 @@ def test_mix_sum_scans_only_the_validity():
     # the sum is a local suffix sum: after the AND of e with the g0 bitmap
     # (1 round) and the null fill (2), each level of the validity's OR
     # takes one exchange for its AND and the next run flags and one for
-    # the OR; the parent's sum scan took a third for its b2a (45 rounds)
+    # the OR. A scan of the sum took a third, for its b2a (45 rounds)
     cell = bench.measure_ga("mix", 1000, 16, 16)
     rounds = {label: r for label, _bits, r, _dealer in cell.phases}
     levels = (16 * 1000 - 1).bit_length()
