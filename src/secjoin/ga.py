@@ -57,7 +57,7 @@ from . import oblivious as ob
 from . import sharing as sh
 from .errors import DomainTooLarge, MissingColumn, ParseError, SizeMismatch
 from .oblivious import AGG_IDENTITY, PlainColumn
-from .ring import ARITH, BINARY
+from .ring import ARITH, BINARY, width_mask
 from .session import Session
 from .sharing import SharedVector
 from .views import check_in_domain, real_rows, shared_e
@@ -134,6 +134,18 @@ def _value_flavor(fn: str) -> str:
     return ARITH if fn in ("sum", "count") else BINARY
 
 
+def _rank_width(n: int) -> int:
+    """Bits of a rank below n: ceil(log2 n), at least 1."""
+    return max(1, (n - 1).bit_length())
+
+
+def _local_rank(values: np.ndarray, n: int):
+    """A party's dense rank of its own column of at most n values, in
+    `_rank_width(n)` bits, and the sorted values that map a rank back."""
+    uniq, rank = np.unique(values, return_inverse=True)
+    return PlainColumn(rank, BINARY, _rank_width(n)), uniq
+
+
 # ---------------------------------------------------------------------------
 # view access: the one place that knows which columns are plain or shared
 # ---------------------------------------------------------------------------
@@ -154,7 +166,9 @@ class _Table:
         cols = self.j1 if side == 1 else self.v0.j0_half if shared else self.v0.j
         if name not in cols:
             hint = " (add it with views.append_bitmap_columns before view " \
-                "generation)" if name.startswith("__bm:") else ""
+                "generation)" if name.startswith("__bm:") else \
+                " (refresh the view: gen_pkfk and refresh_pkfk add it)" \
+                if name.startswith("__rk:") else ""
             raise MissingColumn(f"the view has no column {name!r}{hint}")
         idx = slice(None) if order is None else order - 1
         if shared:
@@ -207,21 +221,41 @@ class _Table:
             raise DomainTooLarge(f"d{side} = {len(dom)} exceeds {cap}")
         return dom
 
-    def g0_key(self, q: JgaQuery):
-        """P0's sort key column(s) and the public array that decodes it.
+    def g0_key(self, q: JgaQuery, bitmaps: bool = False):
+        """P0's key field for the sort and the flags, g0's values when they
+        must be revealed in the key's place, and the public array that
+        decodes a revealed key; ([], [], None) without g0.
 
-        With a public dom0 and g0 plain at P0 (PK-PK views), the key is g0's
-        rank in the sorted dom0 in ceil(log2 d0) bits, decoded by dom0;
-        otherwise it is g0 itself (or nothing) and needs no decoding.
+        With the query's dom0, and g0 plain at P0 (PK-PK) or `bitmaps` (a
+        PK-FK view's one-hot `__bm:<g0>:<j>` columns, whose one set bit
+        gives j by a local XOR), the key is g0's rank in the sorted dom0,
+        ceil(log2 d0) bits wide; it is revealed itself and decoded by
+        dom0. Otherwise the key is P0's own dense rank of g0 among the
+        view's n rows, ceil(log2 n) bits wide: ranked here in a PK-PK view,
+        the view's `__rk:<g0>` column (arithmetic, cut to that width) in a
+        PK-FK view. P0's rank is never opened, so g0's values come along
+        to be revealed in its place.
         """
         if q.group0 is None:
-            return [], None
+            return [], [], None
         col = self.col(0, q.group0)
-        if q.dom0 is None or not isinstance(col, PlainColumn):
-            return [col], None
-        dom = np.array(self.domain(q, 0, col=col), dtype=np.uint64)
-        width = max(1, (len(dom) - 1).bit_length())
-        return [PlainColumn(np.searchsorted(dom, col.values), BINARY, width)], dom
+        plain = isinstance(col, PlainColumn)
+        if q.dom0 is not None and (plain or bitmaps):
+            dom = np.array(self.domain(q, 0, col=col), dtype=np.uint64)
+            d0, width = len(dom), _rank_width(len(dom))
+            if plain:
+                key = PlainColumn(np.searchsorted(dom, col.values), BINARY, width)
+            else:
+                js = np.arange(d0, dtype=np.uint64)[:, None]
+                key = _arith_to_bit(self.bitmap(0, q.group0, list(dom))).map(
+                    lambda a: np.bitwise_xor.reduce(
+                        (_U64(0) - a.reshape(d0, -1)) & js, axis=0), width)
+            return [key], [], dom
+        width = _rank_width(self.n)
+        key = _local_rank(col.values, self.n)[0] if plain else \
+            self.col(0, f"__rk:{q.group0}").map(
+                lambda a: a & width_mask(width), width)
+        return [key], [col], None
 
 
 def _protocol(body):
@@ -302,30 +336,33 @@ def _osn(sess, t, q, values, receiver, order, head) -> list[SharedVector]:
     return moved[:len(head)]
 
 
-def _sort(sess, t, q, order, g0, values=None):
-    """osn, convert, sort: P1's order moves e, P0's key `g0` (`g0_key`) and
-    any value slots, then (e, g0) is sorted. Returns (gather permutation, e,
-    g0, values); g0 keeps its width, so a rank of dom0 stays narrow in the
-    flags, the mask and the reveal."""
-    head = [t.e] + g0
+def _sort(sess, t, q, order, key0, values=None, g0=()):
+    """osn, convert, sort: P1's order moves e, P0's key field `key0`
+    (`g0_key`), the columns `g0` and any value slots; then (e, key0) is
+    sorted. Only a PK-FK rank needs converting, by an `a2b` at its own
+    width. Returns (gather permutation, e, key0, g0, values); the key
+    keeps its width, so the flags, the mask and the reveal stay narrow."""
+    head = [t.e] + key0 + list(g0)
     with sess.phase("osn"):
-        e, *g0 = ob.osn_shared(sess, 1, order, head) if values is None \
+        e, *moved = ob.osn_shared(sess, 1, order, head) if values is None \
             else _osn(sess, t, q, values, 1, order, head)
+    key0, g0 = moved[:len(key0)], moved[len(key0):]
     with sess.phase("convert"):
-        g0 = [sh.convert(sess, g, BINARY) for g in g0]
+        key0 = [sh.convert(sess, k, BINARY) for k in key0]
         if values is not None:
             values = _convert_values(sess, q, values, t.n)
     with sess.phase("sort"):
-        pi, (e, *g0), _ = ob.stable_sort(sess, [e] + g0)
-    return pi, e, (g0 or [None])[0], values
+        pi, (e, *key0), _ = ob.stable_sort(sess, [e] + key0)
+    return pi, e, (key0 or [None])[0], g0, values
 
 
 def _carry(sess, t, q, apply, pi, order, g1, p0_head):
-    """carry-p1, carry-p0: P1's columns move by `apply` under pi with P1's
-    order riding along as rho, which moves P0's; (g1, head, values, rho)."""
+    """carry-p1, carry-p0: P1's columns (its g1 rank `g1`, when given, and
+    its value slots) move by `apply` under pi with P1's order riding along
+    as rho, which moves P0's; (g1, head, values, rho)."""
     with sess.phase("carry-p1"):
         slots, cols = _take(t, q, {}, 1, order)
-        head = [PlainColumn(g1, BINARY)] if q.group1 else []
+        head = [] if g1 is None else [g1]
         *out, rho = apply(sess, pi, 1, head + cols + [PlainColumn(order, ARITH)])
         values = dict(zip(slots, out[len(head):]))
     with sess.phase("carry-p0"):
@@ -386,21 +423,30 @@ def _rows(keep, groups, aggs, q: JgaQuery | None = None) -> GroupResult:
     return GroupResult(list(zip(*cols, *(a.tolist() for a in aggs))))
 
 
-def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
-                  values: list[SharedVector], dom0=None) -> GroupResult:
-    """Common tail once rows sit in (e, g0, g1) order: the boundary flags,
-    `_aggregate`, and each group's first row revealed. With `dom0`, g0
-    holds ranks, which party 1 maps back to values."""
+def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, keys: list,
+                  shown: list, values: list[SharedVector],
+                  decode: list) -> GroupResult:
+    """Common tail once rows sit in (e, g0, g1) order: the boundary flags
+    over e and the narrow `keys` (g0's and g1's ranks, None without the
+    group), `_aggregate`, and each group's first row revealed with the
+    `shown` columns. Party 1 maps a revealed rank back through its
+    `decode` array; a column decoded by None holds values."""
     with sess.phase("flag"):
         c = ob.adjacent_same_flags(
-            sess, [e_s] + [g for g in groups if g is not None])
+            sess, [e_s] + [k for k in keys if k is not None])
         f = sh.and_bits(sess, e_s, sh.not_bits(c))
     with sess.phase("aggregate"):
         results, _ = _aggregate(sess, q, c, values)
-    keep, groups, aggs = _reveal(sess, f, groups, results)
-    if dom0 is not None:
-        groups[0] = dom0[groups[0]]
+    keep, groups, aggs = _reveal(sess, f, shown, results)
+    groups = [g if d is None else d[g] for g, d in zip(groups, decode)]
     return _rows(keep, groups, aggs, q)
+
+
+def _g1_key(t: _Table, q: JgaQuery):
+    """P1's local order, its rank of g1 in that order and the sorted g1
+    values that decode the rank; (order, None, None) without g1."""
+    order, g1 = t.local_order(1, q.group1)
+    return (order, *(_local_rank(g1, t.n) if q.group1 else (None, None)))
 
 
 # ---------------------------------------------------------------------------
@@ -410,28 +456,32 @@ def _grouped_tail(sess: Session, q: JgaQuery, e_s: SharedVector, groups: list,
 @_protocol
 def ga_sorting(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """First-attempt baseline: full shared permutation after the stable sort."""
-    order, g1 = t.local_order(1, q.group1)
-    g0, dom0 = t.g0_key(q)
+    order, r1, vals1 = _g1_key(t, q)
+    key0, g0, dom0 = t.g0_key(q)
     with sess.phase("share"):
-        g1_s = [sh.share_vec(sess, 1, g1, BINARY)] if q.group1 else []
+        g1 = [] if r1 is None else [sh.share_vec(sess, 1, r1.values, BINARY,
+                                                 r1.width)]
         values = _own_values(sess, t, q, 1, order)
-    pi, e_s, g0_s, values = _sort(sess, t, q, order, g0, values)
+    pi, e_s, k0_s, g0, values = _sort(sess, t, q, order, key0, values, g0)
     with sess.phase("perm"):
-        moved = ob.perm_shared(sess, pi, g1_s + values)
-    return _grouped_tail(sess, q, e_s, [g0_s, moved[0] if g1_s else None],
-                         moved[len(g1_s):], dom0)
+        moved = iter(ob.perm_shared(sess, pi, g0 + g1 + values))
+    g0_s = next(moved) if g0 else k0_s
+    g1_s = next(moved) if g1 else None
+    return _grouped_tail(sess, q, e_s, [k0_s, g1_s], [g0_s, g1_s], list(moved),
+                         [dom0, vals1])
 
 
 @_protocol
 def ga_osorting(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """Optimized sorting: plain-vector permutation application where possible."""
-    order, g1 = t.local_order(1, q.group1)
-    g0, dom0 = t.g0_key(q)
-    pi, e_s, g0_s, _ = _sort(sess, t, q, order, g0)
-    g1_s, _, values, _ = _carry(sess, t, q, ob.perm_plain, pi, order, g1, [])
+    order, r1, vals1 = _g1_key(t, q)
+    key0, g0, dom0 = t.g0_key(q)
+    pi, e_s, k0_s, _, _ = _sort(sess, t, q, order, key0)
+    g1_s, g0, values, _ = _carry(sess, t, q, ob.perm_plain, pi, order, r1, g0)
     with sess.phase("convert"):
         values = _convert_values(sess, q, values, t.n)
-    return _grouped_tail(sess, q, e_s, [g0_s, g1_s], values, dom0)
+    return _grouped_tail(sess, q, e_s, [k0_s, g1_s],
+                         [g0[0] if g0 else k0_s, g1_s], values, [dom0, vals1])
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +511,24 @@ def _p0_bitmap_bits(sess, t: _Table, q: JgaQuery, dom0: list,
 def ga_bsorting(sess: Session, t: _Table, q: JgaQuery) -> GroupResult:
     """Bitmap-assisted sorting: bitSort replaces the comparison-based sort."""
     dom0 = t.domain(q, 0, BITMAP_SORT_CAP)
-    order, g1 = t.local_order(1, q.group1)
+    order, r1, vals1 = _g1_key(t, q)
+    key0, g0, dec0 = t.g0_key(q, bitmaps=True)
     with sess.phase("bitmap-mask"):
         bits = _p0_bitmap_bits(sess, t, q, dom0, mask_with_e=True)
     with sess.phase("osn-bitmap"):
         bits = ob.osn_shared(sess, 1, order, bits)
     with sess.phase("bitsort"):
         pi = ob.bit_sort(sess, bits)
-    g0 = [t.col(0, q.group0)] if q.group0 else []
-    g1_s, g0_s, values, rho = _carry(sess, t, q, ob.invp_plain, pi, order, g1, g0)
+    g1_s, head, values, rho = _carry(sess, t, q, ob.invp_plain, pi, order, r1,
+                                     key0 + g0)
+    k0_s = head[0] if head else None
     with sess.phase("perm-e"):
         e_s = ob.perm_shared(sess, rho, [t.e])[0]
     with sess.phase("convert"):
-        g0_s = sh.convert(sess, g0_s[0], BINARY) if g0_s else None
         values = _convert_values(sess, q, values, t.n)
-    return _grouped_tail(sess, q, e_s, [g0_s, g1_s], values)
+    shown0 = head[-1] if head else None  # g0's values if they came along
+    return _grouped_tail(sess, q, e_s, [k0_s, g1_s], [shown0, g1_s], values,
+                         [dec0, vals1])
 
 
 def _runs(sess, t, q, sorter: int, dom0: list | None = None) -> GroupResult:

@@ -300,23 +300,26 @@ def b2a_wide(sess: Session, x: SharedVector) -> SharedVector:
 
 
 def a2b(sess: Session, x: SharedVector) -> SharedVector:
-    """Arithmetic share -> packed 64-bit binary share (A2B): 7 rounds."""
+    """Arithmetic share -> packed binary share of its low w = x.width bits
+    (A2B): 1 + ceil(log2 w) rounds, 7 at 64 bits. No carry moves a bit
+    downward, so the halves' low w bits alone give a value below 2^w."""
     if x.flavor != ARITH:
         raise FlavorMismatch("a2b expects arithmetic shares")
-    n = len(x)
+    n, w = len(x), x.width
     if n == 0:
-        return SharedVector.zeros(0, BINARY)
-    (ra0, ra1), (rb0, rb1) = sess.dealer.edabits(n)
-    m0, m1 = x.shares[0] - ra0, x.shares[1] - ra1
-    at0, at1 = sess.exchange(m0, m1, 64 * n, 64 * n)
-    c0, c1 = m0 + at0, m1 + at1  # public x - r per party view
+        return SharedVector.zeros(0, BINARY, w)
+    wm = width_mask(w)
+    (ra0, ra1), (rb0, rb1) = sess.dealer.edabits(n, w)
+    m0, m1 = (x.shares[0] - ra0) & wm, (x.shares[1] - ra1) & wm
+    at0, at1 = sess.exchange(m0, m1, w * n, w * n)
+    c0, c1 = (m0 + at0) & wm, (m1 + at1) & wm  # public x - r per party view
     # Result = binary share of c + r for a public addend c: generate =
     # c AND r and propagate = c XOR r are local, and the prefix's generate
     # bits are the carries out of each bit.
-    p = SharedVector(BINARY, 64, c0 ^ rb0, rb1.copy())
-    [(g, _)] = _prefix(sess, [(SharedVector(BINARY, 64, c0 & rb0, c1 & rb1), p,
+    p = SharedVector(BINARY, w, c0 ^ rb0, rb1.copy())
+    [(g, _)] = _prefix(sess, [(SharedVector(BINARY, w, c0 & rb0, c1 & rb1), p,
                                False)])
-    return xor(p, _shl(g, 1))
+    return xor(p, _shl(g, 1)).map(lambda a: a & wm)
 
 
 def _prefix(sess: Session, trees: list[tuple[SharedVector | None, SharedVector, bool]]

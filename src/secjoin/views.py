@@ -388,7 +388,9 @@ def _extend_injective(pi: np.ndarray, size: int, codomain: int,
 
 
 def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC):
-    """PK-FK view: composite-key mapping, sort-and-switch, oblivious duplication."""
+    """PK-FK view: composite-key mapping, sort-and-switch, oblivious
+    duplication. The shared J^0 holds every PK column and, for each non-key
+    column but the bitmap columns, P0's rank `__rk:<col>` (`_pkfk_steps23`)."""
     if r1.key_kind != "fk":
         raise SizeMismatch("gen_pkfk expects the right relation to be the FK side")
     _check_keys(PKFK_KEY_LIMIT, r0, r1)
@@ -423,7 +425,17 @@ def gen_pkfk(sess: Session, r0: Relation, r1: Relation, level: int = LEVEL_SEC):
 def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
                   pi0_m: np.ndarray, pi1_m: np.ndarray,
                   e_map: SharedVector, n: int):
-    """Steps 2-3: local sort + oblivious switch, then duplicate the PK tuples."""
+    """Steps 2-3: local sort + oblivious switch, then duplicate the PK tuples.
+
+    Beside each PK column, P0 feeds `__rk:<col>` for every non-key column
+    but the bitmap columns (`append_bitmap_columns`): its dense rank of
+    the column among the n rows it feeds, so below n. GA queries sort and
+    flag on this rank in ceil(log2 n) bits, a width fixed by the public n,
+    in place of the 64-bit values; P0's rank is never opened. It rides
+    the switch and the duplication as a 64-bit arithmetic column, like
+    every payload column, and a refresh recomputes it from the updated
+    table.
+    """
     counters = _fk_counters(r1.keys)
     comp1 = _composite(r1.keys, counters)
     comp1_ext = np.concatenate([
@@ -434,11 +446,14 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
         j1 = {c: r1.extended_column(c, n, 1)[pi1_m - 1][sigma - 1]
               for c in r1.columns}
         j1["__ck"] = d1_comp[sigma - 1]
-        d0_cols = [ob.PlainColumn(r0.extended_column(c, n, 0)[pi0_m - 1])
-                   for c in r0.columns]
-        moved = ob.osn_shared(sess, 1, sigma, [e_map] + d0_cols)
+        d0 = {c: r0.extended_column(c, n, 0)[pi0_m - 1] for c in r0.columns}
+        d0.update({f"__rk:{c}": np.unique(d0[c], return_inverse=True)[1]
+                   for c in r0.columns
+                   if c != r0.key and not c.startswith("__bm:")})
+        moved = ob.osn_shared(sess, 1, sigma, [e_map] + [
+            ob.PlainColumn(v) for v in d0.values()])
         e_sw = moved[0]
-        j0_shared = dict(zip(r0.columns.keys(), moved[1:]))
+        j0_shared = dict(zip(d0, moved[1:]))
     with sess.phase("duplicate"):
         masked = sh.mux_many(sess, e_sw, [
             (c, SharedVector.zeros(n, c.flavor, c.width))

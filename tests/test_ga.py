@@ -98,9 +98,9 @@ def test_group_size_hiding_row_counts():
     ga.ga_osorting(s2, v0, v1, q)
     reveal = next(p for p in s2.transcript.phases if p.label == "reveal")
     # the sorting family reveals exactly n rows: one flag bit per row,
-    # g0 as its 2-bit rank in dom0, and two 64-bit columns (g1, one
-    # aggregate)
-    assert sum(reveal.wire_bits) == n * (1 + 2 + 2 * 64)
+    # g0 as its 2-bit rank in dom0, g1 as P1's 3-bit rank among its n = 6
+    # rows and one 64-bit aggregate
+    assert sum(reveal.wire_bits) == n * (1 + 2 + 3 + 64)
 
     s3 = Session(4, 5, 6)
     ga.ga_bitmap(s3, v0, v1, q)
@@ -476,8 +476,8 @@ def test_sorting_ranks_g0_over_a_public_dom0():
 
 
 def test_osorting_sort_phase_rounds_follow_the_packed_width():
-    # with dom0, e, g0's rank and the row index pack into one limb of W
-    # bits; without, g0 keeps a 64-bit limb between e's and the index's.
+    # e, g0's rank and the row index pack into one limb of W bits: the
+    # rank in dom0 with dom0, P0's own rank among the n rows without.
     # Each of the L(L+1)/2 bitonic stages is one exchange for every limb's
     # generate AND, the limbs' prefix trees in lockstep (ceil(log2 w)
     # rounds for the widest limb w), ceil(log2 #limbs) rounds that fold
@@ -493,8 +493,8 @@ def test_osorting_sort_phase_rounds_follow_the_packed_width():
             dom0=list(range(d0)) if with_dom0 else None))
         m = 1 << (n - 1).bit_length()
         levels = m.bit_length() - 1
-        widths = [1 + (d0 - 1).bit_length() + m.bit_length()] if with_dom0 \
-            else [1, 64, m.bit_length()]
+        rank = d0 if with_dom0 else n
+        widths = [1 + (rank - 1).bit_length() + m.bit_length()]
         assert max(widths) <= 64
         stages = levels * (levels + 1) // 2
         per_stage = 1 + max((w - 1).bit_length() for w in widths) \
