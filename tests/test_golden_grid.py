@@ -138,24 +138,24 @@ def rows_digest() -> str:
 
 GOLDEN = {
     "pkpk-l0-view": "6a0997a0cb14d258",
-    "pkpk-l0-sorting-g0g1-sums": "f9918df348771571",
-    "pkpk-l0-sorting-g0g1-extremes": "1d92a6414411b250",
-    "pkpk-l0-sorting-g0-sums": "b44bad5bc9b714d1",
-    "pkpk-l0-sorting-g0-extremes": "0c97724ba1bcb95d",
-    "pkpk-l0-sorting-g1-sums": "e276deefa07f669d",
-    "pkpk-l0-sorting-g1-extremes": "91d6f8151b2d3973",
-    "pkpk-l0-osorting-g0g1-sums": "804d9643a5fd45d6",
-    "pkpk-l0-osorting-g0g1-extremes": "86b1be387b58f293",
-    "pkpk-l0-osorting-g0-sums": "8e89e9cf0e5fc682",
-    "pkpk-l0-osorting-g0-extremes": "9f444d57914d326e",
-    "pkpk-l0-osorting-g1-sums": "1f15fe7ac35a0ffb",
-    "pkpk-l0-osorting-g1-extremes": "ede776ac3171753d",
-    "pkpk-l0-bsorting-g0g1-sums": "223f56fdd0bd0be2",
-    "pkpk-l0-bsorting-g0g1-extremes": "cf752b61cc39f997",
-    "pkpk-l0-bsorting-g0-sums": "22159b094e8f011a",
-    "pkpk-l0-bsorting-g0-extremes": "b26787053957de8c",
-    "pkpk-l0-bsorting-g1-sums": "9d416ec411a56969",
-    "pkpk-l0-bsorting-g1-extremes": "7d5bda3dee7d221b",
+    "pkpk-l0-sorting-g0g1-sums": "e88f8d923cfedf27",
+    "pkpk-l0-sorting-g0g1-extremes": "296d5bf540b2fa03",
+    "pkpk-l0-sorting-g0-sums": "e8b5ce4d7f05776c",
+    "pkpk-l0-sorting-g0-extremes": "b894adbc996cba6e",
+    "pkpk-l0-sorting-g1-sums": "c2a2c93e64c8e7d3",
+    "pkpk-l0-sorting-g1-extremes": "267e12626f2b7922",
+    "pkpk-l0-osorting-g0g1-sums": "60be44e1d204eaaf",
+    "pkpk-l0-osorting-g0g1-extremes": "d344343a37cf8142",
+    "pkpk-l0-osorting-g0-sums": "3041ab0949c7fce7",
+    "pkpk-l0-osorting-g0-extremes": "d8f0c9f559aa40e4",
+    "pkpk-l0-osorting-g1-sums": "3ad5e833eb1750d4",
+    "pkpk-l0-osorting-g1-extremes": "893707ea45491dcd",
+    "pkpk-l0-bsorting-g0g1-sums": "e4c4e92989e480c3",
+    "pkpk-l0-bsorting-g0g1-extremes": "de97562aa462872a",
+    "pkpk-l0-bsorting-g0-sums": "111edf5a8c34cee7",
+    "pkpk-l0-bsorting-g0-extremes": "177e67fa40131c5a",
+    "pkpk-l0-bsorting-g1-sums": "b7f050a9f9dc43ce",
+    "pkpk-l0-bsorting-g1-extremes": "5440ffe6f3c6e5c8",
     "pkpk-l0-mix-g0g1-sums": "5269d56f55d720da",
     "pkpk-l0-mix-g0g1-extremes": "ec2c4b638e7f56c1",
     "pkpk-l0-mix-g0-sums": "b892f92a86625dd3",
@@ -175,24 +175,24 @@ GOLDEN = {
     "pkpk-l0-oneside-g1-sums": "2ad03e40ca94ffd8",
     "pkpk-l0-oneside-g1-extremes": "0a325aeba59c5b51",
     "pkpk-l1-view": "4635a51cabc0d3e0",
-    "pkpk-l1-sorting-g0g1-sums": "5b04297712d5d03b",
-    "pkpk-l1-sorting-g0g1-extremes": "d8495b9562d7b098",
-    "pkpk-l1-sorting-g0-sums": "03cdb713d41c7ddd",
-    "pkpk-l1-sorting-g0-extremes": "132d92b9b8e5057b",
-    "pkpk-l1-sorting-g1-sums": "7ea650231fe2a90f",
-    "pkpk-l1-sorting-g1-extremes": "bd565975906cc4f5",
-    "pkpk-l1-osorting-g0g1-sums": "1ff6d70ea763d83f",
-    "pkpk-l1-osorting-g0g1-extremes": "82119c7cadf3d634",
-    "pkpk-l1-osorting-g0-sums": "362519f115b3d5e0",
-    "pkpk-l1-osorting-g0-extremes": "badd8052c9e45af3",
-    "pkpk-l1-osorting-g1-sums": "431821647cc77006",
-    "pkpk-l1-osorting-g1-extremes": "1a99e4cac0b3d2a6",
-    "pkpk-l1-bsorting-g0g1-sums": "61c99bdb1ebbb11e",
-    "pkpk-l1-bsorting-g0g1-extremes": "8096ad4beb52cd49",
-    "pkpk-l1-bsorting-g0-sums": "ae92d40f0ad23427",
-    "pkpk-l1-bsorting-g0-extremes": "b4db1c21adfe1e01",
-    "pkpk-l1-bsorting-g1-sums": "4512be0f96207fb8",
-    "pkpk-l1-bsorting-g1-extremes": "fb888356977d5ef3",
+    "pkpk-l1-sorting-g0g1-sums": "4dd20376dba88feb",
+    "pkpk-l1-sorting-g0g1-extremes": "9ace029df8e9f52d",
+    "pkpk-l1-sorting-g0-sums": "a948aa53d13ebf8b",
+    "pkpk-l1-sorting-g0-extremes": "6041fef39ae26634",
+    "pkpk-l1-sorting-g1-sums": "f6d040ec1c45a118",
+    "pkpk-l1-sorting-g1-extremes": "f582d58b39d2fe77",
+    "pkpk-l1-osorting-g0g1-sums": "3cc2327e9995d2ad",
+    "pkpk-l1-osorting-g0g1-extremes": "ccac41a4369854c9",
+    "pkpk-l1-osorting-g0-sums": "b56ecc637861ad4e",
+    "pkpk-l1-osorting-g0-extremes": "5aa93972e7ec1377",
+    "pkpk-l1-osorting-g1-sums": "01256df6854d709b",
+    "pkpk-l1-osorting-g1-extremes": "a8aaa05e905bf3c3",
+    "pkpk-l1-bsorting-g0g1-sums": "814c3ce11f090fe3",
+    "pkpk-l1-bsorting-g0g1-extremes": "7db1c9080b155edf",
+    "pkpk-l1-bsorting-g0-sums": "276a1fee9231dfc2",
+    "pkpk-l1-bsorting-g0-extremes": "cbecc81518a28b75",
+    "pkpk-l1-bsorting-g1-sums": "0090d6d587729070",
+    "pkpk-l1-bsorting-g1-extremes": "3325cceebb6acaf5",
     "pkpk-l1-mix-g0g1-sums": "f14fd717d7f4c4e6",
     "pkpk-l1-mix-g0g1-extremes": "af6096ac57ef0d3a",
     "pkpk-l1-mix-g0-sums": "c004e9499bc5a413",
@@ -212,24 +212,24 @@ GOLDEN = {
     "pkpk-l1-oneside-g1-sums": "0aef3845c8b2b78b",
     "pkpk-l1-oneside-g1-extremes": "d7f487bc135a0fd7",
     "pkpk-l2-view": "a7d548c2320a314f",
-    "pkpk-l2-sorting-g0g1-sums": "f07fb7bb59531369",
-    "pkpk-l2-sorting-g0g1-extremes": "4531c10282ca4360",
-    "pkpk-l2-sorting-g0-sums": "bf25b371a6dfb57f",
-    "pkpk-l2-sorting-g0-extremes": "c6a979869065efcc",
-    "pkpk-l2-sorting-g1-sums": "848bc01b4e284776",
-    "pkpk-l2-sorting-g1-extremes": "56fb35d9e139f573",
-    "pkpk-l2-osorting-g0g1-sums": "f89650803fc6fa7f",
-    "pkpk-l2-osorting-g0g1-extremes": "e741e30be609a879",
-    "pkpk-l2-osorting-g0-sums": "727a7194e6c82056",
-    "pkpk-l2-osorting-g0-extremes": "6d05bf8591b591ba",
-    "pkpk-l2-osorting-g1-sums": "a29475841db14063",
-    "pkpk-l2-osorting-g1-extremes": "323c377d8c5e873d",
-    "pkpk-l2-bsorting-g0g1-sums": "7971f3483387e626",
-    "pkpk-l2-bsorting-g0g1-extremes": "322e575ee7b9f77b",
-    "pkpk-l2-bsorting-g0-sums": "3fefb315d4dca7ec",
-    "pkpk-l2-bsorting-g0-extremes": "a4bf7a700343b2b5",
-    "pkpk-l2-bsorting-g1-sums": "de364c253547d63e",
-    "pkpk-l2-bsorting-g1-extremes": "3091080d986b0818",
+    "pkpk-l2-sorting-g0g1-sums": "358d2e820ee9efc7",
+    "pkpk-l2-sorting-g0g1-extremes": "d6b76d2dbc2c6478",
+    "pkpk-l2-sorting-g0-sums": "faad0206c33bc824",
+    "pkpk-l2-sorting-g0-extremes": "c12fe56428e7a2f6",
+    "pkpk-l2-sorting-g1-sums": "53cea108abe19998",
+    "pkpk-l2-sorting-g1-extremes": "ffecb886ca9324b0",
+    "pkpk-l2-osorting-g0g1-sums": "46a389afc5a56df9",
+    "pkpk-l2-osorting-g0g1-extremes": "dd06e2e4486c9da9",
+    "pkpk-l2-osorting-g0-sums": "04819bb0cf0b468c",
+    "pkpk-l2-osorting-g0-extremes": "85a883a431300229",
+    "pkpk-l2-osorting-g1-sums": "c803a0cbe963856c",
+    "pkpk-l2-osorting-g1-extremes": "d185ffadb1274323",
+    "pkpk-l2-bsorting-g0g1-sums": "3d5515d6f155da51",
+    "pkpk-l2-bsorting-g0g1-extremes": "ef4566379566b01d",
+    "pkpk-l2-bsorting-g0-sums": "3b45295dc89cca86",
+    "pkpk-l2-bsorting-g0-extremes": "0976f98bb10b594e",
+    "pkpk-l2-bsorting-g1-sums": "b6b28a6b1cce037e",
+    "pkpk-l2-bsorting-g1-extremes": "f5fe1969abe4d271",
     "pkpk-l2-mix-g0g1-sums": "ff1226fcb915fbb7",
     "pkpk-l2-mix-g0g1-extremes": "2f503c0cac71904c",
     "pkpk-l2-mix-g0-sums": "b1c2d2924e4dcb72",
@@ -248,143 +248,143 @@ GOLDEN = {
     "pkpk-l2-oneside-g0-extremes": "ce3236dc18991e42",
     "pkpk-l2-oneside-g1-sums": "7f29a9d0bcf612c3",
     "pkpk-l2-oneside-g1-extremes": "9c35c65ec0ee7611",
-    "pkfk-l0-view": "7f2e3d95631ad1b2",
-    "pkfk-l0-sorting-g0g1-sums": "4609befce49afb81",
-    "pkfk-l0-sorting-g0g1-extremes": "1a6f9951d984c3a1",
-    "pkfk-l0-sorting-g0-sums": "ab881ce74dbe39fc",
-    "pkfk-l0-sorting-g0-extremes": "85de4659fa346e98",
-    "pkfk-l0-sorting-g1-sums": "3500a679f0808f5f",
-    "pkfk-l0-sorting-g1-extremes": "67cf0891d4d2e654",
-    "pkfk-l0-osorting-g0g1-sums": "0a66b6c6561d274d",
-    "pkfk-l0-osorting-g0g1-extremes": "e8874509a81e1c7d",
-    "pkfk-l0-osorting-g0-sums": "3332f20c5f9260b3",
-    "pkfk-l0-osorting-g0-extremes": "a6ce1b4a17535b27",
-    "pkfk-l0-osorting-g1-sums": "7d9ed8900eb9ff63",
-    "pkfk-l0-osorting-g1-extremes": "a4866eeca5d196d3",
-    "pkfk-l0-bsorting-g0g1-sums": "4196c83cd582c23b",
-    "pkfk-l0-bsorting-g0g1-extremes": "d36c939d7029e22d",
-    "pkfk-l0-bsorting-g0-sums": "51da38e7a7182314",
-    "pkfk-l0-bsorting-g0-extremes": "b7b57fbdf7fa4948",
-    "pkfk-l0-bsorting-g1-sums": "0c70cbef3e0f30b4",
-    "pkfk-l0-bsorting-g1-extremes": "51ec8f69b35fcbfe",
-    "pkfk-l0-mix-g0g1-sums": "6c7a4d2d771b4a50",
-    "pkfk-l0-mix-g0g1-extremes": "297e54053b7afa98",
-    "pkfk-l0-mix-g0-sums": "1e0335d700f2d469",
-    "pkfk-l0-mix-g0-extremes": "a583ca2f079223bf",
-    "pkfk-l0-mix-g1-sums": "c9978246240b4a3a",
-    "pkfk-l0-mix-g1-extremes": "31a05708f451911c",
-    "pkfk-l0-bitmap-g0g1-sums": "2317863db110a9a3",
-    "pkfk-l0-bitmap-g0g1-extremes": "fb8295047bfa374d",
-    "pkfk-l0-bitmap-g0-sums": "87b9cd70cbf04a59",
-    "pkfk-l0-bitmap-g0-extremes": "99c8872354451b94",
-    "pkfk-l0-bitmap-g1-sums": "8bbb497a93cb7562",
-    "pkfk-l0-bitmap-g1-extremes": "59823306de81208c",
+    "pkfk-l0-view": "32589aa3a857da40",
+    "pkfk-l0-sorting-g0g1-sums": "ebd187a13bfe9d92",
+    "pkfk-l0-sorting-g0g1-extremes": "3404fc43704dc466",
+    "pkfk-l0-sorting-g0-sums": "95b046f8f4d8c8de",
+    "pkfk-l0-sorting-g0-extremes": "53d4d00e312a464a",
+    "pkfk-l0-sorting-g1-sums": "d6dfec6086f7aa90",
+    "pkfk-l0-sorting-g1-extremes": "904295e2ecd914bd",
+    "pkfk-l0-osorting-g0g1-sums": "77a7ae4f436547f9",
+    "pkfk-l0-osorting-g0g1-extremes": "d3677e605ccc384f",
+    "pkfk-l0-osorting-g0-sums": "88f95c1747c0f1ee",
+    "pkfk-l0-osorting-g0-extremes": "673dbf7503d1a351",
+    "pkfk-l0-osorting-g1-sums": "5d1934b4c4f3697f",
+    "pkfk-l0-osorting-g1-extremes": "cec08e3f5b65981b",
+    "pkfk-l0-bsorting-g0g1-sums": "8c9163f8cfa67e43",
+    "pkfk-l0-bsorting-g0g1-extremes": "4827cb529d36adad",
+    "pkfk-l0-bsorting-g0-sums": "2e6f7217bda817f9",
+    "pkfk-l0-bsorting-g0-extremes": "fd4d70cecfca6614",
+    "pkfk-l0-bsorting-g1-sums": "21013293a0904753",
+    "pkfk-l0-bsorting-g1-extremes": "0beae8bf83e60c9e",
+    "pkfk-l0-mix-g0g1-sums": "e6e3051d5d84c97a",
+    "pkfk-l0-mix-g0g1-extremes": "b88a9e9c37480be6",
+    "pkfk-l0-mix-g0-sums": "8647cfd90ba254f8",
+    "pkfk-l0-mix-g0-extremes": "a93d027154238120",
+    "pkfk-l0-mix-g1-sums": "45cd5f2fb2fe9a6a",
+    "pkfk-l0-mix-g1-extremes": "a3163ad6d2436a73",
+    "pkfk-l0-bitmap-g0g1-sums": "2bf8a797fdc14436",
+    "pkfk-l0-bitmap-g0g1-extremes": "216d8529c88a69d0",
+    "pkfk-l0-bitmap-g0-sums": "b43c9c761bcfb4a8",
+    "pkfk-l0-bitmap-g0-extremes": "65659e8a9b983c9c",
+    "pkfk-l0-bitmap-g1-sums": "6e7df9bcedec55c3",
+    "pkfk-l0-bitmap-g1-extremes": "8d393a22064bd7bc",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l0-oneside-g1-sums": "c9978246240b4a3a",
-    "pkfk-l0-oneside-g1-extremes": "31a05708f451911c",
-    "pkfk-l1-view": "82c5113011491e6b",
-    "pkfk-l1-sorting-g0g1-sums": "ea17e28dcd3090e2",
-    "pkfk-l1-sorting-g0g1-extremes": "e4cad4cb049a75fd",
-    "pkfk-l1-sorting-g0-sums": "b518db8b35087236",
-    "pkfk-l1-sorting-g0-extremes": "d13c4ac69664d57a",
-    "pkfk-l1-sorting-g1-sums": "e09b886045d61c64",
-    "pkfk-l1-sorting-g1-extremes": "5ed6e82ea8129c05",
-    "pkfk-l1-osorting-g0g1-sums": "23e39c19a02eb204",
-    "pkfk-l1-osorting-g0g1-extremes": "7ab75fc7d0e1d3b4",
-    "pkfk-l1-osorting-g0-sums": "24b40a0697a9ffd5",
-    "pkfk-l1-osorting-g0-extremes": "c0d09eae7d9053a8",
-    "pkfk-l1-osorting-g1-sums": "a463dd3e505f5132",
-    "pkfk-l1-osorting-g1-extremes": "40248918625f01e9",
-    "pkfk-l1-bsorting-g0g1-sums": "a2753dbb8b408e38",
-    "pkfk-l1-bsorting-g0g1-extremes": "55a0434eb09a8428",
-    "pkfk-l1-bsorting-g0-sums": "08bddde6674ac4ef",
-    "pkfk-l1-bsorting-g0-extremes": "c83fff51fdf432db",
-    "pkfk-l1-bsorting-g1-sums": "b831c5ade006f9ef",
-    "pkfk-l1-bsorting-g1-extremes": "50b4e25751d90bed",
-    "pkfk-l1-mix-g0g1-sums": "604cc199e28ac22f",
-    "pkfk-l1-mix-g0g1-extremes": "dd5e5eadc19bcd69",
-    "pkfk-l1-mix-g0-sums": "fd8e59e926782014",
-    "pkfk-l1-mix-g0-extremes": "e44b1da83fa8102b",
-    "pkfk-l1-mix-g1-sums": "9c97e4305d3b1be9",
-    "pkfk-l1-mix-g1-extremes": "633dedcec1d6552e",
-    "pkfk-l1-bitmap-g0g1-sums": "a303a4fe76d7ae6e",
-    "pkfk-l1-bitmap-g0g1-extremes": "a14745e34fb93b03",
-    "pkfk-l1-bitmap-g0-sums": "c773876d839654b1",
-    "pkfk-l1-bitmap-g0-extremes": "17ef91d82bc5da45",
-    "pkfk-l1-bitmap-g1-sums": "ab834a2881495663",
-    "pkfk-l1-bitmap-g1-extremes": "b3384791d3d4963c",
+    "pkfk-l0-oneside-g1-sums": "45cd5f2fb2fe9a6a",
+    "pkfk-l0-oneside-g1-extremes": "a3163ad6d2436a73",
+    "pkfk-l1-view": "607b78855fae9eef",
+    "pkfk-l1-sorting-g0g1-sums": "6f94c8346698ff9f",
+    "pkfk-l1-sorting-g0g1-extremes": "d40369be9f02d4f6",
+    "pkfk-l1-sorting-g0-sums": "5ca4002fffdbb1aa",
+    "pkfk-l1-sorting-g0-extremes": "e8ca4f5fe7fe7b63",
+    "pkfk-l1-sorting-g1-sums": "52c70612e22091bb",
+    "pkfk-l1-sorting-g1-extremes": "0708550e3e8179bb",
+    "pkfk-l1-osorting-g0g1-sums": "a701704e2d8f2a92",
+    "pkfk-l1-osorting-g0g1-extremes": "41c24cfcb52dc8ad",
+    "pkfk-l1-osorting-g0-sums": "864c7c4456de0faa",
+    "pkfk-l1-osorting-g0-extremes": "f5f2a8de997bf559",
+    "pkfk-l1-osorting-g1-sums": "efcfa6f75ce6e44d",
+    "pkfk-l1-osorting-g1-extremes": "a72e242e4c0a9b34",
+    "pkfk-l1-bsorting-g0g1-sums": "0a2995c6bd052055",
+    "pkfk-l1-bsorting-g0g1-extremes": "1309e581f050ab30",
+    "pkfk-l1-bsorting-g0-sums": "3d146ed13f11b0ee",
+    "pkfk-l1-bsorting-g0-extremes": "8d7b2a21916371cc",
+    "pkfk-l1-bsorting-g1-sums": "c073deab4b4ec52d",
+    "pkfk-l1-bsorting-g1-extremes": "476e228b097c6dbb",
+    "pkfk-l1-mix-g0g1-sums": "3b85e720b363f0c5",
+    "pkfk-l1-mix-g0g1-extremes": "a90bba91bc067a60",
+    "pkfk-l1-mix-g0-sums": "9a5d51984484665e",
+    "pkfk-l1-mix-g0-extremes": "1ab9a47eef74962f",
+    "pkfk-l1-mix-g1-sums": "f8fbf9fa34113508",
+    "pkfk-l1-mix-g1-extremes": "e5d8ba248464d699",
+    "pkfk-l1-bitmap-g0g1-sums": "2985ce9bc6ab4f07",
+    "pkfk-l1-bitmap-g0g1-extremes": "9c946abe8803abf5",
+    "pkfk-l1-bitmap-g0-sums": "6820b7c319d3ba47",
+    "pkfk-l1-bitmap-g0-extremes": "bf68f9dec95dfe2e",
+    "pkfk-l1-bitmap-g1-sums": "4362aedde3694c45",
+    "pkfk-l1-bitmap-g1-extremes": "c8dc0c7f45ace6a9",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l1-oneside-g1-sums": "9c97e4305d3b1be9",
-    "pkfk-l1-oneside-g1-extremes": "633dedcec1d6552e",
-    "pkfk-l2-view": "857f0a83525dc86d",
-    "pkfk-l2-sorting-g0g1-sums": "7a6b0cd8c8543b54",
-    "pkfk-l2-sorting-g0g1-extremes": "1f2b21a484c0e7f7",
-    "pkfk-l2-sorting-g0-sums": "e8477663eb2df9a4",
-    "pkfk-l2-sorting-g0-extremes": "551f3020862d57b4",
-    "pkfk-l2-sorting-g1-sums": "de148a922280113b",
-    "pkfk-l2-sorting-g1-extremes": "06ea9f1a04c7bb8b",
-    "pkfk-l2-osorting-g0g1-sums": "aec90e0a2e678a58",
-    "pkfk-l2-osorting-g0g1-extremes": "b88d365993481091",
-    "pkfk-l2-osorting-g0-sums": "59b5b491285d8ded",
-    "pkfk-l2-osorting-g0-extremes": "d0b857c7ee8f7c49",
-    "pkfk-l2-osorting-g1-sums": "81d5fd3455247883",
-    "pkfk-l2-osorting-g1-extremes": "7b028865f77a9670",
-    "pkfk-l2-bsorting-g0g1-sums": "74a88279f3ecffc9",
-    "pkfk-l2-bsorting-g0g1-extremes": "342c69202f71165c",
-    "pkfk-l2-bsorting-g0-sums": "7c70f54911d88496",
-    "pkfk-l2-bsorting-g0-extremes": "130f531eb6680a36",
-    "pkfk-l2-bsorting-g1-sums": "f084b0d312c6824d",
-    "pkfk-l2-bsorting-g1-extremes": "ca7d10c23541541c",
-    "pkfk-l2-mix-g0g1-sums": "46b5fc9a041e965b",
-    "pkfk-l2-mix-g0g1-extremes": "948dc3f5519879f8",
-    "pkfk-l2-mix-g0-sums": "22ce373ac1b15089",
-    "pkfk-l2-mix-g0-extremes": "e06a9312bc0ee903",
-    "pkfk-l2-mix-g1-sums": "03dfd1efb8104b5c",
-    "pkfk-l2-mix-g1-extremes": "29435fe86610ac24",
-    "pkfk-l2-bitmap-g0g1-sums": "611ea59010e1bbec",
-    "pkfk-l2-bitmap-g0g1-extremes": "1a841816f8b5514a",
-    "pkfk-l2-bitmap-g0-sums": "1979b768a596ff1f",
-    "pkfk-l2-bitmap-g0-extremes": "2fa69d36892111a3",
-    "pkfk-l2-bitmap-g1-sums": "618c1601230d2e41",
-    "pkfk-l2-bitmap-g1-extremes": "83076e79bce7bfe7",
+    "pkfk-l1-oneside-g1-sums": "f8fbf9fa34113508",
+    "pkfk-l1-oneside-g1-extremes": "e5d8ba248464d699",
+    "pkfk-l2-view": "8dee838fcd71b50f",
+    "pkfk-l2-sorting-g0g1-sums": "8f3d208a04845666",
+    "pkfk-l2-sorting-g0g1-extremes": "6718a5fd8b9db742",
+    "pkfk-l2-sorting-g0-sums": "95690b611490e0e5",
+    "pkfk-l2-sorting-g0-extremes": "a02620e13671af44",
+    "pkfk-l2-sorting-g1-sums": "9d7ce38996cd539e",
+    "pkfk-l2-sorting-g1-extremes": "4272253d77c935e6",
+    "pkfk-l2-osorting-g0g1-sums": "7eb0ca97a4c7ab01",
+    "pkfk-l2-osorting-g0g1-extremes": "a774fc752e24c950",
+    "pkfk-l2-osorting-g0-sums": "fa85ed3101f81ba9",
+    "pkfk-l2-osorting-g0-extremes": "d82e1166e640dfa4",
+    "pkfk-l2-osorting-g1-sums": "c5589cb8980a20cd",
+    "pkfk-l2-osorting-g1-extremes": "8348e82eeb886b73",
+    "pkfk-l2-bsorting-g0g1-sums": "9a0b45f2f015c6cd",
+    "pkfk-l2-bsorting-g0g1-extremes": "0384fede67524904",
+    "pkfk-l2-bsorting-g0-sums": "c241f385b024b889",
+    "pkfk-l2-bsorting-g0-extremes": "f5ba7bc28bc19b1b",
+    "pkfk-l2-bsorting-g1-sums": "be4b9c9f9c9e920f",
+    "pkfk-l2-bsorting-g1-extremes": "32b40b67a2925713",
+    "pkfk-l2-mix-g0g1-sums": "367bc2a35de64fab",
+    "pkfk-l2-mix-g0g1-extremes": "c64cf18fc17a3aff",
+    "pkfk-l2-mix-g0-sums": "9376bf5fe2d269c1",
+    "pkfk-l2-mix-g0-extremes": "380d484651b8c5a9",
+    "pkfk-l2-mix-g1-sums": "74989610f0ebc314",
+    "pkfk-l2-mix-g1-extremes": "c17b57caceb30a1c",
+    "pkfk-l2-bitmap-g0g1-sums": "46bc7c96a4977c16",
+    "pkfk-l2-bitmap-g0g1-extremes": "b42d46ef11277af7",
+    "pkfk-l2-bitmap-g0-sums": "988473875df2a4d8",
+    "pkfk-l2-bitmap-g0-extremes": "98a670cab9bd5530",
+    "pkfk-l2-bitmap-g1-sums": "6a85be12128a5168",
+    "pkfk-l2-bitmap-g1-extremes": "e0fe0912bf65069f",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l2-oneside-g1-sums": "03dfd1efb8104b5c",
-    "pkfk-l2-oneside-g1-extremes": "29435fe86610ac24",
+    "pkfk-l2-oneside-g1-sums": "74989610f0ebc314",
+    "pkfk-l2-oneside-g1-extremes": "c17b57caceb30a1c",
 }
 
 
 GOLDEN_DOM0 = {
-    "pkpk-l0-sorting-dom0-g0g1-sums": "224d117c4e1efeb7",
-    "pkpk-l0-sorting-dom0-g0g1-extremes": "f7d4202cc522c756",
+    "pkpk-l0-sorting-dom0-g0g1-sums": "613cb06c31f9ae85",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "912b1f649b9d064c",
     "pkpk-l0-sorting-dom0-g0-sums": "8930d538ff556b4b",
     "pkpk-l0-sorting-dom0-g0-extremes": "ed16f67f898a5a0f",
-    "pkpk-l0-osorting-dom0-g0g1-sums": "088d7ac1bf38d505",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "f445ea60d3677d28",
+    "pkpk-l0-osorting-dom0-g0g1-sums": "d14eb035043bdd27",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "3d466651105c6cf3",
     "pkpk-l0-osorting-dom0-g0-sums": "712dc7467c7099fd",
     "pkpk-l0-osorting-dom0-g0-extremes": "a22d46b2cb3138fc",
-    "pkpk-l1-sorting-dom0-g0g1-sums": "6f8070183c740b06",
-    "pkpk-l1-sorting-dom0-g0g1-extremes": "b5745b4e22d4ae6d",
+    "pkpk-l1-sorting-dom0-g0g1-sums": "73551ff75c35a1da",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "9b0d503de2c29c0a",
     "pkpk-l1-sorting-dom0-g0-sums": "b5cb99495a7086e1",
     "pkpk-l1-sorting-dom0-g0-extremes": "129f5243634115d9",
-    "pkpk-l1-osorting-dom0-g0g1-sums": "c9405aa2e6379e71",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "d9cd8b072e6fb2d9",
+    "pkpk-l1-osorting-dom0-g0g1-sums": "d3ddddb495e5760a",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "eb1b82ba61fc3c0f",
     "pkpk-l1-osorting-dom0-g0-sums": "9462201991035926",
     "pkpk-l1-osorting-dom0-g0-extremes": "0e7d0fbe63130329",
-    "pkpk-l2-sorting-dom0-g0g1-sums": "272d7d26f3988c59",
-    "pkpk-l2-sorting-dom0-g0g1-extremes": "42cd4d447135855e",
+    "pkpk-l2-sorting-dom0-g0g1-sums": "db08b9f12f176dfb",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "15c582c0c47f24f1",
     "pkpk-l2-sorting-dom0-g0-sums": "1e09f843586dad55",
     "pkpk-l2-sorting-dom0-g0-extremes": "aee6e4e510e986e7",
-    "pkpk-l2-osorting-dom0-g0g1-sums": "cbcf849399214ce0",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "3f99cc4e0b419cf8",
+    "pkpk-l2-osorting-dom0-g0g1-sums": "2e74daa6d66f039a",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "a38f4696c7e47c81",
     "pkpk-l2-osorting-dom0-g0-sums": "ceda85a8b218aaf2",
     "pkpk-l2-osorting-dom0-g0-extremes": "36403424fa52eb00",
 }
@@ -533,7 +533,7 @@ GOLDEN_PRIMITIVES = {
     "asym_mul-bin1": "c2baef9a3590a85f",
     "share_open": "f35f8cf7626fa1d1",
     "gates": "6f2b9a0a69f51be4",
-    "refresh_pkfk": "1c84024d3e15df2b",
+    "refresh_pkfk": "f34d7777cc48e3fb",
 }
 
 
