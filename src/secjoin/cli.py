@@ -25,6 +25,15 @@ def _load_spec(path: str) -> dict:
         return json.load(fh)
 
 
+def _check_tables(spec: dict) -> None:
+    """`ParseError` naming the field unless the table paths and join keys
+    are strings: `open` would take an integer path as a file descriptor."""
+    for field in ("table0", "table1", "key0", "key1"):
+        if not isinstance(spec.get(field), str):
+            raise ParseError(f"spec {field} must be a string, not "
+                             f"{spec.get(field)!r}")
+
+
 def _int_list(spec: dict, field: str, size: int | None = None) -> list | None:
     """The spec's list of integers in [0, 2^64) under `field`, if any;
     `ParseError` naming the field for any other value."""
@@ -90,6 +99,7 @@ def _load(spec: dict, args):
 
 def cmd_genview(args) -> int:
     spec = _load_spec(args.spec)
+    _check_tables(spec)
     join = spec.get("join", "pkpk")
     if join not in ("pkpk", "pkfk"):
         raise ParseError(f"spec join must be 'pkpk' or 'pkfk', not {join!r}")
@@ -123,6 +133,7 @@ def _rewrite_table(path: str, rel):
 
 def cmd_refresh(args) -> int:
     spec = _load_spec(args.spec)
+    _check_tables(spec)
     sess = Session(*_seeds(spec, args))
     r0, r1, v0, v1 = _load(spec, args)
     up0 = store.updates_from_csv(args.updates0) if args.updates0 else []
@@ -146,6 +157,7 @@ def cmd_refresh(args) -> int:
 
 def cmd_query(args) -> int:
     spec = _load_spec(args.spec)
+    _check_tables(spec)
     q = _query(spec, args)
     sess = Session(*_seeds(spec, args))
     r0, r1, v0, v1 = _load(spec, args)

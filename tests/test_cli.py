@@ -455,7 +455,8 @@ def test_update_of_a_missing_column_exits_2_and_writes_nothing(workspace,
     ("aggs", [{"col": "v0", "fn": "sum"}]), ("aggs", [{"side": 0, "col": "v0"}]),
     ("dom0", 5), ("dom0", ["a"]), ("dom0", [-1]), ("dom1", [2 ** 64]),
     ("seeds", [1]), ("seeds", "abc"), ("seeds", [1.5, 2, 3]),
-    ("protocol", "PROTO"), ("protocol", 3)))
+    ("protocol", "PROTO"), ("protocol", 3), ("table0", 0), ("table1", 5),
+    ("key0", 1), ("key1", ["k"]), ("table1", None)))
 def test_query_spec_field_of_the_wrong_type_exits_2(workspace, capsys,
                                                     field, value):
     # group0 5 once ended in a bare AttributeError, aggs {"a": 1} and dom0
@@ -472,13 +473,54 @@ def test_query_spec_field_of_the_wrong_type_exits_2(workspace, capsys,
 
 @pytest.mark.parametrize("field, value", (
     ("level", 3), ("level", "2"), ("join", "PKFK"), ("seeds", [1]),
-    ("seeds", "abc")))
+    ("seeds", "abc"), ("table0", 0), ("table0", 5), ("table1", 1.5),
+    ("key0", 1), ("key1", ["k"])))
 def test_genview_spec_level_or_join_unknown_exits_2(workspace, capsys,
                                                      field, value):
     # level 3 once exited with only "error: 3", join "PKFK" quietly built
-    # a PK-PK view, and seeds [1] built one on default seeds for two parties
+    # a PK-PK view, and seeds [1] built one on default seeds for two
+    # parties; table0 0 read the table from standard input and exited 0,
+    # table0 5 printed only "[Errno 9] Bad file descriptor", and key1
+    # ["k"] ended in a bare TypeError
     tmp, spec_path, spec = workspace
     spec_path.write_text(json.dumps(dict(spec, **{field: value})))
     rc = cli.main(["genview", str(spec_path), "--out", str(tmp / "v")])
     assert rc == 2 and f"spec {field}" in capsys.readouterr().err
     assert not (tmp / "v").exists()
+
+
+@pytest.mark.parametrize("field, value", (
+    ("table0", 0), ("table1", 7), ("key0", None), ("key1", ["k"])))
+def test_refresh_spec_table_or_key_of_the_wrong_type_exits_2(workspace, capsys,
+                                                             field, value):
+    # an integer table path once reached open() as a file descriptor, which
+    # the refresh would then have rewritten
+    tmp, spec_path, spec = workspace
+    assert cli.main(["genview", str(spec_path), "--out", str(tmp / "v")]) == 0
+    (tmp / "up.csv").write_text("idx,v0\n1,5\n")
+    spec_path.write_text(json.dumps(dict(spec, **{field: value})))
+    before = _files(tmp)
+    capsys.readouterr()
+    rc = cli.main(["refresh", str(spec_path), "--views", str(tmp / "v"),
+                   "--updates0", str(tmp / "up.csv")])
+    assert rc == 2 and f"spec {field}" in capsys.readouterr().err
+    assert _files(tmp) == before
+
+
+@pytest.mark.parametrize("protocol", ("sorting", "osorting"))
+def test_refresh_that_rewrites_g0_then_verified_query(tmp_path, capsys,
+                                                      protocol):
+    # P0 sorts and flags on its rank of g0, which the view stores; the
+    # refresh must rank the updated g0 afresh, or PK row 1 (now 7) would
+    # still share row 3's rank of 0
+    sp, views = _pkfk_workspace(tmp_path)
+    up = tmp_path / "up.csv"
+    up.write_text("idx,g0\n1,7\n")
+    assert cli.main(["refresh", str(sp), "--views", str(views),
+                     "--updates0", str(up)]) == 0
+    capsys.readouterr()
+    res = tmp_path / "r.csv"
+    assert cli.main(["query", str(sp), "--views", str(views), "--verify",
+                     "--protocol", protocol, "--out", str(res)]) == 0
+    assert "verify: OK" in capsys.readouterr().out
+    assert res.read_text() == "g0,g1,sum_v0\n0,5,30\n7,5,10\n7,6,10\n"
