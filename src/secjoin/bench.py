@@ -81,11 +81,14 @@ def _grid_tables(n: int, d0: int, d1: int, seed: int = 9):
 
 def measure_ga(protocol: str, n: int, d0: int, d1: int,
                agg: str = "sum") -> BenchCell:
+    """One protocol's query of `agg` over v0, grouped on g0 and g1 (on g1
+    alone for the one-side shortcut), on a level-0 view of n-row tables."""
     r0, r1 = _grid_tables(n, d0, d1)
     sess = _seeded(n + d0)
     v0, v1 = vw.gen_psiv(sess, r0, r1)
     run = _seeded(n + d0 + 17)
-    q = JgaQuery("g0", "g1", [(0, "v0", agg)], protocol=protocol,
+    q = JgaQuery(None if protocol == "oneside" else "g0", "g1",
+                 [(0, "v0", agg)], protocol=protocol,
                  dom0=list(range(d0)), dom1=list(range(d1)))
     ga.PROTOCOLS[protocol](run, v0, v1, q)
     t = run.transcript

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from secjoin import bench, ga, oracle
+from secjoin import sharing as sh
 from secjoin import views as vw
 from secjoin.errors import DomainTooLarge, SecJoinError, ValueOutsideDomain
 from secjoin.ga import JgaQuery, select_protocol
@@ -774,3 +775,132 @@ def test_pkfk_bitmap_gates_p0_values_without_a_dabit(bitmaps):
     # the witness and one gating the value by a shared g0 bitmap; then one
     # for P1's gate
     assert sess.transcript.rounds_for("products") == 3
+
+
+def _pkfk_pair(rng, n_pk, n_fk, g0_values, g1_values=(5, 6)):
+    """A PK table of n_pk rows with g0 drawn from g0_values and an FK table
+    of n_fk rows, a tenth of them dangling."""
+    pk = rng.choice(np.arange(1, 4 * (n_pk + n_fk)), n_pk, replace=False)
+    fk = rng.choice(pk, n_fk)
+    fk[:n_fk // 10] = 4 * (n_pk + n_fk) + np.arange(n_fk // 10)
+    pick = lambda vals, n: np.array(vals, np.uint64)[rng.integers(0, len(vals), n)]
+    r0 = Relation("P", {"k": pk, "g0": pick(g0_values, n_pk),
+                        "v0": rng.integers(1000, 2000, n_pk)}, "k")
+    r1 = Relation("F", {"k": fk, "g1": pick(g1_values, n_fk),
+                        "v1": rng.integers(1000, 2000, n_fk)}, "k", "fk")
+    return r0, r1
+
+
+@pytest.mark.parametrize("n_fk", (13, 100, 300))
+def test_pkfk_osorting_sorts_on_one_narrow_limb(n_fk):
+    # the key is (e, P0's rank of g0 among the view's n rows, row index):
+    # W = 1 + ceil(log2 n) + m.bit_length() bits in one limb, so each of
+    # the L(L+1)/2 stages takes one generate exchange, ceil(log2 W) prefix
+    # rounds and one mux; the rank's a2b runs at its own width. With the
+    # 64-bit g0 the key took three limbs and 10 rounds a stage
+    rng = np.random.default_rng(n_fk)
+    r0, r1 = _pkfk_pair(rng, n_fk // 2 + 1, n_fk, [3, 1 << 40, 7])
+    v0, v1 = vw.gen_pkfk(Session(1, 2, 3), r0, r1)
+    q = JgaQuery("g0", "g1", [(0, "v0", "sum"), (0, None, "count")])
+    sess = Session(4, 5, 6)
+    assert ga.ga_osorting(sess, v0, v1, q).rows == oracle.eval_jga(r0, r1, q)
+    n = v0.n
+    rank = (n - 1).bit_length()
+    m = 1 << rank
+    levels = m.bit_length() - 1
+    width = 1 + rank + m.bit_length()
+    assert width <= 64
+    assert sess.transcript.rounds_for("sort") == \
+        levels * (levels + 1) // 2 * ((width - 1).bit_length() + 2)
+    assert sess.transcript.rounds_for("convert") == 1 + (rank - 1).bit_length()
+
+
+def _opened_to_p1(monkeypatch):
+    """Every array `open_vec` gives party 1, with the phase it was opened in."""
+    seen, open_vec = [], sh.open_vec
+
+    def recording(sess, x, to="both"):
+        out = open_vec(sess, x, to)
+        if to in (1, "both"):
+            seen.append((sess.transcript._phase_stack[-1][0], out.copy()))
+        return out
+
+    monkeypatch.setattr(sh, "open_vec", recording)
+    return seen
+
+
+@pytest.mark.parametrize("join", ("pkfk", "pkpk"))
+def test_p0s_private_rank_is_never_opened(monkeypatch, join):
+    # without a public dom0, P0 sorts and flags on its own rank of g0,
+    # which would tell P1 how P0's values order; the reveal opens g0's
+    # values instead. Every g0 value, sum and count here is at least 1000
+    # and every rank is below the view's n
+    rng = np.random.default_rng(41)
+    g0_values = [1000, 1 << 40, (1 << 64) - 1, 123456]
+    r0, r1 = _pkfk_pair(rng, 20, 40, g0_values)
+    if join == "pkfk":
+        v0, v1 = vw.gen_pkfk(Session(1, 2, 3), r0, r1)
+    else:
+        r1 = Relation("F", {"k": rng.permutation(60)[:30] + 1,
+                            "g1": rng.integers(5, 7, 30),
+                            "v1": rng.integers(1000, 2000, 30)}, "k")
+        r0 = Relation("P", dict(r0.columns, k=np.arange(1, 21)), "k")
+        v0, v1 = vw.gen_secv(Session(1, 2, 3), r0, r1)
+    for proto in ("sorting", "osorting"):
+        for group1 in ("g1", None):
+            q = JgaQuery("g0", group1, [(0, "v0", "sum"), (1, "v1", "sum")])
+            seen = _opened_to_p1(monkeypatch)
+            rows = ga.PROTOCOLS[proto](Session(4, 5, 6), v0, v1, q).rows
+            assert rows == oracle.eval_jga(r0, r1, q), (proto, group1)
+            keep, g0, *rest = [a for phase, a in seen if phase == "reveal"]
+            kept = keep.astype(bool)
+            assert sorted(g0[kept].tolist()) == sorted(r[0] for r in rows)
+            aggs = rest[1:] if group1 else rest  # P1's own rank of g1 first
+            assert all(a[kept].min() >= 1000 for a in [g0] + aggs)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("level", (0, 1, 2))
+@pytest.mark.parametrize("n_pk", (1, 2, 8))
+def test_pkfk_sort_family_at_the_key_and_value_limits(level, n_pk):
+    # PK keys up to 2^46 - 1, group values 0 and 2^64 - 1, and PK tables
+    # of 1, 2 and 2^3 rows, through P0's rank (sorting, osorting) and the
+    # dom0 rank read from the bitmap columns (bsorting)
+    rng = np.random.default_rng(n_pk + 10 * level)
+    top = vw.PKFK_KEY_LIMIT - 1
+    keys = np.array([top, 1, top - 1, 2, 3, top - 2, 4, 5][:n_pk], np.uint64)
+    dom = [0, (1 << 64) - 1]
+    g = np.array(dom, np.uint64)
+    r0 = vw.append_bitmap_columns(Relation("P", {
+        "k": keys, "g0": g[rng.integers(0, 2, n_pk)],
+        "v0": rng.integers(0, 1 << 62, n_pk)}, "k"), "g0", dom)
+    fk = np.concatenate([rng.choice(keys, 9), [top - 7]])
+    r1 = Relation("F", {"k": fk, "g1": g[rng.integers(0, 2, 10)],
+                        "v1": rng.integers(0, 1 << 62, 10)}, "k", "fk")
+    v0, v1 = vw.gen_pkfk(Session(1, 2, 3), r0, r1, level=level)
+    for proto in ("sorting", "osorting", "bsorting"):
+        for group0, group1 in (("g0", "g1"), ("g0", None), (None, "g1")):
+            q = JgaQuery(group0, group1, [(0, "v0", "sum"), (1, "v1", "max"),
+                                          (0, None, "count")], dom0=dom, dom1=dom)
+            assert ga.PROTOCOLS[proto](Session(4, 5, 6), v0, v1, q).rows == \
+                oracle.eval_jga(r0, r1, q), (proto, group0, group1)
+
+
+def test_bench_grid_measures_the_one_side_shortcut(monkeypatch):
+    # measure_ga grouped every cell on g0 and g1, so each oneside cell of
+    # a grid file raised SizeMismatch
+    results, oneside = [], ga.PROTOCOLS["oneside"]
+
+    def recording(sess, view0, view1, q):
+        results.append((q, oneside(sess, view0, view1, q)))
+        return results[-1][1]
+
+    monkeypatch.setitem(ga.PROTOCOLS, "oneside", recording)
+    cells, notes = bench.run_grid([{"protocol": "oneside", "n": 64, "d0": 4,
+                                    "d1": 8, "agg": agg} for agg in ("sum", "max")])
+    assert notes == [] and [c.label for c in cells] == ["oneside"] * 2
+    r0, r1 = bench._grid_tables(64, 4, 8)
+    for (q, result), cell in zip(results, cells):
+        assert (q.group0, q.group1) == (None, "g1")
+        assert result.rows == oracle.eval_jga(r0, r1, q)
+        assert len(result.rows) == 8 and cell.wire_rounds > 0

@@ -317,6 +317,28 @@ def test_a2b_edge_values_in_seven_rounds():
         assert np.array_equal(got.reconstruct(), xs), seed
 
 
+@pytest.mark.parametrize("w", (1, 2, 5, 10, 33, 63))
+def test_a2b_converts_at_its_inputs_width(w):
+    # a w-bit arithmetic share opens x - r in w bits and runs ceil(log2 w)
+    # carry levels; the shares' high bits, which a value below 2^w leaves
+    # to chance, never reach the result
+    rng = np.random.default_rng(w)
+    xs = np.concatenate([np.array([0, (1 << w) - 1], np.uint64),
+                         rng.integers(0, 1 << w, 30, dtype=np.uint64)])
+    for seed in range(5):
+        sess = fresh(seed)
+        x = sh.share_vec(sess, 0, xs).map(lambda a: a & width_mask(w), w)
+        rounds, hybrid = sess.transcript.wire_rounds, sess.transcript.hybrid_bits
+        got = sh.a2b(sess, x)
+        assert sess.transcript.wire_rounds - rounds == 1 + (w - 1).bit_length()
+        assert (got.flavor, got.width) == (sh.BINARY, w)
+        assert np.array_equal(got.reconstruct(), xs), seed
+        assert not ((got.shares[0] | got.shares[1]) >> np.uint64(w)).any()
+        # the edaBits' binary halves at w bits, then w-bit AND triples
+        assert sess.transcript.hybrid_bits - hybrid <= \
+            len(xs) * w * (1 + 2 * (w - 1).bit_length()) + 2 * dl.SEED_BITS
+
+
 def test_gt_limbs_three_limbs_vs_lexicographic_order():
     # the bitonic sort's key limbs without dom0: e, g0 and the row index.
     # Blocks of 80 rows tie in both upper limbs, in the first only, in the
