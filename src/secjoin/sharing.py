@@ -312,7 +312,7 @@ def a2b(sess: Session, x: SharedVector) -> SharedVector:
     (ra0, ra1), (rb0, rb1) = sess.dealer.edabits(n, w)
     m0, m1 = (x.shares[0] - ra0) & wm, (x.shares[1] - ra1) & wm
     at0, at1 = sess.exchange(m0, m1, w * n, w * n)
-    c0, c1 = (m0 + at0) & wm, (m1 + at1) & wm  # public x - r per party view
+    c0, c1 = m0 + at0, m1 + at1  # public x - r per party view, in its low w bits
     # Result = binary share of c + r for a public addend c: generate =
     # c AND r and propagate = c XOR r are local, and the prefix's generate
     # bits are the carries out of each bit.
