@@ -33,12 +33,20 @@ through one `trav_flags` scan over the reversed rows: a level costs one
 `gt` and two exchanges for all of them. A `_tree_reduce` level puts its
 two independent ANDs in one exchange.
 
-When the query gives dom0 and P0 holds g0 in plain (PK-PK views), `_sort`
-sorts on g0's rank in the sorted dom0, ceil(log2 d0) bits wide; the rank
-keeps that width through the flags, the mask and the reveal, and P1 maps
-the revealed ranks back through dom0. A plain group column with a value
-outside the domain the query gives raises `ValueOutsideDomain` before any
-message.
+The sorting family sorts and flags on ranks, not on 64-bit group values,
+so e, g0's rank and g1's rank pack into one narrow limb (`_Table.g0_key`).
+When the query gives dom0 and P0 holds g0 in plain (PK-PK views), g0's key
+is its rank in the sorted dom0, ceil(log2 d0) bits wide (bsorting reads it
+from a PK-FK view's bitmap columns too); it keeps that width through the
+flags, the mask and the reveal, and P1 maps the revealed ranks back
+through dom0. Otherwise the key is P0's own dense rank of g0 among the n
+view rows, ceil(log2 n) bits wide: ranked at query time in a PK-PK view,
+the view's `__rk:<g0>` column in a PK-FK view. P0's rank is never opened:
+g0's values ride along with the columns `_sort`'s osn and the perm
+(sorting) or carry-p0 (osorting, bsorting) already move, and are revealed
+in its place. P1 ranks g1 among its own n rows the same way, reveals its
+rank and maps it back itself. A plain group column with a value outside
+the domain the query gives raises `ValueOutsideDomain` before any message.
 
 Null handling: masked rows carry a validity bit; 0 stands in for the dropped
 value and canonicalization removes invalid rows. Inside running aggregates
