@@ -317,45 +317,99 @@ def a2b(sess: Session, x: SharedVector) -> SharedVector:
     # c AND r and propagate = c XOR r are local, and the prefix's generate
     # bits are the carries out of each bit.
     p = SharedVector(BINARY, w, c0 ^ rb0, rb1.copy())
-    [(g, _)] = _prefix(sess, [(SharedVector(BINARY, w, c0 & rb0, c1 & rb1), p,
-                               False)])
+    g = _prefix(sess, SharedVector(BINARY, w, c0 & rb0, c1 & rb1), p)
     return xor(p, _shl(g, 1)).map(lambda a: a & wm)
 
 
-def _prefix(sess: Session, trees: list[tuple[SharedVector | None, SharedVector, bool]]
-            ) -> list[tuple[SharedVector | None, SharedVector]]:
-    """Log-depth prefixes over (generate, propagate) bit pairs, every tree
-    of the (g, p, top_p) list in lockstep: each level is one exchange for
-    all the trees still wider than the level's stride.
+def _prefix(sess: Session, g: SharedVector, p: SharedVector) -> SharedVector:
+    """The carries of an addition: a log-depth prefix over its (generate,
+    propagate) bit pairs, ceil(log2 w) levels of one exchange each for
+    w = p.width; afterwards bit i of the returned g is the carry out of bits
+    i down to 0.
 
     Level s joins each bit's pair with the pair s bits below it by
-    (g, p) o (g', p') = (g ^ p & g', p & p'), so that afterwards bit i holds
-    the pair of bits i down to 0; a tree is as wide as its p. Both ANDs of
-    a tree's level read the same p. The shifted g reads zeros in its
-    vacated low bits and the shifted p reads ones (party 0 ORs them into
-    its half), so p's top bit is the AND of exactly the tree's w bits at
-    any width w.
-    With g None only p runs; without `top_p` the last level skips p, whose
-    top bit is then stale.
+    (g, p) o (g', p') = (g ^ p & g', p & p'), and both ANDs read the same p.
+    The shifted g reads zeros in its vacated low bits and the shifted p reads
+    ones (party 0 ORs them into its half). The last level skips p, which no
+    later level reads.
     """
-    gs, ps = [g for g, _, _ in trees], [p for _, p, _ in trees]
     s = 1
-    while live := [i for i, p in enumerate(ps) if s < p.width]:
-        groups, keep = [], []
-        for i in live:
-            keep.append(trees[i][2] or 2 * s < ps[i].width)
-            ys = [] if gs[i] is None else [_shl(gs[i], s)]
-            if keep[-1]:
-                ys.append(_shl(ps[i], s))
-                ys[-1].shares[0][:] |= width_mask(s)
-            groups.append((ps[i], ys))
-        for i, keep_p, ands in zip(live, keep, _beaver(sess, groups)):
-            if gs[i] is not None:
-                gs[i] = xor(gs[i], ands[0])
-            if keep_p:
-                ps[i] = ands[-1]
+    while s < p.width:
+        ys = [_shl(g, s)]
+        if 2 * s < p.width:
+            ys.append(_shl(p, s))
+            ys[-1].shares[0][:] |= width_mask(s)
+        ands = _beaver(sess, [(p, ys)])[0]
+        g = xor(g, ands[0])
+        if len(ands) > 1:
+            p = ands[1]
         s *= 2
-    return list(zip(gs, ps))
+    return g
+
+
+def _bitrev_swaps(width: int) -> list[tuple[np.uint64, np.uint64]]:
+    """The delta swaps (shift, mask) that move bit i of a `width`-bit word,
+    a power of two, to bit bitrev(i) over its log2(width) index bits: one
+    swap of index bits t and k - 1 - t for each t < k / 2, k = log2(width)."""
+    k = width.bit_length() - 1
+    swaps = []
+    for t in range(k // 2):
+        low, high = 1 << t, 1 << (k - 1 - t)
+        mask = sum(1 << b for b in range(width) if b & low and not b & high)
+        swaps.append((_U64(high - low), _U64(mask)))
+    return swaps
+
+
+_BITREV = {1 << k: _bitrev_swaps(1 << k) for k in range(7)}
+
+
+def _reduce(sess: Session, trees: list[tuple[np.ndarray, int, bool]]
+            ) -> list[np.ndarray]:
+    """Reduction trees over (generate, propagate) bit pairs, run in lockstep.
+
+    A tree is (rows, w, keep_p): rows stacks the share halves (g0, g1, p0, p1),
+    or (p0, p1) for an equality, of w-bit words. Party 0 pads p with ones
+    from bit w up to the next power of two W, above the top bit, where they
+    change neither > nor ==. One local bit permutation then moves every bit
+    i to bit bitrev(i), after which the top and bottom halves of a word,
+    a >> h and a & mask(h), are adjacent in significance. Each level merges
+    them by g' = g_hi ^ (p_hi & g_lo) and p' = p_hi & p_lo, so frames halve
+    each level: one exchange of W/2-bit words, then W/4 and on to 1 bit, for
+    every tree still wider than 1. Without keep_p a tree's last level skips
+    p, whose bit is then stale. Returns each tree's rows at width 1.
+    """
+    state = []
+    for rows, w, keep_p in trees:
+        wide = 1 << (w - 1).bit_length()
+        if w < wide:
+            rows[-2:] &= width_mask(w)
+            rows[-2] |= width_mask(wide) ^ width_mask(w)
+        for d, m in _BITREV[wide]:
+            swap = rows >> d
+            swap ^= rows
+            swap &= m
+            rows ^= swap
+            swap <<= d
+            rows ^= swap
+        state.append([rows, wide, keep_p])
+    while live := [t for t in state if t[1] > 1]:
+        groups, halves = [], []
+        for rows, wide, keep_p in live:
+            h = wide // 2
+            hi, lo = rows >> _U64(h), rows & width_mask(h)
+            ys = [SharedVector(BINARY, h, lo[0], lo[1])] if len(rows) == 4 else []
+            if keep_p or h > 1:
+                ys.append(SharedVector(BINARY, h, lo[-2], lo[-1]))
+            groups.append((SharedVector(BINARY, h, hi[-2], hi[-1]), ys))
+            halves.append(hi)
+        for t, hi, ands in zip(live, halves, _beaver(sess, groups)):
+            if len(hi) == 4:
+                hi[0] ^= ands[0].shares[0]
+                hi[1] ^= ands[0].shares[1]
+            if t[2] or t[1] > 2:
+                hi[-2], hi[-1] = ands[-1].shares
+            t[0], t[1] = hi, t[1] // 2
+    return [rows for rows, _, _ in state]
 
 
 def pack(fields: list[SharedVector]
@@ -387,15 +441,17 @@ def compare(sess: Session, xs: list[SharedVector], ys: list[SharedVector],
     arithmetic limbs go through `a2b` first.
 
     A limb's propagate bits are NOT(x ^ y) and, for `greater`, its generate
-    bits are x AND NOT y, all limbs' in one exchange. Every limb's `_prefix`
-    then runs in lockstep, ceil(log2 w) rounds for the widest limb w, and
-    leaves the limb's x > y in g's top bit and its x == y in p's. With
+    bits are x AND NOT y at the limb's width w, all limbs' in one exchange.
+    Every limb's `_reduce` tree then runs in lockstep, log2 W rounds for the
+    widest limb padded to a power of two W, and leaves the limb's x > y in
+    g and its x == y in p. Per element of one w-bit limb, `gt` sends
+    4(w + 2W - 3) wire bits (4 at w = 1) and `eq` 4(W - 1). With
     1 < k <= 64 limbs, limb i's two bits go to bit k - 1 - i of a k-bit g
-    and a k-bit p (`pack`), and one more prefix folds the limbs by the same
-    rule in ceil(log2 k) rounds. A `greater` key of limbs 1, 64 and 11 bits
-    wide thus takes 1 + 6 + 2 rounds. The last limb's equality lands at
-    bit 0, where it only ever meets the zero generate below, so for
-    `greater` its tree skips the last propagate level.
+    and a k-bit p, and one more tree folds the limbs by the same rule in
+    ceil(log2 k) rounds. A `greater` key of limbs 1, 64 and 11 bits wide
+    thus takes 1 + 6 + 2 rounds. The last limb's equality lands at bit 0,
+    where it only ever meets p, never g, so for `greater` its tree skips
+    the last propagate level.
     """
     xs = [a2b(sess, x) if x.flavor == ARITH else x for x in xs]
     ys = [a2b(sess, y) if y.flavor == ARITH else y for y in ys]
@@ -403,18 +459,27 @@ def compare(sess: Session, xs: list[SharedVector], ys: list[SharedVector],
         if x.width != y.width:
             raise WidthMismatch(f"{x.width} vs {y.width}")
     k = len(xs)
-    gens = [None] * k
+    gens = [()] * k
     if greater:
-        gens = [g for [g] in _beaver(
+        gens = [g.shares for [g] in _beaver(
             sess, [(x, [not_bits(y)]) for x, y in zip(xs, ys)])]
-    trees = _prefix(sess, [(g, not_bits(xor(x, y)), not greater or i < k - 1)
-                           for i, (g, x, y) in enumerate(zip(gens, xs, ys))])
+    trees = []
+    for i, (g, x, y) in enumerate(zip(gens, xs, ys)):
+        rows = np.empty((len(g) + 2, len(x)), np.uint64)  # (g0, g1,) p0, p1
+        if g:
+            rows[:2] = g
+        np.bitwise_xor(x.shares[0], y.shares[0], out=rows[-2])
+        np.bitwise_xor(x.shares[1], y.shares[1], out=rows[-1])
+        rows[-2] ^= width_mask(x.width)
+        trees.append((rows, x.width, not greater or i < k - 1))
+    trees = _reduce(sess, trees)
     if k > 1:
-        [g], _ = pack([_top(g) for g, _ in trees]) if greater else ([None], None)
-        [p], _ = pack([_top(p) for _, p in trees])
-        trees = _prefix(sess, [(g, p, not greater)])
-    g, p = trees[0]
-    return _top(g if greater else p)
+        fold = np.zeros_like(trees[0])
+        for i, rows in enumerate(trees):
+            fold |= rows << _U64(k - 1 - i)
+        trees = _reduce(sess, [(fold, k, not greater)])
+    rows = trees[0]
+    return SharedVector(BINARY, 1, *(rows[:2] if greater else rows[-2:]))
 
 
 def eq(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:

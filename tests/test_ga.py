@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from secjoin import bench, ga, oracle
 from secjoin import sharing as sh
 from secjoin import views as vw
-from secjoin.errors import DomainTooLarge, SecJoinError, ValueOutsideDomain
+from secjoin.errors import (DomainTooLarge, KeyOutOfRange, SecJoinError,
+                            ValueOutsideDomain)
 from secjoin.ga import JgaQuery, select_protocol
 from secjoin.ring import ARITH, BINARY
 from secjoin.session import Session
@@ -884,6 +885,34 @@ def test_pkfk_sort_family_at_the_key_and_value_limits(level, n_pk):
                                           (0, None, "count")], dom0=dom, dom1=dom)
             assert ga.PROTOCOLS[proto](Session(4, 5, 6), v0, v1, q).rows == \
                 oracle.eval_jga(r0, r1, q), (proto, group0, group1)
+
+
+@pytest.mark.parametrize("level", (0, 1, 2))
+@pytest.mark.parametrize("top", ((1 << 62) - 1, 1 << 62))
+@pytest.mark.parametrize("holder", ("both", 0, 1))
+def test_pkpk_keys_at_the_sentinel_limit_in_every_protocol(level, top, holder):
+    # 2^62 - 1 is the largest PK-PK join key and 2^62 the first refused
+    # one. Level 1's gen_pidv matches keys by a 64-bit eq, so the other
+    # table holds keys one bit away from the top key in place of it.
+    k0 = [top if holder in ("both", 0) else top ^ 1, top ^ (1 << 61), 7, 3]
+    k1 = [top if holder in ("both", 1) else top ^ 1, top ^ (1 << 33), 3, 9, 7]
+    r0 = Relation("A", {"k": k0, "g0": [0, 1, 1, 2], "v0": [5, 6, 7, 8]}, "k")
+    r1 = Relation("B", {"k": k1, "g1": [1, 0, 1, 0, 1],
+                        "v1": [10, 20, 30, 40, 50]}, "k")
+    assert len(set(k0) & set(k1)) == (3 if holder == "both" else 2)
+    if max(k0 + k1) >= 1 << 62:
+        with pytest.raises(KeyOutOfRange):
+            vw.GENERATORS[level](Session(1, 2, 3), r0, r1)
+        return
+    v0, v1 = vw.GENERATORS[level](Session(1, 2, 3), r0, r1)
+    aggs = [(0, "v0", "sum"), (1, "v1", "max"), (0, None, "count")]
+    cells = [(proto, "g0", "g1") for proto in ALL_PROTOCOLS] + \
+        [("oneside", "g0", None), ("oneside", None, "g1")]
+    for proto, group0, group1 in cells:
+        q = JgaQuery(group0, group1, aggs)
+        want = oracle.eval_jga(r0, r1, q)
+        assert ga.PROTOCOLS[proto](Session(4, 5, 6), v0, v1, q).rows == want, \
+            (proto, group0, group1)
 
 
 def test_bench_grid_measures_the_one_side_shortcut(monkeypatch):

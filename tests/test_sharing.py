@@ -294,10 +294,11 @@ def test_eq_and_gt_eq_every_width_vs_numpy():
         want_eq = (xs == ys).astype(np.uint64)
         rounds, bits = sess.transcript.wire_rounds, sess.transcript.wire_bits
         assert np.array_equal(sh.eq(sess, x, y).reconstruct(), want_eq), w
-        # one w-bit AND exchange per level
+        # one AND exchange per level, its words half as wide each level:
+        # W/2 + W/4 + ... + 1 = W - 1 bits for w padded to a power of two W
         levels = (w - 1).bit_length()
         assert sess.transcript.wire_rounds - rounds == levels
-        assert sess.transcript.wire_bits - bits == levels * 4 * w * len(xs)
+        assert sess.transcript.wire_bits - bits == 4 * ((1 << levels) - 1) * len(xs)
         assert np.array_equal(sh.gt(sess, x, y).reconstruct(), want_gt), w
 
 
@@ -407,6 +408,107 @@ def test_comparisons_send_no_share_bit_above_the_width():
     sh.compare(sess, [x], [y], False)
     sh.compare(sess, [x, y], [y, x], True)
     assert sent and all(int(d.max()) < 1 << 10 for d in sent)
+
+
+@pytest.mark.parametrize("n", (1, 3, 40))
+def test_eq_and_gt_cost_exactly_their_reduction_tree_at_every_width(n):
+    # w padded to a power of two W: gt's generate exchange at w bits, then
+    # levels of W/2, W/4, ... 1-bit words carrying both ANDs, but the last
+    # level skips p; eq runs the p ANDs alone. The dealer's triples cover
+    # exactly the ANDs' bits, a quarter of the wire's.
+    rng = np.random.default_rng(n)
+    for w in range(1, 65):
+        levels = (w - 1).bit_length()
+        wide = 1 << levels
+        want = {sh.gt: (1 + levels, 4 * n * (w + 2 * wide - 3) if w > 1 else 4 * n),
+                sh.eq: (levels, 4 * n * (wide - 1))}
+        sess = fresh(w)
+        vals = [rng.integers(0, 1 << 64, n, dtype=np.uint64) & width_mask(w)
+                for _ in (0, 1)]
+        x, y = (sh.share_vec(sess, i, v, sh.BINARY, w) for i, v in enumerate(vals))
+        for gate, (rounds, bits) in want.items():
+            t = sess.transcript
+            before = t.wire_rounds, t.wire_bits, t.hybrid_bits
+            got = gate(sess, x, y)
+            assert (t.wire_rounds - before[0], t.wire_bits - before[1]) == \
+                (rounds, bits), (gate.__name__, w)
+            assert 4 * (t.hybrid_bits - before[2]) == bits, (gate.__name__, w)
+            assert (got.flavor, got.width) == (sh.BINARY, 1)
+            op = np.greater if gate is sh.gt else np.equal
+            assert np.array_equal(got.reconstruct(), op(*vals).astype(np.uint64))
+
+
+def test_compare_many_limbs_vs_python_tuple_order():
+    # limbs of widths that are and are not powers of two, trees of 2 to 6
+    # levels in lockstep, then a 5-limb fold padded to 8 bits; every row
+    # ties in a random prefix of the limbs and differs by one bit after it
+    rng = np.random.default_rng(53)
+    widths, n = (3, 17, 1, 33, 8), 300
+    a = [rng.integers(0, 1 << w, n, dtype=np.uint64) for w in widths]
+    b = [rng.integers(0, 1 << w, n, dtype=np.uint64) for w in widths]
+    tie = rng.integers(0, len(widths) + 1, n)
+    for i, w in enumerate(widths):
+        rows = tie > i
+        b[i][rows] = a[i][rows]
+        flip = tie == i
+        b[i][flip] = a[i][flip] ^ (np.uint64(1) << rng.integers(
+            0, w, int(flip.sum())).astype(np.uint64))
+    sess = fresh(5)
+    xs = [sh.share_vec(sess, 0, v, sh.BINARY, w) for v, w in zip(a, widths)]
+    ys = [sh.share_vec(sess, 1, v, sh.BINARY, w) for v, w in zip(b, widths)]
+    rows = [(tuple(int(v[i]) for v in a), tuple(int(v[i]) for v in b))
+            for i in range(n)]
+    for greater in (True, False):
+        before = sess.transcript.wire_rounds
+        got = sh.compare(sess, xs, ys, greater).reconstruct().tolist()
+        assert got == [int(ka > kb if greater else ka == kb) for ka, kb in rows]
+        assert sess.transcript.wire_rounds - before == int(greater) + 6 + 3
+    assert {int(t) for t in tie} == set(range(len(widths) + 1))
+
+
+def _frames_at_their_ledgered_width(sess):
+    """Wrap sess.exchange to check that every word of every frame stays
+    below the width its ledger entry counts; returns the frames' widths."""
+    widths, exchange = [], sess.exchange
+
+    def checked(d0, d1, b0, b1):
+        for frame, bits in ((d0, b0), (d1, b1)):
+            assert bits % len(frame) == 0, (bits, len(frame))
+            w = bits // len(frame)
+            assert w == 64 or not (frame >> np.uint64(w)).any(), w
+            widths.append(w)
+        return exchange(d0, d1, b0, b1)
+
+    sess.exchange = checked
+    return widths
+
+
+def test_comparisons_sort_and_scan_send_no_bit_above_the_ledgered_width():
+    rng = np.random.default_rng(59)
+    n = 50
+    sess = fresh(9)
+    widths = _frames_at_their_ledgered_width(sess)
+    for w in (1, 2, 3, 7, 22, 33, 64):
+        vals = [rng.integers(0, 1 << 64, n, dtype=np.uint64) & width_mask(w)
+                for _ in (0, 1)]
+        x, y = (sh.share_vec(sess, i, v, sh.BINARY, w) for i, v in enumerate(vals))
+        assert np.array_equal(sh.eq(sess, x, y).reconstruct(),
+                              np.equal(*vals).astype(np.uint64))
+        assert np.array_equal(sh.gt(sess, x, y).reconstruct(),
+                              np.greater(*vals).astype(np.uint64))
+    keys = rng.integers(0, 1 << 9, n, dtype=np.uint64)
+    pi, [got], _ = ob.stable_sort(sess, [sh.share_vec(sess, 1, keys, sh.BINARY, 9)])
+    assert got.reconstruct().tolist() == sorted(keys.tolist())
+    vals = rng.integers(0, 1 << 64, n, dtype=np.uint64)
+    flags = np.arange(n) % 5 != 0
+    [top], _ = ob.trav_flags(sess, sh.share_vec(sess, 0, flags, sh.BINARY, 1),
+                             [sh.share_vec(sess, 1, vals, sh.BINARY)], ["max"])
+    run_max = [int(vals[0])]
+    for i in range(1, n):
+        run_max.append(max(run_max[-1], int(vals[i])) if flags[i] else int(vals[i]))
+    assert top.reconstruct().tolist() == run_max
+    # the trees' frames halve level by level, down to 1-bit words
+    assert {1, 2, 4, 8, 16, 32} <= set(widths)
 
 
 def test_osn_sends_no_bit_above_the_column_width():
