@@ -138,255 +138,255 @@ def rows_digest() -> str:
 
 GOLDEN = {
     "pkpk-l0-view": "6a0997a0cb14d258",
-    "pkpk-l0-sorting-g0g1-sums": "e88f8d923cfedf27",
-    "pkpk-l0-sorting-g0g1-extremes": "296d5bf540b2fa03",
-    "pkpk-l0-sorting-g0-sums": "e8b5ce4d7f05776c",
-    "pkpk-l0-sorting-g0-extremes": "b894adbc996cba6e",
-    "pkpk-l0-sorting-g1-sums": "c2a2c93e64c8e7d3",
-    "pkpk-l0-sorting-g1-extremes": "267e12626f2b7922",
-    "pkpk-l0-osorting-g0g1-sums": "60be44e1d204eaaf",
-    "pkpk-l0-osorting-g0g1-extremes": "d344343a37cf8142",
-    "pkpk-l0-osorting-g0-sums": "3041ab0949c7fce7",
-    "pkpk-l0-osorting-g0-extremes": "d8f0c9f559aa40e4",
-    "pkpk-l0-osorting-g1-sums": "3ad5e833eb1750d4",
-    "pkpk-l0-osorting-g1-extremes": "893707ea45491dcd",
-    "pkpk-l0-bsorting-g0g1-sums": "e4c4e92989e480c3",
-    "pkpk-l0-bsorting-g0g1-extremes": "de97562aa462872a",
-    "pkpk-l0-bsorting-g0-sums": "111edf5a8c34cee7",
-    "pkpk-l0-bsorting-g0-extremes": "177e67fa40131c5a",
-    "pkpk-l0-bsorting-g1-sums": "b7f050a9f9dc43ce",
-    "pkpk-l0-bsorting-g1-extremes": "5440ffe6f3c6e5c8",
+    "pkpk-l0-sorting-g0g1-sums": "29167f5ecc0553e5",
+    "pkpk-l0-sorting-g0g1-extremes": "7a9011d595e2aa6e",
+    "pkpk-l0-sorting-g0-sums": "31b2c6c6ef064632",
+    "pkpk-l0-sorting-g0-extremes": "d082e5f52ea659cb",
+    "pkpk-l0-sorting-g1-sums": "a7fb9b477953b71b",
+    "pkpk-l0-sorting-g1-extremes": "e2d6916fe52c817a",
+    "pkpk-l0-osorting-g0g1-sums": "4b174cb8633b9b30",
+    "pkpk-l0-osorting-g0g1-extremes": "4f4091cd69c06c4b",
+    "pkpk-l0-osorting-g0-sums": "fceec7811f2a7d36",
+    "pkpk-l0-osorting-g0-extremes": "fb3bcd1622eb7cfb",
+    "pkpk-l0-osorting-g1-sums": "497142dd51d455bd",
+    "pkpk-l0-osorting-g1-extremes": "f65511e310ed66d7",
+    "pkpk-l0-bsorting-g0g1-sums": "5501a2b84e898d55",
+    "pkpk-l0-bsorting-g0g1-extremes": "9a9c4b4639b4b7ee",
+    "pkpk-l0-bsorting-g0-sums": "4c6d9a18bf009513",
+    "pkpk-l0-bsorting-g0-extremes": "36f24d3d9ed9c08b",
+    "pkpk-l0-bsorting-g1-sums": "afb98188067456d5",
+    "pkpk-l0-bsorting-g1-extremes": "56ca036f269eaa5f",
     "pkpk-l0-mix-g0g1-sums": "5269d56f55d720da",
-    "pkpk-l0-mix-g0g1-extremes": "ec2c4b638e7f56c1",
+    "pkpk-l0-mix-g0g1-extremes": "a1e018de26ec8bce",
     "pkpk-l0-mix-g0-sums": "b892f92a86625dd3",
-    "pkpk-l0-mix-g0-extremes": "1b5529795e707194",
+    "pkpk-l0-mix-g0-extremes": "48b205365f0d1bac",
     "pkpk-l0-mix-g1-sums": "2ad03e40ca94ffd8",
-    "pkpk-l0-mix-g1-extremes": "0a325aeba59c5b51",
+    "pkpk-l0-mix-g1-extremes": "9008cdceaa1e9095",
     "pkpk-l0-bitmap-g0g1-sums": "9a0d18a91298129d",
-    "pkpk-l0-bitmap-g0g1-extremes": "5992932ffd4ca9f6",
+    "pkpk-l0-bitmap-g0g1-extremes": "0ab97ceb8499f91f",
     "pkpk-l0-bitmap-g0-sums": "76f6708906e26b3e",
-    "pkpk-l0-bitmap-g0-extremes": "f780436d9e2b4d48",
+    "pkpk-l0-bitmap-g0-extremes": "3c1052361d0fb555",
     "pkpk-l0-bitmap-g1-sums": "84acecd194822661",
-    "pkpk-l0-bitmap-g1-extremes": "0d9ad82ed5c95ab2",
+    "pkpk-l0-bitmap-g1-extremes": "6e047d91a9220146",
     "pkpk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l0-oneside-g0-sums": "46bb303812123d84",
-    "pkpk-l0-oneside-g0-extremes": "e3a3ae71cabb1387",
+    "pkpk-l0-oneside-g0-extremes": "3a143ebc7af57f2f",
     "pkpk-l0-oneside-g1-sums": "2ad03e40ca94ffd8",
-    "pkpk-l0-oneside-g1-extremes": "0a325aeba59c5b51",
-    "pkpk-l1-view": "4635a51cabc0d3e0",
-    "pkpk-l1-sorting-g0g1-sums": "4dd20376dba88feb",
-    "pkpk-l1-sorting-g0g1-extremes": "9ace029df8e9f52d",
-    "pkpk-l1-sorting-g0-sums": "a948aa53d13ebf8b",
-    "pkpk-l1-sorting-g0-extremes": "6041fef39ae26634",
-    "pkpk-l1-sorting-g1-sums": "f6d040ec1c45a118",
-    "pkpk-l1-sorting-g1-extremes": "f582d58b39d2fe77",
-    "pkpk-l1-osorting-g0g1-sums": "3cc2327e9995d2ad",
-    "pkpk-l1-osorting-g0g1-extremes": "ccac41a4369854c9",
-    "pkpk-l1-osorting-g0-sums": "b56ecc637861ad4e",
-    "pkpk-l1-osorting-g0-extremes": "5aa93972e7ec1377",
-    "pkpk-l1-osorting-g1-sums": "01256df6854d709b",
-    "pkpk-l1-osorting-g1-extremes": "a8aaa05e905bf3c3",
-    "pkpk-l1-bsorting-g0g1-sums": "814c3ce11f090fe3",
-    "pkpk-l1-bsorting-g0g1-extremes": "7db1c9080b155edf",
-    "pkpk-l1-bsorting-g0-sums": "276a1fee9231dfc2",
-    "pkpk-l1-bsorting-g0-extremes": "cbecc81518a28b75",
-    "pkpk-l1-bsorting-g1-sums": "0090d6d587729070",
-    "pkpk-l1-bsorting-g1-extremes": "3325cceebb6acaf5",
-    "pkpk-l1-mix-g0g1-sums": "f14fd717d7f4c4e6",
-    "pkpk-l1-mix-g0g1-extremes": "af6096ac57ef0d3a",
-    "pkpk-l1-mix-g0-sums": "c004e9499bc5a413",
-    "pkpk-l1-mix-g0-extremes": "2ba1d4e84674a76f",
-    "pkpk-l1-mix-g1-sums": "0aef3845c8b2b78b",
-    "pkpk-l1-mix-g1-extremes": "d7f487bc135a0fd7",
-    "pkpk-l1-bitmap-g0g1-sums": "54941534d087fdfa",
-    "pkpk-l1-bitmap-g0g1-extremes": "a8be4970adc5fe04",
-    "pkpk-l1-bitmap-g0-sums": "b5c9ce730cfb978c",
-    "pkpk-l1-bitmap-g0-extremes": "ca079e1142cc6c69",
-    "pkpk-l1-bitmap-g1-sums": "fea6ed772fd35d8b",
-    "pkpk-l1-bitmap-g1-extremes": "fedfd8fe881ba595",
+    "pkpk-l0-oneside-g1-extremes": "9008cdceaa1e9095",
+    "pkpk-l1-view": "ace4674eb81e019e",
+    "pkpk-l1-sorting-g0g1-sums": "961b798cb741aa8c",
+    "pkpk-l1-sorting-g0g1-extremes": "5a3e81a063047591",
+    "pkpk-l1-sorting-g0-sums": "ed5bfa6d93e03c18",
+    "pkpk-l1-sorting-g0-extremes": "4075a5d167c23149",
+    "pkpk-l1-sorting-g1-sums": "5af0439509552afc",
+    "pkpk-l1-sorting-g1-extremes": "ccbad194841729be",
+    "pkpk-l1-osorting-g0g1-sums": "cd60b88c283036bc",
+    "pkpk-l1-osorting-g0g1-extremes": "d5173f171e5725e2",
+    "pkpk-l1-osorting-g0-sums": "6fb33d89598a74db",
+    "pkpk-l1-osorting-g0-extremes": "401c8b74abcb087b",
+    "pkpk-l1-osorting-g1-sums": "ab782ab57c103236",
+    "pkpk-l1-osorting-g1-extremes": "86fd79a2956423ba",
+    "pkpk-l1-bsorting-g0g1-sums": "9542e1b6a1305bdd",
+    "pkpk-l1-bsorting-g0g1-extremes": "33503b5f9f4d8852",
+    "pkpk-l1-bsorting-g0-sums": "975a2ce0813f157f",
+    "pkpk-l1-bsorting-g0-extremes": "6ffce98bb4541b3e",
+    "pkpk-l1-bsorting-g1-sums": "7a2e150772e39cd0",
+    "pkpk-l1-bsorting-g1-extremes": "abdeb028f48ce815",
+    "pkpk-l1-mix-g0g1-sums": "016ae5c49553d992",
+    "pkpk-l1-mix-g0g1-extremes": "76c0f312011980aa",
+    "pkpk-l1-mix-g0-sums": "bea0c082f79cc783",
+    "pkpk-l1-mix-g0-extremes": "9360049a7fee2566",
+    "pkpk-l1-mix-g1-sums": "22f297b1eaefa639",
+    "pkpk-l1-mix-g1-extremes": "6e789700a772677e",
+    "pkpk-l1-bitmap-g0g1-sums": "5fe3ab3f3dbd9fd1",
+    "pkpk-l1-bitmap-g0g1-extremes": "9da5aec938c97c50",
+    "pkpk-l1-bitmap-g0-sums": "9e94b1674ba0b997",
+    "pkpk-l1-bitmap-g0-extremes": "9655845b2e75414e",
+    "pkpk-l1-bitmap-g1-sums": "1cb7628b7e91f8fc",
+    "pkpk-l1-bitmap-g1-extremes": "77c127f9d63a60bd",
     "pkpk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l1-oneside-g0g1-extremes": "SizeMismatch",
-    "pkpk-l1-oneside-g0-sums": "51a1c4ef7c6aba4f",
-    "pkpk-l1-oneside-g0-extremes": "f9573e9da37e04bf",
-    "pkpk-l1-oneside-g1-sums": "0aef3845c8b2b78b",
-    "pkpk-l1-oneside-g1-extremes": "d7f487bc135a0fd7",
+    "pkpk-l1-oneside-g0-sums": "2d2f7b5aae9f7e73",
+    "pkpk-l1-oneside-g0-extremes": "bd643caa7478df78",
+    "pkpk-l1-oneside-g1-sums": "22f297b1eaefa639",
+    "pkpk-l1-oneside-g1-extremes": "6e789700a772677e",
     "pkpk-l2-view": "a7d548c2320a314f",
-    "pkpk-l2-sorting-g0g1-sums": "358d2e820ee9efc7",
-    "pkpk-l2-sorting-g0g1-extremes": "d6b76d2dbc2c6478",
-    "pkpk-l2-sorting-g0-sums": "faad0206c33bc824",
-    "pkpk-l2-sorting-g0-extremes": "c12fe56428e7a2f6",
-    "pkpk-l2-sorting-g1-sums": "53cea108abe19998",
-    "pkpk-l2-sorting-g1-extremes": "ffecb886ca9324b0",
-    "pkpk-l2-osorting-g0g1-sums": "46a389afc5a56df9",
-    "pkpk-l2-osorting-g0g1-extremes": "dd06e2e4486c9da9",
-    "pkpk-l2-osorting-g0-sums": "04819bb0cf0b468c",
-    "pkpk-l2-osorting-g0-extremes": "85a883a431300229",
-    "pkpk-l2-osorting-g1-sums": "c803a0cbe963856c",
-    "pkpk-l2-osorting-g1-extremes": "d185ffadb1274323",
-    "pkpk-l2-bsorting-g0g1-sums": "3d5515d6f155da51",
-    "pkpk-l2-bsorting-g0g1-extremes": "ef4566379566b01d",
-    "pkpk-l2-bsorting-g0-sums": "3b45295dc89cca86",
-    "pkpk-l2-bsorting-g0-extremes": "0976f98bb10b594e",
-    "pkpk-l2-bsorting-g1-sums": "b6b28a6b1cce037e",
-    "pkpk-l2-bsorting-g1-extremes": "f5fe1969abe4d271",
+    "pkpk-l2-sorting-g0g1-sums": "543e9f7ebf25eb96",
+    "pkpk-l2-sorting-g0g1-extremes": "62d5a503c95f1169",
+    "pkpk-l2-sorting-g0-sums": "a18930193a116a36",
+    "pkpk-l2-sorting-g0-extremes": "88be931a9f2a1852",
+    "pkpk-l2-sorting-g1-sums": "52001f0009d00718",
+    "pkpk-l2-sorting-g1-extremes": "dcadb0ae0473a797",
+    "pkpk-l2-osorting-g0g1-sums": "c29ae333f980dcb7",
+    "pkpk-l2-osorting-g0g1-extremes": "c893790997ae37bb",
+    "pkpk-l2-osorting-g0-sums": "c7dfc6a9724f3304",
+    "pkpk-l2-osorting-g0-extremes": "e4223bae99983f8e",
+    "pkpk-l2-osorting-g1-sums": "d39559444f2cebf1",
+    "pkpk-l2-osorting-g1-extremes": "567cca5700db24c1",
+    "pkpk-l2-bsorting-g0g1-sums": "7c1ac5dd5fb1b07f",
+    "pkpk-l2-bsorting-g0g1-extremes": "7f09e59d40437cb0",
+    "pkpk-l2-bsorting-g0-sums": "a6df8a815a2670a9",
+    "pkpk-l2-bsorting-g0-extremes": "5cdb4c970515de9c",
+    "pkpk-l2-bsorting-g1-sums": "19590fbb99be4d38",
+    "pkpk-l2-bsorting-g1-extremes": "32fafe7c232ea66f",
     "pkpk-l2-mix-g0g1-sums": "ff1226fcb915fbb7",
-    "pkpk-l2-mix-g0g1-extremes": "2f503c0cac71904c",
+    "pkpk-l2-mix-g0g1-extremes": "c74bf56af4ebbedf",
     "pkpk-l2-mix-g0-sums": "b1c2d2924e4dcb72",
-    "pkpk-l2-mix-g0-extremes": "31360f98e0d4f1b8",
+    "pkpk-l2-mix-g0-extremes": "a08f0a1d49effa12",
     "pkpk-l2-mix-g1-sums": "7f29a9d0bcf612c3",
-    "pkpk-l2-mix-g1-extremes": "9c35c65ec0ee7611",
+    "pkpk-l2-mix-g1-extremes": "cf0cec137e5b6577",
     "pkpk-l2-bitmap-g0g1-sums": "41ea3e4051673027",
-    "pkpk-l2-bitmap-g0g1-extremes": "90c96eef9d187bbe",
+    "pkpk-l2-bitmap-g0g1-extremes": "dea8e9b25f42c643",
     "pkpk-l2-bitmap-g0-sums": "f3e6cae3b26b33d2",
-    "pkpk-l2-bitmap-g0-extremes": "39643fb70c78561f",
+    "pkpk-l2-bitmap-g0-extremes": "9f83b87d46727db0",
     "pkpk-l2-bitmap-g1-sums": "cdc7c7fde856ec23",
-    "pkpk-l2-bitmap-g1-extremes": "6a6c2a055a9036aa",
+    "pkpk-l2-bitmap-g1-extremes": "2ef2e6f6d58ed80e",
     "pkpk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkpk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkpk-l2-oneside-g0-sums": "0d495fb8305eb195",
-    "pkpk-l2-oneside-g0-extremes": "ce3236dc18991e42",
+    "pkpk-l2-oneside-g0-extremes": "01a33c3778913546",
     "pkpk-l2-oneside-g1-sums": "7f29a9d0bcf612c3",
-    "pkpk-l2-oneside-g1-extremes": "9c35c65ec0ee7611",
+    "pkpk-l2-oneside-g1-extremes": "cf0cec137e5b6577",
     "pkfk-l0-view": "32589aa3a857da40",
-    "pkfk-l0-sorting-g0g1-sums": "ebd187a13bfe9d92",
-    "pkfk-l0-sorting-g0g1-extremes": "3404fc43704dc466",
-    "pkfk-l0-sorting-g0-sums": "95b046f8f4d8c8de",
-    "pkfk-l0-sorting-g0-extremes": "53d4d00e312a464a",
-    "pkfk-l0-sorting-g1-sums": "d6dfec6086f7aa90",
-    "pkfk-l0-sorting-g1-extremes": "904295e2ecd914bd",
-    "pkfk-l0-osorting-g0g1-sums": "77a7ae4f436547f9",
-    "pkfk-l0-osorting-g0g1-extremes": "d3677e605ccc384f",
-    "pkfk-l0-osorting-g0-sums": "88f95c1747c0f1ee",
-    "pkfk-l0-osorting-g0-extremes": "673dbf7503d1a351",
-    "pkfk-l0-osorting-g1-sums": "5d1934b4c4f3697f",
-    "pkfk-l0-osorting-g1-extremes": "cec08e3f5b65981b",
-    "pkfk-l0-bsorting-g0g1-sums": "8c9163f8cfa67e43",
-    "pkfk-l0-bsorting-g0g1-extremes": "4827cb529d36adad",
-    "pkfk-l0-bsorting-g0-sums": "2e6f7217bda817f9",
-    "pkfk-l0-bsorting-g0-extremes": "fd4d70cecfca6614",
-    "pkfk-l0-bsorting-g1-sums": "21013293a0904753",
-    "pkfk-l0-bsorting-g1-extremes": "0beae8bf83e60c9e",
+    "pkfk-l0-sorting-g0g1-sums": "40e582e6ebc88f49",
+    "pkfk-l0-sorting-g0g1-extremes": "f9cec3fcc66d6f7a",
+    "pkfk-l0-sorting-g0-sums": "055deb1c00c59cd0",
+    "pkfk-l0-sorting-g0-extremes": "88caed31b7a1b569",
+    "pkfk-l0-sorting-g1-sums": "b91f48ef88e33a82",
+    "pkfk-l0-sorting-g1-extremes": "1281412b18975d83",
+    "pkfk-l0-osorting-g0g1-sums": "78063b236a7a969f",
+    "pkfk-l0-osorting-g0g1-extremes": "aa802dcced1bfa36",
+    "pkfk-l0-osorting-g0-sums": "9e7afe95b4b50b0f",
+    "pkfk-l0-osorting-g0-extremes": "af5368fbef49e0d8",
+    "pkfk-l0-osorting-g1-sums": "4ad706dfe8312285",
+    "pkfk-l0-osorting-g1-extremes": "d81576a67b798488",
+    "pkfk-l0-bsorting-g0g1-sums": "5da4f03f0e579308",
+    "pkfk-l0-bsorting-g0g1-extremes": "f6f86ce8c13997cb",
+    "pkfk-l0-bsorting-g0-sums": "231ca0e17ee2ae8d",
+    "pkfk-l0-bsorting-g0-extremes": "102aa1dfec89d729",
+    "pkfk-l0-bsorting-g1-sums": "80d5a953df8b8140",
+    "pkfk-l0-bsorting-g1-extremes": "7e95047c7b8976b3",
     "pkfk-l0-mix-g0g1-sums": "e6e3051d5d84c97a",
-    "pkfk-l0-mix-g0g1-extremes": "b88a9e9c37480be6",
+    "pkfk-l0-mix-g0g1-extremes": "c3644da85ecf9d0d",
     "pkfk-l0-mix-g0-sums": "8647cfd90ba254f8",
-    "pkfk-l0-mix-g0-extremes": "a93d027154238120",
+    "pkfk-l0-mix-g0-extremes": "edb6bad43bef9359",
     "pkfk-l0-mix-g1-sums": "45cd5f2fb2fe9a6a",
-    "pkfk-l0-mix-g1-extremes": "a3163ad6d2436a73",
+    "pkfk-l0-mix-g1-extremes": "06aecf7744e2b45b",
     "pkfk-l0-bitmap-g0g1-sums": "2bf8a797fdc14436",
-    "pkfk-l0-bitmap-g0g1-extremes": "216d8529c88a69d0",
+    "pkfk-l0-bitmap-g0g1-extremes": "8b1c4f025639b897",
     "pkfk-l0-bitmap-g0-sums": "b43c9c761bcfb4a8",
-    "pkfk-l0-bitmap-g0-extremes": "65659e8a9b983c9c",
+    "pkfk-l0-bitmap-g0-extremes": "bc6f48e3c1ae73f2",
     "pkfk-l0-bitmap-g1-sums": "6e7df9bcedec55c3",
-    "pkfk-l0-bitmap-g1-extremes": "8d393a22064bd7bc",
+    "pkfk-l0-bitmap-g1-extremes": "b518aba3aebeb766",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g1-sums": "45cd5f2fb2fe9a6a",
-    "pkfk-l0-oneside-g1-extremes": "a3163ad6d2436a73",
-    "pkfk-l1-view": "607b78855fae9eef",
-    "pkfk-l1-sorting-g0g1-sums": "6f94c8346698ff9f",
-    "pkfk-l1-sorting-g0g1-extremes": "d40369be9f02d4f6",
-    "pkfk-l1-sorting-g0-sums": "5ca4002fffdbb1aa",
-    "pkfk-l1-sorting-g0-extremes": "e8ca4f5fe7fe7b63",
-    "pkfk-l1-sorting-g1-sums": "52c70612e22091bb",
-    "pkfk-l1-sorting-g1-extremes": "0708550e3e8179bb",
-    "pkfk-l1-osorting-g0g1-sums": "a701704e2d8f2a92",
-    "pkfk-l1-osorting-g0g1-extremes": "41c24cfcb52dc8ad",
-    "pkfk-l1-osorting-g0-sums": "864c7c4456de0faa",
-    "pkfk-l1-osorting-g0-extremes": "f5f2a8de997bf559",
-    "pkfk-l1-osorting-g1-sums": "efcfa6f75ce6e44d",
-    "pkfk-l1-osorting-g1-extremes": "a72e242e4c0a9b34",
-    "pkfk-l1-bsorting-g0g1-sums": "0a2995c6bd052055",
-    "pkfk-l1-bsorting-g0g1-extremes": "1309e581f050ab30",
-    "pkfk-l1-bsorting-g0-sums": "3d146ed13f11b0ee",
-    "pkfk-l1-bsorting-g0-extremes": "8d7b2a21916371cc",
-    "pkfk-l1-bsorting-g1-sums": "c073deab4b4ec52d",
-    "pkfk-l1-bsorting-g1-extremes": "476e228b097c6dbb",
+    "pkfk-l0-oneside-g1-extremes": "06aecf7744e2b45b",
+    "pkfk-l1-view": "5039245e6a16d989",
+    "pkfk-l1-sorting-g0g1-sums": "59d38d5fca1962ae",
+    "pkfk-l1-sorting-g0g1-extremes": "3cd82b2b2804d3af",
+    "pkfk-l1-sorting-g0-sums": "ed06beae9d3c64fe",
+    "pkfk-l1-sorting-g0-extremes": "21c08d2999615933",
+    "pkfk-l1-sorting-g1-sums": "70b7277a4363664b",
+    "pkfk-l1-sorting-g1-extremes": "3707b7de7cab0ae3",
+    "pkfk-l1-osorting-g0g1-sums": "359ecf988006adde",
+    "pkfk-l1-osorting-g0g1-extremes": "7d31607f7ce4b276",
+    "pkfk-l1-osorting-g0-sums": "a295b06e3f210e0d",
+    "pkfk-l1-osorting-g0-extremes": "6f83df26148b436d",
+    "pkfk-l1-osorting-g1-sums": "788e8c4a41ae1203",
+    "pkfk-l1-osorting-g1-extremes": "f8e36ced97e5ff8a",
+    "pkfk-l1-bsorting-g0g1-sums": "68a5480b30e972ee",
+    "pkfk-l1-bsorting-g0g1-extremes": "de465386729f1117",
+    "pkfk-l1-bsorting-g0-sums": "71557857421cce7b",
+    "pkfk-l1-bsorting-g0-extremes": "f93c5f85901aa100",
+    "pkfk-l1-bsorting-g1-sums": "05ad87054ca464c9",
+    "pkfk-l1-bsorting-g1-extremes": "4295bf025e306d80",
     "pkfk-l1-mix-g0g1-sums": "3b85e720b363f0c5",
-    "pkfk-l1-mix-g0g1-extremes": "a90bba91bc067a60",
+    "pkfk-l1-mix-g0g1-extremes": "6541e386e4c67924",
     "pkfk-l1-mix-g0-sums": "9a5d51984484665e",
-    "pkfk-l1-mix-g0-extremes": "1ab9a47eef74962f",
+    "pkfk-l1-mix-g0-extremes": "b7f60010a5e00251",
     "pkfk-l1-mix-g1-sums": "f8fbf9fa34113508",
-    "pkfk-l1-mix-g1-extremes": "e5d8ba248464d699",
+    "pkfk-l1-mix-g1-extremes": "55241708b12496e1",
     "pkfk-l1-bitmap-g0g1-sums": "2985ce9bc6ab4f07",
-    "pkfk-l1-bitmap-g0g1-extremes": "9c946abe8803abf5",
+    "pkfk-l1-bitmap-g0g1-extremes": "d378c4d5f91444c0",
     "pkfk-l1-bitmap-g0-sums": "6820b7c319d3ba47",
-    "pkfk-l1-bitmap-g0-extremes": "bf68f9dec95dfe2e",
+    "pkfk-l1-bitmap-g0-extremes": "2dd3b5c4ff4117cc",
     "pkfk-l1-bitmap-g1-sums": "4362aedde3694c45",
-    "pkfk-l1-bitmap-g1-extremes": "c8dc0c7f45ace6a9",
+    "pkfk-l1-bitmap-g1-extremes": "79e33c770f70c15e",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g1-sums": "f8fbf9fa34113508",
-    "pkfk-l1-oneside-g1-extremes": "e5d8ba248464d699",
+    "pkfk-l1-oneside-g1-extremes": "55241708b12496e1",
     "pkfk-l2-view": "8dee838fcd71b50f",
-    "pkfk-l2-sorting-g0g1-sums": "8f3d208a04845666",
-    "pkfk-l2-sorting-g0g1-extremes": "6718a5fd8b9db742",
-    "pkfk-l2-sorting-g0-sums": "95690b611490e0e5",
-    "pkfk-l2-sorting-g0-extremes": "a02620e13671af44",
-    "pkfk-l2-sorting-g1-sums": "9d7ce38996cd539e",
-    "pkfk-l2-sorting-g1-extremes": "4272253d77c935e6",
-    "pkfk-l2-osorting-g0g1-sums": "7eb0ca97a4c7ab01",
-    "pkfk-l2-osorting-g0g1-extremes": "a774fc752e24c950",
-    "pkfk-l2-osorting-g0-sums": "fa85ed3101f81ba9",
-    "pkfk-l2-osorting-g0-extremes": "d82e1166e640dfa4",
-    "pkfk-l2-osorting-g1-sums": "c5589cb8980a20cd",
-    "pkfk-l2-osorting-g1-extremes": "8348e82eeb886b73",
-    "pkfk-l2-bsorting-g0g1-sums": "9a0b45f2f015c6cd",
-    "pkfk-l2-bsorting-g0g1-extremes": "0384fede67524904",
-    "pkfk-l2-bsorting-g0-sums": "c241f385b024b889",
-    "pkfk-l2-bsorting-g0-extremes": "f5ba7bc28bc19b1b",
-    "pkfk-l2-bsorting-g1-sums": "be4b9c9f9c9e920f",
-    "pkfk-l2-bsorting-g1-extremes": "32b40b67a2925713",
+    "pkfk-l2-sorting-g0g1-sums": "5dbf186968bbebc4",
+    "pkfk-l2-sorting-g0g1-extremes": "ddce8557d3705375",
+    "pkfk-l2-sorting-g0-sums": "8e95319fcdf1b987",
+    "pkfk-l2-sorting-g0-extremes": "4f0b50054cc07763",
+    "pkfk-l2-sorting-g1-sums": "98fc8b26bfdb361e",
+    "pkfk-l2-sorting-g1-extremes": "c3eaef2e2c26ce9b",
+    "pkfk-l2-osorting-g0g1-sums": "d81caf87990aaa88",
+    "pkfk-l2-osorting-g0g1-extremes": "6600bea4c3cbfe0b",
+    "pkfk-l2-osorting-g0-sums": "663361ec2da1b4fb",
+    "pkfk-l2-osorting-g0-extremes": "584e742c873de735",
+    "pkfk-l2-osorting-g1-sums": "38817380873bca59",
+    "pkfk-l2-osorting-g1-extremes": "c127f18514a47d44",
+    "pkfk-l2-bsorting-g0g1-sums": "b295d5827814087d",
+    "pkfk-l2-bsorting-g0g1-extremes": "f7067cc6f89dcc80",
+    "pkfk-l2-bsorting-g0-sums": "17a40b1f800b42d2",
+    "pkfk-l2-bsorting-g0-extremes": "8dc602e77d244a31",
+    "pkfk-l2-bsorting-g1-sums": "afde6c2f1e9d5061",
+    "pkfk-l2-bsorting-g1-extremes": "55d503fa069e1a78",
     "pkfk-l2-mix-g0g1-sums": "367bc2a35de64fab",
-    "pkfk-l2-mix-g0g1-extremes": "c64cf18fc17a3aff",
+    "pkfk-l2-mix-g0g1-extremes": "9040765c71f4cf4a",
     "pkfk-l2-mix-g0-sums": "9376bf5fe2d269c1",
-    "pkfk-l2-mix-g0-extremes": "380d484651b8c5a9",
+    "pkfk-l2-mix-g0-extremes": "ef303bdee978bea0",
     "pkfk-l2-mix-g1-sums": "74989610f0ebc314",
-    "pkfk-l2-mix-g1-extremes": "c17b57caceb30a1c",
+    "pkfk-l2-mix-g1-extremes": "b636fd955a550b23",
     "pkfk-l2-bitmap-g0g1-sums": "46bc7c96a4977c16",
-    "pkfk-l2-bitmap-g0g1-extremes": "b42d46ef11277af7",
+    "pkfk-l2-bitmap-g0g1-extremes": "fe0318ae20d77332",
     "pkfk-l2-bitmap-g0-sums": "988473875df2a4d8",
-    "pkfk-l2-bitmap-g0-extremes": "98a670cab9bd5530",
+    "pkfk-l2-bitmap-g0-extremes": "19d997f49ea4b12d",
     "pkfk-l2-bitmap-g1-sums": "6a85be12128a5168",
-    "pkfk-l2-bitmap-g1-extremes": "e0fe0912bf65069f",
+    "pkfk-l2-bitmap-g1-extremes": "03545ce64f5ef2c2",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g1-sums": "74989610f0ebc314",
-    "pkfk-l2-oneside-g1-extremes": "c17b57caceb30a1c",
+    "pkfk-l2-oneside-g1-extremes": "b636fd955a550b23",
 }
 
 
 GOLDEN_DOM0 = {
-    "pkpk-l0-sorting-dom0-g0g1-sums": "613cb06c31f9ae85",
-    "pkpk-l0-sorting-dom0-g0g1-extremes": "912b1f649b9d064c",
-    "pkpk-l0-sorting-dom0-g0-sums": "8930d538ff556b4b",
-    "pkpk-l0-sorting-dom0-g0-extremes": "ed16f67f898a5a0f",
-    "pkpk-l0-osorting-dom0-g0g1-sums": "d14eb035043bdd27",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "3d466651105c6cf3",
-    "pkpk-l0-osorting-dom0-g0-sums": "712dc7467c7099fd",
-    "pkpk-l0-osorting-dom0-g0-extremes": "a22d46b2cb3138fc",
-    "pkpk-l1-sorting-dom0-g0g1-sums": "73551ff75c35a1da",
-    "pkpk-l1-sorting-dom0-g0g1-extremes": "9b0d503de2c29c0a",
-    "pkpk-l1-sorting-dom0-g0-sums": "b5cb99495a7086e1",
-    "pkpk-l1-sorting-dom0-g0-extremes": "129f5243634115d9",
-    "pkpk-l1-osorting-dom0-g0g1-sums": "d3ddddb495e5760a",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "eb1b82ba61fc3c0f",
-    "pkpk-l1-osorting-dom0-g0-sums": "9462201991035926",
-    "pkpk-l1-osorting-dom0-g0-extremes": "0e7d0fbe63130329",
-    "pkpk-l2-sorting-dom0-g0g1-sums": "db08b9f12f176dfb",
-    "pkpk-l2-sorting-dom0-g0g1-extremes": "15c582c0c47f24f1",
-    "pkpk-l2-sorting-dom0-g0-sums": "1e09f843586dad55",
-    "pkpk-l2-sorting-dom0-g0-extremes": "aee6e4e510e986e7",
-    "pkpk-l2-osorting-dom0-g0g1-sums": "2e74daa6d66f039a",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "a38f4696c7e47c81",
-    "pkpk-l2-osorting-dom0-g0-sums": "ceda85a8b218aaf2",
-    "pkpk-l2-osorting-dom0-g0-extremes": "36403424fa52eb00",
+    "pkpk-l0-sorting-dom0-g0g1-sums": "dbf374b51ce5a1f2",
+    "pkpk-l0-sorting-dom0-g0g1-extremes": "c71a2b91bb508792",
+    "pkpk-l0-sorting-dom0-g0-sums": "b825e8695a294ac6",
+    "pkpk-l0-sorting-dom0-g0-extremes": "b7de5c71195b5c8c",
+    "pkpk-l0-osorting-dom0-g0g1-sums": "f4b8739013c4468b",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "7785bb3a500d144c",
+    "pkpk-l0-osorting-dom0-g0-sums": "e9f58c959705cfd1",
+    "pkpk-l0-osorting-dom0-g0-extremes": "362a2f08c4f2b321",
+    "pkpk-l1-sorting-dom0-g0g1-sums": "3a49137e3bc38a81",
+    "pkpk-l1-sorting-dom0-g0g1-extremes": "e444e0ba0dce60f8",
+    "pkpk-l1-sorting-dom0-g0-sums": "b474183f9c8e0066",
+    "pkpk-l1-sorting-dom0-g0-extremes": "aae1254f4c93fb88",
+    "pkpk-l1-osorting-dom0-g0g1-sums": "dbc24fe32c8d8bd3",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "28d3548c23f5352f",
+    "pkpk-l1-osorting-dom0-g0-sums": "cd62cde8c29f0aa6",
+    "pkpk-l1-osorting-dom0-g0-extremes": "9e8cdc1cc5bc8778",
+    "pkpk-l2-sorting-dom0-g0g1-sums": "95bdcda5dc614b59",
+    "pkpk-l2-sorting-dom0-g0g1-extremes": "81bc32d020274947",
+    "pkpk-l2-sorting-dom0-g0-sums": "25ca85b5286fc939",
+    "pkpk-l2-sorting-dom0-g0-extremes": "2f66220639ec98d9",
+    "pkpk-l2-osorting-dom0-g0g1-sums": "a10e3e859e120337",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "74fd8655cdafdcd7",
+    "pkpk-l2-osorting-dom0-g0-sums": "312f8b90401f604b",
+    "pkpk-l2-osorting-dom0-g0-extremes": "db0bdd68fdd17c38",
 }
 
 
@@ -522,17 +522,17 @@ GOLDEN_PRIMITIVES = {
     "invp_shared": "40f2b52bae8a23aa",
     "perm_plain": "8553ccd7a4907ad8",
     "invp_plain": "e74f1914390c10f1",
-    "stable_sort": "f38da57a07ea2c46",
+    "stable_sort": "5045f4c0caafbff0",
     "trav_flags-sum": "f3d2145ea0a25dd0",
     "trav_flags-count": "f3d2145ea0a25dd0",
-    "trav_flags-max": "07300b9ed47141a0",
-    "trav_flags-min": "35b67335005fe48e",
+    "trav_flags-max": "ede64b20f822e669",
+    "trav_flags-min": "5edb19eb07f1a234",
     "trav_flags-xor": "d3a9740c96667cd8",
     "asym_mul-arith": "564339563277dce7",
     "asym_mul-bin64": "e5f9be87296a4565",
     "asym_mul-bin1": "c2baef9a3590a85f",
     "share_open": "f35f8cf7626fa1d1",
-    "gates": "6f2b9a0a69f51be4",
+    "gates": "c35b63a07f81e62d",
     "refresh_pkfk": "f34d7777cc48e3fb",
 }
 
