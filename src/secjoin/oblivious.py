@@ -352,9 +352,11 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
     Ties keep input order: the 1-based row index, in m.bit_length() bits,
     is the least significant key field, which also makes every comparator
     key distinct. The fields go into as few binary limbs as they fit in
-    (`sh.pack`). A stage costs one `sh.compare` over the limbs and one
-    `mux_many` exchange for every column (an arithmetic carry column adds a
-    `b2a` of the swap bit before it).
+    (`sh.pack`). A stage costs one `sh.compare` over the limbs, for one
+    w-bit limb 1 + ceil(log2 w) rounds and 4(w + 2W - 3) wire bits per
+    comparator with W the power of two at or above w, and one `mux_many`
+    exchange for every column (an arithmetic carry column adds a `b2a` of
+    the swap bit before it).
     Returns (pi, sorted key columns,
     sorted carry columns) where pi is the gather permutation
     (sorted_i = input_{pi(i)}) as a binary shared vector of m.bit_length()
@@ -434,7 +436,10 @@ def trav_flags(sess: Session, flags: SharedVector, values: list[SharedVector],
     and form one stack of blocks over the flags: each level's shift stays
     inside a block, so no run crosses one, and the run flags are ANDed once
     per level for every stack. A level runs one `gt(prev, cur)` over the
-    max/min stack, then one `b2a` of the run flags for the sum stack; one
+    max/min stack (1 + ceil(log2 w) rounds and 4(w + 2W - 3) wire bits per
+    w-bit value, W the power of two at or above w, after an `a2b` of each
+    side of an arithmetic stack), then one `b2a` of the run flags for the
+    sum stack; one
     exchange then carries the next run flags and every product with them:
       - sum, count: run * prev;
       - xor: run AND prev;

@@ -11,12 +11,14 @@ binary) and one exchange round, in one gate for both flavors (`_beaver`).
 The gate takes a list of (x, ys) groups of any flavors and widths and sends
 all their openings in one frame, so the independent ANDs and products of
 one circuit level share one exchange. add/XOR are local; conversions use
-dealer daBits/edaBits. One log-depth prefix over (generate, propagate) bit
-pairs, `_prefix`, is the circuit behind `compare` and the carries of a2b:
-each of its levels is one exchange for every tree it runs in lockstep.
-`compare` gives x > y or x == y over keys of most-significant-first limbs,
-one tree per limb, and eq and gt are its one-limb calls; `pack` puts binary
-fields into such limbs.
+dealer daBits/edaBits. Two log-depth circuits run over (generate,
+propagate) bit pairs, one exchange per level. `_prefix`, a Kogge-Stone
+prefix at the full width on every level, gives a2b every carry. `compare`
+needs only the top pair, so it reduces by a tree (`_reduce`) whose frames
+halve each level: x > y or x == y over keys of most-significant-first
+limbs, one tree per limb run in lockstep, and eq and gt are its one-limb
+calls. At 64 bits gt sends 756 wire bits per element in 7 rounds, where
+the prefix sent 3072. `pack` puts binary fields into such limbs.
 """
 from __future__ import annotations
 
@@ -183,11 +185,6 @@ def replicate_bit(f: SharedVector, width: int) -> SharedVector:
 def _shl(x: SharedVector, s: int) -> SharedVector:
     s = _U64(s)
     return x.map(lambda a: a << s)
-
-
-def _top(x: SharedVector) -> SharedVector:
-    """The top bit of x as a 1-bit share (local)."""
-    return x.map(lambda a: (a >> _U64(x.width - 1)) & _U64(1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +480,15 @@ def compare(sess: Session, xs: list[SharedVector], ys: list[SharedVector],
 
 
 def eq(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
-    """x == y as a 1-bit binary share (`compare`): ceil(log2 w) rounds."""
+    """x == y as a 1-bit binary share (`compare`): ceil(log2 w) rounds and
+    4(W - 1) wire bits per element, for w padded to a power of two W."""
     return compare(sess, [x], [y], False)
 
 
 def gt(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     """Unsigned x > y as a 1-bit binary share (`compare`): 1 + ceil(log2 w)
-    rounds."""
+    rounds and 4(w + 2W - 3) wire bits per element (4 at w = 1), for w
+    padded to a power of two W."""
     return compare(sess, [x], [y], True)
 
 

@@ -466,9 +466,12 @@ def test_compare_many_limbs_vs_python_tuple_order():
     assert {int(t) for t in tie} == set(range(len(widths) + 1))
 
 
-def _frames_at_their_ledgered_width(sess):
-    """Wrap sess.exchange to check that every word of every frame stays
-    below the width its ledger entry counts; returns the frames' widths."""
+def test_comparisons_sort_and_scan_send_no_bit_above_the_ledgered_width():
+    # every frame these calls exchange holds words of one width, which is
+    # its ledgered bits over its length; no word holds a bit at or above it
+    rng = np.random.default_rng(59)
+    n = 50
+    sess = fresh(9)
     widths, exchange = [], sess.exchange
 
     def checked(d0, d1, b0, b1):
@@ -480,14 +483,6 @@ def _frames_at_their_ledgered_width(sess):
         return exchange(d0, d1, b0, b1)
 
     sess.exchange = checked
-    return widths
-
-
-def test_comparisons_sort_and_scan_send_no_bit_above_the_ledgered_width():
-    rng = np.random.default_rng(59)
-    n = 50
-    sess = fresh(9)
-    widths = _frames_at_their_ledgered_width(sess)
     for w in (1, 2, 3, 7, 22, 33, 64):
         vals = [rng.integers(0, 1 << 64, n, dtype=np.uint64) & width_mask(w)
                 for _ in (0, 1)]
