@@ -437,10 +437,9 @@ def trav_flags(sess: Session, flags: SharedVector, values: list[SharedVector],
     inside a block, so no run crosses one, and the run flags are ANDed once
     per level for every stack. A level runs one `gt(prev, cur)` over the
     max/min stack (1 + ceil(log2 w) rounds and 4(w + 2W - 3) wire bits per
-    w-bit value, W the power of two at or above w, after an `a2b` of each
-    side of an arithmetic stack), then one `b2a` of the run flags for the
-    sum stack; one
-    exchange then carries the next run flags and every product with them:
+    w-bit value, W the power of two at or above w), then one `b2a` of the
+    run flags for the sum stack; one exchange then carries the next run
+    flags and every product with them:
       - sum, count: run * prev;
       - xor: run AND prev;
       - max, min: take = run AND (gt XOR dir), where the public dir is 1 on

@@ -466,6 +466,24 @@ def test_compare_many_limbs_vs_python_tuple_order():
     assert {int(t) for t in tie} == set(range(len(widths) + 1))
 
 
+@pytest.mark.parametrize("w", (10, 16))
+def test_compare_ignores_share_bits_above_the_width(w):
+    # both halves of x, and of y, carry the same bits above w, which cancel
+    # in the value: at a width that pads (10) they must not reach the pad,
+    # and at one that does not (16) they must not reach the result
+    rng = np.random.default_rng(w)
+    vals = [rng.integers(0, 1 << w, 60, dtype=np.uint64) for _ in (0, 1)]
+    vals[1][:20] = vals[0][:20]
+    sess = fresh(w)
+    x, y = (sh.share_vec(sess, i, v, sh.BINARY, w).map(
+        lambda a, junk=rng.integers(0, 1 << 64, 60, dtype=np.uint64): a ^ (
+            junk & ~width_mask(w))) for i, v in enumerate(vals))
+    for gate, op in ((sh.gt, np.greater), (sh.eq, np.equal)):
+        got = gate(sess, x, y)
+        assert np.array_equal(got.reconstruct(), op(*vals).astype(np.uint64))
+        assert not ((got.shares[0] | got.shares[1]) >> np.uint64(1)).any()
+
+
 def test_comparisons_sort_and_scan_send_no_bit_above_the_ledgered_width():
     # every frame these calls exchange holds words of one width, which is
     # its ledgered bits over its length; no word holds a bit at or above it
@@ -492,7 +510,7 @@ def test_comparisons_sort_and_scan_send_no_bit_above_the_ledgered_width():
         assert np.array_equal(sh.gt(sess, x, y).reconstruct(),
                               np.greater(*vals).astype(np.uint64))
     keys = rng.integers(0, 1 << 9, n, dtype=np.uint64)
-    pi, [got], _ = ob.stable_sort(sess, [sh.share_vec(sess, 1, keys, sh.BINARY, 9)])
+    _, [got], _ = ob.stable_sort(sess, [sh.share_vec(sess, 1, keys, sh.BINARY, 9)])
     assert got.reconstruct().tolist() == sorted(keys.tolist())
     vals = rng.integers(0, 1 << 64, n, dtype=np.uint64)
     flags = np.arange(n) % 5 != 0
