@@ -50,7 +50,7 @@ class Transcript:
 
     # -- counters ---------------------------------------------------------
 
-    def note_send(self, src: int, bits: int, payload: bytes):
+    def note_send(self, src: int, bits: int, payload: memoryview):
         if self._last_flow != src:
             self.wire_rounds += 1
             self._last_flow = src
@@ -58,7 +58,8 @@ class Transcript:
         self._digest.update(b"s%d:%d:" % (src, bits))
         self._digest.update(payload)
 
-    def note_exchange(self, bits0: int, bits1: int, pay0: bytes, pay1: bytes):
+    def note_exchange(self, bits0: int, bits1: int, pay0: memoryview,
+                      pay1: memoryview):
         self.wire_rounds += 1
         self._last_flow = _EXCHANGE
         self.wire_bits_sent[0] += bits0
@@ -153,11 +154,13 @@ class RandPool:
         return self.perm(n) + 1
 
 
-def _payload_bytes(data: np.ndarray) -> bytes:
-    """A frame's bytes; a sent array is frozen, so that a later in-place
-    write by its sender raises instead of changing what was received."""
+def _payload_bytes(data: np.ndarray) -> memoryview:
+    """A frame's bytes, read in place: a byte view of the frozen array's
+    buffer, so hashing copies nothing and `len` counts bytes. A sent array
+    is frozen, so that a later in-place write by its sender raises instead
+    of changing what was received."""
     data.flags.writeable = False
-    return data.tobytes()
+    return memoryview(np.ascontiguousarray(data)).cast("B")
 
 
 class Session:
