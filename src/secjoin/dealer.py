@@ -72,13 +72,16 @@ class Dealer:
 
     # -- correlations ---------------------------------------------------------
 
-    def triples_arith(self, n: int):
-        """n multiplication triples over Z_2^64; both halves of (a, b, c).
-        Only c1 is delivered."""
-        a0, b0 = self._draw(0, 2 * n).reshape(2, n)
-        a1, b1 = self._draw(1, 2 * n).reshape(2, n)
-        c0, c1 = self.split((a0 + a1) * (b0 + b1), ARITH)
-        self.deliver(64 * n, TRIPLES)
+    def triples_arith(self, n: int, width: int = 64):
+        """n multiplication triples over Z_2^width; both halves of (a, b, c),
+        each below 2^width. Only c1 is delivered, `width` bits each."""
+        a0, b0 = self._draw(0, 2 * n, width).reshape(2, n)
+        a1, b1 = self._draw(1, 2 * n, width).reshape(2, n)
+        c = (a0 + a1) * (b0 + b1)
+        if width < 64:
+            c &= width_mask(width)
+        c0, c1 = self.split(c, ARITH, width)
+        self.deliver(width * n, TRIPLES)
         return (a0, a1), (b0, b1), (c0, c1)
 
     def triples_bin(self, n: int, width: int):
@@ -90,12 +93,12 @@ class Dealer:
         self.deliver(width * n, BIT_TRIPLES)
         return (a0, a1), (b0, b1), (c0, c1)
 
-    def dabits(self, n: int):
-        """Random bits shared both binary (1-bit) and arithmetically.
-        Only ra1 is delivered."""
+    def dabits(self, n: int, width: int = 64):
+        """Random bits shared both binary (1-bit) and arithmetically over
+        Z_2^width. Only ra1 is delivered, `width` bits each."""
         rb0, rb1 = self._draw(0, n, 1), self._draw(1, n, 1)
-        ra0, ra1 = self.split(rb0 ^ rb1, ARITH)
-        self.deliver(64 * n, DABITS)
+        ra0, ra1 = self.split(rb0 ^ rb1, ARITH, width)
+        self.deliver(width * n, DABITS)
         return (rb0, rb1), (ra0, ra1)
 
     def dabits_packed(self, n: int, width: int):

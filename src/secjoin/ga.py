@@ -65,7 +65,7 @@ from . import oblivious as ob
 from . import sharing as sh
 from .errors import DomainTooLarge, MissingColumn, ParseError, SizeMismatch
 from .oblivious import AGG_IDENTITY, PlainColumn
-from .ring import ARITH, BINARY, width_mask
+from .ring import ARITH, BINARY, bound_width
 from .session import Session
 from .sharing import SharedVector
 from .views import check_in_domain, real_rows, shared_e
@@ -142,16 +142,11 @@ def _value_flavor(fn: str) -> str:
     return ARITH if fn in ("sum", "count") else BINARY
 
 
-def _rank_width(n: int) -> int:
-    """Bits of a rank below n: ceil(log2 n), at least 1."""
-    return max(1, (n - 1).bit_length())
-
-
 def _local_rank(values: np.ndarray, n: int):
     """A party's dense rank of its own column of at most n values, in
-    `_rank_width(n)` bits, and the sorted values that map a rank back."""
+    `bound_width(n - 1)` bits, and the sorted values that map a rank back."""
     uniq, rank = np.unique(values, return_inverse=True)
-    return PlainColumn(rank, BINARY, _rank_width(n)), uniq
+    return PlainColumn(rank, BINARY, bound_width(n - 1)), uniq
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +245,7 @@ class _Table:
         plain = isinstance(col, PlainColumn)
         if q.dom0 is not None and (plain or bitmaps):
             dom = np.array(self.domain(q, 0, col=col), dtype=np.uint64)
-            d0, width = len(dom), _rank_width(len(dom))
+            d0, width = len(dom), bound_width(len(dom) - 1)
             if plain:
                 key = PlainColumn(np.searchsorted(dom, col.values), BINARY, width)
             else:
@@ -259,10 +254,8 @@ class _Table:
                     lambda a: np.bitwise_xor.reduce(
                         (_U64(0) - a.reshape(d0, -1)) & js, axis=0), width)
             return [key], [], dom
-        width = _rank_width(self.n)
         key = _local_rank(col.values, self.n)[0] if plain else \
-            self.col(0, f"__rk:{q.group0}").map(
-                lambda a: a & width_mask(width), width)
+            self.col(0, f"__rk:{q.group0}").cut(bound_width(self.n - 1))
         return [key], [col], None
 
 
@@ -367,11 +360,13 @@ def _sort(sess, t, q, order, key0, values=None, g0=()):
 def _carry(sess, t, q, apply, pi, order, g1, p0_head):
     """carry-p1, carry-p0: P1's columns (its g1 rank `g1`, when given, and
     its value slots) move by `apply` under pi with P1's order riding along
-    as rho, which moves P0's; (g1, head, values, rho)."""
+    as rho, a permutation of [n] in bound_width(n) bits, which moves P0's;
+    (g1, head, values, rho)."""
     with sess.phase("carry-p1"):
         slots, cols = _take(t, q, {}, 1, order)
         head = [] if g1 is None else [g1]
-        *out, rho = apply(sess, pi, 1, head + cols + [PlainColumn(order, ARITH)])
+        *out, rho = apply(sess, pi, 1, head + cols + [
+            PlainColumn(order, ARITH, bound_width(t.n))])
         values = dict(zip(slots, out[len(head):]))
     with sess.phase("carry-p0"):
         slots, cols = _take(t, q, values)

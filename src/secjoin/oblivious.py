@@ -17,9 +17,9 @@ import numpy as np
 from . import sharing as sh
 from .benes import build_program
 from .errors import (FlavorMismatch, NotAPermutation, PreconditionViolated,
-                     SizeMismatch)
-from .ring import (ARITH, BINARY, as_ring, combine, mask_words, uncombine,
-                   width_mask)
+                     SizeMismatch, WidthMismatch)
+from .ring import (ARITH, BINARY, as_ring, bound_width, combine, mask_words,
+                   uncombine, width_mask)
 from .session import Session
 from .sharing import SharedVector
 
@@ -315,7 +315,9 @@ def bit_sort(sess: Session, bvecs: list[SharedVector],
 
     Rows with no set bit rank first, then buckets 1..d in ascending order;
     original order is kept inside every bucket. Output is an arithmetic shared
-    permutation pi: row i belongs at position pi(i) in the sorted order.
+    permutation pi: row i belongs at position pi(i) in the sorted order. Its
+    b2a, its product and pi itself run at `bound_width(n)` bits, as every
+    running count is at most n.
     """
     n = len(bvecs[0])
     for b in bvecs:
@@ -331,7 +333,8 @@ def bit_sort(sess: Session, bvecs: list[SharedVector],
     for b in bvecs[1:]:
         comp = sh.xor(comp, b)
     comp = sh.not_bits(comp)
-    flat_a = sh.b2a(sess, SharedVector.concat([comp] + list(bvecs)))
+    flat_a = sh.b2a(sess, SharedVector.concat([comp] + list(bvecs)),
+                    bound_width(n))
     prod = sh.mul(sess, flat_a, flat_a.map(np.cumsum))
     return prod.map(lambda a: a.reshape(-1, n).sum(axis=0, dtype=np.uint64))
 
@@ -379,7 +382,7 @@ def stable_sort(sess: Session, key_cols: list[SharedVector],
     # keys pad with all ones (masked to each field's width), so pads sort last
     fields = [pad(k, (1 << 64) - 1) for k in key_cols]
     fields.append(SharedVector.public(np.arange(1, m + 1, dtype=np.uint64),
-                                      BINARY, m.bit_length()))
+                                      BINARY, bound_width(m)))
     limbs, layout = sh.pack(fields)
 
     cols = limbs + [pad(c, 0) for c in carry_cols]
@@ -432,14 +435,15 @@ def trav_flags(sess: Session, flags: SharedVector, values: list[SharedVector],
     """Segmented running aggregates with precomputed same-group flags.
 
     Scans `values` under `aggs`, any mix of sum, count, xor, max and min, in
-    one pass. The vectors of one kind (`AGG_KIND`) share a flavor and width
+    one pass. The vectors of one kind (`AGG_KIND`) and width share a flavor
     and form one stack of blocks over the flags: each level's shift stays
     inside a block, so no run crosses one, and the run flags are ANDed once
-    per level for every stack. A level runs one `gt(prev, cur)` over the
-    max/min stack (1 + ceil(log2 w) rounds and 4(w + 2W - 3) wire bits per
-    w-bit value, W the power of two at or above w), then one `b2a` of the
-    run flags for the sum stack; one exchange then carries the next run
-    flags and every product with them:
+    per level for every stack. Max and min values must share one width. A
+    level runs one `gt(prev, cur)` over the max/min stack (1 + ceil(log2 w)
+    rounds and 4(w + 2W - 3) wire bits per w-bit value, W the power of two
+    at or above w), then one `b2a` of the run flags at the widest sum
+    stack's width, cut down for each narrower sum stack; one exchange then
+    carries the next run flags and every product with them:
       - sum, count: run * prev;
       - xor: run AND prev;
       - max, min: take = run AND (gt XOR dir), where the public dir is 1 on
@@ -453,25 +457,31 @@ def trav_flags(sess: Session, flags: SharedVector, values: list[SharedVector],
     n = len(flags)
     if any(len(v) != n for v in values):
         raise SizeMismatch("flags and values differ in length")
-    stacks = {}  # each kind's indices into values, in the given order
+    stacks = {}  # each (kind, width)'s indices into values, in the given order
     for i, agg in enumerate(aggs):
-        stacks.setdefault(AGG_KIND[agg], []).append(i)
-    vals = {kind: SharedVector.concat([values[i] for i in idx])
-            for kind, idx in stacks.items()}
-    linear = [kind for kind in (AGG_SUM, AGG_XOR) if kind in vals]
-    dirs = np.repeat(np.array([aggs[i] == AGG_MIN for i in stacks.get(AGG_MAX, [])],
+        stacks.setdefault((AGG_KIND[agg], values[i].width), []).append(i)
+    vals = {key: SharedVector.concat([values[i] for i in idx])
+            for key, idx in stacks.items()}
+    linear = sorted((key for key in vals if key[0] != AGG_MAX),
+                    key=lambda key: key[0] != AGG_SUM)  # sums first
+    sum_width = max((w for kind, w in linear if kind == AGG_SUM), default=0)
+    tops = [key for key in vals if key[0] == AGG_MAX]
+    if len(tops) > 1:
+        raise WidthMismatch("max and min values of one scan differ in width")
+    top = tops[0] if tops else None  # the max/min stack
+    dirs = np.repeat(np.array([aggs[i] == AGG_MIN for i in stacks.get(top, [])],
                               np.uint64), n)
 
-    def split(kind, sv):
-        return [sv.slice(b * n, (b + 1) * n) for b in range(len(stacks[kind]))]
+    def split(key, sv):
+        return [sv.slice(b * n, (b + 1) * n) for b in range(len(stacks[key]))]
 
     run = flags
     s = 1
     while s < n:
         shift_idx = np.maximum(np.arange(n) - s, 0)
-        prev = {kind: v.map(lambda a, b=len(stacks[kind]):
-                            a.reshape(b, n)[:, shift_idx].ravel())
-                for kind, v in vals.items()}
+        prev = {key: v.map(lambda a, b=len(stacks[key]):
+                           a.reshape(b, n)[:, shift_idx].ravel())
+                for key, v in vals.items()}
         ys = []  # every AND with the run flags
         if 2 * s < n:  # the last level needs no further run flags
             zero_head = np.ones(n, dtype=np.uint64)
@@ -480,33 +490,35 @@ def trav_flags(sess: Session, flags: SharedVector, values: list[SharedVector],
         if validity is not None:
             ys.append(validity.gather(shift_idx))
         head = len(ys)
-        if AGG_MAX in vals:  # take joins them
-            ys += split(AGG_MAX, sh.xor_public(
-                sh.gt(sess, prev[AGG_MAX], vals[AGG_MAX]), dirs))
+        if top:  # take joins them
+            ys += split(top, sh.xor_public(sh.gt(sess, prev[top], vals[top]),
+                                           dirs))
+        run_a = sh.b2a(sess, run, sum_width) if sum_width else None
         groups = [(run, ys)] + [
-            (sh.b2a(sess, run) if kind == AGG_SUM
-             else sh.replicate_bit(run, vals[kind].width), split(kind, prev[kind]))
-            for kind in linear]
+            (sh.replicate_bit(run, w) if kind == AGG_XOR
+             else run_a if w == sum_width else run_a.cut(w),
+             split((kind, w), prev[kind, w])) for kind, w in linear]
         ands, *prods = sh._beaver(sess, groups)
         second = []  # the ANDs that read this level's products
-        if AGG_MAX in vals:
+        if top:
             take = SharedVector.concat(ands[head:])
-            second.append((sh.replicate_bit(take, vals[AGG_MAX].width),
-                           [sh.xor(prev[AGG_MAX], vals[AGG_MAX])]))
+            second.append((sh.replicate_bit(take, top[1]),
+                           [sh.xor(prev[top], vals[top])]))
         if validity is not None:
             second.append((validity, [ands[head - 1]]))
         done = sh._beaver(sess, second)
-        if AGG_MAX in vals:
-            vals[AGG_MAX] = sh.xor(vals[AGG_MAX], done[0][0])
-        for kind, prod in zip(linear, prods):
-            vals[kind] = sh.add(vals[kind], SharedVector.concat(prod))
+        if top:
+            vals[top] = sh.xor(vals[top], done[0][0])
+        for key, prod in zip(linear, prods):
+            vals[key] = sh.add(vals[key], SharedVector.concat(prod))
         if validity is not None:  # v OR t = v ^ t ^ (v AND t)
             validity = sh.xor(sh.xor(validity, ands[head - 1]), done[-1][0])
         if 2 * s < n:
             run = ands[0]
         s *= 2
-    outs = {kind: iter(split(kind, v)) for kind, v in vals.items()}
-    return [next(outs[AGG_KIND[agg]]) for agg in aggs], validity
+    outs = {key: iter(split(key, v)) for key, v in vals.items()}
+    return [next(outs[AGG_KIND[agg], v.width])
+            for agg, v in zip(aggs, values)], validity
 
 
 def trav(sess: Session, keys: list[SharedVector], values: SharedVector,

@@ -1,8 +1,10 @@
 """Arithmetic over the fixed 64-bit ring.
 
-Every secret, join key and aggregation value lives in Z_{2^64}. Vectors are
-numpy uint64 arrays so that whole-vector gates are single numpy operations;
-overflow wraps exactly as the ring requires.
+Every secret, join key and aggregation value lives in Z_{2^64}; a value
+up to a public bound may live in Z_{2^w} for w = `bound_width(bound)`,
+since cutting to w bits commutes with + and *. Vectors are numpy uint64
+arrays so that whole-vector gates are single numpy operations; overflow
+wraps exactly as the ring requires, and bits above w are ignored.
 
 A shared value has a flavor: arithmetic (halves add up to it) or binary
 (halves XOR to it). `combine` and `uncombine` are the one place that rule is
@@ -42,6 +44,13 @@ def width_mask(width: int) -> np.uint64:
     if width >= K:
         return MASK
     return np.uint64((1 << width) - 1)
+
+
+def bound_width(top: int) -> int:
+    """Bits that hold every value from 0 up to the public bound `top`: its
+    bit length, at least 1. A 1-based permutation or index of [n] takes
+    bound_width(n) bits, a rank below n bound_width(n - 1)."""
+    return max(1, int(top).bit_length())
 
 
 def mask_words(a: np.ndarray, widths: list[int]) -> None:

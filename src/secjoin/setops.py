@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dealer import OUTPUTS
-from .errors import SizeMismatch
+from .errors import SizeMismatch, WidthMismatch
 from .ring import BINARY, ARITH, as_ring
 from .session import Session
 from .sharing import SharedVector
@@ -65,13 +65,17 @@ def f_pid(sess: Session, x_keys, y_keys) -> tuple[PidOutput, PidOutput]:
 
 
 def f_cpsi(sess: Session, receiver: int, recv_keys, send_keys,
-           payload=None) -> tuple[SharedVector, SharedVector | None]:
+           payload=None, width: int = 64
+           ) -> tuple[SharedVector, SharedVector | None]:
     """Circuit PSI with payload.
 
     Per receiver index i: e_i = 1 and z_i = payload_j if some sender key j
     equals recv key i, else e_i = 0, z_i = 0 (the reserved null). Outputs are
     share pairs whose party-0 half party 0 expands from its dealer seed, so
     only party 1's half is delivered; with payload absent only E is produced.
+    Z is an arithmetic share modulo 2^width, for payloads below 2^width
+    (secV's indices take the bit length of their public bound), and its
+    delivery costs `width` bits per index.
     """
     xs = as_ring(recv_keys)
     ys = as_ring(send_keys)
@@ -88,8 +92,11 @@ def f_cpsi(sess: Session, receiver: int, recv_keys, send_keys,
     sess.dealer.deliver(n, OUTPUTS)  # e1; party 0 expands e0
     if payload is None:
         return e_sv, None
+    payload = as_ring(payload)
+    if width < 64 and len(payload) and int(payload.max()) >> width:
+        raise WidthMismatch(f"a payload does not fit {width} bits")
     z = np.zeros(n, dtype=np.uint64)
-    z[hit] = as_ring(payload)[src]
-    z_sv = SharedVector(ARITH, 64, *sess.dealer.split(z, ARITH))
-    sess.dealer.deliver(64 * n, OUTPUTS)  # z1
+    z[hit] = payload[src]
+    z_sv = SharedVector(ARITH, width, *sess.dealer.split(z, ARITH, width))
+    sess.dealer.deliver(width * n, OUTPUTS)  # z1
     return e_sv, z_sv

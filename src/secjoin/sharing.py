@@ -1,10 +1,14 @@
-"""Additive secret shares over Z_2^64 and the basic secure gates.
+"""Additive secret shares over Z_2^w and the basic secure gates.
 
-Values are shared either arithmetically (x = x0 + x1 mod 2^64) or binary
-(x = x0 XOR x1, bits packed into one uint64 per element). A SharedVector keeps
-both halves side by side; party isolation is a discipline of the protocol
-code: everything that logically crosses between parties goes through the
-session so the transcript stays faithful.
+Values are shared either arithmetically (x = x0 + x1 mod 2^w) or binary
+(x = x0 XOR x1, bits packed into one uint64 per element), at a width w of
+at most 64 bits. A value known to stay at or below a public bound is
+shared at that bound's width (`ring.bound_width`): cutting to w bits
+commutes with +, * and XOR, so bits of a half above w are junk that every
+gate ignores, no frame carries and every reconstruct masks. A SharedVector
+keeps both halves side by side; party isolation is a discipline of the
+protocol code: everything that logically crosses between parties goes
+through the session so the transcript stays faithful.
 
 Gate costs: mul/AND burn one Beaver triple per element (per bit for packed
 binary) and one exchange round, in one gate for both flavors (`_beaver`).
@@ -91,6 +95,10 @@ class SharedVector:
     def copy(self) -> "SharedVector":
         return self.map(np.copy)
 
+    def cut(self, width: int) -> "SharedVector":
+        """The same value's low `width` bits, at that width (local)."""
+        return self.map(lambda a: a & width_mask(width), width)
+
     def _check_kind(self, other: "SharedVector"):
         if self.flavor != other.flavor:
             raise FlavorMismatch(f"{self.flavor} vs {other.flavor}")
@@ -129,6 +137,8 @@ def open_vec(sess: Session, x: SharedVector, to: int | str = "both") -> np.ndarr
     bits = x.width * n
     if n == 0:
         return x.reconstruct()
+    if x.width < 64:  # a half's bits above the width never go out
+        x = x.cut(x.width)
     if to == "both":
         at0, _ = sess.exchange(x.shares[0], x.shares[1], bits, bits)
         other = at0
@@ -203,15 +213,14 @@ def _beaver(sess: Session, groups: list[tuple[SharedVector, list[SharedVector]]]
     group: one exchange for all. Groups may differ in flavor, width and
     length; each draws its own triples and does its arithmetic on its own
     slice of one preallocated frame per party, which carries every group's
-    (d, e) words. An arithmetic product is 64 bits wide."""
+    (d, e) words. A group runs at its x's width w, the ys' too: an
+    arithmetic one modulo 2^w, on triples of that width."""
     plan, size, bits = [], 0, 0
     for x, ys in groups:
-        n, k = len(x), len(ys)
-        if x.flavor == BINARY:
-            w = x.width
-            trip = sess.dealer.triples_bin(k * n, w) if k * n else None
-        else:
-            w, trip = 64, sess.dealer.triples_arith(k * n) if k * n else None
+        n, k, w = len(x), len(ys), x.width
+        draw = sess.dealer.triples_bin if x.flavor == BINARY \
+            else sess.dealer.triples_arith
+        trip = draw(k * n, w) if k * n else None
         plan.append((x, ys, n, k, w, trip, size))
         size += 2 * k * n
         bits += 2 * w * k * n
@@ -260,14 +269,15 @@ def and_bits(sess: Session, x: SharedVector, y: SharedVector) -> SharedVector:
     return mul(sess, x, y)
 
 
-def b2a(sess: Session, f: SharedVector) -> SharedVector:
-    """One-bit binary share -> arithmetic share of the same 0/1 value."""
+def b2a(sess: Session, f: SharedVector, width: int = 64) -> SharedVector:
+    """One-bit binary share -> arithmetic share of the same 0/1 value,
+    modulo 2^width."""
     if f.flavor != BINARY or f.width != 1:
         raise WidthMismatch("b2a expects 1-bit binary shares")
     n = len(f)
     if n == 0:
-        return SharedVector.zeros(0)
-    (rb0, rb1), (ra0, ra1) = sess.dealer.dabits(n)
+        return SharedVector.zeros(0, ARITH, width)
+    (rb0, rb1), (ra0, ra1) = sess.dealer.dabits(n, width)
     m0, m1 = (f.shares[0] ^ rb0) & _U64(1), (f.shares[1] ^ rb1) & _U64(1)
     at0, at1 = sess.exchange(m0, m1, n, n)
     v0, v1 = (m0 ^ at0) & _U64(1), (m1 ^ at1) & _U64(1)  # public f xor r
@@ -275,7 +285,7 @@ def b2a(sess: Session, f: SharedVector) -> SharedVector:
     sgn1 = _U64(1) - _U64(2) * v1
     z0 = ra0 * sgn0 + v0
     z1 = ra1 * sgn1
-    return SharedVector(ARITH, 64, z0, z1)
+    return SharedVector(ARITH, width, z0, z1)
 
 
 def b2a_wide(sess: Session, x: SharedVector) -> SharedVector:
@@ -501,7 +511,8 @@ def mux_many(sess: Session, f: SharedVector,
              pairs: list[tuple[SharedVector, SharedVector]]) -> list[SharedVector]:
     """f ? x : y = y + f * (x - y) for every (x, y) pair under one 1-bit
     binary selector, in one exchange: one Beaver group per flavor and
-    width, after one b2a of f when a pair is arithmetic."""
+    width, after one b2a of f at the widest arithmetic width when a pair
+    is arithmetic, cut down for each narrower arithmetic group."""
     if f.flavor != BINARY or f.width != 1:
         raise WidthMismatch("mux selector must be a 1-bit binary share")
     for x, y in pairs:
@@ -513,9 +524,11 @@ def mux_many(sess: Session, f: SharedVector,
     kinds = {}
     for i, (x, _) in enumerate(pairs):
         kinds.setdefault((x.flavor, x.width), []).append(i)
-    fa = b2a(sess, f) if any(flavor == ARITH for flavor, _ in kinds) else None
+    wide = max((w for flavor, w in kinds if flavor == ARITH), default=0)
+    fa = b2a(sess, f, wide) if wide else None
     prods = _beaver(sess, [
-        (fa if flavor == ARITH else replicate_bit(f, width),
+        (replicate_bit(f, width) if flavor == BINARY
+         else fa if width == wide else fa.cut(width),
          [sub(*pairs[i]) for i in idx]) for (flavor, width), idx in kinds.items()])
     out = [None] * len(pairs)
     for idx, ps in zip(kinds.values(), prods):

@@ -19,7 +19,7 @@ from . import setops
 from . import sharing as sh
 from .errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
                      MissingColumn, SizeMismatch, ValueOutsideDomain, ViewStale)
-from .ring import BINARY, as_ring
+from .ring import ARITH, BINARY, as_ring, bound_width
 from .session import Session
 from .sharing import SharedVector
 
@@ -247,7 +247,9 @@ def gen_secv(sess: Session, r0: Relation, r1: Relation,
     `pi0` optionally fixes the bigger side's private permutation (it is that
     party's own input); by default it is drawn fresh from the party's RNG.
     When the right side is larger the party roles are reversed internally and
-    the returned views are relabeled.
+    the returned views are relabeled. Every value the protocol moves after
+    step 1 (Z, O', the sort permutations and pi_b) is an index of at most
+    n_a, so each travels as an arithmetic share of bound_width(n_a) bits.
     """
     _check_keys(SENTINEL[0], r0, r1)
     swap = r1.n > r0.n
@@ -257,9 +259,10 @@ def gen_secv(sess: Session, r0: Relation, r1: Relation,
     if pi0 is not None and len(pi0) != na:
         raise SizeMismatch("pi0 must be a permutation of the larger side")
 
+    width = bound_width(na)  # of every index, permutation and rank below
     with sess.phase("cpsi-1"):
         e1, z1 = setops.f_cpsi(sess, pa, ra.keys, rb.keys,
-                               np.arange(1, nb + 1, dtype=np.uint64))
+                               np.arange(1, nb + 1, dtype=np.uint64), width)
     with sess.phase("osn"):
         pi_a = np.asarray(pi0, dtype=np.int64) if pi0 is not None \
             else sess.parties[pa].draw_perm(na)
@@ -271,7 +274,8 @@ def gen_secv(sess: Session, r0: Relation, r1: Relation,
         if na > nb:  # pad with shared zeros so |F| = n_a
             f1 = SharedVector.concat([f1, SharedVector.zeros(na - nb, BINARY, 1)])
     with sess.phase("shuffle"):
-        o_prime = SharedVector.public(np.arange(1, na + 1, dtype=np.uint64))
+        o_prime = SharedVector.public(np.arange(1, na + 1, dtype=np.uint64),
+                                      ARITH, width)
         f_sv, l_sv = ob.shuffle(sess, [f1, o_prime])
     with sess.phase("sorting"):
         sigma1 = ob.per_gen(sess, f_sv)
@@ -432,9 +436,10 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
     the column among the n rows it feeds, so below n. GA queries sort and
     flag on this rank in ceil(log2 n) bits, a width fixed by the public n,
     in place of the 64-bit values; P0's rank is never opened. It rides
-    the switch and the duplication as a 64-bit arithmetic column, like
-    every payload column, and a refresh recomputes it from the updated
-    table.
+    the switch and the duplication as an arithmetic column of
+    bound_width(n - 1) bits, each payload column at 64 bits, and the view
+    keeps every half cut to its column's width. A refresh recomputes the
+    rank from the updated table.
     """
     counters = _fk_counters(r1.keys)
     comp1 = _composite(r1.keys, counters)
@@ -450,8 +455,10 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
         d0.update({f"__rk:{c}": np.unique(d0[c], return_inverse=True)[1]
                    for c in r0.columns
                    if c != r0.key and not c.startswith("__bm:")})
+        rank_width = bound_width(n - 1)
         moved = ob.osn_shared(sess, 1, sigma, [e_map] + [
-            ob.PlainColumn(v) for v in d0.values()])
+            ob.PlainColumn(v, ARITH, rank_width if c.startswith("__rk:") else 64)
+            for c, v in d0.items()])
         e_sw = moved[0]
         j0_shared = dict(zip(d0, moved[1:]))
     with sess.phase("duplicate"):
@@ -467,18 +474,18 @@ def _pkfk_steps23(sess: Session, r0: Relation, r1: Relation,
         flags = sh.share_vec(sess, 1, same, BINARY, 1)
         (*dup, e_fin), _ = ob.trav_flags(
             sess, flags, masked + [e_sw], [ob.AGG_SUM] * len(masked) + [ob.AGG_XOR])
-        j0_fin = dict(zip(j0_shared, dup))
+        j0_fin = {c: v.cut(v.width) for c, v in zip(j0_shared, dup)}
 
     base_hash = pkfk_key_hash(r0, r1)
     view0 = PkFkView(
         party=0, level=-1, key_col0=r0.key, key_col1=r1.key, n=n,
         pi=pi0_m, e_half=e_fin.shares[0].copy(),
-        j0_half={c: v.shares[0].copy() for c, v in j0_fin.items()},
+        j0_half={c: v.shares[0] for c, v in j0_fin.items()},
         j1=None, map_e_half=e_map.shares[0].copy(), base_key_hash=base_hash)
     view1 = PkFkView(
         party=1, level=-1, key_col0=r0.key, key_col1=r1.key, n=n,
         pi=pi1_m, e_half=e_fin.shares[1].copy(),
-        j0_half={c: v.shares[1].copy() for c, v in j0_fin.items()},
+        j0_half={c: v.shares[1] for c, v in j0_fin.items()},
         j1=j1, map_e_half=e_map.shares[1].copy(), base_key_hash=base_hash)
     return view0, view1
 

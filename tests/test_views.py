@@ -9,6 +9,7 @@ from secjoin import store
 from secjoin import views as vw
 from secjoin.errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
                             ParseError)
+from secjoin.ring import bound_width
 from secjoin.session import Session
 from secjoin.sharing import SharedVector
 from secjoin.views import Relation
@@ -170,8 +171,10 @@ def check_pkfk(v0, v1, r0, r1):
     pk = set(int(k) for k in r0.keys)
     for i in range(n):
         assert bool(e[i]) == (int(j1k[i]) in pk)
-    j0 = {c: SharedVector(sh.ARITH, 64, v0.j0_half[c],
-                          v1.j0_half[c]).reconstruct() for c in v0.j0_half}
+    # a rank column is a share of bound_width(n - 1) bits, the rest of 64
+    j0 = {c: SharedVector(sh.ARITH, bound_width(n - 1) if c.startswith("__rk:")
+                          else 64, v0.j0_half[c], v1.j0_half[c]).reconstruct()
+          for c in v0.j0_half}
     for i in range(n):
         if e[i]:
             p = i
