@@ -144,18 +144,18 @@ GOLDEN = {
     "pkpk-l0-sorting-g0-extremes": "d082e5f52ea659cb",
     "pkpk-l0-sorting-g1-sums": "a7fb9b477953b71b",
     "pkpk-l0-sorting-g1-extremes": "e2d6916fe52c817a",
-    "pkpk-l0-osorting-g0g1-sums": "4b174cb8633b9b30",
-    "pkpk-l0-osorting-g0g1-extremes": "4f4091cd69c06c4b",
-    "pkpk-l0-osorting-g0-sums": "fceec7811f2a7d36",
-    "pkpk-l0-osorting-g0-extremes": "fb3bcd1622eb7cfb",
-    "pkpk-l0-osorting-g1-sums": "497142dd51d455bd",
-    "pkpk-l0-osorting-g1-extremes": "f65511e310ed66d7",
-    "pkpk-l0-bsorting-g0g1-sums": "5501a2b84e898d55",
-    "pkpk-l0-bsorting-g0g1-extremes": "9a9c4b4639b4b7ee",
-    "pkpk-l0-bsorting-g0-sums": "4c6d9a18bf009513",
-    "pkpk-l0-bsorting-g0-extremes": "36f24d3d9ed9c08b",
-    "pkpk-l0-bsorting-g1-sums": "afb98188067456d5",
-    "pkpk-l0-bsorting-g1-extremes": "56ca036f269eaa5f",
+    "pkpk-l0-osorting-g0g1-sums": "63791a3ec964cb1c",
+    "pkpk-l0-osorting-g0g1-extremes": "8c424e408a3b640d",
+    "pkpk-l0-osorting-g0-sums": "282709ffe66f7c3f",
+    "pkpk-l0-osorting-g0-extremes": "57a580f6cff492f6",
+    "pkpk-l0-osorting-g1-sums": "58b4216f41ebdd37",
+    "pkpk-l0-osorting-g1-extremes": "edb1d2e371cb9a25",
+    "pkpk-l0-bsorting-g0g1-sums": "e17ed4b717ecb4e2",
+    "pkpk-l0-bsorting-g0g1-extremes": "b8800b2626fc96c5",
+    "pkpk-l0-bsorting-g0-sums": "ea66689e927f0cce",
+    "pkpk-l0-bsorting-g0-extremes": "55d298b0142c14a0",
+    "pkpk-l0-bsorting-g1-sums": "eac9b25b698c40b9",
+    "pkpk-l0-bsorting-g1-extremes": "d9cfa8ef8535c8ed",
     "pkpk-l0-mix-g0g1-sums": "5269d56f55d720da",
     "pkpk-l0-mix-g0g1-extremes": "a1e018de26ec8bce",
     "pkpk-l0-mix-g0-sums": "b892f92a86625dd3",
@@ -181,18 +181,18 @@ GOLDEN = {
     "pkpk-l1-sorting-g0-extremes": "4075a5d167c23149",
     "pkpk-l1-sorting-g1-sums": "5af0439509552afc",
     "pkpk-l1-sorting-g1-extremes": "ccbad194841729be",
-    "pkpk-l1-osorting-g0g1-sums": "cd60b88c283036bc",
-    "pkpk-l1-osorting-g0g1-extremes": "d5173f171e5725e2",
-    "pkpk-l1-osorting-g0-sums": "6fb33d89598a74db",
-    "pkpk-l1-osorting-g0-extremes": "401c8b74abcb087b",
-    "pkpk-l1-osorting-g1-sums": "ab782ab57c103236",
-    "pkpk-l1-osorting-g1-extremes": "86fd79a2956423ba",
-    "pkpk-l1-bsorting-g0g1-sums": "9542e1b6a1305bdd",
-    "pkpk-l1-bsorting-g0g1-extremes": "33503b5f9f4d8852",
-    "pkpk-l1-bsorting-g0-sums": "975a2ce0813f157f",
-    "pkpk-l1-bsorting-g0-extremes": "6ffce98bb4541b3e",
-    "pkpk-l1-bsorting-g1-sums": "7a2e150772e39cd0",
-    "pkpk-l1-bsorting-g1-extremes": "abdeb028f48ce815",
+    "pkpk-l1-osorting-g0g1-sums": "032e441214f37725",
+    "pkpk-l1-osorting-g0g1-extremes": "591a986c448f0309",
+    "pkpk-l1-osorting-g0-sums": "8d53769aeead2631",
+    "pkpk-l1-osorting-g0-extremes": "f01e39ccc6d079c7",
+    "pkpk-l1-osorting-g1-sums": "864860fa85c2d015",
+    "pkpk-l1-osorting-g1-extremes": "e2ca6b94f9da6067",
+    "pkpk-l1-bsorting-g0g1-sums": "dd6746100960c3fa",
+    "pkpk-l1-bsorting-g0g1-extremes": "3cf780079fc09f7d",
+    "pkpk-l1-bsorting-g0-sums": "7a31207e5f7e87d2",
+    "pkpk-l1-bsorting-g0-extremes": "90adb2feba8e1840",
+    "pkpk-l1-bsorting-g1-sums": "99eb34998ecaee1e",
+    "pkpk-l1-bsorting-g1-extremes": "2380a33210ebb7da",
     "pkpk-l1-mix-g0g1-sums": "016ae5c49553d992",
     "pkpk-l1-mix-g0g1-extremes": "76c0f312011980aa",
     "pkpk-l1-mix-g0-sums": "bea0c082f79cc783",
@@ -211,25 +211,25 @@ GOLDEN = {
     "pkpk-l1-oneside-g0-extremes": "bd643caa7478df78",
     "pkpk-l1-oneside-g1-sums": "22f297b1eaefa639",
     "pkpk-l1-oneside-g1-extremes": "6e789700a772677e",
-    "pkpk-l2-view": "a7d548c2320a314f",
+    "pkpk-l2-view": "2096b514eb2c61c5",
     "pkpk-l2-sorting-g0g1-sums": "543e9f7ebf25eb96",
     "pkpk-l2-sorting-g0g1-extremes": "62d5a503c95f1169",
     "pkpk-l2-sorting-g0-sums": "a18930193a116a36",
     "pkpk-l2-sorting-g0-extremes": "88be931a9f2a1852",
     "pkpk-l2-sorting-g1-sums": "52001f0009d00718",
     "pkpk-l2-sorting-g1-extremes": "dcadb0ae0473a797",
-    "pkpk-l2-osorting-g0g1-sums": "c29ae333f980dcb7",
-    "pkpk-l2-osorting-g0g1-extremes": "c893790997ae37bb",
-    "pkpk-l2-osorting-g0-sums": "c7dfc6a9724f3304",
-    "pkpk-l2-osorting-g0-extremes": "e4223bae99983f8e",
-    "pkpk-l2-osorting-g1-sums": "d39559444f2cebf1",
-    "pkpk-l2-osorting-g1-extremes": "567cca5700db24c1",
-    "pkpk-l2-bsorting-g0g1-sums": "7c1ac5dd5fb1b07f",
-    "pkpk-l2-bsorting-g0g1-extremes": "7f09e59d40437cb0",
-    "pkpk-l2-bsorting-g0-sums": "a6df8a815a2670a9",
-    "pkpk-l2-bsorting-g0-extremes": "5cdb4c970515de9c",
-    "pkpk-l2-bsorting-g1-sums": "19590fbb99be4d38",
-    "pkpk-l2-bsorting-g1-extremes": "32fafe7c232ea66f",
+    "pkpk-l2-osorting-g0g1-sums": "9b6fbd854cc51e75",
+    "pkpk-l2-osorting-g0g1-extremes": "435c033d66ee16d8",
+    "pkpk-l2-osorting-g0-sums": "25447455d26c49a7",
+    "pkpk-l2-osorting-g0-extremes": "426f29c2c4bffaee",
+    "pkpk-l2-osorting-g1-sums": "cbbb93bb82367297",
+    "pkpk-l2-osorting-g1-extremes": "aaf90733ebca3da7",
+    "pkpk-l2-bsorting-g0g1-sums": "98b6d309ef0ac2be",
+    "pkpk-l2-bsorting-g0g1-extremes": "8559767c5ccad92c",
+    "pkpk-l2-bsorting-g0-sums": "65853f1be41b5a55",
+    "pkpk-l2-bsorting-g0-extremes": "a6accf858ec781d5",
+    "pkpk-l2-bsorting-g1-sums": "acedad4668e8091d",
+    "pkpk-l2-bsorting-g1-extremes": "f58ab5beeff27093",
     "pkpk-l2-mix-g0g1-sums": "ff1226fcb915fbb7",
     "pkpk-l2-mix-g0g1-extremes": "c74bf56af4ebbedf",
     "pkpk-l2-mix-g0-sums": "b1c2d2924e4dcb72",
@@ -248,117 +248,117 @@ GOLDEN = {
     "pkpk-l2-oneside-g0-extremes": "01a33c3778913546",
     "pkpk-l2-oneside-g1-sums": "7f29a9d0bcf612c3",
     "pkpk-l2-oneside-g1-extremes": "cf0cec137e5b6577",
-    "pkfk-l0-view": "32589aa3a857da40",
-    "pkfk-l0-sorting-g0g1-sums": "40e582e6ebc88f49",
-    "pkfk-l0-sorting-g0g1-extremes": "f9cec3fcc66d6f7a",
-    "pkfk-l0-sorting-g0-sums": "055deb1c00c59cd0",
-    "pkfk-l0-sorting-g0-extremes": "88caed31b7a1b569",
-    "pkfk-l0-sorting-g1-sums": "b91f48ef88e33a82",
-    "pkfk-l0-sorting-g1-extremes": "1281412b18975d83",
-    "pkfk-l0-osorting-g0g1-sums": "78063b236a7a969f",
-    "pkfk-l0-osorting-g0g1-extremes": "aa802dcced1bfa36",
-    "pkfk-l0-osorting-g0-sums": "9e7afe95b4b50b0f",
-    "pkfk-l0-osorting-g0-extremes": "af5368fbef49e0d8",
-    "pkfk-l0-osorting-g1-sums": "4ad706dfe8312285",
-    "pkfk-l0-osorting-g1-extremes": "d81576a67b798488",
-    "pkfk-l0-bsorting-g0g1-sums": "5da4f03f0e579308",
-    "pkfk-l0-bsorting-g0g1-extremes": "f6f86ce8c13997cb",
-    "pkfk-l0-bsorting-g0-sums": "231ca0e17ee2ae8d",
-    "pkfk-l0-bsorting-g0-extremes": "102aa1dfec89d729",
-    "pkfk-l0-bsorting-g1-sums": "80d5a953df8b8140",
-    "pkfk-l0-bsorting-g1-extremes": "7e95047c7b8976b3",
-    "pkfk-l0-mix-g0g1-sums": "e6e3051d5d84c97a",
-    "pkfk-l0-mix-g0g1-extremes": "c3644da85ecf9d0d",
-    "pkfk-l0-mix-g0-sums": "8647cfd90ba254f8",
-    "pkfk-l0-mix-g0-extremes": "edb6bad43bef9359",
-    "pkfk-l0-mix-g1-sums": "45cd5f2fb2fe9a6a",
-    "pkfk-l0-mix-g1-extremes": "06aecf7744e2b45b",
-    "pkfk-l0-bitmap-g0g1-sums": "2bf8a797fdc14436",
-    "pkfk-l0-bitmap-g0g1-extremes": "8b1c4f025639b897",
-    "pkfk-l0-bitmap-g0-sums": "b43c9c761bcfb4a8",
-    "pkfk-l0-bitmap-g0-extremes": "bc6f48e3c1ae73f2",
-    "pkfk-l0-bitmap-g1-sums": "6e7df9bcedec55c3",
-    "pkfk-l0-bitmap-g1-extremes": "b518aba3aebeb766",
+    "pkfk-l0-view": "3a775ca6e95548a4",
+    "pkfk-l0-sorting-g0g1-sums": "09f6e99ba54d3a8c",
+    "pkfk-l0-sorting-g0g1-extremes": "1424687e35f6596a",
+    "pkfk-l0-sorting-g0-sums": "0d7173f30a9603db",
+    "pkfk-l0-sorting-g0-extremes": "6070d958c94e9429",
+    "pkfk-l0-sorting-g1-sums": "624fb23cbddd1ee3",
+    "pkfk-l0-sorting-g1-extremes": "a7767fc4a92b692a",
+    "pkfk-l0-osorting-g0g1-sums": "44f6b11746303357",
+    "pkfk-l0-osorting-g0g1-extremes": "555c30cc7b313a20",
+    "pkfk-l0-osorting-g0-sums": "80cd8014638caad3",
+    "pkfk-l0-osorting-g0-extremes": "56ca7c2aefefbabb",
+    "pkfk-l0-osorting-g1-sums": "819f9bc78e9bc6ed",
+    "pkfk-l0-osorting-g1-extremes": "53cfdf6fd49fec75",
+    "pkfk-l0-bsorting-g0g1-sums": "b4049cb3f05353f3",
+    "pkfk-l0-bsorting-g0g1-extremes": "9e88fe7c0856d656",
+    "pkfk-l0-bsorting-g0-sums": "d102723700bae66e",
+    "pkfk-l0-bsorting-g0-extremes": "1ffcd292a9d6bedc",
+    "pkfk-l0-bsorting-g1-sums": "6285f6e2b6e7722c",
+    "pkfk-l0-bsorting-g1-extremes": "1f00862b1c6d31f2",
+    "pkfk-l0-mix-g0g1-sums": "d4c9542df194b684",
+    "pkfk-l0-mix-g0g1-extremes": "3cac1140077c251e",
+    "pkfk-l0-mix-g0-sums": "8f3e8a7191e935cc",
+    "pkfk-l0-mix-g0-extremes": "2a031e5197d630c2",
+    "pkfk-l0-mix-g1-sums": "999211fed25b2279",
+    "pkfk-l0-mix-g1-extremes": "69b016218c4828a4",
+    "pkfk-l0-bitmap-g0g1-sums": "11263ec79566b309",
+    "pkfk-l0-bitmap-g0g1-extremes": "cef7ba4fafb292e9",
+    "pkfk-l0-bitmap-g0-sums": "ee6ac3bc361e4d39",
+    "pkfk-l0-bitmap-g0-extremes": "56b6a353ca12c1c2",
+    "pkfk-l0-bitmap-g1-sums": "d2db770a43924810",
+    "pkfk-l0-bitmap-g1-extremes": "106adcfe075d4e55",
     "pkfk-l0-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l0-oneside-g0-sums": "SizeMismatch",
     "pkfk-l0-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l0-oneside-g1-sums": "45cd5f2fb2fe9a6a",
-    "pkfk-l0-oneside-g1-extremes": "06aecf7744e2b45b",
-    "pkfk-l1-view": "5039245e6a16d989",
-    "pkfk-l1-sorting-g0g1-sums": "59d38d5fca1962ae",
-    "pkfk-l1-sorting-g0g1-extremes": "3cd82b2b2804d3af",
-    "pkfk-l1-sorting-g0-sums": "ed06beae9d3c64fe",
-    "pkfk-l1-sorting-g0-extremes": "21c08d2999615933",
-    "pkfk-l1-sorting-g1-sums": "70b7277a4363664b",
-    "pkfk-l1-sorting-g1-extremes": "3707b7de7cab0ae3",
-    "pkfk-l1-osorting-g0g1-sums": "359ecf988006adde",
-    "pkfk-l1-osorting-g0g1-extremes": "7d31607f7ce4b276",
-    "pkfk-l1-osorting-g0-sums": "a295b06e3f210e0d",
-    "pkfk-l1-osorting-g0-extremes": "6f83df26148b436d",
-    "pkfk-l1-osorting-g1-sums": "788e8c4a41ae1203",
-    "pkfk-l1-osorting-g1-extremes": "f8e36ced97e5ff8a",
-    "pkfk-l1-bsorting-g0g1-sums": "68a5480b30e972ee",
-    "pkfk-l1-bsorting-g0g1-extremes": "de465386729f1117",
-    "pkfk-l1-bsorting-g0-sums": "71557857421cce7b",
-    "pkfk-l1-bsorting-g0-extremes": "f93c5f85901aa100",
-    "pkfk-l1-bsorting-g1-sums": "05ad87054ca464c9",
-    "pkfk-l1-bsorting-g1-extremes": "4295bf025e306d80",
-    "pkfk-l1-mix-g0g1-sums": "3b85e720b363f0c5",
-    "pkfk-l1-mix-g0g1-extremes": "6541e386e4c67924",
-    "pkfk-l1-mix-g0-sums": "9a5d51984484665e",
-    "pkfk-l1-mix-g0-extremes": "b7f60010a5e00251",
-    "pkfk-l1-mix-g1-sums": "f8fbf9fa34113508",
-    "pkfk-l1-mix-g1-extremes": "55241708b12496e1",
-    "pkfk-l1-bitmap-g0g1-sums": "2985ce9bc6ab4f07",
-    "pkfk-l1-bitmap-g0g1-extremes": "d378c4d5f91444c0",
-    "pkfk-l1-bitmap-g0-sums": "6820b7c319d3ba47",
-    "pkfk-l1-bitmap-g0-extremes": "2dd3b5c4ff4117cc",
-    "pkfk-l1-bitmap-g1-sums": "4362aedde3694c45",
-    "pkfk-l1-bitmap-g1-extremes": "79e33c770f70c15e",
+    "pkfk-l0-oneside-g1-sums": "999211fed25b2279",
+    "pkfk-l0-oneside-g1-extremes": "69b016218c4828a4",
+    "pkfk-l1-view": "8b4ec9e3bc5c4ef7",
+    "pkfk-l1-sorting-g0g1-sums": "5ab3e00ee88496de",
+    "pkfk-l1-sorting-g0g1-extremes": "a8a53ae68cfb45f3",
+    "pkfk-l1-sorting-g0-sums": "7993215e528a9f13",
+    "pkfk-l1-sorting-g0-extremes": "3c3ff05d20ca2531",
+    "pkfk-l1-sorting-g1-sums": "b1aba8d09a8506d3",
+    "pkfk-l1-sorting-g1-extremes": "b27b736fcd974cde",
+    "pkfk-l1-osorting-g0g1-sums": "36a273dab0b6b51d",
+    "pkfk-l1-osorting-g0g1-extremes": "282605e9a55afe03",
+    "pkfk-l1-osorting-g0-sums": "99c44b4051fa698c",
+    "pkfk-l1-osorting-g0-extremes": "33fc24a820dd8ccb",
+    "pkfk-l1-osorting-g1-sums": "e3224214c98be76b",
+    "pkfk-l1-osorting-g1-extremes": "87a956788ed352e8",
+    "pkfk-l1-bsorting-g0g1-sums": "abc154ec2ebeea02",
+    "pkfk-l1-bsorting-g0g1-extremes": "d0b9dc21e191c7dc",
+    "pkfk-l1-bsorting-g0-sums": "960861c6a1411ed6",
+    "pkfk-l1-bsorting-g0-extremes": "b7e136afd615f4fc",
+    "pkfk-l1-bsorting-g1-sums": "892173b7371ea963",
+    "pkfk-l1-bsorting-g1-extremes": "2789656801fd98d4",
+    "pkfk-l1-mix-g0g1-sums": "c9a3fb0fea920f13",
+    "pkfk-l1-mix-g0g1-extremes": "9d89966b01d835ae",
+    "pkfk-l1-mix-g0-sums": "f440b0f66b4ad5e4",
+    "pkfk-l1-mix-g0-extremes": "48bf762939238122",
+    "pkfk-l1-mix-g1-sums": "73112a6e3d1d297d",
+    "pkfk-l1-mix-g1-extremes": "e4b115d0f8b5c9a9",
+    "pkfk-l1-bitmap-g0g1-sums": "3c9d4be047214ce5",
+    "pkfk-l1-bitmap-g0g1-extremes": "be14be876aee6514",
+    "pkfk-l1-bitmap-g0-sums": "386f6458042bff53",
+    "pkfk-l1-bitmap-g0-extremes": "21c2671caa3c2a79",
+    "pkfk-l1-bitmap-g1-sums": "f3041f664aeb0d3b",
+    "pkfk-l1-bitmap-g1-extremes": "3fa91f479a9c6404",
     "pkfk-l1-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l1-oneside-g0-sums": "SizeMismatch",
     "pkfk-l1-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l1-oneside-g1-sums": "f8fbf9fa34113508",
-    "pkfk-l1-oneside-g1-extremes": "55241708b12496e1",
-    "pkfk-l2-view": "8dee838fcd71b50f",
-    "pkfk-l2-sorting-g0g1-sums": "5dbf186968bbebc4",
-    "pkfk-l2-sorting-g0g1-extremes": "ddce8557d3705375",
-    "pkfk-l2-sorting-g0-sums": "8e95319fcdf1b987",
-    "pkfk-l2-sorting-g0-extremes": "4f0b50054cc07763",
-    "pkfk-l2-sorting-g1-sums": "98fc8b26bfdb361e",
-    "pkfk-l2-sorting-g1-extremes": "c3eaef2e2c26ce9b",
-    "pkfk-l2-osorting-g0g1-sums": "d81caf87990aaa88",
-    "pkfk-l2-osorting-g0g1-extremes": "6600bea4c3cbfe0b",
-    "pkfk-l2-osorting-g0-sums": "663361ec2da1b4fb",
-    "pkfk-l2-osorting-g0-extremes": "584e742c873de735",
-    "pkfk-l2-osorting-g1-sums": "38817380873bca59",
-    "pkfk-l2-osorting-g1-extremes": "c127f18514a47d44",
-    "pkfk-l2-bsorting-g0g1-sums": "b295d5827814087d",
-    "pkfk-l2-bsorting-g0g1-extremes": "f7067cc6f89dcc80",
-    "pkfk-l2-bsorting-g0-sums": "17a40b1f800b42d2",
-    "pkfk-l2-bsorting-g0-extremes": "8dc602e77d244a31",
-    "pkfk-l2-bsorting-g1-sums": "afde6c2f1e9d5061",
-    "pkfk-l2-bsorting-g1-extremes": "55d503fa069e1a78",
-    "pkfk-l2-mix-g0g1-sums": "367bc2a35de64fab",
-    "pkfk-l2-mix-g0g1-extremes": "9040765c71f4cf4a",
-    "pkfk-l2-mix-g0-sums": "9376bf5fe2d269c1",
-    "pkfk-l2-mix-g0-extremes": "ef303bdee978bea0",
-    "pkfk-l2-mix-g1-sums": "74989610f0ebc314",
-    "pkfk-l2-mix-g1-extremes": "b636fd955a550b23",
-    "pkfk-l2-bitmap-g0g1-sums": "46bc7c96a4977c16",
-    "pkfk-l2-bitmap-g0g1-extremes": "fe0318ae20d77332",
-    "pkfk-l2-bitmap-g0-sums": "988473875df2a4d8",
-    "pkfk-l2-bitmap-g0-extremes": "19d997f49ea4b12d",
-    "pkfk-l2-bitmap-g1-sums": "6a85be12128a5168",
-    "pkfk-l2-bitmap-g1-extremes": "03545ce64f5ef2c2",
+    "pkfk-l1-oneside-g1-sums": "73112a6e3d1d297d",
+    "pkfk-l1-oneside-g1-extremes": "e4b115d0f8b5c9a9",
+    "pkfk-l2-view": "5ae661c7c3cf1845",
+    "pkfk-l2-sorting-g0g1-sums": "c3bf617089fa6657",
+    "pkfk-l2-sorting-g0g1-extremes": "1b698f44cd356e2d",
+    "pkfk-l2-sorting-g0-sums": "1dfac0b9afe8e50a",
+    "pkfk-l2-sorting-g0-extremes": "35bedcce2cc8c76f",
+    "pkfk-l2-sorting-g1-sums": "f6b5900c6a15db6a",
+    "pkfk-l2-sorting-g1-extremes": "6296d5280d3da216",
+    "pkfk-l2-osorting-g0g1-sums": "e6957cdacfbfd8c6",
+    "pkfk-l2-osorting-g0g1-extremes": "2e1b734a56d9399d",
+    "pkfk-l2-osorting-g0-sums": "39ad367a30abaa97",
+    "pkfk-l2-osorting-g0-extremes": "9a97d590a04e08fd",
+    "pkfk-l2-osorting-g1-sums": "9ba7e3a7ea9cf919",
+    "pkfk-l2-osorting-g1-extremes": "a0ea7459fb256436",
+    "pkfk-l2-bsorting-g0g1-sums": "8df3ffaf29485290",
+    "pkfk-l2-bsorting-g0g1-extremes": "894782868a04b3eb",
+    "pkfk-l2-bsorting-g0-sums": "e406b18f00e723e3",
+    "pkfk-l2-bsorting-g0-extremes": "69f76b68797558e4",
+    "pkfk-l2-bsorting-g1-sums": "929653fd0eb3cb3a",
+    "pkfk-l2-bsorting-g1-extremes": "22f1b2e0a99deb32",
+    "pkfk-l2-mix-g0g1-sums": "3aed0c15fd44864f",
+    "pkfk-l2-mix-g0g1-extremes": "324f9e81b4b432fc",
+    "pkfk-l2-mix-g0-sums": "856e49416718b846",
+    "pkfk-l2-mix-g0-extremes": "7443ce8f0e23e925",
+    "pkfk-l2-mix-g1-sums": "54982a056fc08e51",
+    "pkfk-l2-mix-g1-extremes": "6027d1c53ef57632",
+    "pkfk-l2-bitmap-g0g1-sums": "5e7465b0eb5e93e7",
+    "pkfk-l2-bitmap-g0g1-extremes": "3f5890336f13eba8",
+    "pkfk-l2-bitmap-g0-sums": "1ac6ae55666b2868",
+    "pkfk-l2-bitmap-g0-extremes": "a80d59335e1faf16",
+    "pkfk-l2-bitmap-g1-sums": "9330d796c5777a91",
+    "pkfk-l2-bitmap-g1-extremes": "cfb0415cdbd5b051",
     "pkfk-l2-oneside-g0g1-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0g1-extremes": "SizeMismatch",
     "pkfk-l2-oneside-g0-sums": "SizeMismatch",
     "pkfk-l2-oneside-g0-extremes": "SizeMismatch",
-    "pkfk-l2-oneside-g1-sums": "74989610f0ebc314",
-    "pkfk-l2-oneside-g1-extremes": "b636fd955a550b23",
+    "pkfk-l2-oneside-g1-sums": "54982a056fc08e51",
+    "pkfk-l2-oneside-g1-extremes": "6027d1c53ef57632",
 }
 
 
@@ -367,26 +367,26 @@ GOLDEN_DOM0 = {
     "pkpk-l0-sorting-dom0-g0g1-extremes": "c71a2b91bb508792",
     "pkpk-l0-sorting-dom0-g0-sums": "b825e8695a294ac6",
     "pkpk-l0-sorting-dom0-g0-extremes": "b7de5c71195b5c8c",
-    "pkpk-l0-osorting-dom0-g0g1-sums": "f4b8739013c4468b",
-    "pkpk-l0-osorting-dom0-g0g1-extremes": "7785bb3a500d144c",
-    "pkpk-l0-osorting-dom0-g0-sums": "e9f58c959705cfd1",
-    "pkpk-l0-osorting-dom0-g0-extremes": "362a2f08c4f2b321",
+    "pkpk-l0-osorting-dom0-g0g1-sums": "5c736592dba374f1",
+    "pkpk-l0-osorting-dom0-g0g1-extremes": "5e62e38ec88ac684",
+    "pkpk-l0-osorting-dom0-g0-sums": "fe84cb5b199bdea7",
+    "pkpk-l0-osorting-dom0-g0-extremes": "35f0bd72d68d593d",
     "pkpk-l1-sorting-dom0-g0g1-sums": "3a49137e3bc38a81",
     "pkpk-l1-sorting-dom0-g0g1-extremes": "e444e0ba0dce60f8",
     "pkpk-l1-sorting-dom0-g0-sums": "b474183f9c8e0066",
     "pkpk-l1-sorting-dom0-g0-extremes": "aae1254f4c93fb88",
-    "pkpk-l1-osorting-dom0-g0g1-sums": "dbc24fe32c8d8bd3",
-    "pkpk-l1-osorting-dom0-g0g1-extremes": "28d3548c23f5352f",
-    "pkpk-l1-osorting-dom0-g0-sums": "cd62cde8c29f0aa6",
-    "pkpk-l1-osorting-dom0-g0-extremes": "9e8cdc1cc5bc8778",
+    "pkpk-l1-osorting-dom0-g0g1-sums": "1f13e374d6603cdf",
+    "pkpk-l1-osorting-dom0-g0g1-extremes": "63e256ad6e46bce8",
+    "pkpk-l1-osorting-dom0-g0-sums": "3e9fb0daa0af78b5",
+    "pkpk-l1-osorting-dom0-g0-extremes": "3ab0e04a75806288",
     "pkpk-l2-sorting-dom0-g0g1-sums": "95bdcda5dc614b59",
     "pkpk-l2-sorting-dom0-g0g1-extremes": "81bc32d020274947",
     "pkpk-l2-sorting-dom0-g0-sums": "25ca85b5286fc939",
     "pkpk-l2-sorting-dom0-g0-extremes": "2f66220639ec98d9",
-    "pkpk-l2-osorting-dom0-g0g1-sums": "a10e3e859e120337",
-    "pkpk-l2-osorting-dom0-g0g1-extremes": "74fd8655cdafdcd7",
-    "pkpk-l2-osorting-dom0-g0-sums": "312f8b90401f604b",
-    "pkpk-l2-osorting-dom0-g0-extremes": "db0bdd68fdd17c38",
+    "pkpk-l2-osorting-dom0-g0g1-sums": "194a74abd965a8ca",
+    "pkpk-l2-osorting-dom0-g0g1-extremes": "b18f18d58778e2df",
+    "pkpk-l2-osorting-dom0-g0-sums": "66618d86ef2505d2",
+    "pkpk-l2-osorting-dom0-g0-extremes": "d722f13d56af83e8",
 }
 
 
@@ -533,7 +533,7 @@ GOLDEN_PRIMITIVES = {
     "asym_mul-bin1": "c2baef9a3590a85f",
     "share_open": "f35f8cf7626fa1d1",
     "gates": "c35b63a07f81e62d",
-    "refresh_pkfk": "f34d7777cc48e3fb",
+    "refresh_pkfk": "15145741ec0ab600",
 }
 
 
