@@ -1,15 +1,19 @@
 """View generation, refresh, PK-FK support, serialization."""
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from secjoin import ga, oracle, store
+from secjoin import oblivious as ob
 from secjoin import sharing as sh
-from secjoin import store
 from secjoin import views as vw
 from secjoin.errors import (DuplicatePrimaryKey, KeyModified, KeyOutOfRange,
                             ParseError)
-from secjoin.ring import bound_width
+from secjoin.ga import JgaQuery
+from secjoin.ring import ARITH, BINARY, bound_width
 from secjoin.session import Session
 from secjoin.sharing import SharedVector
 from secjoin.views import Relation
@@ -406,3 +410,219 @@ def test_fk_counters_match_a_per_row_count():
             seen[k] = seen.get(k, 0) + 1
             want.append(seen[k])
         assert vw._fk_counters(keys).tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# arithmetic shares at the width of their public bound
+# ---------------------------------------------------------------------------
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+
+
+def _reference():
+    """The benchmark's own view checks, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference",
+                                                  REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def guard_frames(sess, widths=range(1, 65)):
+    """Check every frame `sess` sends or exchanges against its ledger.
+
+    A frame's words may have several widths (one per Beaver group, one per
+    OSN column), all drawn from `widths`. The check gives each word the
+    least of `widths` that holds it; the words must fit the ledgered bits
+    that way. With widths {1, w}, a w-bit frame whose words are cut to w
+    bits passes, and any word with a bit at or above w fails it. Returns
+    the list of ledgered bits checked."""
+    allowed = np.array(sorted(widths))
+    seen = []
+    send, exchange = sess.send, sess.exchange
+
+    def check(data, bits):
+        words = np.asarray(data, dtype=np.uint64).ravel()
+        if not len(words):
+            return
+        lengths = np.zeros(len(words), dtype=np.int64)
+        rest = words.copy()
+        while rest.any():  # bit lengths, one shift at a time
+            lengths += rest != 0
+            rest >>= np.uint64(1)
+        assert lengths.max() <= allowed[-1], (int(lengths.max()), bits)
+        least = allowed[np.searchsorted(allowed, lengths)]
+        assert int(least.sum()) <= bits, (int(least.sum()), bits)
+        seen.append(bits)
+
+    def checked_send(src, data, bits):
+        check(data, bits)
+        return send(src, data, bits)
+
+    def checked_exchange(d0, d1, b0, b1):
+        check(d0, b0)
+        check(d1, b1)
+        return exchange(d0, d1, b0, b1)
+
+    sess.send, sess.exchange = checked_send, checked_exchange
+    return seen
+
+
+def narrow_tables(na, nb, rng, distinct_g0=False):
+    """PK-PK tables of na and nb rows sharing about half of the smaller
+    side's keys; g0 takes na distinct values when asked, else 5."""
+    keys = rng.choice(np.arange(1, 4 * (na + nb)), na + nb - nb // 2,
+                      replace=False)
+    x, y = keys[:na], np.concatenate([keys[:nb // 2], keys[na:]])[:nb]
+    g0 = rng.permutation(na) + 7 if distinct_g0 else rng.integers(0, 5, na)
+    r0 = Relation("A", {"k": x, "g0": g0, "v0": rng.integers(0, 1 << 40, na)},
+                  "k")
+    r1 = Relation("B", {"k": y, "g1": rng.integers(0, 3, nb),
+                        "v1": rng.integers(0, 1 << 40, nb)}, "k")
+    return r0, r1
+
+
+def narrow_secv(na, distinct_g0):
+    """A level-2 view of na x (na - 40) tables, and the tables."""
+    r0, r1 = narrow_tables(na, na - 40, np.random.default_rng(na),
+                           distinct_g0)
+    v0, v1 = vw.gen_secv(Session(na, 2, 3), r0, r1)
+    return r0, r1, v0, v1
+
+
+def narrow_pkfk(n):
+    """A PK-FK view of n PK rows with n distinct g0 values and n FK rows,
+    so P0's rank of g0 reaches n - 1, and the tables."""
+    rng = np.random.default_rng(n)
+    pk = rng.choice(np.arange(1, 4 * n), n, replace=False)
+    r0 = Relation("P", {"k": pk, "g0": rng.permutation(n) + 3,
+                        "v0": rng.integers(0, 1 << 40, n)}, "k", "pk")
+    r1 = Relation("F", {"k": rng.choice(pk[:n // 2], n),
+                        "g1": rng.integers(0, 3, n),
+                        "v1": rng.integers(0, 1 << 40, n)}, "k", "fk")
+    v0, v1 = vw.gen_pkfk(Session(n, 5, 6), r0, r1)
+    return r0, r1, v0, v1
+
+
+def test_narrow_paths_send_no_bit_above_the_ledgered_width():
+    rng = np.random.default_rng(61)
+    # secV in both orientations: every frame holds 1-bit or w-bit words
+    for na, nb in ((300, 200), (150, 300)):
+        r0, r1 = narrow_tables(na, nb, rng)
+        sess = Session(1, 2, 3)
+        seen = guard_frames(sess, (1, bound_width(max(na, nb))))
+        v0, v1 = vw.gen_secv(sess, r0, r1)
+        assert seen and not _reference().check_pkpk_view(
+            r0.columns, "k", r1.columns, "k", v0, v1)
+    # bit_sort, then each permutation application under its output
+    n = 300
+    w = bound_width(n)
+    sess = Session(4, 5, 6)
+    seen = guard_frames(sess, (1, w))
+    bucket = rng.integers(0, 4, n)
+    bits = [sh.share_vec(sess, 0, bucket == j, BINARY, 1) for j in (1, 2, 3)]
+    pi = ob.bit_sort(sess, bits)
+    assert (pi.flavor, pi.width) == (ARITH, w)
+    assert np.array_equal(pi.reconstruct(),
+                          ob.invert_perm(np.argsort(bucket, kind="stable") + 1))
+    vals = rng.integers(0, n, n, dtype=np.uint64)
+    shared = [sh.share_vec(sess, 1, vals, ARITH, w),
+              sh.share_vec(sess, 0, vals & np.uint64(1), BINARY, 1)]
+    plain = [ob.PlainColumn(vals, ARITH, w), ob.PlainColumn(vals & np.uint64(1),
+                                                            BINARY, 1)]
+    gather = ob.invert_perm(pi.reconstruct().astype(np.int64)) - 1
+    for out in (ob.invp_shared(sess, pi, shared), ob.invp_plain(sess, pi, 0, plain)):
+        assert np.array_equal(out[0].reconstruct(), vals[gather])
+    scatter = pi.reconstruct().astype(np.int64) - 1
+    for out in (ob.perm_shared(sess, pi, shared), ob.perm_plain(sess, pi, 1, plain)):
+        assert np.array_equal(out[0].reconstruct(), vals[scatter])
+    assert len(seen) > 20
+    # a bsorting and an osorting query over a level-2 view: their frames
+    # mix many widths, so each word counts at its own bit length
+    r0, r1, v0, v1 = narrow_secv(255, False)
+    for q in (JgaQuery("g0", "g1", [(0, "v0", "sum"), (1, "v1", "max")],
+                       "bsorting", dom0=list(range(5))),
+              JgaQuery("g0", None, [(1, "v1", "sum"), (0, "v0", "min")],
+                       "osorting")):
+        sess = Session(7, 8, 9)
+        assert guard_frames(sess) is not None
+        assert ga.run_query(sess, v0, v1, q).rows == oracle.eval_jga(r0, r1, q)
+    # a PK-FK refresh: 1-bit, rank-wide and 64-bit words
+    r0, r1, v0, v1 = narrow_pkfk(100)
+    sess = Session(10, 11, 12)
+    seen = guard_frames(sess, (1, bound_width(99), 64))
+    n0, n1 = vw.refresh_pkfk(sess, v0, v1, r0, r1, updates0=[(3, {"v0": 5})])
+    assert seen
+    check_pkfk(n0, n1, r0, r1)
+
+
+EDGES = (255, 256, 257)  # 2^k - 1, 2^k and 2^k + 1 for k = 8
+
+
+@pytest.mark.parametrize("na", EDGES)
+def test_secv_at_the_width_edges_passes_the_benchmark_view_checks(na):
+    # every index secV moves is at most na, in bound_width(na) bits: 8 at
+    # 255, 9 at 256 and 257; both orientations
+    r0, r1, v0, v1 = narrow_secv(na, True)
+    check = _reference().check_pkpk_view
+    assert not check(r0.columns, "k", r1.columns, "k", v0, v1)
+    w1, w0 = vw.gen_secv(Session(na, 7, 8), r1, r0)
+    assert not check(r1.columns, "k", r0.columns, "k", w1, w0)
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_bit_sort_at_the_width_edges_vs_numpy(n):
+    rng = np.random.default_rng(n)
+    bucket = rng.integers(0, 4, n)  # 0: no set bit
+    sess = Session(n, 1, 2)
+    pi = ob.bit_sort(sess, [sh.share_vec(sess, 0, bucket == j, BINARY, 1)
+                            for j in (1, 2, 3)])
+    assert (pi.flavor, pi.width) == (ARITH, bound_width(n))
+    order = np.argsort(bucket, kind="stable") + 1
+    assert np.array_equal(pi.reconstruct(), ob.invert_perm(order))
+
+
+@pytest.mark.parametrize("n", EDGES)
+def test_sorting_queries_at_the_width_edges_match_the_oracle(n):
+    # osorting on n distinct g0 values: P0's rank reaches n - 1 and rho n;
+    # bsorting: bit_sort's ranks and rho reach n
+    r0, r1, v0, v1 = narrow_secv(n, True)
+    q = JgaQuery("g0", "g1", [(0, "v0", "sum"), (1, "v1", "min")], "osorting")
+    assert ga.run_query(Session(1, 2, 3), v0, v1, q).rows == \
+        oracle.eval_jga(r0, r1, q)
+    r0, r1, v0, v1 = narrow_secv(n, False)
+    q = JgaQuery("g0", "g1", [(1, "v1", "sum"), (0, "v0", "max")], "bsorting",
+                 dom0=list(range(5)))
+    assert ga.run_query(Session(4, 5, 6), v0, v1, q).rows == \
+        oracle.eval_jga(r0, r1, q)
+
+
+@pytest.mark.parametrize("n", (256, 257))
+def test_pkfk_ranks_at_the_width_edges_match_the_oracle(n):
+    # the __rk: columns take bound_width(n - 1) bits: 8 at 256, 9 at 257
+    r0, r1, v0, v1 = narrow_pkfk(n)
+    assert v0.n == n
+    check_pkfk(v0, v1, r0, r1)
+    q = JgaQuery("g0", None, [(1, "v1", "sum"), (0, None, "count")],
+                 "osorting")
+    assert ga.run_query(Session(1, 2, 3), v0, v1, q).rows == \
+        oracle.eval_jga(r0, r1, q)
+
+
+def test_pkfk_views_with_64_bit_rank_halves_still_answer():
+    # a view file written before ranks were narrowed holds each __rk:
+    # column as a 64-bit share; cut to w bits, that is a w-bit share
+    r0, r1, v0, v1 = narrow_pkfk(257)
+    rng = np.random.default_rng(9)
+    w = np.uint64(bound_width(v0.n - 1))
+    for c in [c for c in v0.j0_half if c.startswith("__rk:")]:
+        value = (v0.j0_half[c] + v1.j0_half[c]) & ((np.uint64(1) << w)
+                                                   - np.uint64(1))
+        v0.j0_half[c] = rng.integers(0, 1 << 64, v0.n, dtype=np.uint64)
+        v1.j0_half[c] = value - v0.j0_half[c]
+        assert (v1.j0_half[c] >> w).any()
+    v0, v1 = (store.view_from_bytes(store.view_to_bytes(v)) for v in (v0, v1))
+    for proto in ("sorting", "osorting"):
+        q = JgaQuery("g0", "g1", [(0, "v0", "sum"), (1, "v1", "max")], proto)
+        assert ga.run_query(Session(1, 2, 3), v0, v1, q).rows == \
+            oracle.eval_jga(r0, r1, q), proto
