@@ -247,9 +247,9 @@ def gen_secv(sess: Session, r0: Relation, r1: Relation,
     `pi0` optionally fixes the bigger side's private permutation (it is that
     party's own input); by default it is drawn fresh from the party's RNG.
     When the right side is larger the party roles are reversed internally and
-    the returned views are relabeled. Every value the protocol moves after
-    step 1 (Z, O', the sort permutations and pi_b) is an index of at most
-    n_a, so each travels as an arithmetic share of bound_width(n_a) bits.
+    the returned views are relabeled. Z, O', the sort permutations and
+    pi_b hold indices of at most n_a, so each travels as an arithmetic
+    share of bound_width(n_a) bits.
     """
     _check_keys(SENTINEL[0], r0, r1)
     swap = r1.n > r0.n
@@ -259,7 +259,7 @@ def gen_secv(sess: Session, r0: Relation, r1: Relation,
     if pi0 is not None and len(pi0) != na:
         raise SizeMismatch("pi0 must be a permutation of the larger side")
 
-    width = bound_width(na)  # of every index, permutation and rank below
+    width = bound_width(na)  # of every index the protocol moves
     with sess.phase("cpsi-1"):
         e1, z1 = setops.f_cpsi(sess, pa, ra.keys, rb.keys,
                                np.arange(1, nb + 1, dtype=np.uint64), width)

@@ -545,8 +545,9 @@ def test_narrow_paths_send_no_bit_above_the_ledgered_width():
               JgaQuery("g0", None, [(1, "v1", "sum"), (0, "v0", "min")],
                        "osorting")):
         sess = Session(7, 8, 9)
-        assert guard_frames(sess) is not None
+        seen = guard_frames(sess)
         assert ga.run_query(sess, v0, v1, q).rows == oracle.eval_jga(r0, r1, q)
+        assert seen
     # a PK-FK refresh: 1-bit, rank-wide and 64-bit words
     r0, r1, v0, v1 = narrow_pkfk(100)
     sess = Session(10, 11, 12)
